@@ -31,6 +31,8 @@ from .phantom import (
     MembraneModel,
     PhantomConfig,
     PhantomSample,
+    capture_reading,
+    clean_rgb,
     contact_solve,
     default_membrane,
     generate_phantom_dataset,

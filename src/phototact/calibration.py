@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +54,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise ValueError("learning rate must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
@@ -110,7 +113,9 @@ class CalibrationModel:
         """Raw depth predictions (mm) for an (N, 5) feature matrix."""
         x = self.standardize(features)
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.tanh(x @ w.astype(np.float64) + b.astype(np.float64))
+            x = x @ w.astype(np.float64)
+            x += b.astype(np.float64)
+            np.tanh(x, out=x)
         out = x @ self.weights[-1].astype(np.float64) + self.biases[-1].astype(np.float64)
         return out[:, 0]
 
@@ -155,17 +160,36 @@ def _init_params(seed: int):
     return weights, biases
 
 
-def _forward_pass(weights, biases, x):
+def _hidden_buffers(rows: int):
+    """One (rows, width) float64 buffer per hidden layer."""
+    return [np.empty((rows, width)) for width in LAYER_SIZES[1:-1]]
+
+
+def _forward_pass(weights, biases, x, hidden):
+    """Input plus hidden activations, and the output column.
+
+    The hidden activations are written into the leading rows of the
+    ``hidden`` buffers, which must have at least ``len(x)`` rows.
+    """
     activations = [x]
-    for w, b in zip(weights[:-1], biases[:-1]):
-        activations.append(np.tanh(activations[-1] @ w + b))
+    for w, b, buf in zip(weights[:-1], biases[:-1], hidden):
+        a = np.matmul(activations[-1], w, out=buf[: x.shape[0]])
+        a += b
+        activations.append(np.tanh(a, out=a))
     out = activations[-1] @ weights[-1] + biases[-1]
     return activations, out[:, 0]
 
 
-def loss_and_gradients(weights, biases, x, y):
-    """MSE loss and its parameter gradients for one batch (float64)."""
-    activations, pred = _forward_pass(weights, biases, x)
+def loss_and_gradients(weights, biases, x, y, hidden=None):
+    """MSE loss and its parameter gradients for one batch (float64).
+
+    ``hidden`` optionally supplies the activation buffers (see
+    :func:`_forward_pass`); training passes the same ones every step so the
+    step allocates no activation memory.
+    """
+    if hidden is None:
+        hidden = _hidden_buffers(x.shape[0])
+    activations, pred = _forward_pass(weights, biases, x, hidden)
     residual = pred - y
     loss = float(np.mean(residual**2))
     n = x.shape[0]
@@ -213,6 +237,7 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
 
     shuffle_rng = rng_stream(cfg.seed, _STREAM_SHUFFLE)
     n = xs.shape[0]
+    hidden = _hidden_buffers(min(cfg.batch_size, n))
     step = 0
     epoch_losses = []
     for _ in range(cfg.epochs):
@@ -220,7 +245,7 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            loss, grads_w, grads_b = loss_and_gradients(weights, biases, xs[batch], y[batch])
+            loss, grads_w, grads_b = loss_and_gradients(weights, biases, xs[batch], y[batch], hidden)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss is not finite at step {step}")
             batch_losses.append(loss)
@@ -276,8 +301,7 @@ def build_calib_dataset(
         truth = sphere_press_truth(depth, sphere_radius_mm, geom)
         ref = render_reading(zero, membrane, int(render_seeds[2 * i]))
         contact = render_reading(truth, membrane, int(render_seeds[2 * i + 1]))
-        field = color_delta(ref, contact)
-        rows_x.append(field.feature_rows(mask))
+        rows_x.append(color_delta(ref, contact, geom).rows)
         rows_y.append(truth.depths[mask].astype(np.float64))
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)
 
@@ -287,13 +311,8 @@ def reconstruct(model: CalibrationModel, ref: RgbImage, contact: RgbImage, geom:
 
     Depths are zero outside the sensing disc; the map carries the disc mask.
     """
-    if (ref.height, ref.width) != (geom.height, geom.width):
-        raise ValueError("reference image does not match geometry")
-    if (contact.height, contact.width) != (geom.height, geom.width):
-        raise ValueError("contact image does not match geometry")
-    field = color_delta(ref, contact)
+    raw = model.forward(color_delta(ref, contact, geom).rows)
     mask = geom.disc_mask
-    raw = model.forward(field.feature_rows(mask))
     depths = np.zeros((geom.height, geom.width), dtype=np.float32)
     depths[mask] = np.clip(raw, 0.0, model.max_depth).astype(np.float32)
     return DeformationMap(depths, mask)

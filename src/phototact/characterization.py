@@ -34,6 +34,8 @@ from .calibration import CalibrationModel, reconstruct
 from .imaging import DeformationMap, RgbImage, SensorGeometry
 from .phantom import (
     MembraneModel,
+    capture_reading,
+    clean_rgb,
     render_reading,
     rng_stream,
     spherical_cap_profile,
@@ -198,9 +200,14 @@ class IndenterRig:
         return DeformationMap(clamped.astype(np.float32), self.geometry.disc_mask)
 
 
-def _measure(rig: IndenterRig, model: CalibrationModel, truth: DeformationMap, seed_pair):
-    ref = render_reading(rig.geometry.zero_map(), rig.membrane, int(seed_pair[0]))
-    contact = render_reading(truth, rig.membrane, int(seed_pair[1]))
+def _measure(rig: IndenterRig, model: CalibrationModel, clean, seed_pair):
+    """Reconstruction from an unloaded reference and a contact reading of ``clean``.
+
+    ``clean`` is the contact's noise-free render (see :func:`clean_rgb`),
+    computed once by the caller for all the captures of one truth.
+    """
+    ref = capture_reading(rig.membrane.rest_rgb, rig.membrane, int(seed_pair[0]))
+    contact = capture_reading(clean, rig.membrane, int(seed_pair[1]))
     return reconstruct(model, ref, contact, rig.geometry)
 
 
@@ -208,10 +215,9 @@ def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:
     """Mean in-disc std of reconstructions from no-contact reading pairs."""
     seeds = rng_stream(seed, _STREAM_NULL).integers(0, 2**62, size=2 * rig.n_null_pairs)
     mask = rig.geometry.disc_mask
-    zero = rig.geometry.zero_map()
     stds = []
     for i in range(rig.n_null_pairs):
-        recon = _measure(rig, model, zero, seeds[2 * i : 2 * i + 2])
+        recon = _measure(rig, model, rig.membrane.rest_rgb, seeds[2 * i : 2 * i + 2])
         stds.append(float(recon.depths[mask].astype(np.float64).std()))
     return float(np.mean(stds))
 
@@ -232,10 +238,10 @@ def run_force_sweep(
     max_depths = np.empty(len(forces))
     mean_depths = np.empty(len(forces))
     for i, force in enumerate(forces):
-        truth = rig.truth_profile(rig.force_to_depth(float(force)), unloading=unloading)
+        clean = clean_rgb(rig.truth_profile(rig.force_to_depth(float(force)), unloading=unloading), rig.membrane)
         maxima, means = [], []
         for t in range(n_trials):
-            recon = _measure(rig, model, truth, seeds[i, t])
+            recon = _measure(rig, model, clean, seeds[i, t])
             depths = recon.depths[mask].astype(np.float64)
             maxima.append(depths.max())
             means.append(depths.mean())
@@ -296,15 +302,19 @@ def repeatability_trials(
     n_trials: int = defaults.CHAR_TRIALS,
     seed: int = 0,
 ) -> TrialSet:
-    """Repeated depth-step presses; the measurement is the peak in-disc depth."""
+    """Repeated depth-step presses; the measurement is the peak in-disc depth.
+
+    Trial t of step j uses seed pair ``[t, j]``; the loop runs step-major so
+    one step's noise-free render serves all its trials.
+    """
     steps = np.asarray(steps, dtype=np.float64)
     seeds = rng_stream(seed, _STREAM_TRIALS).integers(0, 2**62, size=(n_trials, len(steps), 2))
     mask = rig.geometry.disc_mask
     measurements = np.empty((n_trials, len(steps)))
-    for t in range(n_trials):
-        for j, depth in enumerate(steps):
-            truth = rig.truth_profile(float(depth))
-            recon = _measure(rig, model, truth, seeds[t, j])
+    for j, depth in enumerate(steps):
+        clean = clean_rgb(rig.truth_profile(float(depth)), rig.membrane)
+        for t in range(n_trials):
+            recon = _measure(rig, model, clean, seeds[t, j])
             measurements[t, j] = recon.depths[mask].astype(np.float64).max()
     return TrialSet(step_depths=steps, measurements=measurements, max_depth=float(steps.max()))
 

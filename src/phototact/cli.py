@@ -21,7 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, defaults
-from .calibration import TrainConfig, build_calib_dataset, load_model, reconstruct, save_model, train_mlp
+from .calibration import (
+    TrainConfig,
+    TrainingDivergedError,
+    build_calib_dataset,
+    load_model,
+    reconstruct,
+    save_model,
+    train_mlp,
+)
 from .characterization import IndenterRig, characterize
 from .detection import (
     classify,
@@ -56,6 +64,9 @@ VERBS = (
     "evaluate",
     "characterize",
 )
+
+# Seeds key uint64 Philox streams, and a phantom's contact reading uses 2 * seed + 1.
+SEED_LIMIT = 2**63
 
 
 class UsageError(Exception):
@@ -470,9 +481,22 @@ def dispatch(argv) -> int:
     if args.verb is None:
         parser.print_usage(sys.stderr)
         return 1
+    for name in ("seed", "membrane_seed"):
+        value = getattr(args, name, None)
+        if value is not None and not 0 <= value < SEED_LIMIT:
+            print(f"error: --{name.replace('_', '-')} must lie in [0, 2^63), got {value}", file=sys.stderr)
+            return 2
     try:
         return _HANDLERS[args.verb](args)
-    except (ValueError, PpmFormatError, DmapFormatError, KeyError, OSError, json.JSONDecodeError) as err:
+    except (
+        ValueError,
+        PpmFormatError,
+        DmapFormatError,
+        KeyError,
+        OSError,
+        json.JSONDecodeError,
+        TrainingDivergedError,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

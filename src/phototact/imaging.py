@@ -15,6 +15,7 @@ On-disk formats:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -182,6 +183,8 @@ class SensorGeometry:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
+        if not (math.isfinite(self.sensing_radius_mm) and math.isfinite(self.mm_per_pixel)):
+            raise ValueError("sensing radius and scale must be finite")
         if self.sensing_radius_mm <= 0 or self.mm_per_pixel <= 0:
             raise ValueError("sensing radius and scale must be positive")
         half_extent = self.mm_per_pixel * (min(self.width, self.height) - 1) / 2.0
@@ -219,28 +222,37 @@ class SensorGeometry:
         return DeformationMap(np.zeros((self.height, self.width), dtype=np.float32), self.disc_mask)
 
 
-def rgb_to_hsv(img: RgbImage) -> HsvImage:
-    """Standard hexcone conversion; achromatic pixels get hue 0."""
-    rgb = img.pixels.astype(np.float64) / 255.0
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    maxc = rgb.max(axis=-1)
-    minc = rgb.min(axis=-1)
-    v = maxc
-    chroma = maxc - minc
-    s = np.where(maxc > 0.0, chroma / np.where(maxc > 0.0, maxc, 1.0), 0.0)
+def rgb_to_hsv_channels(rgb):
+    """Hexcone conversion of 8-bit RGB triples shaped (..., 3) -> (hue, saturation, value).
 
-    nonzero = chroma > 0.0
-    safe = np.where(nonzero, chroma, 1.0)
-    r_max = nonzero & (maxc == r)
-    g_max = nonzero & (maxc == g) & ~r_max
-    b_max = nonzero & ~r_max & ~g_max
-    sector = np.zeros_like(chroma)
-    sector = np.where(r_max, np.mod((g - b) / safe, 6.0), sector)
-    sector = np.where(g_max, (b - r) / safe + 2.0, sector)
-    sector = np.where(b_max, (r - g) / safe + 4.0, sector)
-    h = 60.0 * sector
-    h = np.where(h >= 360.0, h - 360.0, h)
-    return HsvImage(np.stack([h, s, v], axis=-1))
+    Each channel has the input's leading shape; achromatic pixels get hue 0.
+    Every output element depends on its own pixel only, so converting a
+    gathered subset of pixels gives the same bits as converting the frame.
+    """
+    rgb = np.asarray(rgb)
+    r, g, b = (rgb[..., i] / 255.0 for i in range(3))
+    value = np.maximum(np.maximum(r, g), b)
+    chroma = value - np.minimum(np.minimum(r, g), b)
+    saturation = np.divide(chroma, value, out=np.zeros_like(value), where=value > 0.0)
+    # Sector offset 0/2/4 by the first channel holding the maximum, in r, g, b
+    # order; achromatic pixels take the red branch with a zero quotient.
+    r_max = value == r
+    g_max = ~r_max & (value == g)
+    quotient = np.divide(
+        np.where(r_max, g - b, np.where(g_max, b - r, r - g)),
+        chroma,
+        out=np.zeros_like(chroma),
+        where=chroma > 0.0,
+    )
+    sector = np.where(r_max, np.mod(quotient, 6.0), quotient + np.where(g_max, 2.0, 4.0))
+    hue = 60.0 * sector
+    hue = np.where(hue >= 360.0, hue - 360.0, hue)
+    return hue, saturation, value
+
+
+def rgb_to_hsv(img: RgbImage) -> HsvImage:
+    """Standard hexcone conversion of a whole image; achromatic pixels get hue 0."""
+    return HsvImage(np.stack(rgb_to_hsv_channels(img.pixels), axis=-1))
 
 
 def hsv_to_rgb_real(hue, saturation, value):

@@ -1,18 +1,20 @@
-"""Raw-reading differencing: amplified difference images and HSV delta fields.
+"""Raw-reading differencing: amplified difference images and HSV delta rows.
 
 The amplified difference image ("imprint") is computed on raw RGB channel
 values in real arithmetic, clipped to [0, 255], then rounded half-up to
-8 bits.  The HSV delta field is the per-pixel feature bundle consumed by
-depth calibration.
+8 bits.  The HSV delta rows are the per-pixel feature bundle consumed by
+depth calibration; they cover the sensing disc only, the pixels every depth
+map carries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import HsvImage, RgbImage, hue_delta, quantize_channels, rgb_to_hsv
+from .imaging import RgbImage, SensorGeometry, hue_delta, quantize_channels, rgb_to_hsv_channels
 
 
 @dataclass(frozen=True)
@@ -23,6 +25,8 @@ class ImprintParams:
     beta: float = 127.5
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
 
@@ -39,58 +43,60 @@ def augmented_imprint(ref: RgbImage, contact: RgbImage, params: ImprintParams | 
 
 @dataclass(frozen=True)
 class ColorDeltaField:
-    """Per-pixel (dH, dS, dV) between two readings plus normalized coordinates.
+    """Feature rows (dH, dS, dV, u, v) between two readings, one per sensing-disc pixel.
 
-    ``dh`` is the minimal signed hue difference in degrees, ``ds``/``dv`` are
-    plain differences; ``u``/``v`` are column/row positions normalized to
-    [0, 1].
+    Rows run in row-major pixel order.  ``dh`` is the minimal signed hue
+    difference in degrees, ``ds``/``dv`` are plain differences; ``u``/``v``
+    are column/row positions normalized to [0, 1].
     """
 
-    dh: np.ndarray
-    ds: np.ndarray
-    dv: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    rows: np.ndarray
 
     def __post_init__(self):
-        shape = self.dh.shape
-        for name in ("ds", "dv", "u", "v"):
-            if getattr(self, name).shape != shape:
-                raise ValueError("delta-field channels must share one shape")
+        rows = np.asarray(self.rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 5:
+            raise ValueError("delta rows must be shaped (N, 5)")
+        object.__setattr__(self, "rows", rows)
         if np.abs(self.dh).max(initial=0.0) > 180.0:
             raise ValueError("hue deltas must lie in [-180, 180]")
         if np.abs(self.ds).max(initial=0.0) > 1.0 or np.abs(self.dv).max(initial=0.0) > 1.0:
             raise ValueError("saturation/value deltas must lie in [-1, 1]")
 
     @property
-    def width(self) -> int:
-        return self.dh.shape[1]
+    def dh(self):
+        return self.rows[:, 0]
 
     @property
-    def height(self) -> int:
-        return self.dh.shape[0]
+    def ds(self):
+        return self.rows[:, 1]
 
-    def feature_rows(self, mask=None):
-        """Stack (dH, dS, dV, u, v) into an (N, 5) row matrix.
+    @property
+    def dv(self):
+        return self.rows[:, 2]
 
-        ``mask`` selects pixels; all pixels in row-major order when omitted.
-        """
-        channels = (self.dh, self.ds, self.dv, self.u, self.v)
-        if mask is None:
-            return np.stack([c.ravel() for c in channels], axis=1)
-        return np.stack([c[mask] for c in channels], axis=1)
+    @property
+    def u(self):
+        return self.rows[:, 3]
+
+    @property
+    def v(self):
+        return self.rows[:, 4]
 
 
-def color_delta(ref: RgbImage, contact: RgbImage) -> ColorDeltaField:
-    """HSV change from ``ref`` to ``contact`` with hue wrap handled."""
+def color_delta(ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> ColorDeltaField:
+    """HSV change from ``ref`` to ``contact`` over the sensing disc, hue wrap handled."""
     if (ref.height, ref.width) != (contact.height, contact.width):
         raise ValueError("reference and contact images differ in size")
-    hsv_ref = rgb_to_hsv(ref)
-    hsv_con = rgb_to_hsv(contact)
-    dh = hue_delta(hsv_con.hue, hsv_ref.hue)
-    ds = hsv_con.saturation - hsv_ref.saturation
-    dv = hsv_con.value - hsv_ref.value
-    u_axis = np.arange(ref.width, dtype=np.float64) / max(ref.width - 1, 1)
-    v_axis = np.arange(ref.height, dtype=np.float64) / max(ref.height - 1, 1)
-    u, v = np.meshgrid(u_axis, v_axis)
-    return ColorDeltaField(dh=dh, ds=ds, dv=dv, u=u, v=v)
+    if (ref.height, ref.width) != (geom.height, geom.width):
+        raise ValueError("reading pair does not match geometry")
+    mask = geom.disc_mask
+    h_ref, s_ref, v_ref = rgb_to_hsv_channels(ref.pixels[mask])
+    h_con, s_con, v_con = rgb_to_hsv_channels(contact.pixels[mask])
+    u, v = geom.normalized_coords
+    rows = np.empty((h_ref.shape[0], 5))
+    rows[:, 0] = hue_delta(h_con, h_ref)
+    rows[:, 1] = s_con - s_ref
+    rows[:, 2] = v_con - v_ref
+    rows[:, 3] = u[mask]
+    rows[:, 4] = v[mask]
+    return ColorDeltaField(rows)

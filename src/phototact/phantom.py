@@ -21,6 +21,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,16 @@ class PhantomConfig:
     applied_mass_g: float = 1000.0
 
     def __post_init__(self):
+        values = (
+            self.ball_diameter_mm,
+            self.burial_depth_mm,
+            *self.lateral_offset_mm,
+            self.tissue_stiffness,
+            self.tumor_stiffness_boost,
+            self.applied_mass_g,
+        )
+        if not all(math.isfinite(float(x)) for x in values):
+            raise ValueError("phantom parameters must be finite")
         if self.applied_mass_g <= 0:
             raise ValueError("applied mass must be positive")
         if self.tissue_stiffness <= 0 or self.tumor_stiffness_boost <= 0:
@@ -103,6 +114,15 @@ class MembraneModel:
 
     def with_stiffness(self, stiffness: float) -> "MembraneModel":
         return replace(self, stiffness=stiffness)
+
+    @cached_property
+    def rest_rgb(self) -> np.ndarray:
+        """Noise-free real RGB of the unloaded membrane (read-only), computed once per model."""
+        shape = self.baseline.pixels.shape[:2]
+        unloaded = DeformationMap(np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=bool))
+        real = _deformed_rgb(unloaded, self)
+        real.setflags(write=False)
+        return real
 
 
 def _smooth_field(u, v, rng, modes=3):
@@ -213,14 +233,41 @@ def deformed_hsv(dmap: DeformationMap, model: MembraneModel) -> HsvImage:
     return HsvImage(np.stack([hue, sat, val], axis=-1))
 
 
+def _deformed_rgb(dmap: DeformationMap, model: MembraneModel) -> np.ndarray:
+    hsv = deformed_hsv(dmap, model)
+    return hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
+
+
+def clean_rgb(dmap: DeformationMap, model: MembraneModel) -> np.ndarray:
+    """Noise-free real-valued RGB (height, width, 3) of the membrane under ``dmap``.
+
+    It does not depend on any seed, so a caller that captures one deformation
+    several times computes it once; an all-zero map returns the membrane's
+    cached :attr:`MembraneModel.rest_rgb`.
+    """
+    if model.baseline.pixels.shape[:2] != dmap.depths.shape:
+        raise ValueError("deformation map does not match membrane baseline size")
+    if not dmap.depths.any():
+        return model.rest_rgb
+    return _deformed_rgb(dmap, model)
+
+
+def capture_reading(clean: np.ndarray, model: MembraneModel, seed: int) -> RgbImage:
+    """8-bit camera reading of a noise-free render with seeded speckle and channel noise.
+
+    The noise is drawn over the full frame, so a reading depends only on
+    (clean, seed) and not on which pixels a consumer reads.
+    """
+    noise = rng_stream(seed, STREAM_RENDER).standard_normal(clean.shape[:2] + (4,))
+    speckle = 1.0 + model.speckle_amplitude * noise[..., 0]
+    noisy = clean * speckle[..., None]
+    noisy += model.noise_std * noise[..., 1:4]
+    return RgbImage(quantize_channels(noisy))
+
+
 def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> RgbImage:
     """Camera reading of the deformed membrane with seeded speckle and noise."""
-    hsv = deformed_hsv(dmap, model)
-    real = hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
-    noise = rng_stream(seed, STREAM_RENDER).standard_normal(real.shape[:2] + (4,))
-    speckle = 1.0 + model.speckle_amplitude * noise[..., 0]
-    noisy = real * speckle[..., None] + model.noise_std * noise[..., 1:4]
-    return RgbImage(quantize_channels(noisy))
+    return capture_reading(clean_rgb(dmap, model), model, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ from phototact.characterization import (
     noise_floor,
     null_difference_stat,
     repeatability,
+    repeatability_trials,
     run_force_sweep,
     sensitivity_profile,
     smooth_sweep,
 )
-from phototact.phantom import render_reading
+from phototact import characterization
+from phototact.calibration import reconstruct
+from phototact.phantom import render_reading, rng_stream
 from conftest import linear_hue_model
 
 
@@ -261,3 +264,35 @@ class TestSensitivity:
         assert unloading.direction == "unloading" and np.all(np.diff(unloading.forces) < 0)
         # the emulated viscoelastic lag leaves unloading depths lower
         assert np.all(unloading.max_depths[::-1] < loading.max_depths)
+
+
+class TestMeasurementLoops:
+    """The loops reuse one noise-free render per truth; each capture must match a fresh render."""
+
+    @staticmethod
+    def measure(rig, model, truth, seed_pair):
+        ref = render_reading(rig.geometry.zero_map(), rig.membrane, int(seed_pair[0]))
+        contact = render_reading(truth, rig.membrane, int(seed_pair[1]))
+        depths = reconstruct(model, ref, contact, rig.geometry).depths[rig.geometry.disc_mask]
+        return depths.astype(np.float64)
+
+    def test_trials_match_per_capture_reference(self, small_geometry, fast_model):
+        rig = make_rig(small_geometry)
+        steps = (0.2, 0.5)
+        trials = repeatability_trials(rig, fast_model, steps=steps, n_trials=3, seed=4)
+        seeds = rng_stream(4, characterization._STREAM_TRIALS).integers(0, 2**62, size=(3, len(steps), 2))
+        for t in range(3):
+            for j, depth in enumerate(steps):
+                expected = self.measure(rig, fast_model, rig.truth_profile(depth), seeds[t, j]).max()
+                assert trials.measurements[t, j] == expected
+
+    def test_sweep_matches_per_capture_reference(self, small_geometry, fast_model):
+        rig = make_rig(small_geometry)
+        forces = (0.05, 0.11)
+        sweep = run_force_sweep(rig, fast_model, forces, seed=6, direction="unloading", n_trials=2)
+        seeds = rng_stream(6, characterization._STREAM_SWEEP).integers(0, 2**62, size=(len(forces), 2, 2))
+        for i, force in enumerate(sorted(forces, reverse=True)):
+            truth = rig.truth_profile(rig.force_to_depth(force), unloading=True)
+            depths = [self.measure(rig, fast_model, truth, seeds[i, t]) for t in range(2)]
+            assert sweep.max_depths[i] == np.mean([d.max() for d in depths])
+            assert sweep.mean_depths[i] == np.mean([d.mean() for d in depths])

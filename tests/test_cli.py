@@ -52,6 +52,37 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", -1],
+            ["--seed", 2**63],
+            ["--seed", 2**64],
+            ["--membrane-seed", -1],
+            ["--membrane-seed", 2**64],
+        ],
+    )
+    def test_seed_out_of_range(self, tmp_path, capsys, flags):
+        assert run(["phantom", *SMALL, *flags, "--out-prefix", tmp_path / "press"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{flags[0]} must lie in [0, 2^63)" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_seed_accepted(self, tmp_path):
+        assert run(["phantom", *SMALL, "--seed", 2**63 - 1, "--out-prefix", tmp_path / "press"]) == 0
+
+    def test_non_finite_mass(self, tmp_path, capsys):
+        assert run(["phantom", *SMALL, "--mass", "nan", "--out-prefix", tmp_path / "press"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_training_divergence(self, tmp_path, capsys):
+        out = tmp_path / "calib.json"
+        argv = ["calibrate", *SMALL, "--captures", 1, "--epochs", 1, "--batch-size", 256, "--learning-rate", 1e300]
+        assert run([*argv, "--out", out]) == 2
+        assert "loss is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPhantomVerb:
     def test_writes_pair_truth_and_manifest(self, tmp_path):

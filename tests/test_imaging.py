@@ -11,6 +11,7 @@ from phototact.imaging import (
     DmapFormatError,
     PpmFormatError,
     RgbImage,
+    rgb_to_hsv_channels,
     validate_deformation_map,
 )
 
@@ -19,7 +20,36 @@ def one_pixel(r, g, b):
     return RgbImage(np.array([[[r, g, b]]], dtype=np.uint8))
 
 
+def hexcone_reference(rgb):
+    """Hexcone conversion that evaluates every sector branch on every pixel, then selects."""
+    rgb = rgb.astype(np.float64) / 255.0
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    maxc = rgb.max(axis=-1)
+    chroma = maxc - rgb.min(axis=-1)
+    s = np.where(maxc > 0.0, chroma / np.where(maxc > 0.0, maxc, 1.0), 0.0)
+    nonzero = chroma > 0.0
+    safe = np.where(nonzero, chroma, 1.0)
+    r_max = nonzero & (maxc == r)
+    g_max = nonzero & (maxc == g) & ~r_max
+    b_max = nonzero & ~r_max & ~g_max
+    sector = np.zeros_like(chroma)
+    sector = np.where(r_max, np.mod((g - b) / safe, 6.0), sector)
+    sector = np.where(g_max, (b - r) / safe + 2.0, sector)
+    sector = np.where(b_max, (r - g) / safe + 4.0, sector)
+    h = 60.0 * sector
+    return np.where(h >= 360.0, h - 360.0, h), s, maxc
+
+
 class TestRgbToHsv:
+    def test_channels_match_reference_bitwise(self):
+        # a step-3 lattice (every channel tie and the gray axis) plus random colors
+        axis = np.append(np.arange(0, 256, 3), 255).astype(np.uint8)
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        random = np.random.default_rng(8).integers(0, 256, size=(100_000, 3)).astype(np.uint8)
+        pixels = np.concatenate([lattice, random])
+        for got, want in zip(rgb_to_hsv_channels(pixels), hexcone_reference(pixels)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # sign of zero included
+
     def test_pure_red(self):
         hsv = pt.rgb_to_hsv(one_pixel(255, 0, 0)).pixels[0, 0]
         assert tuple(hsv) == (0.0, 1.0, 1.0)

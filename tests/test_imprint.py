@@ -91,25 +91,57 @@ class TestAugmentedImprint:
         assert np.array_equal(out.pixels, imprint_oracle(RgbImage(ref), RgbImage(contact), alpha, 127.5))
 
 
+def tiny_geometry(height, width):
+    """Geometry at 1 mm per pixel whose sensing disc is as large as a tiny image allows."""
+    return pt.SensorGeometry(
+        width=width, height=height, sensing_radius_mm=(min(width, height) - 1) / 2.0, mm_per_pixel=1.0
+    )
+
+
+def full_frame_rows(ref, contact, geom):
+    """Reference feature rows: whole-image HSV delta and meshgrid (u, v), gathered by the disc mask."""
+    hsv_ref = pt.rgb_to_hsv(ref)
+    hsv_con = pt.rgb_to_hsv(contact)
+    u, v = np.meshgrid(
+        np.arange(geom.width, dtype=np.float64) / (geom.width - 1),
+        np.arange(geom.height, dtype=np.float64) / (geom.height - 1),
+    )
+    full = np.stack(
+        [
+            pt.hue_delta(hsv_con.hue, hsv_ref.hue),
+            hsv_con.saturation - hsv_ref.saturation,
+            hsv_con.value - hsv_ref.value,
+            u,
+            v,
+        ],
+        axis=-1,
+    )
+    return full[geom.disc_mask]
+
+
 class TestColorDelta:
     def test_identical_images_zero_field(self):
         rng = np.random.default_rng(2)
         img = RgbImage(rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8))
-        field = color_delta(img, img)
+        field = color_delta(img, img, tiny_geometry(5, 7))
+        assert field.rows.shape[0] > 0
         assert np.all(field.dh == 0.0) and np.all(field.ds == 0.0) and np.all(field.dv == 0.0)
 
     def test_red_to_green_pixel(self):
-        ref = RgbImage(np.array([[[255, 0, 0]]], dtype=np.uint8))
-        contact = RgbImage(np.array([[[0, 255, 0]]], dtype=np.uint8))
-        field = color_delta(ref, contact)
-        assert field.dh[0, 0] == 120.0
+        ref = RgbImage(np.tile(np.array([255, 0, 0], dtype=np.uint8), (3, 3, 1)))
+        contact = RgbImage(np.tile(np.array([0, 255, 0], dtype=np.uint8), (3, 3, 1)))
+        field = color_delta(ref, contact, tiny_geometry(3, 3))
+        assert np.all(field.dh == 120.0)
 
     def test_normalized_coordinates(self):
+        geom = tiny_geometry(3, 5)
         ref = RgbImage(np.zeros((3, 5, 3), dtype=np.uint8))
-        field = color_delta(ref, ref)
-        assert field.u[0, 0] == 0.0 and field.u[0, -1] == 1.0
-        assert field.v[0, 0] == 0.0 and field.v[-1, 0] == 1.0
-        assert field.u[1, 2] == 2 / 4 and field.v[1, 2] == 1 / 2
+        field = color_delta(ref, ref, geom)
+        rows, cols = np.nonzero(geom.disc_mask)  # row-major, like the feature rows
+        assert np.array_equal(field.u, cols / 4) and np.array_equal(field.v, rows / 2)
+        assert field.v[0] == 0.0 and field.v[-1] == 1.0
+        center = np.flatnonzero((rows == 1) & (cols == 2))[0]
+        assert field.u[center] == 2 / 4 and field.v[center] == 1 / 2
 
     def test_simulated_uniform_press_hue_shift(self, small_geometry):
         # forward-model constants: 0.2 mm at gain_h deg/mm, checked both before
@@ -125,26 +157,45 @@ class TestColorDelta:
 
         ref = pt.render_reading(small_geometry.zero_map(), membrane, seed=0)
         contact = pt.render_reading(dmap, membrane, seed=1)
-        field = color_delta(ref, contact)
-        mask = small_geometry.disc_mask
+        field = color_delta(ref, contact, small_geometry)
+        assert field.rows.shape[0] == small_geometry.disc_mask.sum()
         # 8-bit quantization bounds the per-pixel hue error
-        assert np.abs(field.dh[mask] - expected).max() < 0.75
+        assert np.abs(field.dh - expected).max() < 0.75
 
     def test_dimension_mismatch(self):
         a = RgbImage(np.zeros((2, 2, 3), dtype=np.uint8))
         b = RgbImage(np.zeros((3, 2, 3), dtype=np.uint8))
         with pytest.raises(ValueError, match="differ in size"):
-            color_delta(a, b)
+            color_delta(a, b, tiny_geometry(2, 2))
 
     def test_field_rows(self):
-        ref = RgbImage(np.zeros((2, 2, 3), dtype=np.uint8))
-        field = color_delta(ref, ref)
-        rows = field.feature_rows()
-        assert rows.shape == (4, 5)
-        mask = np.array([[True, False], [False, True]])
-        assert field.feature_rows(mask).shape == (2, 5)
+        geom = tiny_geometry(5, 5)
+        rng = np.random.default_rng(4)
+        ref = RgbImage(rng.integers(0, 256, size=(5, 5, 3)).astype(np.uint8))
+        contact = RgbImage(rng.integers(0, 256, size=(5, 5, 3)).astype(np.uint8))
+        field = color_delta(ref, contact, geom)
+        assert field.rows.shape == (geom.disc_mask.sum(), 5)
+        columns = np.stack([field.dh, field.ds, field.dv, field.u, field.v], axis=1)
+        assert np.array_equal(field.rows, columns)
 
     def test_rejects_out_of_range_delta(self):
-        grid = np.zeros((1, 1))
         with pytest.raises(ValueError, match="hue deltas"):
-            ColorDeltaField(dh=np.array([[181.0]]), ds=grid, dv=grid, u=grid, v=grid)
+            ColorDeltaField(np.array([[181.0, 0.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match=r"\(N, 5\)"):
+            ColorDeltaField(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("geometry_name", ["small_geometry", "geometry"])
+    def test_disc_rows_match_full_frame_reference(self, request, geometry_name):
+        geom = request.getfixturevalue(geometry_name)
+        membrane = pt.default_membrane(geom)
+        pairs = [
+            (
+                pt.render_reading(geom.zero_map(), membrane, seed=3),
+                pt.render_reading(pt.sphere_press_truth(0.4, 3.0, geom), membrane, seed=4),
+            )
+        ]
+        rng = np.random.default_rng(5)  # arbitrary colors reach every hue sector
+        shape = (geom.height, geom.width, 3)
+        pairs.append(tuple(RgbImage(rng.integers(0, 256, size=shape).astype(np.uint8)) for _ in range(2)))
+        for ref, contact in pairs:
+            assert np.array_equal(color_delta(ref, contact, geom).rows, full_frame_rows(ref, contact, geom))

@@ -5,14 +5,16 @@ import pytest
 
 import phototact as pt
 from phototact import defaults
-from phototact.imaging import validate_deformation_map
+from phototact.imaging import hsv_to_rgb_real, validate_deformation_map
 from phototact.phantom import (
+    STREAM_RENDER,
     DatasetSpec,
     PhantomConfig,
     contact_solve,
     deformed_hsv,
     generate_phantom_dataset,
     render_reading,
+    rng_stream,
     sphere_press_truth,
     spherical_cap_volume,
     stiffness_field,
@@ -172,7 +174,36 @@ class TestSpherePress:
         assert quad == pytest.approx(spherical_cap_volume(0.4, 2.0), rel=2e-3)
 
 
+def uncached_render(dmap, membrane, seed):
+    """Reference render: deformed HSV -> real RGB -> full-frame Philox speckle and noise -> 8 bits."""
+    hsv = deformed_hsv(dmap, membrane)
+    real = hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
+    noise = rng_stream(seed, STREAM_RENDER).standard_normal(real.shape[:2] + (4,))
+    speckle = 1.0 + membrane.speckle_amplitude * noise[..., 0]
+    noisy = real * speckle[..., None] + membrane.noise_std * noise[..., 1:4]
+    return np.floor(np.clip(noisy, 0.0, 255.0) + 0.5).astype(np.uint8)
+
+
 class TestRenderReading:
+    @pytest.mark.parametrize("seed", [0, 5, 2**62])
+    def test_matches_uncached_render_bit_for_bit(self, small_geometry, small_membrane, seed):
+        for dmap in (small_geometry.zero_map(), sphere_press_truth(0.3, 3.0, small_geometry)):
+            rendered = render_reading(dmap, small_membrane, seed)
+            assert np.array_equal(rendered.pixels, uncached_render(dmap, small_membrane, seed))
+
+    def test_rest_render_cached_and_read_only(self, small_geometry):
+        membrane = pt.default_membrane(small_geometry)
+        rest = membrane.rest_rgb
+        assert membrane.rest_rgb is rest
+        assert not rest.flags.writeable
+        with pytest.raises(ValueError):
+            rest[0, 0, 0] = 0.0
+        assert pt.clean_rgb(small_geometry.zero_map(), membrane) is rest
+
+    def test_zero_map_dimension_mismatch(self, small_geometry, membrane):
+        with pytest.raises(ValueError, match="does not match"):
+            render_reading(small_geometry.zero_map(), membrane, seed=0)
+
     def test_noise_free_zero_deformation_is_baseline(self, small_geometry):
         membrane = pt.default_membrane(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
         img = render_reading(small_geometry.zero_map(), membrane, seed=5)
