@@ -240,27 +240,29 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
     hidden = _hidden_buffers(min(cfg.batch_size, n))
     step = 0
     epoch_losses = []
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, grads_w, grads_b = loss_and_gradients(weights, biases, xs[batch], y[batch], hidden)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"loss is not finite at step {step}")
-            batch_losses.append(loss)
-            step += 1
-            correct1 = 1.0 - _ADAM_BETA1**step
-            correct2 = 1.0 - _ADAM_BETA2**step
-            for params, grads, ms, vs in (
-                (weights, grads_w, m_w, v_w),
-                (biases, grads_b, m_b, v_b),
-            ):
-                for i, g in enumerate(grads):
-                    ms[i] = _ADAM_BETA1 * ms[i] + (1.0 - _ADAM_BETA1) * g
-                    vs[i] = _ADAM_BETA2 * vs[i] + (1.0 - _ADAM_BETA2) * g * g
-                    params[i] -= cfg.learning_rate * (ms[i] / correct1) / (np.sqrt(vs[i] / correct2) + _ADAM_EPS)
-        epoch_losses.append(float(np.mean(batch_losses)))
+    # A diverging run overflows on its way to a non-finite loss; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(n)
+            batch_losses = []
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                loss, grads_w, grads_b = loss_and_gradients(weights, biases, xs[batch], y[batch], hidden)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"loss is not finite at step {step}")
+                batch_losses.append(loss)
+                step += 1
+                correct1 = 1.0 - _ADAM_BETA1**step
+                correct2 = 1.0 - _ADAM_BETA2**step
+                for params, grads, ms, vs in (
+                    (weights, grads_w, m_w, v_w),
+                    (biases, grads_b, m_b, v_b),
+                ):
+                    for i, g in enumerate(grads):
+                        ms[i] = _ADAM_BETA1 * ms[i] + (1.0 - _ADAM_BETA1) * g
+                        vs[i] = _ADAM_BETA2 * vs[i] + (1.0 - _ADAM_BETA2) * g * g
+                        params[i] -= cfg.learning_rate * (ms[i] / correct1) / (np.sqrt(vs[i] / correct2) + _ADAM_EPS)
+            epoch_losses.append(float(np.mean(batch_losses)))
 
     return CalibrationModel(
         weights=tuple(weights),

@@ -311,6 +311,19 @@ def _load_spec(value) -> DatasetSpec:
     return DatasetSpec.from_dict(json.loads(Path(value).read_text()))
 
 
+def _written(samples, out_dir):
+    """Write each sample's capture pair and truth map as the sample is yielded.
+
+    The manifest is built from this stream, so no sample's arrays outlive
+    their own write.
+    """
+    for sample in samples:
+        save_ppm(out_dir / f"{sample.sample_id}_ref.ppm", sample.reading_ref)
+        save_ppm(out_dir / f"{sample.sample_id}_contact.ppm", sample.reading_contact)
+        save_dmap(out_dir / f"{sample.sample_id}_truth.dmap", sample.truth)
+        yield sample
+
+
 def _cmd_dataset(args):
     started = time.monotonic()
     geom = _geometry(args)
@@ -318,13 +331,8 @@ def _cmd_dataset(args):
     spec = _load_spec(args.spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for sample in generate_phantom_dataset(spec, geom, membrane, args.seed):
-        save_ppm(out_dir / f"{sample.sample_id}_ref.ppm", sample.reading_ref)
-        save_ppm(out_dir / f"{sample.sample_id}_contact.ppm", sample.reading_contact)
-        save_dmap(out_dir / f"{sample.sample_id}_truth.dmap", sample.truth)
-        rows.append(sample)
-    (out_dir / "manifest.csv").write_text(dataset_manifest_rows(rows))
+    samples = generate_phantom_dataset(spec, geom, membrane, args.seed)
+    (out_dir / "manifest.csv").write_text(dataset_manifest_rows(_written(samples, out_dir)))
     _write_manifest(args, "dataset", _resolved_config(args), [], [str(out_dir)], started)
     return 0
 
@@ -354,7 +362,7 @@ def _cmd_train_detector(args):
     calib = load_model(args.calibration)
     features, labels, _ = _read_dataset_features(args.dataset, calib, geom)
     train_idx, test_idx = stratified_split(labels, train_fraction=args.train_fraction, seed=args.seed)
-    detector = fit_detector(features[train_idx], labels[train_idx], c=args.c, seed=args.seed)
+    detector = fit_detector(features[train_idx], labels[train_idx], c=args.c)
     save_detector(args.out, detector)
     train_report = evaluate(detector, features[train_idx], labels[train_idx])
     test_report = evaluate(detector, features[test_idx], labels[test_idx])

@@ -17,12 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import DeformationMap
+from .phantom import rng_stream
 
 TUMOR = "tumor"
 NO_TUMOR = "no-tumor"
 
 _DETECTOR_FORMAT = "phototact-detector"
 _DETECTOR_VERSION = 1
+
+_STREAM_SPLIT = 91
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,6 @@ def train_svm(
     standardized,
     labels,
     c: float = 1.0,
-    seed: int = 0,
     standardizer: Standardizer | None = None,
     max_iter: int = 20000,
 ) -> DetectorModel:
@@ -121,10 +123,8 @@ def train_svm(
 
     Minimizes ||w||^2/2 + c * sum(hinge) with a fixed 1/(1 + t/100) step
     schedule, stopping early at zero hinge loss.  The best iterate by
-    objective value is kept.  ``seed`` is accepted for interface uniformity;
-    the procedure has no stochastic component.
+    objective value is kept.
     """
-    del seed
     z = np.asarray(standardized, dtype=np.float64)
     y = _label_array(labels)
     if z.ndim != 2 or z.shape[0] != y.shape[0]:
@@ -138,24 +138,32 @@ def train_svm(
 
     n = z.shape[0]
     scale = c * n  # objective rescaled to ||w||^2/(2cn) + mean(hinge)
+    yz = y[:, None] * z
+    # The data terms of the subgradient depend only on the violating set, which
+    # takes few distinct values over a run; each is summed once.
+    data_terms = {}
     w = np.zeros(z.shape[1])
     b = 0.0
-    best = (np.inf, w.copy(), b)
+    best = (np.inf, w, b)  # w is rebound each step, never mutated
     converged = False
     iterations = 0
     for t in range(max_iter):
         margins = y * (z @ w + b)
         hinge = np.maximum(0.0, 1.0 - margins)
-        objective = float(w @ w) / (2.0 * scale) + float(hinge.mean())
+        hinge_sum = float(np.add.reduce(hinge))
+        objective = float(w @ w) / (2.0 * scale) + hinge_sum / n
         if objective < best[0]:
-            best = (objective, w.copy(), b)
+            best = (objective, w, b)
         iterations = t + 1
-        if not hinge.any():
+        if hinge_sum == 0.0:  # the terms are non-negative (or NaN), so only an all-zero hinge sums to zero
             converged = True
             break
         violating = hinge > 0.0
-        grad_w = w / scale - (y[violating, None] * z[violating]).sum(axis=0) / n
-        grad_b = -float(y[violating].sum()) / n
+        key = violating.tobytes()
+        if key not in data_terms:
+            data_terms[key] = (np.add.reduce(yz[violating], axis=0) / n, -float(np.add.reduce(y[violating])) / n)
+        data_w, grad_b = data_terms[key]
+        grad_w = w / scale - data_w
         lr = 0.5 / (1.0 + t / 100.0)
         w = w - lr * grad_w
         b = b - lr * grad_b
@@ -166,11 +174,11 @@ def train_svm(
     return DetectorModel(standardizer=standardizer, weights=w, bias=float(b), training_meta=meta)
 
 
-def fit_detector(features, labels, c: float = 1.0, seed: int = 0) -> DetectorModel:
+def fit_detector(features, labels, c: float = 1.0) -> DetectorModel:
     """Standardize raw (mu, sigma) features, then train the classifier."""
     x = np.asarray(features, dtype=np.float64)
     standardizer = fit_standardizer(x)
-    return train_svm(standardizer.apply(x), labels, c=c, seed=seed, standardizer=standardizer)
+    return train_svm(standardizer.apply(x), labels, c=c, standardizer=standardizer)
 
 
 def decision_value(model: DetectorModel, features) -> float:
@@ -231,7 +239,7 @@ def stratified_split(labels, train_fraction: float = 0.8, seed: int = 0):
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train fraction must lie in (0, 1)")
     y = np.asarray(labels)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 91], dtype=np.uint64)))
+    rng = rng_stream(seed, _STREAM_SPLIT)
     train_idx, test_idx = [], []
     for value in np.unique(y):
         idx = np.flatnonzero(y == value)

@@ -65,7 +65,7 @@ def phantom_features(geometry, membrane, calib_model, fixture_durations):
 def detector(phantom_features):
     features, labels = phantom_features
     train_idx, test_idx = stratified_split(labels, 0.8, seed=5)
-    model = fit_detector(features[train_idx], labels[train_idx], c=1.0, seed=5)
+    model = fit_detector(features[train_idx], labels[train_idx], c=1.0)
     return model, train_idx, test_idx
 
 

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,8 +81,14 @@ class TestExitCodes:
     def test_training_divergence(self, tmp_path, capsys):
         out = tmp_path / "calib.json"
         argv = ["calibrate", *SMALL, "--captures", 1, "--epochs", 1, "--batch-size", 256, "--learning-rate", 1e300]
-        assert run([*argv, "--out", out]) == 2
-        assert "loss is not finite" in capsys.readouterr().err
+        # pytest records warnings instead of printing them, so they are checked apart from stderr
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "loss is not finite" in err
+        assert len(err.splitlines()) == 1
+        assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
 
@@ -170,6 +178,28 @@ class TestDatasetVerbs:
         assert len(manifest) == 1 + 8  # 4 positives + 4 negatives
         files = list(out_a.glob("*.ppm"))
         assert len(files) == 16
+
+    def test_dataset_memory_does_not_grow_with_sample_count(self, tmp_path):
+        def spec_path(presses):
+            spec = tmp_path / f"spec{presses}.json"
+            spec.write_text(json.dumps({"diameters_mm": [6.0], "burial_depths_mm": [3.0],
+                                        "presses_per_positive": presses, "positive_mass_g": 1000.0,
+                                        "negative_masses_g": [1000.0], "presses_per_negative_mass": presses}))
+            return spec
+
+        def peak(presses):
+            tracemalloc.start()
+            try:
+                assert run(["dataset", *SMALL, "--spec", spec_path(presses), "--out", tmp_path / f"d{presses}"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: first-use allocations are not per-sample costs
+        small, large = peak(2), peak(8)  # 4 and 16 samples
+        sample = pt.load_ppm(tmp_path / "d8" / "pos_d6_b3_p0_ref.ppm").pixels.nbytes * 2
+        sample += pt.load_dmap(tmp_path / "d8" / "pos_d6_b3_p0_truth.dmap").depths.nbytes
+        assert large - small < sample
 
     def test_detector_training_and_evaluate(self, tmp_path, tiny_spec, tiny_model_path, capsys):
         data = tmp_path / "data"

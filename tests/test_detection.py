@@ -136,6 +136,73 @@ class TestTrainSvm:
         assert np.all(margins_final >= 1.0)
 
 
+def _reference_train_svm(z, y, c, max_iter=20000):
+    # the subgradient loop as it was before its data terms were memoized, kept as the bitwise reference
+    n = z.shape[0]
+    scale = c * n
+    w = np.zeros(z.shape[1])
+    b = 0.0
+    best = (np.inf, w.copy(), b)
+    converged = False
+    iterations = 0
+    for t in range(max_iter):
+        margins = y * (z @ w + b)
+        hinge = np.maximum(0.0, 1.0 - margins)
+        objective = float(w @ w) / (2.0 * scale) + float(hinge.mean())
+        if objective < best[0]:
+            best = (objective, w.copy(), b)
+        iterations = t + 1
+        if not hinge.any():
+            converged = True
+            break
+        violating = hinge > 0.0
+        grad_w = w / scale - (y[violating, None] * z[violating]).sum(axis=0) / n
+        grad_b = -float(y[violating].sum()) / n
+        lr = 0.5 / (1.0 + t / 100.0)
+        w = w - lr * grad_w
+        b = b - lr * grad_b
+    if not converged:
+        _, w, b = best
+    return w, float(b), iterations, converged
+
+
+def _svm_problem(n, separable, seed):
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    rng.shuffle(y)
+    angle = rng.uniform(0.0, 2 * np.pi)
+    normal = np.array([np.cos(angle), np.sin(angle)])
+    tangent = np.array([-normal[1], normal[0]])
+    along = rng.uniform(-2.0, 2.0, size=n)
+    if separable:
+        offset = y * rng.uniform(1.5, 3.0, size=n)
+    else:
+        offset = y * 0.3 + rng.normal(0.0, 1.0, size=n)
+    z = offset[:, None] * normal + along[:, None] * tangent + rng.normal(0.0, 0.5, size=2)
+    if not separable:
+        # one point of each class at the same place: no hyperplane separates them, at any n
+        z[np.flatnonzero(y < 0)[0]] = z[np.flatnonzero(y > 0)[0]]
+    return z, y
+
+
+class TestTrainSvmMatchesReferenceLoop:
+    @pytest.mark.parametrize("c", [1.0, 1000.0])
+    @pytest.mark.parametrize("n", [3, 4, 7, 20, 60])
+    @pytest.mark.parametrize("separable", [True, False], ids=["separable", "overlapping"])
+    def test_bitwise_equal(self, separable, n, c):
+        z, y = _svm_problem(n, separable, seed=1000 * n + int(c) + separable)
+        # the full-length run on the largest set, shorter runs elsewhere to keep the reference loop cheap
+        max_iter = 20000 if n == 60 else 4000
+        w, b, iterations, converged = _reference_train_svm(z, y, c, max_iter)
+        model = train_svm(z, y, c=c, max_iter=max_iter)
+        assert converged == separable
+        assert iterations == max_iter or converged
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias.hex() == b.hex()
+        assert model.training_meta == {"c": c, "iterations": iterations, "converged": converged}
+
+
+
 def _separable_with_margin(z, labels, margin):
     # exhaustive-direction scan oracle, independent of the trainer
     for theta in np.linspace(0.0, np.pi, 720, endpoint=False):
@@ -232,6 +299,17 @@ class TestSplit:
         c = stratified_split(labels, 0.8, seed=4)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**62])
+    def test_split_stream_is_the_philox_key_seed_91(self, seed):
+        # the split drew from a hand-built Philox key (seed, 91) before it moved onto rng_stream
+        labels = np.array([1] * 13 + [-1] * 9)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 91], dtype=np.uint64)))
+        train_idx = []
+        for value in (-1, 1):
+            idx = np.flatnonzero(labels == value)
+            train_idx.append(idx[rng.permutation(len(idx))][: int(round(0.8 * len(idx)))])
+        assert np.array_equal(stratified_split(labels, 0.8, seed=seed)[0], np.sort(np.concatenate(train_idx)))
 
 
 class TestDetectorFiles:
