@@ -24,14 +24,16 @@ from .imaging import (
     save_ppm,
     validate_deformation_map,
 )
-from .imprint import ColorDeltaField, ImprintParams, augmented_imprint, color_delta
+from .imprint import ColorDeltaField, ImprintParams, augmented_imprint, color_delta, disc_pixels, disc_rows
 from .phantom import (
     ContactSolution,
     DatasetSpec,
     MembraneModel,
     PhantomConfig,
     PhantomSample,
+    capture_pixels,
     capture_reading,
+    clean_pixels,
     clean_rgb,
     contact_solve,
     default_membrane,
@@ -45,6 +47,7 @@ from .calibration import (
     TrainConfig,
     TrainingDivergedError,
     build_calib_dataset,
+    disc_depths,
     input_gradient,
     load_model,
     mlp_forward,

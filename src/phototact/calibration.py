@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import MAX_DEPTH_MM, DeformationMap, RgbImage, SensorGeometry
-from .imprint import color_delta
-from .phantom import MembraneModel, render_reading, rng_stream, sphere_press_truth
+from .imprint import disc_pixels, disc_rows
+from .phantom import MembraneModel, capture_pixels, clean_pixels, rng_stream, sphere_press_truth
 
 LAYER_SIZES = (5, 32, 32, 32, 1)
 
@@ -94,6 +94,8 @@ class CalibrationModel:
             raise ValueError("standardization constants must have one entry per input")
         if np.any(scale <= 0):
             raise ValueError("feature scales must be positive")
+        if not (math.isfinite(self.max_depth) and 0.0 < self.max_depth <= MAX_DEPTH_MM):
+            raise ValueError(f"max depth must lie in (0, {MAX_DEPTH_MM}] mm")
         arrays = list(weights) + list(biases) + [shift, scale]
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError("model parameters must be finite")
@@ -109,15 +111,29 @@ class CalibrationModel:
         x = np.asarray(features, dtype=np.float64)
         return (x - self.feature_shift.astype(np.float64)) / self.feature_scale.astype(np.float64)
 
-    def forward(self, features):
-        """Raw depth predictions (mm) for an (N, 5) feature matrix."""
+    def forward(self, features, scratch=None):
+        """Raw depth predictions (mm) for an (N, 5) feature matrix.
+
+        The hidden layers alternate between the two buffers of ``scratch``
+        (see :func:`forward_scratch`). A caller that runs many forwards
+        passes the same pair each time, so the forwards allocate no
+        activation memory and the heap does not grow and shrink by two
+        activation matrices per call.
+        """
         x = self.standardize(features)
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = x @ w.astype(np.float64)
+        if scratch is None:
+            scratch = forward_scratch(x.shape[0])
+        for w, b, buf in zip(self.weights[:-1], self.biases[:-1], (scratch[0], scratch[1], scratch[0])):
+            x = np.matmul(x, w.astype(np.float64), out=buf[: x.shape[0]])
             x += b.astype(np.float64)
             np.tanh(x, out=x)
         out = x @ self.weights[-1].astype(np.float64) + self.biases[-1].astype(np.float64)
         return out[:, 0]
+
+
+def forward_scratch(rows: int):
+    """Two (rows, 32) float64 buffers for :meth:`CalibrationModel.forward` on up to ``rows`` rows."""
+    return np.empty((rows, LAYER_SIZES[1])), np.empty((rows, LAYER_SIZES[1]))
 
 
 def mlp_forward(model: CalibrationModel, features):
@@ -296,27 +312,37 @@ def build_calib_dataset(
     draws = rng_stream(seed, _STREAM_DEPTHS).random(n_captures)
     render_seeds = rng_stream(seed, _STREAM_RENDER_SEEDS).integers(0, 2**62, size=2 * n_captures)
     mask = geom.disc_mask
-    zero = geom.zero_map()
+    rest = clean_pixels(geom.zero_map(), membrane, mask)
     rows_x, rows_y = [], []
     for i in range(n_captures):
         depth = membrane.max_depth * (1.0 - float(draws[i]))  # uniform in (0, max_depth]
         truth = sphere_press_truth(depth, sphere_radius_mm, geom)
-        ref = render_reading(zero, membrane, int(render_seeds[2 * i]))
-        contact = render_reading(truth, membrane, int(render_seeds[2 * i + 1]))
-        rows_x.append(color_delta(ref, contact, geom).rows)
+        ref = capture_pixels(rest, membrane, int(render_seeds[2 * i]), mask)
+        contact = capture_pixels(clean_pixels(truth, membrane, mask), membrane, int(render_seeds[2 * i + 1]), mask)
+        rows_x.append(disc_rows(ref, contact, geom))
         rows_y.append(truth.depths[mask].astype(np.float64))
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)
 
 
+def disc_depths(model: CalibrationModel, ref_px, contact_px, geom: SensorGeometry, scratch=None) -> np.ndarray:
+    """Depths (mm) of the sensing-disc pixels from their readings (N, 3), in row-major order.
+
+    One forward pass (``scratch`` as in :meth:`CalibrationModel.forward`),
+    clamped to [0, max_depth] and rounded to float32 as a depth map stores
+    them, returned as float64.
+    """
+    raw = model.forward(disc_rows(ref_px, contact_px, geom), scratch)
+    return np.clip(raw, 0.0, model.max_depth).astype(np.float32).astype(np.float64)
+
+
 def reconstruct(model: CalibrationModel, ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> DeformationMap:
-    """Depth map from a reading pair: per-pixel forward pass, clamped to range.
+    """Depth map from a reading pair: :func:`disc_depths` scattered into the frame.
 
     Depths are zero outside the sensing disc; the map carries the disc mask.
     """
-    raw = model.forward(color_delta(ref, contact, geom).rows)
     mask = geom.disc_mask
     depths = np.zeros((geom.height, geom.width), dtype=np.float32)
-    depths[mask] = np.clip(raw, 0.0, model.max_depth).astype(np.float32)
+    depths[mask] = disc_depths(model, *disc_pixels(ref, contact, geom), geom)
     return DeformationMap(depths, mask)
 
 

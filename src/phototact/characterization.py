@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .calibration import CalibrationModel, reconstruct
+from .calibration import CalibrationModel, disc_depths, forward_scratch
 from .imaging import DeformationMap, RgbImage, SensorGeometry
 from .phantom import (
     MembraneModel,
-    capture_reading,
-    clean_rgb,
-    render_reading,
+    capture_pixels,
+    clean_pixels,
     rng_stream,
     spherical_cap_profile,
     spherical_cap_volume,
@@ -143,14 +142,21 @@ def smooth_sweep(sweep: ForceSweep, window: int = 3) -> ForceSweep:
     )
 
 
-def null_difference_stat(before: RgbImage, after: RgbImage, geom: SensorGeometry) -> float:
-    """Population std of in-disc channel differences, in 8-bit units."""
-    if (before.height, before.width) != (after.height, after.width):
-        raise ValueError("images differ in size")
-    if (before.height, before.width) != (geom.height, geom.width):
-        raise ValueError("images do not match geometry")
-    mask = geom.disc_mask
-    diff = after.pixels[mask].astype(np.float64) - before.pixels[mask].astype(np.float64)
+def null_difference_stat(before, after, geom: SensorGeometry) -> float:
+    """Population std of in-disc channel differences, in 8-bit units.
+
+    ``before`` and ``after`` are two readings (:class:`RgbImage`) or their
+    sensing-disc pixels (N, 3), as :func:`capture_pixels` returns them.
+    """
+    if isinstance(before, RgbImage) and isinstance(after, RgbImage):
+        if (before.height, before.width) != (after.height, after.width):
+            raise ValueError("images differ in size")
+        if (before.height, before.width) != (geom.height, geom.width):
+            raise ValueError("images do not match geometry")
+        before, after = before.pixels[geom.disc_mask], after.pixels[geom.disc_mask]
+    elif np.shape(before) != (geom.disc_pixel_count, 3) or np.shape(after) != np.shape(before):
+        raise ValueError("disc pixels must be one RGB row per sensing-disc pixel")
+    diff = np.asarray(after).astype(np.float64) - np.asarray(before).astype(np.float64)
     return float(diff.std())
 
 
@@ -200,26 +206,37 @@ class IndenterRig:
         return DeformationMap(clamped.astype(np.float32), self.geometry.disc_mask)
 
 
-def _measure(rig: IndenterRig, model: CalibrationModel, clean, seed_pair):
-    """Reconstruction from an unloaded reference and a contact reading of ``clean``.
+def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
+    """For each truth, the disc depths of its captures: one array per (reference, contact) seed pair.
 
-    ``clean`` is the contact's noise-free render (see :func:`clean_rgb`),
-    computed once by the caller for all the captures of one truth.
+    ``seed_pairs[k]`` lists the seed pairs of ``truths[k]``; each pair is an
+    unloaded reference and a contact reading of the truth.  The noise-free
+    renders are computed once per truth and one forward scratch pair serves
+    every capture.
     """
-    ref = capture_reading(rig.membrane.rest_rgb, rig.membrane, int(seed_pair[0]))
-    contact = capture_reading(clean, rig.membrane, int(seed_pair[1]))
-    return reconstruct(model, ref, contact, rig.geometry)
+    geom = rig.geometry
+    mask = geom.disc_mask
+    rest = clean_pixels(geom.zero_map(), rig.membrane, mask)
+    scratch = forward_scratch(geom.disc_pixel_count)
+    for truth, pairs in zip(truths, seed_pairs):
+        clean = clean_pixels(truth, rig.membrane, mask)
+        yield [
+            disc_depths(
+                model,
+                capture_pixels(rest, rig.membrane, int(ref_seed), mask),
+                capture_pixels(clean, rig.membrane, int(contact_seed), mask),
+                geom,
+                scratch,
+            )
+            for ref_seed, contact_seed in pairs
+        ]
 
 
 def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:
     """Mean in-disc std of reconstructions from no-contact reading pairs."""
-    seeds = rng_stream(seed, _STREAM_NULL).integers(0, 2**62, size=2 * rig.n_null_pairs)
-    mask = rig.geometry.disc_mask
-    stds = []
-    for i in range(rig.n_null_pairs):
-        recon = _measure(rig, model, rig.membrane.rest_rgb, seeds[2 * i : 2 * i + 2])
-        stds.append(float(recon.depths[mask].astype(np.float64).std()))
-    return float(np.mean(stds))
+    seeds = rng_stream(seed, _STREAM_NULL).integers(0, 2**62, size=2 * rig.n_null_pairs).reshape(-1, 2)
+    (measured,) = _measure(rig, model, [rig.geometry.zero_map()], [seeds])
+    return float(np.mean([float(depths.std()) for depths in measured]))
 
 
 def run_force_sweep(
@@ -234,19 +251,12 @@ def run_force_sweep(
     forces = np.asarray(sorted(forces) if direction == "loading" else sorted(forces, reverse=True), dtype=np.float64)
     unloading = direction == "unloading"
     seeds = rng_stream(seed, _STREAM_SWEEP).integers(0, 2**62, size=(len(forces), n_trials, 2))
-    mask = rig.geometry.disc_mask
+    truths = (rig.truth_profile(rig.force_to_depth(float(force)), unloading=unloading) for force in forces)
     max_depths = np.empty(len(forces))
     mean_depths = np.empty(len(forces))
-    for i, force in enumerate(forces):
-        clean = clean_rgb(rig.truth_profile(rig.force_to_depth(float(force)), unloading=unloading), rig.membrane)
-        maxima, means = [], []
-        for t in range(n_trials):
-            recon = _measure(rig, model, clean, seeds[i, t])
-            depths = recon.depths[mask].astype(np.float64)
-            maxima.append(depths.max())
-            means.append(depths.mean())
-        max_depths[i] = np.mean(maxima)
-        mean_depths[i] = np.mean(means)
+    for i, measured in enumerate(_measure(rig, model, truths, seeds)):
+        max_depths[i] = np.mean([depths.max() for depths in measured])
+        mean_depths[i] = np.mean([depths.mean() for depths in measured])
     return ForceSweep(forces=forces, max_depths=max_depths, mean_depths=mean_depths, direction=direction)
 
 
@@ -309,13 +319,10 @@ def repeatability_trials(
     """
     steps = np.asarray(steps, dtype=np.float64)
     seeds = rng_stream(seed, _STREAM_TRIALS).integers(0, 2**62, size=(n_trials, len(steps), 2))
-    mask = rig.geometry.disc_mask
+    truths = (rig.truth_profile(float(depth)) for depth in steps)
     measurements = np.empty((n_trials, len(steps)))
-    for j, depth in enumerate(steps):
-        clean = clean_rgb(rig.truth_profile(float(depth)), rig.membrane)
-        for t in range(n_trials):
-            recon = _measure(rig, model, clean, seeds[t, j])
-            measurements[t, j] = recon.depths[mask].astype(np.float64).max()
+    for j, measured in enumerate(_measure(rig, model, truths, seeds.transpose(1, 0, 2))):
+        measurements[:, j] = [depths.max() for depths in measured]
     return TrialSet(step_depths=steps, measurements=measurements, max_depth=float(steps.max()))
 
 
@@ -359,9 +366,9 @@ def characterize(
     r = repeatability(trials)
 
     null_seeds = rng_stream(seed + 3, _STREAM_NULL).integers(0, 2**62, size=2)
-    zero = rig.geometry.zero_map()
-    before = render_reading(zero, rig.membrane, int(null_seeds[0]))
-    after = render_reading(zero, rig.membrane, int(null_seeds[1]))
+    mask = rig.geometry.disc_mask
+    rest = clean_pixels(rig.geometry.zero_map(), rig.membrane, mask)
+    before, after = (capture_pixels(rest, rig.membrane, int(s), mask) for s in null_seeds)
     null_std = null_difference_stat(before, after, rig.geometry)
 
     return CharacterizationReport(

@@ -25,6 +25,8 @@ from .calibration import (
     TrainConfig,
     TrainingDivergedError,
     build_calib_dataset,
+    disc_depths,
+    forward_scratch,
     load_model,
     reconstruct,
     save_model,
@@ -32,6 +34,7 @@ from .calibration import (
 )
 from .characterization import IndenterRig, characterize
 from .detection import (
+    FeatureVector,
     classify,
     decision_value,
     evaluate,
@@ -42,7 +45,7 @@ from .detection import (
     stratified_split,
 )
 from .imaging import DmapFormatError, PpmFormatError, SensorGeometry, load_dmap, load_ppm, save_dmap, save_ppm
-from .imprint import ImprintParams, augmented_imprint
+from .imprint import ImprintParams, augmented_imprint, disc_pixels
 from .phantom import (
     DatasetSpec,
     PhantomConfig,
@@ -230,16 +233,7 @@ def _resolved_config(args, skip=("verb", "manifest")):
 
 def _load_phantom_config(args) -> PhantomConfig:
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        return PhantomConfig(
-            tumor_present=bool(doc["tumor_present"]),
-            ball_diameter_mm=float(doc.get("ball_diameter_mm", 6.0)),
-            burial_depth_mm=float(doc.get("burial_depth_mm", 3.0)),
-            lateral_offset_mm=tuple(doc.get("lateral_offset_mm", (0.0, 0.0))),
-            tissue_stiffness=float(doc.get("tissue_stiffness", defaults.TISSUE_STIFFNESS)),
-            tumor_stiffness_boost=float(doc.get("tumor_stiffness_boost", defaults.TUMOR_STIFFNESS_BOOST)),
-            applied_mass_g=float(doc.get("applied_mass_g", 1000.0)),
-        )
+        return PhantomConfig.from_dict(json.loads(Path(args.config).read_text()))
     return PhantomConfig(
         tumor_present=args.tumor,
         ball_diameter_mm=args.diameter,
@@ -344,12 +338,13 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
     if not manifest.exists():
         raise ValueError(f"missing dataset manifest {manifest}")
     features, labels, ids = [], [], []
+    scratch = forward_scratch(geom.disc_pixel_count)
     with manifest.open(newline="") as fh:
         for row in csv.DictReader(fh):
             sample_id = row["sample_id"]
             ref = load_ppm(dataset_dir / f"{sample_id}_ref.ppm")
             contact = load_ppm(dataset_dir / f"{sample_id}_contact.ppm")
-            fv = extract_features(reconstruct(calib_model, ref, contact, geom))
+            fv = FeatureVector.of(disc_depths(calib_model, *disc_pixels(ref, contact, geom), geom, scratch))
             features.append([fv.mu, fv.sigma])
             labels.append(int(row["label"]))
             ids.append(sample_id)

@@ -44,12 +44,16 @@ class FeatureVector:
     def as_array(self):
         return np.array([self.mu, self.sigma], dtype=np.float64)
 
+    @classmethod
+    def of(cls, depths) -> "FeatureVector":
+        """Mean and population std of a non-empty float64 vector of in-disc depths."""
+        return cls(mu=float(depths.mean()), sigma=float(depths.std()))
+
 
 def extract_features(dmap: DeformationMap) -> FeatureVector:
     if not dmap.mask.any():
         raise ValueError("empty mask")
-    depths = dmap.depths[dmap.mask].astype(np.float64)
-    return FeatureVector(mu=float(depths.mean()), sigma=float(depths.std()))
+    return FeatureVector.of(dmap.depths[dmap.mask].astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -80,6 +84,8 @@ def fit_standardizer(features) -> Standardizer:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need at least two samples to standardize")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
     std = x.std(axis=0)
     if np.any(std == 0):
         raise ValueError("zero variance feature")
@@ -129,6 +135,8 @@ def train_svm(
     y = _label_array(labels)
     if z.ndim != 2 or z.shape[0] != y.shape[0]:
         raise ValueError("features and labels must align")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("features must be finite")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes must be present")
     if c <= 0:

@@ -131,6 +131,8 @@ class DeformationMap:
             raise ValueError("depths must be a non-empty 2-D grid")
         if mask.shape != depths.shape:
             raise ValueError("mask shape must match depths shape")
+        if not np.all(np.isfinite(depths)):
+            raise ValueError("depths must be finite")
         if not np.all(depths >= 0.0):
             raise ValueError("depths must be non-negative")
         if mask.any() and float(depths[mask].max()) > MAX_DEPTH_MM:
@@ -148,18 +150,11 @@ class DeformationMap:
 
 
 def validate_deformation_map(dmap: DeformationMap, geom: "SensorGeometry | None" = None):
-    """Re-check the depth-map invariants; raises ValueError on violation.
+    """Check that the map belongs to ``geom``: its size and the sensing-disc mask.
 
-    With ``geom`` given, also checks that the mask is the sensing disc of
-    that geometry.
+    The depth invariants hold for every :class:`DeformationMap` by
+    construction; without ``geom`` there is nothing left to check.
     """
-    depths = np.asarray(dmap.depths, dtype=np.float64)
-    if not np.all(np.isfinite(depths)):
-        raise ValueError("depths must be finite")
-    if not np.all(depths >= 0.0):
-        raise ValueError("depths must be non-negative")
-    if dmap.mask.any() and float(depths[dmap.mask].max()) > MAX_DEPTH_MM:
-        raise ValueError(f"masked depths must not exceed {MAX_DEPTH_MM} mm")
     if geom is not None:
         if (dmap.height, dmap.width) != (geom.height, geom.width):
             raise ValueError("map dimensions do not match geometry")
@@ -207,6 +202,19 @@ class SensorGeometry:
         mask = gx * gx + gy * gy <= self.sensing_radius_mm**2
         mask.setflags(write=False)
         return mask
+
+    @cached_property
+    def disc_pixel_count(self) -> int:
+        return int(np.count_nonzero(self.disc_mask))
+
+    @cached_property
+    def disc_coords(self):
+        """(u, v) of the sensing-disc pixels in row-major order (see :attr:`normalized_coords`)."""
+        gu, gv = self.normalized_coords
+        u, v = gu[self.disc_mask], gv[self.disc_mask]
+        u.setflags(write=False)
+        v.setflags(write=False)
+        return u, v
 
     @cached_property
     def normalized_coords(self):
@@ -334,9 +342,12 @@ def load_ppm(path) -> RgbImage:
     if pos >= len(data) or data[pos] not in b" \t\r\n":
         raise PpmFormatError("malformed header: missing whitespace after maxval")
     pos += 1  # exactly one whitespace byte separates header and payload
-    payload = data[pos : pos + width * height * 3]
-    if len(payload) < width * height * 3:
+    size = width * height * 3
+    payload = data[pos : pos + size]
+    if len(payload) < size:
         raise PpmFormatError("unexpected end of pixel data")
+    if len(data) > pos + size:
+        raise PpmFormatError("unexpected trailing bytes")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
     return RgbImage(pixels)
 
@@ -376,4 +387,7 @@ def load_dmap(path) -> DeformationMap:
     if not np.all((mask_vals == 0) | (mask_vals == 1)):
         raise DmapFormatError("invalid mask byte")
     depths = np.frombuffer(depth_bytes, dtype="<f4").reshape(height, width)
-    return DeformationMap(depths, mask_vals.reshape(height, width).astype(bool))
+    try:
+        return DeformationMap(depths, mask_vals.reshape(height, width).astype(bool))
+    except ValueError as err:
+        raise DmapFormatError(f"invalid depths: {err}") from None

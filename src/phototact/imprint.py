@@ -83,20 +83,37 @@ class ColorDeltaField:
         return self.rows[:, 4]
 
 
-def color_delta(ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> ColorDeltaField:
-    """HSV change from ``ref`` to ``contact`` over the sensing disc, hue wrap handled."""
+def disc_pixels(ref: RgbImage, contact: RgbImage, geom: SensorGeometry):
+    """The sensing-disc pixels (N, 3) of a reading pair, after checking both match ``geom``."""
     if (ref.height, ref.width) != (contact.height, contact.width):
         raise ValueError("reference and contact images differ in size")
     if (ref.height, ref.width) != (geom.height, geom.width):
         raise ValueError("reading pair does not match geometry")
     mask = geom.disc_mask
-    h_ref, s_ref, v_ref = rgb_to_hsv_channels(ref.pixels[mask])
-    h_con, s_con, v_con = rgb_to_hsv_channels(contact.pixels[mask])
-    u, v = geom.normalized_coords
-    rows = np.empty((h_ref.shape[0], 5))
+    return ref.pixels[mask], contact.pixels[mask]
+
+
+def disc_rows(ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:
+    """(N, 5) rows (dH, dS, dV, u, v) from the sensing-disc pixels (N, 3) of a reading pair.
+
+    Rows follow the disc's row-major pixel order, as ``pixels[geom.disc_mask]``
+    gathers them; hue wrap is handled.
+    """
+    n = geom.disc_pixel_count
+    if np.shape(ref_px) != (n, 3) or np.shape(contact_px) != (n, 3):
+        raise ValueError("disc pixels must be one RGB row per sensing-disc pixel")
+    h_ref, s_ref, v_ref = rgb_to_hsv_channels(ref_px)
+    h_con, s_con, v_con = rgb_to_hsv_channels(contact_px)
+    u, v = geom.disc_coords
+    rows = np.empty((n, 5))
     rows[:, 0] = hue_delta(h_con, h_ref)
     rows[:, 1] = s_con - s_ref
     rows[:, 2] = v_con - v_ref
-    rows[:, 3] = u[mask]
-    rows[:, 4] = v[mask]
-    return ColorDeltaField(rows)
+    rows[:, 3] = u
+    rows[:, 4] = v
+    return rows
+
+
+def color_delta(ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> ColorDeltaField:
+    """HSV change from ``ref`` to ``contact`` over the sensing disc, hue wrap handled."""
+    return ColorDeltaField(disc_rows(*disc_pixels(ref, contact, geom), geom))

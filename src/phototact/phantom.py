@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -90,6 +90,26 @@ class PhantomConfig:
     def force_n(self) -> float:
         return grams_to_newtons(self.applied_mass_g)
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "PhantomConfig":
+        """Config from a JSON object; absent optional keys take the field defaults."""
+        if not isinstance(data, dict):
+            raise ValueError("phantom config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown phantom config keys: {', '.join(unknown)}")
+        if "tumor_present" not in data:
+            raise ValueError("phantom config needs 'tumor_present'")
+        try:
+            values = {k: float(v) for k, v in data.items() if k not in ("tumor_present", "lateral_offset_mm")}
+            if "lateral_offset_mm" in data:
+                values["lateral_offset_mm"] = tuple(float(x) for x in data["lateral_offset_mm"])
+        except TypeError:
+            raise ValueError("phantom config values must be numbers") from None
+        if len(values.get("lateral_offset_mm", (0.0, 0.0))) != 2:
+            raise ValueError("lateral offset must be an (x, y) pair")
+        return cls(tumor_present=bool(data["tumor_present"]), **values)
+
 
 @dataclass(frozen=True)
 class MembraneModel:
@@ -120,7 +140,7 @@ class MembraneModel:
         """Noise-free real RGB of the unloaded membrane (read-only), computed once per model."""
         shape = self.baseline.pixels.shape[:2]
         unloaded = DeformationMap(np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=bool))
-        real = _deformed_rgb(unloaded, self)
+        real = _hsv_rgb(deformed_hsv(unloaded, self))
         real.setflags(write=False)
         return real
 
@@ -220,12 +240,8 @@ def sphere_press_truth(press_depth: float, sphere_radius: float, geom: SensorGeo
     return DeformationMap(spherical_cap_profile(press_depth, sphere_radius, geom).astype(np.float32), geom.disc_mask)
 
 
-def deformed_hsv(dmap: DeformationMap, model: MembraneModel) -> HsvImage:
-    """Noise-free HSV response of the membrane to the given indentation."""
-    base = model.baseline.pixels
-    if base.shape[:2] != dmap.depths.shape:
-        raise ValueError("deformation map does not match membrane baseline size")
-    depth = dmap.depths.astype(np.float64)
+def _shifted_hsv(base, depth, model: MembraneModel) -> HsvImage:
+    """Baseline HSV pixels ``base`` (h, w, 3) shifted by the response to ``depth`` (h, w), in mm."""
     hue = np.mod(base[..., 0] + model.gain_h * depth, 360.0)
     hue = np.where(hue >= 360.0, 0.0, hue)
     sat = np.clip(base[..., 1] + model.gain_s * depth, 0.0, 1.0)
@@ -233,8 +249,14 @@ def deformed_hsv(dmap: DeformationMap, model: MembraneModel) -> HsvImage:
     return HsvImage(np.stack([hue, sat, val], axis=-1))
 
 
-def _deformed_rgb(dmap: DeformationMap, model: MembraneModel) -> np.ndarray:
-    hsv = deformed_hsv(dmap, model)
+def deformed_hsv(dmap: DeformationMap, model: MembraneModel) -> HsvImage:
+    """Noise-free HSV response of the membrane to the given indentation."""
+    if model.baseline.pixels.shape[:2] != dmap.depths.shape:
+        raise ValueError("deformation map does not match membrane baseline size")
+    return _shifted_hsv(model.baseline.pixels, dmap.depths.astype(np.float64), model)
+
+
+def _hsv_rgb(hsv: HsvImage) -> np.ndarray:
     return hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
 
 
@@ -249,20 +271,54 @@ def clean_rgb(dmap: DeformationMap, model: MembraneModel) -> np.ndarray:
         raise ValueError("deformation map does not match membrane baseline size")
     if not dmap.depths.any():
         return model.rest_rgb
-    return _deformed_rgb(dmap, model)
+    return _hsv_rgb(deformed_hsv(dmap, model))
+
+
+def clean_pixels(dmap: DeformationMap, model: MembraneModel, mask) -> np.ndarray:
+    """Noise-free real RGB (N, 3) of the ``mask`` pixels, in row-major order.
+
+    Every pixel's color depends on that pixel only, so this is
+    ``clean_rgb(dmap, model)[mask]`` computed on the masked pixels alone.
+    """
+    if model.baseline.pixels.shape[:2] != dmap.depths.shape or mask.shape != dmap.depths.shape:
+        raise ValueError("deformation map does not match membrane baseline size")
+    # A one-row image of the masked pixels keeps the HsvImage range checks.
+    hsv = _shifted_hsv(model.baseline.pixels[mask][None], dmap.depths[mask].astype(np.float64)[None], model)
+    return _hsv_rgb(hsv)[0]
+
+
+def _noisy_channels(clean, noise, model: MembraneModel) -> np.ndarray:
+    """8-bit channels of ``clean`` (..., 3) under speckle ``noise[..., 0]`` and channel noise ``noise[..., 1:4]``."""
+    speckle = 1.0 + model.speckle_amplitude * noise[..., 0]
+    noisy = clean * speckle[..., None]
+    noisy += model.noise_std * noise[..., 1:4]
+    return quantize_channels(noisy)
 
 
 def capture_reading(clean: np.ndarray, model: MembraneModel, seed: int) -> RgbImage:
     """8-bit camera reading of a noise-free render with seeded speckle and channel noise.
 
-    The noise is drawn over the full frame, so a reading depends only on
-    (clean, seed) and not on which pixels a consumer reads.
+    The noise is drawn over the full frame in row-major pixel order, four
+    normals per pixel, so a reading depends only on (clean, seed) and not on
+    which pixels a consumer reads.
     """
     noise = rng_stream(seed, STREAM_RENDER).standard_normal(clean.shape[:2] + (4,))
-    speckle = 1.0 + model.speckle_amplitude * noise[..., 0]
-    noisy = clean * speckle[..., None]
-    noisy += model.noise_std * noise[..., 1:4]
-    return RgbImage(quantize_channels(noisy))
+    return RgbImage(_noisy_channels(clean, noise, model))
+
+
+def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, mask) -> np.ndarray:
+    """uint8 (N, 3) of ``capture_reading(clean, model, seed).pixels[mask]``, from ``clean_px = clean[mask]``.
+
+    The normals are drawn only through the last row the mask touches: a
+    Philox normal fill is a prefix of any longer fill from the same stream.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2 or clean_px.shape != (np.count_nonzero(mask), 3):
+        raise ValueError("clean pixels must be one RGB row per mask pixel")
+    touched = np.flatnonzero(mask.any(axis=1))
+    rows = int(touched[-1]) + 1 if touched.size else 0
+    noise = rng_stream(seed, STREAM_RENDER).standard_normal((rows, mask.shape[1], 4))
+    return _noisy_channels(clean_px, noise[mask[:rows]], model)
 
 
 def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> RgbImage:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from phototact.calibration import (
     CalibrationModel,
     TrainConfig,
     build_calib_dataset,
+    disc_depths,
+    forward_scratch,
     input_gradient,
     load_model,
     loss_and_gradients,
@@ -15,7 +19,8 @@ from phototact.calibration import (
     save_model,
     train_mlp,
 )
-from phototact.imprint import color_delta
+from phototact import defaults
+from phototact.imprint import color_delta, disc_pixels
 from phototact.phantom import (
     PhantomConfig,
     contact_solve,
@@ -24,6 +29,16 @@ from phototact.phantom import (
     sphere_press_truth,
 )
 from conftest import linear_hue_model
+
+# On low-noise renders the learned depths sit within 0.001 mm on average and
+# 0.0025 mm RMS of the hue oracle over the disc, and inside the press
+# footprint (oracle above 0.05 mm) their least-squares slope against it is
+# 1.009-1.042.  The bounds leave about a fourfold margin on the gaps and
+# twice the largest slope deviation.
+ORACLE_MEAN_GAP_MM = 0.005
+ORACLE_RMS_GAP_MM = 0.01
+ORACLE_FOOTPRINT_MM = 0.05
+ORACLE_SLOPE_TOLERANCE = 0.08
 
 
 def random_model(rng) -> CalibrationModel:
@@ -57,6 +72,24 @@ class TestCalibDataset:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         c = build_calib_dataset(2, 3.0, small_geometry, small_membrane, seed=10)
         assert not np.array_equal(a[0], c[0])
+
+    @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
+    def test_matches_full_frame_reference(self, request, which):
+        """Disc-pixel captures give the rows of full-frame readings through color_delta."""
+        geom = request.getfixturevalue(which)
+        membrane = pt.default_membrane(geom)
+        features, depths = build_calib_dataset(3, 3.0, geom, membrane, seed=31)
+        draws = rng_stream(31, 12).random(3)
+        seeds = rng_stream(31, 13).integers(0, 2**62, size=6)
+        rows_x, rows_y = [], []
+        for i in range(3):
+            truth = sphere_press_truth(membrane.max_depth * (1.0 - float(draws[i])), 3.0, geom)
+            ref = render_reading(geom.zero_map(), membrane, int(seeds[2 * i]))
+            contact = render_reading(truth, membrane, int(seeds[2 * i + 1]))
+            rows_x.append(color_delta(ref, contact, geom).rows)
+            rows_y.append(truth.depths[geom.disc_mask].astype(np.float64))
+        assert np.array_equal(features, np.concatenate(rows_x))
+        assert np.array_equal(depths, np.concatenate(rows_y))
 
     def test_tiny_press_contributes_near_null_rows(self, small_geometry, small_membrane):
         # continuity at zero press: targets ~0 and color deltas within quantization
@@ -204,6 +237,93 @@ class TestModelFiles:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a calibration model"):
             load_model(path)
+
+
+class TestModelMaxDepth:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, 5.0, 0.5000001])
+    def test_out_of_range_rejected(self, fast_model, value):
+        with pytest.raises(ValueError, match="max depth must lie in"):
+            CalibrationModel(fast_model.weights, fast_model.biases, fast_model.feature_shift,
+                             fast_model.feature_scale, max_depth=value)
+
+    def test_in_range_accepted(self, fast_model):
+        for value in (0.5, 0.25):
+            CalibrationModel(fast_model.weights, fast_model.biases, fast_model.feature_shift,
+                             fast_model.feature_scale, max_depth=value)
+
+    def test_hand_edited_file_rejected(self, tmp_path, fast_model):
+        path = tmp_path / "model.json"
+        save_model(path, fast_model)
+        path.write_text(path.read_text().replace('"max_depth": 0.5', '"max_depth": NaN'))
+        with pytest.raises(ValueError, match="max depth must lie in"):
+            load_model(path)
+
+
+class TestDiscDepths:
+    @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
+    def test_match_reconstruct(self, request, which, fast_model):
+        geom = request.getfixturevalue(which)
+        membrane = pt.default_membrane(geom)
+        unclipped = random_model(np.random.default_rng(5))  # raw outputs fall below 0 and above max depth
+        zero = geom.zero_map()
+        cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
+        for truth in (zero, sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom, membrane).deformation):
+            ref = render_reading(zero, membrane, 40)
+            contact = render_reading(truth, membrane, 41)
+            for model in (fast_model, unclipped):
+                depths = disc_depths(model, *disc_pixels(ref, contact, geom), geom)
+                recon = reconstruct(model, ref, contact, geom)
+                assert depths.dtype == np.float64
+                assert np.array_equal(depths, recon.depths[geom.disc_mask].astype(np.float64))
+                assert np.all(recon.depths[~geom.disc_mask] == 0.0)
+
+    def test_scratch_gives_the_same_bits(self, small_geometry, small_membrane, fast_model):
+        ref = render_reading(small_geometry.zero_map(), small_membrane, 42)
+        contact = render_reading(sphere_press_truth(0.3, 3.0, small_geometry), small_membrane, 43)
+        px = disc_pixels(ref, contact, small_geometry)
+        expected = disc_depths(fast_model, *px, small_geometry)
+        for rows in (small_geometry.disc_pixel_count, small_geometry.disc_pixel_count + 7):
+            scratch = forward_scratch(rows)
+            for _ in range(2):  # the buffers are reused as they are left
+                assert np.array_equal(disc_depths(fast_model, *px, small_geometry, scratch), expected)
+
+    def test_forward_with_scratch_allocates_no_activations(self, fast_model):
+        x = np.random.default_rng(1).normal(size=(20000, 5))
+        scratch = forward_scratch(len(x))
+        expected = fast_model.forward(x)
+        tracemalloc.start()
+        try:
+            out = fast_model.forward(x, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, expected)
+        assert peak < len(x) * LAYER_SIZES[1] * 8  # less than one hidden activation matrix
+
+    def test_pixel_rows_must_cover_the_disc(self, small_geometry, fast_model):
+        px = np.zeros((int(small_geometry.disc_mask.sum()) - 1, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="sensing-disc pixel"):
+            disc_depths(fast_model, px, px, small_geometry)
+
+
+class TestAnalyticOracle:
+    """The simulated hue response is linear in depth, so dH / GAIN_H is a depth estimate the MLP never saw."""
+
+    def test_reconstruction_tracks_hue_shift(self, geometry, calib_model):
+        membrane = pt.default_membrane(geometry, noise_std=0.2, speckle_amplitude=0.0)
+        mask = geometry.disc_mask
+        for depth, seed in ((0.15, 3), (0.3, 5), (0.45, 7)):
+            truth = sphere_press_truth(depth, 3.0, geometry)
+            ref = render_reading(geometry.zero_map(), membrane, 2 * seed)
+            contact = render_reading(truth, membrane, 2 * seed + 1)
+            recon = reconstruct(calib_model, ref, contact, geometry).depths[mask].astype(np.float64)
+            oracle = color_delta(ref, contact, geometry).dh / defaults.GAIN_H_DEG_PER_MM
+            gap = recon - oracle
+            assert np.abs(np.mean(gap)) < ORACLE_MEAN_GAP_MM
+            assert np.sqrt(np.mean(gap**2)) < ORACLE_RMS_GAP_MM
+            inside = oracle > ORACLE_FOOTPRINT_MM
+            slope = np.sum(recon[inside] * oracle[inside]) / np.sum(oracle[inside] ** 2)
+            assert abs(slope - 1.0) < ORACLE_SLOPE_TOLERANCE
 
 
 class TestReconstruct:

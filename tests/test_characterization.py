@@ -141,6 +141,19 @@ class TestNullDifference:
         with pytest.raises(ValueError, match="differ in size"):
             null_difference_stat(a, pt.RgbImage(np.zeros((3, 2, 3), dtype=np.uint8)), small_geometry)
 
+    def test_disc_pixels_match_readings(self, small_geometry, small_membrane):
+        zero = small_geometry.zero_map()
+        mask = small_geometry.disc_mask
+        before, after = render_reading(zero, small_membrane, 4), render_reading(zero, small_membrane, 5)
+        stat = null_difference_stat(before, after, small_geometry)
+        assert stat > 0.0
+        assert null_difference_stat(before.pixels[mask], after.pixels[mask], small_geometry) == stat
+
+    def test_disc_pixel_count_mismatch(self, small_geometry):
+        px = np.zeros((int(small_geometry.disc_mask.sum()) - 1, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="sensing-disc pixel"):
+            null_difference_stat(px, px, small_geometry)
+
     def test_default_noise_matches_tuning_target(self, geometry, membrane):
         zero = geometry.zero_map()
         values = [
@@ -285,6 +298,21 @@ class TestMeasurementLoops:
             for j, depth in enumerate(steps):
                 expected = self.measure(rig, fast_model, rig.truth_profile(depth), seeds[t, j]).max()
                 assert trials.measurements[t, j] == expected
+
+    def test_noise_floor_matches_per_capture_reference(self, small_geometry, fast_model):
+        rig = make_rig(small_geometry)
+        seeds = rng_stream(8, characterization._STREAM_NULL).integers(0, 2**62, size=2 * rig.n_null_pairs)
+        zero = small_geometry.zero_map()
+        stds = [float(self.measure(rig, fast_model, zero, seeds[2 * i : 2 * i + 2]).std()) for i in range(rig.n_null_pairs)]
+        assert noise_floor(rig, fast_model, seed=8) == float(np.mean(stds))
+
+    def test_null_std_matches_full_readings(self, small_geometry, fast_model):
+        rig = make_rig(small_geometry)
+        report = characterization.characterize(rig, fast_model, forces=(0.05, 0.08, 0.11), steps=(0.2,), seed=3)
+        seeds = rng_stream(3 + 3, characterization._STREAM_NULL).integers(0, 2**62, size=2)
+        zero = small_geometry.zero_map()
+        before, after = (render_reading(zero, rig.membrane, int(s)) for s in seeds)
+        assert report.null_std == null_difference_stat(before, after, small_geometry)
 
     def test_sweep_matches_per_capture_reference(self, small_geometry, fast_model):
         rig = make_rig(small_geometry)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import phototact as pt
+from phototact import cli
 from phototact.cli import dispatch
 from phototact.detection import DetectorModel, Standardizer, save_detector
 
@@ -119,6 +120,20 @@ class TestPhantomVerb:
         cfg.write_text(json.dumps({"tumor_present": True, "ball_diameter_mm": 8.0, "burial_depth_mm": 2.0}))
         assert run(["phantom", *SMALL, "--config", cfg, "--out-prefix", tmp_path / "c"]) == 0
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"tumor_present": True, "diameter_mm": 8.0}, "unknown phantom config keys: diameter_mm"),
+            ({"ball_diameter_mm": 8.0}, "needs 'tumor_present'"),
+        ],
+    )
+    def test_bad_config_file(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run(["phantom", *SMALL, "--config", cfg, "--out-prefix", tmp_path / "c"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
 
 class TestImprintVerb:
     def test_applies_amplified_difference(self, tmp_path):
@@ -147,6 +162,35 @@ class TestCalibrateReconstruct:
         truth = pt.load_dmap(tmp_path / "press_truth.dmap")
         assert recon.depths.shape == truth.depths.shape
         assert recon.depths[recon.mask].mean() > 0.1  # a 1000 g press is far above noise
+
+
+class TestModelFile:
+    @pytest.mark.parametrize("value", ["NaN", "-1.0", "5.0"])
+    def test_hand_edited_max_depth(self, tmp_path, tiny_model_path, capsys, value):
+        model = tmp_path / "edited.json"
+        text = tiny_model_path.read_text()
+        assert '"max_depth": 0.5' in text
+        model.write_text(text.replace('"max_depth": 0.5', f'"max_depth": {value}'))
+        assert run(["phantom", *SMALL, "--seed", 9, "--out-prefix", tmp_path / "press"]) == 0
+        assert run(["reconstruct", *SMALL, "--model", model, "--ref", tmp_path / "press_ref.ppm",
+                    "--contact", tmp_path / "press_contact.ppm", "--out", tmp_path / "recon.dmap"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "max depth must lie in (0, 0.5] mm" in err
+        assert not (tmp_path / "recon.dmap").exists()
+
+
+def reference_dataset_features(dataset_dir, calib_model, geom):
+    """Per-sample reconstruction of full depth maps, then feature extraction."""
+    features, labels, ids = [], [], []
+    for line in (dataset_dir / "manifest.csv").read_text().splitlines()[1:]:
+        sample_id, label = line.split(",")[:2]
+        ref = pt.load_ppm(dataset_dir / f"{sample_id}_ref.ppm")
+        contact = pt.load_ppm(dataset_dir / f"{sample_id}_contact.ppm")
+        fv = pt.extract_features(pt.reconstruct(calib_model, ref, contact, geom))
+        features.append([fv.mu, fv.sigma])
+        labels.append(int(label))
+        ids.append(sample_id)
+    return np.array(features), np.array(labels), ids
 
 
 class TestDatasetVerbs:
@@ -178,6 +222,19 @@ class TestDatasetVerbs:
         assert len(manifest) == 1 + 8  # 4 positives + 4 negatives
         files = list(out_a.glob("*.ppm"))
         assert len(files) == 16
+
+    @pytest.mark.parametrize("geometry_flags", [SMALL, []], ids=["small", "default"])
+    def test_dataset_features_match_full_map_reference(self, tmp_path, tiny_spec, tiny_model_path, geometry_flags):
+        data = tmp_path / "data"
+        assert run(["dataset", *geometry_flags, "--spec", tiny_spec, "--seed", 7, "--out", data]) == 0
+        args = cli.build_parser().parse_args(["evaluate", *geometry_flags, "--detector", "d", "--dataset", "d",
+                                              "--calibration", "c", "--out", "o"])
+        geom = cli._geometry(args)
+        model = pt.load_model(tiny_model_path)
+        features, labels, ids = cli._read_dataset_features(data, model, geom)
+        expected = reference_dataset_features(data, model, geom)
+        assert np.array_equal(features, expected[0])
+        assert np.array_equal(labels, expected[1]) and ids == expected[2]
 
     def test_dataset_memory_does_not_grow_with_sample_count(self, tmp_path):
         def spec_path(presses):

@@ -110,6 +110,15 @@ class TestTrainSvm:
         with pytest.raises(ValueError, match="labels"):
             train_svm(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("fit", [train_svm, fit_detector])
+    def test_non_finite_features_rejected(self, fit, bad):
+        x = np.array([[0.1, 0.02], [0.2, 0.05], [0.05, 0.01], [0.3, 0.07]])
+        y = np.array([-1, 1, -1, 1])
+        x[2, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            fit(x, y)
+
     @given(
         st.floats(min_value=0.0, max_value=2 * np.pi),
         st.integers(min_value=3, max_value=12),

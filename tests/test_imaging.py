@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -177,6 +179,12 @@ class TestPpm:
         with pytest.raises(PpmFormatError, match="malformed header"):
             pt.load_ppm(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "extra.ppm"
+        path.write_bytes(b"P6\n1 1\n255\n\x01\x02\x03\n")
+        with pytest.raises(PpmFormatError, match="trailing"):
+            pt.load_ppm(path)
+
 
 class TestDmap:
     def test_roundtrip_and_size(self, tmp_path):
@@ -234,6 +242,46 @@ class TestDmap:
             pt.load_dmap(path)
 
 
+def ppm_like_bytes():
+    header = st.builds(
+        lambda w, h, maxval, sep: f"P6{sep}{w} {h}{sep}{maxval}".encode() + sep.encode(),
+        st.integers(-1, 3), st.integers(-1, 3), st.sampled_from([255, 0, 65535]), st.sampled_from(["\n", " ", "#"]),
+    )
+    return st.one_of(st.binary(max_size=48), st.builds(bytes.__add__, header, st.binary(max_size=48)))
+
+
+def dmap_like_bytes():
+    header = st.builds(
+        lambda version, w, h: b"DMAP" + bytes([version]) + struct.pack("<II", w, h),
+        st.integers(0, 2), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+    )
+    small = st.builds(lambda w, h: b"DMAP\x01" + struct.pack("<II", w, h), st.integers(0, 3), st.integers(0, 3))
+    # Depth bytes of NaN, inf, negative or over-range floats and mask bytes other than 0/1.
+    payload = st.lists(
+        st.one_of(
+            st.floats(width=32).map(lambda x: struct.pack("<f", x)),
+            st.sampled_from([b"\x00", b"\x01", b"\x02"]),
+        ),
+        max_size=12,
+    ).map(b"".join)
+    return st.one_of(
+        st.binary(max_size=48),
+        st.builds(bytes.__add__, st.one_of(header, small), st.one_of(payload, st.binary(max_size=48))),
+    )
+
+
+@settings(max_examples=300)
+@given(data=st.one_of(ppm_like_bytes(), dmap_like_bytes()))
+def test_loaders_raise_only_format_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(data)
+    for loader, error in ((pt.load_ppm, PpmFormatError), (pt.load_dmap, DmapFormatError)):
+        try:
+            loader(path)
+        except error:
+            pass
+
+
 class TestDeformationMap:
     def test_rejects_negative_depths(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -246,6 +294,18 @@ class TestDeformationMap:
     def test_allows_overrange_outside_mask(self):
         dmap = DeformationMap(np.array([[0.6]], dtype=np.float32), np.array([[False]]))
         validate_deformation_map(dmap)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_rejects_non_finite_depths(self, value, inside):
+        with pytest.raises(ValueError, match="finite"):
+            DeformationMap(np.array([[value]], dtype=np.float32), np.array([[inside]]))
+
+    def test_loader_reports_invalid_depths_as_format_error(self, tmp_path):
+        path = tmp_path / "inf.dmap"
+        path.write_bytes(b"DMAP\x01" + struct.pack("<II", 1, 1) + struct.pack("<f", np.inf) + b"\x00")
+        with pytest.raises(DmapFormatError, match="finite"):
+            pt.load_dmap(path)
 
     def test_validator_checks_geometry_mask(self, small_geometry):
         dmap = small_geometry.zero_map()

@@ -240,6 +240,100 @@ class TestRenderReading:
             deformed_hsv(small_geometry.zero_map(), membrane)
 
 
+def press_maps(geom, membrane):
+    """A zero map, a centered sphere press and an off-center phantom contact, all on ``geom``."""
+    cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
+    return (geom.zero_map(), sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom, membrane).deformation)
+
+
+def bottom_row_mask(geom):
+    """A mask whose last row is the frame's last row."""
+    mask = np.zeros((geom.height, geom.width), dtype=bool)
+    mask[-1, ::3] = True
+    mask[geom.height // 2, 1] = True
+    return mask
+
+
+class TestDiscPixels:
+    """The disc path computes exactly the masked pixels of the full-frame path."""
+
+    @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
+    def test_clean_pixels_match_clean_rgb(self, request, which):
+        geom = request.getfixturevalue(which)
+        membrane = pt.default_membrane(geom)
+        for dmap in press_maps(geom, membrane):
+            for mask in (geom.disc_mask, bottom_row_mask(geom)):
+                assert np.array_equal(pt.clean_pixels(dmap, membrane, mask), pt.clean_rgb(dmap, membrane)[mask])
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 - 1])
+    @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
+    def test_capture_pixels_match_capture_reading(self, request, which, seed):
+        geom = request.getfixturevalue(which)
+        membrane = pt.default_membrane(geom)
+        full = np.ones((geom.height, geom.width), dtype=bool)
+        for dmap in press_maps(geom, membrane):
+            clean = pt.clean_rgb(dmap, membrane)
+            reading = pt.capture_reading(clean, membrane, seed).pixels
+            for mask in (geom.disc_mask, bottom_row_mask(geom), full):
+                captured = pt.capture_pixels(clean[mask], membrane, seed, mask)
+                assert captured.dtype == np.uint8
+                assert np.array_equal(captured, reading[mask])
+
+    def test_noise_drawn_only_through_the_last_masked_row(self, small_geometry):
+        rows = int(np.flatnonzero(small_geometry.disc_mask.any(axis=1))[-1]) + 1
+        assert rows < small_geometry.height
+        shape = (small_geometry.height, small_geometry.width, 4)
+        for seed in [*range(200), 2**62 - 1, 2**64 - 1]:
+            prefix = rng_stream(seed, STREAM_RENDER).standard_normal((rows,) + shape[1:])
+            assert np.array_equal(prefix, rng_stream(seed, STREAM_RENDER).standard_normal(shape)[:rows])
+
+    def test_empty_mask_captures_nothing(self, small_geometry, small_membrane):
+        mask = np.zeros((small_geometry.height, small_geometry.width), dtype=bool)
+        assert pt.capture_pixels(np.empty((0, 3)), small_membrane, 3, mask).shape == (0, 3)
+
+    def test_pixel_count_must_match_mask(self, small_geometry, small_membrane):
+        clean = pt.clean_pixels(small_geometry.zero_map(), small_membrane, small_geometry.disc_mask)
+        with pytest.raises(ValueError, match="one RGB row per mask pixel"):
+            pt.capture_pixels(clean[1:], small_membrane, 0, small_geometry.disc_mask)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_disc_render_keeps_hsv_range_checks(self, small_geometry):
+        membrane = pt.default_membrane(small_geometry, gain_h=math.inf)
+        dmap = sphere_press_truth(0.3, 3.0, small_geometry)
+        with pytest.raises(ValueError, match="hue must lie"):
+            deformed_hsv(dmap, membrane)
+        with pytest.raises(ValueError, match="hue must lie"):
+            pt.clean_pixels(dmap, membrane, small_geometry.disc_mask)
+
+    def test_dimension_mismatch(self, small_geometry, membrane):
+        with pytest.raises(ValueError, match="does not match"):
+            pt.clean_pixels(small_geometry.zero_map(), membrane, small_geometry.disc_mask)
+
+
+class TestPhantomConfigFromDict:
+    def test_absent_keys_take_the_field_defaults(self):
+        assert PhantomConfig.from_dict({"tumor_present": True}) == PhantomConfig(tumor_present=True)
+        cfg = PhantomConfig.from_dict({"tumor_present": False, "applied_mass_g": 1200, "lateral_offset_mm": [1, 2]})
+        assert cfg == PhantomConfig(tumor_present=False, applied_mass_g=1200.0, lateral_offset_mm=(1.0, 2.0))
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown phantom config keys: ball_diameter"):
+            PhantomConfig.from_dict({"tumor_present": True, "ball_diameter": 6.0})
+
+    def test_missing_tumor_flag_rejected(self):
+        with pytest.raises(ValueError, match="needs 'tumor_present'"):
+            PhantomConfig.from_dict({"ball_diameter_mm": 6.0})
+
+    @pytest.mark.parametrize(
+        "data",
+        [[], {"tumor_present": True, "lateral_offset_mm": [1.0]}, {"tumor_present": True, "lateral_offset_mm": 1.0},
+         {"tumor_present": True, "applied_mass_g": [1000.0]}],
+    )
+    def test_malformed_rejected(self, data):
+        with pytest.raises(ValueError):
+            PhantomConfig.from_dict(data)
+
+
 class TestDataset:
     def test_default_spec_counts(self):
         spec = DatasetSpec()
