@@ -32,9 +32,7 @@ from .phantom import (
     PhantomConfig,
     PhantomSample,
     capture_pixels,
-    capture_reading,
     clean_pixels,
-    clean_rgb,
     contact_solve,
     default_membrane,
     generate_phantom_dataset,

@@ -123,12 +123,12 @@ class CalibrationModel:
         x = self.standardize(features)
         if scratch is None:
             scratch = forward_scratch(x.shape[0])
-        for w, b, buf in zip(self.weights[:-1], self.biases[:-1], (scratch[0], scratch[1], scratch[0])):
-            x = np.matmul(x, w.astype(np.float64), out=buf[: x.shape[0]])
-            x += b.astype(np.float64)
-            np.tanh(x, out=x)
-        out = x @ self.weights[-1].astype(np.float64) + self.biases[-1].astype(np.float64)
-        return out[:, 0]
+        return _forward_pass(*_float64_parameters(self), x, (scratch[0], scratch[1], scratch[0]))[1]
+
+
+def _float64_parameters(model: CalibrationModel):
+    """The model's weights and biases promoted to float64, as the forward pass computes with them."""
+    return [w.astype(np.float64) for w in model.weights], [b.astype(np.float64) for b in model.biases]
 
 
 def forward_scratch(rows: int):
@@ -150,14 +150,11 @@ def input_gradient(model: CalibrationModel, features):
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    z = model.standardize(x)
-    activations = [z]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = np.tanh(z @ w.astype(np.float64) + b.astype(np.float64))
-        activations.append(z)
-    grad = np.repeat(model.weights[-1].astype(np.float64).T, z.shape[0], axis=0)  # (N, 32)
-    for w, act in zip(reversed(model.weights[:-1]), reversed(activations[1:])):
-        grad = (grad * (1.0 - act * act)) @ w.astype(np.float64).T
+    weights, biases = _float64_parameters(model)
+    activations, _ = _forward_pass(weights, biases, model.standardize(x), _hidden_buffers(x.shape[0]))
+    grad = np.repeat(weights[-1].T, x.shape[0], axis=0)  # (N, 32)
+    for w, act in zip(reversed(weights[:-1]), reversed(activations[1:])):
+        grad = (grad * (1.0 - act * act)) @ w.T
     grad = grad / model.feature_scale.astype(np.float64)  # chain through standardization
     return grad[0] if single else grad
 
@@ -182,10 +179,11 @@ def _hidden_buffers(rows: int):
 
 
 def _forward_pass(weights, biases, x, hidden):
-    """Input plus hidden activations, and the output column.
+    """Input plus hidden activations, and the output column: the one MLP layer loop.
 
-    The hidden activations are written into the leading rows of the
-    ``hidden`` buffers, which must have at least ``len(x)`` rows.
+    The hidden activations are written into the leading rows of the ``hidden``
+    buffers (one per layer; inference reuses its first for the third), which
+    must have at least ``len(x)`` rows.
     """
     activations = [x]
     for w, b, buf in zip(weights[:-1], biases[:-1], hidden):
@@ -375,6 +373,8 @@ def save_model(path, model: CalibrationModel):
 
 def load_model(path) -> CalibrationModel:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("a calibration model file must hold a JSON object")
     if doc.get("format") != _MODEL_FORMAT:
         raise ValueError("not a calibration model file")
     if doc.get("version") != _MODEL_VERSION:
@@ -382,11 +382,14 @@ def load_model(path) -> CalibrationModel:
     if doc.get("layer_sizes") != list(LAYER_SIZES):
         raise ValueError("unexpected layer sizes")
     shapes = [(LAYER_SIZES[i], LAYER_SIZES[i + 1]) for i in range(len(LAYER_SIZES) - 1)]
-    return CalibrationModel(
-        weights=tuple(_decode(blob, shape) for blob, shape in zip(doc["weights"], shapes)),
-        biases=tuple(_decode(blob, (shape[1],)) for blob, shape in zip(doc["biases"], shapes)),
-        feature_shift=_decode(doc["feature_shift"], (LAYER_SIZES[0],)),
-        feature_scale=_decode(doc["feature_scale"], (LAYER_SIZES[0],)),
-        max_depth=float(doc["max_depth"]),
-        epoch_losses=tuple(doc.get("epoch_losses", ())),
-    )
+    try:
+        return CalibrationModel(
+            weights=tuple(_decode(blob, shape) for blob, shape in zip(doc["weights"], shapes)),
+            biases=tuple(_decode(blob, (shape[1],)) for blob, shape in zip(doc["biases"], shapes)),
+            feature_shift=_decode(doc["feature_shift"], (LAYER_SIZES[0],)),
+            feature_scale=_decode(doc["feature_scale"], (LAYER_SIZES[0],)),
+            max_depth=float(doc["max_depth"]),
+            epoch_losses=tuple(doc.get("epoch_losses", ())),
+        )
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed calibration model file: {err!r}") from None

@@ -196,14 +196,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_manifest(args, command, config, inputs, outputs, started):
-    target = getattr(args, "manifest", None)
+def _write_manifest(args, inputs, outputs, started):
+    """Run manifest of ``args.verb``, at ``--manifest`` or beside the first output."""
+    config = {k: v for k, v in vars(args).items() if k not in ("verb", "manifest")}
+    target = args.manifest
     if target is None:
         primary = outputs[0].rstrip("/")
         target = f"{primary}.manifest.json"
     doc = {
-        "command": command,
-        "argv": [command] + _config_argv(config),
+        "command": args.verb,
+        "argv": [args.verb] + _config_argv(config),
         "config": config,
         "seed": config.get("seed"),
         "tool_version": __version__,
@@ -227,10 +229,6 @@ def _config_argv(config):
     return argv
 
 
-def _resolved_config(args, skip=("verb", "manifest")):
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
 def _load_phantom_config(args) -> PhantomConfig:
     if args.config:
         return PhantomConfig.from_dict(json.loads(Path(args.config).read_text()))
@@ -244,7 +242,6 @@ def _load_phantom_config(args) -> PhantomConfig:
 
 
 def _cmd_phantom(args):
-    started = time.monotonic()
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     cfg = _load_phantom_config(args)
@@ -256,22 +253,18 @@ def _cmd_phantom(args):
     save_ppm(paths[0], ref)
     save_ppm(paths[1], contact)
     save_dmap(paths[2], solution.deformation)
-    _write_manifest(args, "phantom", _resolved_config(args), [], paths, started)
-    return 0
+    return [], paths
 
 
 def _cmd_imprint(args):
-    started = time.monotonic()
     ref = load_ppm(args.ref)
     contact = load_ppm(args.contact)
     result = augmented_imprint(ref, contact, ImprintParams(alpha=args.alpha, beta=args.beta))
     save_ppm(args.out, result)
-    _write_manifest(args, "imprint", _resolved_config(args), [args.ref, args.contact], [args.out], started)
-    return 0
+    return [args.ref, args.contact], [args.out]
 
 
 def _cmd_calibrate(args):
-    started = time.monotonic()
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     features, depths = build_calib_dataset(args.captures, args.sphere_radius, geom, membrane, args.seed)
@@ -283,20 +276,15 @@ def _cmd_calibrate(args):
     )
     model = train_mlp(features, depths, cfg)
     save_model(args.out, model)
-    _write_manifest(args, "calibrate", _resolved_config(args), [], [args.out], started)
-    return 0
+    return [], [args.out]
 
 
 def _cmd_reconstruct(args):
-    started = time.monotonic()
     geom = _geometry(args)
     model = load_model(args.model)
     dmap = reconstruct(model, load_ppm(args.ref), load_ppm(args.contact), geom)
     save_dmap(args.out, dmap)
-    _write_manifest(
-        args, "reconstruct", _resolved_config(args), [args.model, args.ref, args.contact], [args.out], started
-    )
-    return 0
+    return [args.model, args.ref, args.contact], [args.out]
 
 
 def _load_spec(value) -> DatasetSpec:
@@ -319,7 +307,6 @@ def _written(samples, out_dir):
 
 
 def _cmd_dataset(args):
-    started = time.monotonic()
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     spec = _load_spec(args.spec)
@@ -327,8 +314,7 @@ def _cmd_dataset(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     samples = generate_phantom_dataset(spec, geom, membrane, args.seed)
     (out_dir / "manifest.csv").write_text(dataset_manifest_rows(_written(samples, out_dir)))
-    _write_manifest(args, "dataset", _resolved_config(args), [], [str(out_dir)], started)
-    return 0
+    return [], [str(out_dir)]
 
 
 def _read_dataset_features(dataset_dir, calib_model, geom):
@@ -352,7 +338,6 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
 
 
 def _cmd_train_detector(args):
-    started = time.monotonic()
     geom = _geometry(args)
     calib = load_model(args.calibration)
     features, labels, _ = _read_dataset_features(args.dataset, calib, geom)
@@ -372,12 +357,10 @@ def _cmd_train_detector(args):
             sort_keys=True,
         )
     )
-    _write_manifest(args, "train-detector", _resolved_config(args), [args.dataset, args.calibration], [args.out], started)
-    return 0
+    return [args.dataset, args.calibration], [args.out]
 
 
 def _cmd_detect(args):
-    started = time.monotonic()
     detector = load_detector(args.detector)
     dmap = load_dmap(args.map)
     fv = extract_features(dmap)
@@ -393,14 +376,13 @@ def _cmd_detect(args):
         },
     }
     print(json.dumps(result, sort_keys=True))
-    if args.report:
-        Path(args.report).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        _write_manifest(args, "detect", _resolved_config(args), [args.detector, args.map], [args.report], started)
-    return 0
+    if not args.report:
+        return None
+    Path(args.report).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return [args.detector, args.map], [args.report]
 
 
 def _cmd_evaluate(args):
-    started = time.monotonic()
     geom = _geometry(args)
     calib = load_model(args.calibration)
     detector = load_detector(args.detector)
@@ -423,14 +405,10 @@ def _cmd_evaluate(args):
                 )
         outputs.append(args.csv)
     print(json.dumps({"accuracy": report.accuracy, "n": len(ids)}, sort_keys=True))
-    _write_manifest(
-        args, "evaluate", _resolved_config(args), [args.detector, args.dataset, args.calibration], outputs, started
-    )
-    return 0
+    return [args.detector, args.dataset, args.calibration], outputs
 
 
 def _cmd_characterize(args):
-    started = time.monotonic()
     geom = _geometry(args)
     rig = IndenterRig(
         geometry=geom,
@@ -454,10 +432,10 @@ def _cmd_characterize(args):
             for step, measured in zip(report.trials.step_depths, report.trials.measurements[t]):
                 writer.writerow([t, step, measured])
     print(json.dumps(report.summary(), sort_keys=True))
-    _write_manifest(args, "characterize", _resolved_config(args), [args.calibration], [str(out_dir)], started)
-    return 0
+    return [args.calibration], [str(out_dir)]
 
 
+# Each handler returns the (inputs, outputs) its run manifest records, or None when it writes no file.
 _HANDLERS = {
     "phantom": _cmd_phantom,
     "imprint": _cmd_imprint,
@@ -471,26 +449,33 @@ _HANDLERS = {
 }
 
 
+def _usage(parser) -> str:
+    """The parser's usage text on one line."""
+    return " ".join(parser.format_usage().split())
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        err.parser.print_usage(sys.stderr)
+        print(f"error: {err}; {_usage(err.parser)}", file=sys.stderr)
         return 1
     except SystemExit as err:  # --help/--version paths
         return 0 if err.code in (0, None) else 1
     if args.verb is None:
-        parser.print_usage(sys.stderr)
+        print(f"error: no verb given; {_usage(parser)}", file=sys.stderr)
         return 1
     for name in ("seed", "membrane_seed"):
         value = getattr(args, name, None)
         if value is not None and not 0 <= value < SEED_LIMIT:
             print(f"error: --{name.replace('_', '-')} must lie in [0, 2^63), got {value}", file=sys.stderr)
             return 2
+    started = time.monotonic()
     try:
-        return _HANDLERS[args.verb](args)
+        written = _HANDLERS[args.verb](args)
+        if written is not None:
+            _write_manifest(args, *written, started)
     except (
         ValueError,
         PpmFormatError,
@@ -502,6 +487,7 @@ def dispatch(argv) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main():

@@ -11,6 +11,7 @@ full-batch subgradient descent on the hinge objective.  A press is labeled
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +69,8 @@ class Standardizer:
         std = np.asarray(self.std, dtype=np.float64)
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean and std must be matching 1-D vectors")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise ValueError("standardization constants must be finite")
         if np.any(std <= 0):
             raise ValueError("zero variance feature")
         mean.setflags(write=False)
@@ -105,6 +108,8 @@ class DetectorModel:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (2,):
             raise ValueError("weights must be (w_mu, w_sigma)")
+        if not (np.all(np.isfinite(w)) and math.isfinite(self.bias)):
+            raise ValueError("weights and bias must be finite")
         if not np.any(w != 0):
             raise ValueError("weights must not both be zero")
         w.setflags(write=False)
@@ -139,8 +144,8 @@ def train_svm(
         raise ValueError("features must be finite")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes must be present")
-    if c <= 0:
-        raise ValueError("regularization parameter must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("regularization parameter must be positive and finite")
     if standardizer is None:
         standardizer = Standardizer(mean=np.zeros(z.shape[1]), std=np.ones(z.shape[1]))
 
@@ -277,17 +282,22 @@ def save_detector(path, model: DetectorModel):
 
 def load_detector(path) -> DetectorModel:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError("a detector file must hold a JSON object")
     if doc.get("format") != _DETECTOR_FORMAT:
         raise ValueError("not a detector file")
     if doc.get("version") != _DETECTOR_VERSION:
         raise ValueError(f"unsupported detector version {doc.get('version')}")
-    standardizer = Standardizer(
-        mean=np.array(doc["standardizer"]["mean"], dtype=np.float64),
-        std=np.array(doc["standardizer"]["std"], dtype=np.float64),
-    )
-    return DetectorModel(
-        standardizer=standardizer,
-        weights=np.array([doc["weights"]["mu"], doc["weights"]["sigma"]], dtype=np.float64),
-        bias=float(doc["bias"]),
-        training_meta=doc.get("training") or None,
-    )
+    try:
+        standardizer = Standardizer(
+            mean=np.array(doc["standardizer"]["mean"], dtype=np.float64),
+            std=np.array(doc["standardizer"]["std"], dtype=np.float64),
+        )
+        return DetectorModel(
+            standardizer=standardizer,
+            weights=np.array([doc["weights"]["mu"], doc["weights"]["sigma"]], dtype=np.float64),
+            bias=float(doc["bias"]),
+            training_meta=doc.get("training") or None,
+        )
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed detector file: {err!r}") from None

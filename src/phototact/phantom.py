@@ -125,6 +125,8 @@ class MembraneModel:
     max_depth: float = MAX_DEPTH_MM                 # mm
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.noise_std, self.speckle_amplitude, self.stiffness, self.max_depth)):
+            raise ValueError("membrane noise, stiffness and max depth must be finite")
         if self.stiffness <= 0:
             raise ValueError("membrane stiffness must be positive")
         if self.max_depth <= 0:
@@ -233,9 +235,9 @@ def sphere_press_truth(press_depth: float, sphere_radius: float, geom: SensorGeo
 
     ``press_depth`` must lie in (0, min(sphere_radius, MAX_DEPTH_MM)].
     """
-    if sphere_radius <= 0:
-        raise ValueError("sphere radius must be positive")
-    if press_depth <= 0 or press_depth > min(sphere_radius, MAX_DEPTH_MM):
+    if not 0 < sphere_radius < math.inf:
+        raise ValueError("sphere radius must be positive and finite")
+    if not 0 < press_depth <= min(sphere_radius, MAX_DEPTH_MM):
         raise ValueError("press depth must lie in (0, min(radius, max depth)]")
     return DeformationMap(spherical_cap_profile(press_depth, sphere_radius, geom).astype(np.float32), geom.disc_mask)
 
@@ -260,25 +262,11 @@ def _hsv_rgb(hsv: HsvImage) -> np.ndarray:
     return hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
 
 
-def clean_rgb(dmap: DeformationMap, model: MembraneModel) -> np.ndarray:
-    """Noise-free real-valued RGB (height, width, 3) of the membrane under ``dmap``.
-
-    It does not depend on any seed, so a caller that captures one deformation
-    several times computes it once; an all-zero map returns the membrane's
-    cached :attr:`MembraneModel.rest_rgb`.
-    """
-    if model.baseline.pixels.shape[:2] != dmap.depths.shape:
-        raise ValueError("deformation map does not match membrane baseline size")
-    if not dmap.depths.any():
-        return model.rest_rgb
-    return _hsv_rgb(deformed_hsv(dmap, model))
-
-
 def clean_pixels(dmap: DeformationMap, model: MembraneModel, mask) -> np.ndarray:
     """Noise-free real RGB (N, 3) of the ``mask`` pixels, in row-major order.
 
-    Every pixel's color depends on that pixel only, so this is
-    ``clean_rgb(dmap, model)[mask]`` computed on the masked pixels alone.
+    Every pixel's color depends on that pixel only, so this is the masked
+    part of the noise-free render in :func:`render_reading`.
     """
     if model.baseline.pixels.shape[:2] != dmap.depths.shape or mask.shape != dmap.depths.shape:
         raise ValueError("deformation map does not match membrane baseline size")
@@ -295,19 +283,8 @@ def _noisy_channels(clean, noise, model: MembraneModel) -> np.ndarray:
     return quantize_channels(noisy)
 
 
-def capture_reading(clean: np.ndarray, model: MembraneModel, seed: int) -> RgbImage:
-    """8-bit camera reading of a noise-free render with seeded speckle and channel noise.
-
-    The noise is drawn over the full frame in row-major pixel order, four
-    normals per pixel, so a reading depends only on (clean, seed) and not on
-    which pixels a consumer reads.
-    """
-    noise = rng_stream(seed, STREAM_RENDER).standard_normal(clean.shape[:2] + (4,))
-    return RgbImage(_noisy_channels(clean, noise, model))
-
-
 def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, mask) -> np.ndarray:
-    """uint8 (N, 3) of ``capture_reading(clean, model, seed).pixels[mask]``, from ``clean_px = clean[mask]``.
+    """uint8 (N, 3) of ``render_reading(dmap, model, seed).pixels[mask]``, from ``clean_pixels(dmap, model, mask)``.
 
     The normals are drawn only through the last row the mask touches: a
     Philox normal fill is a prefix of any longer fill from the same stream.
@@ -322,8 +299,16 @@ def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, mask) 
 
 
 def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> RgbImage:
-    """Camera reading of the deformed membrane with seeded speckle and noise."""
-    return capture_reading(clean_rgb(dmap, model), model, seed)
+    """Camera reading of the deformed membrane with seeded speckle and noise.
+
+    An all-zero map reuses the cached :attr:`MembraneModel.rest_rgb`. The noise
+    is drawn over the full frame in row-major pixel order, four normals per pixel.
+    """
+    if model.baseline.pixels.shape[:2] != dmap.depths.shape:
+        raise ValueError("deformation map does not match membrane baseline size")
+    clean = _hsv_rgb(deformed_hsv(dmap, model)) if dmap.depths.any() else model.rest_rgb
+    noise = rng_stream(seed, STREAM_RENDER).standard_normal(clean.shape[:2] + (4,))
+    return RgbImage(_noisy_channels(clean, noise, model))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +327,9 @@ class DatasetSpec:
     presses_per_negative_mass: int = 35
 
     def __post_init__(self):
+        values = (*self.diameters_mm, *self.burial_depths_mm, self.positive_mass_g, *self.negative_masses_g)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("dataset spec sizes and masses must be finite")
         if self.presses_per_positive < 1 or self.presses_per_negative_mass < 1:
             raise ValueError("press counts must be positive")
 
@@ -365,14 +353,23 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetSpec":
-        return cls(
-            diameters_mm=tuple(data["diameters_mm"]),
-            burial_depths_mm=tuple(data["burial_depths_mm"]),
-            presses_per_positive=int(data["presses_per_positive"]),
-            positive_mass_g=float(data["positive_mass_g"]),
-            negative_masses_g=tuple(data["negative_masses_g"]),
-            presses_per_negative_mass=int(data["presses_per_negative_mass"]),
-        )
+        """Spec from a JSON object holding every field."""
+        if not isinstance(data, dict):
+            raise ValueError("dataset spec must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown dataset spec keys: {', '.join(unknown)}")
+        try:
+            return cls(
+                diameters_mm=tuple(data["diameters_mm"]),
+                burial_depths_mm=tuple(data["burial_depths_mm"]),
+                presses_per_positive=int(data["presses_per_positive"]),
+                positive_mass_g=float(data["positive_mass_g"]),
+                negative_masses_g=tuple(data["negative_masses_g"]),
+                presses_per_negative_mass=int(data["presses_per_negative_mass"]),
+            )
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"malformed dataset spec: {err!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -236,6 +237,25 @@ class TestModelFiles:
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="not a calibration model"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["[]", '"model"', "3", "null"])
+    def test_rejects_non_object(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"max_depth": [0.5]}, {"weights": 5}, {"biases": [1, 2, 3, 4]}, {"feature_shift": None},
+         {"epoch_losses": 5}, {"epoch_losses": [[1.0]]}],
+    )
+    def test_rejects_wrong_json_types(self, tmp_path, fast_model, changes):
+        path = tmp_path / "model.json"
+        save_model(path, fast_model)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+        with pytest.raises(ValueError, match="malformed calibration model file"):
             load_model(path)
 
 

@@ -1,6 +1,8 @@
 import json
+import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +314,296 @@ class TestCharacterizeVerb:
         assert sweeps[0] == "direction,force_n,max_depth_mm,mean_depth_mm"
         assert any(line.startswith("unloading") for line in sweeps[1:])
         assert (out / "trials.csv").exists()
+
+
+# The resolved geometry flags of a run with SMALL.
+SMALL_CONFIG = {
+    "width": 100,
+    "height": 80,
+    "mm_per_pixel": 0.1,
+    "sensing_radius": pt.defaults.SENSING_RADIUS_MM,
+    "membrane_seed": pt.defaults.MEMBRANE_SEED,
+    "noise_std": pt.defaults.SENSOR_NOISE_STD,
+    "speckle": pt.defaults.SPECKLE_AMPLITUDE,
+}
+
+
+def config_argv(config):
+    """The replay flags of a resolved config: sorted keys, ``None`` dropped, ``True`` as a bare flag."""
+    argv = []
+    for key, value in sorted(config.items()):
+        flag = f"--{key.replace('_', '-')}"
+        if value is True:
+            argv.append(flag)
+        elif value is False:
+            argv.append(f"--no-{key}")
+        elif value is not None:
+            argv.extend([flag, str(value)])
+    return argv
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """Every verb run once at 100x80 in one directory: (directory, {verb: (manifest, expected manifest)})."""
+    d = tmp_path_factory.mktemp("pipeline")
+
+    def p(name):
+        return str(d / name)
+
+    spec = d / "spec.json"
+    spec.write_text(json.dumps({"diameters_mm": [4.0, 8.0], "burial_depths_mm": [2.0], "presses_per_positive": 2,
+                                "positive_mass_g": 1000.0, "negative_masses_g": [1000.0, 1200.0],
+                                "presses_per_negative_mass": 2}))
+    verbs = {
+        "phantom": (
+            ["--seed", 5, "--out-prefix", p("press")],
+            {**SMALL_CONFIG, "config": None, "tumor": True, "diameter": 6.0, "burial": 3.0, "offset_x": 0.0,
+             "offset_y": 0.0, "mass": 1000.0, "seed": 5, "out_prefix": p("press")},
+            [],
+            [p("press_ref.ppm"), p("press_contact.ppm"), p("press_truth.dmap")],
+        ),
+        "imprint": (
+            ["--ref", p("press_ref.ppm"), "--contact", p("press_contact.ppm"), "--out", p("imprint.ppm")],
+            {"ref": p("press_ref.ppm"), "contact": p("press_contact.ppm"), "alpha": 5.0, "beta": 127.5,
+             "out": p("imprint.ppm")},
+            [p("press_ref.ppm"), p("press_contact.ppm")],
+            [p("imprint.ppm")],
+        ),
+        "calibrate": (
+            ["--captures", 4, "--epochs", 6, "--seed", 3, "--out", p("calib.json")],
+            {**SMALL_CONFIG, "captures": 4, "sphere_radius": pt.defaults.CALIBRATION_SPHERE_RADIUS_MM, "epochs": 6,
+             "batch_size": 4096, "learning_rate": 0.001, "seed": 3, "out": p("calib.json")},
+            [],
+            [p("calib.json")],
+        ),
+        "reconstruct": (
+            ["--model", p("calib.json"), "--ref", p("press_ref.ppm"), "--contact", p("press_contact.ppm"),
+             "--out", p("recon.dmap")],
+            {**SMALL_CONFIG, "model": p("calib.json"), "ref": p("press_ref.ppm"), "contact": p("press_contact.ppm"),
+             "out": p("recon.dmap")},
+            [p("calib.json"), p("press_ref.ppm"), p("press_contact.ppm")],
+            [p("recon.dmap")],
+        ),
+        "dataset": (
+            ["--spec", str(spec), "--seed", 7, "--out", p("data")],
+            {**SMALL_CONFIG, "spec": str(spec), "seed": 7, "out": p("data")},
+            [],
+            [p("data")],
+        ),
+        "train-detector": (
+            ["--dataset", p("data"), "--calibration", p("calib.json"), "--train-fraction", 0.5, "--seed", 1,
+             "--out", p("detector.json")],
+            {**SMALL_CONFIG, "dataset": p("data"), "calibration": p("calib.json"), "c": 1.0, "train_fraction": 0.5,
+             "seed": 1, "out": p("detector.json")},
+            [p("data"), p("calib.json")],
+            [p("detector.json")],
+        ),
+        "detect": (
+            ["--detector", p("detector.json"), "--map", p("recon.dmap"), "--report", p("detect.json")],
+            {"detector": p("detector.json"), "map": p("recon.dmap"), "report": p("detect.json")},
+            [p("detector.json"), p("recon.dmap")],
+            [p("detect.json")],
+        ),
+        "evaluate": (
+            ["--detector", p("detector.json"), "--dataset", p("data"), "--calibration", p("calib.json"),
+             "--out", p("report.json"), "--csv", p("report.csv")],
+            {**SMALL_CONFIG, "detector": p("detector.json"), "dataset": p("data"), "calibration": p("calib.json"),
+             "out": p("report.json"), "csv": p("report.csv")},
+            [p("detector.json"), p("data"), p("calib.json")],
+            [p("report.json"), p("report.csv")],
+        ),
+        "characterize": (
+            ["--calibration", p("calib.json"), "--seed", 2, "--out", p("char")],
+            {**SMALL_CONFIG, "calibration": p("calib.json"), "seed": 2, "out": p("char")},
+            [p("calib.json")],
+            [p("char")],
+        ),
+    }
+    documents = {}
+    for verb, (flags, config, inputs, outputs) in verbs.items():
+        geometry_flags = SMALL if "width" in config else []
+        assert run([verb, *geometry_flags, *flags]) == 0
+        manifest = Path(f"{outputs[0]}.manifest.json")
+        expected = {"command": verb, "argv": [verb, *config_argv(config)], "config": config,
+                    "seed": config.get("seed"), "tool_version": pt.__version__, "inputs": inputs,
+                    "outputs": outputs}
+        documents[verb] = (json.loads(manifest.read_text()), expected)
+    return d, documents
+
+
+class TestManifests:
+    """Each verb's manifest, field by field (``duration_s`` aside), at its default path."""
+
+    @pytest.mark.parametrize("verb", cli.VERBS)
+    def test_manifest_fields(self, pipeline, verb):
+        manifest, expected = pipeline[1][verb]
+        assert isinstance(manifest.pop("duration_s"), float)
+        assert manifest == expected
+
+    def test_phantom_argv_literal(self, pipeline):
+        d = pipeline[0]
+        assert pipeline[1]["phantom"][0]["argv"] == [
+            "phantom", "--burial", "3.0", "--diameter", "6.0", "--height", "80", "--mass", "1000.0",
+            "--membrane-seed", "7", "--mm-per-pixel", "0.1", "--noise-std", "0.38", "--offset-x", "0.0",
+            "--offset-y", "0.0", "--out-prefix", str(d / "press"), "--seed", "5", "--sensing-radius", "3.5",
+            "--speckle", "0.0012", "--tumor", "--width", "100",
+        ]
+
+    def test_detect_without_report_writes_nothing(self, pipeline, capsys):
+        d = pipeline[0]
+        before = sorted(d.rglob("*"))
+        assert run(["detect", "--detector", d / "detector.json", "--map", d / "recon.dmap"]) == 0
+        assert json.loads(capsys.readouterr().out)["manifest"]["command"] == "detect"
+        assert sorted(d.rglob("*")) == before
+
+
+def json_file(t, doc):
+    path = t / "doc.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def edited(source, t, **changes):
+    """A copy of the JSON file ``source`` in ``t`` with some top-level values replaced."""
+    return json_file(t, {**json.loads(Path(source).read_text()), **changes})
+
+
+def short_ppm(t):
+    path = t / "short.ppm"
+    path.write_bytes(b"P6\n2 2\n255\n\x00")
+    return path
+
+
+# (verb, case, argv from (pipeline directory, scratch directory), exit code, stderr fragment)
+EXIT_CODE_TABLE = [
+    ("phantom", "unknown-flag", lambda d, t: ["phantom", "--out-prefix", t / "p", "--bogus"], 1,
+     "unrecognized arguments: --bogus"),
+    ("phantom", "missing-config", lambda d, t: ["phantom", *SMALL, "--config", t / "none.json", "--out-prefix", t / "p"],
+     2, "No such file"),
+    ("phantom", "config-not-an-object", lambda d, t: ["phantom", *SMALL, "--config", json_file(t, [1, 2]),
+                                                      "--out-prefix", t / "p"], 2, "must be a JSON object"),
+    ("phantom", "noise-std-nan", lambda d, t: ["phantom", *SMALL, "--noise-std", "nan", "--out-prefix", t / "p"], 2,
+     "must be finite"),
+    ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
+     "must be finite"),
+    ("imprint", "missing-out", lambda d, t: ["imprint", "--ref", d / "press_ref.ppm", "--contact", d / "press_ref.ppm"],
+     1, "required: --out"),
+    ("imprint", "short-ppm", lambda d, t: ["imprint", "--ref", short_ppm(t), "--contact", d / "press_ref.ppm",
+                                           "--out", t / "i.ppm"], 2, "unexpected end of pixel data"),
+    ("imprint", "alpha-nan", lambda d, t: ["imprint", "--ref", d / "press_ref.ppm", "--contact", d / "press_ref.ppm",
+                                           "--alpha", "nan", "--out", t / "i.ppm"], 2, "must be finite"),
+    ("calibrate", "epochs-not-an-int", lambda d, t: ["calibrate", "--epochs", "x", "--out", t / "c.json"], 1,
+     "invalid int value"),
+    ("calibrate", "out-in-missing-directory", lambda d, t: ["calibrate", *SMALL, "--captures", 1, "--epochs", 1,
+                                                            "--out", t / "none" / "c.json"], 2, "No such file"),
+    ("calibrate", "sphere-radius-nan", lambda d, t: ["calibrate", *SMALL, "--sphere-radius", "nan",
+                                                     "--out", t / "c.json"], 2, "sphere radius must be positive"),
+    ("reconstruct", "missing-model-flag", lambda d, t: ["reconstruct", "--ref", d / "press_ref.ppm", "--contact",
+                                                        d / "press_contact.ppm", "--out", t / "r.dmap"], 1,
+     "required: --model"),
+    ("reconstruct", "missing-model", lambda d, t: ["reconstruct", *SMALL, "--model", t / "none.json", "--ref",
+                                                   d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                                                   "--out", t / "r.dmap"], 2, "No such file"),
+    ("reconstruct", "model-not-json", lambda d, t: ["reconstruct", *SMALL, "--model", short_ppm(t), "--ref",
+                                                    d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                                                    "--out", t / "r.dmap"], 2, "error: "),
+    ("reconstruct", "model-not-an-object", lambda d, t: ["reconstruct", *SMALL, "--model", json_file(t, []), "--ref",
+                                                         d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                                                         "--out", t / "r.dmap"], 2, "must hold a JSON object"),
+    ("reconstruct", "max-depth-a-list", lambda d, t: ["reconstruct", *SMALL, "--model",
+                                                      edited(d / "calib.json", t, max_depth=[0.5]), "--ref",
+                                                      d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                                                      "--out", t / "r.dmap"], 2, "malformed calibration model file"),
+    ("reconstruct", "scale-nan", lambda d, t: ["reconstruct", "--width", 100, "--height", 80, "--mm-per-pixel", "nan",
+                                               "--model", d / "calib.json", "--ref", d / "press_ref.ppm", "--contact",
+                                               d / "press_contact.ppm", "--out", t / "r.dmap"], 2, "must be finite"),
+    ("dataset", "seed-not-an-int", lambda d, t: ["dataset", "--seed", "x", "--out", t / "data"], 1,
+     "invalid int value"),
+    ("dataset", "missing-spec", lambda d, t: ["dataset", *SMALL, "--spec", t / "none.json", "--out", t / "data"], 2,
+     "No such file"),
+    ("dataset", "spec-not-an-object", lambda d, t: ["dataset", *SMALL, "--spec", json_file(t, []), "--out", t / "data"],
+     2, "dataset spec must be a JSON object"),
+    ("dataset", "diameters-a-number", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                    edited(d / "spec.json", t, diameters_mm=5), "--out", t / "data"],
+     2, "malformed dataset spec"),
+    ("dataset", "diameters-nested", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                  edited(d / "spec.json", t, diameters_mm=[[4.0]]), "--out", t / "data"],
+     2, "malformed dataset spec"),
+    ("dataset", "unknown-spec-key", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                  edited(d / "spec.json", t, diameter=4.0), "--out", t / "data"],
+     2, "unknown dataset spec keys: diameter"),
+    ("dataset", "noise-std-negative", lambda d, t: ["dataset", *SMALL, "--noise-std", -1, "--out", t / "data"], 2,
+     "must be non-negative"),
+    ("train-detector", "unknown-flag", lambda d, t: ["train-detector", "--dataset", d / "data", "--calibration",
+                                                     d / "calib.json", "--out", t / "det.json", "--gamma", 1], 1,
+     "unrecognized arguments: --gamma"),
+    ("train-detector", "missing-dataset", lambda d, t: ["train-detector", *SMALL, "--dataset", t / "none",
+                                                        "--calibration", d / "calib.json", "--out", t / "det.json"], 2,
+     "missing dataset manifest"),
+    ("train-detector", "model-not-an-object", lambda d, t: ["train-detector", *SMALL, "--dataset", d / "data",
+                                                            "--calibration", json_file(t, "model"),
+                                                            "--out", t / "det.json"], 2, "must hold a JSON object"),
+    ("train-detector", "c-nan", lambda d, t: ["train-detector", *SMALL, "--dataset", d / "data", "--calibration",
+                                              d / "calib.json", "--train-fraction", 0.5, "--c", "nan",
+                                              "--out", t / "det.json"], 2,
+     "regularization parameter must be positive and finite"),
+    ("detect", "missing-map-flag", lambda d, t: ["detect", "--detector", d / "detector.json"], 1, "required: --map"),
+    ("detect", "missing-detector", lambda d, t: ["detect", "--detector", t / "none.json", "--map", d / "recon.dmap"], 2,
+     "No such file"),
+    ("detect", "detector-not-an-object", lambda d, t: ["detect", "--detector", json_file(t, [0.3, 4.8]),
+                                                       "--map", d / "recon.dmap"], 2, "must hold a JSON object"),
+    ("detect", "bias-a-list", lambda d, t: ["detect", "--detector", edited(d / "detector.json", t, bias=[1.0]),
+                                            "--map", d / "recon.dmap"], 2, "malformed detector file"),
+    ("detect", "bias-nan", lambda d, t: ["detect", "--detector", edited(d / "detector.json", t, bias=math.nan),
+                                         "--map", d / "recon.dmap"], 2, "weights and bias must be finite"),
+    ("detect", "map-not-a-dmap", lambda d, t: ["detect", "--detector", d / "detector.json", "--map", short_ppm(t)], 2,
+     "error: "),
+    ("evaluate", "missing-out-flag", lambda d, t: ["evaluate", "--detector", d / "detector.json", "--dataset",
+                                                   d / "data", "--calibration", d / "calib.json"], 1,
+     "required: --out"),
+    ("evaluate", "missing-detector", lambda d, t: ["evaluate", *SMALL, "--detector", t / "none.json", "--dataset",
+                                                   d / "data", "--calibration", d / "calib.json",
+                                                   "--out", t / "r.json"], 2, "No such file"),
+    ("evaluate", "model-not-an-object", lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json",
+                                                      "--dataset", d / "data", "--calibration", json_file(t, None),
+                                                      "--out", t / "r.json"], 2, "must hold a JSON object"),
+    ("evaluate", "width-zero", lambda d, t: ["evaluate", "--width", 0, "--detector", d / "detector.json", "--dataset",
+                                             d / "data", "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
+     "image dimensions must be positive"),
+    ("characterize", "seed-not-an-int", lambda d, t: ["characterize", "--calibration", d / "calib.json", "--seed",
+                                                      "1.5", "--out", t / "char"], 1, "invalid int value"),
+    ("characterize", "model-not-an-object", lambda d, t: ["characterize", *SMALL, "--calibration", json_file(t, 3),
+                                                          "--out", t / "char"], 2, "must hold a JSON object"),
+    ("characterize", "max-depth-a-list", lambda d, t: ["characterize", *SMALL, "--calibration",
+                                                       edited(d / "calib.json", t, max_depth=[0.5]),
+                                                       "--out", t / "char"], 2, "malformed calibration model file"),
+    ("characterize", "speckle-inf", lambda d, t: ["characterize", *SMALL, "--speckle", "inf", "--calibration",
+                                                  d / "calib.json", "--out", t / "char"], 2, "must be finite"),
+]
+
+
+class TestExitCodeTable:
+    """Bad flags exit 1, bad files and values exit 2; either way with one stderr line, no warning and no output."""
+
+    def test_every_verb_is_covered(self):
+        for verb in cli.VERBS:
+            codes = {code for v, _, _, code, _ in EXIT_CODE_TABLE if v == verb}
+            assert codes == {1, 2}, verb
+
+    @pytest.mark.parametrize("verb, case, argv, code, fragment", EXIT_CODE_TABLE,
+                             ids=[f"{verb}-{case}" for verb, case, *_ in EXIT_CODE_TABLE])
+    def test_exit_code(self, pipeline, tmp_path, capsys, verb, case, argv, code, fragment):
+        argv = argv(pipeline[0], tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert fragment in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert [str(w.message) for w in caught] == []
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestReproducibility:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import phototact as pt
@@ -8,6 +9,7 @@ from phototact.imprint import ImprintParams
 from phototact.phantom import PhantomConfig
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
+BASELINE = pt.HsvImage(np.full((2, 2, 3), [10.0, 0.5, 0.5]))
 
 CASES = [
     (PhantomConfig, {"tumor_present": True}, "applied_mass_g"),
@@ -20,6 +22,11 @@ CASES = [
     (pt.SensorGeometry, {}, "sensing_radius_mm"),
     (pt.SensorGeometry, {}, "mm_per_pixel"),
     (TrainConfig, {}, "learning_rate"),
+    (pt.MembraneModel, {"baseline": BASELINE}, "noise_std"),
+    (pt.MembraneModel, {"baseline": BASELINE}, "speckle_amplitude"),
+    (pt.MembraneModel, {"baseline": BASELINE}, "stiffness"),
+    (pt.MembraneModel, {"baseline": BASELINE}, "max_depth"),
+    (pt.DatasetSpec, {}, "positive_mass_g"),
 ]
 
 
@@ -29,6 +36,18 @@ def test_non_finite_rejected(cls, base, field, value):
     cls(**base)  # the base configuration itself is valid
     with pytest.raises(ValueError, match="finite"):
         cls(**base, **{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_sphere_radius_rejected(small_geometry, value):
+    with pytest.raises(ValueError, match="sphere radius must be positive and finite"):
+        pt.sphere_press_truth(0.3, value, small_geometry)
+
+
+@pytest.mark.parametrize("field", ["diameters_mm", "burial_depths_mm", "negative_masses_g"])
+def test_non_finite_dataset_spec_entry_rejected(field):
+    with pytest.raises(ValueError, match="finite"):
+        pt.DatasetSpec(**{field: (4.0, math.nan)})
 
 
 @pytest.mark.parametrize("offset", [(math.nan, 0.0), (0.0, math.inf)])

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, assume
@@ -109,6 +112,13 @@ class TestTrainSvm:
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
             train_svm(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 0]))
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("fit", [train_svm, fit_detector])
+    def test_bad_regularization_rejected(self, fit, c):
+        x = np.array([[0.1, 0.02], [0.2, 0.05], [0.05, 0.01], [0.3, 0.07]])
+        with pytest.raises(ValueError, match="regularization parameter must be positive and finite"):
+            fit(x, np.array([-1, 1, -1, 1]), c=c)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("fit", [train_svm, fit_detector])
@@ -341,4 +351,31 @@ class TestDetectorFiles:
         path = tmp_path / "x.json"
         path.write_text('{"format": "nope"}')
         with pytest.raises(ValueError, match="not a detector"):
+            load_detector(path)
+
+    @pytest.mark.parametrize("text", ["[]", '"detector"', "3", "null"])
+    def test_rejects_non_object(self, tmp_path, text):
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must hold a JSON object"):
+            load_detector(path)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"bias": [1.0]}, "malformed detector file"),
+            ({"weights": [0.3, 4.8]}, "malformed detector file"),
+            ({"standardizer": {"mean": [0.3, 0.02], "std": [{}, 0.01]}}, "malformed detector file"),
+            ({"bias": math.nan}, "weights and bias must be finite"),
+            ({"weights": {"mu": math.inf, "sigma": 4.8}}, "weights and bias must be finite"),
+            ({"standardizer": {"mean": [0.3, math.nan], "std": [0.05, 0.01]}}, "standardization constants must be finite"),
+        ],
+    )
+    def test_rejects_bad_values(self, tmp_path, changes, message):
+        model = DetectorModel(standardizer=Standardizer(mean=np.array([0.3, 0.02]), std=np.array([0.05, 0.01])),
+                              weights=np.array([0.33, 4.80]), bias=4.53)
+        path = tmp_path / "x.json"
+        save_detector(path, model)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+        with pytest.raises(ValueError, match=message):
             load_detector(path)

@@ -174,10 +174,15 @@ class TestSpherePress:
         assert quad == pytest.approx(spherical_cap_volume(0.4, 2.0), rel=2e-3)
 
 
-def uncached_render(dmap, membrane, seed):
-    """Reference render: deformed HSV -> real RGB -> full-frame Philox speckle and noise -> 8 bits."""
+def uncached_clean(dmap, membrane):
+    """Reference noise-free render: deformed HSV -> real RGB over the full frame."""
     hsv = deformed_hsv(dmap, membrane)
-    real = hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
+    return hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
+
+
+def uncached_render(dmap, membrane, seed):
+    """Reference render: :func:`uncached_clean` -> full-frame Philox speckle and noise -> 8 bits."""
+    real = uncached_clean(dmap, membrane)
     noise = rng_stream(seed, STREAM_RENDER).standard_normal(real.shape[:2] + (4,))
     speckle = 1.0 + membrane.speckle_amplitude * noise[..., 0]
     noisy = real * speckle[..., None] + membrane.noise_std * noise[..., 1:4]
@@ -191,14 +196,20 @@ class TestRenderReading:
             rendered = render_reading(dmap, small_membrane, seed)
             assert np.array_equal(rendered.pixels, uncached_render(dmap, small_membrane, seed))
 
-    def test_rest_render_cached_and_read_only(self, small_geometry):
+    def test_rest_render_cached_and_read_only(self, small_geometry, monkeypatch):
         membrane = pt.default_membrane(small_geometry)
         rest = membrane.rest_rgb
         assert membrane.rest_rgb is rest
         assert not rest.flags.writeable
         with pytest.raises(ValueError):
             rest[0, 0, 0] = 0.0
-        assert pt.clean_rgb(small_geometry.zero_map(), membrane) is rest
+        expected = uncached_render(small_geometry.zero_map(), membrane, 4)
+
+        def no_render(*args):
+            raise AssertionError("the zero map must reuse the cached rest render")
+
+        monkeypatch.setattr(pt.phantom, "deformed_hsv", no_render)
+        assert np.array_equal(render_reading(small_geometry.zero_map(), membrane, 4).pixels, expected)
 
     def test_zero_map_dimension_mismatch(self, small_geometry, membrane):
         with pytest.raises(ValueError, match="does not match"):
@@ -263,7 +274,7 @@ class TestDiscPixels:
         membrane = pt.default_membrane(geom)
         for dmap in press_maps(geom, membrane):
             for mask in (geom.disc_mask, bottom_row_mask(geom)):
-                assert np.array_equal(pt.clean_pixels(dmap, membrane, mask), pt.clean_rgb(dmap, membrane)[mask])
+                assert np.array_equal(pt.clean_pixels(dmap, membrane, mask), uncached_clean(dmap, membrane)[mask])
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 - 1])
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
@@ -272,8 +283,8 @@ class TestDiscPixels:
         membrane = pt.default_membrane(geom)
         full = np.ones((geom.height, geom.width), dtype=bool)
         for dmap in press_maps(geom, membrane):
-            clean = pt.clean_rgb(dmap, membrane)
-            reading = pt.capture_reading(clean, membrane, seed).pixels
+            clean = uncached_clean(dmap, membrane)
+            reading = render_reading(dmap, membrane, seed).pixels
             for mask in (geom.disc_mask, bottom_row_mask(geom), full):
                 captured = pt.capture_pixels(clean[mask], membrane, seed, mask)
                 assert captured.dtype == np.uint8
@@ -332,6 +343,36 @@ class TestPhantomConfigFromDict:
     def test_malformed_rejected(self, data):
         with pytest.raises(ValueError):
             PhantomConfig.from_dict(data)
+
+
+class TestDatasetSpecFromDict:
+    def test_roundtrip(self):
+        spec = DatasetSpec(diameters_mm=(4.0,), presses_per_positive=2)
+        assert DatasetSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"diameter": 4.0}, "unknown dataset spec keys: diameter"),
+            ({"diameters_mm": 5}, "malformed dataset spec"),
+            ({"diameters_mm": [[4.0]]}, "malformed dataset spec"),
+            ({"presses_per_positive": [2]}, "malformed dataset spec"),
+        ],
+    )
+    def test_malformed_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            DatasetSpec.from_dict({**DatasetSpec().to_dict(), **changes})
+
+    @pytest.mark.parametrize("data", [[], "spec", None, 3])
+    def test_non_object_rejected(self, data):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            DatasetSpec.from_dict(data)
+
+    def test_missing_key_rejected(self):
+        data = DatasetSpec().to_dict()
+        del data["positive_mass_g"]
+        with pytest.raises(ValueError, match="malformed dataset spec: KeyError"):
+            DatasetSpec.from_dict(data)
 
 
 class TestDataset:
