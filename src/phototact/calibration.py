@@ -194,31 +194,43 @@ def _forward_pass(weights, biases, x, hidden):
     return activations, out[:, 0]
 
 
+def _step_buffers(rows: int):
+    """Buffers for a training step on up to ``rows`` rows: one per hidden layer, then two for the backward pass."""
+    return _hidden_buffers(rows) + [np.empty((rows, LAYER_SIZES[1])), np.empty((rows, LAYER_SIZES[1]))]
+
+
 def loss_and_gradients(weights, biases, x, y, hidden=None):
     """MSE loss and its parameter gradients for one batch (float64).
 
-    ``hidden`` optionally supplies the activation buffers (see
-    :func:`_forward_pass`); training passes the same ones every step so the
-    step allocates no activation memory.
+    ``hidden`` optionally supplies the step's buffers (see
+    :func:`_step_buffers`); training passes the same ones every step so the
+    step allocates no batch-sized matrix.  Every temporary of the backward
+    pass is written into the leading rows of the two backward buffers, which
+    take turns holding the upstream gradient.
     """
+    n = x.shape[0]
     if hidden is None:
-        hidden = _hidden_buffers(x.shape[0])
+        hidden = _step_buffers(n)
     activations, pred = _forward_pass(weights, biases, x, hidden)
     residual = pred - y
     loss = float(np.mean(residual**2))
-    n = x.shape[0]
     delta = (2.0 / n) * residual[:, None]  # (N, 1)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
     grads_w[-1] = activations[-1].T @ delta
     grads_b[-1] = delta.sum(axis=0)
-    upstream = delta @ weights[-1].T
+    upstream, spare = hidden[-2][:n], hidden[-1][:n]
+    # Each element of the outer product delta @ w.T is a single product, so einsum gives its bits,
+    # faster than BLAS or a broadcast multiply.
+    np.einsum("i,j->ij", delta[:, 0], weights[-1][:, 0], out=upstream)
     for i in range(len(weights) - 2, -1, -1):
-        upstream = upstream * (1.0 - activations[i + 1] ** 2)
+        slope = np.square(activations[i + 1], out=spare)
+        np.subtract(1.0, slope, out=slope)
+        upstream *= slope
         grads_w[i] = activations[i].T @ upstream
         grads_b[i] = upstream.sum(axis=0)
         if i > 0:
-            upstream = upstream @ weights[i].T
+            upstream, spare = np.matmul(upstream, weights[i].T, out=spare), upstream
     return loss, grads_w, grads_b
 
 
@@ -251,7 +263,9 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
 
     shuffle_rng = rng_stream(cfg.seed, _STREAM_SHUFFLE)
     n = xs.shape[0]
-    hidden = _hidden_buffers(min(cfg.batch_size, n))
+    rows = min(cfg.batch_size, n)
+    work = _step_buffers(rows)
+    batch_x, batch_y = np.empty((rows, LAYER_SIZES[0])), np.empty(rows)
     step = 0
     epoch_losses = []
     # A diverging run overflows on its way to a non-finite loss; the check below reports it.
@@ -261,7 +275,11 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
             batch_losses = []
             for start in range(0, n, cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                loss, grads_w, grads_b = loss_and_gradients(weights, biases, xs[batch], y[batch], hidden)
+                # mode="clip" lets take write straight into ``out`` (it buffers under the default "raise");
+                # a permutation's indices are all in range, so no index is clipped.
+                bx = np.take(xs, batch, axis=0, out=batch_x[: len(batch)], mode="clip")
+                by = np.take(y, batch, out=batch_y[: len(batch)], mode="clip")
+                loss, grads_w, grads_b = loss_and_gradients(weights, biases, bx, by, work)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"loss is not finite at step {step}")
                 batch_losses.append(loss)

@@ -309,10 +309,9 @@ def _written(samples, out_dir):
 def _cmd_dataset(args):
     geom = _geometry(args)
     membrane = _membrane(args, geom)
-    spec = _load_spec(args.spec)
+    samples = generate_phantom_dataset(_load_spec(args.spec), geom, membrane, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samples = generate_phantom_dataset(spec, geom, membrane, args.seed)
     (out_dir / "manifest.csv").write_text(dataset_manifest_rows(_written(samples, out_dir)))
     return [], [str(out_dir)]
 

@@ -190,6 +190,11 @@ def train_svm(
 def fit_detector(features, labels, c: float = 1.0) -> DetectorModel:
     """Standardize raw (mu, sigma) features, then train the classifier."""
     x = np.asarray(features, dtype=np.float64)
+    if x.size and not x.any():
+        raise ValueError(
+            "zero variance feature: every (mu, sigma) is (0, 0), so the calibration model"
+            " reconstructs zero depth for every sample"
+        )
     standardizer = fit_standardizer(x)
     return train_svm(standardizer.apply(x), labels, c=c, standardizer=standardizer)
 

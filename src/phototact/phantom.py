@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -66,6 +67,8 @@ class PhantomConfig:
     applied_mass_g: float = 1000.0
 
     def __post_init__(self):
+        if not isinstance(self.tumor_present, bool):
+            raise ValueError("tumor_present must be true or false")
         values = (
             self.ball_diameter_mm,
             self.burial_depth_mm,
@@ -108,7 +111,7 @@ class PhantomConfig:
             raise ValueError("phantom config values must be numbers") from None
         if len(values.get("lateral_offset_mm", (0.0, 0.0))) != 2:
             raise ValueError("lateral offset must be an (x, y) pair")
-        return cls(tumor_present=bool(data["tumor_present"]), **values)
+        return cls(tumor_present=data["tumor_present"], **values)
 
 
 @dataclass(frozen=True)
@@ -327,6 +330,9 @@ class DatasetSpec:
     presses_per_negative_mass: int = 35
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in (self.presses_per_positive, self.presses_per_negative_mass)):
+            raise TypeError("press counts must be integers")
         values = (*self.diameters_mm, *self.burial_depths_mm, self.positive_mass_g, *self.negative_masses_g)
         if not all(math.isfinite(x) for x in values):
             raise ValueError("dataset spec sizes and masses must be finite")
@@ -363,10 +369,10 @@ class DatasetSpec:
             return cls(
                 diameters_mm=tuple(data["diameters_mm"]),
                 burial_depths_mm=tuple(data["burial_depths_mm"]),
-                presses_per_positive=int(data["presses_per_positive"]),
+                presses_per_positive=data["presses_per_positive"],
                 positive_mass_g=float(data["positive_mass_g"]),
                 negative_masses_g=tuple(data["negative_masses_g"]),
-                presses_per_negative_mass=int(data["presses_per_negative_mass"]),
+                presses_per_negative_mass=data["presses_per_negative_mass"],
             )
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed dataset spec: {err!r}") from None
@@ -403,13 +409,19 @@ def _sample_configs(spec: DatasetSpec):
 
 
 def generate_phantom_dataset(spec: DatasetSpec, geom: SensorGeometry, model: MembraneModel, seed: int):
-    """Yield :class:`PhantomSample` objects for the full protocol, in order.
+    """An iterator of :class:`PhantomSample` objects for the full protocol, in order.
 
-    Sample seeds derive from ``seed`` and the sample index only, so the
-    stream is reproducible and independent of consumption pattern.
+    Every phantom config is built, and so validated, before this returns; the
+    samples are rendered as they are consumed.  Sample seeds derive from
+    ``seed`` and the sample index only, so the stream is reproducible and
+    independent of consumption pattern.
     """
     configs = list(_sample_configs(spec))
     sample_seeds = rng_stream(seed, STREAM_SAMPLE_SEEDS).integers(0, 2**62, size=len(configs))
+    return _render_samples(configs, sample_seeds, geom, model)
+
+
+def _render_samples(configs, sample_seeds, geom: SensorGeometry, model: MembraneModel):
     zero = geom.zero_map()
     for (sample_id, label, cfg), sample_seed in zip(configs, sample_seeds):
         sample_seed = int(sample_seed)

@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -10,6 +11,19 @@ from phototact.calibration import CalibrationModel, TrainConfig, build_calib_dat
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+def pytest_report_header(config):
+    """numpy, its BLAS build and the BLAS thread count: artifact bytes depend on the thread count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", f"unset ({os.cpu_count()} CPUs)")
+    return f"numpy {np.__version__}; BLAS {build}; OPENBLAS_NUM_THREADS={threads}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.get_verbosity() < 0:  # -q hides the header, so the log states the build at its end
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 def pytest_addoption(parser):

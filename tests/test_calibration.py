@@ -6,9 +6,12 @@ import pytest
 
 import phototact as pt
 from phototact.calibration import (
+    _STREAM_SHUFFLE,
     LAYER_SIZES,
     CalibrationModel,
     TrainConfig,
+    _init_params,
+    _step_buffers,
     build_calib_dataset,
     disc_depths,
     forward_scratch,
@@ -53,6 +56,75 @@ def random_model(rng) -> CalibrationModel:
         feature_shift=np.zeros(5),
         feature_scale=np.ones(5),
     )
+
+
+def reference_forward(weights, biases, x):
+    """Input plus hidden activations, and the output column, each a fresh array."""
+    activations = [x]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        activations.append(np.tanh(activations[-1] @ w + b))
+    return activations, (activations[-1] @ weights[-1] + biases[-1])[:, 0]
+
+
+def reference_loss_and_gradients(weights, biases, x, y):
+    """The training step as first written: a fresh array for every temporary."""
+    activations, pred = reference_forward(weights, biases, x)
+    residual = pred - y
+    loss = float(np.mean(residual**2))
+    n = x.shape[0]
+    delta = (2.0 / n) * residual[:, None]
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(biases)
+    grads_w[-1] = activations[-1].T @ delta
+    grads_b[-1] = delta.sum(axis=0)
+    upstream = delta @ weights[-1].T
+    for i in range(len(weights) - 2, -1, -1):
+        upstream = upstream * (1.0 - activations[i + 1] ** 2)
+        grads_w[i] = activations[i].T @ upstream
+        grads_b[i] = upstream.sum(axis=0)
+        if i > 0:
+            upstream = upstream @ weights[i].T
+    return loss, grads_w, grads_b
+
+
+def reference_train(x, y, cfg):
+    """The training loop as first written, on reference steps: float64 weights and biases, epoch losses."""
+    shift32 = x.mean(axis=0).astype(np.float32).astype(np.float64)
+    scale = x.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    xs = (x - shift32) / scale.astype(np.float32).astype(np.float64)
+    weights, biases = _init_params(cfg.seed)
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    shuffle_rng = rng_stream(cfg.seed, _STREAM_SHUFFLE)
+    n = xs.shape[0]
+    step = 0
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            loss, grads_w, grads_b = reference_loss_and_gradients(weights, biases, xs[batch], y[batch])
+            batch_losses.append(loss)
+            step += 1
+            correct1 = 1.0 - 0.9**step
+            correct2 = 1.0 - 0.999**step
+            for params, grads, ms, vs in ((weights, grads_w, m_w, v_w), (biases, grads_b, m_b, v_b)):
+                for i, g in enumerate(grads):
+                    ms[i] = 0.9 * ms[i] + (1.0 - 0.9) * g
+                    vs[i] = 0.999 * vs[i] + (1.0 - 0.999) * g * g
+                    params[i] -= cfg.learning_rate * (ms[i] / correct1) / (np.sqrt(vs[i] / correct2) + 1e-8)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return weights, biases, epoch_losses
+
+
+def random_parameters(seed):
+    """float64 weights and biases with non-zero biases, as a training step sees them."""
+    model = random_model(np.random.default_rng(seed))
+    return [w.astype(np.float64) for w in model.weights], [b.astype(np.float64) for b in model.biases]
 
 
 def relative_error(a, b):
@@ -221,6 +293,56 @@ class TestForward:
                     weights[li][idx] += h
             fd = (up - down) / (2 * h)
             assert abs(grads_w[li][idx] - fd) / max(abs(fd), 1e-10) < 1e-4
+
+
+class TestTrainingStepBits:
+    """The training step and loop give the same bits as the reference that allocates every temporary."""
+
+    @pytest.mark.parametrize("batch", [1, 37, 2088, 2648, 3092, 4096])
+    def test_step_matches_reference(self, batch):
+        weights, biases = random_parameters(batch)
+        rng = np.random.default_rng(batch + 1)
+        x = rng.normal(size=(batch, 5))
+        y = rng.uniform(0.0, 0.5, size=batch)
+        y[0] = reference_forward(weights, biases, x)[1][0]  # one row with a zero residual
+        loss, grads_w, grads_b = reference_loss_and_gradients(weights, biases, x, y)
+        work = _step_buffers(4096)  # a last batch runs in the leading rows of full-size buffers
+        for got in (loss_and_gradients(weights, biases, x, y), loss_and_gradients(weights, biases, x, y, work),
+                    loss_and_gradients(weights, biases, x, y, work)):
+            assert got[0] == loss
+            for a, b in zip(got[1] + got[2], grads_w + grads_b):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows, cfg", [
+        (5000, TrainConfig(epochs=2, seed=3)),  # one full batch and a 904-row remainder per epoch
+        (2100, TrainConfig(epochs=3, batch_size=700, seed=4)),
+        (37, TrainConfig(epochs=4, batch_size=4096, seed=5)),
+    ])
+    def test_train_mlp_matches_reference(self, rows, cfg):
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=(rows, 5)) * [30.0, 0.1, 0.1, 0.3, 0.3] + [10.0, 0.0, 0.0, 0.5, 0.5]
+        y = rng.uniform(0.0, 0.5, size=rows)
+        weights, biases, epoch_losses = reference_train(x, y, cfg)
+        model = train_mlp(x, y, cfg)
+        assert model.epoch_losses == tuple(epoch_losses)
+        for a, b in zip(model.weights + model.biases, weights + biases):
+            assert np.array_equal(a, b.astype(np.float32))
+
+    def test_warm_step_allocates_less_than_one_activation_matrix(self):
+        weights, biases = random_parameters(0)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(4096, 5))
+        y = rng.uniform(0.0, 0.5, size=4096)
+        work = _step_buffers(len(x))
+        expected = loss_and_gradients(weights, biases, x, y, work)
+        tracemalloc.start()
+        try:
+            got = loss_and_gradients(weights, biases, x, y, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] == expected[0]
+        assert peak < len(x) * LAYER_SIZES[1] * 8
 
 
 class TestModelFiles:

@@ -468,6 +468,12 @@ def edited(source, t, **changes):
     return json_file(t, {**json.loads(Path(source).read_text()), **changes})
 
 
+def zero_depth_model(source, t):
+    """A copy of the calibration model file ``source`` whose output bias clamps every depth to 0."""
+    biases = json.loads(Path(source).read_text())["biases"]
+    return edited(source, t, biases=biases[:-1] + [pt.calibration._encode([-10.0])])
+
+
 def short_ppm(t):
     path = t / "short.ppm"
     path.write_bytes(b"P6\n2 2\n255\n\x00")
@@ -482,6 +488,14 @@ EXIT_CODE_TABLE = [
      2, "No such file"),
     ("phantom", "config-not-an-object", lambda d, t: ["phantom", *SMALL, "--config", json_file(t, [1, 2]),
                                                       "--out-prefix", t / "p"], 2, "must be a JSON object"),
+    ("phantom", "config-tumor-flag-a-string", lambda d, t: ["phantom", *SMALL, "--config",
+                                                            json_file(t, {"tumor_present": "false"}),
+                                                            "--out-prefix", t / "p"], 2,
+     "tumor_present must be true or false"),
+    ("phantom", "config-tumor-flag-a-number", lambda d, t: ["phantom", *SMALL, "--config",
+                                                            json_file(t, {"tumor_present": 0}),
+                                                            "--out-prefix", t / "p"], 2,
+     "tumor_present must be true or false"),
     ("phantom", "noise-std-nan", lambda d, t: ["phantom", *SMALL, "--noise-std", "nan", "--out-prefix", t / "p"], 2,
      "must be finite"),
     ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
@@ -532,6 +546,17 @@ EXIT_CODE_TABLE = [
     ("dataset", "unknown-spec-key", lambda d, t: ["dataset", *SMALL, "--spec",
                                                   edited(d / "spec.json", t, diameter=4.0), "--out", t / "data"],
      2, "unknown dataset spec keys: diameter"),
+    ("dataset", "diameter-out-of-range", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                       edited(d / "spec.json", t, diameters_mm=[12.0]),
+                                                       "--out", t / "data"], 2, "ball diameter must lie in [2, 10] mm"),
+    ("dataset", "presses-a-fraction", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                    edited(d / "spec.json", t, presses_per_positive=2.7),
+                                                    "--out", t / "data"], 2,
+     "press counts must be integers"),
+    ("dataset", "presses-a-bool", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                edited(d / "spec.json", t, presses_per_negative_mass=True),
+                                                "--out", t / "data"], 2,
+     "press counts must be integers"),
     ("dataset", "noise-std-negative", lambda d, t: ["dataset", *SMALL, "--noise-std", -1, "--out", t / "data"], 2,
      "must be non-negative"),
     ("train-detector", "unknown-flag", lambda d, t: ["train-detector", "--dataset", d / "data", "--calibration",
@@ -547,6 +572,10 @@ EXIT_CODE_TABLE = [
                                               d / "calib.json", "--train-fraction", 0.5, "--c", "nan",
                                               "--out", t / "det.json"], 2,
      "regularization parameter must be positive and finite"),
+    ("train-detector", "zero-depth-model", lambda d, t: ["train-detector", *SMALL, "--dataset", d / "data",
+                                                         "--calibration", zero_depth_model(d / "calib.json", t),
+                                                         "--train-fraction", 0.5, "--out", t / "det.json"], 2,
+     "reconstructs zero depth for every sample"),
     ("detect", "missing-map-flag", lambda d, t: ["detect", "--detector", d / "detector.json"], 1, "required: --map"),
     ("detect", "missing-detector", lambda d, t: ["detect", "--detector", t / "none.json", "--map", d / "recon.dmap"], 2,
      "No such file"),

@@ -91,6 +91,11 @@ class TestStandardizer:
         with pytest.raises(ValueError, match="zero variance"):
             fit_standardizer(np.array([[1.0, 2.0], [1.0, 3.0]]))
 
+    def test_all_zero_features_name_the_calibration_model(self):
+        # a calibration model that clamps every depth to 0 gives (0, 0) for every press
+        with pytest.raises(ValueError, match="zero variance feature: .*reconstructs zero depth for every sample"):
+            fit_detector(np.zeros((6, 2)), np.array([1, -1] * 3))
+
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="two samples"):
             fit_standardizer(np.array([[1.0, 2.0]]))

@@ -344,6 +344,13 @@ class TestPhantomConfigFromDict:
         with pytest.raises(ValueError):
             PhantomConfig.from_dict(data)
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
+    def test_tumor_flag_must_be_a_json_boolean(self, flag):
+        with pytest.raises(ValueError, match="tumor_present must be true or false"):
+            PhantomConfig.from_dict({"tumor_present": flag})
+        with pytest.raises(ValueError, match="tumor_present must be true or false"):
+            PhantomConfig(tumor_present=flag)
+
 
 class TestDatasetSpecFromDict:
     def test_roundtrip(self):
@@ -357,11 +364,22 @@ class TestDatasetSpecFromDict:
             ({"diameters_mm": 5}, "malformed dataset spec"),
             ({"diameters_mm": [[4.0]]}, "malformed dataset spec"),
             ({"presses_per_positive": [2]}, "malformed dataset spec"),
+            ({"presses_per_positive": 2.7}, "malformed dataset spec: .*press counts must be integers"),
+            ({"presses_per_positive": 2.0}, "malformed dataset spec: .*press counts must be integers"),
+            ({"presses_per_positive": True}, "malformed dataset spec: .*press counts must be integers"),
+            ({"presses_per_negative_mass": "35"}, "malformed dataset spec: .*press counts must be integers"),
+            ({"presses_per_negative_mass": False}, "malformed dataset spec: .*press counts must be integers"),
         ],
     )
     def test_malformed_rejected(self, changes, message):
         with pytest.raises(ValueError, match=message):
             DatasetSpec.from_dict({**DatasetSpec().to_dict(), **changes})
+
+    @pytest.mark.parametrize("count", [2.7, 2.0, True])
+    def test_constructor_rejects_non_integer_counts(self, count):
+        with pytest.raises(TypeError, match="press counts must be integers"):
+            DatasetSpec(presses_per_negative_mass=count)
+        assert DatasetSpec(presses_per_positive=np.int64(2)).n_positive == 70
 
     @pytest.mark.parametrize("data", [[], "spec", None, 3])
     def test_non_object_rejected(self, data):
