@@ -15,16 +15,14 @@ from .imaging import (
     PpmFormatError,
     RgbImage,
     SensorGeometry,
-    hsv_to_rgb,
     hue_delta,
     load_dmap,
     load_ppm,
     rgb_to_hsv,
     save_dmap,
     save_ppm,
-    validate_deformation_map,
 )
-from .imprint import ColorDeltaField, ImprintParams, augmented_imprint, color_delta, disc_pixels, disc_rows
+from .imprint import ImprintParams, augmented_imprint, color_delta, disc_pixels, disc_rows
 from .phantom import (
     ContactSolution,
     DatasetSpec,

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import MAX_DEPTH_MM, DeformationMap, RgbImage, SensorGeometry
+from .imaging import MAX_DEPTH_MM, DeformationMap, RgbImage, SensorGeometry, json_number
 from .imprint import disc_pixels, disc_rows
-from .phantom import MembraneModel, capture_pixels, clean_pixels, rng_stream, sphere_press_truth
+from .phantom import MembraneModel, capture_pixels, clean_pixels, rng_stream, sphere_press_truth, sub_seeds
 
 LAYER_SIZES = (5, 32, 32, 32, 1)
 
@@ -326,15 +326,15 @@ def build_calib_dataset(
     if n_captures < 1:
         raise ValueError("need at least one capture")
     draws = rng_stream(seed, _STREAM_DEPTHS).random(n_captures)
-    render_seeds = rng_stream(seed, _STREAM_RENDER_SEEDS).integers(0, 2**62, size=2 * n_captures)
+    render_seeds = sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 2))
     mask = geom.disc_mask
     rest = clean_pixels(geom.zero_map(), membrane, mask)
     rows_x, rows_y = [], []
-    for i in range(n_captures):
-        depth = membrane.max_depth * (1.0 - float(draws[i]))  # uniform in (0, max_depth]
+    for draw, (ref_seed, contact_seed) in zip(draws, render_seeds):
+        depth = membrane.max_depth * (1.0 - float(draw))  # uniform in (0, max_depth]
         truth = sphere_press_truth(depth, sphere_radius_mm, geom)
-        ref = capture_pixels(rest, membrane, int(render_seeds[2 * i]), mask)
-        contact = capture_pixels(clean_pixels(truth, membrane, mask), membrane, int(render_seeds[2 * i + 1]), mask)
+        ref = capture_pixels(rest, membrane, int(ref_seed), mask)
+        contact = capture_pixels(clean_pixels(truth, membrane, mask), membrane, int(contact_seed), mask)
         rows_x.append(disc_rows(ref, contact, geom))
         rows_y.append(truth.depths[mask].astype(np.float64))
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)
@@ -406,8 +406,8 @@ def load_model(path) -> CalibrationModel:
             biases=tuple(_decode(blob, (shape[1],)) for blob, shape in zip(doc["biases"], shapes)),
             feature_shift=_decode(doc["feature_shift"], (LAYER_SIZES[0],)),
             feature_scale=_decode(doc["feature_scale"], (LAYER_SIZES[0],)),
-            max_depth=float(doc["max_depth"]),
-            epoch_losses=tuple(doc.get("epoch_losses", ())),
+            max_depth=float(json_number(doc["max_depth"])),
+            epoch_losses=tuple(map(json_number, doc.get("epoch_losses", ()))),
         )
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed calibration model file: {err!r}") from None

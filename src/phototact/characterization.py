@@ -31,14 +31,14 @@ import numpy as np
 
 from . import defaults
 from .calibration import CalibrationModel, disc_depths, forward_scratch
-from .imaging import DeformationMap, RgbImage, SensorGeometry
+from .imaging import DeformationMap, SensorGeometry
 from .phantom import (
     MembraneModel,
     capture_pixels,
     clean_pixels,
-    rng_stream,
     spherical_cap_profile,
     spherical_cap_volume,
+    sub_seeds,
 )
 
 # Philox stream tags private to this module.
@@ -145,16 +145,10 @@ def smooth_sweep(sweep: ForceSweep, window: int = 3) -> ForceSweep:
 def null_difference_stat(before, after, geom: SensorGeometry) -> float:
     """Population std of in-disc channel differences, in 8-bit units.
 
-    ``before`` and ``after`` are two readings (:class:`RgbImage`) or their
-    sensing-disc pixels (N, 3), as :func:`capture_pixels` returns them.
+    ``before`` and ``after`` are the sensing-disc pixels (N, 3) of two
+    readings, as :func:`capture_pixels` returns them.
     """
-    if isinstance(before, RgbImage) and isinstance(after, RgbImage):
-        if (before.height, before.width) != (after.height, after.width):
-            raise ValueError("images differ in size")
-        if (before.height, before.width) != (geom.height, geom.width):
-            raise ValueError("images do not match geometry")
-        before, after = before.pixels[geom.disc_mask], after.pixels[geom.disc_mask]
-    elif np.shape(before) != (geom.disc_pixel_count, 3) or np.shape(after) != np.shape(before):
+    if np.shape(before) != (geom.disc_pixel_count, 3) or np.shape(after) != np.shape(before):
         raise ValueError("disc pixels must be one RGB row per sensing-disc pixel")
     diff = np.asarray(after).astype(np.float64) - np.asarray(before).astype(np.float64)
     return float(diff.std())
@@ -234,7 +228,7 @@ def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
 
 def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:
     """Mean in-disc std of reconstructions from no-contact reading pairs."""
-    seeds = rng_stream(seed, _STREAM_NULL).integers(0, 2**62, size=2 * rig.n_null_pairs).reshape(-1, 2)
+    seeds = sub_seeds(seed, _STREAM_NULL, (rig.n_null_pairs, 2))
     (measured,) = _measure(rig, model, [rig.geometry.zero_map()], [seeds])
     return float(np.mean([float(depths.std()) for depths in measured]))
 
@@ -250,7 +244,7 @@ def run_force_sweep(
     """Average measured depths over ``n_trials`` presses per force point."""
     forces = np.asarray(sorted(forces) if direction == "loading" else sorted(forces, reverse=True), dtype=np.float64)
     unloading = direction == "unloading"
-    seeds = rng_stream(seed, _STREAM_SWEEP).integers(0, 2**62, size=(len(forces), n_trials, 2))
+    seeds = sub_seeds(seed, _STREAM_SWEEP, (len(forces), n_trials, 2))
     truths = (rig.truth_profile(rig.force_to_depth(float(force)), unloading=unloading) for force in forces)
     max_depths = np.empty(len(forces))
     mean_depths = np.empty(len(forces))
@@ -318,7 +312,7 @@ def repeatability_trials(
     one step's noise-free render serves all its trials.
     """
     steps = np.asarray(steps, dtype=np.float64)
-    seeds = rng_stream(seed, _STREAM_TRIALS).integers(0, 2**62, size=(n_trials, len(steps), 2))
+    seeds = sub_seeds(seed, _STREAM_TRIALS, (n_trials, len(steps), 2))
     truths = (rig.truth_profile(float(depth)) for depth in steps)
     measurements = np.empty((n_trials, len(steps)))
     for j, measured in enumerate(_measure(rig, model, truths, seeds.transpose(1, 0, 2))):
@@ -365,7 +359,7 @@ def characterize(
     trials = repeatability_trials(rig, model, steps=steps, seed=seed + 2)
     r = repeatability(trials)
 
-    null_seeds = rng_stream(seed + 3, _STREAM_NULL).integers(0, 2**62, size=2)
+    null_seeds = sub_seeds(seed + 3, _STREAM_NULL, 2)
     mask = rig.geometry.disc_mask
     rest = clean_pixels(rig.geometry.zero_map(), rig.membrane, mask)
     before, after = (capture_pixels(rest, rig.membrane, int(s), mask) for s in null_seeds)

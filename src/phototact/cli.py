@@ -53,7 +53,7 @@ from .phantom import (
     dataset_manifest_rows,
     default_membrane,
     generate_phantom_dataset,
-    render_reading,
+    reading_pair,
 )
 
 VERBS = (
@@ -68,7 +68,7 @@ VERBS = (
     "characterize",
 )
 
-# Seeds key uint64 Philox streams, and a phantom's contact reading uses 2 * seed + 1.
+# Seeds key uint64 Philox streams, and a phantom's reading pair doubles the seed (see phantom.reading_pair).
 SEED_LIMIT = 2**63
 
 
@@ -246,8 +246,7 @@ def _cmd_phantom(args):
     membrane = _membrane(args, geom)
     cfg = _load_phantom_config(args)
     solution = contact_solve(cfg, geom, membrane)
-    ref = render_reading(geom.zero_map(), membrane, 2 * args.seed)
-    contact = render_reading(solution.deformation, membrane, 2 * args.seed + 1)
+    ref, contact = reading_pair(solution.deformation, membrane, args.seed)
     prefix = args.out_prefix
     paths = [f"{prefix}_ref.ppm", f"{prefix}_contact.ppm", f"{prefix}_truth.dmap"]
     save_ppm(paths[0], ref)

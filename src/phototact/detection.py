@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import DeformationMap
+from .imaging import DeformationMap, json_number
 from .phantom import rng_stream
 
 TUMOR = "tumor"
@@ -108,6 +108,8 @@ class DetectorModel:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (2,):
             raise ValueError("weights must be (w_mu, w_sigma)")
+        if self.standardizer.mean.shape != (2,):
+            raise ValueError("the standardizer must hold one mean and one std per feature (mu, sigma)")
         if not (np.all(np.isfinite(w)) and math.isfinite(self.bias)):
             raise ValueError("weights and bias must be finite")
         if not np.any(w != 0):
@@ -295,13 +297,13 @@ def load_detector(path) -> DetectorModel:
         raise ValueError(f"unsupported detector version {doc.get('version')}")
     try:
         standardizer = Standardizer(
-            mean=np.array(doc["standardizer"]["mean"], dtype=np.float64),
-            std=np.array(doc["standardizer"]["std"], dtype=np.float64),
+            mean=np.array([json_number(x) for x in doc["standardizer"]["mean"]], dtype=np.float64),
+            std=np.array([json_number(x) for x in doc["standardizer"]["std"]], dtype=np.float64),
         )
         return DetectorModel(
             standardizer=standardizer,
-            weights=np.array([doc["weights"]["mu"], doc["weights"]["sigma"]], dtype=np.float64),
-            bias=float(doc["bias"]),
+            weights=np.array([json_number(doc["weights"][k]) for k in ("mu", "sigma")], dtype=np.float64),
+            bias=float(json_number(doc["bias"])),
             training_meta=doc.get("training") or None,
         )
     except (KeyError, TypeError) as err:

@@ -16,6 +16,7 @@ On-disk formats:
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +42,13 @@ def _frozen_array(values, dtype):
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def json_number(value):
+    """``value`` itself when it is a JSON number (an int or a float, never a bool); TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
 
 
 def quantize_channels(values):
@@ -147,19 +155,6 @@ class DeformationMap:
     @property
     def height(self) -> int:
         return self.depths.shape[0]
-
-
-def validate_deformation_map(dmap: DeformationMap, geom: "SensorGeometry | None" = None):
-    """Check that the map belongs to ``geom``: its size and the sensing-disc mask.
-
-    The depth invariants hold for every :class:`DeformationMap` by
-    construction; without ``geom`` there is nothing left to check.
-    """
-    if geom is not None:
-        if (dmap.height, dmap.width) != (geom.height, geom.width):
-            raise ValueError("map dimensions do not match geometry")
-        if not np.array_equal(dmap.mask, geom.disc_mask):
-            raise ValueError("mask is not the sensing disc of the geometry")
 
 
 @dataclass(frozen=True)
@@ -275,12 +270,6 @@ def hsv_to_rgb_real(hue, saturation, value):
     g = np.choose(i, [t, value, value, q, p, p])
     b = np.choose(i, [p, p, t, value, value, q])
     return np.stack([r, g, b], axis=-1) * 255.0
-
-
-def hsv_to_rgb(img: HsvImage) -> RgbImage:
-    """Inverse of :func:`rgb_to_hsv` up to 8-bit quantization (round half up)."""
-    real = hsv_to_rgb_real(img.hue, img.saturation, img.value)
-    return RgbImage(quantize_channels(real))
 
 
 def hue_delta(h_after, h_before):

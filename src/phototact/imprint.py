@@ -41,48 +41,6 @@ def augmented_imprint(ref: RgbImage, contact: RgbImage, params: ImprintParams | 
     return RgbImage(quantize_channels(params.alpha * diff + params.beta))
 
 
-@dataclass(frozen=True)
-class ColorDeltaField:
-    """Feature rows (dH, dS, dV, u, v) between two readings, one per sensing-disc pixel.
-
-    Rows run in row-major pixel order.  ``dh`` is the minimal signed hue
-    difference in degrees, ``ds``/``dv`` are plain differences; ``u``/``v``
-    are column/row positions normalized to [0, 1].
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != 5:
-            raise ValueError("delta rows must be shaped (N, 5)")
-        object.__setattr__(self, "rows", rows)
-        if np.abs(self.dh).max(initial=0.0) > 180.0:
-            raise ValueError("hue deltas must lie in [-180, 180]")
-        if np.abs(self.ds).max(initial=0.0) > 1.0 or np.abs(self.dv).max(initial=0.0) > 1.0:
-            raise ValueError("saturation/value deltas must lie in [-1, 1]")
-
-    @property
-    def dh(self):
-        return self.rows[:, 0]
-
-    @property
-    def ds(self):
-        return self.rows[:, 1]
-
-    @property
-    def dv(self):
-        return self.rows[:, 2]
-
-    @property
-    def u(self):
-        return self.rows[:, 3]
-
-    @property
-    def v(self):
-        return self.rows[:, 4]
-
-
 def disc_pixels(ref: RgbImage, contact: RgbImage, geom: SensorGeometry):
     """The sensing-disc pixels (N, 3) of a reading pair, after checking both match ``geom``."""
     if (ref.height, ref.width) != (contact.height, contact.width):
@@ -114,6 +72,6 @@ def disc_rows(ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:
     return rows
 
 
-def color_delta(ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> ColorDeltaField:
-    """HSV change from ``ref`` to ``contact`` over the sensing disc, hue wrap handled."""
-    return ColorDeltaField(disc_rows(*disc_pixels(ref, contact, geom), geom))
+def color_delta(ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> np.ndarray:
+    """:func:`disc_rows` of a whole reading pair: the HSV change from ``ref`` to ``contact`` over the sensing disc."""
+    return disc_rows(*disc_pixels(ref, contact, geom), geom)

@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -34,6 +34,7 @@ from .imaging import (
     RgbImage,
     SensorGeometry,
     hsv_to_rgb_real,
+    json_number,
     quantize_channels,
 )
 
@@ -48,6 +49,11 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator for the given (seed, stream) pair."""
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def sub_seeds(seed: int, stream: int, shape) -> np.ndarray:
+    """Child seeds in [0, 2**62), an int64 array of ``shape`` drawn from the (seed, stream) generator."""
+    return rng_stream(seed, stream).integers(0, 2**62, size=shape)
 
 
 def grams_to_newtons(mass_g: float) -> float:
@@ -104,9 +110,9 @@ class PhantomConfig:
         if "tumor_present" not in data:
             raise ValueError("phantom config needs 'tumor_present'")
         try:
-            values = {k: float(v) for k, v in data.items() if k not in ("tumor_present", "lateral_offset_mm")}
+            values = {k: float(json_number(data[k])) for k in data.keys() - {"tumor_present", "lateral_offset_mm"}}
             if "lateral_offset_mm" in data:
-                values["lateral_offset_mm"] = tuple(float(x) for x in data["lateral_offset_mm"])
+                values["lateral_offset_mm"] = tuple(float(json_number(x)) for x in data["lateral_offset_mm"])
         except TypeError:
             raise ValueError("phantom config values must be numbers") from None
         if len(values.get("lateral_offset_mm", (0.0, 0.0))) != 2:
@@ -136,9 +142,6 @@ class MembraneModel:
             raise ValueError("max depth must be positive")
         if self.noise_std < 0 or self.speckle_amplitude < 0:
             raise ValueError("noise parameters must be non-negative")
-
-    def with_stiffness(self, stiffness: float) -> "MembraneModel":
-        return replace(self, stiffness=stiffness)
 
     @cached_property
     def rest_rgb(self) -> np.ndarray:
@@ -314,6 +317,16 @@ def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> Rgb
     return RgbImage(_noisy_channels(clean, noise, model))
 
 
+def reading_pair(dmap: DeformationMap, model: MembraneModel, seed: int):
+    """The (reference, contact) readings of one press.
+
+    The reference is the unloaded membrane rendered at seed ``2 * seed``, the
+    contact is ``dmap`` rendered at the seed after it.
+    """
+    zero = DeformationMap(np.zeros_like(dmap.depths), dmap.mask)
+    return render_reading(zero, model, 2 * seed), render_reading(dmap, model, 2 * seed + 1)
+
+
 # ---------------------------------------------------------------------------
 # Dataset generation
 
@@ -334,7 +347,7 @@ class DatasetSpec:
                    for n in (self.presses_per_positive, self.presses_per_negative_mass)):
             raise TypeError("press counts must be integers")
         values = (*self.diameters_mm, *self.burial_depths_mm, self.positive_mass_g, *self.negative_masses_g)
-        if not all(math.isfinite(x) for x in values):
+        if not all(math.isfinite(json_number(x)) for x in values):
             raise ValueError("dataset spec sizes and masses must be finite")
         if self.presses_per_positive < 1 or self.presses_per_negative_mass < 1:
             raise ValueError("press counts must be positive")
@@ -370,7 +383,7 @@ class DatasetSpec:
                 diameters_mm=tuple(data["diameters_mm"]),
                 burial_depths_mm=tuple(data["burial_depths_mm"]),
                 presses_per_positive=data["presses_per_positive"],
-                positive_mass_g=float(data["positive_mass_g"]),
+                positive_mass_g=float(json_number(data["positive_mass_g"])),
                 negative_masses_g=tuple(data["negative_masses_g"]),
                 presses_per_negative_mass=data["presses_per_negative_mass"],
             )
@@ -417,21 +430,20 @@ def generate_phantom_dataset(spec: DatasetSpec, geom: SensorGeometry, model: Mem
     independent of consumption pattern.
     """
     configs = list(_sample_configs(spec))
-    sample_seeds = rng_stream(seed, STREAM_SAMPLE_SEEDS).integers(0, 2**62, size=len(configs))
-    return _render_samples(configs, sample_seeds, geom, model)
+    return _render_samples(configs, sub_seeds(seed, STREAM_SAMPLE_SEEDS, len(configs)), geom, model)
 
 
 def _render_samples(configs, sample_seeds, geom: SensorGeometry, model: MembraneModel):
-    zero = geom.zero_map()
     for (sample_id, label, cfg), sample_seed in zip(configs, sample_seeds):
         sample_seed = int(sample_seed)
         solution = contact_solve(cfg, geom, model)
+        ref, contact = reading_pair(solution.deformation, model, sample_seed)
         yield PhantomSample(
             sample_id=sample_id,
             label=label,
             config=cfg,
-            reading_ref=render_reading(zero, model, 2 * sample_seed),
-            reading_contact=render_reading(solution.deformation, model, 2 * sample_seed + 1),
+            reading_ref=ref,
+            reading_contact=contact,
             truth=solution.deformation,
             sample_seed=sample_seed,
         )

@@ -159,7 +159,7 @@ class TestCalibDataset:
             truth = sphere_press_truth(membrane.max_depth * (1.0 - float(draws[i])), 3.0, geom)
             ref = render_reading(geom.zero_map(), membrane, int(seeds[2 * i]))
             contact = render_reading(truth, membrane, int(seeds[2 * i + 1]))
-            rows_x.append(color_delta(ref, contact, geom).rows)
+            rows_x.append(color_delta(ref, contact, geom))
             rows_y.append(truth.depths[geom.disc_mask].astype(np.float64))
         assert np.array_equal(features, np.concatenate(rows_x))
         assert np.array_equal(depths, np.concatenate(rows_y))
@@ -170,12 +170,12 @@ class TestCalibDataset:
         truth = sphere_press_truth(depth, 3.0, small_geometry)
         ref = render_reading(small_geometry.zero_map(), small_membrane, seed=100)
         contact = render_reading(truth, small_membrane, seed=101)
-        field = color_delta(ref, contact, small_geometry)
+        rows = color_delta(ref, contact, small_geometry)
         mask = small_geometry.disc_mask
         assert truth.depths[mask].max() <= depth
         noise_span = 8 * small_membrane.noise_std + 1.0  # channel noise + quantization
         hue_per_count = 60.0 / (255 * 0.9 * 0.6)
-        assert np.abs(field.dh).max() < noise_span * hue_per_count
+        assert np.abs(rows[:, 0]).max() < noise_span * hue_per_count
 
 
 class TestTrainMlp:
@@ -371,7 +371,8 @@ class TestModelFiles:
     @pytest.mark.parametrize(
         "changes",
         [{"max_depth": [0.5]}, {"weights": 5}, {"biases": [1, 2, 3, 4]}, {"feature_shift": None},
-         {"epoch_losses": 5}, {"epoch_losses": [[1.0]]}],
+         {"epoch_losses": 5}, {"epoch_losses": [[1.0]]}, {"epoch_losses": "12"}, {"epoch_losses": [True]},
+         {"max_depth": "0.3"}, {"max_depth": True}],
     )
     def test_rejects_wrong_json_types(self, tmp_path, fast_model, changes):
         path = tmp_path / "model.json"
@@ -459,7 +460,7 @@ class TestAnalyticOracle:
             ref = render_reading(geometry.zero_map(), membrane, 2 * seed)
             contact = render_reading(truth, membrane, 2 * seed + 1)
             recon = reconstruct(calib_model, ref, contact, geometry).depths[mask].astype(np.float64)
-            oracle = color_delta(ref, contact, geometry).dh / defaults.GAIN_H_DEG_PER_MM
+            oracle = color_delta(ref, contact, geometry)[:, 0] / defaults.GAIN_H_DEG_PER_MM
             gap = recon - oracle
             assert np.abs(np.mean(gap)) < ORACLE_MEAN_GAP_MM
             assert np.sqrt(np.mean(gap**2)) < ORACLE_RMS_GAP_MM

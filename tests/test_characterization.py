@@ -133,21 +133,23 @@ class TestSmoothing:
 
 class TestNullDifference:
     def test_identical_images(self, small_geometry):
-        img = pt.RgbImage(np.full((small_geometry.height, small_geometry.width, 3), 60, dtype=np.uint8))
-        assert null_difference_stat(img, img, small_geometry) == 0.0
+        px = np.full((small_geometry.disc_pixel_count, 3), 60, dtype=np.uint8)
+        assert null_difference_stat(px, px, small_geometry) == 0.0
 
     def test_dimension_mismatch(self, small_geometry):
-        a = pt.RgbImage(np.zeros((2, 2, 3), dtype=np.uint8))
-        with pytest.raises(ValueError, match="differ in size"):
-            null_difference_stat(a, pt.RgbImage(np.zeros((3, 2, 3), dtype=np.uint8)), small_geometry)
+        px = np.zeros((small_geometry.disc_pixel_count, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="sensing-disc pixel"):
+            null_difference_stat(px, px[:, :2], small_geometry)
 
     def test_disc_pixels_match_readings(self, small_geometry, small_membrane):
         zero = small_geometry.zero_map()
         mask = small_geometry.disc_mask
         before, after = render_reading(zero, small_membrane, 4), render_reading(zero, small_membrane, 5)
-        stat = null_difference_stat(before, after, small_geometry)
+        stat = null_difference_stat(before.pixels[mask], after.pixels[mask], small_geometry)
         assert stat > 0.0
-        assert null_difference_stat(before.pixels[mask], after.pixels[mask], small_geometry) == stat
+        rest = pt.clean_pixels(zero, small_membrane, mask)
+        captured = (pt.capture_pixels(rest, small_membrane, seed, mask) for seed in (4, 5))
+        assert null_difference_stat(*captured, small_geometry) == stat
 
     def test_disc_pixel_count_mismatch(self, small_geometry):
         px = np.zeros((int(small_geometry.disc_mask.sum()) - 1, 3), dtype=np.uint8)
@@ -156,9 +158,12 @@ class TestNullDifference:
 
     def test_default_noise_matches_tuning_target(self, geometry, membrane):
         zero = geometry.zero_map()
+        mask = geometry.disc_mask
         values = [
             null_difference_stat(
-                render_reading(zero, membrane, 2 * s), render_reading(zero, membrane, 2 * s + 1), geometry
+                render_reading(zero, membrane, 2 * s).pixels[mask],
+                render_reading(zero, membrane, 2 * s + 1).pixels[mask],
+                geometry,
             )
             for s in range(4)
         ]
@@ -168,11 +173,14 @@ class TestNullDifference:
         # Monte Carlo over seeds; quantization adds a floor, so compare after
         # removing it in quadrature
         zero = small_geometry.zero_map()
+        mask = small_geometry.disc_mask
         def mean_stat(noise_std):
             membrane = pt.default_membrane(small_geometry, noise_std=noise_std, speckle_amplitude=0.0)
             vals = [
                 null_difference_stat(
-                    render_reading(zero, membrane, 2 * s), render_reading(zero, membrane, 2 * s + 1), small_geometry
+                    render_reading(zero, membrane, 2 * s).pixels[mask],
+                    render_reading(zero, membrane, 2 * s + 1).pixels[mask],
+                    small_geometry,
                 )
                 for s in range(6)
             ]
@@ -311,7 +319,8 @@ class TestMeasurementLoops:
         report = characterization.characterize(rig, fast_model, forces=(0.05, 0.08, 0.11), steps=(0.2,), seed=3)
         seeds = rng_stream(3 + 3, characterization._STREAM_NULL).integers(0, 2**62, size=2)
         zero = small_geometry.zero_map()
-        before, after = (render_reading(zero, rig.membrane, int(s)) for s in seeds)
+        mask = small_geometry.disc_mask
+        before, after = (render_reading(zero, rig.membrane, int(s)).pixels[mask] for s in seeds)
         assert report.null_std == null_difference_stat(before, after, small_geometry)
 
     def test_sweep_matches_per_capture_reference(self, small_geometry, fast_model):

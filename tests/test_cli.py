@@ -496,6 +496,10 @@ EXIT_CODE_TABLE = [
                                                             json_file(t, {"tumor_present": 0}),
                                                             "--out-prefix", t / "p"], 2,
      "tumor_present must be true or false"),
+    ("phantom", "config-mass-a-bool", lambda d, t: ["phantom", *SMALL, "--config",
+                                                    json_file(t, {"tumor_present": True, "applied_mass_g": True}),
+                                                    "--out-prefix", t / "p"], 2,
+     "phantom config values must be numbers"),
     ("phantom", "noise-std-nan", lambda d, t: ["phantom", *SMALL, "--noise-std", "nan", "--out-prefix", t / "p"], 2,
      "must be finite"),
     ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
@@ -557,6 +561,9 @@ EXIT_CODE_TABLE = [
                                                 edited(d / "spec.json", t, presses_per_negative_mass=True),
                                                 "--out", t / "data"], 2,
      "press counts must be integers"),
+    ("dataset", "positive-mass-a-string", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                        edited(d / "spec.json", t, positive_mass_g="1000"),
+                                                        "--out", t / "data"], 2, "malformed dataset spec"),
     ("dataset", "noise-std-negative", lambda d, t: ["dataset", *SMALL, "--noise-std", -1, "--out", t / "data"], 2,
      "must be non-negative"),
     ("train-detector", "unknown-flag", lambda d, t: ["train-detector", "--dataset", d / "data", "--calibration",
@@ -585,6 +592,11 @@ EXIT_CODE_TABLE = [
                                             "--map", d / "recon.dmap"], 2, "malformed detector file"),
     ("detect", "bias-nan", lambda d, t: ["detect", "--detector", edited(d / "detector.json", t, bias=math.nan),
                                          "--map", d / "recon.dmap"], 2, "weights and bias must be finite"),
+    ("detect", "standardizer-one-entry", lambda d, t: ["detect", "--detector",
+                                                       edited(d / "detector.json", t,
+                                                              standardizer={"mean": [0.1], "std": [0.2]}),
+                                                       "--map", d / "recon.dmap"], 2,
+     "one mean and one std per feature"),
     ("detect", "map-not-a-dmap", lambda d, t: ["detect", "--detector", d / "detector.json", "--map", short_ppm(t)], 2,
      "error: "),
     ("evaluate", "missing-out-flag", lambda d, t: ["evaluate", "--detector", d / "detector.json", "--dataset",

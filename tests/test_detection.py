@@ -374,6 +374,14 @@ class TestDetectorFiles:
             ({"bias": math.nan}, "weights and bias must be finite"),
             ({"weights": {"mu": math.inf, "sigma": 4.8}}, "weights and bias must be finite"),
             ({"standardizer": {"mean": [0.3, math.nan], "std": [0.05, 0.01]}}, "standardization constants must be finite"),
+            ({"bias": "4.53"}, "malformed detector file"),
+            ({"bias": True}, "malformed detector file"),
+            ({"weights": {"mu": "0.33", "sigma": 4.8}}, "malformed detector file"),
+            ({"standardizer": {"mean": ["0.3", 0.02], "std": [0.05, 0.01]}}, "malformed detector file"),
+            ({"standardizer": {"mean": [0.3, 0.02], "std": "12"}}, "malformed detector file"),
+            ({"standardizer": {"mean": [0.1], "std": [0.2]}}, "one mean and one std per feature"),
+            ({"standardizer": {"mean": [0.3, 0.02, 0.1], "std": [0.05, 0.01, 0.2]}},
+             "one mean and one std per feature"),
         ],
     )
     def test_rejects_bad_values(self, tmp_path, changes, message):

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 import phototact as pt
 from phototact.imaging import RgbImage
-from phototact.imprint import ColorDeltaField, ImprintParams, augmented_imprint, color_delta
+from phototact.imprint import ImprintParams, augmented_imprint, color_delta
 from phototact.phantom import deformed_hsv
 
 
@@ -123,25 +123,25 @@ class TestColorDelta:
     def test_identical_images_zero_field(self):
         rng = np.random.default_rng(2)
         img = RgbImage(rng.integers(0, 256, size=(5, 7, 3)).astype(np.uint8))
-        field = color_delta(img, img, tiny_geometry(5, 7))
-        assert field.rows.shape[0] > 0
-        assert np.all(field.dh == 0.0) and np.all(field.ds == 0.0) and np.all(field.dv == 0.0)
+        rows = color_delta(img, img, tiny_geometry(5, 7))
+        assert rows.shape[0] > 0
+        assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, 1] == 0.0) and np.all(rows[:, 2] == 0.0)
 
     def test_red_to_green_pixel(self):
         ref = RgbImage(np.tile(np.array([255, 0, 0], dtype=np.uint8), (3, 3, 1)))
         contact = RgbImage(np.tile(np.array([0, 255, 0], dtype=np.uint8), (3, 3, 1)))
-        field = color_delta(ref, contact, tiny_geometry(3, 3))
-        assert np.all(field.dh == 120.0)
+        rows = color_delta(ref, contact, tiny_geometry(3, 3))
+        assert np.all(rows[:, 0] == 120.0)
 
     def test_normalized_coordinates(self):
         geom = tiny_geometry(3, 5)
         ref = RgbImage(np.zeros((3, 5, 3), dtype=np.uint8))
-        field = color_delta(ref, ref, geom)
+        u, v = color_delta(ref, ref, geom)[:, 3:].T
         rows, cols = np.nonzero(geom.disc_mask)  # row-major, like the feature rows
-        assert np.array_equal(field.u, cols / 4) and np.array_equal(field.v, rows / 2)
-        assert field.v[0] == 0.0 and field.v[-1] == 1.0
+        assert np.array_equal(u, cols / 4) and np.array_equal(v, rows / 2)
+        assert v[0] == 0.0 and v[-1] == 1.0
         center = np.flatnonzero((rows == 1) & (cols == 2))[0]
-        assert field.u[center] == 2 / 4 and field.v[center] == 1 / 2
+        assert u[center] == 2 / 4 and v[center] == 1 / 2
 
     def test_simulated_uniform_press_hue_shift(self, small_geometry):
         # forward-model constants: 0.2 mm at gain_h deg/mm, checked both before
@@ -157,10 +157,10 @@ class TestColorDelta:
 
         ref = pt.render_reading(small_geometry.zero_map(), membrane, seed=0)
         contact = pt.render_reading(dmap, membrane, seed=1)
-        field = color_delta(ref, contact, small_geometry)
-        assert field.rows.shape[0] == small_geometry.disc_mask.sum()
+        rows = color_delta(ref, contact, small_geometry)
+        assert rows.shape[0] == small_geometry.disc_mask.sum()
         # 8-bit quantization bounds the per-pixel hue error
-        assert np.abs(field.dh - expected).max() < 0.75
+        assert np.abs(rows[:, 0] - expected).max() < 0.75
 
     def test_dimension_mismatch(self):
         a = RgbImage(np.zeros((2, 2, 3), dtype=np.uint8))
@@ -173,16 +173,9 @@ class TestColorDelta:
         rng = np.random.default_rng(4)
         ref = RgbImage(rng.integers(0, 256, size=(5, 5, 3)).astype(np.uint8))
         contact = RgbImage(rng.integers(0, 256, size=(5, 5, 3)).astype(np.uint8))
-        field = color_delta(ref, contact, geom)
-        assert field.rows.shape == (geom.disc_mask.sum(), 5)
-        columns = np.stack([field.dh, field.ds, field.dv, field.u, field.v], axis=1)
-        assert np.array_equal(field.rows, columns)
-
-    def test_rejects_out_of_range_delta(self):
-        with pytest.raises(ValueError, match="hue deltas"):
-            ColorDeltaField(np.array([[181.0, 0.0, 0.0, 0.0, 0.0]]))
-        with pytest.raises(ValueError, match=r"\(N, 5\)"):
-            ColorDeltaField(np.zeros((3, 4)))
+        rows = color_delta(ref, contact, geom)
+        assert rows.shape == (geom.disc_mask.sum(), 5)
+        assert np.array_equal(rows[:, 3:], np.stack(geom.disc_coords, axis=1))
 
     @pytest.mark.parametrize("geometry_name", ["small_geometry", "geometry"])
     def test_disc_rows_match_full_frame_reference(self, request, geometry_name):
@@ -198,4 +191,4 @@ class TestColorDelta:
         shape = (geom.height, geom.width, 3)
         pairs.append(tuple(RgbImage(rng.integers(0, 256, size=shape).astype(np.uint8)) for _ in range(2)))
         for ref, contact in pairs:
-            assert np.array_equal(color_delta(ref, contact, geom).rows, full_frame_rows(ref, contact, geom))
+            assert np.array_equal(color_delta(ref, contact, geom), full_frame_rows(ref, contact, geom))

@@ -5,7 +5,7 @@ import pytest
 
 import phototact as pt
 from phototact import defaults
-from phototact.imaging import hsv_to_rgb_real, validate_deformation_map
+from phototact.imaging import hsv_to_rgb_real, quantize_channels
 from phototact.phantom import (
     STREAM_RENDER,
     DatasetSpec,
@@ -13,6 +13,7 @@ from phototact.phantom import (
     contact_solve,
     deformed_hsv,
     generate_phantom_dataset,
+    reading_pair,
     render_reading,
     rng_stream,
     sphere_press_truth,
@@ -125,7 +126,8 @@ class TestContactSolve:
     def test_clamp_never_exceeded(self, small_geometry, small_membrane):
         cfg = PhantomConfig(tumor_present=True, applied_mass_g=50000.0)
         sol = contact_solve(cfg, small_geometry, small_membrane)
-        validate_deformation_map(sol.deformation, small_geometry)
+        assert sol.deformation.depths.shape == (small_geometry.height, small_geometry.width)
+        assert np.array_equal(sol.deformation.mask, small_geometry.disc_mask)
         assert sol.deformation.depths.max() <= pt.MAX_DEPTH_MM
 
     def test_tumor_raises_depth_spread(self, small_geometry, small_membrane):
@@ -218,7 +220,8 @@ class TestRenderReading:
     def test_noise_free_zero_deformation_is_baseline(self, small_geometry):
         membrane = pt.default_membrane(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
         img = render_reading(small_geometry.zero_map(), membrane, seed=5)
-        assert np.array_equal(img.pixels, pt.hsv_to_rgb(membrane.baseline).pixels)
+        base = membrane.baseline
+        assert np.array_equal(img.pixels, quantize_channels(hsv_to_rgb_real(base.hue, base.saturation, base.value)))
 
     def test_same_seed_bit_identical(self, small_geometry, small_membrane):
         dmap = sphere_press_truth(0.25, 3.0, small_geometry)
@@ -244,7 +247,8 @@ class TestRenderReading:
                 axis=-1,
             )
         )
-        assert np.array_equal(rendered.pixels, pt.hsv_to_rgb(shifted).pixels)
+        expected = quantize_channels(hsv_to_rgb_real(shifted.hue, shifted.saturation, shifted.value))
+        assert np.array_equal(rendered.pixels, expected)
 
     def test_dimension_mismatch(self, small_geometry, membrane):
         with pytest.raises(ValueError, match="does not match"):
@@ -321,6 +325,15 @@ class TestDiscPixels:
             pt.clean_pixels(small_geometry.zero_map(), membrane, small_geometry.disc_mask)
 
 
+class TestReadingPair:
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+    def test_reading_pair_renders_at_twice_the_seed_and_the_next(self, small_geometry, small_membrane, seed):
+        dmap = sphere_press_truth(0.3, 3.0, small_geometry)
+        ref, contact = reading_pair(dmap, small_membrane, seed)
+        assert np.array_equal(ref.pixels, render_reading(small_geometry.zero_map(), small_membrane, 2 * seed).pixels)
+        assert np.array_equal(contact.pixels, render_reading(dmap, small_membrane, 2 * seed + 1).pixels)
+
+
 class TestPhantomConfigFromDict:
     def test_absent_keys_take_the_field_defaults(self):
         assert PhantomConfig.from_dict({"tumor_present": True}) == PhantomConfig(tumor_present=True)
@@ -343,6 +356,15 @@ class TestPhantomConfigFromDict:
     def test_malformed_rejected(self, data):
         with pytest.raises(ValueError):
             PhantomConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"applied_mass_g": True}, {"ball_diameter_mm": "6"}, {"burial_depth_mm": None},
+         {"lateral_offset_mm": ["1", 0.0]}, {"lateral_offset_mm": [0.0, False]}, {"lateral_offset_mm": "12"}],
+    )
+    def test_values_must_be_json_numbers(self, changes):
+        with pytest.raises(ValueError, match="phantom config values must be numbers"):
+            PhantomConfig.from_dict({"tumor_present": True, **changes})
 
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
     def test_tumor_flag_must_be_a_json_boolean(self, flag):
@@ -369,6 +391,11 @@ class TestDatasetSpecFromDict:
             ({"presses_per_positive": True}, "malformed dataset spec: .*press counts must be integers"),
             ({"presses_per_negative_mass": "35"}, "malformed dataset spec: .*press counts must be integers"),
             ({"presses_per_negative_mass": False}, "malformed dataset spec: .*press counts must be integers"),
+            ({"positive_mass_g": "1000"}, "malformed dataset spec: .*expected a number"),
+            ({"positive_mass_g": True}, "malformed dataset spec: .*expected a number"),
+            ({"burial_depths_mm": [True]}, "malformed dataset spec: .*expected a number"),
+            ({"diameters_mm": ["4"]}, "malformed dataset spec: .*expected a number"),
+            ({"negative_masses_g": [1000.0, None]}, "malformed dataset spec: .*expected a number"),
         ],
     )
     def test_malformed_rejected(self, changes, message):
