@@ -319,7 +319,7 @@ def build_calib_dataset(
     """Per-pixel training rows from simulated sphere presses.
 
     Each capture presses a known sphere to a depth drawn uniformly from
-    (0, max_depth], renders a fresh no-contact/contact pair, and contributes
+    (0, MAX_DEPTH_MM], renders a fresh no-contact/contact pair, and contributes
     one (dH, dS, dV, u, v) -> depth row per in-disc pixel.  Returns (features,
     depths).
     """
@@ -331,7 +331,7 @@ def build_calib_dataset(
     rest = clean_pixels(geom.zero_map(), membrane, mask)
     rows_x, rows_y = [], []
     for draw, (ref_seed, contact_seed) in zip(draws, render_seeds):
-        depth = membrane.max_depth * (1.0 - float(draw))  # uniform in (0, max_depth]
+        depth = MAX_DEPTH_MM * (1.0 - float(draw))  # uniform in (0, MAX_DEPTH_MM]
         truth = sphere_press_truth(depth, sphere_radius_mm, geom)
         ref = capture_pixels(rest, membrane, int(ref_seed), mask)
         contact = capture_pixels(clean_pixels(truth, membrane, mask), membrane, int(contact_seed), mask)

@@ -17,7 +17,7 @@ depths drive the metrics:
   percentage of full scale (inputs are smoothed trial averages)
 
 Viscoelastic lag is emulated by scaling the unloading-phase indentation by a
-configured residual fraction.  The rig constants live in ``defaults`` and
+fixed residual fraction.  The rig constants live in ``defaults`` and
 are tuned so the harness reproduces the target threshold/saturation/
 hysteresis numbers; this checks harness-plus-tuning consistency, not
 hardware physics.
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import defaults
 from .calibration import CalibrationModel, disc_depths, forward_scratch
-from .imaging import DeformationMap, SensorGeometry
+from .imaging import MAX_DEPTH_MM, DeformationMap, SensorGeometry
 from .phantom import (
     MembraneModel,
     capture_pixels,
@@ -82,7 +82,7 @@ class TrialSet:
 
     step_depths: np.ndarray    # (n,) ground-truth depths, mm
     measurements: np.ndarray   # (k, n) measured depths, mm
-    max_depth: float = defaults.CHAR_DEPTH_STEPS_MM[-1]
+    max_depth: float
 
     def __post_init__(self):
         steps = np.asarray(self.step_depths, dtype=np.float64)
@@ -122,22 +122,20 @@ def hysteresis(loading: ForceSweep, unloading: ForceSweep, max_depth: float) -> 
     return float(gap.max() / max_depth * 100.0)
 
 
-def moving_average(values, window: int = 3):
-    """Centered moving average; the window truncates at the ends."""
+def moving_average(values):
+    """Centered 3-point moving average; the window truncates at the ends."""
     x = np.asarray(values, dtype=np.float64)
-    half = window // 2
     out = np.empty_like(x)
     for i in range(x.shape[0]):
-        lo = max(0, i - half)
-        out[i] = x[lo : i + half + 1].mean()
+        out[i] = x[max(0, i - 1) : i + 2].mean()
     return out
 
 
-def smooth_sweep(sweep: ForceSweep, window: int = 3) -> ForceSweep:
+def smooth_sweep(sweep: ForceSweep) -> ForceSweep:
     return ForceSweep(
         forces=sweep.forces,
-        max_depths=moving_average(sweep.max_depths, window),
-        mean_depths=moving_average(sweep.mean_depths, window),
+        max_depths=moving_average(sweep.max_depths),
+        mean_depths=moving_average(sweep.mean_depths),
         direction=sweep.direction,
     )
 
@@ -164,21 +162,12 @@ class IndenterRig:
 
     geometry: SensorGeometry
     membrane: MembraneModel
-    indenter_radius_mm: float = defaults.INDENTER_RADIUS_MM
-    unloading_lag: float = defaults.UNLOADING_LAG_FRACTION
-    n_null_pairs: int = 4
-
-    def __post_init__(self):
-        if self.indenter_radius_mm <= 0:
-            raise ValueError("indenter radius must be positive")
-        if not 0.0 <= self.unloading_lag < 1.0:
-            raise ValueError("unloading lag must lie in [0, 1)")
 
     def force_to_depth(self, force_n: float) -> float:
         """Invert force = stiffness * cap_volume(depth) by bisection."""
         if force_n <= 0:
             raise ValueError("force must be positive")
-        radius = self.indenter_radius_mm
+        radius = defaults.INDENTER_RADIUS_MM
         capacity = self.membrane.stiffness * spherical_cap_volume(radius, radius)
         if force_n > capacity:
             raise ValueError(f"force {force_n} N exceeds indenter capacity {capacity:.4g} N")
@@ -193,10 +182,10 @@ class IndenterRig:
 
     def truth_profile(self, depth_mm: float, unloading: bool = False) -> DeformationMap:
         """Clamped indentation map for a press of the given cap depth."""
-        profile = spherical_cap_profile(depth_mm, self.indenter_radius_mm, self.geometry)
+        profile = spherical_cap_profile(depth_mm, defaults.INDENTER_RADIUS_MM, self.geometry)
         if unloading:
-            profile = profile * (1.0 - self.unloading_lag)
-        clamped = np.minimum(profile, self.membrane.max_depth)
+            profile = profile * (1.0 - defaults.UNLOADING_LAG_FRACTION)
+        clamped = np.minimum(profile, MAX_DEPTH_MM)
         return DeformationMap(clamped.astype(np.float32), self.geometry.disc_mask)
 
 
@@ -228,7 +217,7 @@ def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
 
 def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:
     """Mean in-disc std of reconstructions from no-contact reading pairs."""
-    seeds = sub_seeds(seed, _STREAM_NULL, (rig.n_null_pairs, 2))
+    seeds = sub_seeds(seed, _STREAM_NULL, (defaults.CHAR_NULL_PAIRS, 2))
     (measured,) = _measure(rig, model, [rig.geometry.zero_map()], [seeds])
     return float(np.mean([float(depths.std()) for depths in measured]))
 
@@ -286,7 +275,7 @@ def sensitivity_profile(rig: IndenterRig, model: CalibrationModel, forces, seed:
 
     saturation = None
     for force in sweep.forces:
-        if rig.force_to_depth(float(force)) >= rig.membrane.max_depth:
+        if rig.force_to_depth(float(force)) >= MAX_DEPTH_MM:
             saturation = float(force)
             break
 
@@ -355,7 +344,7 @@ def characterize(
     """Run the full metrology protocol on the simulated rig."""
     sensitivity = sensitivity_profile(rig, model, forces, seed)
     unloading = run_force_sweep(rig, model, forces, seed + 1, direction="unloading")
-    h = hysteresis(smooth_sweep(sensitivity.sweep), smooth_sweep(unloading), rig.membrane.max_depth)
+    h = hysteresis(smooth_sweep(sensitivity.sweep), smooth_sweep(unloading), MAX_DEPTH_MM)
     trials = repeatability_trials(rig, model, steps=steps, seed=seed + 2)
     r = repeatability(trials)
 

@@ -56,18 +56,6 @@ from .phantom import (
     reading_pair,
 )
 
-VERBS = (
-    "phantom",
-    "imprint",
-    "calibrate",
-    "reconstruct",
-    "dataset",
-    "train-detector",
-    "detect",
-    "evaluate",
-    "characterize",
-)
-
 # Seeds key uint64 Philox streams, and a phantom's reading pair doubles the seed (see phantom.reading_pair).
 SEED_LIMIT = 2**63
 
@@ -83,14 +71,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self)
 
 
-def _add_geometry_args(parser):
-    parser.add_argument("--width", type=int, default=defaults.DEFAULT_WIDTH)
-    parser.add_argument("--height", type=int, default=defaults.DEFAULT_HEIGHT)
-    parser.add_argument("--mm-per-pixel", type=float, default=defaults.MM_PER_PIXEL)
-    parser.add_argument("--sensing-radius", type=float, default=defaults.SENSING_RADIUS_MM)
-    parser.add_argument("--membrane-seed", type=int, default=defaults.MEMBRANE_SEED)
-    parser.add_argument("--noise-std", type=float, default=defaults.SENSOR_NOISE_STD)
-    parser.add_argument("--speckle", type=float, default=defaults.SPECKLE_AMPLITUDE)
+def _shared_flags():
+    """Parent parsers of the geometry flags, and of the geometry plus membrane flags of the rendering verbs."""
+    geometry = argparse.ArgumentParser(add_help=False)
+    geometry.add_argument("--width", type=int, default=defaults.DEFAULT_WIDTH)
+    geometry.add_argument("--height", type=int, default=defaults.DEFAULT_HEIGHT)
+    geometry.add_argument("--mm-per-pixel", type=float, default=defaults.MM_PER_PIXEL)
+    geometry.add_argument("--sensing-radius", type=float, default=defaults.SENSING_RADIUS_MM)
+    membrane = argparse.ArgumentParser(add_help=False, parents=[geometry])
+    membrane.add_argument("--membrane-seed", type=int, default=defaults.MEMBRANE_SEED)
+    membrane.add_argument("--noise-std", type=float, default=defaults.SENSOR_NOISE_STD)
+    membrane.add_argument("--speckle", type=float, default=defaults.SPECKLE_AMPLITUDE)
+    return geometry, membrane
 
 
 def _geometry(args) -> SensorGeometry:
@@ -113,9 +105,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="phototact", description=__doc__)
     parser.add_argument("--version", action="version", version=f"phototact {__version__}")
     sub = parser.add_subparsers(dest="verb", metavar="|".join(VERBS))
+    geometry, membrane = _shared_flags()
 
-    p = sub.add_parser("phantom", parents=[], help="simulate one press and write the capture pair + truth map")
-    _add_geometry_args(p)
+    p = sub.add_parser("phantom", parents=[membrane], help="simulate one press and write the capture pair + truth map")
     p.add_argument("--config", help="PhantomConfig JSON file (overrides the flags below)")
     p.add_argument("--tumor", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--diameter", type=float, default=6.0, help="ball diameter, mm")
@@ -135,8 +127,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
 
-    p = sub.add_parser("calibrate", help="train the color-to-depth model on simulated sphere presses")
-    _add_geometry_args(p)
+    p = sub.add_parser(
+        "calibrate", parents=[membrane], help="train the color-to-depth model on simulated sphere presses"
+    )
     p.add_argument("--captures", type=int, default=defaults.CALIBRATION_CAPTURES)
     p.add_argument("--sphere-radius", type=float, default=defaults.CALIBRATION_SPHERE_RADIUS_MM)
     p.add_argument("--epochs", type=int, default=50)
@@ -146,23 +139,20 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
 
-    p = sub.add_parser("reconstruct", help="depth map from a reading pair")
-    _add_geometry_args(p)
+    p = sub.add_parser("reconstruct", parents=[geometry], help="depth map from a reading pair")
     p.add_argument("--model", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--contact", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
 
-    p = sub.add_parser("dataset", help="generate the labeled phantom dataset directory")
-    _add_geometry_args(p)
+    p = sub.add_parser("dataset", parents=[membrane], help="generate the labeled phantom dataset directory")
     p.add_argument("--spec", default="default", help="'default' or a DatasetSpec JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--manifest")
 
-    p = sub.add_parser("train-detector", help="fit the linear detector on a dataset directory")
-    _add_geometry_args(p)
+    p = sub.add_parser("train-detector", parents=[geometry], help="fit the linear detector on a dataset directory")
     p.add_argument("--dataset", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--c", type=float, default=1.0)
@@ -177,8 +167,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", help="also write the JSON result to this path")
     p.add_argument("--manifest")
 
-    p = sub.add_parser("evaluate", help="score the detector over a dataset directory")
-    _add_geometry_args(p)
+    p = sub.add_parser("evaluate", parents=[geometry], help="score the detector over a dataset directory")
     p.add_argument("--detector", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--calibration", required=True)
@@ -186,8 +175,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="optional per-sample CSV path")
     p.add_argument("--manifest")
 
-    p = sub.add_parser("characterize", help="run the metrology harness on the simulated rig")
-    _add_geometry_args(p)
+    p = sub.add_parser("characterize", parents=[membrane], help="run the metrology harness on the simulated rig")
     p.add_argument("--calibration", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory (summary.json, sweeps.csv, trials.csv)")
@@ -445,6 +433,7 @@ _HANDLERS = {
     "evaluate": _cmd_evaluate,
     "characterize": _cmd_characterize,
 }
+VERBS = tuple(_HANDLERS)
 
 
 def _usage(parser) -> str:

@@ -47,3 +47,4 @@ UNLOADING_LAG_FRACTION = 0.41          # unloading-phase depth deficit; lands h 
 CHAR_FORCES_N = tuple(np.round(np.arange(0.005, 0.1301, 0.005), 4).tolist())
 CHAR_DEPTH_STEPS_MM = tuple(np.round(np.arange(0.05, 0.501, 0.05), 4).tolist())
 CHAR_TRIALS = 5
+CHAR_NULL_PAIRS = 4                    # no-contact reading pairs behind the noise floor

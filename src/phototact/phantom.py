@@ -131,15 +131,12 @@ class MembraneModel:
     noise_std: float = defaults.SENSOR_NOISE_STD    # 8-bit channel units
     speckle_amplitude: float = defaults.SPECKLE_AMPLITUDE
     stiffness: float = defaults.MEMBRANE_STIFFNESS  # N/mm^3
-    max_depth: float = MAX_DEPTH_MM                 # mm
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.noise_std, self.speckle_amplitude, self.stiffness, self.max_depth)):
-            raise ValueError("membrane noise, stiffness and max depth must be finite")
+        if not all(math.isfinite(x) for x in (self.noise_std, self.speckle_amplitude, self.stiffness)):
+            raise ValueError("membrane noise and stiffness must be finite")
         if self.stiffness <= 0:
             raise ValueError("membrane stiffness must be positive")
-        if self.max_depth <= 0:
-            raise ValueError("max depth must be positive")
         if self.noise_std < 0 or self.speckle_amplitude < 0:
             raise ValueError("noise parameters must be non-negative")
 
@@ -214,7 +211,7 @@ def contact_solve(cfg: PhantomConfig, geom: SensorGeometry, model: MembraneModel
         raise ValueError("degenerate foundation")
     displacement = cfg.force_n / stiffness_integral
     pressure = np.where(mask, k * displacement, 0.0)
-    depths = np.clip(pressure / model.stiffness, 0.0, model.max_depth)
+    depths = np.clip(pressure / model.stiffness, 0.0, MAX_DEPTH_MM)
     deformation = DeformationMap(np.where(mask, depths, 0.0).astype(np.float32), mask)
     return ContactSolution(pressure=pressure, rigid_displacement=displacement, deformation=deformation)
 
@@ -378,13 +375,17 @@ class DatasetSpec:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown dataset spec keys: {', '.join(unknown)}")
+
+        def sizes(key):
+            return tuple(float(json_number(x)) for x in data[key])
+
         try:
             return cls(
-                diameters_mm=tuple(data["diameters_mm"]),
-                burial_depths_mm=tuple(data["burial_depths_mm"]),
+                diameters_mm=sizes("diameters_mm"),
+                burial_depths_mm=sizes("burial_depths_mm"),
                 presses_per_positive=data["presses_per_positive"],
                 positive_mass_g=float(json_number(data["positive_mass_g"])),
-                negative_masses_g=tuple(data["negative_masses_g"]),
+                negative_masses_g=sizes("negative_masses_g"),
                 presses_per_negative_mass=data["presses_per_negative_mass"],
             )
         except (KeyError, TypeError) as err:
@@ -424,12 +425,18 @@ def _sample_configs(spec: DatasetSpec):
 def generate_phantom_dataset(spec: DatasetSpec, geom: SensorGeometry, model: MembraneModel, seed: int):
     """An iterator of :class:`PhantomSample` objects for the full protocol, in order.
 
-    Every phantom config is built, and so validated, before this returns; the
-    samples are rendered as they are consumed.  Sample seeds derive from
-    ``seed`` and the sample index only, so the stream is reproducible and
-    independent of consumption pattern.
+    Every phantom config is built, and so validated, before this returns, and
+    a sample id that two configs share is rejected, since the second sample's
+    files would overwrite the first's; the samples are rendered as they are
+    consumed.  Sample seeds derive from ``seed`` and the sample index only, so
+    the stream is reproducible and independent of consumption pattern.
     """
     configs = list(_sample_configs(spec))
+    seen = set()
+    for sample_id, _, _ in configs:
+        if sample_id in seen:
+            raise ValueError(f"dataset spec gives two samples the id {sample_id}")
+        seen.add(sample_id)
     return _render_samples(configs, sub_seeds(seed, STREAM_SAMPLE_SEEDS, len(configs)), geom, model)
 
 

@@ -156,7 +156,7 @@ class TestCalibDataset:
         seeds = rng_stream(31, 13).integers(0, 2**62, size=6)
         rows_x, rows_y = [], []
         for i in range(3):
-            truth = sphere_press_truth(membrane.max_depth * (1.0 - float(draws[i])), 3.0, geom)
+            truth = sphere_press_truth(pt.MAX_DEPTH_MM * (1.0 - float(draws[i])), 3.0, geom)
             ref = render_reading(geom.zero_map(), membrane, int(seeds[2 * i]))
             contact = render_reading(truth, membrane, int(seeds[2 * i + 1]))
             rows_x.append(color_delta(ref, contact, geom))

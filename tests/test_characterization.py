@@ -77,7 +77,7 @@ class TestRepeatability:
 
     def test_mismatched_schedule_rejected(self):
         with pytest.raises(ValueError, match="trials, steps"):
-            TrialSet(step_depths=np.array([0.1, 0.2]), measurements=np.array([[0.1], [0.2]]))
+            TrialSet(step_depths=np.array([0.1, 0.2]), measurements=np.array([[0.1], [0.2]]), max_depth=0.5)
 
 
 class TestHysteresis:
@@ -121,7 +121,7 @@ class TestHysteresis:
 class TestSmoothing:
     def test_moving_average_window3(self):
         x = np.array([0.0, 3.0, 0.0, 3.0, 0.0])
-        out = moving_average(x, window=3)
+        out = moving_average(x)
         assert np.allclose(out, [1.5, 1.0, 2.0, 1.0, 1.5])
 
     def test_smooth_sweep_keeps_grid(self):
@@ -212,7 +212,7 @@ class TestSweepTypes:
 
     def test_trialset_needs_two_trials(self):
         with pytest.raises(ValueError, match="two trials"):
-            TrialSet(step_depths=np.array([0.1]), measurements=np.array([[0.1]]))
+            TrialSet(step_depths=np.array([0.1]), measurements=np.array([[0.1]]), max_depth=0.5)
 
 
 class TestIndenterRig:
@@ -222,7 +222,7 @@ class TestIndenterRig:
 
         for force in (0.01, 0.05, 0.11):
             depth = rig.force_to_depth(force)
-            assert rig.membrane.stiffness * spherical_cap_volume(depth, rig.indenter_radius_mm) == pytest.approx(
+            assert rig.membrane.stiffness * spherical_cap_volume(depth, defaults.INDENTER_RADIUS_MM) == pytest.approx(
                 force, rel=1e-9
             )
 
@@ -235,7 +235,7 @@ class TestIndenterRig:
         rig = make_rig(small_geometry)
         load = rig.truth_profile(0.3).depths.astype(np.float64)
         unload = rig.truth_profile(0.3, unloading=True).depths.astype(np.float64)
-        assert np.allclose(unload, (1.0 - rig.unloading_lag) * load, atol=1e-7)
+        assert np.allclose(unload, (1.0 - defaults.UNLOADING_LAG_FRACTION) * load, atol=1e-7)
 
 
 class TestSensitivity:
@@ -309,9 +309,10 @@ class TestMeasurementLoops:
 
     def test_noise_floor_matches_per_capture_reference(self, small_geometry, fast_model):
         rig = make_rig(small_geometry)
-        seeds = rng_stream(8, characterization._STREAM_NULL).integers(0, 2**62, size=2 * rig.n_null_pairs)
+        pairs = defaults.CHAR_NULL_PAIRS
+        seeds = rng_stream(8, characterization._STREAM_NULL).integers(0, 2**62, size=2 * pairs)
         zero = small_geometry.zero_map()
-        stds = [float(self.measure(rig, fast_model, zero, seeds[2 * i : 2 * i + 2]).std()) for i in range(rig.n_null_pairs)]
+        stds = [float(self.measure(rig, fast_model, zero, seeds[2 * i : 2 * i + 2]).std()) for i in range(pairs)]
         assert noise_floor(rig, fast_model, seed=8) == float(np.mean(stds))
 
     def test_null_std_matches_full_readings(self, small_geometry, fast_model):

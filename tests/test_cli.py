@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -322,6 +323,10 @@ SMALL_CONFIG = {
     "height": 80,
     "mm_per_pixel": 0.1,
     "sensing_radius": pt.defaults.SENSING_RADIUS_MM,
+}
+# The same plus the membrane flags, for the verbs that render a membrane.
+RENDER_CONFIG = {
+    **SMALL_CONFIG,
     "membrane_seed": pt.defaults.MEMBRANE_SEED,
     "noise_std": pt.defaults.SENSOR_NOISE_STD,
     "speckle": pt.defaults.SPECKLE_AMPLITUDE,
@@ -357,7 +362,7 @@ def pipeline(tmp_path_factory):
     verbs = {
         "phantom": (
             ["--seed", 5, "--out-prefix", p("press")],
-            {**SMALL_CONFIG, "config": None, "tumor": True, "diameter": 6.0, "burial": 3.0, "offset_x": 0.0,
+            {**RENDER_CONFIG, "config": None, "tumor": True, "diameter": 6.0, "burial": 3.0, "offset_x": 0.0,
              "offset_y": 0.0, "mass": 1000.0, "seed": 5, "out_prefix": p("press")},
             [],
             [p("press_ref.ppm"), p("press_contact.ppm"), p("press_truth.dmap")],
@@ -371,7 +376,7 @@ def pipeline(tmp_path_factory):
         ),
         "calibrate": (
             ["--captures", 4, "--epochs", 6, "--seed", 3, "--out", p("calib.json")],
-            {**SMALL_CONFIG, "captures": 4, "sphere_radius": pt.defaults.CALIBRATION_SPHERE_RADIUS_MM, "epochs": 6,
+            {**RENDER_CONFIG, "captures": 4, "sphere_radius": pt.defaults.CALIBRATION_SPHERE_RADIUS_MM, "epochs": 6,
              "batch_size": 4096, "learning_rate": 0.001, "seed": 3, "out": p("calib.json")},
             [],
             [p("calib.json")],
@@ -386,7 +391,7 @@ def pipeline(tmp_path_factory):
         ),
         "dataset": (
             ["--spec", str(spec), "--seed", 7, "--out", p("data")],
-            {**SMALL_CONFIG, "spec": str(spec), "seed": 7, "out": p("data")},
+            {**RENDER_CONFIG, "spec": str(spec), "seed": 7, "out": p("data")},
             [],
             [p("data")],
         ),
@@ -414,7 +419,7 @@ def pipeline(tmp_path_factory):
         ),
         "characterize": (
             ["--calibration", p("calib.json"), "--seed", 2, "--out", p("char")],
-            {**SMALL_CONFIG, "calibration": p("calib.json"), "seed": 2, "out": p("char")},
+            {**RENDER_CONFIG, "calibration": p("calib.json"), "seed": 2, "out": p("char")},
             [p("calib.json")],
             [p("char")],
         ),
@@ -519,6 +524,10 @@ EXIT_CODE_TABLE = [
     ("reconstruct", "missing-model-flag", lambda d, t: ["reconstruct", "--ref", d / "press_ref.ppm", "--contact",
                                                         d / "press_contact.ppm", "--out", t / "r.dmap"], 1,
      "required: --model"),
+    ("reconstruct", "noise-std-flag", lambda d, t: ["reconstruct", *SMALL, "--noise-std", 1, "--model",
+                                                    d / "calib.json", "--ref", d / "press_ref.ppm", "--contact",
+                                                    d / "press_contact.ppm", "--out", t / "r.dmap"], 1,
+     "unrecognized arguments: --noise-std 1"),
     ("reconstruct", "missing-model", lambda d, t: ["reconstruct", *SMALL, "--model", t / "none.json", "--ref",
                                                    d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
                                                    "--out", t / "r.dmap"], 2, "No such file"),
@@ -566,9 +575,16 @@ EXIT_CODE_TABLE = [
                                                         "--out", t / "data"], 2, "malformed dataset spec"),
     ("dataset", "noise-std-negative", lambda d, t: ["dataset", *SMALL, "--noise-std", -1, "--out", t / "data"], 2,
      "must be non-negative"),
+    ("dataset", "repeated-sample-id", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                    edited(d / "spec.json", t, diameters_mm=[4.0, 4.0000001]),
+                                                    "--out", t / "data"], 2, "two samples the id pos_d4_b2_p0"),
     ("train-detector", "unknown-flag", lambda d, t: ["train-detector", "--dataset", d / "data", "--calibration",
                                                      d / "calib.json", "--out", t / "det.json", "--gamma", 1], 1,
      "unrecognized arguments: --gamma"),
+    ("train-detector", "speckle-flag", lambda d, t: ["train-detector", *SMALL, "--speckle", 0, "--dataset",
+                                                     d / "data", "--calibration", d / "calib.json",
+                                                     "--out", t / "det.json"], 1,
+     "unrecognized arguments: --speckle 0"),
     ("train-detector", "missing-dataset", lambda d, t: ["train-detector", *SMALL, "--dataset", t / "none",
                                                         "--calibration", d / "calib.json", "--out", t / "det.json"], 2,
      "missing dataset manifest"),
@@ -602,6 +618,10 @@ EXIT_CODE_TABLE = [
     ("evaluate", "missing-out-flag", lambda d, t: ["evaluate", "--detector", d / "detector.json", "--dataset",
                                                    d / "data", "--calibration", d / "calib.json"], 1,
      "required: --out"),
+    ("evaluate", "membrane-seed-flag", lambda d, t: ["evaluate", *SMALL, "--membrane-seed", 7, "--detector",
+                                                     d / "detector.json", "--dataset", d / "data", "--calibration",
+                                                     d / "calib.json", "--out", t / "r.json"], 1,
+     "unrecognized arguments: --membrane-seed 7"),
     ("evaluate", "missing-detector", lambda d, t: ["evaluate", *SMALL, "--detector", t / "none.json", "--dataset",
                                                    d / "data", "--calibration", d / "calib.json",
                                                    "--out", t / "r.json"], 2, "No such file"),
@@ -674,3 +694,18 @@ class TestReproducibility:
             prefix.parent / "press_ref.ppm.manifest.json",
         }
         assert new_files == expected
+
+
+def readme_commands():
+    """The ``phototact ...`` lines of the README's code blocks."""
+    blocks = (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```")[1::2]
+    return [line for block in blocks for line in block.splitlines() if line.startswith("phototact ")]
+
+
+class TestReadme:
+    def test_command_examples_parse(self):
+        commands = [shlex.split(line)[1:] for line in readme_commands()]
+        assert {argv[0] for argv in commands} == set(cli.VERBS)
+        parser = cli.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).verb == argv[0]

@@ -25,7 +25,6 @@ CASES = [
     (pt.MembraneModel, {"baseline": BASELINE}, "noise_std"),
     (pt.MembraneModel, {"baseline": BASELINE}, "speckle_amplitude"),
     (pt.MembraneModel, {"baseline": BASELINE}, "stiffness"),
-    (pt.MembraneModel, {"baseline": BASELINE}, "max_depth"),
     (pt.DatasetSpec, {}, "positive_mass_g"),
 ]
 

@@ -11,6 +11,7 @@ from phototact.phantom import (
     DatasetSpec,
     PhantomConfig,
     contact_solve,
+    dataset_manifest_rows,
     deformed_hsv,
     generate_phantom_dataset,
     reading_pair,
@@ -419,6 +420,17 @@ class TestDatasetSpecFromDict:
         with pytest.raises(ValueError, match="malformed dataset spec: KeyError"):
             DatasetSpec.from_dict(data)
 
+    def test_integer_spelled_entries_write_the_float_manifest(self, small_geometry, small_membrane):
+        def rows(number):
+            spec = DatasetSpec.from_dict({"diameters_mm": [number(4)], "burial_depths_mm": [number(2)],
+                                          "presses_per_positive": 1, "positive_mass_g": number(1000),
+                                          "negative_masses_g": [number(1000)], "presses_per_negative_mass": 1})
+            return dataset_manifest_rows(generate_phantom_dataset(spec, small_geometry, small_membrane, seed=3))
+
+        integer_spelled = rows(int)
+        assert integer_spelled == rows(float)
+        assert "pos_d4_b2_p0,1,4.0,2.0,1000.0," in integer_spelled
+
 
 class TestDataset:
     def test_default_spec_counts(self):
@@ -463,6 +475,12 @@ class TestDataset:
         sigma_pos = samples[1].truth.depths[mask].std()
         sigma_neg = samples[-1].truth.depths[mask].std()
         assert sigma_pos > sigma_neg
+
+    @pytest.mark.parametrize("diameters", [(4.0, 4.0000001), (4.0, 6.0, 4.0)])
+    def test_repeated_sample_id_rejected(self, small_geometry, small_membrane, diameters):
+        spec = DatasetSpec(diameters_mm=diameters, burial_depths_mm=(2.0,), presses_per_positive=1)
+        with pytest.raises(ValueError, match="two samples the id pos_d4_b2_p0$"):
+            generate_phantom_dataset(spec, small_geometry, small_membrane, seed=3)
 
     def test_grams_to_newtons(self):
         assert PhantomConfig(tumor_present=False, applied_mass_g=1000.0).force_n == pytest.approx(9.80665)
