@@ -6,7 +6,9 @@ A small fully-connected network with three tanh hidden layers of 32 units
 adaptive-moment optimizer at learning rate 0.001 and is fully deterministic
 for a given seed: fixed initialization, seeded shuffling, single-threaded
 update order.  Input standardization statistics live inside the model so
-inference is self-contained.
+inference is self-contained.  Training and the gradient API compute in
+float64; depth inference computes in float32, the precision a depth map
+stores.
 
 Model files are versioned JSON with base64-embedded little-endian float32
 weight blobs; identical training runs produce byte-identical files.
@@ -68,9 +70,10 @@ class TrainConfig:
 class CalibrationModel:
     """Weights, biases, and input standardization of the depth regressor.
 
-    Parameters are stored as float32 (matching the file format) and promoted
-    to float64 for computation, so in-memory and reloaded models predict
-    identically.
+    Parameters are stored as float32 (matching the file format), so in-memory
+    and reloaded models predict identically.  :meth:`forward` computes with
+    them in float32; training and the gradient API (:func:`mlp_forward`,
+    :func:`input_gradient`) promote them to float64.
     """
 
     weights: tuple
@@ -112,36 +115,48 @@ class CalibrationModel:
         return (x - self.feature_shift.astype(np.float64)) / self.feature_scale.astype(np.float64)
 
     def forward(self, features, scratch=None):
-        """Raw depth predictions (mm) for an (N, 5) feature matrix.
+        """Raw depth predictions (mm) for an (N, 5) feature matrix, as float64.
 
-        The hidden layers alternate between the two buffers of ``scratch``
-        (see :func:`forward_scratch`). A caller that runs many forwards
-        passes the same pair each time, so the forwards allocate no
+        The features are standardized in float64; the layers run in float32
+        with the stored parameters, since a depth map keeps float32 depths.
+        The hidden layers alternate between the two float32 buffers of
+        ``scratch`` (see :func:`forward_scratch`). A caller that runs many
+        forwards passes the same pair each time, so the forwards allocate no
         activation memory and the heap does not grow and shrink by two
         activation matrices per call.
         """
-        x = self.standardize(features)
+        x = self.standardize(features).astype(np.float32)
         if scratch is None:
             scratch = forward_scratch(x.shape[0])
-        return _forward_pass(*_float64_parameters(self), x, (scratch[0], scratch[1], scratch[0]))[1]
+        elif any(buf.dtype != np.float32 for buf in scratch):
+            # matmul casts its products to the out buffer's dtype without a word.
+            raise ValueError("forward scratch buffers must be float32")
+        out = _forward_pass(self.weights, self.biases, x, (scratch[0], scratch[1], scratch[0]))[1]
+        return out.astype(np.float64)
 
 
 def _float64_parameters(model: CalibrationModel):
-    """The model's weights and biases promoted to float64, as the forward pass computes with them."""
+    """The model's weights and biases promoted to float64, as the gradient API computes with them."""
     return [w.astype(np.float64) for w in model.weights], [b.astype(np.float64) for b in model.biases]
 
 
 def forward_scratch(rows: int):
-    """Two (rows, 32) float64 buffers for :meth:`CalibrationModel.forward` on up to ``rows`` rows."""
-    return np.empty((rows, LAYER_SIZES[1])), np.empty((rows, LAYER_SIZES[1]))
+    """Two (rows, 32) float32 buffers for :meth:`CalibrationModel.forward` on up to ``rows`` rows."""
+    return np.empty((rows, LAYER_SIZES[1]), np.float32), np.empty((rows, LAYER_SIZES[1]), np.float32)
 
 
 def mlp_forward(model: CalibrationModel, features):
-    """Forward pass for a single 5-vector or an (N, 5) batch; raw mm output."""
+    """Float64 forward pass for a single 5-vector or an (N, 5) batch; raw mm output.
+
+    The counterpart of :func:`input_gradient`: finite differences at small
+    steps need the float64 that :meth:`CalibrationModel.forward` does not keep.
+    """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim == 1:
-        return float(model.forward(x[None, :])[0])
-    return model.forward(x)
+    single = x.ndim == 1
+    if single:
+        x = x[None, :]
+    out = _forward_pass(*_float64_parameters(model), model.standardize(x), _hidden_buffers(x.shape[0]))[1]
+    return float(out[0]) if single else out
 
 
 def input_gradient(model: CalibrationModel, features):
@@ -183,7 +198,9 @@ def _forward_pass(weights, biases, x, hidden):
 
     The hidden activations are written into the leading rows of the ``hidden``
     buffers (one per layer; inference reuses its first for the third), which
-    must have at least ``len(x)`` rows.
+    must have at least ``len(x)`` rows.  ``x``, the parameters and the buffers
+    share one dtype: float32 for inference, float64 for training and the
+    gradient API.
     """
     activations = [x]
     for w, b, buf in zip(weights[:-1], biases[:-1], hidden):
@@ -327,16 +344,16 @@ def build_calib_dataset(
         raise ValueError("need at least one capture")
     draws = rng_stream(seed, _STREAM_DEPTHS).random(n_captures)
     render_seeds = sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 2))
-    mask = geom.disc_mask
-    rest = clean_pixels(geom.zero_map(), membrane, mask)
+    index = geom.disc_index
+    rest = clean_pixels(geom.zero_map(), membrane, index)
     rows_x, rows_y = [], []
     for draw, (ref_seed, contact_seed) in zip(draws, render_seeds):
         depth = MAX_DEPTH_MM * (1.0 - float(draw))  # uniform in (0, MAX_DEPTH_MM]
         truth = sphere_press_truth(depth, sphere_radius_mm, geom)
-        ref = capture_pixels(rest, membrane, int(ref_seed), mask)
-        contact = capture_pixels(clean_pixels(truth, membrane, mask), membrane, int(contact_seed), mask)
+        ref = capture_pixels(rest, membrane, int(ref_seed), index)
+        contact = capture_pixels(clean_pixels(truth, membrane, index), membrane, int(contact_seed), index)
         rows_x.append(disc_rows(ref, contact, geom))
-        rows_y.append(truth.depths[mask].astype(np.float64))
+        rows_y.append(np.take(truth.depths, index).astype(np.float64))
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)
 
 

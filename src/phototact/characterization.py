@@ -198,16 +198,16 @@ def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
     every capture.
     """
     geom = rig.geometry
-    mask = geom.disc_mask
-    rest = clean_pixels(geom.zero_map(), rig.membrane, mask)
+    index = geom.disc_index
+    rest = clean_pixels(geom.zero_map(), rig.membrane, index)
     scratch = forward_scratch(geom.disc_pixel_count)
     for truth, pairs in zip(truths, seed_pairs):
-        clean = clean_pixels(truth, rig.membrane, mask)
+        clean = clean_pixels(truth, rig.membrane, index)
         yield [
             disc_depths(
                 model,
-                capture_pixels(rest, rig.membrane, int(ref_seed), mask),
-                capture_pixels(clean, rig.membrane, int(contact_seed), mask),
+                capture_pixels(rest, rig.membrane, int(ref_seed), index),
+                capture_pixels(clean, rig.membrane, int(contact_seed), index),
                 geom,
                 scratch,
             )
@@ -349,9 +349,9 @@ def characterize(
     r = repeatability(trials)
 
     null_seeds = sub_seeds(seed + 3, _STREAM_NULL, 2)
-    mask = rig.geometry.disc_mask
-    rest = clean_pixels(rig.geometry.zero_map(), rig.membrane, mask)
-    before, after = (capture_pixels(rest, rig.membrane, int(s), mask) for s in null_seeds)
+    index = rig.geometry.disc_index
+    rest = clean_pixels(rig.geometry.zero_map(), rig.membrane, index)
+    before, after = (capture_pixels(rest, rig.membrane, int(s), index) for s in null_seeds)
     null_std = null_difference_stat(before, after, rig.geometry)
 
     return CharacterizationReport(

@@ -203,6 +203,17 @@ class SensorGeometry:
         return int(np.count_nonzero(self.disc_mask))
 
     @cached_property
+    def disc_index(self):
+        """Flat row-major indices of the sensing-disc pixels, increasing (read-only).
+
+        ``np.take`` on these gives the bits of a ``disc_mask`` gather, in a
+        fraction of its time.
+        """
+        index = np.flatnonzero(self.disc_mask)
+        index.setflags(write=False)
+        return index
+
+    @cached_property
     def disc_coords(self):
         """(u, v) of the sensing-disc pixels in row-major order (see :attr:`normalized_coords`)."""
         gu, gv = self.normalized_coords

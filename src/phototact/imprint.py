@@ -47,8 +47,8 @@ def disc_pixels(ref: RgbImage, contact: RgbImage, geom: SensorGeometry):
         raise ValueError("reference and contact images differ in size")
     if (ref.height, ref.width) != (geom.height, geom.width):
         raise ValueError("reading pair does not match geometry")
-    mask = geom.disc_mask
-    return ref.pixels[mask], contact.pixels[mask]
+    index = geom.disc_index
+    return np.take(ref.pixels.reshape(-1, 3), index, axis=0), np.take(contact.pixels.reshape(-1, 3), index, axis=0)
 
 
 def disc_rows(ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:

@@ -115,6 +115,8 @@ class PhantomConfig:
                 values["lateral_offset_mm"] = tuple(float(json_number(x)) for x in data["lateral_offset_mm"])
         except TypeError:
             raise ValueError("phantom config values must be numbers") from None
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("phantom parameters must be finite") from None
         if len(values.get("lateral_offset_mm", (0.0, 0.0))) != 2:
             raise ValueError("lateral offset must be an (x, y) pair")
         return cls(tumor_present=data["tumor_present"], **values)
@@ -265,17 +267,18 @@ def _hsv_rgb(hsv: HsvImage) -> np.ndarray:
     return hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
 
 
-def clean_pixels(dmap: DeformationMap, model: MembraneModel, mask) -> np.ndarray:
-    """Noise-free real RGB (N, 3) of the ``mask`` pixels, in row-major order.
+def clean_pixels(dmap: DeformationMap, model: MembraneModel, index) -> np.ndarray:
+    """Noise-free real RGB (N, 3) of the pixels at the flat row-major ``index``, in its order.
 
-    Every pixel's color depends on that pixel only, so this is the masked
-    part of the noise-free render in :func:`render_reading`.
+    Every pixel's color depends on that pixel only, so this is the indexed
+    part of the noise-free full-frame render.
     """
-    if model.baseline.pixels.shape[:2] != dmap.depths.shape or mask.shape != dmap.depths.shape:
+    if model.baseline.pixels.shape[:2] != dmap.depths.shape:
         raise ValueError("deformation map does not match membrane baseline size")
-    # A one-row image of the masked pixels keeps the HsvImage range checks.
-    hsv = _shifted_hsv(model.baseline.pixels[mask][None], dmap.depths[mask].astype(np.float64)[None], model)
-    return _hsv_rgb(hsv)[0]
+    base = np.take(model.baseline.pixels.reshape(-1, 3), index, axis=0)
+    depth = np.take(dmap.depths, index).astype(np.float64)
+    # A one-row image of the indexed pixels keeps the HsvImage range checks.
+    return _hsv_rgb(_shifted_hsv(base[None], depth[None], model))[0]
 
 
 def _noisy_channels(clean, noise, model: MembraneModel) -> np.ndarray:
@@ -286,30 +289,37 @@ def _noisy_channels(clean, noise, model: MembraneModel) -> np.ndarray:
     return quantize_channels(noisy)
 
 
-def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, mask) -> np.ndarray:
-    """uint8 (N, 3) of ``render_reading(dmap, model, seed).pixels[mask]``, from ``clean_pixels(dmap, model, mask)``.
+def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, index) -> np.ndarray:
+    """uint8 (N, 3) of ``render_reading(dmap, model, seed)`` at the increasing flat row-major ``index``.
 
-    The normals are drawn only through the last row the mask touches: a
-    Philox normal fill is a prefix of any longer fill from the same stream.
+    ``clean_px`` is ``clean_pixels(dmap, model, index)``. The normals are
+    drawn only through the frame row of the last indexed pixel: a Philox
+    normal fill is a prefix of any longer fill from the same stream.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 2 or clean_px.shape != (np.count_nonzero(mask), 3):
-        raise ValueError("clean pixels must be one RGB row per mask pixel")
-    touched = np.flatnonzero(mask.any(axis=1))
-    rows = int(touched[-1]) + 1 if touched.size else 0
-    noise = rng_stream(seed, STREAM_RENDER).standard_normal((rows, mask.shape[1], 4))
-    return _noisy_channels(clean_px, noise[mask[:rows]], model)
+    index = np.asarray(index)
+    if index.ndim != 1 or clean_px.shape != (index.size, 3):
+        raise ValueError("clean pixels must be one RGB row per indexed pixel")
+    width = model.baseline.pixels.shape[1]
+    rows = int(index[-1]) // width + 1 if index.size else 0
+    noise = rng_stream(seed, STREAM_RENDER).standard_normal((rows * width, 4))
+    return _noisy_channels(clean_px, np.take(noise, index, axis=0), model)
 
 
 def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> RgbImage:
     """Camera reading of the deformed membrane with seeded speckle and noise.
 
-    An all-zero map reuses the cached :attr:`MembraneModel.rest_rgb`. The noise
-    is drawn over the full frame in row-major pixel order, four normals per pixel.
+    The render starts from the cached :attr:`MembraneModel.rest_rgb` and
+    re-renders only the pixels of non-zero depth, so an all-zero map renders
+    nothing. The noise is drawn over the full frame in row-major pixel order,
+    four normals per pixel.
     """
     if model.baseline.pixels.shape[:2] != dmap.depths.shape:
         raise ValueError("deformation map does not match membrane baseline size")
-    clean = _hsv_rgb(deformed_hsv(dmap, model)) if dmap.depths.any() else model.rest_rgb
+    clean = model.rest_rgb
+    pressed = np.flatnonzero(dmap.depths)
+    if pressed.size:
+        clean = clean.copy()
+        clean.reshape(-1, 3)[pressed] = clean_pixels(dmap, model, pressed)
     noise = rng_stream(seed, STREAM_RENDER).standard_normal(clean.shape[:2] + (4,))
     return RgbImage(_noisy_channels(clean, noise, model))
 
@@ -390,6 +400,8 @@ class DatasetSpec:
             )
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed dataset spec: {err!r}") from None
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("dataset spec sizes and masses must be finite") from None
 
 
 @dataclass(frozen=True)

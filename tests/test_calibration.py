@@ -441,7 +441,29 @@ class TestDiscDepths:
         finally:
             tracemalloc.stop()
         assert np.array_equal(out, expected)
-        assert peak < len(x) * LAYER_SIZES[1] * 8  # less than one hidden activation matrix
+        assert peak < len(x) * LAYER_SIZES[1] * 4  # less than one float32 hidden activation matrix
+
+    def test_forward_rejects_scratch_that_is_not_float32(self, fast_model):
+        x = np.zeros((10, 5))
+        float32 = np.empty((10, LAYER_SIZES[1]), np.float32)
+        for dtype in (np.float64, np.float16):
+            other = np.empty((10, LAYER_SIZES[1]), dtype)
+            for scratch in ((other, other), (float32, other), (other, float32)):
+                with pytest.raises(ValueError, match="must be float32"):
+                    fast_model.forward(x, scratch)
+
+    def test_float32_forward_tracks_the_float64_forward(self, geometry, membrane, calib_model):
+        # The float32 layers move the raw depths by float32 rounding only, a few 1e-7 mm on these presses.
+        cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
+        zero = geometry.zero_map()
+        truths = (zero, sphere_press_truth(0.3, defaults.CALIBRATION_SPHERE_RADIUS_MM, geometry),
+                  contact_solve(cfg, geometry, membrane).deformation)
+        for seed, truth in enumerate(truths):
+            rows = color_delta(render_reading(zero, membrane, 2 * seed), render_reading(truth, membrane, 2 * seed + 1),
+                               geometry)
+            out = calib_model.forward(rows, forward_scratch(len(rows)))
+            assert out.dtype == np.float64
+            assert np.max(np.abs(out - mlp_forward(calib_model, rows))) <= 1e-6
 
     def test_pixel_rows_must_cover_the_disc(self, small_geometry, fast_model):
         px = np.zeros((int(small_geometry.disc_mask.sum()) - 1, 3), dtype=np.uint8)

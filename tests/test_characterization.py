@@ -147,8 +147,9 @@ class TestNullDifference:
         before, after = render_reading(zero, small_membrane, 4), render_reading(zero, small_membrane, 5)
         stat = null_difference_stat(before.pixels[mask], after.pixels[mask], small_geometry)
         assert stat > 0.0
-        rest = pt.clean_pixels(zero, small_membrane, mask)
-        captured = (pt.capture_pixels(rest, small_membrane, seed, mask) for seed in (4, 5))
+        index = small_geometry.disc_index
+        rest = pt.clean_pixels(zero, small_membrane, index)
+        captured = (pt.capture_pixels(rest, small_membrane, seed, index) for seed in (4, 5))
         assert null_difference_stat(*captured, small_geometry) == stat
 
     def test_disc_pixel_count_mismatch(self, small_geometry):

@@ -505,6 +505,11 @@ EXIT_CODE_TABLE = [
                                                     json_file(t, {"tumor_present": True, "applied_mass_g": True}),
                                                     "--out-prefix", t / "p"], 2,
      "phantom config values must be numbers"),
+    ("phantom", "config-mass-beyond-float", lambda d, t: ["phantom", *SMALL, "--config",
+                                                          json_file(t, {"tumor_present": True,
+                                                                        "applied_mass_g": 10**400}),
+                                                          "--out-prefix", t / "p"], 2,
+     "phantom parameters must be finite"),
     ("phantom", "noise-std-nan", lambda d, t: ["phantom", *SMALL, "--noise-std", "nan", "--out-prefix", t / "p"], 2,
      "must be finite"),
     ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
@@ -573,6 +578,11 @@ EXIT_CODE_TABLE = [
     ("dataset", "positive-mass-a-string", lambda d, t: ["dataset", *SMALL, "--spec",
                                                         edited(d / "spec.json", t, positive_mass_g="1000"),
                                                         "--out", t / "data"], 2, "malformed dataset spec"),
+    ("dataset", "negative-mass-beyond-float", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                            edited(d / "spec.json", t,
+                                                                   negative_masses_g=[1000.0, 10**400]),
+                                                            "--out", t / "data"], 2,
+     "dataset spec sizes and masses must be finite"),
     ("dataset", "noise-std-negative", lambda d, t: ["dataset", *SMALL, "--noise-std", -1, "--out", t / "data"], 2,
      "must be non-negative"),
     ("dataset", "repeated-sample-id", lambda d, t: ["dataset", *SMALL, "--spec",

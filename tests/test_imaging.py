@@ -329,6 +329,17 @@ class TestSensorGeometry:
         assert np.array_equal(mask, inside)
         assert mask.any() and not mask.all()
 
+    @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
+    def test_disc_index_lists_the_disc_pixels(self, request, which):
+        geom = request.getfixturevalue(which)
+        index = geom.disc_index
+        assert geom.disc_index is index
+        assert np.array_equal(index, np.flatnonzero(geom.disc_mask))
+        assert index.shape == (geom.disc_pixel_count,)
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 0
+
     def test_default_disc_pixel_count(self, geometry):
         # frozen: 3.5 mm radius at 0.05 mm/pixel on 320x240
         assert int(geometry.disc_mask.sum()) == 15380

@@ -195,7 +195,22 @@ def uncached_render(dmap, membrane, seed):
 class TestRenderReading:
     @pytest.mark.parametrize("seed", [0, 5, 2**62])
     def test_matches_uncached_render_bit_for_bit(self, small_geometry, small_membrane, seed):
-        for dmap in (small_geometry.zero_map(), sphere_press_truth(0.3, 3.0, small_geometry)):
+        geom = small_geometry
+        cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
+        everywhere = np.full((geom.height, geom.width), 0.2, dtype=np.float32)  # non-zero outside the disc too
+        signed_zeros = sphere_press_truth(0.3, 3.0, geom).depths.copy()
+        signed_zeros[signed_zeros == 0.0] = -0.0
+        signed_zeros[0, :] = 0.3  # outside the disc
+        maps = (
+            geom.zero_map(),
+            sphere_press_truth(0.3, 3.0, geom),
+            contact_solve(cfg, geom, small_membrane).deformation,
+            pt.DeformationMap(everywhere, geom.disc_mask),
+            pt.DeformationMap(signed_zeros, geom.disc_mask),
+            pt.DeformationMap(np.full_like(everywhere, -0.0), geom.disc_mask),
+        )
+        assert np.signbit(maps[4].depths).any() and np.signbit(maps[5].depths).all()
+        for dmap in maps:
             rendered = render_reading(dmap, small_membrane, seed)
             assert np.array_equal(rendered.pixels, uncached_render(dmap, small_membrane, seed))
 
@@ -211,7 +226,7 @@ class TestRenderReading:
         def no_render(*args):
             raise AssertionError("the zero map must reuse the cached rest render")
 
-        monkeypatch.setattr(pt.phantom, "deformed_hsv", no_render)
+        monkeypatch.setattr(pt.phantom, "_shifted_hsv", no_render)
         assert np.array_equal(render_reading(small_geometry.zero_map(), membrane, 4).pixels, expected)
 
     def test_zero_map_dimension_mismatch(self, small_geometry, membrane):
@@ -277,9 +292,11 @@ class TestDiscPixels:
     def test_clean_pixels_match_clean_rgb(self, request, which):
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
+        full = np.ones((geom.height, geom.width), dtype=bool)
         for dmap in press_maps(geom, membrane):
-            for mask in (geom.disc_mask, bottom_row_mask(geom)):
-                assert np.array_equal(pt.clean_pixels(dmap, membrane, mask), uncached_clean(dmap, membrane)[mask])
+            for mask in (geom.disc_mask, bottom_row_mask(geom), full):
+                clean = pt.clean_pixels(dmap, membrane, np.flatnonzero(mask))
+                assert np.array_equal(clean, uncached_clean(dmap, membrane)[mask])
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 - 1])
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
@@ -291,7 +308,7 @@ class TestDiscPixels:
             clean = uncached_clean(dmap, membrane)
             reading = render_reading(dmap, membrane, seed).pixels
             for mask in (geom.disc_mask, bottom_row_mask(geom), full):
-                captured = pt.capture_pixels(clean[mask], membrane, seed, mask)
+                captured = pt.capture_pixels(clean[mask], membrane, seed, np.flatnonzero(mask))
                 assert captured.dtype == np.uint8
                 assert np.array_equal(captured, reading[mask])
 
@@ -304,13 +321,13 @@ class TestDiscPixels:
             assert np.array_equal(prefix, rng_stream(seed, STREAM_RENDER).standard_normal(shape)[:rows])
 
     def test_empty_mask_captures_nothing(self, small_geometry, small_membrane):
-        mask = np.zeros((small_geometry.height, small_geometry.width), dtype=bool)
-        assert pt.capture_pixels(np.empty((0, 3)), small_membrane, 3, mask).shape == (0, 3)
+        index = np.flatnonzero(np.zeros((small_geometry.height, small_geometry.width), dtype=bool))
+        assert pt.capture_pixels(np.empty((0, 3)), small_membrane, 3, index).shape == (0, 3)
 
     def test_pixel_count_must_match_mask(self, small_geometry, small_membrane):
-        clean = pt.clean_pixels(small_geometry.zero_map(), small_membrane, small_geometry.disc_mask)
-        with pytest.raises(ValueError, match="one RGB row per mask pixel"):
-            pt.capture_pixels(clean[1:], small_membrane, 0, small_geometry.disc_mask)
+        clean = pt.clean_pixels(small_geometry.zero_map(), small_membrane, small_geometry.disc_index)
+        with pytest.raises(ValueError, match="one RGB row per indexed pixel"):
+            pt.capture_pixels(clean[1:], small_membrane, 0, small_geometry.disc_index)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_disc_render_keeps_hsv_range_checks(self, small_geometry):
@@ -319,11 +336,11 @@ class TestDiscPixels:
         with pytest.raises(ValueError, match="hue must lie"):
             deformed_hsv(dmap, membrane)
         with pytest.raises(ValueError, match="hue must lie"):
-            pt.clean_pixels(dmap, membrane, small_geometry.disc_mask)
+            pt.clean_pixels(dmap, membrane, small_geometry.disc_index)
 
     def test_dimension_mismatch(self, small_geometry, membrane):
         with pytest.raises(ValueError, match="does not match"):
-            pt.clean_pixels(small_geometry.zero_map(), membrane, small_geometry.disc_mask)
+            pt.clean_pixels(small_geometry.zero_map(), membrane, small_geometry.disc_index)
 
 
 class TestReadingPair:
