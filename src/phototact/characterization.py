@@ -228,12 +228,11 @@ def run_force_sweep(
     forces,
     seed: int,
     direction: str = "loading",
-    n_trials: int = defaults.CHAR_TRIALS,
 ) -> ForceSweep:
-    """Average measured depths over ``n_trials`` presses per force point."""
+    """Average measured depths over ``defaults.CHAR_TRIALS`` presses per force point."""
     forces = np.asarray(sorted(forces) if direction == "loading" else sorted(forces, reverse=True), dtype=np.float64)
     unloading = direction == "unloading"
-    seeds = sub_seeds(seed, _STREAM_SWEEP, (len(forces), n_trials, 2))
+    seeds = sub_seeds(seed, _STREAM_SWEEP, (len(forces), defaults.CHAR_TRIALS, 2))
     truths = (rig.truth_profile(rig.force_to_depth(float(force)), unloading=unloading) for force in forces)
     max_depths = np.empty(len(forces))
     mean_depths = np.empty(len(forces))
@@ -292,18 +291,17 @@ def repeatability_trials(
     rig: IndenterRig,
     model: CalibrationModel,
     steps=defaults.CHAR_DEPTH_STEPS_MM,
-    n_trials: int = defaults.CHAR_TRIALS,
     seed: int = 0,
 ) -> TrialSet:
-    """Repeated depth-step presses; the measurement is the peak in-disc depth.
+    """``defaults.CHAR_TRIALS`` repeated depth-step presses; the measurement is the peak in-disc depth.
 
     Trial t of step j uses seed pair ``[t, j]``; the loop runs step-major so
     one step's noise-free render serves all its trials.
     """
     steps = np.asarray(steps, dtype=np.float64)
-    seeds = sub_seeds(seed, _STREAM_TRIALS, (n_trials, len(steps), 2))
+    seeds = sub_seeds(seed, _STREAM_TRIALS, (defaults.CHAR_TRIALS, len(steps), 2))
     truths = (rig.truth_profile(float(depth)) for depth in steps)
-    measurements = np.empty((n_trials, len(steps)))
+    measurements = np.empty((defaults.CHAR_TRIALS, len(steps)))
     for j, measured in enumerate(_measure(rig, model, truths, seeds.transpose(1, 0, 2))):
         measurements[:, j] = [depths.max() for depths in measured]
     return TrialSet(step_depths=steps, measurements=measurements, max_depth=float(steps.max()))

@@ -265,6 +265,8 @@ def stratified_split(labels, train_fraction: float = 0.8, seed: int = 0):
         idx = np.flatnonzero(y == value)
         idx = idx[rng.permutation(len(idx))]
         n_train = int(round(train_fraction * len(idx)))
+        if not 0 < n_train < len(idx):
+            raise ValueError(f"train fraction {train_fraction} leaves class {value} no train or no test sample")
         train_idx.append(idx[:n_train])
         test_idx.append(idx[n_train:])
     return np.sort(np.concatenate(train_idx)), np.sort(np.concatenate(test_idx))

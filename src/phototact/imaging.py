@@ -101,14 +101,6 @@ class HsvImage:
         object.__setattr__(self, "pixels", _frozen_array(px, np.float64))
 
     @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
     def hue(self):
         return self.pixels[..., 0]
 
@@ -163,6 +155,7 @@ class SensorGeometry:
 
     The sensing disc is centered on the image; a pixel belongs to the disc
     when its center lies within ``sensing_radius_mm`` of the image center.
+    The disc must hold at least one pixel.
     """
 
     width: int = 320
@@ -180,6 +173,8 @@ class SensorGeometry:
         half_extent = self.mm_per_pixel * (min(self.width, self.height) - 1) / 2.0
         if self.sensing_radius_mm > half_extent:
             raise ValueError("sensing disc does not fit inside the image")
+        if self.disc_pixel_count == 0:
+            raise ValueError("sensing disc holds no pixel center")
 
     @cached_property
     def coords_mm(self):

@@ -41,7 +41,6 @@ from .imaging import (
 # Philox stream tags; each (seed, stream) pair is an independent noise source.
 STREAM_RENDER = 0
 STREAM_BASELINE = 1
-STREAM_CAPTURE = 2
 STREAM_SAMPLE_SEEDS = 3
 
 
@@ -124,12 +123,9 @@ class PhantomConfig:
 
 @dataclass(frozen=True)
 class MembraneModel:
-    """Baseline membrane color plus its depth response and noise parameters."""
+    """Baseline membrane color plus its noise parameters; the depth response is the ``defaults.GAIN_*`` constants."""
 
     baseline: HsvImage
-    gain_h: float = defaults.GAIN_H_DEG_PER_MM      # degrees per mm
-    gain_s: float = defaults.GAIN_S_PER_MM          # per mm
-    gain_v: float = defaults.GAIN_V_PER_MM          # per mm
     noise_std: float = defaults.SENSOR_NOISE_STD    # 8-bit channel units
     speckle_amplitude: float = defaults.SPECKLE_AMPLITUDE
     stiffness: float = defaults.MEMBRANE_STIFFNESS  # N/mm^3
@@ -147,16 +143,17 @@ class MembraneModel:
         """Noise-free real RGB of the unloaded membrane (read-only), computed once per model."""
         shape = self.baseline.pixels.shape[:2]
         unloaded = DeformationMap(np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=bool))
-        real = _hsv_rgb(deformed_hsv(unloaded, self))
+        rest = deformed_hsv(unloaded, self)
+        real = hsv_to_rgb_real(rest.hue, rest.saturation, rest.value)
         real.setflags(write=False)
         return real
 
 
-def _smooth_field(u, v, rng, modes=3):
-    """Low-frequency field in [-1, 1] from seeded cosine modes over (u, v)."""
+def _smooth_field(u, v, rng):
+    """Low-frequency field in [-1, 1] from three seeded cosine modes over (u, v)."""
     total = np.zeros_like(u)
     weight = 0.0
-    for _ in range(modes):
+    for _ in range(3):
         amp = rng.uniform(0.4, 1.0)
         fu = rng.integers(1, 4)
         fv = rng.integers(1, 4)
@@ -186,7 +183,6 @@ class ContactSolution:
     """Foundation pressure, punch settlement, and resulting indentation map."""
 
     pressure: np.ndarray          # N/mm^2, zero outside the sensing disc
-    rigid_displacement: float     # mm
     deformation: DeformationMap
 
 
@@ -215,7 +211,7 @@ def contact_solve(cfg: PhantomConfig, geom: SensorGeometry, model: MembraneModel
     pressure = np.where(mask, k * displacement, 0.0)
     depths = np.clip(pressure / model.stiffness, 0.0, MAX_DEPTH_MM)
     deformation = DeformationMap(np.where(mask, depths, 0.0).astype(np.float32), mask)
-    return ContactSolution(pressure=pressure, rigid_displacement=displacement, deformation=deformation)
+    return ContactSolution(pressure=pressure, deformation=deformation)
 
 
 def spherical_cap_profile(press_depth: float, sphere_radius: float, geom: SensorGeometry) -> np.ndarray:
@@ -247,24 +243,23 @@ def sphere_press_truth(press_depth: float, sphere_radius: float, geom: SensorGeo
     return DeformationMap(spherical_cap_profile(press_depth, sphere_radius, geom).astype(np.float32), geom.disc_mask)
 
 
-def _shifted_hsv(base, depth, model: MembraneModel) -> HsvImage:
-    """Baseline HSV pixels ``base`` (h, w, 3) shifted by the response to ``depth`` (h, w), in mm."""
-    hue = np.mod(base[..., 0] + model.gain_h * depth, 360.0)
+def _shifted_hsv(base, depth):
+    """(hue, saturation, value) of the HSV pixels ``base`` (..., 3) shifted by the response to ``depth`` (...), in mm.
+
+    For a baseline in range and a finite depth, each channel is in range too.
+    """
+    hue = np.mod(base[..., 0] + defaults.GAIN_H_DEG_PER_MM * depth, 360.0)
     hue = np.where(hue >= 360.0, 0.0, hue)
-    sat = np.clip(base[..., 1] + model.gain_s * depth, 0.0, 1.0)
-    val = np.clip(base[..., 2] + model.gain_v * depth, 0.0, 1.0)
-    return HsvImage(np.stack([hue, sat, val], axis=-1))
+    sat = np.clip(base[..., 1] + defaults.GAIN_S_PER_MM * depth, 0.0, 1.0)
+    val = np.clip(base[..., 2] + defaults.GAIN_V_PER_MM * depth, 0.0, 1.0)
+    return hue, sat, val
 
 
 def deformed_hsv(dmap: DeformationMap, model: MembraneModel) -> HsvImage:
     """Noise-free HSV response of the membrane to the given indentation."""
     if model.baseline.pixels.shape[:2] != dmap.depths.shape:
         raise ValueError("deformation map does not match membrane baseline size")
-    return _shifted_hsv(model.baseline.pixels, dmap.depths.astype(np.float64), model)
-
-
-def _hsv_rgb(hsv: HsvImage) -> np.ndarray:
-    return hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
+    return HsvImage(np.stack(_shifted_hsv(model.baseline.pixels, dmap.depths.astype(np.float64)), axis=-1))
 
 
 def clean_pixels(dmap: DeformationMap, model: MembraneModel, index) -> np.ndarray:
@@ -277,8 +272,7 @@ def clean_pixels(dmap: DeformationMap, model: MembraneModel, index) -> np.ndarra
         raise ValueError("deformation map does not match membrane baseline size")
     base = np.take(model.baseline.pixels.reshape(-1, 3), index, axis=0)
     depth = np.take(dmap.depths, index).astype(np.float64)
-    # A one-row image of the indexed pixels keeps the HsvImage range checks.
-    return _hsv_rgb(_shifted_hsv(base[None], depth[None], model))[0]
+    return hsv_to_rgb_real(*_shifted_hsv(base, depth))
 
 
 def _noisy_channels(clean, noise, model: MembraneModel) -> np.ndarray:

@@ -531,7 +531,7 @@ class TestReconstruct:
         assert distance_px <= 5.0
 
     def test_mirror_equivariance_exact_for_position_free_model(self, small_geometry, small_membrane):
-        model = linear_hue_model(1.0 / small_membrane.gain_h)
+        model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
         truth = sphere_press_truth(0.3, 3.0, small_geometry)
         ref = render_reading(small_geometry.zero_map(), small_membrane, seed=80)
         contact = render_reading(truth, small_membrane, seed=81)

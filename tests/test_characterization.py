@@ -242,14 +242,14 @@ class TestIndenterRig:
 class TestSensitivity:
     def test_noise_free_threshold_is_first_force(self, small_geometry):
         rig = make_rig(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
-        model = linear_hue_model(1.0 / rig.membrane.gain_h)
+        model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
         result = sensitivity_profile(rig, model, [0.02, 0.04, 0.06], seed=0)
         assert result.noise_floor_mm == 0.0
         assert result.threshold_n == 0.02
 
     def test_all_forces_below_saturation(self, small_geometry):
         rig = make_rig(small_geometry)
-        model = linear_hue_model(1.0 / rig.membrane.gain_h)
+        model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
         result = sensitivity_profile(rig, model, [0.005, 0.01, 0.015], seed=0)
         assert result.saturation_n is None
 
@@ -267,7 +267,7 @@ class TestSensitivity:
             thresholds = []
             for seed in (0, 1, 2):
                 rig = make_rig(small_geometry, noise_std=noise_std, speckle_amplitude=0.0)
-                model = linear_hue_model(1.0 / rig.membrane.gain_h)
+                model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
                 result = sensitivity_profile(rig, model, forces, seed=seed)
                 thresholds.append(result.threshold_n if result.threshold_n is not None else forces[-1] * 2)
             return float(np.mean(thresholds))
@@ -280,8 +280,8 @@ class TestSensitivity:
     def test_sweep_directions(self, small_geometry, fast_model):
         rig = make_rig(small_geometry)
         forces = [0.01, 0.03, 0.05]
-        loading = run_force_sweep(rig, fast_model, forces, seed=0, direction="loading", n_trials=2)
-        unloading = run_force_sweep(rig, fast_model, forces, seed=0, direction="unloading", n_trials=2)
+        loading = run_force_sweep(rig, fast_model, forces, seed=0, direction="loading")
+        unloading = run_force_sweep(rig, fast_model, forces, seed=0, direction="unloading")
         assert loading.direction == "loading" and np.all(np.diff(loading.forces) > 0)
         assert unloading.direction == "unloading" and np.all(np.diff(unloading.forces) < 0)
         # the emulated viscoelastic lag leaves unloading depths lower
@@ -301,9 +301,10 @@ class TestMeasurementLoops:
     def test_trials_match_per_capture_reference(self, small_geometry, fast_model):
         rig = make_rig(small_geometry)
         steps = (0.2, 0.5)
-        trials = repeatability_trials(rig, fast_model, steps=steps, n_trials=3, seed=4)
-        seeds = rng_stream(4, characterization._STREAM_TRIALS).integers(0, 2**62, size=(3, len(steps), 2))
-        for t in range(3):
+        trials = repeatability_trials(rig, fast_model, steps=steps, seed=4)
+        n_trials = defaults.CHAR_TRIALS
+        seeds = rng_stream(4, characterization._STREAM_TRIALS).integers(0, 2**62, size=(n_trials, len(steps), 2))
+        for t in range(n_trials):
             for j, depth in enumerate(steps):
                 expected = self.measure(rig, fast_model, rig.truth_profile(depth), seeds[t, j]).max()
                 assert trials.measurements[t, j] == expected
@@ -328,10 +329,11 @@ class TestMeasurementLoops:
     def test_sweep_matches_per_capture_reference(self, small_geometry, fast_model):
         rig = make_rig(small_geometry)
         forces = (0.05, 0.11)
-        sweep = run_force_sweep(rig, fast_model, forces, seed=6, direction="unloading", n_trials=2)
-        seeds = rng_stream(6, characterization._STREAM_SWEEP).integers(0, 2**62, size=(len(forces), 2, 2))
+        sweep = run_force_sweep(rig, fast_model, forces, seed=6, direction="unloading")
+        n_trials = defaults.CHAR_TRIALS
+        seeds = rng_stream(6, characterization._STREAM_SWEEP).integers(0, 2**62, size=(len(forces), n_trials, 2))
         for i, force in enumerate(sorted(forces, reverse=True)):
             truth = rig.truth_profile(rig.force_to_depth(force), unloading=True)
-            depths = [self.measure(rig, fast_model, truth, seeds[i, t]) for t in range(2)]
+            depths = [self.measure(rig, fast_model, truth, seeds[i, t]) for t in range(n_trials)]
             assert sweep.max_depths[i] == np.mean([d.max() for d in depths])
             assert sweep.mean_depths[i] == np.mean([d.mean() for d in depths])

@@ -14,6 +14,8 @@ from phototact.cli import dispatch
 from phototact.detection import DetectorModel, Standardizer, save_detector
 
 SMALL = ["--width", "100", "--height", "80", "--mm-per-pixel", "0.1"]
+# A sensing disc between the pixel centers of an even-sized image, so it holds none.
+EMPTY_DISC = [*SMALL, "--sensing-radius", "0.01"]
 
 
 def run(argv):
@@ -650,6 +652,28 @@ EXIT_CODE_TABLE = [
                                                        "--out", t / "char"], 2, "malformed calibration model file"),
     ("characterize", "speckle-inf", lambda d, t: ["characterize", *SMALL, "--speckle", "inf", "--calibration",
                                                   d / "calib.json", "--out", t / "char"], 2, "must be finite"),
+    ("train-detector", "split-leaves-no-test", lambda d, t: ["train-detector", *SMALL, "--dataset", d / "data",
+                                                             "--calibration", d / "calib.json",
+                                                             "--train-fraction", 0.9, "--out", t / "det.json"], 2,
+     "train fraction 0.9 leaves class -1 no train or no test sample"),
+    # Every verb with geometry flags rejects an empty sensing disc before it reads or renders anything.
+    ("phantom", "empty-disc", lambda d, t: ["phantom", *EMPTY_DISC, "--out-prefix", t / "p"], 2,
+     "sensing disc holds no pixel center"),
+    ("calibrate", "empty-disc", lambda d, t: ["calibrate", *EMPTY_DISC, "--captures", 1, "--epochs", 1,
+                                              "--out", t / "c.json"], 2, "sensing disc holds no pixel center"),
+    ("reconstruct", "empty-disc", lambda d, t: ["reconstruct", *EMPTY_DISC, "--model", d / "calib.json", "--ref",
+                                                d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                                                "--out", t / "r.dmap"], 2, "sensing disc holds no pixel center"),
+    ("dataset", "empty-disc", lambda d, t: ["dataset", *EMPTY_DISC, "--spec", d / "spec.json", "--out", t / "data"],
+     2, "sensing disc holds no pixel center"),
+    ("train-detector", "empty-disc", lambda d, t: ["train-detector", *EMPTY_DISC, "--dataset", d / "data",
+                                                   "--calibration", d / "calib.json", "--out", t / "det.json"], 2,
+     "sensing disc holds no pixel center"),
+    ("evaluate", "empty-disc", lambda d, t: ["evaluate", *EMPTY_DISC, "--detector", d / "detector.json", "--dataset",
+                                             d / "data", "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
+     "sensing disc holds no pixel center"),
+    ("characterize", "empty-disc", lambda d, t: ["characterize", *EMPTY_DISC, "--calibration", d / "calib.json",
+                                                 "--out", t / "char"], 2, "sensing disc holds no pixel center"),
 ]
 
 

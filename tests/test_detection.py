@@ -324,6 +324,12 @@ class TestSplit:
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert not np.array_equal(a[0], c[0])
 
+    @pytest.mark.parametrize("fraction", [0.9, 0.1])
+    def test_every_class_keeps_a_train_and_a_test_sample(self, fraction):
+        labels = np.array([1] * 3 + [-1] * 3)  # 0.9 rounds to all 3 in train, 0.1 to none
+        with pytest.raises(ValueError, match=f"train fraction {fraction} leaves class -1 no train or no test"):
+            stratified_split(labels, fraction, seed=0)
+
     @pytest.mark.parametrize("seed", [0, 5, 2**62])
     def test_split_stream_is_the_philox_key_seed_91(self, seed):
         # the split drew from a hand-built Philox key (seed, 91) before it moved onto rng_stream

@@ -322,6 +322,14 @@ class TestSensorGeometry:
         with pytest.raises(ValueError, match="does not fit"):
             pt.SensorGeometry(width=60, height=60, sensing_radius_mm=3.5, mm_per_pixel=0.1)
 
+    @pytest.mark.parametrize("width, height", [(100, 80), (101, 80), (2, 2)])
+    def test_disc_must_hold_a_pixel(self, width, height):
+        # no pixel center of an image with an even side lies on that side's center line
+        with pytest.raises(ValueError, match="sensing disc holds no pixel center"):
+            pt.SensorGeometry(width=width, height=height, sensing_radius_mm=0.01, mm_per_pixel=0.1)
+        odd = pt.SensorGeometry(width=101, height=81, sensing_radius_mm=0.01, mm_per_pixel=0.1)
+        assert odd.disc_pixel_count == 1
+
     def test_disc_mask_geometry(self, small_geometry):
         mask = small_geometry.disc_mask
         gx, gy = small_geometry.coords_mm

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import phototact as pt
+from phototact import defaults
 from phototact.imaging import RgbImage
 from phototact.imprint import ImprintParams, augmented_imprint, color_delta
 from phototact.phantom import deformed_hsv
@@ -144,12 +145,12 @@ class TestColorDelta:
         assert u[center] == 2 / 4 and v[center] == 1 / 2
 
     def test_simulated_uniform_press_hue_shift(self, small_geometry):
-        # forward-model constants: 0.2 mm at gain_h deg/mm, checked both before
+        # forward-model constants: 0.2 mm at GAIN_H_DEG_PER_MM deg/mm, checked both before
         # and after 8-bit quantization
         membrane = pt.default_membrane(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
         depths = np.full((small_geometry.height, small_geometry.width), 0.2, dtype=np.float32)
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
-        expected = 0.2 * membrane.gain_h
+        expected = 0.2 * defaults.GAIN_H_DEG_PER_MM
 
         hsv = deformed_hsv(dmap, membrane)
         exact = pt.hue_delta(hsv.hue, membrane.baseline.hue)
@@ -163,10 +164,10 @@ class TestColorDelta:
         assert np.abs(rows[:, 0] - expected).max() < 0.75
 
     def test_dimension_mismatch(self):
-        a = RgbImage(np.zeros((2, 2, 3), dtype=np.uint8))
-        b = RgbImage(np.zeros((3, 2, 3), dtype=np.uint8))
+        a = RgbImage(np.zeros((3, 3, 3), dtype=np.uint8))
+        b = RgbImage(np.zeros((4, 3, 3), dtype=np.uint8))
         with pytest.raises(ValueError, match="differ in size"):
-            color_delta(a, b, tiny_geometry(2, 2))
+            color_delta(a, b, tiny_geometry(3, 3))
 
     def test_field_rows(self):
         geom = tiny_geometry(5, 5)

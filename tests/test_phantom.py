@@ -256,9 +256,9 @@ class TestRenderReading:
         shifted = pt.HsvImage(
             np.stack(
                 [
-                    np.mod(base[..., 0] + 0.2 * membrane.gain_h, 360.0),
-                    np.clip(base[..., 1] + 0.2 * membrane.gain_s, 0.0, 1.0),
-                    np.clip(base[..., 2] + 0.2 * membrane.gain_v, 0.0, 1.0),
+                    np.mod(base[..., 0] + 0.2 * defaults.GAIN_H_DEG_PER_MM, 360.0),
+                    np.clip(base[..., 1] + 0.2 * defaults.GAIN_S_PER_MM, 0.0, 1.0),
+                    np.clip(base[..., 2] + 0.2 * defaults.GAIN_V_PER_MM, 0.0, 1.0),
                 ],
                 axis=-1,
             )
@@ -328,15 +328,6 @@ class TestDiscPixels:
         clean = pt.clean_pixels(small_geometry.zero_map(), small_membrane, small_geometry.disc_index)
         with pytest.raises(ValueError, match="one RGB row per indexed pixel"):
             pt.capture_pixels(clean[1:], small_membrane, 0, small_geometry.disc_index)
-
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_disc_render_keeps_hsv_range_checks(self, small_geometry):
-        membrane = pt.default_membrane(small_geometry, gain_h=math.inf)
-        dmap = sphere_press_truth(0.3, 3.0, small_geometry)
-        with pytest.raises(ValueError, match="hue must lie"):
-            deformed_hsv(dmap, membrane)
-        with pytest.raises(ValueError, match="hue must lie"):
-            pt.clean_pixels(dmap, membrane, small_geometry.disc_index)
 
     def test_dimension_mismatch(self, small_geometry, membrane):
         with pytest.raises(ValueError, match="does not match"):
