@@ -6,9 +6,21 @@ A small fully-connected network with three tanh hidden layers of 32 units
 adaptive-moment optimizer at learning rate 0.001 and is fully deterministic
 for a given seed: fixed initialization, seeded shuffling, single-threaded
 update order.  Input standardization statistics live inside the model so
-inference is self-contained.  Training and the gradient API compute in
-float64; depth inference computes in float32, the precision a depth map
-stores.
+inference is self-contained.
+
+Training and depth inference compute in float32, the precision that model
+files and depth maps store: a training step's batch, activations, buffers,
+parameters and Adam moments are float32.  The gradient API
+(:func:`mlp_forward`, :func:`input_gradient`) computes in float64, which
+finite differences at small steps need, and :func:`loss_and_gradients`
+computes in the dtype it is given.
+
+Every product that sums over rows has the same bits at any BLAS thread
+count.  One threaded OpenBLAS product over all rows does not: its split
+between threads moves the rounding.  Each parameter gradient ``a.T @ u`` is
+therefore a sum over fixed 256-row blocks, each too small to be threaded,
+and the output layer runs in 4,096-row blocks (see :func:`_block_sum` and
+:func:`_forward_pass`).
 
 Model files are versioned JSON with base64-embedded little-endian float32
 weight blobs; identical training runs produce byte-identical files.
@@ -43,6 +55,13 @@ _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
 
+# Row blocks of the two products whose one-call OpenBLAS form changes bits with the thread count.  A
+# (32, 256) @ (256, 32) gradient block is at OpenBLAS's single-thread threshold (m * n * k = 262,144); a 4,096-row
+# output product may be threaded, but at 1 and 2 threads it gives the single-thread bits (measured on OpenBLAS
+# 0.3.31 at every row count from 1 to 4,096), which a 15,380-row one does not.
+_GRADIENT_BLOCK = 256
+_OUTPUT_BLOCK = 4096
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
@@ -72,8 +91,8 @@ class CalibrationModel:
 
     Parameters are stored as float32 (matching the file format), so in-memory
     and reloaded models predict identically.  :meth:`forward` computes with
-    them in float32; training and the gradient API (:func:`mlp_forward`,
-    :func:`input_gradient`) promote them to float64.
+    them in float32; the gradient API (:func:`mlp_forward`,
+    :func:`input_gradient`) promotes them to float64.
     """
 
     weights: tuple
@@ -155,7 +174,8 @@ def mlp_forward(model: CalibrationModel, features):
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    out = _forward_pass(*_float64_parameters(model), model.standardize(x), _hidden_buffers(x.shape[0]))[1]
+    hidden = _hidden_buffers(x.shape[0], np.float64)
+    out = _forward_pass(*_float64_parameters(model), model.standardize(x), hidden)[1]
     return float(out[0]) if single else out
 
 
@@ -166,7 +186,7 @@ def input_gradient(model: CalibrationModel, features):
     if single:
         x = x[None, :]
     weights, biases = _float64_parameters(model)
-    activations, _ = _forward_pass(weights, biases, model.standardize(x), _hidden_buffers(x.shape[0]))
+    activations, _ = _forward_pass(weights, biases, model.standardize(x), _hidden_buffers(x.shape[0], np.float64))
     grad = np.repeat(weights[-1].T, x.shape[0], axis=0)  # (N, 32)
     for w, act in zip(reversed(weights[:-1]), reversed(activations[1:])):
         grad = (grad * (1.0 - act * act)) @ w.T
@@ -179,18 +199,19 @@ def input_gradient(model: CalibrationModel, features):
 
 
 def _init_params(seed: int):
+    """Glorot-uniform float32 weights and zero float32 biases, the parameters training starts from."""
     rng = rng_stream(seed, _STREAM_INIT)
     weights, biases = [], []
     for n_in, n_out in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]):
         limit = np.sqrt(6.0 / (n_in + n_out))
-        weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
-        biases.append(np.zeros(n_out))
+        weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(np.float32))
+        biases.append(np.zeros(n_out, np.float32))
     return weights, biases
 
 
-def _hidden_buffers(rows: int):
-    """One (rows, width) float64 buffer per hidden layer."""
-    return [np.empty((rows, width)) for width in LAYER_SIZES[1:-1]]
+def _hidden_buffers(rows: int, dtype):
+    """One (rows, width) buffer per hidden layer."""
+    return [np.empty((rows, width), dtype) for width in LAYER_SIZES[1:-1]]
 
 
 def _forward_pass(weights, biases, x, hidden):
@@ -199,42 +220,68 @@ def _forward_pass(weights, biases, x, hidden):
     The hidden activations are written into the leading rows of the ``hidden``
     buffers (one per layer; inference reuses its first for the third), which
     must have at least ``len(x)`` rows.  ``x``, the parameters and the buffers
-    share one dtype: float32 for inference, float64 for training and the
-    gradient API.
+    share one dtype: float32 for inference and training, float64 for the
+    gradient API.  The output layer runs in ``_OUTPUT_BLOCK``-row blocks, so
+    its bits do not depend on the BLAS thread count.
     """
+    n = x.shape[0]
     activations = [x]
     for w, b, buf in zip(weights[:-1], biases[:-1], hidden):
-        a = np.matmul(activations[-1], w, out=buf[: x.shape[0]])
+        a = np.matmul(activations[-1], w, out=buf[:n])
         a += b
         activations.append(np.tanh(a, out=a))
-    out = activations[-1] @ weights[-1] + biases[-1]
+    out = np.empty((n, 1), x.dtype)
+    for start in range(0, n, _OUTPUT_BLOCK):
+        rows = slice(start, start + _OUTPUT_BLOCK)
+        np.matmul(activations[-1][rows], weights[-1], out=out[rows])
+    out += biases[-1]
     return activations, out[:, 0]
 
 
-def _step_buffers(rows: int):
+def _block_sum(a, u):
+    """``a.T @ u`` over rows as a sum of fixed ``_GRADIENT_BLOCK``-row blocks, then the remainder rows.
+
+    One stacked product forms the blocks; a block is too small for OpenBLAS
+    to thread, so the result has the same bits at any thread count.
+    """
+    n = a.shape[0]
+    if n <= _GRADIENT_BLOCK:
+        return a.T @ u
+    k = n // _GRADIENT_BLOCK
+    head = k * _GRADIENT_BLOCK
+    blocks = np.matmul(a[:head].reshape(k, _GRADIENT_BLOCK, -1).transpose(0, 2, 1),
+                       u[:head].reshape(k, _GRADIENT_BLOCK, -1))
+    total = blocks.sum(axis=0)
+    if head < n:
+        total += a[head:].T @ u[head:]
+    return total
+
+
+def _step_buffers(rows: int, dtype):
     """Buffers for a training step on up to ``rows`` rows: one per hidden layer, then two for the backward pass."""
-    return _hidden_buffers(rows) + [np.empty((rows, LAYER_SIZES[1])), np.empty((rows, LAYER_SIZES[1]))]
+    return _hidden_buffers(rows, dtype) + [np.empty((rows, LAYER_SIZES[1]), dtype) for _ in range(2)]
 
 
 def loss_and_gradients(weights, biases, x, y, hidden=None):
-    """MSE loss and its parameter gradients for one batch (float64).
+    """MSE loss and its parameter gradients for one batch, in the dtype of ``x``.
 
     ``hidden`` optionally supplies the step's buffers (see
     :func:`_step_buffers`); training passes the same ones every step so the
     step allocates no batch-sized matrix.  Every temporary of the backward
     pass is written into the leading rows of the two backward buffers, which
-    take turns holding the upstream gradient.
+    take turns holding the upstream gradient.  Each weight gradient is a
+    :func:`_block_sum`.
     """
     n = x.shape[0]
     if hidden is None:
-        hidden = _step_buffers(n)
+        hidden = _step_buffers(n, x.dtype)
     activations, pred = _forward_pass(weights, biases, x, hidden)
     residual = pred - y
     loss = float(np.mean(residual**2))
     delta = (2.0 / n) * residual[:, None]  # (N, 1)
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
-    grads_w[-1] = activations[-1].T @ delta
+    grads_w[-1] = _block_sum(activations[-1], delta)
     grads_b[-1] = delta.sum(axis=0)
     upstream, spare = hidden[-2][:n], hidden[-1][:n]
     # Each element of the outer product delta @ w.T is a single product, so einsum gives its bits,
@@ -244,7 +291,7 @@ def loss_and_gradients(weights, biases, x, y, hidden=None):
         slope = np.square(activations[i + 1], out=spare)
         np.subtract(1.0, slope, out=slope)
         upstream *= slope
-        grads_w[i] = activations[i].T @ upstream
+        grads_w[i] = _block_sum(activations[i], upstream)
         grads_b[i] = upstream.sum(axis=0)
         if i > 0:
             upstream, spare = np.matmul(upstream, weights[i].T, out=spare), upstream
@@ -252,7 +299,11 @@ def loss_and_gradients(weights, biases, x, y, hidden=None):
 
 
 def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationModel:
-    """Fit the depth regressor on (N, 5) features and (N,) depths in mm."""
+    """Fit the depth regressor on (N, 5) features and (N,) depths in mm.
+
+    The features are standardized in float64; every training step then runs
+    in float32 (see the module docstring).
+    """
     if cfg is None:
         cfg = TrainConfig()
     x = np.asarray(features, dtype=np.float64)
@@ -270,7 +321,8 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
     # Standardize once with the float32-rounded constants the model will carry.
     shift32 = shift.astype(np.float32).astype(np.float64)
     scale32 = scale.astype(np.float32).astype(np.float64)
-    xs = (x - shift32) / scale32
+    xs = ((x - shift32) / scale32).astype(np.float32)
+    ys = y.astype(np.float32)
 
     weights, biases = _init_params(cfg.seed)
     m_w = [np.zeros_like(w) for w in weights]
@@ -281,8 +333,8 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
     shuffle_rng = rng_stream(cfg.seed, _STREAM_SHUFFLE)
     n = xs.shape[0]
     rows = min(cfg.batch_size, n)
-    work = _step_buffers(rows)
-    batch_x, batch_y = np.empty((rows, LAYER_SIZES[0])), np.empty(rows)
+    work = _step_buffers(rows, np.float32)
+    batch_x, batch_y = np.empty((rows, LAYER_SIZES[0]), np.float32), np.empty(rows, np.float32)
     step = 0
     epoch_losses = []
     # A diverging run overflows on its way to a non-finite loss; the check below reports it.
@@ -295,7 +347,7 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
                 # mode="clip" lets take write straight into ``out`` (it buffers under the default "raise");
                 # a permutation's indices are all in range, so no index is clipped.
                 bx = np.take(xs, batch, axis=0, out=batch_x[: len(batch)], mode="clip")
-                by = np.take(y, batch, out=batch_y[: len(batch)], mode="clip")
+                by = np.take(ys, batch, out=batch_y[: len(batch)], mode="clip")
                 loss, grads_w, grads_b = loss_and_gradients(weights, biases, bx, by, work)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"loss is not finite at step {step}")

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -379,19 +381,37 @@ def _cmd_evaluate(args):
         {"sample_id": sid, "label": int(lab), "mu": float(f[0]), "sigma": float(f[1]), "decision_value": dv}
         for sid, lab, f, dv in zip(ids, labels, features, report.decision_values)
     ]
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    outputs = [args.out]
+    texts = {args.out: json.dumps(doc, indent=2, sort_keys=True) + "\n"}
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["sample_id", "label", "mu", "sigma", "decision_value"])
-            for sample in doc["samples"]:
-                writer.writerow(
-                    [sample["sample_id"], sample["label"], sample["mu"], sample["sigma"], sample["decision_value"]]
-                )
-        outputs.append(args.csv)
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
+        writer.writerow(["sample_id", "label", "mu", "sigma", "decision_value"])
+        for sample in doc["samples"]:
+            writer.writerow(
+                [sample["sample_id"], sample["label"], sample["mu"], sample["sigma"], sample["decision_value"]]
+            )
+        texts[args.csv] = table.getvalue()
+    _write_all(texts)
     print(json.dumps({"accuracy": report.accuracy, "n": len(ids)}, sort_keys=True))
-    return [args.detector, args.dataset, args.calibration], outputs
+    return [args.detector, args.dataset, args.calibration], list(texts)
+
+
+def _write_all(texts):
+    """Write every ``{path: text}`` or none: each text goes to a ``.partial`` file beside its path, and the
+    files are renamed into place only once all are written. On an error the partial files are removed."""
+    staged = []
+    try:
+        for path, text in texts.items():
+            partial = f"{path}.partial"
+            with open(partial, "w", newline="") as fh:
+                staged.append(partial)
+                fh.write(text)
+        for partial, path in zip(staged, texts):
+            os.replace(partial, path)
+    finally:
+        for partial in staged:
+            if os.path.exists(partial):
+                os.remove(partial)
 
 
 def _cmd_characterize(args):

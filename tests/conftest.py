@@ -14,7 +14,7 @@ settings.load_profile("suite")
 
 
 def pytest_report_header(config):
-    """numpy, its BLAS build and the BLAS thread count: artifact bytes depend on the thread count."""
+    """numpy, its BLAS build and the BLAS thread count: the thread-count test covers only the build it ran on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
     threads = os.environ.get("OPENBLAS_NUM_THREADS", f"unset ({os.cpu_count()} CPUs)")
@@ -71,14 +71,19 @@ def fast_model(small_geometry, small_membrane):
     return train_mlp(features, depths, TrainConfig(epochs=15, seed=11))
 
 
+def acceptance_model(geometry, membrane, seed: int = 123) -> CalibrationModel:
+    """The acceptance recipe: 30 sphere captures from calibration-data ``seed``, default training."""
+    features, depths = build_calib_dataset(
+        defaults.CALIBRATION_CAPTURES, defaults.CALIBRATION_SPHERE_RADIUS_MM, geometry, membrane, seed=seed
+    )
+    return train_mlp(features, depths, TrainConfig(seed=0))
+
+
 @pytest.fixture(scope="session")
 def calib_model(geometry, membrane, fixture_durations):
-    """Full acceptance-grade calibration model: 30 captures, default training."""
+    """Full acceptance-grade calibration model, at calibration-data seed 123."""
     started = time.monotonic()
-    features, depths = build_calib_dataset(
-        defaults.CALIBRATION_CAPTURES, defaults.CALIBRATION_SPHERE_RADIUS_MM, geometry, membrane, seed=123
-    )
-    model = train_mlp(features, depths, TrainConfig(seed=0))
+    model = acceptance_model(geometry, membrane)
     fixture_durations["calib_model"] = time.monotonic() - started
     return model
 

@@ -643,6 +643,10 @@ EXIT_CODE_TABLE = [
     ("evaluate", "width-zero", lambda d, t: ["evaluate", "--width", 0, "--detector", d / "detector.json", "--dataset",
                                              d / "data", "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
      "image dimensions must be positive"),
+    ("evaluate", "csv-directory-missing", lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json",
+                                                       "--dataset", d / "data", "--calibration", d / "calib.json",
+                                                       "--out", t / "r.json", "--csv", t / "nodir" / "r.csv"], 2,
+     "No such file or directory"),
     ("characterize", "seed-not-an-int", lambda d, t: ["characterize", "--calibration", d / "calib.json", "--seed",
                                                       "1.5", "--out", t / "char"], 1, "invalid int value"),
     ("characterize", "model-not-an-object", lambda d, t: ["characterize", *SMALL, "--calibration", json_file(t, 3),
