@@ -6,6 +6,11 @@ resolved configuration, the seed, the tool version, and input/output paths.
 Re-running the recorded ``argv`` reproduces the outputs byte for byte; the
 manifest sits beside the outputs so reruns stay byte-identical.
 
+A verb publishes its outputs, its manifest and its stdout only when it
+succeeds: one that exits non-zero leaves every output path and stdout as it
+found them.  Each output's parent directory must already exist, and an
+existing output directory keeps every file the run does not write.
+
 Exit codes: 0 success, 1 usage error, 2 data/validation error.
 """
 
@@ -13,10 +18,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import errno
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,6 +56,7 @@ from .detection import (
 from .imaging import DmapFormatError, PpmFormatError, SensorGeometry, load_dmap, load_ppm, save_dmap, save_ppm
 from .imprint import ImprintParams, augmented_imprint, disc_pixels
 from .phantom import (
+    DATASET_CSV_FIELDS,
     DatasetSpec,
     PhantomConfig,
     contact_solve,
@@ -186,7 +194,50 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_manifest(args, inputs, outputs, started):
+class _Publication:
+    """The outputs of one run, staged and then renamed into place together.
+
+    Each output is staged in a fresh directory of this run, made beside it or, for an existing output
+    directory, inside it, so every rename stays on one filesystem.
+    """
+
+    def __init__(self):
+        self.staged = {}  # final path -> staged path, in publication order
+        self.staging = []
+
+    def stage(self, path, directory=False):
+        """The path to write in place of ``path``; with ``directory``, an empty directory whose files
+        are published into ``path``, file by file when ``path`` is an existing directory."""
+        final = Path(path)
+        if final.parent in self.staged:  # a file inside an output directory is published with that directory
+            return self.staged[final.parent] / final.name
+        if final not in self.staged:
+            merge = directory and final.is_dir()
+            home = final if merge else final.parent
+            try:
+                self.staging.append(Path(tempfile.mkdtemp(prefix=".phototact-", suffix=".partial", dir=home)))
+            except OSError as err:
+                raise OSError(err.errno, err.strerror, str(home)) from None
+            self.staged[final] = self.staging[-1] if merge else self.staging[-1] / final.name
+            if directory and not merge:
+                self.staged[final].mkdir()
+        return self.staged[final]
+
+    def publish(self):
+        """Rename every staged file into place, once none would replace a directory or the reverse."""
+        moves = []
+        for final, staged in self.staged.items():
+            merge = staged.is_dir() and final.is_dir()
+            moves += [(path, final / path.name) for path in sorted(staged.iterdir())] if merge else [(staged, final)]
+        for staged, final in moves:
+            if final.exists() and final.is_dir() != staged.is_dir():
+                code = errno.ENOTDIR if staged.is_dir() else errno.EISDIR
+                raise OSError(code, os.strerror(code), str(final))
+        for staged, final in moves:
+            os.replace(staged, final)
+
+
+def _write_manifest(stage, args, inputs, outputs, started):
     """Run manifest of ``args.verb``, at ``--manifest`` or beside the first output."""
     config = {k: v for k, v in vars(args).items() if k not in ("verb", "manifest")}
     target = args.manifest
@@ -203,7 +254,7 @@ def _write_manifest(args, inputs, outputs, started):
         "outputs": outputs,
         "duration_s": round(time.monotonic() - started, 6),
     }
-    Path(target).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    stage(target).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _config_argv(config):
@@ -231,7 +282,7 @@ def _load_phantom_config(args) -> PhantomConfig:
     )
 
 
-def _cmd_phantom(args):
+def _cmd_phantom(args, stage):
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     cfg = _load_phantom_config(args)
@@ -239,21 +290,21 @@ def _cmd_phantom(args):
     ref, contact = reading_pair(solution.deformation, membrane, args.seed)
     prefix = args.out_prefix
     paths = [f"{prefix}_ref.ppm", f"{prefix}_contact.ppm", f"{prefix}_truth.dmap"]
-    save_ppm(paths[0], ref)
-    save_ppm(paths[1], contact)
-    save_dmap(paths[2], solution.deformation)
+    save_ppm(stage(paths[0]), ref)
+    save_ppm(stage(paths[1]), contact)
+    save_dmap(stage(paths[2]), solution.deformation)
     return [], paths
 
 
-def _cmd_imprint(args):
+def _cmd_imprint(args, stage):
     ref = load_ppm(args.ref)
     contact = load_ppm(args.contact)
     result = augmented_imprint(ref, contact, ImprintParams(alpha=args.alpha, beta=args.beta))
-    save_ppm(args.out, result)
+    save_ppm(stage(args.out), result)
     return [args.ref, args.contact], [args.out]
 
 
-def _cmd_calibrate(args):
+def _cmd_calibrate(args, stage):
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     features, depths = build_calib_dataset(args.captures, args.sphere_radius, geom, membrane, args.seed)
@@ -264,15 +315,15 @@ def _cmd_calibrate(args):
         seed=args.seed,
     )
     model = train_mlp(features, depths, cfg)
-    save_model(args.out, model)
+    save_model(stage(args.out), model)
     return [], [args.out]
 
 
-def _cmd_reconstruct(args):
+def _cmd_reconstruct(args, stage):
     geom = _geometry(args)
     model = load_model(args.model)
     dmap = reconstruct(model, load_ppm(args.ref), load_ppm(args.contact), geom)
-    save_dmap(args.out, dmap)
+    save_dmap(stage(args.out), dmap)
     return [args.model, args.ref, args.contact], [args.out]
 
 
@@ -295,14 +346,13 @@ def _written(samples, out_dir):
         yield sample
 
 
-def _cmd_dataset(args):
+def _cmd_dataset(args, stage):
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     samples = generate_phantom_dataset(_load_spec(args.spec), geom, membrane, args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = stage(args.out, directory=True)
     (out_dir / "manifest.csv").write_text(dataset_manifest_rows(_written(samples, out_dir)))
-    return [], [str(out_dir)]
+    return [], [str(Path(args.out))]
 
 
 def _read_dataset_features(dataset_dir, calib_model, geom):
@@ -314,41 +364,45 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
     features, labels, ids = [], [], []
     scratch = forward_scratch(geom.disc_pixel_count)
     with manifest.open(newline="") as fh:
-        for row in csv.DictReader(fh):
+        rows = csv.DictReader(fh)
+        if tuple(rows.fieldnames or ()) != DATASET_CSV_FIELDS:
+            raise ValueError(f"dataset manifest {manifest} must have the header {','.join(DATASET_CSV_FIELDS)}")
+        for row in rows:
             sample_id = row["sample_id"]
+            if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id:
+                raise ValueError(f"dataset manifest {manifest}: sample id {sample_id!r} is not a file name stem")
+            if row["label"] not in ("1", "-1"):
+                raise ValueError(f"dataset manifest {manifest}: label {row['label']!r} of {sample_id} is not 1 or -1")
             ref = load_ppm(dataset_dir / f"{sample_id}_ref.ppm")
             contact = load_ppm(dataset_dir / f"{sample_id}_contact.ppm")
             fv = FeatureVector.of(disc_depths(calib_model, *disc_pixels(ref, contact, geom), geom, scratch))
             features.append([fv.mu, fv.sigma])
             labels.append(int(row["label"]))
             ids.append(sample_id)
+    if not ids:
+        raise ValueError(f"dataset manifest {manifest} lists no sample")
     return np.array(features), np.array(labels), ids
 
 
-def _cmd_train_detector(args):
+def _cmd_train_detector(args, stage):
     geom = _geometry(args)
     calib = load_model(args.calibration)
     features, labels, _ = _read_dataset_features(args.dataset, calib, geom)
     train_idx, test_idx = stratified_split(labels, train_fraction=args.train_fraction, seed=args.seed)
     detector = fit_detector(features[train_idx], labels[train_idx], c=args.c)
-    save_detector(args.out, detector)
+    save_detector(stage(args.out), detector)
     train_report = evaluate(detector, features[train_idx], labels[train_idx])
     test_report = evaluate(detector, features[test_idx], labels[test_idx])
-    print(
-        json.dumps(
-            {
-                "train_accuracy": train_report.accuracy,
-                "test_accuracy": test_report.accuracy,
-                "n_train": int(train_idx.size),
-                "n_test": int(test_idx.size),
-            },
-            sort_keys=True,
-        )
-    )
-    return [args.dataset, args.calibration], [args.out]
+    scores = {
+        "train_accuracy": train_report.accuracy,
+        "test_accuracy": test_report.accuracy,
+        "n_train": int(train_idx.size),
+        "n_test": int(test_idx.size),
+    }
+    return [args.dataset, args.calibration], [args.out], scores
 
 
-def _cmd_detect(args):
+def _cmd_detect(args, stage):
     detector = load_detector(args.detector)
     dmap = load_dmap(args.map)
     fv = extract_features(dmap)
@@ -363,14 +417,13 @@ def _cmd_detect(args):
             "tool_version": __version__,
         },
     }
-    print(json.dumps(result, sort_keys=True))
     if not args.report:
-        return None
-    Path(args.report).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return [args.detector, args.map], [args.report]
+        return [args.detector, args.map], [], result
+    stage(args.report).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    return [args.detector, args.map], [args.report], result
 
 
-def _cmd_evaluate(args):
+def _cmd_evaluate(args, stage):
     geom = _geometry(args)
     calib = load_model(args.calibration)
     detector = load_detector(args.detector)
@@ -381,40 +434,18 @@ def _cmd_evaluate(args):
         {"sample_id": sid, "label": int(lab), "mu": float(f[0]), "sigma": float(f[1]), "decision_value": dv}
         for sid, lab, f, dv in zip(ids, labels, features, report.decision_values)
     ]
-    texts = {args.out: json.dumps(doc, indent=2, sort_keys=True) + "\n"}
+    stage(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    outputs = [args.out]
     if args.csv:
-        table = io.StringIO()
-        writer = csv.writer(table, lineterminator="\n")
-        writer.writerow(["sample_id", "label", "mu", "sigma", "decision_value"])
-        for sample in doc["samples"]:
-            writer.writerow(
-                [sample["sample_id"], sample["label"], sample["mu"], sample["sigma"], sample["decision_value"]]
-            )
-        texts[args.csv] = table.getvalue()
-    _write_all(texts)
-    print(json.dumps({"accuracy": report.accuracy, "n": len(ids)}, sort_keys=True))
-    return [args.detector, args.dataset, args.calibration], list(texts)
+        with stage(args.csv).open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, ["sample_id", "label", "mu", "sigma", "decision_value"], lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(doc["samples"])
+        outputs.append(args.csv)
+    return [args.detector, args.dataset, args.calibration], outputs, {"accuracy": report.accuracy, "n": len(ids)}
 
 
-def _write_all(texts):
-    """Write every ``{path: text}`` or none: each text goes to a ``.partial`` file beside its path, and the
-    files are renamed into place only once all are written. On an error the partial files are removed."""
-    staged = []
-    try:
-        for path, text in texts.items():
-            partial = f"{path}.partial"
-            with open(partial, "w", newline="") as fh:
-                staged.append(partial)
-                fh.write(text)
-        for partial, path in zip(staged, texts):
-            os.replace(partial, path)
-    finally:
-        for partial in staged:
-            if os.path.exists(partial):
-                os.remove(partial)
-
-
-def _cmd_characterize(args):
+def _cmd_characterize(args, stage):
     geom = _geometry(args)
     rig = IndenterRig(
         geometry=geom,
@@ -422,8 +453,7 @@ def _cmd_characterize(args):
     )
     model = load_model(args.calibration)
     report = characterize(rig, model, seed=args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = stage(args.out, directory=True)
     (out_dir / "summary.json").write_text(json.dumps(report.summary(), indent=2, sort_keys=True) + "\n")
     with (out_dir / "sweeps.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -437,11 +467,11 @@ def _cmd_characterize(args):
         for t in range(report.trials.measurements.shape[0]):
             for step, measured in zip(report.trials.step_depths, report.trials.measurements[t]):
                 writer.writerow([t, step, measured])
-    print(json.dumps(report.summary(), sort_keys=True))
-    return [args.calibration], [str(out_dir)]
+    return [args.calibration], [str(Path(args.out))], report.summary()
 
 
-# Each handler returns the (inputs, outputs) its run manifest records, or None when it writes no file.
+# Each handler writes every output to the path ``stage(output)`` gives and returns the (inputs, outputs) its
+# run manifest records, then the document it prints, if any.  A run with no outputs writes no manifest.
 _HANDLERS = {
     "phantom": _cmd_phantom,
     "imprint": _cmd_imprint,
@@ -479,10 +509,12 @@ def dispatch(argv) -> int:
             print(f"error: --{name.replace('_', '-')} must lie in [0, 2^63), got {value}", file=sys.stderr)
             return 2
     started = time.monotonic()
+    publication = _Publication()
     try:
-        written = _HANDLERS[args.verb](args)
-        if written is not None:
-            _write_manifest(args, *written, started)
+        inputs, outputs, *stdout = _HANDLERS[args.verb](args, publication.stage)
+        if outputs:
+            _write_manifest(publication.stage, args, inputs, outputs, started)
+        publication.publish()
     except (
         ValueError,
         PpmFormatError,
@@ -494,6 +526,11 @@ def dispatch(argv) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        for staging in publication.staging:
+            shutil.rmtree(staging, ignore_errors=True)
+    for doc in stdout:
+        print(json.dumps(doc, sort_keys=True))
     return 0
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import shlex
+import shutil
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -23,7 +24,8 @@ def run(argv):
 
 
 def tree_bytes(root):
-    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    """Every path under ``root``, relative to it, with a file's bytes and None for a directory."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
 @pytest.fixture()
@@ -227,6 +229,20 @@ class TestDatasetVerbs:
         assert len(manifest) == 1 + 8  # 4 positives + 4 negatives
         files = list(out_a.glob("*.ppm"))
         assert len(files) == 16
+
+    def test_existing_output_directory_keeps_other_files(self, tmp_path, tiny_spec):
+        out = tmp_path / "data"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / "manifest.csv").write_text("stale")
+        assert run(["dataset", *SMALL, "--spec", tiny_spec, "--seed", 7, "--out", f"{out}/"]) == 0
+        fresh = tmp_path / "fresh"  # made by the run, with the run manifest inside it
+        assert run(["dataset", *SMALL, "--spec", tiny_spec, "--seed", 7, "--out", fresh,
+                    "--manifest", fresh / "run.json"]) == 0
+        assert json.loads((fresh / "run.json").read_text())["outputs"] == [str(fresh)]
+        (fresh / "run.json").unlink()
+        assert tree_bytes(out) == {**tree_bytes(fresh), Path("notes.txt"): b"kept"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "data.manifest.json", "fresh", "spec.json"]
 
     @pytest.mark.parametrize("geometry_flags", [SMALL, []], ids=["small", "default"])
     def test_dataset_features_match_full_map_reference(self, tmp_path, tiny_spec, tiny_model_path, geometry_flags):
@@ -487,6 +503,43 @@ def short_ppm(t):
     return path
 
 
+def occupied(t, name):
+    """``t``, after making ``t / name`` a directory."""
+    (t / name).mkdir(parents=True)
+    return t
+
+
+def dataset_with_manifest(d, t, edit):
+    """A copy of the pipeline dataset in ``t`` whose manifest.csv has ``edit`` applied to its text."""
+    shutil.copytree(d / "data", t / "data")
+    (t / "data" / "manifest.csv").write_text(edit((d / "data" / "manifest.csv").read_text()))
+    return t / "data"
+
+
+# Each verb once, reading the pipeline's files: (argv from (pipeline directory, output directory), its outputs).
+WRITING_RUNS = {
+    "phantom": (lambda d, t: ["phantom", *SMALL, "--seed", 1, "--out-prefix", t / "press"],
+                ["press_ref.ppm", "press_contact.ppm", "press_truth.dmap"]),
+    "imprint": (lambda d, t: ["imprint", "--ref", d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                              "--out", t / "imprint.ppm"], ["imprint.ppm"]),
+    "calibrate": (lambda d, t: ["calibrate", *SMALL, "--captures", 1, "--epochs", 1, "--out", t / "calib.json"],
+                  ["calib.json"]),
+    "reconstruct": (lambda d, t: ["reconstruct", *SMALL, "--model", d / "calib.json", "--ref", d / "press_ref.ppm",
+                                  "--contact", d / "press_contact.ppm", "--out", t / "recon.dmap"], ["recon.dmap"]),
+    "dataset": (lambda d, t: ["dataset", *SMALL, "--spec", d / "spec.json", "--out", t / "data"], ["data"]),
+    "train-detector": (lambda d, t: ["train-detector", *SMALL, "--dataset", d / "data", "--calibration",
+                                     d / "calib.json", "--train-fraction", 0.5, "--out", t / "detector.json"],
+                       ["detector.json"]),
+    "detect": (lambda d, t: ["detect", "--detector", d / "detector.json", "--map", d / "recon.dmap",
+                             "--report", t / "detect.json"], ["detect.json"]),
+    "evaluate": (lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset", d / "data",
+                               "--calibration", d / "calib.json", "--out", t / "report.json",
+                               "--csv", t / "report.csv"], ["report.json", "report.csv"]),
+    "characterize": (lambda d, t: ["characterize", *SMALL, "--calibration", d / "calib.json", "--out", t / "char"],
+                     ["char"]),
+}
+
+
 # (verb, case, argv from (pipeline directory, scratch directory), exit code, stderr fragment)
 EXIT_CODE_TABLE = [
     ("phantom", "unknown-flag", lambda d, t: ["phantom", "--out-prefix", t / "p", "--bogus"], 1,
@@ -678,11 +731,53 @@ EXIT_CODE_TABLE = [
      "sensing disc holds no pixel center"),
     ("characterize", "empty-disc", lambda d, t: ["characterize", *EMPTY_DISC, "--calibration", d / "calib.json",
                                                  "--out", t / "char"], 2, "sensing disc holds no pixel center"),
+    # A failed run publishes none of its outputs, even those it made before the failure.
+    ("detect", "report-directory-missing", lambda d, t: ["detect", "--detector", d / "detector.json",
+                                                         "--map", d / "recon.dmap", "--report", t / "nodir" / "r.json"],
+     2, "No such file or directory"),
+    ("phantom", "output-is-a-directory", lambda d, t: ["phantom", *SMALL, "--out-prefix",
+                                                       occupied(t, "p_truth.dmap") / "p"], 2, "Is a directory"),
+    ("dataset", "out-parent-missing", lambda d, t: ["dataset", *SMALL, "--spec", d / "spec.json",
+                                                    "--out", t / "nodir" / "data"], 2, "No such file or directory"),
+    ("dataset", "out-is-a-file", lambda d, t: ["dataset", *SMALL, "--spec", d / "spec.json", "--out", short_ppm(t)],
+     2, "Not a directory"),
+    ("dataset", "output-file-is-a-directory", lambda d, t: ["dataset", *SMALL, "--spec", d / "spec.json", "--out",
+                                                            occupied(t, "data/manifest.csv") / "data"], 2,
+     "Is a directory"),
+    # A dataset's manifest.csv is checked where it is read.
+    ("train-detector", "manifest-header-only",
+     lambda d, t: ["train-detector", *SMALL, "--dataset", dataset_with_manifest(d, t, lambda text: text.split("\n")[0]),
+                   "--calibration", d / "calib.json", "--out", t / "det.json"], 2, "lists no sample"),
+    ("train-detector", "manifest-column-renamed",
+     lambda d, t: ["train-detector", *SMALL, "--dataset",
+                   dataset_with_manifest(d, t, lambda text: text.replace("sample_id", "id")),
+                   "--calibration", d / "calib.json", "--out", t / "det.json"], 2,
+     "must have the header sample_id,label,ball_diameter_mm,burial_depth_mm,applied_mass_g,seed"),
+    ("evaluate", "manifest-label-two",
+     lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
+                   dataset_with_manifest(d, t, lambda text: text.replace(",1,", ",2,")),
+                   "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
+     "label '2' of pos_d4_b2_p0 is not 1 or -1"),
+    ("evaluate", "manifest-sample-id-outside",
+     lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
+                   dataset_with_manifest(d, t, lambda text: text.replace("\npos", "\n../data/pos")
+                                         .replace("\nneg", "\n../data/neg")),
+                   "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
+     "sample id '../data/pos_d4_b2_p0' is not a file name stem"),
+]
+# Every verb's successful run fails when its manifest cannot be written, and then writes and prints nothing.
+EXIT_CODE_TABLE += [
+    (verb, "manifest-directory-missing", lambda d, t, argv=argv: [*argv(d, t), "--manifest", t / "nodir" / "m.json"],
+     2, "No such file or directory")
+    for verb, (argv, _) in WRITING_RUNS.items()
 ]
 
 
 class TestExitCodeTable:
-    """Bad flags exit 1, bad files and values exit 2; either way with one stderr line, no warning and no output."""
+    """Bad flags exit 1, bad files and values exit 2; either way with one stderr line, no warning and no output.
+
+    No output means an empty stdout and the scratch directory as it was: the same paths, each file with the same bytes.
+    """
 
     def test_every_verb_is_covered(self):
         for verb in cli.VERBS:
@@ -693,7 +788,7 @@ class TestExitCodeTable:
                              ids=[f"{verb}-{case}" for verb, case, *_ in EXIT_CODE_TABLE])
     def test_exit_code(self, pipeline, tmp_path, capsys, verb, case, argv, code, fragment):
         argv = argv(pipeline[0], tmp_path)
-        before = sorted(tmp_path.rglob("*"))
+        before = tree_bytes(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run(argv) == code
@@ -702,7 +797,7 @@ class TestExitCodeTable:
         assert fragment in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
         assert [str(w.message) for w in caught] == []
-        assert sorted(tmp_path.rglob("*")) == before
+        assert tree_bytes(tmp_path) == before
 
 
 class TestReproducibility:
@@ -719,19 +814,22 @@ class TestReproducibility:
         for name in ("press_ref.ppm", "press_contact.ppm", "press_truth.dmap"):
             assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
 
-    def test_no_writes_outside_declared_paths(self, tmp_path):
-        before = set(tmp_path.rglob("*"))
-        prefix = tmp_path / "out" / "press"
-        prefix.parent.mkdir()
-        assert run(["phantom", *SMALL, "--seed", 1, "--out-prefix", prefix]) == 0
-        new_files = {p for p in tmp_path.rglob("*") if p.is_file()} - before
-        expected = {
-            prefix.parent / "press_ref.ppm",
-            prefix.parent / "press_contact.ppm",
-            prefix.parent / "press_truth.dmap",
-            prefix.parent / "press_ref.ppm.manifest.json",
-        }
-        assert new_files == expected
+    def test_no_writes_outside_declared_paths(self, pipeline, tmp_path):
+        """Each verb's run leaves its declared outputs and its manifest, and no other path, staged or not."""
+        d = pipeline[0]
+        inputs = tree_bytes(d)
+        for verb, (argv, outputs) in WRITING_RUNS.items():
+            out = tmp_path / verb
+            out.mkdir()
+            assert run(argv(d, out)) == 0, verb
+            manifest = json.loads((out / f"{outputs[0]}.manifest.json").read_text())
+            assert manifest["outputs"] == [str(out / name) for name in outputs], verb
+            declared = {out / name for name in outputs} | {out / f"{outputs[0]}.manifest.json"}
+            written = set(out.rglob("*"))
+            assert {p for p in written if p.parent == out} == declared, verb
+            assert all(p.is_file() and p.parent in declared for p in written if p.parent != out), verb
+        assert sorted(tmp_path.iterdir()) == sorted(tmp_path / verb for verb in WRITING_RUNS)
+        assert tree_bytes(d) == inputs
 
 
 def readme_commands():

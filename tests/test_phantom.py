@@ -300,7 +300,7 @@ class TestDiscPixels:
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 - 1])
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
-    def test_capture_pixels_match_capture_reading(self, request, which, seed):
+    def test_capture_pixels_match_render_reading(self, request, which, seed):
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
         full = np.ones((geom.height, geom.width), dtype=bool)
