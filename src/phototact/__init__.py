@@ -33,6 +33,7 @@ from .phantom import (
     clean_pixels,
     contact_solve,
     default_membrane,
+    disc_captures,
     generate_phantom_dataset,
     render_reading,
     sphere_press_truth,
@@ -71,7 +72,6 @@ from .characterization import (
     CharacterizationReport,
     ForceSweep,
     IndenterRig,
-    SensitivityResult,
     TrialSet,
     characterize,
     hysteresis,
@@ -80,6 +80,5 @@ from .characterization import (
     repeatability,
     repeatability_trials,
     run_force_sweep,
-    sensitivity_profile,
     smooth_sweep,
 )

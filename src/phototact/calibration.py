@@ -38,7 +38,7 @@ import numpy as np
 
 from .imaging import MAX_DEPTH_MM, DeformationMap, RgbImage, SensorGeometry, json_number
 from .imprint import disc_pixels, disc_rows
-from .phantom import MembraneModel, capture_pixels, clean_pixels, rng_stream, sphere_press_truth, sub_seeds
+from .phantom import MembraneModel, disc_captures, rng_stream, sphere_press_truth, sub_seeds
 
 LAYER_SIZES = (5, 32, 32, 32, 1)
 
@@ -395,17 +395,14 @@ def build_calib_dataset(
     if n_captures < 1:
         raise ValueError("need at least one capture")
     draws = rng_stream(seed, _STREAM_DEPTHS).random(n_captures)
-    render_seeds = sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 2))
-    index = geom.disc_index
-    rest = clean_pixels(geom.zero_map(), membrane, index)
+    render_seeds = sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 1, 2))
+    # uniform depths in (0, MAX_DEPTH_MM]
+    truths = (sphere_press_truth(MAX_DEPTH_MM * (1.0 - float(draw)), sphere_radius_mm, geom) for draw in draws)
     rows_x, rows_y = [], []
-    for draw, (ref_seed, contact_seed) in zip(draws, render_seeds):
-        depth = MAX_DEPTH_MM * (1.0 - float(draw))  # uniform in (0, MAX_DEPTH_MM]
-        truth = sphere_press_truth(depth, sphere_radius_mm, geom)
-        ref = capture_pixels(rest, membrane, int(ref_seed), index)
-        contact = capture_pixels(clean_pixels(truth, membrane, index), membrane, int(contact_seed), index)
+    for truth, captures in disc_captures(truths, render_seeds, membrane, geom):
+        ((ref, contact),) = captures
         rows_x.append(disc_rows(ref, contact, geom))
-        rows_y.append(np.take(truth.depths, index).astype(np.float64))
+        rows_y.append(np.take(truth.depths, geom.disc_index).astype(np.float64))
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)
 
 

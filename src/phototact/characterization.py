@@ -34,8 +34,7 @@ from .calibration import CalibrationModel, disc_depths, forward_scratch
 from .imaging import MAX_DEPTH_MM, DeformationMap, SensorGeometry
 from .phantom import (
     MembraneModel,
-    capture_pixels,
-    clean_pixels,
+    disc_captures,
     spherical_cap_profile,
     spherical_cap_volume,
     sub_seeds,
@@ -190,29 +189,14 @@ class IndenterRig:
 
 
 def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
-    """For each truth, the disc depths of its captures: one array per (reference, contact) seed pair.
+    """For each truth, the disc depths of its captures (see :func:`disc_captures`), one array per seed pair.
 
-    ``seed_pairs[k]`` lists the seed pairs of ``truths[k]``; each pair is an
-    unloaded reference and a contact reading of the truth.  The noise-free
-    renders are computed once per truth and one forward scratch pair serves
-    every capture.
+    One forward scratch pair serves every capture.
     """
     geom = rig.geometry
-    index = geom.disc_index
-    rest = clean_pixels(geom.zero_map(), rig.membrane, index)
     scratch = forward_scratch(geom.disc_pixel_count)
-    for truth, pairs in zip(truths, seed_pairs):
-        clean = clean_pixels(truth, rig.membrane, index)
-        yield [
-            disc_depths(
-                model,
-                capture_pixels(rest, rig.membrane, int(ref_seed), index),
-                capture_pixels(clean, rig.membrane, int(contact_seed), index),
-                geom,
-                scratch,
-            )
-            for ref_seed, contact_seed in pairs
-        ]
+    for _, captures in disc_captures(truths, seed_pairs, rig.membrane, geom):
+        yield [disc_depths(model, ref, contact, geom, scratch) for ref, contact in captures]
 
 
 def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:
@@ -240,51 +224,6 @@ def run_force_sweep(
         max_depths[i] = np.mean([depths.max() for depths in measured])
         mean_depths[i] = np.mean([depths.mean() for depths in measured])
     return ForceSweep(forces=forces, max_depths=max_depths, mean_depths=mean_depths, direction=direction)
-
-
-@dataclass(frozen=True)
-class SensitivityResult:
-    threshold_n: float | None
-    resolution_n: float | None
-    saturation_n: float | None
-    noise_floor_mm: float
-    sweep: ForceSweep
-
-
-def sensitivity_profile(rig: IndenterRig, model: CalibrationModel, forces, seed: int) -> SensitivityResult:
-    """Threshold, force resolution, and saturation onset from one loading sweep."""
-    forces = sorted(float(f) for f in forces)
-    if len(forces) < 3:
-        raise ValueError("need at least three sweep forces")
-    floor = noise_floor(rig, model, seed)
-    sweep = run_force_sweep(rig, model, forces, seed, direction="loading")
-
-    threshold = None
-    for force, mean_depth in zip(sweep.forces, sweep.mean_depths):
-        if mean_depth > 3.0 * floor:
-            threshold = float(force)
-            break
-
-    resolution = None
-    gaps = np.diff(sweep.forces)
-    depth_diffs = np.diff(sweep.max_depths)
-    eligible = gaps[depth_diffs > floor]
-    if eligible.size:
-        resolution = float(eligible.min())
-
-    saturation = None
-    for force in sweep.forces:
-        if rig.force_to_depth(float(force)) >= MAX_DEPTH_MM:
-            saturation = float(force)
-            break
-
-    return SensitivityResult(
-        threshold_n=threshold,
-        resolution_n=resolution,
-        saturation_n=saturation,
-        noise_floor_mm=floor,
-        sweep=sweep,
-    )
 
 
 def repeatability_trials(
@@ -339,28 +278,55 @@ def characterize(
     steps=defaults.CHAR_DEPTH_STEPS_MM,
     seed: int = 0,
 ) -> CharacterizationReport:
-    """Run the full metrology protocol on the simulated rig."""
-    sensitivity = sensitivity_profile(rig, model, forces, seed)
+    """Run the full metrology protocol on the simulated rig.
+
+    The threshold, force resolution and saturation onset come from the noise
+    floor and the loading sweep, the hysteresis from both sweeps.
+    """
+    forces = sorted(float(f) for f in forces)
+    if len(forces) < 3:
+        raise ValueError("need at least three sweep forces")
+    floor = noise_floor(rig, model, seed)
+    loading = run_force_sweep(rig, model, forces, seed, direction="loading")
+
+    threshold = None
+    for force, mean_depth in zip(loading.forces, loading.mean_depths):
+        if mean_depth > 3.0 * floor:
+            threshold = float(force)
+            break
+
+    resolution = None
+    gaps = np.diff(loading.forces)
+    depth_diffs = np.diff(loading.max_depths)
+    eligible = gaps[depth_diffs > floor]
+    if eligible.size:
+        resolution = float(eligible.min())
+
+    saturation = None
+    for force in loading.forces:
+        if rig.force_to_depth(float(force)) >= MAX_DEPTH_MM:
+            saturation = float(force)
+            break
+
     unloading = run_force_sweep(rig, model, forces, seed + 1, direction="unloading")
-    h = hysteresis(smooth_sweep(sensitivity.sweep), smooth_sweep(unloading), MAX_DEPTH_MM)
+    h = hysteresis(smooth_sweep(loading), smooth_sweep(unloading), MAX_DEPTH_MM)
     trials = repeatability_trials(rig, model, steps=steps, seed=seed + 2)
     r = repeatability(trials)
 
-    null_seeds = sub_seeds(seed + 3, _STREAM_NULL, 2)
-    index = rig.geometry.disc_index
-    rest = clean_pixels(rig.geometry.zero_map(), rig.membrane, index)
-    before, after = (capture_pixels(rest, rig.membrane, int(s), index) for s in null_seeds)
+    null_seeds = sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))
+    ((_, captures),) = disc_captures([rig.geometry.zero_map()], null_seeds, rig.membrane, rig.geometry)
+    ((before, after),) = captures
     null_std = null_difference_stat(before, after, rig.geometry)
 
     return CharacterizationReport(
-        threshold_n=sensitivity.threshold_n,
-        resolution_n=sensitivity.resolution_n,
-        saturation_n=sensitivity.saturation_n,
+        threshold_n=threshold,
+        resolution_n=resolution,
+        saturation_n=saturation,
         repeatability_pct=r,
         hysteresis_pct=h,
         null_std=null_std,
-        noise_floor_mm=sensitivity.noise_floor_mm,
-        loading=sensitivity.sweep,
+        noise_floor_mm=floor,
+        loading=loading,
         unloading=unloading,
         trials=trials,
     )

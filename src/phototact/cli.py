@@ -207,20 +207,25 @@ class _Publication:
 
     def stage(self, path, directory=False):
         """The path to write in place of ``path``; with ``directory``, an empty directory whose files
-        are published into ``path``, file by file when ``path`` is an existing directory."""
-        final = Path(path)
-        if final.parent in self.staged:  # a file inside an output directory is published with that directory
+        are published into ``path``, file by file when ``path`` is an existing directory.
+
+        A path staged twice, or a file the run already wrote inside a staged directory, is refused: the
+        second write would replace the first output."""
+        final = Path(os.path.abspath(path))
+        inside = final.parent in self.staged  # a file inside an output directory is published with that directory
+        if final in self.staged or inside and (self.staged[final.parent] / final.name).exists():
+            raise ValueError(f"{final} is named as two outputs of this run")
+        if inside:
             return self.staged[final.parent] / final.name
-        if final not in self.staged:
-            merge = directory and final.is_dir()
-            home = final if merge else final.parent
-            try:
-                self.staging.append(Path(tempfile.mkdtemp(prefix=".phototact-", suffix=".partial", dir=home)))
-            except OSError as err:
-                raise OSError(err.errno, err.strerror, str(home)) from None
-            self.staged[final] = self.staging[-1] if merge else self.staging[-1] / final.name
-            if directory and not merge:
-                self.staged[final].mkdir()
+        merge = directory and final.is_dir()
+        home = final if merge else final.parent
+        try:
+            self.staging.append(Path(tempfile.mkdtemp(prefix=".phototact-", suffix=".partial", dir=home)))
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, str(home)) from None
+        self.staged[final] = self.staging[-1] if merge else self.staging[-1] / final.name
+        if directory and not merge:
+            self.staged[final].mkdir()
         return self.staged[final]
 
     def publish(self):
@@ -241,9 +246,8 @@ def _write_manifest(stage, args, inputs, outputs, started):
     """Run manifest of ``args.verb``, at ``--manifest`` or beside the first output."""
     config = {k: v for k, v in vars(args).items() if k not in ("verb", "manifest")}
     target = args.manifest
-    if target is None:
-        primary = outputs[0].rstrip("/")
-        target = f"{primary}.manifest.json"
+    if target is None:  # beside the first output, also when that is a directory given as "." or with a "/"
+        target = f"{os.path.abspath(outputs[0])}.manifest.json"
     doc = {
         "command": args.verb,
         "argv": [args.verb] + _config_argv(config),
@@ -471,7 +475,8 @@ def _cmd_characterize(args, stage):
 
 
 # Each handler writes every output to the path ``stage(output)`` gives and returns the (inputs, outputs) its
-# run manifest records, then the document it prints, if any.  A run with no outputs writes no manifest.
+# run manifest records, then the document it prints, if any.  A run with no outputs writes a manifest only at
+# ``--manifest``.
 _HANDLERS = {
     "phantom": _cmd_phantom,
     "imprint": _cmd_imprint,
@@ -512,7 +517,7 @@ def dispatch(argv) -> int:
     publication = _Publication()
     try:
         inputs, outputs, *stdout = _HANDLERS[args.verb](args, publication.stage)
-        if outputs:
+        if outputs or args.manifest:
             _write_manifest(publication.stage, args, inputs, outputs, started)
         publication.publish()
     except (

@@ -299,6 +299,27 @@ def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, index)
     return _noisy_channels(clean_px, np.take(noise, index, axis=0), model)
 
 
+def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry):
+    """``(truth, captures)`` for each truth: its sensing-disc capture pairs, rendered as they are consumed.
+
+    ``seed_pairs[k]`` lists the (reference, contact) seed pairs of
+    ``truths[k]``.  ``captures`` yields one ``(ref_px, contact_px)`` per pair:
+    the unloaded disc captured at the reference seed and the truth's disc at
+    the contact seed, as :func:`capture_pixels` returns them.  The noise-free
+    unloaded disc is rendered once and each truth's disc once.
+    """
+    index = geom.disc_index
+    rest = clean_pixels(geom.zero_map(), model, index)
+
+    def captures(clean, pairs):
+        for ref_seed, contact_seed in pairs:
+            ref = capture_pixels(rest, model, int(ref_seed), index)
+            yield ref, capture_pixels(clean, model, int(contact_seed), index)
+
+    for truth, pairs in zip(truths, seed_pairs):
+        yield truth, captures(clean_pixels(truth, model, index), pairs)
+
+
 def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> RgbImage:
     """Camera reading of the deformed membrane with seeded speckle and noise.
 
@@ -360,16 +381,6 @@ class DatasetSpec:
     @property
     def n_negative(self) -> int:
         return len(self.negative_masses_g) * self.presses_per_negative_mass
-
-    def to_dict(self) -> dict:
-        return {
-            "diameters_mm": list(self.diameters_mm),
-            "burial_depths_mm": list(self.burial_depths_mm),
-            "presses_per_positive": self.presses_per_positive,
-            "positive_mass_g": self.positive_mass_g,
-            "negative_masses_g": list(self.negative_masses_g),
-            "presses_per_negative_mass": self.presses_per_negative_mass,
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetSpec":

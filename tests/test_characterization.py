@@ -7,6 +7,7 @@ from phototact.characterization import (
     ForceSweep,
     IndenterRig,
     TrialSet,
+    characterize,
     hysteresis,
     moving_average,
     noise_floor,
@@ -14,7 +15,6 @@ from phototact.characterization import (
     repeatability,
     repeatability_trials,
     run_force_sweep,
-    sensitivity_profile,
     smooth_sweep,
 )
 from phototact import characterization
@@ -243,21 +243,21 @@ class TestSensitivity:
     def test_noise_free_threshold_is_first_force(self, small_geometry):
         rig = make_rig(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        result = sensitivity_profile(rig, model, [0.02, 0.04, 0.06], seed=0)
+        result = characterize(rig, model, [0.02, 0.04, 0.06], seed=0)
         assert result.noise_floor_mm == 0.0
         assert result.threshold_n == 0.02
 
     def test_all_forces_below_saturation(self, small_geometry):
         rig = make_rig(small_geometry)
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        result = sensitivity_profile(rig, model, [0.005, 0.01, 0.015], seed=0)
+        result = characterize(rig, model, [0.005, 0.01, 0.015], seed=0)
         assert result.saturation_n is None
 
     def test_needs_three_forces(self, small_geometry):
         rig = make_rig(small_geometry)
         model = linear_hue_model(1.0)
         with pytest.raises(ValueError, match="three"):
-            sensitivity_profile(rig, model, [0.01, 0.02], seed=0)
+            characterize(rig, model, [0.01, 0.02], seed=0)
 
     def test_threshold_non_increasing_in_noise(self, small_geometry):
         # Monte Carlo over seeds: quieter sensors detect at or below the
@@ -268,7 +268,7 @@ class TestSensitivity:
             for seed in (0, 1, 2):
                 rig = make_rig(small_geometry, noise_std=noise_std, speckle_amplitude=0.0)
                 model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-                result = sensitivity_profile(rig, model, forces, seed=seed)
+                result = characterize(rig, model, forces, steps=(0.2,), seed=seed)
                 thresholds.append(result.threshold_n if result.threshold_n is not None else forces[-1] * 2)
             return float(np.mean(thresholds))
         assert mean_threshold(0.2) <= mean_threshold(0.8)

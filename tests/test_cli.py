@@ -479,6 +479,28 @@ class TestManifests:
         assert json.loads(capsys.readouterr().out)["manifest"]["command"] == "detect"
         assert sorted(d.rglob("*")) == before
 
+    def test_detect_manifest_without_report(self, pipeline, tmp_path, capsys):
+        d = pipeline[0]
+        argv = ["detect", "--detector", d / "detector.json", "--map", d / "recon.dmap"]
+        assert run(argv) == 0
+        stdout = capsys.readouterr().out
+        assert run([*argv, "--manifest", tmp_path / "m.json"]) == 0
+        assert capsys.readouterr().out == stdout
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        assert manifest["outputs"] == []
+        assert manifest["inputs"] == [str(d / "detector.json"), str(d / "recon.dmap")]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "m.json"]
+
+    def test_default_manifest_of_the_current_directory(self, pipeline, tmp_path, monkeypatch):
+        """``--out .`` names the working directory, so its manifest lands beside that directory."""
+        out = tmp_path / "data"
+        out.mkdir()
+        monkeypatch.chdir(out)
+        assert run(["dataset", *SMALL, "--spec", pipeline[0] / "spec.json", "--seed", 7, "--out", "."]) == 0
+        assert json.loads((tmp_path / "data.manifest.json").read_text())["outputs"] == ["."]
+        assert sorted(tmp_path.iterdir()) == [out, tmp_path / "data.manifest.json"]
+        assert (out / "manifest.csv").read_bytes() == (pipeline[0] / "data" / "manifest.csv").read_bytes()
+
 
 def json_file(t, doc):
     path = t / "doc.json"
@@ -744,6 +766,22 @@ EXIT_CODE_TABLE = [
     ("dataset", "output-file-is-a-directory", lambda d, t: ["dataset", *SMALL, "--spec", d / "spec.json", "--out",
                                                             occupied(t, "data/manifest.csv") / "data"], 2,
      "Is a directory"),
+    # Two outputs at one path: the later write would replace the earlier output.
+    ("calibrate", "manifest-is-the-model", lambda d, t: ["calibrate", *SMALL, "--captures", 1, "--epochs", 1,
+                                                         "--out", t / "c.json", "--manifest", t / "c.json"], 2,
+     "is named as two outputs of this run"),
+    ("dataset", "manifest-is-the-sample-list", lambda d, t: ["dataset", *SMALL, "--spec", d / "spec.json",
+                                                             "--out", t / "data",
+                                                             "--manifest", t / "data" / "manifest.csv"], 2,
+     "is named as two outputs of this run"),
+    ("characterize", "manifest-is-the-summary", lambda d, t: ["characterize", *SMALL, "--calibration",
+                                                              d / "calib.json", "--out", t / "char",
+                                                              "--manifest", t / "char" / "summary.json"], 2,
+     "is named as two outputs of this run"),
+    ("evaluate", "csv-is-the-report", lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json",
+                                                    "--dataset", d / "data", "--calibration", d / "calib.json",
+                                                    "--out", t / "r.json", "--csv", t / "r.json"], 2,
+     "is named as two outputs of this run"),
     # A dataset's manifest.csv is checked where it is read.
     ("train-detector", "manifest-header-only",
      lambda d, t: ["train-detector", *SMALL, "--dataset", dataset_with_manifest(d, t, lambda text: text.split("\n")[0]),

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import phototact as pt
-from phototact import defaults
+from phototact import defaults, phantom
 from phototact.imaging import hsv_to_rgb_real, quantize_channels
 from phototact.phantom import (
     STREAM_RENDER,
@@ -320,6 +321,20 @@ class TestDiscPixels:
             prefix = rng_stream(seed, STREAM_RENDER).standard_normal((rows,) + shape[1:])
             assert np.array_equal(prefix, rng_stream(seed, STREAM_RENDER).standard_normal(shape)[:rows])
 
+    def test_disc_captures_render_each_pair_as_it_is_consumed(self, small_geometry, small_membrane, monkeypatch):
+        seeds = []
+        capture = phantom.capture_pixels
+        monkeypatch.setattr(phantom, "capture_pixels", lambda *args: seeds.append(args[2]) or capture(*args))
+        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        stream = pt.disc_captures([truth, truth], [[(1, 2), (3, 4)], [(5, 6)]], small_membrane, small_geometry)
+        _, captures = next(stream)
+        assert seeds == []
+        ref, contact = next(captures)
+        assert seeds == [1, 2]
+        mask = small_geometry.disc_mask
+        assert np.array_equal(ref, render_reading(small_geometry.zero_map(), small_membrane, 1).pixels[mask])
+        assert np.array_equal(contact, render_reading(truth, small_membrane, 2).pixels[mask])
+
     def test_empty_mask_captures_nothing(self, small_geometry, small_membrane):
         index = np.flatnonzero(np.zeros((small_geometry.height, small_geometry.width), dtype=bool))
         assert pt.capture_pixels(np.empty((0, 3)), small_membrane, 3, index).shape == (0, 3)
@@ -386,7 +401,7 @@ class TestPhantomConfigFromDict:
 class TestDatasetSpecFromDict:
     def test_roundtrip(self):
         spec = DatasetSpec(diameters_mm=(4.0,), presses_per_positive=2)
-        assert DatasetSpec.from_dict(spec.to_dict()) == spec
+        assert DatasetSpec.from_dict(dataclasses.asdict(spec)) == spec
 
     @pytest.mark.parametrize(
         "changes, message",
@@ -409,7 +424,7 @@ class TestDatasetSpecFromDict:
     )
     def test_malformed_rejected(self, changes, message):
         with pytest.raises(ValueError, match=message):
-            DatasetSpec.from_dict({**DatasetSpec().to_dict(), **changes})
+            DatasetSpec.from_dict({**dataclasses.asdict(DatasetSpec()), **changes})
 
     @pytest.mark.parametrize("count", [2.7, 2.0, True])
     def test_constructor_rejects_non_integer_counts(self, count):
@@ -423,7 +438,7 @@ class TestDatasetSpecFromDict:
             DatasetSpec.from_dict(data)
 
     def test_missing_key_rejected(self):
-        data = DatasetSpec().to_dict()
+        data = dataclasses.asdict(DatasetSpec())
         del data["positive_mass_g"]
         with pytest.raises(ValueError, match="malformed dataset spec: KeyError"):
             DatasetSpec.from_dict(data)
