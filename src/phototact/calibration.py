@@ -31,7 +31,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +101,7 @@ class CalibrationModel:
     feature_scale: np.ndarray
     max_depth: float = MAX_DEPTH_MM
     epoch_losses: tuple = ()
+    _activations: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(np.asarray(w, dtype=np.float32) for w in self.weights)
@@ -121,47 +122,44 @@ class CalibrationModel:
         arrays = list(weights) + list(biases) + [shift, scale]
         if not all(np.all(np.isfinite(a)) for a in arrays):
             raise ValueError("model parameters must be finite")
+        losses = tuple(float(x) for x in self.epoch_losses)
+        if not all(map(math.isfinite, losses)):
+            raise ValueError("epoch losses must be finite")
         for a in arrays:
             a.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "feature_shift", shift)
         object.__setattr__(self, "feature_scale", scale)
-        object.__setattr__(self, "epoch_losses", tuple(float(x) for x in self.epoch_losses))
+        object.__setattr__(self, "epoch_losses", losses)
 
     def standardize(self, features):
         x = np.asarray(features, dtype=np.float64)
         return (x - self.feature_shift.astype(np.float64)) / self.feature_scale.astype(np.float64)
 
-    def forward(self, features, scratch=None):
+    def forward(self, features):
         """Raw depth predictions (mm) for an (N, 5) feature matrix, as float64.
 
         The features are standardized in float64; the layers run in float32
         with the stored parameters, since a depth map keeps float32 depths.
-        The hidden layers alternate between the two float32 buffers of
-        ``scratch`` (see :func:`forward_scratch`). A caller that runs many
-        forwards passes the same pair each time, so the forwards allocate no
-        activation memory and the heap does not grow and shrink by two
-        activation matrices per call.
+        The hidden layers alternate between two float32 activation buffers
+        that the model keeps: allocated on the first call and replaced only by
+        a larger batch, so a run of forwards allocates no activation memory
+        and the heap does not grow and shrink by two activation matrices per
+        call.  The result is a fresh array, so no result aliases the buffers.
         """
         x = self.standardize(features).astype(np.float32)
-        if scratch is None:
-            scratch = forward_scratch(x.shape[0])
-        elif any(buf.dtype != np.float32 for buf in scratch):
-            # matmul casts its products to the out buffer's dtype without a word.
-            raise ValueError("forward scratch buffers must be float32")
-        out = _forward_pass(self.weights, self.biases, x, (scratch[0], scratch[1], scratch[0]))[1]
+        if self._activations is None or self._activations[0].shape[0] < x.shape[0]:
+            shape = (x.shape[0], LAYER_SIZES[1])
+            object.__setattr__(self, "_activations", (np.empty(shape, np.float32), np.empty(shape, np.float32)))
+        first, second = self._activations
+        out = _forward_pass(self.weights, self.biases, x, (first, second, first))[1]
         return out.astype(np.float64)
 
 
 def _float64_parameters(model: CalibrationModel):
     """The model's weights and biases promoted to float64, as the gradient API computes with them."""
     return [w.astype(np.float64) for w in model.weights], [b.astype(np.float64) for b in model.biases]
-
-
-def forward_scratch(rows: int):
-    """Two (rows, 32) float32 buffers for :meth:`CalibrationModel.forward` on up to ``rows`` rows."""
-    return np.empty((rows, LAYER_SIZES[1]), np.float32), np.empty((rows, LAYER_SIZES[1]), np.float32)
 
 
 def mlp_forward(model: CalibrationModel, features):
@@ -406,14 +404,13 @@ def build_calib_dataset(
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)
 
 
-def disc_depths(model: CalibrationModel, ref_px, contact_px, geom: SensorGeometry, scratch=None) -> np.ndarray:
+def disc_depths(model: CalibrationModel, ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:
     """Depths (mm) of the sensing-disc pixels from their readings (N, 3), in row-major order.
 
-    One forward pass (``scratch`` as in :meth:`CalibrationModel.forward`),
-    clamped to [0, max_depth] and rounded to float32 as a depth map stores
-    them, returned as float64.
+    One forward pass, clamped to [0, max_depth] and rounded to float32 as a
+    depth map stores them, returned as float64.
     """
-    raw = model.forward(disc_rows(ref_px, contact_px, geom), scratch)
+    raw = model.forward(disc_rows(ref_px, contact_px, geom))
     return np.clip(raw, 0.0, model.max_depth).astype(np.float32).astype(np.float64)
 
 
@@ -467,12 +464,14 @@ def load_model(path) -> CalibrationModel:
         raise ValueError("unexpected layer sizes")
     shapes = [(LAYER_SIZES[i], LAYER_SIZES[i + 1]) for i in range(len(LAYER_SIZES) - 1)]
     try:
+        if len(doc["weights"]) != len(shapes) or len(doc["biases"]) != len(shapes):
+            raise ValueError(f"malformed calibration model file: need {len(shapes)} weight and bias blobs")
         return CalibrationModel(
             weights=tuple(_decode(blob, shape) for blob, shape in zip(doc["weights"], shapes)),
             biases=tuple(_decode(blob, (shape[1],)) for blob, shape in zip(doc["biases"], shapes)),
             feature_shift=_decode(doc["feature_shift"], (LAYER_SIZES[0],)),
             feature_scale=_decode(doc["feature_scale"], (LAYER_SIZES[0],)),
-            max_depth=float(json_number(doc["max_depth"])),
+            max_depth=json_number(doc["max_depth"]),
             epoch_losses=tuple(map(json_number, doc.get("epoch_losses", ()))),
         )
     except (KeyError, TypeError) as err:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
-from .calibration import CalibrationModel, disc_depths, forward_scratch
+from .calibration import CalibrationModel, disc_depths
 from .imaging import MAX_DEPTH_MM, DeformationMap, SensorGeometry
 from .phantom import (
     MembraneModel,
@@ -189,14 +189,10 @@ class IndenterRig:
 
 
 def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
-    """For each truth, the disc depths of its captures (see :func:`disc_captures`), one array per seed pair.
-
-    One forward scratch pair serves every capture.
-    """
+    """For each truth, the disc depths of its captures (see :func:`disc_captures`), one array per seed pair."""
     geom = rig.geometry
-    scratch = forward_scratch(geom.disc_pixel_count)
     for _, captures in disc_captures(truths, seed_pairs, rig.membrane, geom):
-        yield [disc_depths(model, ref, contact, geom, scratch) for ref, contact in captures]
+        yield [disc_depths(model, ref, contact, geom) for ref, contact in captures]
 
 
 def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:

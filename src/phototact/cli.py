@@ -35,7 +35,6 @@ from .calibration import (
     TrainingDivergedError,
     build_calib_dataset,
     disc_depths,
-    forward_scratch,
     load_model,
     reconstruct,
     save_model,
@@ -297,7 +296,7 @@ def _cmd_phantom(args, stage):
     save_ppm(stage(paths[0]), ref)
     save_ppm(stage(paths[1]), contact)
     save_dmap(stage(paths[2]), solution.deformation)
-    return [], paths
+    return [args.config] if args.config else [], paths
 
 
 def _cmd_imprint(args, stage):
@@ -356,7 +355,7 @@ def _cmd_dataset(args, stage):
     samples = generate_phantom_dataset(_load_spec(args.spec), geom, membrane, args.seed)
     out_dir = stage(args.out, directory=True)
     (out_dir / "manifest.csv").write_text(dataset_manifest_rows(_written(samples, out_dir)))
-    return [], [str(Path(args.out))]
+    return [] if args.spec == "default" else [args.spec], [str(Path(args.out))]
 
 
 def _read_dataset_features(dataset_dir, calib_model, geom):
@@ -366,7 +365,6 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
     if not manifest.exists():
         raise ValueError(f"missing dataset manifest {manifest}")
     features, labels, ids = [], [], []
-    scratch = forward_scratch(geom.disc_pixel_count)
     with manifest.open(newline="") as fh:
         rows = csv.DictReader(fh)
         if tuple(rows.fieldnames or ()) != DATASET_CSV_FIELDS:
@@ -379,7 +377,7 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
                 raise ValueError(f"dataset manifest {manifest}: label {row['label']!r} of {sample_id} is not 1 or -1")
             ref = load_ppm(dataset_dir / f"{sample_id}_ref.ppm")
             contact = load_ppm(dataset_dir / f"{sample_id}_contact.ppm")
-            fv = FeatureVector.of(disc_depths(calib_model, *disc_pixels(ref, contact, geom), geom, scratch))
+            fv = FeatureVector.of(disc_depths(calib_model, *disc_pixels(ref, contact, geom), geom))
             features.append([fv.mu, fv.sigma])
             labels.append(int(row["label"]))
             ids.append(sample_id)

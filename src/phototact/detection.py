@@ -89,10 +89,7 @@ def fit_standardizer(features) -> Standardizer:
         raise ValueError("need at least two samples to standardize")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    std = x.std(axis=0)
-    if np.any(std == 0):
-        raise ValueError("zero variance feature")
-    return Standardizer(mean=x.mean(axis=0), std=std)
+    return Standardizer(mean=x.mean(axis=0), std=x.std(axis=0))
 
 
 @dataclass(frozen=True)
@@ -305,7 +302,7 @@ def load_detector(path) -> DetectorModel:
         return DetectorModel(
             standardizer=standardizer,
             weights=np.array([json_number(doc["weights"][k]) for k in ("mu", "sigma")], dtype=np.float64),
-            bias=float(json_number(doc["bias"])),
+            bias=json_number(doc["bias"]),
             training_meta=doc.get("training") or None,
         )
     except (KeyError, TypeError) as err:

@@ -44,11 +44,18 @@ def _frozen_array(values, dtype):
     return arr
 
 
-def json_number(value):
-    """``value`` itself when it is a JSON number (an int or a float, never a bool); TypeError otherwise."""
+def json_number(value) -> float:
+    """``value`` as a float when it is a JSON number (an int or a float, never a bool); TypeError otherwise.
+
+    An integer beyond the float range becomes the infinity of its sign, which
+    every reader's finiteness check rejects.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"expected a number, got {value!r}")
-    return value
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def quantize_channels(values):

@@ -109,13 +109,11 @@ class PhantomConfig:
         if "tumor_present" not in data:
             raise ValueError("phantom config needs 'tumor_present'")
         try:
-            values = {k: float(json_number(data[k])) for k in data.keys() - {"tumor_present", "lateral_offset_mm"}}
+            values = {k: json_number(data[k]) for k in data.keys() - {"tumor_present", "lateral_offset_mm"}}
             if "lateral_offset_mm" in data:
-                values["lateral_offset_mm"] = tuple(float(json_number(x)) for x in data["lateral_offset_mm"])
+                values["lateral_offset_mm"] = tuple(json_number(x) for x in data["lateral_offset_mm"])
         except TypeError:
             raise ValueError("phantom config values must be numbers") from None
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError("phantom parameters must be finite") from None
         if len(values.get("lateral_offset_mm", (0.0, 0.0))) != 2:
             raise ValueError("lateral offset must be an (x, y) pair")
         return cls(tumor_present=data["tumor_present"], **values)
@@ -192,10 +190,12 @@ def stiffness_field(cfg: PhantomConfig, geom: SensorGeometry) -> np.ndarray:
     if cfg.tumor_present:
         gx, gy = geom.coords_mm
         ox, oy = cfg.lateral_offset_mm
-        r_sq = (gx - ox) ** 2 + (gy - oy) ** 2
         spread = cfg.ball_diameter_mm / (2.0 * math.sqrt(2.0))
         attenuation = math.exp(-cfg.burial_depth_mm / defaults.DEPTH_ATTENUATION_MM)
-        k = k + cfg.tumor_stiffness_boost * attenuation * np.exp(-r_sq / (2.0 * spread**2))
+        # An infinite squared distance adds no inclusion stiffness; an infinite k fails contact_solve's check.
+        with np.errstate(over="ignore"):
+            r_sq = (gx - ox) ** 2 + (gy - oy) ** 2
+            k = k + cfg.tumor_stiffness_boost * attenuation * np.exp(-r_sq / (2.0 * spread**2))
     return k
 
 
@@ -204,8 +204,9 @@ def contact_solve(cfg: PhantomConfig, geom: SensorGeometry, model: MembraneModel
     k = stiffness_field(cfg, geom)
     mask = geom.disc_mask
     area_element = geom.mm_per_pixel**2
-    stiffness_integral = float(k[mask].sum()) * area_element
-    if stiffness_integral <= 0.0:
+    with np.errstate(over="ignore"):  # an overflowing sum is not finite, which the check below reports
+        stiffness_integral = float(k[mask].sum()) * area_element
+    if not (math.isfinite(stiffness_integral) and stiffness_integral > 0.0):
         raise ValueError("degenerate foundation")
     displacement = cfg.force_n / stiffness_integral
     pressure = np.where(mask, k * displacement, 0.0)
@@ -392,21 +393,19 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset spec keys: {', '.join(unknown)}")
 
         def sizes(key):
-            return tuple(float(json_number(x)) for x in data[key])
+            return tuple(json_number(x) for x in data[key])
 
         try:
             return cls(
                 diameters_mm=sizes("diameters_mm"),
                 burial_depths_mm=sizes("burial_depths_mm"),
                 presses_per_positive=data["presses_per_positive"],
-                positive_mass_g=float(json_number(data["positive_mass_g"])),
+                positive_mass_g=json_number(data["positive_mass_g"]),
                 negative_masses_g=sizes("negative_masses_g"),
                 presses_per_negative_mass=data["presses_per_negative_mass"],
             )
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed dataset spec: {err!r}") from None
-        except OverflowError:  # an integer beyond the float range
-            raise ValueError("dataset spec sizes and masses must be finite") from None
 
 
 @dataclass(frozen=True)

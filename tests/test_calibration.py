@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -15,7 +16,6 @@ from phototact.calibration import (
     _step_buffers,
     build_calib_dataset,
     disc_depths,
-    forward_scratch,
     input_gradient,
     load_model,
     loss_and_gradients,
@@ -435,37 +435,28 @@ class TestDiscDepths:
                 assert np.array_equal(depths, recon.depths[geom.disc_mask].astype(np.float64))
                 assert np.all(recon.depths[~geom.disc_mask] == 0.0)
 
-    def test_scratch_gives_the_same_bits(self, small_geometry, small_membrane, fast_model):
+    def test_reused_buffers_give_the_same_bits(self, small_geometry, small_membrane, fast_model):
         ref = render_reading(small_geometry.zero_map(), small_membrane, 42)
         contact = render_reading(sphere_press_truth(0.3, 3.0, small_geometry), small_membrane, 43)
         px = disc_pixels(ref, contact, small_geometry)
-        expected = disc_depths(fast_model, *px, small_geometry)
-        for rows in (small_geometry.disc_pixel_count, small_geometry.disc_pixel_count + 7):
-            scratch = forward_scratch(rows)
-            for _ in range(2):  # the buffers are reused as they are left
-                assert np.array_equal(disc_depths(fast_model, *px, small_geometry, scratch), expected)
+        expected = disc_depths(dataclasses.replace(fast_model), *px, small_geometry)
+        model = dataclasses.replace(fast_model)
+        model.forward(np.random.default_rng(2).normal(size=(small_geometry.disc_pixel_count + 7, 5)))
+        for _ in range(2):  # the buffers are reused as they are left
+            assert np.array_equal(disc_depths(model, *px, small_geometry), expected)
 
-    def test_forward_with_scratch_allocates_no_activations(self, fast_model):
+    def test_repeated_forward_allocates_no_activations(self, fast_model):
         x = np.random.default_rng(1).normal(size=(20000, 5))
-        scratch = forward_scratch(len(x))
-        expected = fast_model.forward(x)
+        model = dataclasses.replace(fast_model)
+        expected = model.forward(x)
         tracemalloc.start()
         try:
-            out = fast_model.forward(x, scratch)
+            out = model.forward(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(out, expected)
         assert peak < len(x) * LAYER_SIZES[1] * 4  # less than one float32 hidden activation matrix
-
-    def test_forward_rejects_scratch_that_is_not_float32(self, fast_model):
-        x = np.zeros((10, 5))
-        float32 = np.empty((10, LAYER_SIZES[1]), np.float32)
-        for dtype in (np.float64, np.float16):
-            other = np.empty((10, LAYER_SIZES[1]), dtype)
-            for scratch in ((other, other), (float32, other), (other, float32)):
-                with pytest.raises(ValueError, match="must be float32"):
-                    fast_model.forward(x, scratch)
 
     def test_float32_forward_tracks_the_float64_forward(self, geometry, membrane, calib_model):
         # The float32 layers move the raw depths by float32 rounding only, a few 1e-7 mm on these presses.
@@ -476,7 +467,7 @@ class TestDiscDepths:
         for seed, truth in enumerate(truths):
             rows = color_delta(render_reading(zero, membrane, 2 * seed), render_reading(truth, membrane, 2 * seed + 1),
                                geometry)
-            out = calib_model.forward(rows, forward_scratch(len(rows)))
+            out = calib_model.forward(rows)
             assert out.dtype == np.float64
             assert np.max(np.abs(out - mlp_forward(calib_model, rows))) <= 1e-6
 

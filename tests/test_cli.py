@@ -141,6 +141,18 @@ class TestPhantomVerb:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    def test_offset_whose_square_overflows_adds_no_inclusion(self, tmp_path):
+        names = ("_ref.ppm", "_contact.ppm", "_truth.dmap")
+        outputs = {}
+        for offset in ("1e100", "1e200"):  # (1e200 mm)^2 overflows a float
+            prefix = tmp_path / offset
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(["phantom", *SMALL, "--offset-x", offset, "--out-prefix", prefix]) == 0
+            assert [str(w.message) for w in caught] == []
+            outputs[offset] = [Path(f"{prefix}{name}").read_bytes() for name in names]
+        assert outputs["1e200"] == outputs["1e100"]
+
 
 class TestImprintVerb:
     def test_applies_amplified_difference(self, tmp_path):
@@ -410,7 +422,7 @@ def pipeline(tmp_path_factory):
         "dataset": (
             ["--spec", str(spec), "--seed", 7, "--out", p("data")],
             {**RENDER_CONFIG, "spec": str(spec), "seed": 7, "out": p("data")},
-            [],
+            [str(spec)],
             [p("data")],
         ),
         "train-detector": (
@@ -491,6 +503,15 @@ class TestManifests:
         assert manifest["inputs"] == [str(d / "detector.json"), str(d / "recon.dmap")]
         assert sorted(tmp_path.iterdir()) == [tmp_path / "m.json"]
 
+    def test_json_inputs_are_recorded(self, tmp_path):
+        """A ``--config`` or ``--spec`` file is an input of the run; ``--spec default`` names no file."""
+        cfg = json_file(tmp_path, {"tumor_present": False})
+        assert run(["phantom", *SMALL, "--config", cfg, "--out-prefix", tmp_path / "p"]) == 0
+        assert json.loads((tmp_path / "p_ref.ppm.manifest.json").read_text())["inputs"] == [str(cfg)]
+        assert run(["dataset", *SMALL, "--spec", "default", "--out", tmp_path / "data",
+                    "--manifest", tmp_path / "m.json"]) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["inputs"] == []
+
     def test_default_manifest_of_the_current_directory(self, pipeline, tmp_path, monkeypatch):
         """``--out .`` names the working directory, so its manifest lands beside that directory."""
         out = tmp_path / "data"
@@ -517,6 +538,12 @@ def zero_depth_model(source, t):
     """A copy of the calibration model file ``source`` whose output bias clamps every depth to 0."""
     biases = json.loads(Path(source).read_text())["biases"]
     return edited(source, t, biases=biases[:-1] + [pt.calibration._encode([-10.0])])
+
+
+def extra_layer(source, t):
+    """A copy of the calibration model file ``source`` with a fifth weight blob and a fifth bias blob."""
+    doc = json.loads(Path(source).read_text())
+    return edited(source, t, weights=doc["weights"] + doc["weights"][-1:], biases=doc["biases"] + doc["biases"][-1:])
 
 
 def short_ppm(t):
@@ -587,6 +614,13 @@ EXIT_CODE_TABLE = [
                                                                         "applied_mass_g": 10**400}),
                                                           "--out-prefix", t / "p"], 2,
      "phantom parameters must be finite"),
+    ("phantom", "config-boost-overflows-the-disc-sum",
+     lambda d, t: ["phantom", *SMALL, "--config", json_file(t, {"tumor_present": True, "tumor_stiffness_boost": 1e308}),
+                   "--out-prefix", t / "p"], 2, "degenerate foundation"),
+    ("phantom", "config-stiffnesses-overflow-the-field",
+     lambda d, t: ["phantom", *SMALL, "--config", json_file(t, {"tumor_present": True, "tissue_stiffness": 1.7e308,
+                                                                "tumor_stiffness_boost": 1.7e308}),
+                   "--out-prefix", t / "p"], 2, "degenerate foundation"),
     ("phantom", "noise-std-nan", lambda d, t: ["phantom", *SMALL, "--noise-std", "nan", "--out-prefix", t / "p"], 2,
      "must be finite"),
     ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
@@ -623,6 +657,19 @@ EXIT_CODE_TABLE = [
                                                       edited(d / "calib.json", t, max_depth=[0.5]), "--ref",
                                                       d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
                                                       "--out", t / "r.dmap"], 2, "malformed calibration model file"),
+    ("reconstruct", "max-depth-beyond-float", lambda d, t: ["reconstruct", *SMALL, "--model",
+                                                            edited(d / "calib.json", t, max_depth=10**400), "--ref",
+                                                            d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                                                            "--out", t / "r.dmap"], 2,
+     "max depth must lie in (0, 0.5] mm"),
+    ("reconstruct", "epoch-loss-beyond-float", lambda d, t: ["reconstruct", *SMALL, "--model",
+                                                             edited(d / "calib.json", t, epoch_losses=[0.1, 10**400]),
+                                                             "--ref", d / "press_ref.ppm", "--contact",
+                                                             d / "press_contact.ppm", "--out", t / "r.dmap"], 2,
+     "epoch losses must be finite"),
+    ("reconstruct", "fifth-layer-blobs", lambda d, t: ["reconstruct", *SMALL, "--model", extra_layer(d / "calib.json", t),
+                                                       "--ref", d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                                                       "--out", t / "r.dmap"], 2, "malformed calibration model file"),
     ("reconstruct", "scale-nan", lambda d, t: ["reconstruct", "--width", 100, "--height", 80, "--mm-per-pixel", "nan",
                                                "--model", d / "calib.json", "--ref", d / "press_ref.ppm", "--contact",
                                                d / "press_contact.ppm", "--out", t / "r.dmap"], 2, "must be finite"),
@@ -695,6 +742,13 @@ EXIT_CODE_TABLE = [
                                             "--map", d / "recon.dmap"], 2, "malformed detector file"),
     ("detect", "bias-nan", lambda d, t: ["detect", "--detector", edited(d / "detector.json", t, bias=math.nan),
                                          "--map", d / "recon.dmap"], 2, "weights and bias must be finite"),
+    ("detect", "bias-beyond-float", lambda d, t: ["detect", "--detector", edited(d / "detector.json", t, bias=10**400),
+                                                  "--map", d / "recon.dmap"], 2, "weights and bias must be finite"),
+    ("detect", "std-beyond-float", lambda d, t: ["detect", "--detector",
+                                                 edited(d / "detector.json", t,
+                                                        standardizer={"mean": [0.1, 0.2], "std": [0.3, -10**400]}),
+                                                 "--map", d / "recon.dmap"], 2,
+     "standardization constants must be finite"),
     ("detect", "standardizer-one-entry", lambda d, t: ["detect", "--detector",
                                                        edited(d / "detector.json", t,
                                                               standardizer={"mean": [0.1], "std": [0.2]}),
