@@ -60,8 +60,9 @@ def json_number(value) -> float:
 
 def quantize_channels(values):
     """Real-valued channels -> uint8 with clipping and round-half-up ties."""
-    clipped = np.clip(values, 0.0, 255.0)
-    return np.floor(clipped + 0.5).astype(np.uint8)
+    out = np.clip(values, 0.0, 255.0)  # a new array, so it is rounded in place
+    out += 0.5
+    return np.floor(out, out=out).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,14 @@ def sha256(data: bytes) -> str:
 
 
 def artifact_hashes(root: Path) -> dict:
-    """sha256 of a calibrate model, one disc_depths and every criterion-9 artifact, all made in ``root``."""
+    """sha256 of a calibrate model, one disc_depths, two SVM fits and every criterion-9 artifact, made in ``root``."""
     from phototact import PhantomConfig, SensorGeometry, contact_solve, default_membrane, disc_pixels
     from phototact.calibration import disc_depths, load_model
     from phototact.cli import dispatch
+    from phototact.detection import save_detector, train_svm
     from phototact.phantom import reading_pair
     from test_acceptance import PIPELINE_SPEC, run_pipeline
+    from test_detection import _svm_problem
 
     hashes = {}
     # One 320x240 capture gives 15,380 rows: three 4,096-row batches and a 3,092-row last batch.
@@ -43,6 +45,12 @@ def artifact_hashes(root: Path) -> dict:
     ref, contact = reading_pair(contact_solve(cfg, geom, membrane).deformation, membrane, 5)
     depths = disc_depths(load_model(calib), *disc_pixels(ref, contact, geom), geom)
     hashes["disc_depths"] = sha256(np.ascontiguousarray(depths).tobytes())
+
+    # Criterion 9 fits 2 rows; these fits sum over criterion 5's 224 rows and over 700, where a BLAS-threaded
+    # Gram matrix z @ z.T rounds differently at 2 threads.
+    for n in (224, 700):
+        save_detector(root / f"svm{n}.json", train_svm(*_svm_problem(n, False, seed=n), c=1.0))
+        hashes[f"svm{n}.json"] = sha256((root / f"svm{n}.json").read_bytes())
 
     spec = root / "spec.json"
     spec.write_text(json.dumps(PIPELINE_SPEC))
@@ -67,7 +75,7 @@ def hashes_at(threads: int, root: Path) -> dict:
 def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
     one = hashes_at(1, tmp_path / "one")
     two = hashes_at(2, tmp_path / "two")
-    assert len(one) >= 17  # the model, the depths and at least criterion 9's 15 artifacts
+    assert len(one) >= 19  # the model, the depths, the two fits and at least criterion 9's 15 artifacts
     assert sorted(name for name in one.keys() | two.keys() if one.get(name) != two.get(name)) == []
 
 

@@ -565,6 +565,17 @@ def dataset_with_manifest(d, t, edit):
     return t / "data"
 
 
+def one_sample_both_ways(text):
+    """Manifest text listing neg_m1000_p0 twice as -1 and twice as +1, and pos_d8_b2_p0 twice as +1.
+
+    A half split that holds both samples has as many +1 as -1 rows on neg_m1000_p0, so the SVM optimum is w = 0.
+    """
+    rows = {line.split(",")[0]: line for line in text.splitlines()}
+    negative, positive = rows["neg_m1000_p0"], rows["pos_d8_b2_p0"]
+    relabeled = negative.replace(",-1,", ",1,", 1)
+    return "\n".join([rows["sample_id"], negative, negative, relabeled, positive, relabeled, positive]) + "\n"
+
+
 # Each verb once, reading the pipeline's files: (argv from (pipeline directory, output directory), its outputs).
 WRITING_RUNS = {
     "phantom": (lambda d, t: ["phantom", *SMALL, "--seed", 1, "--out-prefix", t / "press"],
@@ -733,6 +744,11 @@ EXIT_CODE_TABLE = [
                                                          "--calibration", zero_depth_model(d / "calib.json", t),
                                                          "--train-fraction", 0.5, "--out", t / "det.json"], 2,
      "reconstructs zero depth for every sample"),
+    ("train-detector", "zero-weight-optimum", lambda d, t: ["train-detector", *SMALL, "--dataset",
+                                                            dataset_with_manifest(d, t, one_sample_both_ways),
+                                                            "--calibration", d / "calib.json", "--train-fraction",
+                                                            0.5, "--seed", 1, "--out", t / "det.json"], 2,
+     "no linear boundary beats a constant label at c=1.0"),
     ("detect", "missing-map-flag", lambda d, t: ["detect", "--detector", d / "detector.json"], 1, "required: --map"),
     ("detect", "missing-detector", lambda d, t: ["detect", "--detector", t / "none.json", "--map", d / "recon.dmap"], 2,
      "No such file"),

@@ -7,6 +7,7 @@ from hypothesis import given, assume
 from hypothesis import strategies as st
 
 import phototact as pt
+from phototact import detection
 from phototact.detection import (
     NO_TUMOR,
     TUMOR,
@@ -154,40 +155,10 @@ class TestTrainSvm:
         # standardization keeps the classes linearly separable here only if
         # the shifted data still has a margin; verify before asserting
         assume(_separable_with_margin(z, labels, 0.05))
-        model = train_svm(z, labels, c=1000.0, max_iter=50000)
+        model = train_svm(z, labels, c=1000.0)
         assert model.training_meta["converged"]
         margins_final = labels * (z @ model.weights + model.bias)
-        assert np.all(margins_final >= 1.0)
-
-
-def _reference_train_svm(z, y, c, max_iter=20000):
-    # the subgradient loop as it was before its data terms were memoized, kept as the bitwise reference
-    n = z.shape[0]
-    scale = c * n
-    w = np.zeros(z.shape[1])
-    b = 0.0
-    best = (np.inf, w.copy(), b)
-    converged = False
-    iterations = 0
-    for t in range(max_iter):
-        margins = y * (z @ w + b)
-        hinge = np.maximum(0.0, 1.0 - margins)
-        objective = float(w @ w) / (2.0 * scale) + float(hinge.mean())
-        if objective < best[0]:
-            best = (objective, w.copy(), b)
-        iterations = t + 1
-        if not hinge.any():
-            converged = True
-            break
-        violating = hinge > 0.0
-        grad_w = w / scale - (y[violating, None] * z[violating]).sum(axis=0) / n
-        grad_b = -float(y[violating].sum()) / n
-        lr = 0.5 / (1.0 + t / 100.0)
-        w = w - lr * grad_w
-        b = b - lr * grad_b
-    if not converged:
-        _, w, b = best
-    return w, float(b), iterations, converged
+        assert np.all(margins_final >= 1.0 - 1e-9)  # the support vectors sit on margin 1, up to rounding
 
 
 def _svm_problem(n, separable, seed):
@@ -209,22 +180,77 @@ def _svm_problem(n, separable, seed):
     return z, y
 
 
-class TestTrainSvmMatchesReferenceLoop:
-    @pytest.mark.parametrize("c", [1.0, 1000.0])
-    @pytest.mark.parametrize("n", [3, 4, 7, 20, 60])
-    @pytest.mark.parametrize("separable", [True, False], ids=["separable", "overlapping"])
-    def test_bitwise_equal(self, separable, n, c):
-        z, y = _svm_problem(n, separable, seed=1000 * n + int(c) + separable)
-        # the full-length run on the largest set, shorter runs elsewhere to keep the reference loop cheap
-        max_iter = 20000 if n == 60 else 4000
-        w, b, iterations, converged = _reference_train_svm(z, y, c, max_iter)
-        model = train_svm(z, y, c=c, max_iter=max_iter)
-        assert converged == separable
-        assert iterations == max_iter or converged
-        assert model.weights.tobytes() == w.tobytes()
-        assert model.bias.hex() == b.hex()
-        assert model.training_meta == {"c": c, "iterations": iterations, "converged": converged}
+def _assert_solves_the_svm(z, y, c, model):
+    """KKT conditions and primal - dual gap of (w, b), from a dual point rebuilt in numpy alone.
 
+    Rows strictly inside the margin carry alpha = c and rows beyond it alpha = 0; the multipliers of the rows
+    on the margin are the least-squares solution of w = sum(alpha y z) and sum(alpha y) = 0, and must lie in
+    [0, c].  That dual point bounds the optimum from below, so a small gap proves (w, b) optimal.
+    """
+    w, b = model.weights, model.bias
+    margins = y * (z @ w + b)
+    inside = margins < 1.0 - 1e-6
+    on = np.abs(margins - 1.0) <= 1e-6
+    alpha = np.where(inside, c, 0.0)
+    lhs = np.vstack([(y[on, None] * z[on]).T, y[on]])
+    rhs = np.append(w, 0.0) - np.append(alpha @ (y[:, None] * z), alpha @ y)
+    alpha[on] = np.linalg.lstsq(lhs, rhs, rcond=None)[0] if on.any() else []
+    scale = max(1.0, c)
+    assert np.abs(lhs @ alpha[on] - rhs).max() <= 1e-7 * scale
+    assert alpha.min() >= -1e-7 * scale and alpha.max() <= c * (1.0 + 1e-7)
+    alpha = np.clip(alpha, 0.0, c)
+    primal = w @ w / 2.0 + c * np.maximum(0.0, 1.0 - margins).sum()
+    dual_w = alpha @ (y[:, None] * z)
+    dual = alpha.sum() - dual_w @ dual_w / 2.0
+    assert primal - dual <= 1e-6 * max(1.0, primal)
+    assert model.training_meta["duality_gap"] <= 1e-6 * max(1.0, primal)
+
+
+# Every (separable, n, c) set converges but two kinds: the 3-row overlapping sets have a zero-weight optimum and
+# the overlapping sets of 60 rows or more at c = 1000 hit the step cap; both kinds are tested below.
+_KKT_CASES = [(True, n, c) for n in (3, 4, 7, 20, 60, 224) for c in (1.0, 1000.0)]
+_KKT_CASES += [(False, n, 1.0) for n in (4, 7, 20, 60, 224)] + [(False, n, 1000.0) for n in (4, 7, 20)]
+
+
+class TestTrainSvmSolvesTheDual:
+    @pytest.mark.parametrize("separable, n, c", _KKT_CASES,
+                             ids=[f"{'separable' if s else 'overlapping'}-{n}-{c}" for s, n, c in _KKT_CASES])
+    def test_kkt_and_duality_gap(self, separable, n, c):
+        z, y = _svm_problem(n, separable, seed=1000 * n + int(c) + separable)
+        model = train_svm(z, y, c=c)
+        assert model.training_meta["converged"]
+        assert model.training_meta["iterations"] < detection._SMO_MAX_STEPS
+        _assert_solves_the_svm(z, y, c, model)
+
+    @pytest.mark.parametrize("c", [1.0, 1000.0])
+    def test_hand_solvable_set(self, c):
+        # the rows at +-1 lie on the margin and the rows at +-2 beyond it: w = (1, 0), b = 0
+        z = np.array([[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]])
+        model = train_svm(z, np.array([1, 1, -1, -1]), c=c)
+        assert model.weights == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert model.bias == pytest.approx(0.0, abs=1e-12)
+        assert model.training_meta["converged"]
+
+    def test_step_cap_returns_a_finite_unconverged_model(self):
+        z, y = _svm_problem(60, False, seed=61000)
+        model = train_svm(z, y, c=1000.0)
+        assert model.training_meta["converged"] is False
+        assert model.training_meta["iterations"] == detection._SMO_MAX_STEPS
+        assert np.all(np.isfinite(model.weights)) and math.isfinite(model.bias)
+        assert math.isfinite(model.training_meta["duality_gap"])
+
+    @pytest.mark.parametrize("seed, c", [(3000, 1.0), (3001, 1.0), (4000, 1000.0)])
+    def test_zero_weight_optimum_names_its_cause(self, seed, c):
+        z, y = _svm_problem(3, False, seed=seed)
+        with pytest.raises(ValueError, match=rf"^no linear boundary beats a constant label at c={c}: "):
+            train_svm(z, y, c=c)
+
+    def test_zero_weight_optimum_found_up_to_rounding(self):
+        # (0.1, 0.1) three times in each class and (1, 0) once in class +1: no point holds more -1 than +1 rows,
+        # so w = 0 is optimal, yet the sum that forms w rounds to 2.8e-17
+        z = np.array([[0.1, 0.1]] * 3 + [[1.0, 0.0]] + [[0.1, 0.1]] * 3)
+        with pytest.raises(ValueError, match="no linear boundary beats a constant label at c=1.0"):
+            train_svm(z, np.array([1, 1, 1, 1, -1, -1, -1]), c=1.0)
 
 
 def _separable_with_margin(z, labels, margin):
