@@ -11,7 +11,6 @@ from .imaging import (
     MAX_DEPTH_MM,
     DeformationMap,
     DmapFormatError,
-    HsvImage,
     PpmFormatError,
     RgbImage,
     SensorGeometry,
@@ -22,7 +21,7 @@ from .imaging import (
     save_dmap,
     save_ppm,
 )
-from .imprint import ImprintParams, augmented_imprint, color_delta, disc_pixels, disc_rows
+from .imprint import ImprintParams, augmented_imprint, color_delta, disc_rows
 from .phantom import (
     ContactSolution,
     DatasetSpec,

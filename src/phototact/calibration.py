@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import MAX_DEPTH_MM, DeformationMap, RgbImage, SensorGeometry, json_number
-from .imprint import disc_pixels, disc_rows
+from .imprint import color_delta, disc_rows
 from .phantom import MembraneModel, disc_captures, rng_stream, sphere_press_truth, sub_seeds
 
 LAYER_SIZES = (5, 32, 32, 32, 1)
@@ -404,24 +404,24 @@ def build_calib_dataset(
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)
 
 
-def disc_depths(model: CalibrationModel, ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:
-    """Depths (mm) of the sensing-disc pixels from their readings (N, 3), in row-major order.
+def disc_depths(model: CalibrationModel, rows) -> np.ndarray:
+    """Depths (mm) of the sensing-disc pixels from their (N, 5) rows (see :func:`~phototact.imprint.disc_rows`).
 
     One forward pass, clamped to [0, max_depth] and rounded to float32 as a
     depth map stores them, returned as float64.
     """
-    raw = model.forward(disc_rows(ref_px, contact_px, geom))
+    raw = model.forward(rows)
     return np.clip(raw, 0.0, model.max_depth).astype(np.float32).astype(np.float64)
 
 
 def reconstruct(model: CalibrationModel, ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> DeformationMap:
-    """Depth map from a reading pair: :func:`disc_depths` scattered into the frame.
+    """Depth map from a reading pair: the :func:`disc_depths` of its :func:`color_delta` scattered into the frame.
 
     Depths are zero outside the sensing disc; the map carries the disc mask.
     """
     mask = geom.disc_mask
     depths = np.zeros((geom.height, geom.width), dtype=np.float32)
-    depths[mask] = disc_depths(model, *disc_pixels(ref, contact, geom), geom)
+    depths[mask] = disc_depths(model, color_delta(ref, contact, geom))
     return DeformationMap(depths, mask)
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from . import defaults
 from .calibration import CalibrationModel, disc_depths
 from .imaging import MAX_DEPTH_MM, DeformationMap, SensorGeometry
+from .imprint import disc_rows
 from .phantom import (
     MembraneModel,
     disc_captures,
@@ -192,7 +193,7 @@ def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
     """For each truth, the disc depths of its captures (see :func:`disc_captures`), one array per seed pair."""
     geom = rig.geometry
     for _, captures in disc_captures(truths, seed_pairs, rig.membrane, geom):
-        yield [disc_depths(model, ref, contact, geom) for ref, contact in captures]
+        yield [disc_depths(model, disc_rows(ref, contact, geom)) for ref, contact in captures]
 
 
 def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:

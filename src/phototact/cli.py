@@ -53,7 +53,7 @@ from .detection import (
     stratified_split,
 )
 from .imaging import DmapFormatError, PpmFormatError, SensorGeometry, load_dmap, load_ppm, save_dmap, save_ppm
-from .imprint import ImprintParams, augmented_imprint, disc_pixels
+from .imprint import ImprintParams, augmented_imprint, color_delta
 from .phantom import (
     DATASET_CSV_FIELDS,
     DatasetSpec,
@@ -377,7 +377,7 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
                 raise ValueError(f"dataset manifest {manifest}: label {row['label']!r} of {sample_id} is not 1 or -1")
             ref = load_ppm(dataset_dir / f"{sample_id}_ref.ppm")
             contact = load_ppm(dataset_dir / f"{sample_id}_contact.ppm")
-            fv = FeatureVector.of(disc_depths(calib_model, *disc_pixels(ref, contact, geom), geom))
+            fv = FeatureVector.of(disc_depths(calib_model, color_delta(ref, contact, geom)))
             features.append([fv.mu, fv.sigma])
             labels.append(int(row["label"]))
             ids.append(sample_id)
@@ -401,7 +401,11 @@ def _cmd_train_detector(args, stage):
         "n_train": int(train_idx.size),
         "n_test": int(test_idx.size),
     }
-    return [args.dataset, args.calibration], [args.out], scores
+    meta = detector.training_meta
+    warning = [] if meta["converged"] else [
+        f"the SVM solve stopped at its step cap of {meta['iterations']} steps with a duality gap of "
+        f"{meta['duality_gap']:.6g}, so {args.out} is not the exact optimum"]
+    return [args.dataset, args.calibration], [args.out], scores, *warning
 
 
 def _cmd_detect(args, stage):
@@ -473,8 +477,8 @@ def _cmd_characterize(args, stage):
 
 
 # Each handler writes every output to the path ``stage(output)`` gives and returns the (inputs, outputs) its
-# run manifest records, then the document it prints, if any.  A run with no outputs writes a manifest only at
-# ``--manifest``.
+# run manifest records, then the document it prints, if any, then the text of a warning for stderr, if any.  A
+# run with no outputs writes a manifest only at ``--manifest``.
 _HANDLERS = {
     "phantom": _cmd_phantom,
     "imprint": _cmd_imprint,
@@ -533,7 +537,10 @@ def dispatch(argv) -> int:
         for staging in publication.staging:
             shutil.rmtree(staging, ignore_errors=True)
     for doc in stdout:
-        print(json.dumps(doc, sort_keys=True))
+        if isinstance(doc, str):
+            print(f"warning: {doc}", file=sys.stderr)
+        else:
+            print(json.dumps(doc, sort_keys=True))
     return 0
 
 

@@ -1,9 +1,11 @@
 """Pixel-grid containers, color-space conversion, and bit-exact file I/O.
 
 Images are row-major with the origin at the top-left pixel. RGB channels are
-8-bit; HSV stores hue in degrees [0, 360) with unit-range saturation and
-value. Depth maps carry the sensing-disc mask so every downstream statistic
-runs over the same pixel set.
+8-bit. HSV pixels travel as a (hue, saturation, value) triple of channel
+arrays: hue in degrees [0, 360), saturation and value in [0, 1].
+:func:`rgb_to_hsv` converts any (..., 3) RGB pixels, a frame or a gathered
+set, and :func:`hsv_to_rgb_real` converts back. Depth maps carry the
+sensing-disc mask so every downstream statistic runs over the same pixel set.
 
 On-disk formats:
 
@@ -89,36 +91,6 @@ class RgbImage:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
-
-
-@dataclass(frozen=True)
-class HsvImage:
-    """HSV image: hue in degrees [0, 360), saturation and value in [0, 1]."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
-        if px.ndim != 3 or px.shape[2] != 3 or px.shape[0] < 1 or px.shape[1] < 1:
-            raise ValueError("HSV pixels must be shaped (height, width, 3) and non-empty")
-        h, s, v = px[..., 0], px[..., 1], px[..., 2]
-        if not (np.all(h >= 0.0) and np.all(h < 360.0)):
-            raise ValueError("hue must lie in [0, 360)")
-        if not (np.all(s >= 0.0) and np.all(s <= 1.0) and np.all(v >= 0.0) and np.all(v <= 1.0)):
-            raise ValueError("saturation and value must lie in [0, 1]")
-        object.__setattr__(self, "pixels", _frozen_array(px, np.float64))
-
-    @property
-    def hue(self):
-        return self.pixels[..., 0]
-
-    @property
-    def saturation(self):
-        return self.pixels[..., 1]
-
-    @property
-    def value(self):
-        return self.pixels[..., 2]
 
 
 @dataclass(frozen=True)
@@ -239,7 +211,7 @@ class SensorGeometry:
         return DeformationMap(np.zeros((self.height, self.width), dtype=np.float32), self.disc_mask)
 
 
-def rgb_to_hsv_channels(rgb):
+def rgb_to_hsv(rgb):
     """Hexcone conversion of 8-bit RGB triples shaped (..., 3) -> (hue, saturation, value).
 
     Each channel has the input's leading shape; achromatic pixels get hue 0.
@@ -265,11 +237,6 @@ def rgb_to_hsv_channels(rgb):
     hue = 60.0 * sector
     hue = np.where(hue >= 360.0, hue - 360.0, hue)
     return hue, saturation, value
-
-
-def rgb_to_hsv(img: RgbImage) -> HsvImage:
-    """Standard hexcone conversion of a whole image; achromatic pixels get hue 0."""
-    return HsvImage(np.stack(rgb_to_hsv_channels(img.pixels), axis=-1))
 
 
 def hsv_to_rgb_real(hue, saturation, value):

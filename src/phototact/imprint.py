@@ -4,7 +4,9 @@ The amplified difference image ("imprint") is computed on raw RGB channel
 values in real arithmetic, clipped to [0, 255], then rounded half-up to
 8 bits.  The HSV delta rows are the per-pixel feature bundle consumed by
 depth calibration; they cover the sensing disc only, the pixels every depth
-map carries.
+map carries.  :func:`disc_rows` forms them from the disc pixels of a capture
+pair and :func:`color_delta` from a whole reading pair, by gathering its
+disc pixels first.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import RgbImage, SensorGeometry, hue_delta, quantize_channels, rgb_to_hsv_channels
+from .imaging import RgbImage, SensorGeometry, hue_delta, quantize_channels, rgb_to_hsv
 
 
 @dataclass(frozen=True)
@@ -41,16 +43,6 @@ def augmented_imprint(ref: RgbImage, contact: RgbImage, params: ImprintParams | 
     return RgbImage(quantize_channels(params.alpha * diff + params.beta))
 
 
-def disc_pixels(ref: RgbImage, contact: RgbImage, geom: SensorGeometry):
-    """The sensing-disc pixels (N, 3) of a reading pair, after checking both match ``geom``."""
-    if (ref.height, ref.width) != (contact.height, contact.width):
-        raise ValueError("reference and contact images differ in size")
-    if (ref.height, ref.width) != (geom.height, geom.width):
-        raise ValueError("reading pair does not match geometry")
-    index = geom.disc_index
-    return np.take(ref.pixels.reshape(-1, 3), index, axis=0), np.take(contact.pixels.reshape(-1, 3), index, axis=0)
-
-
 def disc_rows(ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:
     """(N, 5) rows (dH, dS, dV, u, v) from the sensing-disc pixels (N, 3) of a reading pair.
 
@@ -60,8 +52,8 @@ def disc_rows(ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:
     n = geom.disc_pixel_count
     if np.shape(ref_px) != (n, 3) or np.shape(contact_px) != (n, 3):
         raise ValueError("disc pixels must be one RGB row per sensing-disc pixel")
-    h_ref, s_ref, v_ref = rgb_to_hsv_channels(ref_px)
-    h_con, s_con, v_con = rgb_to_hsv_channels(contact_px)
+    h_ref, s_ref, v_ref = rgb_to_hsv(ref_px)
+    h_con, s_con, v_con = rgb_to_hsv(contact_px)
     u, v = geom.disc_coords
     rows = np.empty((n, 5))
     rows[:, 0] = hue_delta(h_con, h_ref)
@@ -74,4 +66,10 @@ def disc_rows(ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:
 
 def color_delta(ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> np.ndarray:
     """:func:`disc_rows` of a whole reading pair: the HSV change from ``ref`` to ``contact`` over the sensing disc."""
-    return disc_rows(*disc_pixels(ref, contact, geom), geom)
+    if (ref.height, ref.width) != (contact.height, contact.width):
+        raise ValueError("reference and contact images differ in size")
+    if (ref.height, ref.width) != (geom.height, geom.width):
+        raise ValueError("reading pair does not match geometry")
+    index = geom.disc_index
+    return disc_rows(np.take(ref.pixels.reshape(-1, 3), index, axis=0),
+                     np.take(contact.pixels.reshape(-1, 3), index, axis=0), geom)

@@ -30,7 +30,6 @@ from . import defaults
 from .imaging import (
     MAX_DEPTH_MM,
     DeformationMap,
-    HsvImage,
     RgbImage,
     SensorGeometry,
     hsv_to_rgb_real,
@@ -121,14 +120,28 @@ class PhantomConfig:
 
 @dataclass(frozen=True)
 class MembraneModel:
-    """Baseline membrane color plus its noise parameters; the depth response is the ``defaults.GAIN_*`` constants."""
+    """Baseline membrane color plus its noise parameters; the depth response is the ``defaults.GAIN_*`` constants.
 
-    baseline: HsvImage
+    ``baseline`` holds the unloaded membrane's HSV pixels, shaped (height, width, 3): hue in degrees [0, 360),
+    saturation and value in [0, 1].  It is stored as a read-only float64 copy.
+    """
+
+    baseline: np.ndarray
     noise_std: float = defaults.SENSOR_NOISE_STD    # 8-bit channel units
     speckle_amplitude: float = defaults.SPECKLE_AMPLITUDE
     stiffness: float = defaults.MEMBRANE_STIFFNESS  # N/mm^3
 
     def __post_init__(self):
+        baseline = np.array(self.baseline, dtype=np.float64)
+        if baseline.ndim != 3 or baseline.shape[2] != 3 or baseline.shape[0] < 1 or baseline.shape[1] < 1:
+            raise ValueError("HSV pixels must be shaped (height, width, 3) and non-empty")
+        h, s, v = baseline[..., 0], baseline[..., 1], baseline[..., 2]
+        if not (np.all(h >= 0.0) and np.all(h < 360.0)):
+            raise ValueError("hue must lie in [0, 360)")
+        if not (np.all(s >= 0.0) and np.all(s <= 1.0) and np.all(v >= 0.0) and np.all(v <= 1.0)):
+            raise ValueError("saturation and value must lie in [0, 1]")
+        baseline.setflags(write=False)
+        object.__setattr__(self, "baseline", baseline)
         if not all(math.isfinite(x) for x in (self.noise_std, self.speckle_amplitude, self.stiffness)):
             raise ValueError("membrane noise and stiffness must be finite")
         if self.stiffness <= 0:
@@ -139,10 +152,9 @@ class MembraneModel:
     @cached_property
     def rest_rgb(self) -> np.ndarray:
         """Noise-free real RGB of the unloaded membrane (read-only), computed once per model."""
-        shape = self.baseline.pixels.shape[:2]
+        shape = self.baseline.shape[:2]
         unloaded = DeformationMap(np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=bool))
-        rest = deformed_hsv(unloaded, self)
-        real = hsv_to_rgb_real(rest.hue, rest.saturation, rest.value)
+        real = hsv_to_rgb_real(*deformed_hsv(unloaded, self))
         real.setflags(write=False)
         return real
 
@@ -172,8 +184,7 @@ def default_membrane(geom: SensorGeometry, seed: int = defaults.MEMBRANE_SEED, *
     hue = np.mod(defaults.BASELINE_HUE_SPAN_DEG * _smooth_field(u, v, rng), 360.0)
     sat = defaults.BASELINE_SATURATION + defaults.BASELINE_SV_SPAN * _smooth_field(u, v, rng)
     val = defaults.BASELINE_VALUE + defaults.BASELINE_SV_SPAN * _smooth_field(u, v, rng)
-    baseline = HsvImage(np.stack([hue, sat, val], axis=-1))
-    return MembraneModel(baseline=baseline, **overrides)
+    return MembraneModel(baseline=np.stack([hue, sat, val], axis=-1), **overrides)
 
 
 @dataclass(frozen=True)
@@ -256,11 +267,15 @@ def _shifted_hsv(base, depth):
     return hue, sat, val
 
 
-def deformed_hsv(dmap: DeformationMap, model: MembraneModel) -> HsvImage:
-    """Noise-free HSV response of the membrane to the given indentation."""
-    if model.baseline.pixels.shape[:2] != dmap.depths.shape:
+def _check_fits(dmap: DeformationMap, model: MembraneModel):
+    if model.baseline.shape[:2] != dmap.depths.shape:
         raise ValueError("deformation map does not match membrane baseline size")
-    return HsvImage(np.stack(_shifted_hsv(model.baseline.pixels, dmap.depths.astype(np.float64)), axis=-1))
+
+
+def deformed_hsv(dmap: DeformationMap, model: MembraneModel):
+    """Noise-free (hue, saturation, value) response of the membrane to the given indentation."""
+    _check_fits(dmap, model)
+    return _shifted_hsv(model.baseline, dmap.depths.astype(np.float64))
 
 
 def clean_pixels(dmap: DeformationMap, model: MembraneModel, index) -> np.ndarray:
@@ -269,9 +284,8 @@ def clean_pixels(dmap: DeformationMap, model: MembraneModel, index) -> np.ndarra
     Every pixel's color depends on that pixel only, so this is the indexed
     part of the noise-free full-frame render.
     """
-    if model.baseline.pixels.shape[:2] != dmap.depths.shape:
-        raise ValueError("deformation map does not match membrane baseline size")
-    base = np.take(model.baseline.pixels.reshape(-1, 3), index, axis=0)
+    _check_fits(dmap, model)
+    base = np.take(model.baseline.reshape(-1, 3), index, axis=0)
     depth = np.take(dmap.depths, index).astype(np.float64)
     return hsv_to_rgb_real(*_shifted_hsv(base, depth))
 
@@ -294,7 +308,7 @@ def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, index)
     index = np.asarray(index)
     if index.ndim != 1 or clean_px.shape != (index.size, 3):
         raise ValueError("clean pixels must be one RGB row per indexed pixel")
-    width = model.baseline.pixels.shape[1]
+    width = model.baseline.shape[1]
     rows = int(index[-1]) // width + 1 if index.size else 0
     noise = rng_stream(seed, STREAM_RENDER).standard_normal((rows * width, 4))
     return _noisy_channels(clean_px, np.take(noise, index, axis=0), model)
@@ -329,8 +343,7 @@ def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> Rgb
     nothing. The noise is drawn over the full frame in row-major pixel order,
     four normals per pixel.
     """
-    if model.baseline.pixels.shape[:2] != dmap.depths.shape:
-        raise ValueError("deformation map does not match membrane baseline size")
+    _check_fits(dmap, model)
     clean = model.rest_rgb
     pressed = np.flatnonzero(dmap.depths)
     if pressed.size:

@@ -25,7 +25,7 @@ def sha256(data: bytes) -> str:
 
 def artifact_hashes(root: Path) -> dict:
     """sha256 of a calibrate model, one disc_depths, two SVM fits and every criterion-9 artifact, made in ``root``."""
-    from phototact import PhantomConfig, SensorGeometry, contact_solve, default_membrane, disc_pixels
+    from phototact import PhantomConfig, SensorGeometry, color_delta, contact_solve, default_membrane
     from phototact.calibration import disc_depths, load_model
     from phototact.cli import dispatch
     from phototact.detection import save_detector, train_svm
@@ -43,7 +43,7 @@ def artifact_hashes(root: Path) -> dict:
     membrane = default_membrane(geom)
     cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
     ref, contact = reading_pair(contact_solve(cfg, geom, membrane).deformation, membrane, 5)
-    depths = disc_depths(load_model(calib), *disc_pixels(ref, contact, geom), geom)
+    depths = disc_depths(load_model(calib), color_delta(ref, contact, geom))
     hashes["disc_depths"] = sha256(np.ascontiguousarray(depths).tobytes())
 
     # Criterion 9 fits 2 rows; these fits sum over criterion 5's 224 rows and over 700, where a BLAS-threaded

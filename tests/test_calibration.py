@@ -25,7 +25,7 @@ from phototact.calibration import (
     train_mlp,
 )
 from phototact import defaults
-from phototact.imprint import color_delta, disc_pixels
+from phototact.imprint import color_delta, disc_rows
 from phototact.phantom import (
     PhantomConfig,
     contact_solve,
@@ -429,7 +429,8 @@ class TestDiscDepths:
             ref = render_reading(zero, membrane, 40)
             contact = render_reading(truth, membrane, 41)
             for model in (fast_model, unclipped):
-                depths = disc_depths(model, *disc_pixels(ref, contact, geom), geom)
+                rows = disc_rows(ref.pixels[geom.disc_mask], contact.pixels[geom.disc_mask], geom)
+                depths = disc_depths(model, rows)
                 recon = reconstruct(model, ref, contact, geom)
                 assert depths.dtype == np.float64
                 assert np.array_equal(depths, recon.depths[geom.disc_mask].astype(np.float64))
@@ -438,12 +439,12 @@ class TestDiscDepths:
     def test_reused_buffers_give_the_same_bits(self, small_geometry, small_membrane, fast_model):
         ref = render_reading(small_geometry.zero_map(), small_membrane, 42)
         contact = render_reading(sphere_press_truth(0.3, 3.0, small_geometry), small_membrane, 43)
-        px = disc_pixels(ref, contact, small_geometry)
-        expected = disc_depths(dataclasses.replace(fast_model), *px, small_geometry)
+        rows = color_delta(ref, contact, small_geometry)
+        expected = disc_depths(dataclasses.replace(fast_model), rows)
         model = dataclasses.replace(fast_model)
         model.forward(np.random.default_rng(2).normal(size=(small_geometry.disc_pixel_count + 7, 5)))
         for _ in range(2):  # the buffers are reused as they are left
-            assert np.array_equal(disc_depths(model, *px, small_geometry), expected)
+            assert np.array_equal(disc_depths(model, rows), expected)
 
     def test_repeated_forward_allocates_no_activations(self, fast_model):
         x = np.random.default_rng(1).normal(size=(20000, 5))
@@ -474,7 +475,7 @@ class TestDiscDepths:
     def test_pixel_rows_must_cover_the_disc(self, small_geometry, fast_model):
         px = np.zeros((int(small_geometry.disc_mask.sum()) - 1, 3), dtype=np.uint8)
         with pytest.raises(ValueError, match="sensing-disc pixel"):
-            disc_depths(fast_model, px, px, small_geometry)
+            disc_rows(px, px, small_geometry)
 
 
 class TestAnalyticOracle:

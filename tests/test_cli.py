@@ -309,6 +309,35 @@ class TestDatasetVerbs:
         assert "accuracy" in doc and len(doc["samples"]) == 8
         assert csv_path.read_text().startswith("sample_id,label,mu,sigma,decision_value")
 
+    def test_step_cap_warns_once_after_success(self, tmp_path, tiny_spec, tiny_model_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        assert run(["dataset", *SMALL, "--spec", tiny_spec, "--seed", 7, "--out", data]) == 0
+
+        def train(out, *extra):
+            code = run(["train-detector", *SMALL, "--dataset", data, "--calibration", tiny_model_path,
+                        "--train-fraction", "0.5", "--seed", 1, "--out", out, *extra])
+            return code, *capsys.readouterr()
+
+        capsys.readouterr()
+        code, out, err = train(tmp_path / "converged.json")
+        assert code == 0 and err == "" and len(out.splitlines()) == 1
+        assert json.loads((tmp_path / "converged.json").read_text())["training"]["converged"] is True
+
+        monkeypatch.setattr(pt.detection, "_SMO_MAX_STEPS", 1)
+        code, out, err = train(tmp_path / "capped.json")
+        assert code == 0 and len(out.splitlines()) == 1
+        assert set(json.loads(out)) == {"train_accuracy", "test_accuracy", "n_train", "n_test"}
+        training = json.loads((tmp_path / "capped.json").read_text())["training"]
+        assert training["converged"] is False and training["iterations"] == 1
+        (line,) = err.splitlines()
+        assert line.startswith("warning: the SVM solve stopped at its step cap of 1 steps")
+        assert f"duality gap of {training['duality_gap']:.6g}" in line
+
+        # A run that fails after the fit publishes nothing and warns of nothing.
+        code, out, err = train(tmp_path / "failed.json", "--manifest", tmp_path / "none" / "m.json")
+        assert code == 2 and out == "" and err.startswith("error: ") and "warning" not in err
+        assert not (tmp_path / "failed.json").exists()
+
 
 class TestDetectVerb:
     def test_json_output(self, tmp_path, capsys):

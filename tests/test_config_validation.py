@@ -9,7 +9,7 @@ from phototact.imprint import ImprintParams
 from phototact.phantom import PhantomConfig
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
-BASELINE = pt.HsvImage(np.full((2, 2, 3), [10.0, 0.5, 0.5]))
+BASELINE = np.full((2, 2, 3), [10.0, 0.5, 0.5])
 
 CASES = [
     (PhantomConfig, {"tumor_present": True}, "applied_mass_g"),
@@ -53,3 +53,33 @@ def test_non_finite_dataset_spec_entry_rejected(field):
 def test_non_finite_lateral_offset_rejected(offset):
     with pytest.raises(ValueError, match="finite"):
         PhantomConfig(tumor_present=True, lateral_offset_mm=offset)
+
+
+@pytest.mark.parametrize(
+    "baseline, message",
+    [
+        (np.full((2, 2), 0.5), "shaped"),
+        (np.full((2, 2, 4), 0.5), "shaped"),
+        (np.full((0, 2, 3), 0.5), "shaped"),
+        (np.full((2, 2, 3), [360.0, 0.5, 0.5]), "hue"),
+        (np.full((2, 2, 3), [-1.0, 0.5, 0.5]), "hue"),
+        (np.full((2, 2, 3), [10.0, 1.5, 0.5]), "saturation"),
+        (np.full((2, 2, 3), [10.0, 0.5, -0.1]), "value"),
+        (np.full((2, 2, 3), [math.nan, 0.5, 0.5]), "hue"),
+    ],
+    ids=["2-d", "4-channels", "empty", "hue-360", "hue-negative", "saturation-1.5", "value-negative", "hue-nan"],
+)
+def test_membrane_baseline_rejected(baseline, message):
+    with pytest.raises(ValueError, match=message):
+        pt.MembraneModel(baseline=baseline)
+
+
+def test_membrane_baseline_is_a_frozen_float64_copy():
+    given = np.full((2, 3, 3), [359.5, 1.0, 0.0], dtype=np.float32)
+    model = pt.MembraneModel(baseline=given)
+    assert model.baseline.dtype == np.float64 and model.baseline.shape == (2, 3, 3)
+    assert np.array_equal(model.baseline, given)
+    with pytest.raises(ValueError, match="read-only"):
+        model.baseline[0, 0, 0] = 1.0
+    given[0, 0, 0] = 1.0
+    assert model.baseline[0, 0, 0] == 359.5

@@ -15,7 +15,7 @@ from phototact.imaging import (
     RgbImage,
     hsv_to_rgb_real,
     quantize_channels,
-    rgb_to_hsv_channels,
+    rgb_to_hsv,
 )
 
 
@@ -24,9 +24,8 @@ def one_pixel(r, g, b):
 
 
 def roundtrip(img):
-    """8-bit pixels of ``img`` after the whole-image HSV conversion and the real-valued inverse, rounded."""
-    hsv = pt.rgb_to_hsv(img)
-    return quantize_channels(hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value))
+    """8-bit pixels of ``img`` after the HSV conversion and the real-valued inverse, rounded."""
+    return quantize_channels(hsv_to_rgb_real(*rgb_to_hsv(img.pixels)))
 
 
 def hexcone_reference(rgb):
@@ -56,26 +55,26 @@ class TestRgbToHsv:
         lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
         random = np.random.default_rng(8).integers(0, 256, size=(100_000, 3)).astype(np.uint8)
         pixels = np.concatenate([lattice, random])
-        for got, want in zip(rgb_to_hsv_channels(pixels), hexcone_reference(pixels)):
+        for got, want in zip(rgb_to_hsv(pixels), hexcone_reference(pixels)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # sign of zero included
 
     def test_pure_red(self):
-        hsv = pt.rgb_to_hsv(one_pixel(255, 0, 0)).pixels[0, 0]
+        hsv = rgb_to_hsv(one_pixel(255, 0, 0).pixels[0, 0])
         assert tuple(hsv) == (0.0, 1.0, 1.0)
 
     def test_black_hue_convention(self):
-        hsv = pt.rgb_to_hsv(one_pixel(0, 0, 0)).pixels[0, 0]
+        hsv = rgb_to_hsv(one_pixel(0, 0, 0).pixels[0, 0])
         assert tuple(hsv) == (0.0, 0.0, 0.0)
 
     def test_gray(self):
-        hsv = pt.rgb_to_hsv(one_pixel(128, 128, 128)).pixels[0, 0]
+        hsv = rgb_to_hsv(one_pixel(128, 128, 128).pixels[0, 0])
         assert hsv[0] == 0.0 and hsv[1] == 0.0 and hsv[2] == 128 / 255
 
     def test_hue_range(self):
         rng = np.random.default_rng(3)
         img = RgbImage(rng.integers(0, 256, size=(40, 50, 3), dtype=np.uint8).astype(np.uint8))
-        hsv = pt.rgb_to_hsv(img)
-        assert hsv.hue.min() >= 0.0 and hsv.hue.max() < 360.0
+        hue, _, _ = rgb_to_hsv(img.pixels)
+        assert hue.min() >= 0.0 and hue.max() < 360.0
 
 
 class TestHsvToRgb:

@@ -101,17 +101,17 @@ def tiny_geometry(height, width):
 
 def full_frame_rows(ref, contact, geom):
     """Reference feature rows: whole-image HSV delta and meshgrid (u, v), gathered by the disc mask."""
-    hsv_ref = pt.rgb_to_hsv(ref)
-    hsv_con = pt.rgb_to_hsv(contact)
+    h_ref, s_ref, v_ref = pt.rgb_to_hsv(ref.pixels)
+    h_con, s_con, v_con = pt.rgb_to_hsv(contact.pixels)
     u, v = np.meshgrid(
         np.arange(geom.width, dtype=np.float64) / (geom.width - 1),
         np.arange(geom.height, dtype=np.float64) / (geom.height - 1),
     )
     full = np.stack(
         [
-            pt.hue_delta(hsv_con.hue, hsv_ref.hue),
-            hsv_con.saturation - hsv_ref.saturation,
-            hsv_con.value - hsv_ref.value,
+            pt.hue_delta(h_con, h_ref),
+            s_con - s_ref,
+            v_con - v_ref,
             u,
             v,
         ],
@@ -152,8 +152,8 @@ class TestColorDelta:
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
         expected = 0.2 * defaults.GAIN_H_DEG_PER_MM
 
-        hsv = deformed_hsv(dmap, membrane)
-        exact = pt.hue_delta(hsv.hue, membrane.baseline.hue)
+        hue, _, _ = deformed_hsv(dmap, membrane)
+        exact = pt.hue_delta(hue, membrane.baseline[..., 0])
         assert np.allclose(exact, expected, atol=1e-9)
 
         ref = pt.render_reading(small_geometry.zero_map(), membrane, seed=0)

@@ -180,8 +180,7 @@ class TestSpherePress:
 
 def uncached_clean(dmap, membrane):
     """Reference noise-free render: deformed HSV -> real RGB over the full frame."""
-    hsv = deformed_hsv(dmap, membrane)
-    return hsv_to_rgb_real(hsv.hue, hsv.saturation, hsv.value)
+    return hsv_to_rgb_real(*deformed_hsv(dmap, membrane))
 
 
 def uncached_render(dmap, membrane, seed):
@@ -238,7 +237,7 @@ class TestRenderReading:
         membrane = pt.default_membrane(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
         img = render_reading(small_geometry.zero_map(), membrane, seed=5)
         base = membrane.baseline
-        assert np.array_equal(img.pixels, quantize_channels(hsv_to_rgb_real(base.hue, base.saturation, base.value)))
+        assert np.array_equal(img.pixels, quantize_channels(hsv_to_rgb_real(base[..., 0], base[..., 1], base[..., 2])))
 
     def test_same_seed_bit_identical(self, small_geometry, small_membrane):
         dmap = sphere_press_truth(0.25, 3.0, small_geometry)
@@ -253,18 +252,12 @@ class TestRenderReading:
         depths = np.full((small_geometry.height, small_geometry.width), 0.2, dtype=np.float32)
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
         rendered = render_reading(dmap, membrane, seed=0)
-        base = membrane.baseline.pixels
-        shifted = pt.HsvImage(
-            np.stack(
-                [
-                    np.mod(base[..., 0] + 0.2 * defaults.GAIN_H_DEG_PER_MM, 360.0),
-                    np.clip(base[..., 1] + 0.2 * defaults.GAIN_S_PER_MM, 0.0, 1.0),
-                    np.clip(base[..., 2] + 0.2 * defaults.GAIN_V_PER_MM, 0.0, 1.0),
-                ],
-                axis=-1,
-            )
-        )
-        expected = quantize_channels(hsv_to_rgb_real(shifted.hue, shifted.saturation, shifted.value))
+        base = membrane.baseline
+        hue = np.mod(base[..., 0] + 0.2 * defaults.GAIN_H_DEG_PER_MM, 360.0)
+        assert np.all(hue < 360.0)
+        sat = np.clip(base[..., 1] + 0.2 * defaults.GAIN_S_PER_MM, 0.0, 1.0)
+        val = np.clip(base[..., 2] + 0.2 * defaults.GAIN_V_PER_MM, 0.0, 1.0)
+        expected = quantize_channels(hsv_to_rgb_real(hue, sat, val))
         assert np.array_equal(rendered.pixels, expected)
 
     def test_dimension_mismatch(self, small_geometry, membrane):

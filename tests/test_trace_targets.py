@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import phototact as pt
+from conftest import linear_hue_model
+
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -67,3 +70,15 @@ def test_arguments_read_are_parameters(name, reader):
 
 def test_every_argument_read_is_known():
     assert {arg for _, reader in READERS for arg in arguments_read(reader)} == {"features", "x", "path", "direction"}
+
+
+def test_reconstruct_runs_the_traced_color_path(small_geometry, small_membrane):
+    """A reconstruction converts its pixels through the traced ``rgb_to_hsv`` and ``color_delta``, so their spans
+    measure the color path the pipeline runs."""
+    truth = pt.sphere_press_truth(0.3, 3.0, small_geometry)
+    ref, contact = pt.phantom.reading_pair(truth, small_membrane, 1)
+    with tracer.installed(tracer.Tracer()) as traced:
+        pt.reconstruct(linear_hue_model(1.0), ref, contact, small_geometry)
+    layers = traced.layers()
+    assert layers["imaging.rgb_to_hsv"]["calls"] == 2
+    assert layers["imprint.color_delta"]["calls"] == 1
