@@ -29,14 +29,12 @@ weight blobs; identical training runs produce byte-identical files.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .imaging import MAX_DEPTH_MM, DeformationMap, RgbImage, SensorGeometry, json_number
+from .imaging import MAX_DEPTH_MM, DeformationMap, RgbImage, SensorGeometry, json_number, read_json, write_json
 from .imprint import color_delta, disc_rows
 from .phantom import MembraneModel, disc_captures, rng_stream, sphere_press_truth, sub_seeds
 
@@ -323,10 +321,10 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
     ys = y.astype(np.float32)
 
     weights, biases = _init_params(cfg.seed)
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    layers = len(weights)
+    params = weights + biases  # the weights, then the biases, as are their Adam moments m and v
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
 
     shuffle_rng = rng_stream(cfg.seed, _STREAM_SHUFFLE)
     n = xs.shape[0]
@@ -346,26 +344,22 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
                 # a permutation's indices are all in range, so no index is clipped.
                 bx = np.take(xs, batch, axis=0, out=batch_x[: len(batch)], mode="clip")
                 by = np.take(ys, batch, out=batch_y[: len(batch)], mode="clip")
-                loss, grads_w, grads_b = loss_and_gradients(weights, biases, bx, by, work)
+                loss, grads_w, grads_b = loss_and_gradients(params[:layers], params[layers:], bx, by, work)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"loss is not finite at step {step}")
                 batch_losses.append(loss)
                 step += 1
                 correct1 = 1.0 - _ADAM_BETA1**step
                 correct2 = 1.0 - _ADAM_BETA2**step
-                for params, grads, ms, vs in (
-                    (weights, grads_w, m_w, v_w),
-                    (biases, grads_b, m_b, v_b),
-                ):
-                    for i, g in enumerate(grads):
-                        ms[i] = _ADAM_BETA1 * ms[i] + (1.0 - _ADAM_BETA1) * g
-                        vs[i] = _ADAM_BETA2 * vs[i] + (1.0 - _ADAM_BETA2) * g * g
-                        params[i] -= cfg.learning_rate * (ms[i] / correct1) / (np.sqrt(vs[i] / correct2) + _ADAM_EPS)
+                for i, g in enumerate(grads_w + grads_b):
+                    m[i] = _ADAM_BETA1 * m[i] + (1.0 - _ADAM_BETA1) * g
+                    v[i] = _ADAM_BETA2 * v[i] + (1.0 - _ADAM_BETA2) * g * g
+                    params[i] -= cfg.learning_rate * (m[i] / correct1) / (np.sqrt(v[i] / correct2) + _ADAM_EPS)
             epoch_losses.append(float(np.mean(batch_losses)))
 
     return CalibrationModel(
-        weights=tuple(weights),
-        biases=tuple(biases),
+        weights=tuple(params[:layers]),
+        biases=tuple(params[layers:]),
         feature_shift=shift32,
         feature_scale=scale32,
         epoch_losses=tuple(epoch_losses),
@@ -438,7 +432,7 @@ def _decode(blob: str, shape) -> np.ndarray:
 
 
 def save_model(path, model: CalibrationModel):
-    doc = {
+    write_json(path, {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
         "layer_sizes": list(LAYER_SIZES),
@@ -448,18 +442,11 @@ def save_model(path, model: CalibrationModel):
         "weights": [_encode(w) for w in model.weights],
         "biases": [_encode(b) for b in model.biases],
         "epoch_losses": list(model.epoch_losses),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def load_model(path) -> CalibrationModel:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("a calibration model file must hold a JSON object")
-    if doc.get("format") != _MODEL_FORMAT:
-        raise ValueError("not a calibration model file")
-    if doc.get("version") != _MODEL_VERSION:
-        raise ValueError(f"unsupported model version {doc.get('version')}")
+    doc = read_json(path, "calibration model", _MODEL_FORMAT, _MODEL_VERSION)
     if doc.get("layer_sizes") != list(LAYER_SIZES):
         raise ValueError("unexpected layer sizes")
     shapes = [(LAYER_SIZES[i], LAYER_SIZES[i + 1]) for i in range(len(LAYER_SIZES) - 1)]

@@ -52,18 +52,9 @@ from .detection import (
     save_detector,
     stratified_split,
 )
-from .imaging import DmapFormatError, PpmFormatError, SensorGeometry, load_dmap, load_ppm, save_dmap, save_ppm
+from .imaging import SensorGeometry, load_dmap, load_ppm, save_dmap, save_ppm, write_json
 from .imprint import ImprintParams, augmented_imprint, color_delta
-from .phantom import (
-    DATASET_CSV_FIELDS,
-    DatasetSpec,
-    PhantomConfig,
-    contact_solve,
-    dataset_manifest_rows,
-    default_membrane,
-    generate_phantom_dataset,
-    reading_pair,
-)
+from .phantom import DatasetSpec, PhantomConfig, contact_solve, default_membrane, generate_phantom_dataset, reading_pair
 
 # Seeds key uint64 Philox streams, and a phantom's reading pair doubles the seed (see phantom.reading_pair).
 SEED_LIMIT = 2**63
@@ -257,7 +248,7 @@ def _write_manifest(stage, args, inputs, outputs, started):
         "outputs": outputs,
         "duration_s": round(time.monotonic() - started, 6),
     }
-    stage(target).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(stage(target), doc)
 
 
 def _config_argv(config):
@@ -285,14 +276,18 @@ def _load_phantom_config(args) -> PhantomConfig:
     )
 
 
+def _press_files(stem):
+    """The files of the press at path ``stem``: its reference capture, its contact capture and its truth map."""
+    return [f"{stem}_ref.ppm", f"{stem}_contact.ppm", f"{stem}_truth.dmap"]
+
+
 def _cmd_phantom(args, stage):
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     cfg = _load_phantom_config(args)
     solution = contact_solve(cfg, geom, membrane)
     ref, contact = reading_pair(solution.deformation, membrane, args.seed)
-    prefix = args.out_prefix
-    paths = [f"{prefix}_ref.ppm", f"{prefix}_contact.ppm", f"{prefix}_truth.dmap"]
+    paths = _press_files(args.out_prefix)
     save_ppm(stage(paths[0]), ref)
     save_ppm(stage(paths[1]), contact)
     save_dmap(stage(paths[2]), solution.deformation)
@@ -336,25 +331,28 @@ def _load_spec(value) -> DatasetSpec:
     return DatasetSpec.from_dict(json.loads(Path(value).read_text()))
 
 
-def _written(samples, out_dir):
-    """Write each sample's capture pair and truth map as the sample is yielded.
-
-    The manifest is built from this stream, so no sample's arrays outlive
-    their own write.
-    """
-    for sample in samples:
-        save_ppm(out_dir / f"{sample.sample_id}_ref.ppm", sample.reading_ref)
-        save_ppm(out_dir / f"{sample.sample_id}_contact.ppm", sample.reading_contact)
-        save_dmap(out_dir / f"{sample.sample_id}_truth.dmap", sample.truth)
-        yield sample
+# A dataset directory holds each sample's press files and manifest.csv, one row per sample with these columns.
+DATASET_CSV_FIELDS = ("sample_id", "label", "ball_diameter_mm", "burial_depth_mm", "applied_mass_g", "seed")
 
 
 def _cmd_dataset(args, stage):
+    """Write each sample's press files and manifest row as the sample is rendered, so no sample outlives its write."""
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     samples = generate_phantom_dataset(_load_spec(args.spec), geom, membrane, args.seed)
     out_dir = stage(args.out, directory=True)
-    (out_dir / "manifest.csv").write_text(dataset_manifest_rows(_written(samples, out_dir)))
+    with (out_dir / "manifest.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(DATASET_CSV_FIELDS)
+        for s in samples:
+            ref, contact, truth = _press_files(out_dir / s.sample_id)
+            save_ppm(ref, s.reading_ref)
+            save_ppm(contact, s.reading_contact)
+            save_dmap(truth, s.truth)
+            tumor = s.config.tumor_present
+            writer.writerow([s.sample_id, s.label, s.config.ball_diameter_mm if tumor else "",
+                             s.config.burial_depth_mm if tumor else "", s.config.applied_mass_g, s.sample_seed])
+            del s  # before the next sample renders
     return [] if args.spec == "default" else [args.spec], [str(Path(args.out))]
 
 
@@ -375,9 +373,8 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
                 raise ValueError(f"dataset manifest {manifest}: sample id {sample_id!r} is not a file name stem")
             if row["label"] not in ("1", "-1"):
                 raise ValueError(f"dataset manifest {manifest}: label {row['label']!r} of {sample_id} is not 1 or -1")
-            ref = load_ppm(dataset_dir / f"{sample_id}_ref.ppm")
-            contact = load_ppm(dataset_dir / f"{sample_id}_contact.ppm")
-            fv = FeatureVector.of(disc_depths(calib_model, color_delta(ref, contact, geom)))
+            ref, contact, _ = _press_files(dataset_dir / sample_id)
+            fv = FeatureVector.of(disc_depths(calib_model, color_delta(load_ppm(ref), load_ppm(contact), geom)))
             features.append([fv.mu, fv.sigma])
             labels.append(int(row["label"]))
             ids.append(sample_id)
@@ -425,7 +422,7 @@ def _cmd_detect(args, stage):
     }
     if not args.report:
         return [args.detector, args.map], [], result
-    stage(args.report).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    write_json(stage(args.report), result)
     return [args.detector, args.map], [args.report], result
 
 
@@ -440,7 +437,7 @@ def _cmd_evaluate(args, stage):
         {"sample_id": sid, "label": int(lab), "mu": float(f[0]), "sigma": float(f[1]), "decision_value": dv}
         for sid, lab, f, dv in zip(ids, labels, features, report.decision_values)
     ]
-    stage(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(stage(args.out), doc)
     outputs = [args.out]
     if args.csv:
         with stage(args.csv).open("w", newline="") as fh:
@@ -460,7 +457,7 @@ def _cmd_characterize(args, stage):
     model = load_model(args.calibration)
     report = characterize(rig, model, seed=args.seed)
     out_dir = stage(args.out, directory=True)
-    (out_dir / "summary.json").write_text(json.dumps(report.summary(), indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "summary.json", report.summary())
     with (out_dir / "sweeps.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["direction", "force_n", "max_depth_mm", "mean_depth_mm"])
@@ -522,15 +519,7 @@ def dispatch(argv) -> int:
         if outputs or args.manifest:
             _write_manifest(publication.stage, args, inputs, outputs, started)
         publication.publish()
-    except (
-        ValueError,
-        PpmFormatError,
-        DmapFormatError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-        TrainingDivergedError,
-    ) as err:
+    except (ValueError, KeyError, OSError, TrainingDivergedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:

@@ -9,14 +9,12 @@ strictly positive; exact ties fall on the "no-tumor" side.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .imaging import DeformationMap, json_number
+from .imaging import DeformationMap, json_number, read_json, write_json
 from .phantom import rng_stream
 
 TUMOR = "tumor"
@@ -131,8 +129,9 @@ def train_svm(standardized, labels, c: float = 1.0, standardizer: Standardizer |
     Minimizes ||w||^2/2 + c * sum(hinge) with an unregularized bias.  Each step
     moves the most violating i and the j of largest second-order gain (Fan, Chen
     & Lin 2005), ties going to the lowest index, until the largest violating-pair
-    gap is ``_SMO_TOLERANCE`` or less.  The bias is the mean score of the free
-    support vectors, or LIBSVM's midpoint when none is free.
+    gap is ``_SMO_TOLERANCE`` or less, first moving free rows that outnumber their
+    constraints to a bound along directions that keep w.  The bias is the mean
+    score of the free support vectors, or LIBSVM's midpoint when none is free.
     """
     z = np.asarray(standardized, dtype=np.float64)
     y = _label_array(labels)
@@ -153,6 +152,18 @@ def train_svm(standardized, labels, c: float = 1.0, standardizer: Standardizer |
     beta = np.zeros(y.shape[0])
     score = y.copy()  # -y times the dual gradient Q alpha - 1, with Q = (y y') * gram
     for steps in range(_SMO_MAX_STEPS + 1):
+        free = np.flatnonzero((beta > lower) & (beta < upper))
+        if free.size > z.shape[1] + 1:
+            # The free rows outnumber their constraints (one per feature, plus the sum), so a direction d keeps w
+            # and the sum.  The dual is linear along d, with slope score . d, and pair steps cross a nearly flat d
+            # only by tiny alternating steps: move uphill along d until a free row meets its bound.
+            d = np.linalg.svd(np.vstack([z[free].T, np.ones(free.size)]))[2][-1]
+            d = d if score[free] @ d >= 0.0 else -d
+            bound = np.where(d > 0.0, upper[free], lower[free])
+            room = np.divide(bound - beta[free], d, out=np.full(free.size, np.inf), where=d != 0.0)
+            k = int(np.argmin(room))
+            beta[free] += room[k] * d
+            beta[free[k]] = bound[k]
         up, low = beta < upper, beta > lower
         i = int(np.argmax(np.where(up, score, -np.inf)))
         top, bottom = score[i], score[low].min()
@@ -268,7 +279,7 @@ def stratified_split(labels, train_fraction: float = 0.8, seed: int = 0):
 
 
 def save_detector(path, model: DetectorModel):
-    doc = {
+    write_json(path, {
         "format": _DETECTOR_FORMAT,
         "version": _DETECTOR_VERSION,
         "weights": {"mu": model.weights[0], "sigma": model.weights[1]},
@@ -276,18 +287,11 @@ def save_detector(path, model: DetectorModel):
         "standardizer": {"mean": model.standardizer.mean.tolist(), "std": model.standardizer.std.tolist()},
         "label_convention": "decision_value > 0 => tumor",
         "training": model.training_meta or {},
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def load_detector(path) -> DetectorModel:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError("a detector file must hold a JSON object")
-    if doc.get("format") != _DETECTOR_FORMAT:
-        raise ValueError("not a detector file")
-    if doc.get("version") != _DETECTOR_VERSION:
-        raise ValueError(f"unsupported detector version {doc.get('version')}")
+    doc = read_json(path, "detector", _DETECTOR_FORMAT, _DETECTOR_VERSION)
     try:
         standardizer = Standardizer(
             mean=np.array([json_number(x) for x in doc["standardizer"]["mean"]], dtype=np.float64),

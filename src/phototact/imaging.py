@@ -13,10 +13,14 @@ On-disk formats:
 * depth maps: ``DMAP`` magic, one version byte, width and height as 32-bit
   little-endian unsigned, ``width*height`` 32-bit little-endian IEEE-754
   depths in mm, then one mask byte (0/1) per pixel
+* JSON documents: sorted keys, two-space indent, a final newline
+  (:func:`write_json`); :func:`read_json` checks the ``format`` and
+  ``version`` that a calibration model or detector file names
 """
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 import struct
@@ -361,3 +365,23 @@ def load_dmap(path) -> DeformationMap:
         return DeformationMap(depths, mask_vals.reshape(height, width).astype(bool))
     except ValueError as err:
         raise DmapFormatError(f"invalid depths: {err}") from None
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+
+def write_json(path, doc):
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def read_json(path, kind: str, format_name: str, version: int) -> dict:
+    """The JSON object in the ``kind`` file at ``path``, once its ``format`` and ``version`` are checked."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"a {kind} file must hold a JSON object")
+    if doc.get("format") != format_name:
+        raise ValueError(f"not a {kind} file")
+    if doc.get("version") != version:
+        raise ValueError(f"unsupported {kind} version {doc.get('version')}")
+    return doc

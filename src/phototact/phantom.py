@@ -17,8 +17,6 @@ noise.  All randomness is drawn from counter-based (Philox) streams keyed by
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -472,36 +470,7 @@ def generate_phantom_dataset(spec: DatasetSpec, geom: SensorGeometry, model: Mem
 def _render_samples(configs, sample_seeds, geom: SensorGeometry, model: MembraneModel):
     for (sample_id, label, cfg), sample_seed in zip(configs, sample_seeds):
         sample_seed = int(sample_seed)
-        solution = contact_solve(cfg, geom, model)
-        ref, contact = reading_pair(solution.deformation, model, sample_seed)
-        yield PhantomSample(
-            sample_id=sample_id,
-            label=label,
-            config=cfg,
-            reading_ref=ref,
-            reading_contact=contact,
-            truth=solution.deformation,
-            sample_seed=sample_seed,
-        )
+        truth = contact_solve(cfg, geom, model).deformation
+        # No name holds the reading pair, so a consumer that drops a sample frees its captures before the next renders.
+        yield PhantomSample(sample_id, label, cfg, *reading_pair(truth, model, sample_seed), truth, sample_seed)
 
-
-DATASET_CSV_FIELDS = ("sample_id", "label", "ball_diameter_mm", "burial_depth_mm", "applied_mass_g", "seed")
-
-
-def dataset_manifest_rows(samples) -> str:
-    """CSV manifest text (one row per sample) for a dataset directory."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DATASET_CSV_FIELDS)
-    for s in samples:
-        writer.writerow(
-            [
-                s.sample_id,
-                s.label,
-                s.config.ball_diameter_mm if s.config.tumor_present else "",
-                s.config.burial_depth_mm if s.config.tumor_present else "",
-                s.config.applied_mass_g,
-                s.sample_seed,
-            ]
-        )
-    return buf.getvalue()

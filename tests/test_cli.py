@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import shlex
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import phototact as pt
-from phototact import cli
+from phototact import cli, phantom
 from phototact.cli import dispatch
 from phototact.detection import DetectorModel, Standardizer, save_detector
 
@@ -290,6 +291,19 @@ class TestDatasetVerbs:
         sample = pt.load_ppm(tmp_path / "d8" / "pos_d6_b3_p0_ref.ppm").pixels.nbytes * 2
         sample += pt.load_dmap(tmp_path / "d8" / "pos_d6_b3_p0_truth.dmap").depths.nbytes
         assert large - small < sample
+
+    def test_dataset_holds_one_sample_at_a_time(self, tmp_path, tiny_spec, monkeypatch):
+        """No earlier sample is alive while the next one renders: its captures are freed once they are written."""
+        alive = []
+        render = phantom.reading_pair
+
+        def counting(*args):
+            alive.append(sum(isinstance(o, phantom.PhantomSample) for o in gc.get_objects()))
+            return render(*args)
+
+        monkeypatch.setattr(phantom, "reading_pair", counting)
+        assert run(["dataset", *SMALL, "--spec", tiny_spec, "--out", tmp_path / "data"]) == 0
+        assert len(alive) == 8 and max(alive) == 0
 
     def test_detector_training_and_evaluate(self, tmp_path, tiny_spec, tiny_model_path, capsys):
         data = tmp_path / "data"
@@ -693,6 +707,16 @@ EXIT_CODE_TABLE = [
     ("reconstruct", "model-not-an-object", lambda d, t: ["reconstruct", *SMALL, "--model", json_file(t, []), "--ref",
                                                          d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
                                                          "--out", t / "r.dmap"], 2, "must hold a JSON object"),
+    ("reconstruct", "model-wrong-format", lambda d, t: ["reconstruct", *SMALL, "--model",
+                                                        edited(d / "calib.json", t, format="phototact-detector"),
+                                                        "--ref", d / "press_ref.ppm", "--contact",
+                                                        d / "press_contact.ppm", "--out", t / "r.dmap"], 2,
+     "error: not a calibration model file\n"),
+    ("reconstruct", "model-wrong-version", lambda d, t: ["reconstruct", *SMALL, "--model",
+                                                         edited(d / "calib.json", t, version=2), "--ref",
+                                                         d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
+                                                         "--out", t / "r.dmap"], 2,
+     "error: unsupported calibration model version 2\n"),
     ("reconstruct", "max-depth-a-list", lambda d, t: ["reconstruct", *SMALL, "--model",
                                                       edited(d / "calib.json", t, max_depth=[0.5]), "--ref",
                                                       d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
@@ -783,6 +807,14 @@ EXIT_CODE_TABLE = [
      "No such file"),
     ("detect", "detector-not-an-object", lambda d, t: ["detect", "--detector", json_file(t, [0.3, 4.8]),
                                                        "--map", d / "recon.dmap"], 2, "must hold a JSON object"),
+    ("detect", "detector-wrong-format", lambda d, t: ["detect", "--detector",
+                                                      edited(d / "detector.json", t,
+                                                             format="phototact-calibration-model"),
+                                                      "--map", d / "recon.dmap"], 2, "error: not a detector file\n"),
+    ("detect", "detector-wrong-version", lambda d, t: ["detect", "--detector",
+                                                       edited(d / "detector.json", t, version="1"),
+                                                       "--map", d / "recon.dmap"], 2,
+     "error: unsupported detector version 1\n"),
     ("detect", "bias-a-list", lambda d, t: ["detect", "--detector", edited(d / "detector.json", t, bias=[1.0]),
                                             "--map", d / "recon.dmap"], 2, "malformed detector file"),
     ("detect", "bias-nan", lambda d, t: ["detect", "--detector", edited(d / "detector.json", t, bias=math.nan),

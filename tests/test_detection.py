@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, assume
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import phototact as pt
@@ -138,12 +138,17 @@ class TestTrainSvm:
     @given(
         st.floats(min_value=0.0, max_value=2 * np.pi),
         st.integers(min_value=3, max_value=12),
-        st.randoms(use_true_random=False),
+        st.integers(min_value=0, max_value=2**31),
     )
-    def test_zero_hinge_on_separable_sets(self, angle, n_per_class, rnd):
+    # Two free rows of each class on the margin, whose lines are nearly parallel: plain SMO alternated between the
+    # pairs (0, 2) and (3, 5), or (6, 2) and (11, 14), and stopped at its step cap with a duality gap of 0.0017
+    # and 0.0048.
+    @example(angle=0.0, n_per_class=3, seed=3891)
+    @example(angle=0.0, n_per_class=9, seed=5915)
+    def test_zero_hinge_on_separable_sets(self, angle, n_per_class, seed):
         # random separable set: points pushed away from a hyperplane through 0
         normal = np.array([np.cos(angle), np.sin(angle)])
-        rng = np.random.default_rng(rnd.randint(0, 2**31))
+        rng = np.random.default_rng(seed)
         margins = rng.uniform(0.5, 2.0, size=2 * n_per_class)
         along = rng.uniform(-2.0, 2.0, size=2 * n_per_class)
         labels = np.array([1] * n_per_class + [-1] * n_per_class)
@@ -206,10 +211,10 @@ def _assert_solves_the_svm(z, y, c, model):
     assert model.training_meta["duality_gap"] <= 1e-6 * max(1.0, primal)
 
 
-# Every (separable, n, c) set converges but two kinds: the 3-row overlapping sets have a zero-weight optimum and
-# the overlapping sets of 60 rows or more at c = 1000 hit the step cap; both kinds are tested below.
+# Every (separable, n, c) set converges but the 3-row overlapping sets, which have a zero-weight optimum (tested
+# below).
 _KKT_CASES = [(True, n, c) for n in (3, 4, 7, 20, 60, 224) for c in (1.0, 1000.0)]
-_KKT_CASES += [(False, n, 1.0) for n in (4, 7, 20, 60, 224)] + [(False, n, 1000.0) for n in (4, 7, 20)]
+_KKT_CASES += [(False, n, c) for n in (4, 7, 20, 60, 224) for c in (1.0, 1000.0)]
 
 
 class TestTrainSvmSolvesTheDual:
@@ -231,7 +236,8 @@ class TestTrainSvmSolvesTheDual:
         assert model.bias == pytest.approx(0.0, abs=1e-12)
         assert model.training_meta["converged"]
 
-    def test_step_cap_returns_a_finite_unconverged_model(self):
+    def test_step_cap_returns_a_finite_unconverged_model(self, monkeypatch):
+        monkeypatch.setattr(detection, "_SMO_MAX_STEPS", 20)  # the set takes 146 steps
         z, y = _svm_problem(60, False, seed=61000)
         model = train_svm(z, y, c=1000.0)
         assert model.training_meta["converged"] is False

@@ -1,18 +1,18 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import phototact as pt
-from phototact import defaults, phantom
+from phototact import cli, defaults, phantom
 from phototact.imaging import hsv_to_rgb_real, quantize_channels
 from phototact.phantom import (
     STREAM_RENDER,
     DatasetSpec,
     PhantomConfig,
     contact_solve,
-    dataset_manifest_rows,
     deformed_hsv,
     generate_phantom_dataset,
     reading_pair,
@@ -436,12 +436,18 @@ class TestDatasetSpecFromDict:
         with pytest.raises(ValueError, match="malformed dataset spec: KeyError"):
             DatasetSpec.from_dict(data)
 
-    def test_integer_spelled_entries_write_the_float_manifest(self, small_geometry, small_membrane):
+    def test_integer_spelled_entries_write_the_float_manifest(self, tmp_path):
+        """The ``dataset`` verb writes the same manifest.csv for a spec file that spells its sizes as integers."""
         def rows(number):
-            spec = DatasetSpec.from_dict({"diameters_mm": [number(4)], "burial_depths_mm": [number(2)],
-                                          "presses_per_positive": 1, "positive_mass_g": number(1000),
-                                          "negative_masses_g": [number(1000)], "presses_per_negative_mass": 1})
-            return dataset_manifest_rows(generate_phantom_dataset(spec, small_geometry, small_membrane, seed=3))
+            spec = tmp_path / f"{number.__name__}.json"
+            spec.write_text(json.dumps({"diameters_mm": [number(4)], "burial_depths_mm": [number(2)],
+                                        "presses_per_positive": 1, "positive_mass_g": number(1000),
+                                        "negative_masses_g": [number(1000)], "presses_per_negative_mass": 1}))
+            out = tmp_path / number.__name__
+            argv = ["dataset", "--width", "100", "--height", "80", "--mm-per-pixel", "0.1", "--spec", str(spec),
+                    "--seed", "3", "--out", str(out)]
+            assert cli.dispatch(argv) == 0
+            return (out / "manifest.csv").read_text()
 
         integer_spelled = rows(int)
         assert integer_spelled == rows(float)
