@@ -34,7 +34,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import MAX_DEPTH_MM, DeformationMap, RgbImage, SensorGeometry, json_number, read_json, write_json
+from .imaging import (
+    MAX_DEPTH_MM,
+    DeformationMap,
+    RgbImage,
+    SensorGeometry,
+    frozen_array,
+    json_number,
+    read_json,
+    write_json,
+)
 from .imprint import color_delta, disc_rows
 from .phantom import MembraneModel, disc_captures, rng_stream, sphere_press_truth, sub_seeds
 
@@ -102,29 +111,26 @@ class CalibrationModel:
     _activations: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(np.asarray(w, dtype=np.float32) for w in self.weights)
-        biases = tuple(np.asarray(b, dtype=np.float32) for b in self.biases)
+        weights = tuple(frozen_array(w, np.float32) for w in self.weights)
+        biases = tuple(frozen_array(b, np.float32) for b in self.biases)
         expected = [(LAYER_SIZES[i], LAYER_SIZES[i + 1]) for i in range(len(LAYER_SIZES) - 1)]
         if [w.shape for w in weights] != expected:
             raise ValueError(f"weight shapes must be {expected}")
         if [b.shape for b in biases] != [(n,) for _, n in expected]:
             raise ValueError("bias shapes must match layer widths")
-        shift = np.asarray(self.feature_shift, dtype=np.float32)
-        scale = np.asarray(self.feature_scale, dtype=np.float32)
+        shift = frozen_array(self.feature_shift, np.float32)
+        scale = frozen_array(self.feature_scale, np.float32)
         if shift.shape != (LAYER_SIZES[0],) or scale.shape != (LAYER_SIZES[0],):
             raise ValueError("standardization constants must have one entry per input")
         if np.any(scale <= 0):
             raise ValueError("feature scales must be positive")
         if not (math.isfinite(self.max_depth) and 0.0 < self.max_depth <= MAX_DEPTH_MM):
             raise ValueError(f"max depth must lie in (0, {MAX_DEPTH_MM}] mm")
-        arrays = list(weights) + list(biases) + [shift, scale]
-        if not all(np.all(np.isfinite(a)) for a in arrays):
+        if not all(np.all(np.isfinite(a)) for a in (*weights, *biases, shift, scale)):
             raise ValueError("model parameters must be finite")
         losses = tuple(float(x) for x in self.epoch_losses)
         if not all(map(math.isfinite, losses)):
             raise ValueError("epoch losses must be finite")
-        for a in arrays:
-            a.setflags(write=False)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "biases", biases)
         object.__setattr__(self, "feature_shift", shift)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import defaults
 from .calibration import CalibrationModel, disc_depths
-from .imaging import MAX_DEPTH_MM, DeformationMap, SensorGeometry
+from .imaging import MAX_DEPTH_MM, DeformationMap, SensorGeometry, frozen_array
 from .imprint import disc_rows
 from .phantom import (
     MembraneModel,
@@ -57,9 +57,9 @@ class ForceSweep:
     direction: str           # "loading" | "unloading"
 
     def __post_init__(self):
-        forces = np.asarray(self.forces, dtype=np.float64)
-        max_depths = np.asarray(self.max_depths, dtype=np.float64)
-        mean_depths = np.asarray(self.mean_depths, dtype=np.float64)
+        forces = frozen_array(self.forces, np.float64)
+        max_depths = frozen_array(self.max_depths, np.float64)
+        mean_depths = frozen_array(self.mean_depths, np.float64)
         if forces.ndim != 1 or forces.shape != max_depths.shape or forces.shape != mean_depths.shape:
             raise ValueError("sweep columns must be matching 1-D arrays")
         if self.direction not in ("loading", "unloading"):
@@ -69,8 +69,6 @@ class ForceSweep:
             raise ValueError("loading forces must be strictly increasing")
         if self.direction == "unloading" and not np.all(steps < 0):
             raise ValueError("unloading forces must be strictly decreasing")
-        for arr in (forces, max_depths, mean_depths):
-            arr.setflags(write=False)
         object.__setattr__(self, "forces", forces)
         object.__setattr__(self, "max_depths", max_depths)
         object.__setattr__(self, "mean_depths", mean_depths)
@@ -85,16 +83,14 @@ class TrialSet:
     max_depth: float
 
     def __post_init__(self):
-        steps = np.asarray(self.step_depths, dtype=np.float64)
-        meas = np.asarray(self.measurements, dtype=np.float64)
+        steps = frozen_array(self.step_depths, np.float64)
+        meas = frozen_array(self.measurements, np.float64)
         if steps.ndim != 1 or meas.ndim != 2 or meas.shape[1] != steps.shape[0]:
             raise ValueError("measurements must be (trials, steps)")
         if meas.shape[0] < 2:
             raise ValueError("need at least two trials")
         if self.max_depth <= 0:
             raise ValueError("max depth must be positive")
-        steps.setflags(write=False)
-        meas.setflags(write=False)
         object.__setattr__(self, "step_depths", steps)
         object.__setattr__(self, "measurements", meas)
 

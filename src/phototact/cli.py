@@ -74,10 +74,10 @@ class _Parser(argparse.ArgumentParser):
 def _shared_flags():
     """Parent parsers of the geometry flags, and of the geometry plus membrane flags of the rendering verbs."""
     geometry = argparse.ArgumentParser(add_help=False)
-    geometry.add_argument("--width", type=int, default=defaults.DEFAULT_WIDTH)
-    geometry.add_argument("--height", type=int, default=defaults.DEFAULT_HEIGHT)
-    geometry.add_argument("--mm-per-pixel", type=float, default=defaults.MM_PER_PIXEL)
-    geometry.add_argument("--sensing-radius", type=float, default=defaults.SENSING_RADIUS_MM)
+    geometry.add_argument("--width", type=int, default=SensorGeometry.width)
+    geometry.add_argument("--height", type=int, default=SensorGeometry.height)
+    geometry.add_argument("--mm-per-pixel", type=float, default=SensorGeometry.mm_per_pixel)
+    geometry.add_argument("--sensing-radius", type=float, default=SensorGeometry.sensing_radius_mm)
     membrane = argparse.ArgumentParser(add_help=False, parents=[geometry])
     membrane.add_argument("--membrane-seed", type=int, default=defaults.MEMBRANE_SEED)
     membrane.add_argument("--noise-std", type=float, default=defaults.SENSOR_NOISE_STD)
@@ -94,11 +94,9 @@ def _geometry(args) -> SensorGeometry:
     )
 
 
-def _membrane(args, geom, stiffness=None):
-    overrides = {"noise_std": args.noise_std, "speckle_amplitude": args.speckle}
-    if stiffness is not None:
-        overrides["stiffness"] = stiffness
-    return default_membrane(geom, seed=args.membrane_seed, **overrides)
+def _membrane(args, geom, **overrides):
+    return default_membrane(geom, seed=args.membrane_seed, noise_std=args.noise_std, speckle_amplitude=args.speckle,
+                            **overrides)
 
 
 def build_parser() -> _Parser:
@@ -110,47 +108,42 @@ def build_parser() -> _Parser:
     p = sub.add_parser("phantom", parents=[membrane], help="simulate one press and write the capture pair + truth map")
     p.add_argument("--config", help="PhantomConfig JSON file (overrides the flags below)")
     p.add_argument("--tumor", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--diameter", type=float, default=6.0, help="ball diameter, mm")
-    p.add_argument("--burial", type=float, default=3.0, help="burial depth, mm")
-    p.add_argument("--offset-x", type=float, default=0.0)
-    p.add_argument("--offset-y", type=float, default=0.0)
-    p.add_argument("--mass", type=float, default=1000.0, help="applied mass, grams")
+    p.add_argument("--diameter", type=float, default=PhantomConfig.ball_diameter_mm, help="ball diameter, mm")
+    p.add_argument("--burial", type=float, default=PhantomConfig.burial_depth_mm, help="burial depth, mm")
+    p.add_argument("--offset-x", type=float, default=PhantomConfig.lateral_offset_mm[0])
+    p.add_argument("--offset-y", type=float, default=PhantomConfig.lateral_offset_mm[1])
+    p.add_argument("--mass", type=float, default=PhantomConfig.applied_mass_g, help="applied mass, grams")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--manifest")
 
     p = sub.add_parser("imprint", help="amplified difference image of a reading pair")
     p.add_argument("--ref", required=True)
     p.add_argument("--contact", required=True)
-    p.add_argument("--alpha", type=float, default=5.0)
-    p.add_argument("--beta", type=float, default=127.5)
+    p.add_argument("--alpha", type=float, default=ImprintParams.alpha)
+    p.add_argument("--beta", type=float, default=ImprintParams.beta)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
 
     p = sub.add_parser(
         "calibrate", parents=[membrane], help="train the color-to-depth model on simulated sphere presses"
     )
     p.add_argument("--captures", type=int, default=defaults.CALIBRATION_CAPTURES)
     p.add_argument("--sphere-radius", type=float, default=defaults.CALIBRATION_SPHERE_RADIUS_MM)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=4096)
-    p.add_argument("--learning-rate", type=float, default=0.001)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
 
     p = sub.add_parser("reconstruct", parents=[geometry], help="depth map from a reading pair")
     p.add_argument("--model", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--contact", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
 
     p = sub.add_parser("dataset", parents=[membrane], help="generate the labeled phantom dataset directory")
     p.add_argument("--spec", default="default", help="'default' or a DatasetSpec JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
 
     p = sub.add_parser("train-detector", parents=[geometry], help="fit the linear detector on a dataset directory")
     p.add_argument("--dataset", required=True)
@@ -159,13 +152,11 @@ def build_parser() -> _Parser:
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
 
     p = sub.add_parser("detect", help="classify one depth map; prints JSON to stdout")
     p.add_argument("--detector", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--report", help="also write the JSON result to this path")
-    p.add_argument("--manifest")
 
     p = sub.add_parser("evaluate", parents=[geometry], help="score the detector over a dataset directory")
     p.add_argument("--detector", required=True)
@@ -173,14 +164,14 @@ def build_parser() -> _Parser:
     p.add_argument("--calibration", required=True)
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--csv", help="optional per-sample CSV path")
-    p.add_argument("--manifest")
 
     p = sub.add_parser("characterize", parents=[membrane], help="run the metrology harness on the simulated rig")
     p.add_argument("--calibration", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory (summary.json, sweeps.csv, trials.csv)")
-    p.add_argument("--manifest")
 
+    for p in sub.choices.values():
+        p.add_argument("--manifest")
     return parser
 
 
@@ -264,9 +255,14 @@ def _config_argv(config):
     return argv
 
 
+def _read_config(cls, path):
+    """The config dataclass ``cls`` from the JSON file at ``path``."""
+    return cls.from_dict(json.loads(Path(path).read_text()))
+
+
 def _load_phantom_config(args) -> PhantomConfig:
     if args.config:
-        return PhantomConfig.from_dict(json.loads(Path(args.config).read_text()))
+        return _read_config(PhantomConfig, args.config)
     return PhantomConfig(
         tumor_present=args.tumor,
         ball_diameter_mm=args.diameter,
@@ -325,12 +321,6 @@ def _cmd_reconstruct(args, stage):
     return [args.model, args.ref, args.contact], [args.out]
 
 
-def _load_spec(value) -> DatasetSpec:
-    if value == "default":
-        return DatasetSpec()
-    return DatasetSpec.from_dict(json.loads(Path(value).read_text()))
-
-
 # A dataset directory holds each sample's press files and manifest.csv, one row per sample with these columns.
 DATASET_CSV_FIELDS = ("sample_id", "label", "ball_diameter_mm", "burial_depth_mm", "applied_mass_g", "seed")
 
@@ -339,7 +329,8 @@ def _cmd_dataset(args, stage):
     """Write each sample's press files and manifest row as the sample is rendered, so no sample outlives its write."""
     geom = _geometry(args)
     membrane = _membrane(args, geom)
-    samples = generate_phantom_dataset(_load_spec(args.spec), geom, membrane, args.seed)
+    spec = DatasetSpec() if args.spec == "default" else _read_config(DatasetSpec, args.spec)
+    samples = generate_phantom_dataset(spec, geom, membrane, args.seed)
     out_dir = stage(args.out, directory=True)
     with (out_dir / "manifest.csv").open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -11,12 +11,6 @@ consistency, not hardware physics.
 
 import numpy as np
 
-# geometry ------------------------------------------------------------------
-DEFAULT_WIDTH = 320
-DEFAULT_HEIGHT = 240
-MM_PER_PIXEL = 0.05
-SENSING_RADIUS_MM = 3.5
-
 # phantom mechanics ---------------------------------------------------------
 GRAVITY_M_S2 = 9.80665                 # grams-force -> N conversion
 TISSUE_STIFFNESS = 0.02                # N/mm^3, foundation modulus of plain phantom

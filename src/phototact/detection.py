@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import DeformationMap, json_number, read_json, write_json
+from .imaging import DeformationMap, frozen_array, json_number, read_json, write_json
 from .phantom import rng_stream
 
 TUMOR = "tumor"
@@ -66,16 +66,14 @@ class Standardizer:
     std: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
+        mean = frozen_array(self.mean, np.float64)
+        std = frozen_array(self.std, np.float64)
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean and std must be matching 1-D vectors")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
             raise ValueError("standardization constants must be finite")
         if np.any(std <= 0):
             raise ValueError("zero variance feature")
-        mean.setflags(write=False)
-        std.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", std)
 
@@ -103,7 +101,7 @@ class DetectorModel:
     training_meta: dict | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = frozen_array(self.weights, np.float64)
         if w.shape != (2,):
             raise ValueError("weights must be (w_mu, w_sigma)")
         if self.standardizer.mean.shape != (2,):
@@ -112,7 +110,6 @@ class DetectorModel:
             raise ValueError("weights and bias must be finite")
         if not np.any(w != 0):
             raise ValueError("weights must not both be zero")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
 
@@ -294,12 +291,12 @@ def load_detector(path) -> DetectorModel:
     doc = read_json(path, "detector", _DETECTOR_FORMAT, _DETECTOR_VERSION)
     try:
         standardizer = Standardizer(
-            mean=np.array([json_number(x) for x in doc["standardizer"]["mean"]], dtype=np.float64),
-            std=np.array([json_number(x) for x in doc["standardizer"]["std"]], dtype=np.float64),
+            mean=[json_number(x) for x in doc["standardizer"]["mean"]],
+            std=[json_number(x) for x in doc["standardizer"]["std"]],
         )
         return DetectorModel(
             standardizer=standardizer,
-            weights=np.array([json_number(doc["weights"][k]) for k in ("mu", "sigma")], dtype=np.float64),
+            weights=[json_number(doc["weights"][k]) for k in ("mu", "sigma")],
             bias=json_number(doc["bias"]),
             training_meta=doc.get("training") or None,
         )

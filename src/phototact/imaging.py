@@ -44,7 +44,8 @@ class DmapFormatError(ValueError):
     """Malformed or unsupported depth-map data."""
 
 
-def _frozen_array(values, dtype):
+def frozen_array(values, dtype):
+    """A read-only copy of ``values`` as ``dtype``, so the caller's array stays writable."""
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -86,7 +87,7 @@ class RgbImage:
                 raise ValueError("RGB channels must be integers")
             if px.min() < 0 or px.max() > 255:
                 raise ValueError("RGB channels must lie in [0, 255]")
-        object.__setattr__(self, "pixels", _frozen_array(px, np.uint8))
+        object.__setattr__(self, "pixels", frozen_array(px, np.uint8))
 
     @property
     def width(self) -> int:
@@ -121,8 +122,8 @@ class DeformationMap:
             raise ValueError("depths must be non-negative")
         if mask.any() and float(depths[mask].max()) > MAX_DEPTH_MM:
             raise ValueError(f"masked depths must not exceed {MAX_DEPTH_MM} mm")
-        object.__setattr__(self, "depths", _frozen_array(depths, np.float32))
-        object.__setattr__(self, "mask", _frozen_array(mask, bool))
+        object.__setattr__(self, "depths", frozen_array(depths, np.float32))
+        object.__setattr__(self, "mask", frozen_array(mask, bool))
 
     @property
     def width(self) -> int:

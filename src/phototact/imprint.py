@@ -40,7 +40,9 @@ def augmented_imprint(ref: RgbImage, contact: RgbImage, params: ImprintParams | 
     if (ref.height, ref.width) != (contact.height, contact.width):
         raise ValueError("reference and contact images differ in size")
     diff = contact.pixels.astype(np.float64) - ref.pixels.astype(np.float64)
-    return RgbImage(quantize_channels(params.alpha * diff + params.beta))
+    with np.errstate(over="ignore"):  # a product beyond the float range is infinite, which the clip maps to 0 or 255
+        imprint = params.alpha * diff + params.beta
+    return RgbImage(quantize_channels(imprint))
 
 
 def disc_rows(ref_px, contact_px, geom: SensorGeometry) -> np.ndarray:

@@ -30,6 +30,7 @@ from .imaging import (
     DeformationMap,
     RgbImage,
     SensorGeometry,
+    frozen_array,
     hsv_to_rgb_real,
     json_number,
     quantize_channels,
@@ -56,6 +57,34 @@ def grams_to_newtons(mass_g: float) -> float:
     return mass_g * defaults.GRAVITY_M_S2 / 1000.0
 
 
+def _json_field(value, default):
+    """JSON ``value`` of the field whose default is ``default``; a float or float-tuple field's numbers as floats."""
+    if isinstance(default, tuple) and all(isinstance(x, float) for x in default):
+        return tuple(map(json_number, value))
+    return json_number(value) if isinstance(default, float) else value
+
+
+def _from_json_object(cls, kind: str, data, required):
+    """The config dataclass ``cls`` built from the JSON object ``data``, which must hold every key in ``required``.
+
+    Absent keys take the field defaults. Each error is a ValueError whose
+    message names the config's ``kind``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind} must be a JSON object")
+    field_defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(data) - set(field_defaults))
+    if unknown:
+        raise ValueError(f"unknown {kind} keys: {', '.join(unknown)}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{kind} needs '{key}'")
+    try:
+        return cls(**{key: _json_field(value, field_defaults[key]) for key, value in data.items()})
+    except TypeError as err:
+        raise ValueError(f"malformed {kind}: {err!r}") from None
+
+
 @dataclass(frozen=True)
 class PhantomConfig:
     """Phantom geometry and press parameters for one contact."""
@@ -71,6 +100,8 @@ class PhantomConfig:
     def __post_init__(self):
         if not isinstance(self.tumor_present, bool):
             raise ValueError("tumor_present must be true or false")
+        if len(self.lateral_offset_mm) != 2:
+            raise ValueError("lateral offset must be an (x, y) pair")
         values = (
             self.ball_diameter_mm,
             self.burial_depth_mm,
@@ -79,7 +110,7 @@ class PhantomConfig:
             self.tumor_stiffness_boost,
             self.applied_mass_g,
         )
-        if not all(math.isfinite(float(x)) for x in values):
+        if not all(math.isfinite(json_number(x)) for x in values):
             raise ValueError("phantom parameters must be finite")
         if self.applied_mass_g <= 0:
             raise ValueError("applied mass must be positive")
@@ -97,23 +128,8 @@ class PhantomConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PhantomConfig":
-        """Config from a JSON object; absent optional keys take the field defaults."""
-        if not isinstance(data, dict):
-            raise ValueError("phantom config must be a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown phantom config keys: {', '.join(unknown)}")
-        if "tumor_present" not in data:
-            raise ValueError("phantom config needs 'tumor_present'")
-        try:
-            values = {k: json_number(data[k]) for k in data.keys() - {"tumor_present", "lateral_offset_mm"}}
-            if "lateral_offset_mm" in data:
-                values["lateral_offset_mm"] = tuple(json_number(x) for x in data["lateral_offset_mm"])
-        except TypeError:
-            raise ValueError("phantom config values must be numbers") from None
-        if len(values.get("lateral_offset_mm", (0.0, 0.0))) != 2:
-            raise ValueError("lateral offset must be an (x, y) pair")
-        return cls(tumor_present=data["tumor_present"], **values)
+        """Config from a JSON object; absent keys other than ``tumor_present`` take the field defaults."""
+        return _from_json_object(cls, "phantom config", data, required=("tumor_present",))
 
 
 @dataclass(frozen=True)
@@ -130,7 +146,7 @@ class MembraneModel:
     stiffness: float = defaults.MEMBRANE_STIFFNESS  # N/mm^3
 
     def __post_init__(self):
-        baseline = np.array(self.baseline, dtype=np.float64)
+        baseline = frozen_array(self.baseline, np.float64)
         if baseline.ndim != 3 or baseline.shape[2] != 3 or baseline.shape[0] < 1 or baseline.shape[1] < 1:
             raise ValueError("HSV pixels must be shaped (height, width, 3) and non-empty")
         h, s, v = baseline[..., 0], baseline[..., 1], baseline[..., 2]
@@ -138,7 +154,6 @@ class MembraneModel:
             raise ValueError("hue must lie in [0, 360)")
         if not (np.all(s >= 0.0) and np.all(s <= 1.0) and np.all(v >= 0.0) and np.all(v <= 1.0)):
             raise ValueError("saturation and value must lie in [0, 1]")
-        baseline.setflags(write=False)
         object.__setattr__(self, "baseline", baseline)
         if not all(math.isfinite(x) for x in (self.noise_std, self.speckle_amplitude, self.stiffness)):
             raise ValueError("membrane noise and stiffness must be finite")
@@ -397,26 +412,7 @@ class DatasetSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "DatasetSpec":
         """Spec from a JSON object holding every field."""
-        if not isinstance(data, dict):
-            raise ValueError("dataset spec must be a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown dataset spec keys: {', '.join(unknown)}")
-
-        def sizes(key):
-            return tuple(json_number(x) for x in data[key])
-
-        try:
-            return cls(
-                diameters_mm=sizes("diameters_mm"),
-                burial_depths_mm=sizes("burial_depths_mm"),
-                presses_per_positive=data["presses_per_positive"],
-                positive_mass_g=json_number(data["positive_mass_g"]),
-                negative_masses_g=sizes("negative_masses_g"),
-                presses_per_negative_mass=data["presses_per_negative_mass"],
-            )
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"malformed dataset spec: {err!r}") from None
+        return _from_json_object(cls, "dataset spec", data, required=tuple(f.name for f in fields(cls)))
 
 
 @dataclass(frozen=True)

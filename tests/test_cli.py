@@ -395,7 +395,7 @@ SMALL_CONFIG = {
     "width": 100,
     "height": 80,
     "mm_per_pixel": 0.1,
-    "sensing_radius": pt.defaults.SENSING_RADIUS_MM,
+    "sensing_radius": pt.SensorGeometry.sensing_radius_mm,
 }
 # The same plus the membrane flags, for the verbs that render a membrane.
 RENDER_CONFIG = {
@@ -577,6 +577,13 @@ def edited(source, t, **changes):
     return json_file(t, {**json.loads(Path(source).read_text()), **changes})
 
 
+def without(source, t, key):
+    """A copy of the JSON file ``source`` in ``t`` without its top-level ``key``."""
+    doc = json.loads(Path(source).read_text())
+    del doc[key]
+    return json_file(t, doc)
+
+
 def zero_depth_model(source, t):
     """A copy of the calibration model file ``source`` whose output bias clamps every depth to 0."""
     biases = json.loads(Path(source).read_text())["biases"]
@@ -662,7 +669,7 @@ EXIT_CODE_TABLE = [
     ("phantom", "config-mass-a-bool", lambda d, t: ["phantom", *SMALL, "--config",
                                                     json_file(t, {"tumor_present": True, "applied_mass_g": True}),
                                                     "--out-prefix", t / "p"], 2,
-     "phantom config values must be numbers"),
+     "malformed phantom config: TypeError('expected a number, got True')"),
     ("phantom", "config-mass-beyond-float", lambda d, t: ["phantom", *SMALL, "--config",
                                                           json_file(t, {"tumor_present": True,
                                                                         "applied_mass_g": 10**400}),
@@ -743,6 +750,9 @@ EXIT_CODE_TABLE = [
      "No such file"),
     ("dataset", "spec-not-an-object", lambda d, t: ["dataset", *SMALL, "--spec", json_file(t, []), "--out", t / "data"],
      2, "dataset spec must be a JSON object"),
+    ("dataset", "spec-missing-key", lambda d, t: ["dataset", *SMALL, "--spec",
+                                                  without(d / "spec.json", t, "positive_mass_g"), "--out", t / "data"],
+     2, "dataset spec needs 'positive_mass_g'"),
     ("dataset", "diameters-a-number", lambda d, t: ["dataset", *SMALL, "--spec",
                                                     edited(d / "spec.json", t, diameters_mm=5), "--out", t / "data"],
      2, "malformed dataset spec"),

@@ -78,6 +78,12 @@ class TestAugmentedImprint:
         with pytest.raises(ValueError, match="differ in size"):
             augmented_imprint(a, b)
 
+    def test_alpha_beyond_the_float_range_saturates(self):
+        ref = RgbImage(np.full((1, 1, 3), 100, dtype=np.uint8))
+        contact = RgbImage(np.array([[[110, 100, 90]]], dtype=np.uint8))  # 1e308 * 10 overflows
+        out = augmented_imprint(ref, contact, ImprintParams(alpha=1e308))
+        assert out.pixels.tolist() == [[[255, 128, 0]]]
+
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError, match="alpha"):
             ImprintParams(alpha=0.0)

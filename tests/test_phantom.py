@@ -380,7 +380,7 @@ class TestPhantomConfigFromDict:
          {"lateral_offset_mm": ["1", 0.0]}, {"lateral_offset_mm": [0.0, False]}, {"lateral_offset_mm": "12"}],
     )
     def test_values_must_be_json_numbers(self, changes):
-        with pytest.raises(ValueError, match="phantom config values must be numbers"):
+        with pytest.raises(ValueError, match=r"malformed phantom config: TypeError\(.expected a number, got "):
             PhantomConfig.from_dict({"tumor_present": True, **changes})
 
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [True]])
@@ -433,7 +433,7 @@ class TestDatasetSpecFromDict:
     def test_missing_key_rejected(self):
         data = dataclasses.asdict(DatasetSpec())
         del data["positive_mass_g"]
-        with pytest.raises(ValueError, match="malformed dataset spec: KeyError"):
+        with pytest.raises(ValueError, match="dataset spec needs 'positive_mass_g'"):
             DatasetSpec.from_dict(data)
 
     def test_integer_spelled_entries_write_the_float_manifest(self, tmp_path):
