@@ -23,7 +23,6 @@ from .imaging import (
 )
 from .imprint import ImprintParams, augmented_imprint, color_delta, disc_rows
 from .phantom import (
-    ContactSolution,
     DatasetSpec,
     MembraneModel,
     PhantomConfig,

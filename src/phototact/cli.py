@@ -25,6 +25,7 @@ import shutil
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ from .detection import (
     save_detector,
     stratified_split,
 )
-from .imaging import SensorGeometry, load_dmap, load_ppm, save_dmap, save_ppm, write_json
+from .imaging import SensorGeometry, load_dmap, load_ppm, save_dmap, save_ppm, write_csv, write_json
 from .imprint import ImprintParams, augmented_imprint, color_delta
 from .phantom import DatasetSpec, PhantomConfig, contact_solve, default_membrane, generate_phantom_dataset, reading_pair
 
@@ -281,12 +282,12 @@ def _cmd_phantom(args, stage):
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     cfg = _load_phantom_config(args)
-    solution = contact_solve(cfg, geom, membrane)
-    ref, contact = reading_pair(solution.deformation, membrane, args.seed)
+    truth = contact_solve(cfg, geom, membrane)
+    ref, contact = reading_pair(truth, membrane, args.seed)
     paths = _press_files(args.out_prefix)
     save_ppm(stage(paths[0]), ref)
     save_ppm(stage(paths[1]), contact)
-    save_dmap(stage(paths[2]), solution.deformation)
+    save_dmap(stage(paths[2]), truth)
     return [args.config] if args.config else [], paths
 
 
@@ -326,25 +327,28 @@ DATASET_CSV_FIELDS = ("sample_id", "label", "ball_diameter_mm", "burial_depth_mm
 
 
 def _cmd_dataset(args, stage):
-    """Write each sample's press files and manifest row as the sample is rendered, so no sample outlives its write."""
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     spec = DatasetSpec() if args.spec == "default" else _read_config(DatasetSpec, args.spec)
     samples = generate_phantom_dataset(spec, geom, membrane, args.seed)
     out_dir = stage(args.out, directory=True)
-    with (out_dir / "manifest.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DATASET_CSV_FIELDS)
-        for s in samples:
-            ref, contact, truth = _press_files(out_dir / s.sample_id)
-            save_ppm(ref, s.reading_ref)
-            save_ppm(contact, s.reading_contact)
-            save_dmap(truth, s.truth)
-            tumor = s.config.tumor_present
-            writer.writerow([s.sample_id, s.label, s.config.ball_diameter_mm if tumor else "",
-                             s.config.burial_depth_mm if tumor else "", s.config.applied_mass_g, s.sample_seed])
-            del s  # before the next sample renders
+    write_csv(out_dir / "manifest.csv", DATASET_CSV_FIELDS, _dataset_rows(samples, out_dir))
     return [] if args.spec == "default" else [args.spec], [str(Path(args.out))]
+
+
+def _dataset_rows(samples, out_dir):
+    """Each sample's manifest.csv row, yielded once its press files are saved in ``out_dir`` and the sample is
+    dropped, so no sample outlives its write."""
+    for s in samples:
+        ref, contact, truth = _press_files(out_dir / s.sample_id)
+        save_ppm(ref, s.reading_ref)
+        save_ppm(contact, s.reading_contact)
+        save_dmap(truth, s.truth)
+        tumor = s.config.tumor_present
+        row = [s.sample_id, s.label, s.config.ball_diameter_mm if tumor else "",
+               s.config.burial_depth_mm if tumor else "", s.config.applied_mass_g, s.sample_seed]
+        del s  # before the next sample renders
+        yield row
 
 
 def _read_dataset_features(dataset_dir, calib_model, geom):
@@ -398,23 +402,16 @@ def _cmd_train_detector(args, stage):
 
 def _cmd_detect(args, stage):
     detector = load_detector(args.detector)
-    dmap = load_dmap(args.map)
-    fv = extract_features(dmap)
-    result = {
-        "label": classify(detector, fv),
-        "decision_value": decision_value(detector, fv),
-        "mu": fv.mu,
-        "sigma": fv.sigma,
-        "manifest": {
-            "command": "detect",
-            "inputs": [args.detector, args.map],
-            "tool_version": __version__,
-        },
-    }
-    if not args.report:
-        return [args.detector, args.map], [], result
-    write_json(stage(args.report), result)
-    return [args.detector, args.map], [args.report], result
+    fv = extract_features(load_dmap(args.map))
+    result = {"label": classify(detector, fv), "decision_value": decision_value(detector, fv),
+              "mu": fv.mu, "sigma": fv.sigma}
+    if args.report:
+        write_json(stage(args.report), result)
+    return [args.detector, args.map], [args.report] if args.report else [], result
+
+
+# The per-sample columns of evaluate: the keys of each object in the report's "samples" and the --csv header.
+EVALUATE_SAMPLE_FIELDS = ("sample_id", "label", "mu", "sigma", "decision_value")
 
 
 def _cmd_evaluate(args, stage):
@@ -423,19 +420,12 @@ def _cmd_evaluate(args, stage):
     detector = load_detector(args.detector)
     features, labels, ids = _read_dataset_features(args.dataset, calib, geom)
     report = evaluate(detector, features, labels)
-    doc = report.to_dict()
-    doc["samples"] = [
-        {"sample_id": sid, "label": int(lab), "mu": float(f[0]), "sigma": float(f[1]), "decision_value": dv}
-        for sid, lab, f, dv in zip(ids, labels, features, report.decision_values)
-    ]
-    write_json(stage(args.out), doc)
-    outputs = [args.out]
+    rows = [(sid, int(lab), float(f[0]), float(f[1]), dv)
+            for sid, lab, f, dv in zip(ids, labels, features, report.decision_values)]
+    write_json(stage(args.out), {**asdict(report), "samples": [dict(zip(EVALUATE_SAMPLE_FIELDS, r)) for r in rows]})
     if args.csv:
-        with stage(args.csv).open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, ["sample_id", "label", "mu", "sigma", "decision_value"], lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(doc["samples"])
-        outputs.append(args.csv)
+        write_csv(stage(args.csv), EVALUATE_SAMPLE_FIELDS, rows)
+    outputs = [args.out, args.csv] if args.csv else [args.out]
     return [args.detector, args.dataset, args.calibration], outputs, {"accuracy": report.accuracy, "n": len(ids)}
 
 
@@ -448,20 +438,15 @@ def _cmd_characterize(args, stage):
     model = load_model(args.calibration)
     report = characterize(rig, model, seed=args.seed)
     out_dir = stage(args.out, directory=True)
-    write_json(out_dir / "summary.json", report.summary())
-    with (out_dir / "sweeps.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["direction", "force_n", "max_depth_mm", "mean_depth_mm"])
-        for sweep in (report.loading, report.unloading):
-            for force, dmax, dmean in zip(sweep.forces, sweep.max_depths, sweep.mean_depths):
-                writer.writerow([sweep.direction, force, dmax, dmean])
-    with (out_dir / "trials.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "step_depth_mm", "measured_depth_mm"])
-        for t in range(report.trials.measurements.shape[0]):
-            for step, measured in zip(report.trials.step_depths, report.trials.measurements[t]):
-                writer.writerow([t, step, measured])
-    return [args.calibration], [str(Path(args.out))], report.summary()
+    summary = report.summary()
+    write_json(out_dir / "summary.json", summary)
+    write_csv(out_dir / "sweeps.csv", ("direction", "force_n", "max_depth_mm", "mean_depth_mm"),
+              ((sweep.direction, *row) for sweep in (report.loading, report.unloading)
+               for row in zip(sweep.forces, sweep.max_depths, sweep.mean_depths)))
+    write_csv(out_dir / "trials.csv", ("trial", "step_depth_mm", "measured_depth_mm"),
+              ((t, *row) for t, measured in enumerate(report.trials.measurements)
+               for row in zip(report.trials.step_depths, measured)))
+    return [args.calibration], [str(Path(args.out))], summary
 
 
 # Each handler writes every output to the path ``stage(output)`` gives and returns the (inputs, outputs) its
@@ -510,7 +495,7 @@ def dispatch(argv) -> int:
         if outputs or args.manifest:
             _write_manifest(publication.stage, args, inputs, outputs, started)
         publication.publish()
-    except (ValueError, KeyError, OSError, TrainingDivergedError) as err:
+    except (ValueError, KeyError, OSError, MemoryError, TrainingDivergedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:

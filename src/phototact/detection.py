@@ -220,16 +220,6 @@ class EvalReport:
     false_negative: int
     decision_values: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "true_positive": self.true_positive,
-            "true_negative": self.true_negative,
-            "false_positive": self.false_positive,
-            "false_negative": self.false_negative,
-            "decision_values": list(self.decision_values),
-        }
-
 
 def evaluate(model: DetectorModel, features, labels) -> EvalReport:
     """Accuracy, confusion counts, and per-sample decision values."""

@@ -16,10 +16,13 @@ On-disk formats:
 * JSON documents: sorted keys, two-space indent, a final newline
   (:func:`write_json`); :func:`read_json` checks the ``format`` and
   ``version`` that a calibration model or detector file names
+* CSV tables: a header row, then one row per record, comma-separated with
+  ``\n`` line ends (:func:`write_csv`)
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -369,11 +372,19 @@ def load_dmap(path) -> DeformationMap:
 
 
 # ---------------------------------------------------------------------------
-# JSON documents
+# JSON documents and CSV tables
 
 
 def write_json(path, doc):
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path, header, rows):
+    """The table ``header`` then ``rows`` at ``path``; ``rows`` is consumed one row at a time as it is written."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_json(path, kind: str, format_name: str, version: int) -> dict:

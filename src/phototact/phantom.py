@@ -159,8 +159,10 @@ class MembraneModel:
             raise ValueError("membrane noise and stiffness must be finite")
         if self.stiffness <= 0:
             raise ValueError("membrane stiffness must be positive")
-        if self.noise_std < 0 or self.speckle_amplitude < 0:
-            raise ValueError("noise parameters must be non-negative")
+        # At 255 a one-sigma draw of either amplitude moves every channel of value 1 or more by its full 8-bit
+        # range, so a capture is already noise clipped to 0 or 255; far past it the noisy channels overflow to NaN.
+        if not (0 <= self.noise_std <= 255 and 0 <= self.speckle_amplitude <= 255):
+            raise ValueError("noise parameters must be non-negative and at most 255")
 
     @cached_property
     def rest_rgb(self) -> np.ndarray:
@@ -200,14 +202,6 @@ def default_membrane(geom: SensorGeometry, seed: int = defaults.MEMBRANE_SEED, *
     return MembraneModel(baseline=np.stack([hue, sat, val], axis=-1), **overrides)
 
 
-@dataclass(frozen=True)
-class ContactSolution:
-    """Foundation pressure, punch settlement, and resulting indentation map."""
-
-    pressure: np.ndarray          # N/mm^2, zero outside the sensing disc
-    deformation: DeformationMap
-
-
 def stiffness_field(cfg: PhantomConfig, geom: SensorGeometry) -> np.ndarray:
     """Foundation modulus k(x, y) in N/mm^3 over the pixel grid."""
     k = np.full((geom.height, geom.width), cfg.tissue_stiffness, dtype=np.float64)
@@ -223,8 +217,8 @@ def stiffness_field(cfg: PhantomConfig, geom: SensorGeometry) -> np.ndarray:
     return k
 
 
-def contact_solve(cfg: PhantomConfig, geom: SensorGeometry, model: MembraneModel) -> ContactSolution:
-    """Rigid flat punch pressed with cfg's force onto the Winkler foundation."""
+def contact_solve(cfg: PhantomConfig, geom: SensorGeometry, model: MembraneModel) -> DeformationMap:
+    """Indentation map of a rigid flat punch pressed with cfg's force onto the Winkler foundation."""
     k = stiffness_field(cfg, geom)
     mask = geom.disc_mask
     area_element = geom.mm_per_pixel**2
@@ -234,9 +228,7 @@ def contact_solve(cfg: PhantomConfig, geom: SensorGeometry, model: MembraneModel
         raise ValueError("degenerate foundation")
     displacement = cfg.force_n / stiffness_integral
     pressure = np.where(mask, k * displacement, 0.0)
-    depths = np.clip(pressure / model.stiffness, 0.0, MAX_DEPTH_MM)
-    deformation = DeformationMap(np.where(mask, depths, 0.0).astype(np.float32), mask)
-    return ContactSolution(pressure=pressure, deformation=deformation)
+    return DeformationMap(np.clip(pressure / model.stiffness, 0.0, MAX_DEPTH_MM).astype(np.float32), mask)
 
 
 def spherical_cap_profile(press_depth: float, sphere_radius: float, geom: SensorGeometry) -> np.ndarray:
@@ -466,7 +458,7 @@ def generate_phantom_dataset(spec: DatasetSpec, geom: SensorGeometry, model: Mem
 def _render_samples(configs, sample_seeds, geom: SensorGeometry, model: MembraneModel):
     for (sample_id, label, cfg), sample_seed in zip(configs, sample_seeds):
         sample_seed = int(sample_seed)
-        truth = contact_solve(cfg, geom, model).deformation
+        truth = contact_solve(cfg, geom, model)
         # No name holds the reading pair, so a consumer that drops a sample frees its captures before the next renders.
         yield PhantomSample(sample_id, label, cfg, *reading_pair(truth, model, sample_seed), truth, sample_seed)
 

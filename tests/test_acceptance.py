@@ -330,7 +330,7 @@ class TestCriterion8ExVivoProxy:
             solution = contact_solve(cfg, geometry, membrane)
             seed = int(rng.integers(2**62))
             ref = render_reading(zero, membrane, 2 * seed)
-            contact = render_reading(solution.deformation, membrane, 2 * seed + 1)
+            contact = render_reading(solution, membrane, 2 * seed + 1)
             fv = extract_features(reconstruct(calib_model, ref, contact, geometry))
             predicted = classify(model, fv)
             correct += predicted == ("tumor" if has_tumor else "no-tumor")

@@ -42,7 +42,7 @@ def artifact_hashes(root: Path) -> dict:
     geom = SensorGeometry()
     membrane = default_membrane(geom)
     cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
-    ref, contact = reading_pair(contact_solve(cfg, geom, membrane).deformation, membrane, 5)
+    ref, contact = reading_pair(contact_solve(cfg, geom, membrane), membrane, 5)
     depths = disc_depths(load_model(calib), color_delta(ref, contact, geom))
     hashes["disc_depths"] = sha256(np.ascontiguousarray(depths).tobytes())
 

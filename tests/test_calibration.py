@@ -425,7 +425,7 @@ class TestDiscDepths:
         unclipped = random_model(np.random.default_rng(5))  # raw outputs fall below 0 and above max depth
         zero = geom.zero_map()
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
-        for truth in (zero, sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom, membrane).deformation):
+        for truth in (zero, sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom, membrane)):
             ref = render_reading(zero, membrane, 40)
             contact = render_reading(truth, membrane, 41)
             for model in (fast_model, unclipped):
@@ -464,7 +464,7 @@ class TestDiscDepths:
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
         zero = geometry.zero_map()
         truths = (zero, sphere_press_truth(0.3, defaults.CALIBRATION_SPHERE_RADIUS_MM, geometry),
-                  contact_solve(cfg, geometry, membrane).deformation)
+                  contact_solve(cfg, geometry, membrane))
         for seed, truth in enumerate(truths):
             rows = color_delta(render_reading(zero, membrane, 2 * seed), render_reading(truth, membrane, 2 * seed + 1),
                                geometry)
@@ -529,7 +529,7 @@ class TestReconstruct:
                             lateral_offset_mm=(1.0, -0.5))
         solution = contact_solve(cfg, small_geometry, small_membrane)
         ref = render_reading(small_geometry.zero_map(), small_membrane, seed=70)
-        contact = render_reading(solution.deformation, small_membrane, seed=71)
+        contact = render_reading(solution, small_membrane, seed=71)
         recon = reconstruct(fast_model, ref, contact, small_geometry)
         depths = np.where(small_geometry.disc_mask, recon.depths, -1.0)
         row, col = np.unravel_index(np.argmax(depths), depths.shape)

@@ -1,8 +1,11 @@
 import gc
 import json
 import math
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -62,6 +65,22 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
+
+    def test_input_too_large_to_allocate_exits_2(self, tmp_path):
+        """A child process whose address space is capped at 2 GiB fails the 7 TiB allocation at once, whatever the
+        machine's overcommit setting; the verb reports it like any data error."""
+        script = ("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+                  "from phototact.cli import dispatch; sys.exit(dispatch(sys.argv[1:]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["calibrate", *SMALL, "--captures", 10**12, "--out", tmp_path / "c.json"]
+        done = subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert "allocate" in done.stderr and done.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flags",
@@ -370,7 +389,7 @@ class TestDetectVerb:
         pt.save_dmap(tmp_path / "x.dmap", dmap)
         assert run(["detect", "--detector", detector, "--map", tmp_path / "x.dmap"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert set(doc) == {"label", "decision_value", "mu", "sigma", "manifest"}
+        assert set(doc) == {"label", "decision_value", "mu", "sigma"}
         assert doc["label"] in ("tumor", "no-tumor")
         assert doc["mu"] == pytest.approx(0.3, abs=1e-6)
         assert doc["sigma"] == pytest.approx(0.0, abs=1e-6)
@@ -531,7 +550,7 @@ class TestManifests:
         d = pipeline[0]
         before = sorted(d.rglob("*"))
         assert run(["detect", "--detector", d / "detector.json", "--map", d / "recon.dmap"]) == 0
-        assert json.loads(capsys.readouterr().out)["manifest"]["command"] == "detect"
+        assert set(json.loads(capsys.readouterr().out)) == {"label", "decision_value", "mu", "sigma"}
         assert sorted(d.rglob("*")) == before
 
     def test_detect_manifest_without_report(self, pipeline, tmp_path, capsys):
@@ -686,6 +705,13 @@ EXIT_CODE_TABLE = [
      "must be finite"),
     ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
      "must be finite"),
+    ("phantom", "noise-std-past-255", lambda d, t: ["phantom", *SMALL, "--noise-std", "1e308", "--out-prefix", t / "p"],
+     2, "noise parameters must be non-negative and at most 255"),
+    ("phantom", "speckle-past-255", lambda d, t: ["phantom", *SMALL, "--speckle", "1e308", "--out-prefix", t / "p"],
+     2, "noise parameters must be non-negative and at most 255"),
+    ("phantom", "noise-std-and-speckle-past-255", lambda d, t: ["phantom", *SMALL, "--noise-std", "1e308", "--speckle",
+                                                                "1e308", "--out-prefix", t / "p"], 2,
+     "noise parameters must be non-negative and at most 255"),
     ("imprint", "missing-out", lambda d, t: ["imprint", "--ref", d / "press_ref.ppm", "--contact", d / "press_ref.ppm"],
      1, "required: --out"),
     ("imprint", "short-ppm", lambda d, t: ["imprint", "--ref", short_ppm(t), "--contact", d / "press_ref.ppm",
@@ -783,6 +809,13 @@ EXIT_CODE_TABLE = [
      "dataset spec sizes and masses must be finite"),
     ("dataset", "noise-std-negative", lambda d, t: ["dataset", *SMALL, "--noise-std", -1, "--out", t / "data"], 2,
      "must be non-negative"),
+    ("dataset", "noise-std-past-255", lambda d, t: ["dataset", *SMALL, "--noise-std", "1e308", "--out", t / "data"], 2,
+     "noise parameters must be non-negative and at most 255"),
+    ("dataset", "speckle-past-255", lambda d, t: ["dataset", *SMALL, "--speckle", "1e308", "--out", t / "data"], 2,
+     "noise parameters must be non-negative and at most 255"),
+    ("dataset", "noise-std-and-speckle-past-255", lambda d, t: ["dataset", *SMALL, "--noise-std", "1e308", "--speckle",
+                                                                "1e308", "--out", t / "data"], 2,
+     "noise parameters must be non-negative and at most 255"),
     ("dataset", "repeated-sample-id", lambda d, t: ["dataset", *SMALL, "--spec",
                                                     edited(d / "spec.json", t, diameters_mm=[4.0, 4.0000001]),
                                                     "--out", t / "data"], 2, "two samples the id pos_d4_b2_p0"),

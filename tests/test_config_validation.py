@@ -84,6 +84,16 @@ def test_membrane_baseline_rejected(baseline, message):
         pt.MembraneModel(baseline=baseline)
 
 
+@pytest.mark.parametrize("field", ["noise_std", "speckle_amplitude"])
+def test_membrane_noise_ceiling(field):
+    """255 is the largest amplitude: past it every channel is already clipped noise, and near 1e308 the render
+    overflows."""
+    assert getattr(pt.MembraneModel(baseline=BASELINE, **{field: 255.0}), field) == 255.0
+    for value in (255.5, 1e308):
+        with pytest.raises(ValueError, match="noise parameters must be non-negative and at most 255"):
+            pt.MembraneModel(baseline=BASELINE, **{field: value})
+
+
 def test_membrane_baseline_is_a_frozen_float64_copy():
     given = np.full((2, 3, 3), [359.5, 1.0, 0.0], dtype=np.float32)
     model = pt.MembraneModel(baseline=given)
