@@ -53,10 +53,10 @@ from .calibration import (
 from .detection import (
     DetectorModel,
     EvalReport,
-    FeatureVector,
     Standardizer,
     classify,
     decision_value,
+    depth_features,
     evaluate,
     extract_features,
     fit_detector,
@@ -78,5 +78,4 @@ from .characterization import (
     repeatability,
     repeatability_trials,
     run_force_sweep,
-    smooth_sweep,
 )

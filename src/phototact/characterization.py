@@ -12,9 +12,9 @@ depths drive the metrics:
   difference exceeds the noise floor
 * saturation: least force at which the full-scale clamp engages, if any
 * repeatability r: worst spread across trials at the same ground-truth step,
-  as a percentage of full scale
+  as a percentage of the 0.5 mm full scale (``MAX_DEPTH_MM``)
 * hysteresis h: worst loading/unloading gap on a shared force grid, as a
-  percentage of full scale (inputs are smoothed trial averages)
+  percentage of the same full scale (inputs are smoothed trial averages)
 
 Viscoelastic lag is emulated by scaling the unloading-phase indentation by a
 fixed residual fraction.  The rig constants live in ``defaults`` and
@@ -51,27 +51,14 @@ _STREAM_TRIALS = 22
 class ForceSweep:
     """Measured depths over an ordered force grid, tagged by direction."""
 
-    forces: np.ndarray       # N
+    forces: np.ndarray       # N, increasing when loading, decreasing when unloading
     max_depths: np.ndarray   # mm, peak in-disc reconstructed depth
     mean_depths: np.ndarray  # mm, mean in-disc reconstructed depth
     direction: str           # "loading" | "unloading"
 
     def __post_init__(self):
-        forces = frozen_array(self.forces, np.float64)
-        max_depths = frozen_array(self.max_depths, np.float64)
-        mean_depths = frozen_array(self.mean_depths, np.float64)
-        if forces.ndim != 1 or forces.shape != max_depths.shape or forces.shape != mean_depths.shape:
-            raise ValueError("sweep columns must be matching 1-D arrays")
-        if self.direction not in ("loading", "unloading"):
-            raise ValueError("direction must be 'loading' or 'unloading'")
-        steps = np.diff(forces)
-        if self.direction == "loading" and not np.all(steps > 0):
-            raise ValueError("loading forces must be strictly increasing")
-        if self.direction == "unloading" and not np.all(steps < 0):
-            raise ValueError("unloading forces must be strictly decreasing")
-        object.__setattr__(self, "forces", forces)
-        object.__setattr__(self, "max_depths", max_depths)
-        object.__setattr__(self, "mean_depths", mean_depths)
+        for name in ("forces", "max_depths", "mean_depths"):
+            object.__setattr__(self, name, frozen_array(getattr(self, name), np.float64))
 
 
 @dataclass(frozen=True)
@@ -80,42 +67,23 @@ class TrialSet:
 
     step_depths: np.ndarray    # (n,) ground-truth depths, mm
     measurements: np.ndarray   # (k, n) measured depths, mm
-    max_depth: float
 
     def __post_init__(self):
-        steps = frozen_array(self.step_depths, np.float64)
-        meas = frozen_array(self.measurements, np.float64)
-        if steps.ndim != 1 or meas.ndim != 2 or meas.shape[1] != steps.shape[0]:
-            raise ValueError("measurements must be (trials, steps)")
-        if meas.shape[0] < 2:
-            raise ValueError("need at least two trials")
-        if self.max_depth <= 0:
-            raise ValueError("max depth must be positive")
-        object.__setattr__(self, "step_depths", steps)
-        object.__setattr__(self, "measurements", meas)
+        object.__setattr__(self, "step_depths", frozen_array(self.step_depths, np.float64))
+        object.__setattr__(self, "measurements", frozen_array(self.measurements, np.float64))
 
 
-def repeatability(trials: TrialSet) -> float:
-    """Worst per-step spread across trials, as a percentage of full scale."""
-    spread = trials.measurements.max(axis=0) - trials.measurements.min(axis=0)
-    return float(spread.max() / trials.max_depth * 100.0)
+def repeatability(measurements) -> float:
+    """Worst per-step spread across the trials (rows) of ``measurements``, percent of ``MAX_DEPTH_MM``."""
+    m = np.asarray(measurements, dtype=np.float64)
+    spread = m.max(axis=0) - m.min(axis=0)
+    return float(spread.max() / MAX_DEPTH_MM * 100.0)
 
 
-def hysteresis(loading: ForceSweep, unloading: ForceSweep, max_depth: float) -> float:
-    """Worst |loading - unloading| gap over the shared grid, percent of full scale.
-
-    Callers smooth the curves first (see :func:`smooth_sweep`); this function
-    only evaluates the gap.
-    """
-    if max_depth <= 0:
-        raise ValueError("max depth must be positive")
-    if loading.forces.shape != unloading.forces.shape or not np.allclose(
-        loading.forces, unloading.forces[::-1] if unloading.direction == "unloading" else unloading.forces
-    ):
-        raise ValueError("sweeps must share one force grid")
-    unload_depths = unloading.max_depths[::-1] if unloading.direction == "unloading" else unloading.max_depths
-    gap = np.abs(loading.max_depths - unload_depths)
-    return float(gap.max() / max_depth * 100.0)
+def hysteresis(loading_depths, unloading_depths) -> float:
+    """Worst |loading - unloading| gap between two depth curves on one force grid, percent of ``MAX_DEPTH_MM``."""
+    gap = np.abs(np.asarray(loading_depths, dtype=np.float64) - np.asarray(unloading_depths, dtype=np.float64))
+    return float(gap.max() / MAX_DEPTH_MM * 100.0)
 
 
 def moving_average(values):
@@ -125,15 +93,6 @@ def moving_average(values):
     for i in range(x.shape[0]):
         out[i] = x[max(0, i - 1) : i + 2].mean()
     return out
-
-
-def smooth_sweep(sweep: ForceSweep) -> ForceSweep:
-    return ForceSweep(
-        forces=sweep.forces,
-        max_depths=moving_average(sweep.max_depths),
-        mean_depths=moving_average(sweep.mean_depths),
-        direction=sweep.direction,
-    )
 
 
 def null_difference_stat(before, after, geom: SensorGeometry) -> float:
@@ -206,9 +165,12 @@ def run_force_sweep(
     seed: int,
     direction: str = "loading",
 ) -> ForceSweep:
-    """Average measured depths over ``defaults.CHAR_TRIALS`` presses per force point."""
-    forces = np.asarray(sorted(forces) if direction == "loading" else sorted(forces, reverse=True), dtype=np.float64)
+    """Average measured depths over ``defaults.CHAR_TRIALS`` presses per force point, in increasing force when
+    ``direction`` is "loading" and in decreasing force when it is "unloading"."""
+    if direction not in ("loading", "unloading"):
+        raise ValueError(f"direction must be 'loading' or 'unloading', got {direction!r}")
     unloading = direction == "unloading"
+    forces = np.asarray(sorted(forces, reverse=unloading), dtype=np.float64)
     seeds = sub_seeds(seed, _STREAM_SWEEP, (len(forces), defaults.CHAR_TRIALS, 2))
     truths = (rig.truth_profile(rig.force_to_depth(float(force)), unloading=unloading) for force in forces)
     max_depths = np.empty(len(forces))
@@ -236,7 +198,7 @@ def repeatability_trials(
     measurements = np.empty((defaults.CHAR_TRIALS, len(steps)))
     for j, measured in enumerate(_measure(rig, model, truths, seeds.transpose(1, 0, 2))):
         measurements[:, j] = [depths.max() for depths in measured]
-    return TrialSet(step_depths=steps, measurements=measurements, max_depth=float(steps.max()))
+    return TrialSet(step_depths=steps, measurements=measurements)
 
 
 @dataclass(frozen=True)
@@ -279,6 +241,8 @@ def characterize(
     forces = sorted(float(f) for f in forces)
     if len(forces) < 3:
         raise ValueError("need at least three sweep forces")
+    if len(set(forces)) < len(forces):
+        raise ValueError("sweep forces must be distinct")
     floor = noise_floor(rig, model, seed)
     loading = run_force_sweep(rig, model, forces, seed, direction="loading")
 
@@ -302,9 +266,10 @@ def characterize(
             break
 
     unloading = run_force_sweep(rig, model, forces, seed + 1, direction="unloading")
-    h = hysteresis(smooth_sweep(loading), smooth_sweep(unloading), MAX_DEPTH_MM)
+    # Each curve is smoothed in its sweep order (a mean over a reversed window can round differently).
+    h = hysteresis(moving_average(loading.max_depths), moving_average(unloading.max_depths)[::-1])
     trials = repeatability_trials(rig, model, steps=steps, seed=seed + 2)
-    r = repeatability(trials)
+    r = repeatability(trials.measurements)
 
     null_seeds = sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))
     ((_, captures),) = disc_captures([rig.geometry.zero_map()], null_seeds, rig.membrane, rig.geometry)

@@ -43,9 +43,9 @@ from .calibration import (
 )
 from .characterization import IndenterRig, characterize
 from .detection import (
-    FeatureVector,
     classify,
     decision_value,
+    depth_features,
     evaluate,
     extract_features,
     fit_detector,
@@ -53,7 +53,7 @@ from .detection import (
     save_detector,
     stratified_split,
 )
-from .imaging import SensorGeometry, load_dmap, load_ppm, save_dmap, save_ppm, write_csv, write_json
+from .imaging import SensorGeometry, load_dmap, load_ppm, parse_json, save_dmap, save_ppm, write_csv, write_json
 from .imprint import ImprintParams, augmented_imprint, color_delta
 from .phantom import DatasetSpec, PhantomConfig, contact_solve, default_membrane, generate_phantom_dataset, reading_pair
 
@@ -258,7 +258,7 @@ def _config_argv(config):
 
 def _read_config(cls, path):
     """The config dataclass ``cls`` from the JSON file at ``path``."""
-    return cls.from_dict(json.loads(Path(path).read_text()))
+    return cls.from_dict(parse_json(path))
 
 
 def _load_phantom_config(args) -> PhantomConfig:
@@ -357,22 +357,25 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
     manifest = dataset_dir / "manifest.csv"
     if not manifest.exists():
         raise ValueError(f"missing dataset manifest {manifest}")
+    try:
+        with manifest.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = tuple(reader.fieldnames or ()), list(reader)
+    except csv.Error as err:
+        raise ValueError(f"dataset manifest {manifest} is not a readable CSV table: {err}") from None
+    if header != DATASET_CSV_FIELDS:
+        raise ValueError(f"dataset manifest {manifest} must have the header {','.join(DATASET_CSV_FIELDS)}")
     features, labels, ids = [], [], []
-    with manifest.open(newline="") as fh:
-        rows = csv.DictReader(fh)
-        if tuple(rows.fieldnames or ()) != DATASET_CSV_FIELDS:
-            raise ValueError(f"dataset manifest {manifest} must have the header {','.join(DATASET_CSV_FIELDS)}")
-        for row in rows:
-            sample_id = row["sample_id"]
-            if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id:
-                raise ValueError(f"dataset manifest {manifest}: sample id {sample_id!r} is not a file name stem")
-            if row["label"] not in ("1", "-1"):
-                raise ValueError(f"dataset manifest {manifest}: label {row['label']!r} of {sample_id} is not 1 or -1")
-            ref, contact, _ = _press_files(dataset_dir / sample_id)
-            fv = FeatureVector.of(disc_depths(calib_model, color_delta(load_ppm(ref), load_ppm(contact), geom)))
-            features.append([fv.mu, fv.sigma])
-            labels.append(int(row["label"]))
-            ids.append(sample_id)
+    for row in rows:
+        sample_id = row["sample_id"]
+        if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id:
+            raise ValueError(f"dataset manifest {manifest}: sample id {sample_id!r} is not a file name stem")
+        if row["label"] not in ("1", "-1"):
+            raise ValueError(f"dataset manifest {manifest}: label {row['label']!r} of {sample_id!r} is not 1 or -1")
+        ref, contact, _ = _press_files(dataset_dir / sample_id)
+        features.append(depth_features(disc_depths(calib_model, color_delta(load_ppm(ref), load_ppm(contact), geom))))
+        labels.append(int(row["label"]))
+        ids.append(sample_id)
     if not ids:
         raise ValueError(f"dataset manifest {manifest} lists no sample")
     return np.array(features), np.array(labels), ids
@@ -402,9 +405,9 @@ def _cmd_train_detector(args, stage):
 
 def _cmd_detect(args, stage):
     detector = load_detector(args.detector)
-    fv = extract_features(load_dmap(args.map))
-    result = {"label": classify(detector, fv), "decision_value": decision_value(detector, fv),
-              "mu": fv.mu, "sigma": fv.sigma}
+    row = extract_features(load_dmap(args.map))
+    result = {"label": classify(detector, row), "decision_value": decision_value(detector, row),
+              "mu": float(row[0]), "sigma": float(row[1])}
     if args.report:
         write_json(stage(args.report), result)
     return [args.detector, args.map], [args.report] if args.report else [], result

@@ -30,32 +30,16 @@ _SMO_MAX_STEPS = 20000  # then training_meta says converged: false; about 1 s at
 _SMO_MIN_CURVATURE = 1e-12  # LIBSVM's TAU: the curvature used for a pair of coincident points
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Mean and population standard deviation of in-disc depth, in mm."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
-            raise ValueError("features must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-
-    def as_array(self):
-        return np.array([self.mu, self.sigma], dtype=np.float64)
-
-    @classmethod
-    def of(cls, depths) -> "FeatureVector":
-        """Mean and population std of a non-empty float64 vector of in-disc depths."""
-        return cls(mu=float(depths.mean()), sigma=float(depths.std()))
+def depth_features(depths):
+    """The float64 feature row [mu, sigma]: mean and population std of a non-empty vector of in-disc depths, mm."""
+    return np.array([depths.mean(), depths.std()], dtype=np.float64)
 
 
-def extract_features(dmap: DeformationMap) -> FeatureVector:
+def extract_features(dmap: DeformationMap):
+    """The [mu, sigma] row of a depth map's in-disc depths."""
     if not dmap.mask.any():
         raise ValueError("empty mask")
-    return FeatureVector.of(dmap.depths[dmap.mask].astype(np.float64))
+    return depth_features(dmap.depths[dmap.mask].astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -201,9 +185,8 @@ def fit_detector(features, labels, c: float = 1.0) -> DetectorModel:
 
 
 def decision_value(model: DetectorModel, features) -> float:
-    """Signed distance-like score; positive means tumor."""
-    fv = features.as_array() if isinstance(features, FeatureVector) else np.asarray(features, dtype=np.float64)
-    z = model.standardizer.apply(fv)
+    """Signed distance-like score of one [mu, sigma] row; positive means tumor."""
+    z = model.standardizer.apply(features)
     return float(model.weights @ z + model.bias)
 
 

@@ -387,9 +387,18 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def parse_json(path):
+    """The JSON document in the file at ``path``; nesting too deep to parse is a ValueError, like any other fault."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nesting too deep to parse") from None
+
+
 def read_json(path, kind: str, format_name: str, version: int) -> dict:
     """The JSON object in the ``kind`` file at ``path``, once its ``format`` and ``version`` are checked."""
-    doc = json.loads(Path(path).read_text())
+    doc = parse_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"a {kind} file must hold a JSON object")
     if doc.get("format") != format_name:

@@ -15,7 +15,7 @@ import pytest
 import phototact as pt
 from phototact import defaults
 from phototact.calibration import LAYER_SIZES, CalibrationModel, input_gradient, loss_and_gradients, mlp_forward, reconstruct
-from phototact.characterization import ForceSweep, IndenterRig, TrialSet, characterize, hysteresis, repeatability
+from phototact.characterization import IndenterRig, characterize, hysteresis, repeatability
 from phototact.cli import dispatch
 from phototact.detection import (
     DetectorModel,
@@ -55,8 +55,7 @@ def phantom_features(geometry, membrane, calib_model, fixture_durations):
     features, labels = [], []
     for sample in generate_phantom_dataset(DatasetSpec(), geometry, membrane, seed=2024):
         recon = reconstruct(calib_model, sample.reading_ref, sample.reading_contact, geometry)
-        fv = extract_features(recon)
-        features.append([fv.mu, fv.sigma])
+        features.append(extract_features(recon))
         labels.append(sample.label)
     fixture_durations["phantom_features"] = time.monotonic() - started
     return np.array(features), np.array(labels)
@@ -93,24 +92,11 @@ class TestCriterion1Imprint:
 class TestCriterion2Formulas:
     def test_repeatability_and_hysteresis_values(self):
         started = time.monotonic()
-        trials = TrialSet(
-            step_depths=np.array([0.25, 0.5]),
-            measurements=np.array([[0.25, 0.0], [0.25, 0.11]]),
-            max_depth=0.5,
-        )
-        r = repeatability(trials)
-        same = TrialSet(
-            step_depths=np.array([0.25, 0.5]),
-            measurements=np.array([[0.2, 0.4], [0.2, 0.4]]),
-            max_depth=0.5,
-        )
-        forces = np.array([0.0, 0.05, 0.1])
-        loading = ForceSweep(forces=forces, max_depths=np.array([0.0, 0.19, 0.5]),
-                             mean_depths=np.zeros(3), direction="loading")
-        unloading = ForceSweep(forces=forces, max_depths=np.array([0.0, 0.0, 0.5]),
-                               mean_depths=np.zeros(3), direction="loading")
-        h = hysteresis(loading, unloading, 0.5)
-        zero_h = hysteresis(loading, loading, 0.5)
+        r = repeatability(np.array([[0.25, 0.0], [0.25, 0.11]]))
+        same = np.array([[0.2, 0.4], [0.2, 0.4]])
+        loading = np.array([0.0, 0.19, 0.5])
+        h = hysteresis(loading, np.array([0.0, 0.0, 0.5]))
+        zero_h = hysteresis(loading, loading)
         elapsed = time.monotonic() - started
         ok = r == 22.0 and h == 38.0 and repeatability(same) == 0.0 and zero_h == 0.0 and elapsed < 1.0
         report(2, "repeatability/hysteresis formulas", ok, f"r={r}%, h={h}%, identities 0%, {elapsed:.2f}s")

@@ -4,9 +4,7 @@ import pytest
 import phototact as pt
 from phototact import defaults
 from phototact.characterization import (
-    ForceSweep,
     IndenterRig,
-    TrialSet,
     characterize,
     hysteresis,
     moving_average,
@@ -15,21 +13,11 @@ from phototact.characterization import (
     repeatability,
     repeatability_trials,
     run_force_sweep,
-    smooth_sweep,
 )
 from phototact import characterization
 from phototact.calibration import reconstruct
 from phototact.phantom import render_reading, rng_stream
 from conftest import linear_hue_model
-
-
-def make_sweep(forces, depths, direction="loading"):
-    return ForceSweep(
-        forces=np.asarray(forces, dtype=float),
-        max_depths=np.asarray(depths, dtype=float),
-        mean_depths=np.asarray(depths, dtype=float) / 10.0,
-        direction=direction,
-    )
 
 
 def make_rig(geom, stiffness=defaults.RIG_MEMBRANE_STIFFNESS, **membrane_overrides):
@@ -40,82 +28,42 @@ def make_rig(geom, stiffness=defaults.RIG_MEMBRANE_STIFFNESS, **membrane_overrid
 class TestRepeatability:
     def test_reference_numbers(self):
         # worst-step spread of exactly 0.11 mm at 0.5 mm full scale -> 22%
-        steps = np.array([0.1, 0.3, 0.5])
-        trials = TrialSet(
-            step_depths=steps,
-            measurements=np.array([[0.1, 0.3, 0.0], [0.1, 0.3, 0.11]]),
-            max_depth=0.5,
-        )
-        assert repeatability(trials) == 22.0
+        assert repeatability(np.array([[0.1, 0.3, 0.0], [0.1, 0.3, 0.11]])) == 22.0
 
     def test_identical_trials(self):
-        trials = TrialSet(
-            step_depths=np.array([0.1, 0.2]),
-            measurements=np.array([[0.1, 0.2], [0.1, 0.2], [0.1, 0.2]]),
-            max_depth=0.5,
-        )
-        assert repeatability(trials) == 0.0
+        assert repeatability(np.array([[0.1, 0.2], [0.1, 0.2], [0.1, 0.2]])) == 0.0
 
     def test_constant_offset(self):
-        steps = np.array([0.1, 0.2, 0.3])
-        trials = TrialSet(
-            step_depths=steps,
-            measurements=np.array([[0.1, 0.2, 0.3], [0.15, 0.25, 0.35]]),
-            max_depth=0.5,
-        )
-        assert repeatability(trials) == pytest.approx(10.0, abs=1e-12)
+        assert repeatability(np.array([[0.1, 0.2, 0.3], [0.15, 0.25, 0.35]])) == pytest.approx(10.0, abs=1e-12)
 
-    def test_scale_consistency(self):
-        rng = np.random.default_rng(0)
-        steps = np.linspace(0.05, 0.5, 10)
-        meas = steps + rng.normal(0.0, 0.02, size=(4, 10))
-        meas = np.abs(meas)
-        base = repeatability(TrialSet(step_depths=steps, measurements=meas, max_depth=0.5))
-        scaled = repeatability(TrialSet(step_depths=steps * 3.7, measurements=meas * 3.7, max_depth=0.5 * 3.7))
-        assert scaled == pytest.approx(base, rel=1e-12)
-        assert base >= 0.0
-
-    def test_mismatched_schedule_rejected(self):
-        with pytest.raises(ValueError, match="trials, steps"):
-            TrialSet(step_depths=np.array([0.1, 0.2]), measurements=np.array([[0.1], [0.2]]), max_depth=0.5)
+    def test_full_scale_is_max_depth_for_any_step_schedule(self, small_geometry, fast_model):
+        # steps ending below 0.5 mm still report the spread as a share of the 0.5 mm full scale
+        rig = make_rig(small_geometry)
+        report = characterize(rig, fast_model, forces=(0.05, 0.08, 0.11), steps=(0.1, 0.2), seed=1)
+        measured = report.trials.measurements
+        spread = measured.max(axis=0) - measured.min(axis=0)
+        assert report.repeatability_pct == float(spread.max() / pt.MAX_DEPTH_MM * 100.0)
 
 
 class TestHysteresis:
     def test_reference_numbers(self):
         # worst loading/unloading gap 0.19 mm at 0.5 mm full scale -> 38%
-        forces = [0.0, 0.05, 0.1]
-        loading = make_sweep(forces, [0.0, 0.3, 0.5])
-        unloading = make_sweep(forces[::-1], [0.5, 0.49, 0.0], direction="unloading")
-        assert hysteresis(loading, unloading, 0.5) == 38.0
+        unloading = np.array([0.5, 0.49, 0.0])  # in decreasing force
+        assert hysteresis(np.array([0.0, 0.3, 0.5]), unloading[::-1]) == 38.0
 
     def test_equal_curves(self):
-        forces = [0.0, 0.05, 0.1]
-        sweep = make_sweep(forces, [0.0, 0.2, 0.4])
-        assert hysteresis(sweep, sweep, 0.5) == 0.0
+        curve = np.array([0.0, 0.2, 0.4])
+        assert hysteresis(curve, curve) == 0.0
 
     def test_single_point_gap(self):
-        forces = [0.0, 0.05, 0.1]
-        loading = make_sweep(forces, [0.0, 0.3, 0.5])
-        unloading = make_sweep(forces, [0.0, 0.2, 0.5])
-        assert hysteresis(loading, unloading, 0.5) == pytest.approx(20.0, abs=1e-12)
+        assert hysteresis(np.array([0.0, 0.3, 0.5]), np.array([0.0, 0.2, 0.5])) == pytest.approx(20.0, abs=1e-12)
 
-    def test_grid_mismatch_rejected(self):
-        loading = make_sweep([0.0, 0.05, 0.1], [0.0, 0.3, 0.5])
-        unloading = make_sweep([0.0, 0.04, 0.1], [0.0, 0.2, 0.5])
-        with pytest.raises(ValueError, match="force grid"):
-            hysteresis(loading, unloading, 0.5)
-
-    def test_scale_consistency(self):
-        forces = [0.0, 0.05, 0.1]
-        loading = make_sweep(forces, [0.0, 0.31, 0.5])
-        unloading = make_sweep(forces, [0.0, 0.22, 0.41])
-        base = hysteresis(loading, unloading, 0.5)
-        scaled = hysteresis(
-            make_sweep(forces, [0.0, 0.62, 1.0]),
-            make_sweep(forces, [0.0, 0.44, 0.82]),
-            1.0,
-        )
-        assert scaled == pytest.approx(base, rel=1e-12)
+    def test_characterize_smooths_each_sweep_in_its_own_order(self, small_geometry, fast_model):
+        rig = make_rig(small_geometry)
+        report = characterize(rig, fast_model, forces=(0.05, 0.08, 0.11, 0.13), steps=(0.2,), seed=2)
+        expected = hysteresis(moving_average(report.loading.max_depths),
+                              moving_average(report.unloading.max_depths)[::-1])
+        assert report.hysteresis_pct == expected
 
 
 class TestSmoothing:
@@ -123,12 +71,6 @@ class TestSmoothing:
         x = np.array([0.0, 3.0, 0.0, 3.0, 0.0])
         out = moving_average(x)
         assert np.allclose(out, [1.5, 1.0, 2.0, 1.0, 1.5])
-
-    def test_smooth_sweep_keeps_grid(self):
-        sweep = make_sweep([0.0, 0.1, 0.2, 0.3], [0.0, 0.1, 0.4, 0.5])
-        smoothed = smooth_sweep(sweep)
-        assert np.array_equal(smoothed.forces, sweep.forces)
-        assert smoothed.max_depths[0] == pytest.approx(0.05)
 
 
 class TestNullDifference:
@@ -192,30 +134,6 @@ class TestNullDifference:
         assert high / low == pytest.approx(2.0, rel=0.15)
 
 
-class TestSweepTypes:
-    def test_loading_must_increase(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ForceSweep(
-                forces=np.array([0.1, 0.05]),
-                max_depths=np.zeros(2),
-                mean_depths=np.zeros(2),
-                direction="loading",
-            )
-
-    def test_unloading_must_decrease(self):
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            ForceSweep(
-                forces=np.array([0.05, 0.1]),
-                max_depths=np.zeros(2),
-                mean_depths=np.zeros(2),
-                direction="unloading",
-            )
-
-    def test_trialset_needs_two_trials(self):
-        with pytest.raises(ValueError, match="two trials"):
-            TrialSet(step_depths=np.array([0.1]), measurements=np.array([[0.1]]), max_depth=0.5)
-
-
 class TestIndenterRig:
     def test_force_depth_inversion(self, small_geometry):
         rig = make_rig(small_geometry)
@@ -258,6 +176,22 @@ class TestSensitivity:
         model = linear_hue_model(1.0)
         with pytest.raises(ValueError, match="three"):
             characterize(rig, model, [0.01, 0.02], seed=0)
+
+    def test_repeated_force_rejected_before_any_capture(self, small_geometry, monkeypatch):
+        captures = []
+        monkeypatch.setattr(characterization, "_measure", lambda *args: captures.append(args) or iter(()))
+        rig = make_rig(small_geometry)
+        with pytest.raises(ValueError, match="distinct"):
+            characterize(rig, linear_hue_model(1.0), [0.01, 0.02, 0.02], seed=0)
+        assert captures == []
+
+    def test_unknown_direction_rejected_before_any_capture(self, small_geometry, monkeypatch):
+        captures = []
+        monkeypatch.setattr(characterization, "_measure", lambda *args: captures.append(args) or iter(()))
+        rig = make_rig(small_geometry)
+        with pytest.raises(ValueError, match="direction must be 'loading' or 'unloading'"):
+            run_force_sweep(rig, linear_hue_model(1.0), [0.01, 0.02], seed=0, direction="sideways")
+        assert captures == []
 
     def test_threshold_non_increasing_in_noise(self, small_geometry):
         # Monte Carlo over seeds: quieter sensors detect at or below the

@@ -225,8 +225,7 @@ def reference_dataset_features(dataset_dir, calib_model, geom):
         sample_id, label = line.split(",")[:2]
         ref = pt.load_ppm(dataset_dir / f"{sample_id}_ref.ppm")
         contact = pt.load_ppm(dataset_dir / f"{sample_id}_contact.ppm")
-        fv = pt.extract_features(pt.reconstruct(calib_model, ref, contact, geom))
-        features.append([fv.mu, fv.sigma])
+        features.append(pt.extract_features(pt.reconstruct(calib_model, ref, contact, geom)))
         labels.append(int(label))
         ids.append(sample_id)
     return np.array(features), np.array(labels), ids
@@ -627,6 +626,13 @@ def occupied(t, name):
     return t
 
 
+def deep_json(t):
+    """A JSON file of 200,000 nested arrays, too deep for the parser's recursion."""
+    path = t / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return path
+
+
 def dataset_with_manifest(d, t, edit):
     """A copy of the pipeline dataset in ``t`` whose manifest.csv has ``edit`` applied to its text."""
     shutil.copytree(d / "data", t / "data")
@@ -969,13 +975,34 @@ EXIT_CODE_TABLE = [
      lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
                    dataset_with_manifest(d, t, lambda text: text.replace(",1,", ",2,")),
                    "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
-     "label '2' of pos_d4_b2_p0 is not 1 or -1"),
+     "label '2' of 'pos_d4_b2_p0' is not 1 or -1"),
     ("evaluate", "manifest-sample-id-outside",
      lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
                    dataset_with_manifest(d, t, lambda text: text.replace("\npos", "\n../data/pos")
                                          .replace("\nneg", "\n../data/neg")),
                    "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
      "sample id '../data/pos_d4_b2_p0' is not a file name stem"),
+    ("evaluate", "manifest-field-over-csv-limit",
+     lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
+                   dataset_with_manifest(d, t, lambda text: text.replace("pos_d4_b2_p0", "p" * 200_000, 1)),
+                   "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
+     "is not a readable CSV table: field larger than field limit"),
+    ("evaluate", "manifest-unterminated-quote",
+     lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
+                   dataset_with_manifest(d, t, lambda text: text.replace("\npos_d4_b2_p0", '\n"pos_d4_b2_p0', 1)),
+                   "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
+     "label None of 'pos_d4_b2_p0,1,"),
+    # JSON nested too deep for the parser is bad data like any other malformed file.
+    ("phantom", "config-nested-too-deep", lambda d, t: ["phantom", *SMALL, "--config", deep_json(t),
+                                                        "--out-prefix", t / "p"], 2, "JSON nesting too deep"),
+    ("dataset", "spec-nested-too-deep", lambda d, t: ["dataset", *SMALL, "--spec", deep_json(t), "--out", t / "data"],
+     2, "JSON nesting too deep"),
+    ("reconstruct", "model-nested-too-deep", lambda d, t: ["reconstruct", *SMALL, "--model", deep_json(t),
+                                                           "--ref", d / "press_ref.ppm", "--contact",
+                                                           d / "press_contact.ppm", "--out", t / "r.dmap"], 2,
+     "JSON nesting too deep"),
+    ("detect", "detector-nested-too-deep", lambda d, t: ["detect", "--detector", deep_json(t), "--map",
+                                                         d / "recon.dmap"], 2, "JSON nesting too deep"),
 ]
 # Every verb's successful run fails when its manifest cannot be written, and then writes and prints nothing.
 EXIT_CODE_TABLE += [

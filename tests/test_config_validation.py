@@ -118,8 +118,7 @@ ARRAY_OWNERS = {
                                                  "weights": np.array([1.0, 0.5]), "bias": 0.0}),
     "ForceSweep": (pt.ForceSweep, lambda: {"forces": np.array([0.1, 0.2]), "max_depths": np.zeros(2),
                                            "mean_depths": np.zeros(2), "direction": "loading"}),
-    "TrialSet": (pt.TrialSet, lambda: {"step_depths": np.array([0.1, 0.2]), "measurements": np.zeros((2, 2)),
-                                       "max_depth": 0.2}),
+    "TrialSet": (pt.TrialSet, lambda: {"step_depths": np.array([0.1, 0.2]), "measurements": np.zeros((2, 2))}),
     "MembraneModel": (pt.MembraneModel, lambda: {"baseline": BASELINE.copy()}),
     "RgbImage": (pt.RgbImage, lambda: {"pixels": np.zeros((2, 2, 3), np.uint8)}),
 }

@@ -12,10 +12,10 @@ from phototact.detection import (
     NO_TUMOR,
     TUMOR,
     DetectorModel,
-    FeatureVector,
     Standardizer,
     classify,
     decision_value,
+    depth_features,
     evaluate,
     extract_features,
     fit_detector,
@@ -41,21 +41,21 @@ def paper_boundary_model():
 class TestExtractFeatures:
     def test_uniform_map(self):
         dmap = DeformationMap(np.full((4, 4), 0.3, dtype=np.float32), np.ones((4, 4), dtype=bool))
-        fv = extract_features(dmap)
-        assert fv.mu == pytest.approx(0.3, abs=1e-7)
-        assert fv.sigma == pytest.approx(0.0, abs=1e-7)
+        mu, sigma = extract_features(dmap)
+        assert mu == pytest.approx(0.3, abs=1e-7)
+        assert sigma == pytest.approx(0.0, abs=1e-7)
 
     def test_two_point_distribution(self):
         depths = np.array([[0.2, 0.4], [0.4, 0.2]], dtype=np.float32)
-        fv = extract_features(DeformationMap(depths, np.ones((2, 2), dtype=bool)))
-        assert fv.mu == pytest.approx(0.3, abs=1e-7)
-        assert fv.sigma == pytest.approx(0.1, abs=1e-7)
+        mu, sigma = extract_features(DeformationMap(depths, np.ones((2, 2), dtype=bool)))
+        assert mu == pytest.approx(0.3, abs=1e-7)
+        assert sigma == pytest.approx(0.1, abs=1e-7)
 
     def test_statistics_masked_only(self):
         depths = np.array([[0.1, 0.9]], dtype=np.float32)
         mask = np.array([[True, False]])
-        fv = extract_features(DeformationMap(depths, mask))
-        assert fv.mu == pytest.approx(0.1, abs=1e-7) and fv.sigma == 0.0
+        mu, sigma = extract_features(DeformationMap(depths, mask))
+        assert mu == pytest.approx(0.1, abs=1e-7) and sigma == 0.0
 
     def test_empty_mask(self):
         dmap = DeformationMap(np.zeros((2, 2), dtype=np.float32), np.zeros((2, 2), dtype=bool))
@@ -66,7 +66,7 @@ class TestExtractFeatures:
         spec = DatasetSpec(diameters_mm=(6.0,), burial_depths_mm=(3.0,), presses_per_positive=1,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=1)
         samples = {s.label: s for s in generate_phantom_dataset(spec, small_geometry, small_membrane, seed=6)}
-        assert extract_features(samples[1].truth).sigma > extract_features(samples[-1].truth).sigma
+        assert extract_features(samples[1].truth)[1] > extract_features(samples[-1].truth)[1]
 
 
 class TestStandardizer:
@@ -301,7 +301,9 @@ class TestDecision:
 
     def test_feature_vector_accepted(self):
         model = paper_boundary_model()
-        assert decision_value(model, FeatureVector(mu=0.0, sigma=0.0)) == 4.53
+        row = depth_features(np.zeros(4))
+        assert row.dtype == np.float64 and row.shape == (2,)
+        assert decision_value(model, row) == 4.53
 
 
 class TestEvaluate:
