@@ -397,8 +397,7 @@ def build_calib_dataset(
     # uniform depths in (0, MAX_DEPTH_MM]
     truths = (sphere_press_truth(MAX_DEPTH_MM * (1.0 - float(draw)), sphere_radius_mm, geom) for draw in draws)
     rows_x, rows_y = [], []
-    for truth, captures in disc_captures(truths, render_seeds, membrane, geom):
-        ((ref, contact),) = captures
+    for truth, ref, contact in disc_captures(truths, render_seeds, membrane, geom):
         rows_x.append(disc_rows(ref, contact, geom))
         rows_y.append(np.take(truth.depths, geom.disc_index).astype(np.float64))
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)

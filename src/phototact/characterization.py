@@ -25,6 +25,7 @@ hardware physics.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +148,10 @@ class IndenterRig:
 def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
     """For each truth, the disc depths of its captures (see :func:`disc_captures`), one array per seed pair."""
     geom = rig.geometry
-    for _, captures in disc_captures(truths, seed_pairs, rig.membrane, geom):
-        yield [disc_depths(model, disc_rows(ref, contact, geom)) for ref, contact in captures]
+    with contextlib.closing(disc_captures(truths, seed_pairs, rig.membrane, geom)) as captures:
+        depths = (disc_depths(model, disc_rows(ref, contact, geom)) for _, ref, contact in captures)
+        for pairs in seed_pairs:
+            yield [next(depths) for _ in pairs]
 
 
 def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:
@@ -272,8 +275,7 @@ def characterize(
     r = repeatability(trials.measurements)
 
     null_seeds = sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))
-    ((_, captures),) = disc_captures([rig.geometry.zero_map()], null_seeds, rig.membrane, rig.geometry)
-    ((before, after),) = captures
+    ((_, before, after),) = disc_captures([rig.geometry.zero_map()], null_seeds, rig.membrane, rig.geometry)
     null_std = null_difference_stat(before, after, rig.geometry)
 
     return CharacterizationReport(

@@ -2,7 +2,8 @@
 
 Every artifact-producing verb writes a run manifest next to its primary
 output (``<output>.manifest.json``) recording the command, the fully
-resolved configuration, the seed, the tool version, and input/output paths.
+resolved configuration, the seed, the tool version, input/output paths, the
+BLAS thread count the verb ran at and the BLAS kernel.
 Re-running the recorded ``argv`` reproduces the outputs byte for byte; the
 manifest sits beside the outputs so reruns stay byte-identical.
 
@@ -17,8 +18,11 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import errno
+import functools
 import json
 import os
 import shutil
@@ -224,6 +228,59 @@ class _Publication:
             os.replace(staged, final)
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS (scipy-openblas64) through ctypes, or None when numpy bundles none."""
+    libs = Path(os.path.dirname(os.path.dirname(np.__file__))) / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_corename64_.argtypes = []
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        return lib
+    return None
+
+
+def blas_threads():
+    """Thread count of numpy's bundled OpenBLAS, or None without one."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+def blas_core():
+    """Name of the CPU kernel numpy's bundled OpenBLAS selected, or None without one."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
+
+
+# The verbs whose captures take their noise from the worker thread of ``phantom.disc_captures``.
+NOISE_THREAD_VERBS = ("calibrate", "characterize")
+
+
+@contextlib.contextmanager
+def _one_blas_thread_fewer():
+    """Run the block with numpy's bundled OpenBLAS at one thread fewer (at least one), then restore the count.
+
+    An OpenBLAS worker spin-waits on a core after each call, so a verb of ``NOISE_THREAD_VERBS`` gives BLAS's
+    core to its noise thread for the whole verb: pinned only around its captures, the first BLAS call after them
+    would wake the spinning worker again. The other verbs keep the caller's count, which their MLP forwards use.
+    The artifact bytes do not depend on the BLAS thread count.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    caller = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(max(1, caller - 1))
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(caller)
+
+
 def _write_manifest(stage, args, inputs, outputs, started):
     """Run manifest of ``args.verb``, at ``--manifest`` or beside the first output."""
     config = {k: v for k, v in vars(args).items() if k not in ("verb", "manifest")}
@@ -239,6 +296,8 @@ def _write_manifest(stage, args, inputs, outputs, started):
         "inputs": inputs,
         "outputs": outputs,
         "duration_s": round(time.monotonic() - started, 6),
+        "blas_threads": blas_threads(),
+        "blas_core": blas_core(),
     }
     write_json(stage(target), doc)
 
@@ -368,7 +427,7 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
     features, labels, ids = [], [], []
     for row in rows:
         sample_id = row["sample_id"]
-        if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id:
+        if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id or not sample_id.isprintable():
             raise ValueError(f"dataset manifest {manifest}: sample id {sample_id!r} is not a file name stem")
         if row["label"] not in ("1", "-1"):
             raise ValueError(f"dataset manifest {manifest}: label {row['label']!r} of {sample_id!r} is not 1 or -1")
@@ -494,9 +553,10 @@ def dispatch(argv) -> int:
     started = time.monotonic()
     publication = _Publication()
     try:
-        inputs, outputs, *stdout = _HANDLERS[args.verb](args, publication.stage)
-        if outputs or args.manifest:
-            _write_manifest(publication.stage, args, inputs, outputs, started)
+        with _one_blas_thread_fewer() if args.verb in NOISE_THREAD_VERBS else contextlib.nullcontext():
+            inputs, outputs, *stdout = _HANDLERS[args.verb](args, publication.stage)
+            if outputs or args.manifest:
+                _write_manifest(publication.stage, args, inputs, outputs, started)
         publication.publish()
     except (ValueError, KeyError, OSError, MemoryError, TrainingDivergedError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -303,41 +304,92 @@ def _noisy_channels(clean, noise, model: MembraneModel) -> np.ndarray:
     return quantize_channels(noisy)
 
 
+# Frame pixels whose noise is drawn and applied at once: about 0.7 MB of float64 scratch where a 320x240 frame at
+# once takes 6.7 MB. Larger blocks draw a little faster, but the noise worker's heap, which the process keeps, grows
+# with them: 16,384 raised the calibrate benchmark's peak RSS by 0.7 MB (2-vCPU x86-64 host).
+_NOISE_BLOCK_PX = 8192
+
+
+def _noisy_capture(clean, model: MembraneModel, seed: int, index=None) -> np.ndarray:
+    """uint8 channels of the noise-free real RGB ``clean`` under the ``(seed, STREAM_RENDER)`` noise.
+
+    Without ``index``, ``clean`` is the whole (height, width, 3) frame. With the
+    increasing flat row-major ``index``, ``clean`` holds the (N, 3) pixels at
+    it, and the normals are drawn only through the frame row of the last
+    indexed pixel: a Philox normal fill is a prefix of any longer fill from the
+    same stream. The fill runs in blocks of frame pixels, each continuing the
+    stream where the last ended, so the normals are those of one fill. This is
+    the body :func:`capture_pixels`, :func:`render_reading` and the noise
+    worker of :func:`disc_captures` share; it calls no function the benchmark's
+    tracer wraps, since the tracer keeps one span stack.
+    """
+    rng = rng_stream(seed, STREAM_RENDER)
+    clean_px = clean.reshape(-1, 3)
+    out = np.empty(clean_px.shape, dtype=np.uint8)
+    if index is None:
+        frame_px = clean_px.shape[0]
+    else:
+        width = model.baseline.shape[1]
+        frame_px = (int(index[-1]) // width + 1) * width if index.size else 0
+    for start in range(0, frame_px, _NOISE_BLOCK_PX):
+        stop = min(start + _NOISE_BLOCK_PX, frame_px)
+        noise = rng.standard_normal((stop - start, 4))
+        if index is None:
+            lo, hi = start, stop
+        else:
+            lo, hi = np.searchsorted(index, (start, stop))
+            noise = np.take(noise, index[lo:hi] - start, axis=0)
+        out[lo:hi] = _noisy_channels(clean_px[lo:hi], noise, model)
+    return out.reshape(clean.shape)
+
+
 def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, index) -> np.ndarray:
     """uint8 (N, 3) of ``render_reading(dmap, model, seed)`` at the increasing flat row-major ``index``.
 
-    ``clean_px`` is ``clean_pixels(dmap, model, index)``. The normals are
-    drawn only through the frame row of the last indexed pixel: a Philox
-    normal fill is a prefix of any longer fill from the same stream.
+    ``clean_px`` is ``clean_pixels(dmap, model, index)``.
     """
     index = np.asarray(index)
     if index.ndim != 1 or clean_px.shape != (index.size, 3):
         raise ValueError("clean pixels must be one RGB row per indexed pixel")
-    width = model.baseline.shape[1]
-    rows = int(index[-1]) // width + 1 if index.size else 0
-    noise = rng_stream(seed, STREAM_RENDER).standard_normal((rows * width, 4))
-    return _noisy_channels(clean_px, np.take(noise, index, axis=0), model)
+    if index.size and (index[0] < 0 or index[-1] >= model.baseline[..., 0].size or np.any(np.diff(index) <= 0)):
+        raise ValueError("the index must list increasing pixel positions inside the frame")
+    return _noisy_capture(clean_px, model, seed, index)
 
 
 def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry):
-    """``(truth, captures)`` for each truth: its sensing-disc capture pairs, rendered as they are consumed.
+    """``(truth, ref_px, contact_px)`` for each (reference, contact) seed pair of each truth, in order.
 
-    ``seed_pairs[k]`` lists the (reference, contact) seed pairs of
-    ``truths[k]``.  ``captures`` yields one ``(ref_px, contact_px)`` per pair:
-    the unloaded disc captured at the reference seed and the truth's disc at
-    the contact seed, as :func:`capture_pixels` returns them.  The noise-free
-    unloaded disc is rendered once and each truth's disc once.
+    ``seed_pairs[k]`` lists the seed pairs of ``truths[k]``. ``ref_px`` is the
+    unloaded disc captured at the reference seed and ``contact_px`` the
+    truth's disc at the contact seed, as :func:`capture_pixels` returns them.
+    The noise-free unloaded disc is rendered once and each truth's disc once,
+    on the consumer's thread. One worker thread makes the noise at most one
+    pair ahead of the consumer: pair k + 1 is submitted just before pair k is
+    yielded. numpy releases the interpreter lock while it draws and scales the
+    noise, so the draw runs beside the consumer's work. The thread is joined
+    when the stream ends, is closed or raises.
     """
     index = geom.disc_index
-    rest = clean_pixels(geom.zero_map(), model, index)
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
 
-    def captures(clean, pairs):
-        for ref_seed, contact_seed in pairs:
-            ref = capture_pixels(rest, model, int(ref_seed), index)
-            yield ref, capture_pixels(clean, model, int(contact_seed), index)
+    def finished(truth, ref, contact):
+        return truth, ref.result(), contact.result()
 
-    for truth, pairs in zip(truths, seed_pairs):
-        yield truth, captures(clean_pixels(truth, model, index), pairs)
+    try:
+        rest = clean_pixels(geom.zero_map(), model, index)
+        ahead = None
+        for truth, pairs in zip(truths, seed_pairs):
+            clean = clean_pixels(truth, model, index)
+            for ref_seed, contact_seed in pairs:
+                submitted = (truth, pool.submit(_noisy_capture, rest, model, int(ref_seed), index),
+                             pool.submit(_noisy_capture, clean, model, int(contact_seed), index))
+                if ahead is not None:
+                    yield finished(*ahead)
+                ahead = submitted
+        if ahead is not None:
+            yield finished(*ahead)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> RgbImage:
@@ -354,8 +406,7 @@ def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> Rgb
     if pressed.size:
         clean = clean.copy()
         clean.reshape(-1, 3)[pressed] = clean_pixels(dmap, model, pressed)
-    noise = rng_stream(seed, STREAM_RENDER).standard_normal(clean.shape[:2] + (4,))
-    return RgbImage(_noisy_channels(clean, noise, model))
+    return RgbImage(_noisy_capture(clean, model, seed))
 
 
 def reading_pair(dmap: DeformationMap, model: MembraneModel, seed: int):

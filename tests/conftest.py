@@ -1,4 +1,5 @@
 import os
+import threading
 import time
 
 import numpy as np
@@ -24,6 +25,21 @@ def pytest_report_header(config):
 def pytest_terminal_summary(terminalreporter, config):
     if config.get_verbosity() < 0:  # -q hides the header, so the log states the build at its end
         terminalreporter.write_line(pytest_report_header(config))
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """A test fails when it leaves a thread alive that was not alive before it ran.
+
+    The capture streams make their noise on a worker thread; one left running
+    keeps the interpreter from exiting.
+    """
+    before = set(threading.enumerate())
+    result = yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    if left:
+        raise AssertionError(f"the test left threads alive: {', '.join(left)}")
+    return result
 
 
 def pytest_addoption(parser):

@@ -3,8 +3,11 @@
 Each test process has one thread count, fixed when OpenBLAS loads, so the
 artifacts are made in two child processes, one with
 ``OPENBLAS_NUM_THREADS=1`` and one with ``=2``, and their sha256 maps must be
-equal.  Run as a script, ``python tests/test_blas_threads.py DIR`` makes the
-artifacts in DIR and prints their sha256 map as the last line of stdout.
+equal.  ``cli.dispatch`` runs ``calibrate`` and ``characterize`` at one BLAS
+thread fewer, so the model is trained outside ``dispatch``, at the child's
+count, and so are its depths inferred.
+Run as a script, ``python tests/test_blas_threads.py DIR`` makes the artifacts
+in DIR and prints their sha256 map as the last line of stdout.
 """
 
 import hashlib
@@ -25,22 +28,26 @@ def sha256(data: bytes) -> str:
 
 def artifact_hashes(root: Path) -> dict:
     """sha256 of a calibrate model, one disc_depths, two SVM fits and every criterion-9 artifact, made in ``root``."""
-    from phototact import PhantomConfig, SensorGeometry, color_delta, contact_solve, default_membrane
-    from phototact.calibration import disc_depths, load_model
-    from phototact.cli import dispatch
+    from phototact import PhantomConfig, SensorGeometry, color_delta, contact_solve, default_membrane, defaults
+    from phototact.calibration import TrainConfig, build_calib_dataset, disc_depths, load_model, save_model, train_mlp
+    from phototact.cli import blas_threads
     from phototact.detection import save_detector, train_svm
     from phototact.phantom import reading_pair
     from test_acceptance import PIPELINE_SPEC, run_pipeline
     from test_detection import _svm_problem
 
+    threads = blas_threads()
+    assert threads in (None, int(os.environ["OPENBLAS_NUM_THREADS"]))
     hashes = {}
-    # One 320x240 capture gives 15,380 rows: three 4,096-row batches and a 3,092-row last batch.
-    calib = root / "calib.json"
-    assert dispatch(["calibrate", "--captures", "1", "--epochs", "10", "--seed", "0", "--out", str(calib)]) == 0
-    hashes["calib.json"] = sha256(calib.read_bytes())
-
+    # `calibrate --captures 1 --epochs 10 --seed 0`, trained at the child's BLAS count. One 320x240 capture gives
+    # 15,380 rows: three 4,096-row batches and a 3,092-row last batch.
     geom = SensorGeometry()
     membrane = default_membrane(geom)
+    calib = root / "calib.json"
+    features, truth_depths = build_calib_dataset(1, defaults.CALIBRATION_SPHERE_RADIUS_MM, geom, membrane, seed=0)
+    save_model(calib, train_mlp(features, truth_depths, TrainConfig(epochs=10, seed=0)))
+    hashes["calib.json"] = sha256(calib.read_bytes())
+
     cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
     ref, contact = reading_pair(contact_solve(cfg, geom, membrane), membrane, 5)
     depths = disc_depths(load_model(calib), color_delta(ref, contact, geom))
@@ -58,6 +65,7 @@ def artifact_hashes(root: Path) -> dict:
     for path in sorted((root / "pipeline").rglob("*")):
         if path.is_file() and not path.name.endswith(".manifest.json"):  # manifests carry durations
             hashes[str(path.relative_to(root))] = sha256(path.read_bytes())
+    assert blas_threads() == threads  # every verb gave the count back
     return hashes
 
 

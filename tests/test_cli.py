@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import phototact as pt
-from phototact import cli, phantom
+from phototact import calibration, characterization, cli, phantom
 from phototact.cli import dispatch
 from phototact.detection import DetectorModel, Standardizer, save_detector
 
@@ -24,7 +25,17 @@ EMPTY_DISC = [*SMALL, "--sensing-radius", "0.01"]
 
 
 def run(argv):
-    return dispatch([str(a) for a in argv])
+    """``dispatch`` on ``argv``, checking that the verb gave back the BLAS thread count and left no thread alive."""
+    threads, blas = set(threading.enumerate()), cli.blas_threads()
+    code = dispatch([str(a) for a in argv])
+    assert (cli.blas_threads(), set(threading.enumerate())) == (blas, threads)
+    return code
+
+
+def verb_blas_threads(verb):
+    """The BLAS thread count ``verb`` runs at: one fewer than the caller's in a verb with a noise thread."""
+    caller = cli.blas_threads()
+    return max(1, caller - 1) if caller is not None and verb in cli.NOISE_THREAD_VERBS else caller
 
 
 def tree_bytes(root):
@@ -408,6 +419,67 @@ class TestCharacterizeVerb:
         assert (out / "trials.csv").exists()
 
 
+def failing_after(calls, error, function):
+    """``function``, raising ``error`` from its call number ``calls`` on."""
+    count = [0]
+
+    def failing(*args, **kwargs):
+        count[0] += 1
+        if count[0] >= calls:
+            raise error
+        return function(*args, **kwargs)
+
+    return failing
+
+
+# Where a disc-capture verb can fail while its noise thread runs: in the noise draw on that thread, or in the
+# consumer of the captures on the main thread.
+FAILURE_SITES = {
+    "calibrate-draw": (phantom, "_noisy_capture"),
+    "calibrate-consumer": (calibration, "disc_rows"),
+    "characterize-draw": (phantom, "_noisy_capture"),
+    "characterize-consumer": (characterization, "disc_depths"),
+}
+
+
+class TestVerbThreads:
+    """A capture verb runs BLAS at one thread fewer and gives the count back, and its noise thread ends with it.
+
+    ``run`` checks the count and the live threads after every verb of this module.
+    """
+
+    def test_a_noise_thread_verb_runs_at_one_blas_thread_fewer(self, tmp_path, tiny_model_path, monkeypatch):
+        seen = []
+        measure = cli.characterize
+        monkeypatch.setattr(cli, "characterize", lambda *args, **kwargs: seen.append(cli.blas_threads()) or
+                            measure(*args, **kwargs))
+        assert run(["characterize", *SMALL, "--calibration", tiny_model_path, "--out", tmp_path / "char"]) == 0
+        assert seen == [None if cli.blas_threads() is None else max(1, cli.blas_threads() - 1)]
+
+    def test_without_a_bundled_openblas_nothing_is_pinned(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_openblas", lambda: None)
+        assert run(["calibrate", *SMALL, "--captures", 1, "--epochs", 1, "--out", tmp_path / "calib.json"]) == 0
+        manifest = json.loads((tmp_path / "calib.json.manifest.json").read_text())
+        assert (manifest["blas_threads"], manifest["blas_core"]) == (None, None)
+
+    @pytest.mark.parametrize("site", sorted(FAILURE_SITES))
+    def test_a_failure_ends_the_noise_thread(self, tmp_path, tiny_model_path, monkeypatch, capsys, site):
+        module, name = FAILURE_SITES[site]
+        verbs = {"calibrate": ["calibrate", *SMALL, "--captures", 4, "--epochs", 1, "--out", tmp_path / "calib.json"],
+                 "characterize": ["characterize", *SMALL, "--calibration", tiny_model_path, "--out", tmp_path / "c"]}
+        argv = verbs[site.split("-")[0]]
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, failing_after(3, MemoryError("no room"), function))
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: no room\n"
+        # An exception that dispatch does not catch leaves it with the count given back and no thread alive.
+        threads, blas = set(threading.enumerate()), cli.blas_threads()
+        monkeypatch.setattr(module, name, failing_after(3, RuntimeError("a fault"), function))
+        with pytest.raises(RuntimeError, match="a fault"):
+            dispatch([str(a) for a in argv])
+        assert (cli.blas_threads(), set(threading.enumerate())) == (blas, threads)
+
+
 # The resolved geometry flags of a run with SMALL.
 SMALL_CONFIG = {
     "width": 100,
@@ -522,7 +594,7 @@ def pipeline(tmp_path_factory):
         manifest = Path(f"{outputs[0]}.manifest.json")
         expected = {"command": verb, "argv": [verb, *config_argv(config)], "config": config,
                     "seed": config.get("seed"), "tool_version": pt.__version__, "inputs": inputs,
-                    "outputs": outputs}
+                    "outputs": outputs, "blas_threads": verb_blas_threads(verb), "blas_core": cli.blas_core()}
         documents[verb] = (json.loads(manifest.read_text()), expected)
     return d, documents
 
@@ -535,6 +607,15 @@ class TestManifests:
         manifest, expected = pipeline[1][verb]
         assert isinstance(manifest.pop("duration_s"), float)
         assert manifest == expected
+
+    def test_blas_fields(self, pipeline):
+        """The manifest names the BLAS thread count the verb ran at and the kernel numpy's bundled OpenBLAS chose."""
+        if cli.blas_threads() is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        for verb, (manifest, _) in pipeline[1].items():
+            pinned = verb in ("calibrate", "characterize")
+            assert manifest["blas_threads"] == (max(1, cli.blas_threads() - 1) if pinned else cli.blas_threads()), verb
+            assert isinstance(manifest["blas_core"], str) and manifest["blas_core"], verb
 
     def test_phantom_argv_literal(self, pipeline):
         d = pipeline[0]
@@ -982,6 +1063,11 @@ EXIT_CODE_TABLE = [
                                          .replace("\nneg", "\n../data/neg")),
                    "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
      "sample id '../data/pos_d4_b2_p0' is not a file name stem"),
+    ("evaluate", "manifest-sample-id-line-break",
+     lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
+                   dataset_with_manifest(d, t, lambda text: text.replace("\npos_d4_b2_p0,", '\n"pos_d4\nb2_p0",', 1)),
+                   "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
+     "sample id 'pos_d4\\nb2_p0' is not a file name stem"),
     ("evaluate", "manifest-field-over-csv-limit",
      lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
                    dataset_with_manifest(d, t, lambda text: text.replace("pos_d4_b2_p0", "p" * 200_000, 1)),
@@ -991,7 +1077,7 @@ EXIT_CODE_TABLE = [
      lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
                    dataset_with_manifest(d, t, lambda text: text.replace("\npos_d4_b2_p0", '\n"pos_d4_b2_p0', 1)),
                    "--calibration", d / "calib.json", "--out", t / "r.json"], 2,
-     "label None of 'pos_d4_b2_p0,1,"),
+     "sample id 'pos_d4_b2_p0,1,"),
     # JSON nested too deep for the parser is bad data like any other malformed file.
     ("phantom", "config-nested-too-deep", lambda d, t: ["phantom", *SMALL, "--config", deep_json(t),
                                                         "--out-prefix", t / "p"], 2, "JSON nesting too deep"),

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +218,18 @@ class TestRenderReading:
             rendered = render_reading(dmap, small_membrane, seed)
             assert np.array_equal(rendered.pixels, uncached_render(dmap, small_membrane, seed))
 
+    @pytest.mark.parametrize("seed", [0, 2**62])
+    def test_blocked_noise_is_one_fill(self, geometry, membrane, seed):
+        """At 320x240 the noise is drawn in ten blocks, which continue one Philox fill: the full frame and the
+        disc equal the one-fill reference."""
+        assert geometry.width * geometry.height > 9 * phantom._NOISE_BLOCK_PX
+        for dmap in press_maps(geometry, membrane):
+            expected = uncached_render(dmap, membrane, seed)
+            assert np.array_equal(render_reading(dmap, membrane, seed).pixels, expected)
+            clean = pt.clean_pixels(dmap, membrane, geometry.disc_index)
+            disc = pt.capture_pixels(clean, membrane, seed, geometry.disc_index)
+            assert np.array_equal(disc, expected[geometry.disc_mask])
+
     def test_rest_render_cached_and_read_only(self, small_geometry, monkeypatch):
         membrane = pt.default_membrane(small_geometry)
         rest = membrane.rest_rgb
@@ -316,20 +330,6 @@ class TestDiscPixels:
             prefix = rng_stream(seed, STREAM_RENDER).standard_normal((rows,) + shape[1:])
             assert np.array_equal(prefix, rng_stream(seed, STREAM_RENDER).standard_normal(shape)[:rows])
 
-    def test_disc_captures_render_each_pair_as_it_is_consumed(self, small_geometry, small_membrane, monkeypatch):
-        seeds = []
-        capture = phantom.capture_pixels
-        monkeypatch.setattr(phantom, "capture_pixels", lambda *args: seeds.append(args[2]) or capture(*args))
-        truth = sphere_press_truth(0.3, 2.0, small_geometry)
-        stream = pt.disc_captures([truth, truth], [[(1, 2), (3, 4)], [(5, 6)]], small_membrane, small_geometry)
-        _, captures = next(stream)
-        assert seeds == []
-        ref, contact = next(captures)
-        assert seeds == [1, 2]
-        mask = small_geometry.disc_mask
-        assert np.array_equal(ref, render_reading(small_geometry.zero_map(), small_membrane, 1).pixels[mask])
-        assert np.array_equal(contact, render_reading(truth, small_membrane, 2).pixels[mask])
-
     def test_empty_mask_captures_nothing(self, small_geometry, small_membrane):
         index = np.flatnonzero(np.zeros((small_geometry.height, small_geometry.width), dtype=bool))
         assert pt.capture_pixels(np.empty((0, 3)), small_membrane, 3, index).shape == (0, 3)
@@ -339,9 +339,101 @@ class TestDiscPixels:
         with pytest.raises(ValueError, match="one RGB row per indexed pixel"):
             pt.capture_pixels(clean[1:], small_membrane, 0, small_geometry.disc_index)
 
+    @pytest.mark.parametrize("index", [[5, 3], [2, 2], [-1, 4], [0, 8000]])
+    def test_index_must_increase_inside_the_frame(self, small_geometry, small_membrane, index):
+        with pytest.raises(ValueError, match="increasing pixel positions inside the frame"):
+            pt.capture_pixels(np.zeros((2, 3)), small_membrane, 0, np.array(index))
+
     def test_dimension_mismatch(self, small_geometry, membrane):
         with pytest.raises(ValueError, match="does not match"):
             pt.clean_pixels(small_geometry.zero_map(), membrane, small_geometry.disc_index)
+
+
+def wait_until(condition, timeout=10.0):
+    """Poll ``condition`` until it holds; False if it still does not after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestNoiseWorker:
+    """disc_captures makes the capture noise on one worker thread, one pair ahead, with the serial bytes."""
+
+    @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
+    def test_disc_captures_equal_the_serial_captures(self, request, which):
+        geom = request.getfixturevalue(which)
+        membrane = pt.default_membrane(geom)
+        truths = press_maps(geom, membrane)
+        seed_pairs = [[(1, 2), (3, 4)], [(5, 6)], [(2**62 - 1, 0), (7, 7)]]
+        index = geom.disc_index
+        rest = pt.clean_pixels(geom.zero_map(), membrane, index)
+        serial = [(truth, pt.capture_pixels(rest, membrane, ref_seed, index),
+                   pt.capture_pixels(pt.clean_pixels(truth, membrane, index), membrane, contact_seed, index))
+                  for truth, pairs in zip(truths, seed_pairs) for ref_seed, contact_seed in pairs]
+        prefetched = list(pt.disc_captures(truths, seed_pairs, membrane, geom))
+        assert len(prefetched) == len(serial) == 5
+        for (truth, ref, contact), (serial_truth, serial_ref, serial_contact) in zip(prefetched, serial):
+            assert truth is serial_truth
+            assert ref.dtype == contact.dtype == np.uint8
+            assert np.array_equal(ref, serial_ref) and np.array_equal(contact, serial_contact)
+
+    def test_disc_captures_run_at_most_one_pair_ahead(self, small_geometry, small_membrane, monkeypatch):
+        made = []  # the seed of each capture's noise, as it is drawn
+        body = phantom._noisy_capture
+
+        def draw(clean, model, seed, index=None):
+            made.append(seed)
+            return body(clean, model, seed, index)
+
+        monkeypatch.setattr(phantom, "_noisy_capture", draw)
+        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        seed_pairs = [[(1, 2), (3, 4)], [(5, 6)], [(7, 8)]]
+        stream = pt.disc_captures([truth] * 3, seed_pairs, small_membrane, small_geometry)
+        assert made == []
+        for consumed in range(1, 5):
+            _, ref, contact = next(stream)
+            made_by_now = min(2 * consumed + 2, 8)  # the pairs consumed and the one after them
+            assert wait_until(lambda: len(made) >= made_by_now)
+            time.sleep(0.05)  # room for a pair beyond the bound to start
+            assert made == list(range(1, made_by_now + 1))
+        mask = small_geometry.disc_mask
+        assert np.array_equal(ref, render_reading(small_geometry.zero_map(), small_membrane, 7).pixels[mask])
+        assert np.array_equal(contact, render_reading(truth, small_membrane, 8).pixels[mask])
+        assert next(stream, None) is None
+
+    def test_stopped_streams_leave_no_thread(self, small_geometry, small_membrane):
+        before = threading.enumerate()
+        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        stream = pt.disc_captures([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]], small_membrane, small_geometry)
+        next(stream)
+        assert len(threading.enumerate()) == len(before) + 1
+        stream.close()  # a consumer that stops early
+        assert threading.enumerate() == before
+        with pytest.raises(RuntimeError, match="consumer"):
+            for _ in pt.disc_captures([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]], small_membrane, small_geometry):
+                raise RuntimeError("consumer")
+        assert threading.enumerate() == before
+
+    def test_a_failed_draw_is_raised_and_leaves_no_thread(self, small_geometry, small_membrane, monkeypatch):
+        before = threading.enumerate()
+        body = phantom._noisy_capture
+
+        def draw(clean, model, seed, index=None):
+            if seed == 4:
+                raise MemoryError("draw")
+            return body(clean, model, seed, index)
+
+        monkeypatch.setattr(phantom, "_noisy_capture", draw)
+        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        stream = pt.disc_captures([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]], small_membrane, small_geometry)
+        assert next(stream)[0] is truth
+        with pytest.raises(MemoryError, match="draw"):
+            next(stream)
+        assert threading.enumerate() == before
+        assert next(stream, None) is None
 
 
 class TestReadingPair:

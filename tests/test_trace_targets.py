@@ -8,6 +8,7 @@ and check each entry against the package.
 import importlib
 import importlib.util
 import inspect
+import threading
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,21 @@ def test_reconstruct_runs_the_traced_color_path(small_geometry, small_membrane):
     layers = traced.layers()
     assert layers["imaging.rgb_to_hsv"]["calls"] == 2
     assert layers["imprint.color_delta"]["calls"] == 1
+
+
+def test_the_noise_thread_calls_no_traced_function(small_geometry, small_membrane):
+    """The tracer keeps one span stack, so every traced call of the disc-capture paths runs on the main thread."""
+    threads = set()
+
+    class ThreadRecorder(tracer.Tracer):
+        def span(self, name):
+            threads.add(threading.current_thread())
+            return super().span(name)
+
+    rig = pt.IndenterRig(geometry=small_geometry, membrane=small_membrane)
+    with tracer.installed(ThreadRecorder()) as traced:
+        pt.characterize(rig, linear_hue_model(1.0), forces=(0.05, 0.09, 0.11), steps=(0.2, 0.5), seed=1)
+        pt.build_calib_dataset(2, 3.0, small_geometry, small_membrane, seed=1)
+    assert threads == {threading.main_thread()}
+    layers = traced.layers()
+    assert layers["imaging.hsv_to_rgb_real"]["calls"] > 0 and layers["characterization.noise_floor"]["calls"] == 1
