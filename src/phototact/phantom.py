@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -356,6 +356,15 @@ def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, index)
     return _noisy_capture(clean_px, model, seed, index)
 
 
+class _InlineExecutor(Executor):
+    """An executor that runs each job on the caller's thread as it is submitted."""
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
 def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry):
     """``(truth, ref_px, contact_px)`` for each (reference, contact) seed pair of each truth, in order.
 
@@ -367,10 +376,14 @@ def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry
     pair ahead of the consumer: pair k + 1 is submitted just before pair k is
     yielded. numpy releases the interpreter lock while it draws and scales the
     noise, so the draw runs beside the consumer's work. The thread is joined
-    when the stream ends, is closed or raises.
+    when the stream ends, is closed or raises. A stream of one pair leaves the
+    thread nothing to overlap, so it draws that pair on the consumer's thread.
     """
     index = geom.disc_index
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
+    if sum(len(pairs) for pairs in seed_pairs) > 1:
+        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
+    else:
+        pool = _InlineExecutor()
 
     def finished(truth, ref, contact):
         return truth, ref.result(), contact.result()
