@@ -27,7 +27,6 @@ from .phantom import (
     MembraneModel,
     PhantomConfig,
     PhantomSample,
-    capture_pixels,
     clean_pixels,
     contact_solve,
     default_membrane,

@@ -100,7 +100,7 @@ def null_difference_stat(before, after, geom: SensorGeometry) -> float:
     """Population std of in-disc channel differences, in 8-bit units.
 
     ``before`` and ``after`` are the sensing-disc pixels (N, 3) of two
-    readings, as :func:`capture_pixels` returns them.
+    readings, as :func:`disc_captures` yields them.
     """
     if np.shape(before) != (geom.disc_pixel_count, 3) or np.shape(after) != np.shape(before):
         raise ValueError("disc pixels must be one RGB row per sensing-disc pixel")
@@ -119,14 +119,18 @@ class IndenterRig:
     geometry: SensorGeometry
     membrane: MembraneModel
 
+    @property
+    def capacity_n(self) -> float:
+        """Largest force the indenter applies: the membrane stiffness times the volume of its hemisphere."""
+        return self.membrane.stiffness * spherical_cap_volume(defaults.INDENTER_RADIUS_MM, defaults.INDENTER_RADIUS_MM)
+
     def force_to_depth(self, force_n: float) -> float:
         """Invert force = stiffness * cap_volume(depth) by bisection."""
-        if force_n <= 0:
+        if not force_n > 0:  # NaN too
             raise ValueError("force must be positive")
+        if force_n > self.capacity_n:
+            raise ValueError(f"force {force_n} N exceeds indenter capacity {self.capacity_n:.4g} N")
         radius = defaults.INDENTER_RADIUS_MM
-        capacity = self.membrane.stiffness * spherical_cap_volume(radius, radius)
-        if force_n > capacity:
-            raise ValueError(f"force {force_n} N exceeds indenter capacity {capacity:.4g} N")
         lo, hi = 0.0, radius
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -242,10 +246,15 @@ def characterize(
     floor and the loading sweep, the hysteresis from both sweeps.
     """
     forces = sorted(float(f) for f in forces)
+    steps = [float(s) for s in steps]
     if len(forces) < 3:
         raise ValueError("need at least three sweep forces")
+    if not all(0.0 < f <= rig.capacity_n for f in forces):  # NaN and infinities fail the comparison too
+        raise ValueError(f"sweep forces must be in (0, {rig.capacity_n:.4g}] N, the indenter capacity")
     if len(set(forces)) < len(forces):
         raise ValueError("sweep forces must be distinct")
+    if not steps or not all(0.0 < s <= defaults.INDENTER_RADIUS_MM for s in steps):
+        raise ValueError(f"need depth steps, each in (0, {defaults.INDENTER_RADIUS_MM}] mm, the indenter radius")
     floor = noise_floor(rig, model, seed)
     loading = run_force_sweep(rig, model, forces, seed, direction="loading")
 
@@ -256,7 +265,9 @@ def characterize(
             break
 
     resolution = None
-    gaps = np.diff(loading.forces)
+    from decimal import Decimal  # here, not at the top: the import adds about 0.3 MB of RSS to every verb
+    # Each gap is the step between the forces as written: a 0.005 N step reads 0.005, not 0.0049999999999999975.
+    gaps = np.array([float(Decimal(repr(b)) - Decimal(repr(a))) for a, b in zip(forces, forces[1:])])
     depth_diffs = np.diff(loading.max_depths)
     eligible = gaps[depth_diffs > floor]
     if eligible.size:

@@ -319,9 +319,9 @@ def _noisy_capture(clean, model: MembraneModel, seed: int, index=None) -> np.nda
     indexed pixel: a Philox normal fill is a prefix of any longer fill from the
     same stream. The fill runs in blocks of frame pixels, each continuing the
     stream where the last ended, so the normals are those of one fill. This is
-    the body :func:`capture_pixels`, :func:`render_reading` and the noise
-    worker of :func:`disc_captures` share; it calls no function the benchmark's
-    tracer wraps, since the tracer keeps one span stack.
+    the body :func:`render_reading` and the noise worker of
+    :func:`disc_captures` share; it calls no function the benchmark's tracer
+    wraps, since the tracer keeps one span stack.
     """
     rng = rng_stream(seed, STREAM_RENDER)
     clean_px = clean.reshape(-1, 3)
@@ -343,19 +343,6 @@ def _noisy_capture(clean, model: MembraneModel, seed: int, index=None) -> np.nda
     return out.reshape(clean.shape)
 
 
-def capture_pixels(clean_px: np.ndarray, model: MembraneModel, seed: int, index) -> np.ndarray:
-    """uint8 (N, 3) of ``render_reading(dmap, model, seed)`` at the increasing flat row-major ``index``.
-
-    ``clean_px`` is ``clean_pixels(dmap, model, index)``.
-    """
-    index = np.asarray(index)
-    if index.ndim != 1 or clean_px.shape != (index.size, 3):
-        raise ValueError("clean pixels must be one RGB row per indexed pixel")
-    if index.size and (index[0] < 0 or index[-1] >= model.baseline[..., 0].size or np.any(np.diff(index) <= 0)):
-        raise ValueError("the index must list increasing pixel positions inside the frame")
-    return _noisy_capture(clean_px, model, seed, index)
-
-
 class _InlineExecutor(Executor):
     """An executor that runs each job on the caller's thread as it is submitted."""
 
@@ -370,14 +357,15 @@ def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry
 
     ``seed_pairs[k]`` lists the seed pairs of ``truths[k]``. ``ref_px`` is the
     unloaded disc captured at the reference seed and ``contact_px`` the
-    truth's disc at the contact seed, as :func:`capture_pixels` returns them.
-    The noise-free unloaded disc is rendered once and each truth's disc once,
-    on the consumer's thread. One worker thread makes the noise at most one
-    pair ahead of the consumer: pair k + 1 is submitted just before pair k is
-    yielded. numpy releases the interpreter lock while it draws and scales the
-    noise, so the draw runs beside the consumer's work. The thread is joined
-    when the stream ends, is closed or raises. A stream of one pair leaves the
-    thread nothing to overlap, so it draws that pair on the consumer's thread.
+    truth's disc at the contact seed, each the ``geom.disc_mask`` pixels of
+    :func:`render_reading` at its seed. The noise-free unloaded disc is
+    rendered once and each truth's disc once, on the consumer's thread. One
+    worker thread makes the noise at most one pair ahead of the consumer:
+    pair k + 1 is submitted just before pair k is yielded. numpy releases the
+    interpreter lock while it draws and scales the noise, so the draw runs
+    beside the consumer's work. The thread is joined when the stream ends, is
+    closed or raises. A stream of one pair leaves the thread nothing to
+    overlap, so it draws that pair on the consumer's thread.
     """
     index = geom.disc_index
     if sum(len(pairs) for pairs in seed_pairs) > 1:

@@ -89,10 +89,9 @@ class TestNullDifference:
         before, after = render_reading(zero, small_membrane, 4), render_reading(zero, small_membrane, 5)
         stat = null_difference_stat(before.pixels[mask], after.pixels[mask], small_geometry)
         assert stat > 0.0
-        index = small_geometry.disc_index
-        rest = pt.clean_pixels(zero, small_membrane, index)
-        captured = (pt.capture_pixels(rest, small_membrane, seed, index) for seed in (4, 5))
-        assert null_difference_stat(*captured, small_geometry) == stat
+        ((_, ref, contact),) = pt.disc_captures([zero], [[(4, 5)]], small_membrane, small_geometry)
+        assert np.array_equal(ref, before.pixels[mask]) and np.array_equal(contact, after.pixels[mask])
+        assert null_difference_stat(ref, contact, small_geometry) == stat
 
     def test_disc_pixel_count_mismatch(self, small_geometry):
         px = np.zeros((int(small_geometry.disc_mask.sum()) - 1, 3), dtype=np.uint8)
@@ -150,6 +149,14 @@ class TestIndenterRig:
         with pytest.raises(ValueError, match="capacity"):
             rig.force_to_depth(10.0)
 
+    def test_capacity_is_the_largest_force(self, small_geometry):
+        rig = make_rig(small_geometry)
+        assert rig.force_to_depth(rig.capacity_n) == pytest.approx(defaults.INDENTER_RADIUS_MM, rel=1e-12)
+        with pytest.raises(ValueError, match="capacity"):
+            rig.force_to_depth(np.nextafter(rig.capacity_n, np.inf))
+        with pytest.raises(ValueError, match="positive"):
+            rig.force_to_depth(float("nan"))
+
     def test_unloading_profile_is_scaled(self, small_geometry):
         rig = make_rig(small_geometry)
         load = rig.truth_profile(0.3).depths.astype(np.float64)
@@ -177,13 +184,38 @@ class TestSensitivity:
         with pytest.raises(ValueError, match="three"):
             characterize(rig, model, [0.01, 0.02], seed=0)
 
-    def test_repeated_force_rejected_before_any_capture(self, small_geometry, monkeypatch):
+    @pytest.mark.parametrize("forces, steps, match", [
+        pytest.param([0.01, 0.02, 0.02], (0.2,), "distinct", id="repeat"),
+        pytest.param([0.01, 0.02, float("nan")], (0.2,), "the indenter capacity", id="nan-force"),
+        pytest.param([0.01, 0.02, float("inf")], (0.2,), "the indenter capacity", id="infinite-force"),
+        pytest.param([-1.0, 0.01, 0.02], (0.2,), "the indenter capacity", id="negative-force"),
+        pytest.param([0.0, 0.01, 0.02], (0.2,), "the indenter capacity", id="zero-force"),
+        pytest.param([0.01, 0.02, 5.0], (0.2,), "the indenter capacity", id="over-capacity-force"),
+        pytest.param([0.01, 0.02, 0.03], (float("nan"),), "depth steps, each in", id="nan-step"),
+        pytest.param([0.01, 0.02, 0.03], (0.2, float("inf")), "depth steps, each in", id="infinite-step"),
+        pytest.param([0.01, 0.02, 0.03], (0.2, 0.0), "depth steps, each in", id="zero-step"),
+        pytest.param([0.01, 0.02, 0.03], (0.2, defaults.INDENTER_RADIUS_MM + 0.01), "the indenter radius",
+                     id="step-beyond-radius"),
+        pytest.param([0.01, 0.02, 0.03], (), "need depth steps", id="no-step"),
+    ])
+    def test_repeated_force_rejected_before_any_capture(self, small_geometry, monkeypatch, forces, steps, match):
+        """A repeated, non-finite, non-positive or over-capacity force and a bad depth step are refused before
+        the first capture."""
         captures = []
         monkeypatch.setattr(characterization, "_measure", lambda *args: captures.append(args) or iter(()))
         rig = make_rig(small_geometry)
-        with pytest.raises(ValueError, match="distinct"):
-            characterize(rig, linear_hue_model(1.0), [0.01, 0.02, 0.02], seed=0)
+        with pytest.raises(ValueError, match=match):
+            characterize(rig, linear_hue_model(1.0), forces, steps=steps, seed=0)
         assert captures == []
+
+    def test_resolution_is_the_grid_step_as_written(self, small_geometry):
+        """The float difference 0.11 - 0.09 is 0.020000000000000004; the grid step as written is 0.02."""
+        rig = make_rig(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
+        model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
+        result = characterize(rig, model, [0.05, 0.09, 0.11], steps=(0.2,), seed=0)
+        assert 0.11 - 0.09 != 0.02
+        assert result.noise_floor_mm == 0.0
+        assert result.resolution_n == 0.02
 
     def test_unknown_direction_rejected_before_any_capture(self, small_geometry, monkeypatch):
         captures = []

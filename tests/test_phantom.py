@@ -220,15 +220,18 @@ class TestRenderReading:
 
     @pytest.mark.parametrize("seed", [0, 2**62])
     def test_blocked_noise_is_one_fill(self, geometry, membrane, seed):
-        """At 320x240 the noise is drawn in ten blocks, which continue one Philox fill: the full frame and the
-        disc equal the one-fill reference."""
+        """At 320x240 the noise is drawn in ten blocks, which continue one Philox fill: the full frame equals the
+        one-fill reference, and the disc captures equal its disc."""
         assert geometry.width * geometry.height > 9 * phantom._NOISE_BLOCK_PX
-        for dmap in press_maps(geometry, membrane):
-            expected = uncached_render(dmap, membrane, seed)
-            assert np.array_equal(render_reading(dmap, membrane, seed).pixels, expected)
-            clean = pt.clean_pixels(dmap, membrane, geometry.disc_index)
-            disc = pt.capture_pixels(clean, membrane, seed, geometry.disc_index)
-            assert np.array_equal(disc, expected[geometry.disc_mask])
+        maps = press_maps(geometry, membrane)
+        expected = [uncached_render(dmap, membrane, seed) for dmap in maps]
+        for dmap, reference in zip(maps, expected):
+            assert np.array_equal(render_reading(dmap, membrane, seed).pixels, reference)
+        mask = geometry.disc_mask
+        captured = pt.disc_captures(maps, [[(seed, seed)]] * len(maps), membrane, geometry)
+        for (_, ref, contact), reference in zip(captured, expected, strict=True):
+            assert np.array_equal(ref, expected[0][mask])  # maps[0] is the zero map
+            assert np.array_equal(contact, reference[mask])
 
     def test_rest_render_cached_and_read_only(self, small_geometry, monkeypatch):
         membrane = pt.default_membrane(small_geometry)
@@ -311,16 +314,26 @@ class TestDiscPixels:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 - 1])
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
     def test_capture_pixels_match_render_reading(self, request, which, seed):
+        """The disc captures, and the noise worker's body at any increasing index, give the masked pixels of the
+        full-frame render."""
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
         full = np.ones((geom.height, geom.width), dtype=bool)
-        for dmap in press_maps(geom, membrane):
+        maps = press_maps(geom, membrane)
+        readings = [render_reading(dmap, membrane, seed).pixels for dmap in maps]
+        for dmap, reading in zip(maps, readings):
             clean = uncached_clean(dmap, membrane)
-            reading = render_reading(dmap, membrane, seed).pixels
-            for mask in (geom.disc_mask, bottom_row_mask(geom), full):
-                captured = pt.capture_pixels(clean[mask], membrane, seed, np.flatnonzero(mask))
+            for mask in (bottom_row_mask(geom), full):
+                captured = phantom._noisy_capture(clean[mask], membrane, seed, np.flatnonzero(mask))
                 assert captured.dtype == np.uint8
                 assert np.array_equal(captured, reading[mask])
+        mask = geom.disc_mask
+        captured = pt.disc_captures(maps, [[(seed, seed)]] * len(maps), membrane, geom)
+        for (truth, ref, contact), dmap, reading in zip(captured, maps, readings, strict=True):
+            assert truth is dmap
+            assert ref.dtype == contact.dtype == np.uint8
+            assert np.array_equal(ref, readings[0][mask])  # maps[0] is the zero map
+            assert np.array_equal(contact, reading[mask])
 
     def test_noise_drawn_only_through_the_last_masked_row(self, small_geometry):
         rows = int(np.flatnonzero(small_geometry.disc_mask.any(axis=1))[-1]) + 1
@@ -332,17 +345,7 @@ class TestDiscPixels:
 
     def test_empty_mask_captures_nothing(self, small_geometry, small_membrane):
         index = np.flatnonzero(np.zeros((small_geometry.height, small_geometry.width), dtype=bool))
-        assert pt.capture_pixels(np.empty((0, 3)), small_membrane, 3, index).shape == (0, 3)
-
-    def test_pixel_count_must_match_mask(self, small_geometry, small_membrane):
-        clean = pt.clean_pixels(small_geometry.zero_map(), small_membrane, small_geometry.disc_index)
-        with pytest.raises(ValueError, match="one RGB row per indexed pixel"):
-            pt.capture_pixels(clean[1:], small_membrane, 0, small_geometry.disc_index)
-
-    @pytest.mark.parametrize("index", [[5, 3], [2, 2], [-1, 4], [0, 8000]])
-    def test_index_must_increase_inside_the_frame(self, small_geometry, small_membrane, index):
-        with pytest.raises(ValueError, match="increasing pixel positions inside the frame"):
-            pt.capture_pixels(np.zeros((2, 3)), small_membrane, 0, np.array(index))
+        assert phantom._noisy_capture(np.empty((0, 3)), small_membrane, 3, index).shape == (0, 3)
 
     def test_dimension_mismatch(self, small_geometry, membrane):
         with pytest.raises(ValueError, match="does not match"):
@@ -364,14 +367,15 @@ class TestNoiseWorker:
 
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
     def test_disc_captures_equal_the_serial_captures(self, request, which):
+        """The prefetched captures equal the disc of the full-frame render, made serially at each seed."""
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
         truths = press_maps(geom, membrane)
         seed_pairs = [[(1, 2), (3, 4)], [(5, 6)], [(2**62 - 1, 0), (7, 7)]]
-        index = geom.disc_index
-        rest = pt.clean_pixels(geom.zero_map(), membrane, index)
-        serial = [(truth, pt.capture_pixels(rest, membrane, ref_seed, index),
-                   pt.capture_pixels(pt.clean_pixels(truth, membrane, index), membrane, contact_seed, index))
+        mask = geom.disc_mask
+        zero = geom.zero_map()
+        serial = [(truth, render_reading(zero, membrane, ref_seed).pixels[mask],
+                   render_reading(truth, membrane, contact_seed).pixels[mask])
                   for truth, pairs in zip(truths, seed_pairs) for ref_seed, contact_seed in pairs]
         prefetched = list(pt.disc_captures(truths, seed_pairs, membrane, geom))
         assert len(prefetched) == len(serial) == 5
