@@ -1,0 +1,94 @@
+"""Every artifact and every stdout of criterion 9's 100x80 pipeline, pinned by sha256.
+
+``test_capture_bytes.py`` pins the captures, which come out the same under
+every CPU kernel. The model, the depth maps, the detector, the reports and
+the characterize tables also round with the OpenBLAS kernel and numpy's SIMD
+targets, so these hashes hold only under the kernel and targets recorded
+with them; under any other, the test skips and names both. The manifests are
+left out, since they carry wall-clock durations. A change that alters these
+bytes on purpose updates the table here, and that diff is its declaration.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+from numpy._core import _multiarray_umath
+
+import test_acceptance
+from phototact.cli import blas_core
+
+MADE_UNDER = ("SkylakeX", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+ARTIFACTS = {
+    "calib.json": "55d9e7916edcfa6bf7dceabbc2fea4688ad04f8f6ea3f8c5168a91ed22d43734",
+    "char/summary.json": "01d5269f17e8f31f9c7781b37b91f63087ad4015fdbb184c0ad343f50f4f6da4",
+    "char/sweeps.csv": "ef2f336c44894130aa0a5a60c321c7ae70ba486c2972e0c1918da1c779067660",
+    "char/trials.csv": "5228432a759cfdd4f9ac3eb4fe99b6e3b5587cfd6331b49d1ff4456164edbbe3",
+    "data/manifest.csv": "0d57a90474189c2cea72165a2c566e54189c55e2e796fb75560e2af42f70c8fc",
+    "data/neg_m1000_p0_contact.ppm": "28f584b133e9e3579643e75786cffe0583ab8d1d84ef70c4347283b651cc690b",
+    "data/neg_m1000_p0_ref.ppm": "d38b3b4da0a8d923c5dbc1cbe7eb13f8bbf7036fb21328412bec58806d3c17c2",
+    "data/neg_m1000_p0_truth.dmap": "dbc3a36ccb6280a7bea18caacf110a75ad7ba441e836408fc5f8fc1cb4d2e4be",
+    "data/neg_m1000_p1_contact.ppm": "1784dfa2207bd0cef5598e1d9f5539cc6eb44ea7ed728ac2ed957ac9f396bf68",
+    "data/neg_m1000_p1_ref.ppm": "c7a23436690d371d52efa19b8be7b0fe3cd886e5c695a71b88839b75912dc7bd",
+    "data/neg_m1000_p1_truth.dmap": "dbc3a36ccb6280a7bea18caacf110a75ad7ba441e836408fc5f8fc1cb4d2e4be",
+    "data/pos_d6_b3_p0_contact.ppm": "832445bdf797b89f89653fabf6ecadba91805b6052aa340d68d08f4810aa8b70",
+    "data/pos_d6_b3_p0_ref.ppm": "1396674fc6f965302c67f4c7abcb02b6f94004235e293956b24923f584043dc7",
+    "data/pos_d6_b3_p0_truth.dmap": "ac1b35233c3c103ea089883a99b5b3d17cd657f41562e7c192446584a94b1dff",
+    "data/pos_d6_b3_p1_contact.ppm": "2d1991bb49fec4b48140523e85817af0b347f8abcdf97e427bd0f65e6d815462",
+    "data/pos_d6_b3_p1_ref.ppm": "741b87a6a66117e3f1154820da388972bca0f6e03600d1621a92a463615582ac",
+    "data/pos_d6_b3_p1_truth.dmap": "ac1b35233c3c103ea089883a99b5b3d17cd657f41562e7c192446584a94b1dff",
+    "detector.json": "4e7fd02774e0706f4ba7b0f46b6fd934fe7e63fb93c27600409de90b0f1695d3",
+    "press_contact.ppm": "63d2137f19cf2d7b9ba7fc5977ce96b54cf9b8bcda0f1f2c8fa791d248b200c1",
+    "press_ref.ppm": "2a4f39559a8d0bb0b2701be4c6df9290e042344b8656e3d5e1ff14e3152ba727",
+    "press_truth.dmap": "ac1b35233c3c103ea089883a99b5b3d17cd657f41562e7c192446584a94b1dff",
+    "recon.dmap": "346da935f678efaf4be93b7fc708d820b5198de2feb62f86d644e37b3f811638",
+    "report.csv": "c47fe7689adcb1bc5604c605032d7fc663f7dd15f80826510b8914b02a60bae8",
+    "report.json": "7ddfe24e0abb8d7e30097122af86585ace371b48a6248157fe14d74e8d279f4c",
+}
+EMPTY = hashlib.sha256(b"").hexdigest()
+STDOUTS = {
+    "phantom": EMPTY,
+    "calibrate": EMPTY,
+    "reconstruct": EMPTY,
+    "dataset": EMPTY,
+    "train-detector": "443a0de01a9c475a170c3265103053b1bdfe391bf543f024b8d62587f7ec7dd4",
+    "evaluate": "d634d3583d8b987676663d151c5679c382eb26fb5c8c044ca25062804d6b638c",
+    "characterize": "8ba88f1906bfbdefb209ead0c5f5c2c46c5690848f2ebd8187ac238b57c8bf31",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def simd_targets():
+    """numpy's dispatch targets that this CPU runs, in numpy's order."""
+    features = _multiarray_umath.__cpu_features__
+    return tuple(target for target in _multiarray_umath.__cpu_dispatch__ if features.get(target))
+
+
+def test_pipeline_bytes_are_pinned(tmp_path, monkeypatch):
+    here = (blas_core(), simd_targets())
+    if here != MADE_UNDER:
+        pytest.skip(f"hashes made under OpenBLAS kernel {MADE_UNDER[0]} with SIMD targets {MADE_UNDER[1]}; "
+                    f"this run has kernel {here[0]} with SIMD targets {here[1]}")
+    stdouts = {}
+
+    def recording(argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = dispatch(argv)
+        stdouts[argv[0]] = sha256(out.getvalue().encode())
+        return code
+
+    dispatch = test_acceptance.dispatch
+    monkeypatch.setattr(test_acceptance, "dispatch", recording)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(test_acceptance.PIPELINE_SPEC))
+    root = tmp_path / "run"
+    test_acceptance.run_pipeline(root, spec)
+    artifacts = {str(path.relative_to(root)): sha256(path.read_bytes()) for path in sorted(root.rglob("*"))
+                 if path.is_file() and not path.name.endswith(".manifest.json")}
+    assert artifacts == ARTIFACTS
+    assert stdouts == STDOUTS

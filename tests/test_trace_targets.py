@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import phototact as pt
+from phototact import defaults
 from conftest import linear_hue_model
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -100,4 +101,19 @@ def test_the_noise_thread_calls_no_traced_function(small_geometry, small_membran
         pt.build_calib_dataset(2, 3.0, small_geometry, small_membrane, seed=1)
     assert threads == {threading.main_thread()}
     layers = traced.layers()
-    assert layers["imaging.hsv_to_rgb_real"]["calls"] > 0 and layers["characterization.noise_floor"]["calls"] == 1
+    assert layers["imaging.hsv_to_rgb_real"]["calls"] > 0
+    # Each characterize phase's span holds the forward passes of its own captures, so the benchmark's
+    # per-phase layers measure them: one per pair on this grid of 3 forces and 2 steps; the null pair has none.
+    phases = {
+        "characterization.noise_floor": defaults.CHAR_NULL_PAIRS,
+        "characterization.run_force_sweep.loading": 3 * defaults.CHAR_TRIALS,
+        "characterization.run_force_sweep.unloading": 3 * defaults.CHAR_TRIALS,
+        "characterization.repeatability_trials": 2 * defaults.CHAR_TRIALS,
+        "characterization.null_difference_stat": 0,
+    }
+    assert {name: layers[name]["calls"] for name in phases} == dict.fromkeys(phases, 1)
+    forwards = dict.fromkeys(phases, 0)
+    for name, parent, _, _ in traced.spans:
+        if name == "calibration.CalibrationModel.forward" and parent is not None and traced.spans[parent][0] in phases:
+            forwards[traced.spans[parent][0]] += 1
+    assert forwards == phases
