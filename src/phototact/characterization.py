@@ -26,6 +26,7 @@ hardware physics.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,63 +150,40 @@ class IndenterRig:
         return DeformationMap(clamped.astype(np.float32), self.geometry.disc_mask)
 
 
-def _measure(rig: IndenterRig, model: CalibrationModel, truths, seed_pairs):
-    """For each truth, the disc depths of its captures (see :func:`disc_captures`), one array per seed pair."""
-    geom = rig.geometry
-    with contextlib.closing(disc_captures(truths, seed_pairs, rig.membrane, geom)) as captures:
-        depths = (disc_depths(model, disc_rows(ref, contact, geom)) for _, ref, contact in captures)
-        for pairs in seed_pairs:
-            yield [next(depths) for _ in pairs]
+def noise_floor(measured) -> float:
+    """Mean in-disc std of reconstructions from no-contact reading pairs.
+
+    ``measured`` yields, for each no-contact map, the disc depths of each of
+    its pairs (see :func:`characterize`).
+    """
+    return float(np.mean([float(depths.std()) for pairs in measured for depths in pairs]))
 
 
-def noise_floor(rig: IndenterRig, model: CalibrationModel, seed: int) -> float:
-    """Mean in-disc std of reconstructions from no-contact reading pairs."""
-    seeds = sub_seeds(seed, _STREAM_NULL, (defaults.CHAR_NULL_PAIRS, 2))
-    (measured,) = _measure(rig, model, [rig.geometry.zero_map()], [seeds])
-    return float(np.mean([float(depths.std()) for depths in measured]))
+def run_force_sweep(forces, measured, direction: str) -> ForceSweep:
+    """Mean peak and mean in-disc depth of each force point's presses.
 
-
-def run_force_sweep(
-    rig: IndenterRig,
-    model: CalibrationModel,
-    forces,
-    seed: int,
-    direction: str = "loading",
-) -> ForceSweep:
-    """Average measured depths over ``defaults.CHAR_TRIALS`` presses per force point, in increasing force when
-    ``direction`` is "loading" and in decreasing force when it is "unloading"."""
+    ``forces`` run in increasing force when ``direction`` is "loading" and in
+    decreasing force when it is "unloading"; ``measured`` yields the disc
+    depths of each force's presses in that order.
+    """
     if direction not in ("loading", "unloading"):
         raise ValueError(f"direction must be 'loading' or 'unloading', got {direction!r}")
-    unloading = direction == "unloading"
-    forces = np.asarray(sorted(forces, reverse=unloading), dtype=np.float64)
-    seeds = sub_seeds(seed, _STREAM_SWEEP, (len(forces), defaults.CHAR_TRIALS, 2))
-    truths = (rig.truth_profile(rig.force_to_depth(float(force)), unloading=unloading) for force in forces)
-    max_depths = np.empty(len(forces))
-    mean_depths = np.empty(len(forces))
-    for i, measured in enumerate(_measure(rig, model, truths, seeds)):
-        max_depths[i] = np.mean([depths.max() for depths in measured])
-        mean_depths[i] = np.mean([depths.mean() for depths in measured])
+    max_depths, mean_depths = [], []
+    for pressed in measured:
+        peaks, means = zip(*[(depths.max(), depths.mean()) for depths in pressed])
+        max_depths.append(np.mean(peaks))
+        mean_depths.append(np.mean(means))
     return ForceSweep(forces=forces, max_depths=max_depths, mean_depths=mean_depths, direction=direction)
 
 
-def repeatability_trials(
-    rig: IndenterRig,
-    model: CalibrationModel,
-    steps=defaults.CHAR_DEPTH_STEPS_MM,
-    seed: int = 0,
-) -> TrialSet:
-    """``defaults.CHAR_TRIALS`` repeated depth-step presses; the measurement is the peak in-disc depth.
+def repeatability_trials(steps, measured) -> TrialSet:
+    """Peak in-disc depth of each repeated press of each depth step.
 
-    Trial t of step j uses seed pair ``[t, j]``; the loop runs step-major so
-    one step's noise-free render serves all its trials.
+    ``measured`` yields, step by step, the disc depths of the step's trials;
+    row t of the measurements is trial t.
     """
-    steps = np.asarray(steps, dtype=np.float64)
-    seeds = sub_seeds(seed, _STREAM_TRIALS, (defaults.CHAR_TRIALS, len(steps), 2))
-    truths = (rig.truth_profile(float(depth)) for depth in steps)
-    measurements = np.empty((defaults.CHAR_TRIALS, len(steps)))
-    for j, measured in enumerate(_measure(rig, model, truths, seeds.transpose(1, 0, 2))):
-        measurements[:, j] = [depths.max() for depths in measured]
-    return TrialSet(step_depths=steps, measurements=measurements)
+    peaks = [[depths.max() for depths in trials] for trials in measured]
+    return TrialSet(step_depths=steps, measurements=np.transpose(peaks))
 
 
 @dataclass(frozen=True)
@@ -242,8 +220,20 @@ def characterize(
 ) -> CharacterizationReport:
     """Run the full metrology protocol on the simulated rig.
 
-    The threshold, force resolution and saturation onset come from the noise
-    floor and the loading sweep, the hysteresis from both sweeps.
+    The protocol is one table of phases in capture order, each with its truths, built as one
+    :func:`disc_captures` stream reaches them, and their seed pairs from :func:`sub_seeds`:
+
+    * noise floor: ``CHAR_NULL_PAIRS`` no-contact pairs, from (``seed``, ``_STREAM_NULL``);
+    * loading sweep: ``CHAR_TRIALS`` presses per force in increasing force, from (``seed``, ``_STREAM_SWEEP``);
+    * unloading sweep: the same in decreasing force with the unloading lag, from (``seed + 1``, ``_STREAM_SWEEP``);
+    * trials: ``CHAR_TRIALS`` presses per depth step, step by step; trial t of step j takes pair [t, j] of
+      (``seed + 2``, ``_STREAM_TRIALS``);
+    * null pair: one no-contact pair, from (``seed + 3``, ``_STREAM_NULL``).
+
+    :func:`noise_floor`, :func:`run_force_sweep` and :func:`repeatability_trials` reduce their phase's disc depths
+    as the stream hands them over, and :func:`null_difference_stat` the disc pixels of its last pair. The threshold,
+    force resolution and saturation onset come from the noise floor and the loading sweep, the hysteresis from both
+    sweeps.
     """
     forces = sorted(float(f) for f in forces)
     steps = [float(s) for s in steps]
@@ -255,39 +245,46 @@ def characterize(
         raise ValueError("sweep forces must be distinct")
     if not steps or not all(0.0 < s <= defaults.INDENTER_RADIUS_MM for s in steps):
         raise ValueError(f"need depth steps, each in (0, {defaults.INDENTER_RADIUS_MM}] mm, the indenter radius")
-    floor = noise_floor(rig, model, seed)
-    loading = run_force_sweep(rig, model, forces, seed, direction="loading")
+    geom = rig.geometry
+    depths = [rig.force_to_depth(force) for force in forces]
+    sweep = (len(forces), defaults.CHAR_TRIALS, 2)
+    protocol = {  # phase: (truths, the seed pairs of each truth), in capture order
+        "noise floor": ((geom.zero_map() for _ in range(1)),
+                        sub_seeds(seed, _STREAM_NULL, (1, defaults.CHAR_NULL_PAIRS, 2))),
+        "loading": ((rig.truth_profile(d) for d in depths), sub_seeds(seed, _STREAM_SWEEP, sweep)),
+        "unloading": ((rig.truth_profile(d, unloading=True) for d in depths[::-1]),
+                      sub_seeds(seed + 1, _STREAM_SWEEP, sweep)),
+        "trials": ((rig.truth_profile(s) for s in steps),
+                   sub_seeds(seed + 2, _STREAM_TRIALS, (defaults.CHAR_TRIALS, len(steps), 2)).transpose(1, 0, 2)),
+        "null pair": ((geom.zero_map() for _ in range(1)), sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))),
+    }
+    truths = itertools.chain.from_iterable(truths for truths, _ in protocol.values())
+    seed_pairs = [pairs for _, seeds in protocol.values() for pairs in seeds]
+    with contextlib.closing(disc_captures(truths, seed_pairs, rig.membrane, geom)) as captures:
 
-    threshold = None
-    for force, mean_depth in zip(loading.forces, loading.mean_depths):
-        if mean_depth > 3.0 * floor:
-            threshold = float(force)
-            break
+        def measured(phase):
+            """For each truth of ``phase``, the disc depths of its captures, reconstructed as they are read."""
+            for pairs in protocol[phase][1]:
+                yield (disc_depths(model, disc_rows(ref, contact, geom)) for _, ref, contact in
+                       itertools.islice(captures, len(pairs)))
 
-    resolution = None
+        floor = noise_floor(measured("noise floor"))
+        loading = run_force_sweep(forces, measured("loading"), direction="loading")
+        unloading = run_force_sweep(forces[::-1], measured("unloading"), direction="unloading")
+        trials = repeatability_trials(steps, measured("trials"))
+        ((_, before, after),) = captures
+        null_std = null_difference_stat(before, after, geom)
+
+    threshold = next((f for f, mean_depth in zip(forces, loading.mean_depths) if mean_depth > 3.0 * floor), None)
     from decimal import Decimal  # here, not at the top: the import adds about 0.3 MB of RSS to every verb
     # Each gap is the step between the forces as written: a 0.005 N step reads 0.005, not 0.0049999999999999975.
     gaps = np.array([float(Decimal(repr(b)) - Decimal(repr(a))) for a, b in zip(forces, forces[1:])])
-    depth_diffs = np.diff(loading.max_depths)
-    eligible = gaps[depth_diffs > floor]
-    if eligible.size:
-        resolution = float(eligible.min())
-
-    saturation = None
-    for force in loading.forces:
-        if rig.force_to_depth(float(force)) >= MAX_DEPTH_MM:
-            saturation = float(force)
-            break
-
-    unloading = run_force_sweep(rig, model, forces, seed + 1, direction="unloading")
+    eligible = gaps[np.diff(loading.max_depths) > floor]
+    resolution = float(eligible.min()) if eligible.size else None
+    saturation = next((f for f, depth in zip(forces, depths) if depth >= MAX_DEPTH_MM), None)
     # Each curve is smoothed in its sweep order (a mean over a reversed window can round differently).
     h = hysteresis(moving_average(loading.max_depths), moving_average(unloading.max_depths)[::-1])
-    trials = repeatability_trials(rig, model, steps=steps, seed=seed + 2)
     r = repeatability(trials.measurements)
-
-    null_seeds = sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))
-    ((_, before, after),) = disc_captures([rig.geometry.zero_map()], null_seeds, rig.membrane, rig.geometry)
-    null_std = null_difference_stat(before, after, rig.geometry)
 
     return CharacterizationReport(
         threshold_n=threshold,

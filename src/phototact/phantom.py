@@ -365,7 +365,9 @@ def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry
     interpreter lock while it draws and scales the noise, so the draw runs
     beside the consumer's work. The thread is joined when the stream ends, is
     closed or raises. A stream of one pair leaves the thread nothing to
-    overlap, so it draws that pair on the consumer's thread.
+    overlap, so it draws that pair on the consumer's thread; the one such
+    caller is :func:`~phototact.calibration.build_calib_dataset` at one
+    capture, as the benchmark's calibrate workload runs it (``--captures 1``).
     """
     index = geom.disc_index
     if sum(len(pairs) for pairs in seed_pairs) > 1:

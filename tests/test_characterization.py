@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,12 @@ from phototact.characterization import (
     characterize,
     hysteresis,
     moving_average,
-    noise_floor,
     null_difference_stat,
     repeatability,
-    repeatability_trials,
     run_force_sweep,
 )
 from phototact import characterization
-from phototact.calibration import reconstruct
+from phototact.calibration import disc_depths, reconstruct
 from phototact.phantom import render_reading, rng_stream
 from conftest import linear_hue_model
 
@@ -200,9 +200,9 @@ class TestSensitivity:
     ])
     def test_repeated_force_rejected_before_any_capture(self, small_geometry, monkeypatch, forces, steps, match):
         """A repeated, non-finite, non-positive or over-capacity force and a bad depth step are refused before
-        the first capture."""
+        the capture stream opens."""
         captures = []
-        monkeypatch.setattr(characterization, "_measure", lambda *args: captures.append(args) or iter(()))
+        monkeypatch.setattr(characterization, "disc_captures", lambda *args: captures.append(args) or iter(()))
         rig = make_rig(small_geometry)
         with pytest.raises(ValueError, match=match):
             characterize(rig, linear_hue_model(1.0), forces, steps=steps, seed=0)
@@ -217,13 +217,12 @@ class TestSensitivity:
         assert result.noise_floor_mm == 0.0
         assert result.resolution_n == 0.02
 
-    def test_unknown_direction_rejected_before_any_capture(self, small_geometry, monkeypatch):
-        captures = []
-        monkeypatch.setattr(characterization, "_measure", lambda *args: captures.append(args) or iter(()))
-        rig = make_rig(small_geometry)
+    def test_unknown_direction_rejected_before_any_capture(self):
+        read = []
+        measured = (read.append(force) or [np.zeros(3)] for force in (0.01, 0.02))
         with pytest.raises(ValueError, match="direction must be 'loading' or 'unloading'"):
-            run_force_sweep(rig, linear_hue_model(1.0), [0.01, 0.02], seed=0, direction="sideways")
-        assert captures == []
+            run_force_sweep([0.01, 0.02], measured, direction="sideways")
+        assert read == []
 
     def test_threshold_non_increasing_in_noise(self, small_geometry):
         # Monte Carlo over seeds: quieter sensors detect at or below the
@@ -240,14 +239,12 @@ class TestSensitivity:
         assert mean_threshold(0.2) <= mean_threshold(0.8)
 
     def test_noise_floor_positive_with_noise(self, small_geometry, fast_model):
-        rig = make_rig(small_geometry)
-        assert noise_floor(rig, fast_model, seed=0) > 0.0
+        report = characterize(make_rig(small_geometry), fast_model, forces=(0.01, 0.03, 0.05), steps=(0.2,), seed=0)
+        assert report.noise_floor_mm > 0.0
 
     def test_sweep_directions(self, small_geometry, fast_model):
-        rig = make_rig(small_geometry)
-        forces = [0.01, 0.03, 0.05]
-        loading = run_force_sweep(rig, fast_model, forces, seed=0, direction="loading")
-        unloading = run_force_sweep(rig, fast_model, forces, seed=0, direction="unloading")
+        report = characterize(make_rig(small_geometry), fast_model, forces=(0.05, 0.01, 0.03), steps=(0.2,), seed=0)
+        loading, unloading = report.loading, report.unloading
         assert loading.direction == "loading" and np.all(np.diff(loading.forces) > 0)
         assert unloading.direction == "unloading" and np.all(np.diff(unloading.forces) < 0)
         # the emulated viscoelastic lag leaves unloading depths lower
@@ -255,7 +252,26 @@ class TestSensitivity:
 
 
 class TestMeasurementLoops:
-    """The loops reuse one noise-free render per truth; each capture must match a fresh render."""
+    """One capture stream serves every phase; each capture must match a fresh render of its truth at its seed."""
+
+    SEED = 4
+    FORCES = (0.05, 0.08, 0.11)
+    STEPS = (0.2, 0.5)
+
+    @pytest.fixture(scope="class")
+    def run(self, small_geometry, fast_model):
+        """The rig, the report of one ``characterize`` run and the ``disc_captures`` streams it opened."""
+        rig = make_rig(small_geometry)
+        streams = []
+
+        def recording(*args):
+            streams.append(args)
+            return pt.disc_captures(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(characterization, "disc_captures", recording)
+            report = characterize(rig, fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
+        return rig, report, streams
 
     @staticmethod
     def measure(rig, model, truth, seed_pair):
@@ -264,42 +280,65 @@ class TestMeasurementLoops:
         depths = reconstruct(model, ref, contact, rig.geometry).depths[rig.geometry.disc_mask]
         return depths.astype(np.float64)
 
-    def test_trials_match_per_capture_reference(self, small_geometry, fast_model):
-        rig = make_rig(small_geometry)
-        steps = (0.2, 0.5)
-        trials = repeatability_trials(rig, fast_model, steps=steps, seed=4)
-        n_trials = defaults.CHAR_TRIALS
-        seeds = rng_stream(4, characterization._STREAM_TRIALS).integers(0, 2**62, size=(n_trials, len(steps), 2))
-        for t in range(n_trials):
-            for j, depth in enumerate(steps):
-                expected = self.measure(rig, fast_model, rig.truth_profile(depth), seeds[t, j]).max()
-                assert trials.measurements[t, j] == expected
+    def test_one_capture_stream(self, run):
+        _, _, streams = run
+        assert len(streams) == 1
 
-    def test_noise_floor_matches_per_capture_reference(self, small_geometry, fast_model):
-        rig = make_rig(small_geometry)
+    def test_trials_match_per_capture_reference(self, run, fast_model):
+        rig, report, _ = run
+        n_trials = defaults.CHAR_TRIALS
+        seeds = rng_stream(self.SEED + 2, characterization._STREAM_TRIALS).integers(
+            0, 2**62, size=(n_trials, len(self.STEPS), 2))
+        for t in range(n_trials):
+            for j, depth in enumerate(self.STEPS):
+                expected = self.measure(rig, fast_model, rig.truth_profile(depth), seeds[t, j]).max()
+                assert report.trials.measurements[t, j] == expected
+
+    def test_noise_floor_matches_per_capture_reference(self, run, fast_model, small_geometry):
+        rig, report, _ = run
         pairs = defaults.CHAR_NULL_PAIRS
-        seeds = rng_stream(8, characterization._STREAM_NULL).integers(0, 2**62, size=2 * pairs)
+        seeds = rng_stream(self.SEED, characterization._STREAM_NULL).integers(0, 2**62, size=2 * pairs)
         zero = small_geometry.zero_map()
         stds = [float(self.measure(rig, fast_model, zero, seeds[2 * i : 2 * i + 2]).std()) for i in range(pairs)]
-        assert noise_floor(rig, fast_model, seed=8) == float(np.mean(stds))
+        assert report.noise_floor_mm == float(np.mean(stds))
 
-    def test_null_std_matches_full_readings(self, small_geometry, fast_model):
-        rig = make_rig(small_geometry)
-        report = characterization.characterize(rig, fast_model, forces=(0.05, 0.08, 0.11), steps=(0.2,), seed=3)
-        seeds = rng_stream(3 + 3, characterization._STREAM_NULL).integers(0, 2**62, size=2)
+    def test_null_std_matches_full_readings(self, run, small_geometry):
+        rig, report, _ = run
+        seeds = rng_stream(self.SEED + 3, characterization._STREAM_NULL).integers(0, 2**62, size=2)
         zero = small_geometry.zero_map()
         mask = small_geometry.disc_mask
         before, after = (render_reading(zero, rig.membrane, int(s)).pixels[mask] for s in seeds)
         assert report.null_std == null_difference_stat(before, after, small_geometry)
 
-    def test_sweep_matches_per_capture_reference(self, small_geometry, fast_model):
-        rig = make_rig(small_geometry)
-        forces = (0.05, 0.11)
-        sweep = run_force_sweep(rig, fast_model, forces, seed=6, direction="unloading")
+    def test_sweep_matches_per_capture_reference(self, run, fast_model):
+        rig, report, _ = run
         n_trials = defaults.CHAR_TRIALS
-        seeds = rng_stream(6, characterization._STREAM_SWEEP).integers(0, 2**62, size=(len(forces), n_trials, 2))
-        for i, force in enumerate(sorted(forces, reverse=True)):
-            truth = rig.truth_profile(rig.force_to_depth(force), unloading=True)
-            depths = [self.measure(rig, fast_model, truth, seeds[i, t]) for t in range(n_trials)]
-            assert sweep.max_depths[i] == np.mean([d.max() for d in depths])
-            assert sweep.mean_depths[i] == np.mean([d.mean() for d in depths])
+        for sweep, seed in ((report.loading, self.SEED), (report.unloading, self.SEED + 1)):
+            unloading = sweep.direction == "unloading"
+            seeds = rng_stream(seed, characterization._STREAM_SWEEP).integers(
+                0, 2**62, size=(len(self.FORCES), n_trials, 2))
+            for i, force in enumerate(sorted(self.FORCES, reverse=unloading)):
+                assert sweep.forces[i] == force
+                truth = rig.truth_profile(rig.force_to_depth(force), unloading=unloading)
+                depths = [self.measure(rig, fast_model, truth, seeds[i, t]) for t in range(n_trials)]
+                assert sweep.max_depths[i] == np.mean([d.max() for d in depths])
+                assert sweep.mean_depths[i] == np.mean([d.mean() for d in depths])
+
+    def test_failure_mid_protocol_joins_the_noise_worker(self, small_geometry, fast_model, monkeypatch):
+        """A reconstruction that raises inside a phase ends the one stream and joins its worker thread.
+
+        The held traceback keeps ``characterize``'s frame, and so the stream, alive: only ``characterize`` itself
+        can have closed it."""
+        calls = []
+
+        def failing(model, rows):
+            calls.append(None)
+            if len(calls) == 7:
+                raise RuntimeError("seventh reconstruction")
+            return disc_depths(model, rows)
+
+        monkeypatch.setattr(characterization, "disc_depths", failing)
+        with pytest.raises(RuntimeError, match="seventh reconstruction") as raised:
+            characterize(make_rig(small_geometry), fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
+        assert len(calls) == 7
+        assert not [thread for thread in threading.enumerate() if thread.name.startswith("phototact-noise")], raised
