@@ -258,7 +258,7 @@ def characterize(
                    sub_seeds(seed + 2, _STREAM_TRIALS, (defaults.CHAR_TRIALS, len(steps), 2)).transpose(1, 0, 2)),
         "null pair": ((geom.zero_map() for _ in range(1)), sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))),
     }
-    truths = itertools.chain.from_iterable(truths for truths, _ in protocol.values())
+    truths = itertools.chain.from_iterable(phase_truths for phase_truths, _ in protocol.values())
     seed_pairs = [pairs for _, seeds in protocol.values() for pairs in seeds]
     with contextlib.closing(disc_captures(truths, seed_pairs, rig.membrane, geom)) as captures:
 
