@@ -3,7 +3,7 @@
 Every artifact-producing verb writes a run manifest next to its primary
 output (``<output>.manifest.json``) recording the command, the fully
 resolved configuration, the seed, the tool version, input/output paths, the
-BLAS thread count the verb ran at and the BLAS kernel.
+BLAS thread count the verb ran at, the BLAS kernel and numpy's SIMD targets.
 Re-running the recorded ``argv`` reproduces the outputs byte for byte; the
 manifest sits beside the outputs so reruns stay byte-identical.
 
@@ -256,6 +256,19 @@ def blas_core():
     return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
 
 
+def simd_targets():
+    """numpy's dispatch targets that this CPU runs, in numpy's order, or None where numpy exposes none."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        try:
+            from numpy.core import _multiarray_umath
+        except ImportError:
+            return None
+    features = _multiarray_umath.__cpu_features__
+    return tuple(target for target in _multiarray_umath.__cpu_dispatch__ if features.get(target))
+
+
 # The verbs whose captures take their noise from the worker thread of ``phantom.disc_captures``.
 NOISE_THREAD_VERBS = ("calibrate", "characterize")
 
@@ -298,6 +311,7 @@ def _write_manifest(stage, args, inputs, outputs, started):
         "duration_s": round(time.monotonic() - started, 6),
         "blas_threads": blas_threads(),
         "blas_core": blas_core(),
+        "simd_targets": simd_targets(),
     }
     write_json(stage(target), doc)
 

@@ -1,5 +1,8 @@
 """Every artifact and every stdout of criterion 9's 100x80 pipeline, pinned by sha256.
 
+That pipeline's ``characterize`` writes a null threshold and force
+resolution, so a second run pins ``characterize`` at 100x80 on the hue
+oracle model, whose threshold (0.03 N) and resolution (0.005 N) are not null.
 ``test_capture_bytes.py`` pins the captures, which come out the same under
 every CPU kernel. The model, the depth maps, the detector, the reports and
 the characterize tables also round with the OpenBLAS kernel and numpy's SIMD
@@ -15,10 +18,12 @@ import io
 import json
 
 import pytest
-from numpy._core import _multiarray_umath
 
 import test_acceptance
-from phototact.cli import blas_core
+from conftest import linear_hue_model
+from phototact import defaults
+from phototact.calibration import save_model
+from phototact.cli import blas_core, simd_targets
 
 MADE_UNDER = ("SkylakeX", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
 ARTIFACTS = {
@@ -58,22 +63,28 @@ STDOUTS = {
     "characterize": "8ba88f1906bfbdefb209ead0c5f5c2c46c5690848f2ebd8187ac238b57c8bf31",
 }
 
+# The tables of test_oracle_characterize_bytes_are_pinned's output directory.
+ORACLE_CHARACTERIZE = {
+    "summary.json": "a7f0ae73c16a0164f47d471b54a8f2f441b6e2267a42e3d7572ecceb9eafb948",
+    "sweeps.csv": "a0d83bdecb14394e60e93b5edb3e357605de43ee114f5f5039d8c7434fb82f45",
+    "trials.csv": "38f5d3134d11270eb2754023b60c8085146dfa644bd4f15a12a799916753b73e",
+}
+ORACLE_CHARACTERIZE_STDOUT = "d33382f0af0ef33b0428d3e90c5213f83e351b494cf1e38c691b9309fe71a255"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def simd_targets():
-    """numpy's dispatch targets that this CPU runs, in numpy's order."""
-    features = _multiarray_umath.__cpu_features__
-    return tuple(target for target in _multiarray_umath.__cpu_dispatch__ if features.get(target))
-
-
-def test_pipeline_bytes_are_pinned(tmp_path, monkeypatch):
+def skip_unless_made_under():
     here = (blas_core(), simd_targets())
     if here != MADE_UNDER:
         pytest.skip(f"hashes made under OpenBLAS kernel {MADE_UNDER[0]} with SIMD targets {MADE_UNDER[1]}; "
                     f"this run has kernel {here[0]} with SIMD targets {here[1]}")
+
+
+def test_pipeline_bytes_are_pinned(tmp_path, monkeypatch):
+    skip_unless_made_under()
     stdouts = {}
 
     def recording(argv):
@@ -92,3 +103,18 @@ def test_pipeline_bytes_are_pinned(tmp_path, monkeypatch):
                  if path.is_file() and not path.name.endswith(".manifest.json")}
     assert artifacts == ARTIFACTS
     assert stdouts == STDOUTS
+
+
+def test_oracle_characterize_bytes_are_pinned(tmp_path):
+    """``characterize --seed 3`` at 100x80 on the hue oracle, whose threshold and force resolution are not null."""
+    skip_unless_made_under()
+    model = tmp_path / "oracle.json"
+    save_model(model, linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM))
+    out = tmp_path / "char"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = test_acceptance.dispatch(["characterize", *test_acceptance.SMALL, "--calibration", str(model),
+                                         "--seed", "3", "--out", str(out)])
+    assert code == 0
+    tables = {path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())}
+    assert tables == ORACLE_CHARACTERIZE
+    assert sha256(stdout.getvalue().encode()) == ORACLE_CHARACTERIZE_STDOUT

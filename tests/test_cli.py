@@ -594,7 +594,8 @@ def pipeline(tmp_path_factory):
         manifest = Path(f"{outputs[0]}.manifest.json")
         expected = {"command": verb, "argv": [verb, *config_argv(config)], "config": config,
                     "seed": config.get("seed"), "tool_version": pt.__version__, "inputs": inputs,
-                    "outputs": outputs, "blas_threads": verb_blas_threads(verb), "blas_core": cli.blas_core()}
+                    "outputs": outputs, "blas_threads": verb_blas_threads(verb), "blas_core": cli.blas_core(),
+                    "simd_targets": None if cli.simd_targets() is None else list(cli.simd_targets())}
         documents[verb] = (json.loads(manifest.read_text()), expected)
     return d, documents
 
@@ -616,6 +617,17 @@ class TestManifests:
             pinned = verb in ("calibrate", "characterize")
             assert manifest["blas_threads"] == (max(1, cli.blas_threads() - 1) if pinned else cli.blas_threads()), verb
             assert isinstance(manifest["blas_core"], str) and manifest["blas_core"], verb
+
+    def test_simd_targets_field(self, pipeline):
+        """The manifest names numpy's dispatch targets that this CPU runs, each once, in numpy's order."""
+        if cli.simd_targets() is None:
+            pytest.skip("numpy exposes no SIMD dispatch targets here")
+        _multiarray_umath = pytest.importorskip("numpy._core._multiarray_umath")
+        dispatched = list(_multiarray_umath.__cpu_dispatch__)
+        for verb, (manifest, _) in pipeline[1].items():
+            targets = manifest["simd_targets"]
+            assert targets == sorted(set(targets), key=dispatched.index), verb
+            assert all(_multiarray_umath.__cpu_features__[target] for target in targets), verb
 
     def test_phantom_argv_literal(self, pipeline):
         d = pipeline[0]

@@ -1,10 +1,11 @@
-"""Every public top-level function and class of ``src/phototact`` is used by other code in ``src/``.
+"""Every top-level function and class of ``src/phototact`` is used by other code in ``src/``.
 
 An entry point that no verb, phase or module calls is a second
 implementation of something the package already does, and the tests that
-check it check the wrong path.  The walk reads the ASTs of the package's
-modules: a name counts as used where another module, or its own module
-outside the definition, reads it as a name or an attribute.  The
+check it check the wrong path; a private helper that nothing calls any more
+is dead code that only its tests keep alive.  The walk reads the ASTs of the
+package's modules: a name counts as used where another module, or its own
+module outside the definition, reads it as a name or an attribute.  The
 re-exports in ``__init__.py`` do not count.
 """
 
@@ -23,11 +24,11 @@ def parsed_modules():
             if path.name != "__init__.py"}
 
 
-def public_definitions(modules):
-    """``{"module.name": node}`` of every top-level function and class whose name has no leading underscore."""
+def definitions(modules, private):
+    """``{"module.name": node}`` of every top-level function and class whose name has a leading underscore or not."""
     return {f"{module}.{node.name}": node for module, tree in modules.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+            and node.name.startswith("_") == private}
 
 
 def is_used(qualified, definition, modules):
@@ -41,16 +42,20 @@ def is_used(qualified, definition, modules):
     return False
 
 
-def unused_public_names(modules):
-    return {q for q, node in public_definitions(modules).items() if not is_used(q, node, modules)}
+def unused_names(modules, private=False):
+    return {q for q, node in definitions(modules, private).items() if not is_used(q, node, modules)}
 
 
 def test_every_public_definition_is_used_in_the_package():
-    assert sorted(unused_public_names(parsed_modules()) - TEST_ONLY) == []
+    assert sorted(unused_names(parsed_modules()) - TEST_ONLY) == []
+
+
+def test_every_private_definition_is_used_in_the_package():
+    assert sorted(unused_names(parsed_modules(), private=True)) == []
 
 
 def test_the_test_only_names_are_public_and_unused():
     """A name on the exception list that the package starts to use, or that is gone, comes off the list."""
     modules = parsed_modules()
-    assert TEST_ONLY <= set(public_definitions(modules))
-    assert TEST_ONLY <= unused_public_names(modules)
+    assert TEST_ONLY <= set(definitions(modules, private=False))
+    assert TEST_ONLY <= unused_names(modules)
