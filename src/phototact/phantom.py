@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -343,15 +343,6 @@ def _noisy_capture(clean, model: MembraneModel, seed: int, index=None) -> np.nda
     return out.reshape(clean.shape)
 
 
-class _InlineExecutor(Executor):
-    """An executor that runs each job on the caller's thread as it is submitted."""
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-
 def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry):
     """``(truth, ref_px, contact_px)`` for each (reference, contact) seed pair of each truth, in order.
 
@@ -364,16 +355,10 @@ def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry
     pair k + 1 is submitted just before pair k is yielded. numpy releases the
     interpreter lock while it draws and scales the noise, so the draw runs
     beside the consumer's work. The thread is joined when the stream ends, is
-    closed or raises. A stream of one pair leaves the thread nothing to
-    overlap, so it draws that pair on the consumer's thread; the one such
-    caller is :func:`~phototact.calibration.build_calib_dataset` at one
-    capture, as the benchmark's calibrate workload runs it (``--captures 1``).
+    closed or raises.
     """
     index = geom.disc_index
-    if sum(len(pairs) for pairs in seed_pairs) > 1:
-        pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
-    else:
-        pool = _InlineExecutor()
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
 
     def finished(truth, ref, contact):
         return truth, ref.result(), contact.result()

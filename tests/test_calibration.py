@@ -158,16 +158,21 @@ class TestCalibDataset:
         c = build_calib_dataset(2, 3.0, small_geometry, small_membrane, seed=10)
         assert not np.array_equal(a[0], c[0])
 
-    @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
-    def test_matches_full_frame_reference(self, request, which):
-        """Disc-pixel captures give the rows of full-frame readings through color_delta."""
+    @pytest.mark.parametrize("which, captures", [
+        pytest.param(which, captures, id=which if captures == 3 else f"{which}-one-capture")
+        for captures in (3, 1) for which in ("geometry", "small_geometry")])
+    def test_matches_full_frame_reference(self, request, which, captures):
+        """Disc-pixel captures give the rows of full-frame readings through color_delta.
+
+        One capture is the calibrate benchmark's ``--captures 1``: a stream of one pair.
+        """
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
-        features, depths = build_calib_dataset(3, 3.0, geom, membrane, seed=31)
-        draws = rng_stream(31, 12).random(3)
-        seeds = rng_stream(31, 13).integers(0, 2**62, size=6)
+        features, depths = build_calib_dataset(captures, 3.0, geom, membrane, seed=31)
+        draws = rng_stream(31, 12).random(captures)
+        seeds = rng_stream(31, 13).integers(0, 2**62, size=2 * captures)
         rows_x, rows_y = [], []
-        for i in range(3):
+        for i in range(captures):
             truth = sphere_press_truth(pt.MAX_DEPTH_MM * (1.0 - float(draws[i])), 3.0, geom)
             ref = render_reading(geom.zero_map(), membrane, int(seeds[2 * i]))
             contact = render_reading(truth, membrane, int(seeds[2 * i + 1]))

@@ -408,17 +408,6 @@ class TestNoiseWorker:
         assert np.array_equal(contact, render_reading(truth, small_membrane, 8).pixels[mask])
         assert next(stream, None) is None
 
-    def test_a_lone_pair_is_drawn_without_a_thread(self, small_geometry, small_membrane):
-        before = threading.enumerate()
-        truth = sphere_press_truth(0.3, 2.0, small_geometry)
-        stream = pt.disc_captures([truth], [[(1, 2)]], small_membrane, small_geometry)
-        _, ref, contact = next(stream)
-        assert threading.enumerate() == before
-        mask = small_geometry.disc_mask
-        assert np.array_equal(ref, render_reading(small_geometry.zero_map(), small_membrane, 1).pixels[mask])
-        assert np.array_equal(contact, render_reading(truth, small_membrane, 2).pixels[mask])
-        assert next(stream, None) is None
-
     def test_stopped_streams_leave_no_thread(self, small_geometry, small_membrane):
         before = threading.enumerate()
         truth = sphere_press_truth(0.3, 2.0, small_geometry)
