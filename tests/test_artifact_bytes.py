@@ -3,6 +3,7 @@
 That pipeline's ``characterize`` writes a null threshold and force
 resolution, so a second run pins ``characterize`` at 100x80 on the hue
 oracle model, whose threshold (0.03 N) and resolution (0.005 N) are not null.
+
 ``test_capture_bytes.py`` pins the captures, which come out the same under
 every CPU kernel. The model, the depth maps, the detector, the reports and
 the characterize tables also round with the OpenBLAS kernel and numpy's SIMD

@@ -618,17 +618,6 @@ class TestManifests:
             assert manifest["blas_threads"] == (max(1, cli.blas_threads() - 1) if pinned else cli.blas_threads()), verb
             assert isinstance(manifest["blas_core"], str) and manifest["blas_core"], verb
 
-    def test_simd_targets_field(self, pipeline):
-        """The manifest names numpy's dispatch targets that this CPU runs, each once, in numpy's order."""
-        if cli.simd_targets() is None:
-            pytest.skip("numpy exposes no SIMD dispatch targets here")
-        _multiarray_umath = pytest.importorskip("numpy._core._multiarray_umath")
-        dispatched = list(_multiarray_umath.__cpu_dispatch__)
-        for verb, (manifest, _) in pipeline[1].items():
-            targets = manifest["simd_targets"]
-            assert targets == sorted(set(targets), key=dispatched.index), verb
-            assert all(_multiarray_umath.__cpu_features__[target] for target in targets), verb
-
     def test_phantom_argv_literal(self, pipeline):
         d = pipeline[0]
         assert pipeline[1]["phantom"][0]["argv"] == [
