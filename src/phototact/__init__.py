@@ -26,12 +26,11 @@ from .phantom import (
     DatasetSpec,
     MembraneModel,
     PhantomConfig,
-    PhantomSample,
     clean_pixels,
     contact_solve,
+    dataset_presses,
     default_membrane,
     disc_captures,
-    generate_phantom_dataset,
     render_reading,
     sphere_press_truth,
     stiffness_field,

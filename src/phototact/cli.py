@@ -59,7 +59,7 @@ from .detection import (
 )
 from .imaging import SensorGeometry, load_dmap, load_ppm, parse_json, save_dmap, save_ppm, write_csv, write_json
 from .imprint import ImprintParams, augmented_imprint, color_delta
-from .phantom import DatasetSpec, PhantomConfig, contact_solve, default_membrane, generate_phantom_dataset, reading_pair
+from .phantom import DatasetSpec, PhantomConfig, contact_solve, dataset_presses, default_membrane, reading_pair
 
 # Seeds key uint64 Philox streams, and a phantom's reading pair doubles the seed (see phantom.reading_pair).
 SEED_LIMIT = 2**63
@@ -351,16 +351,22 @@ def _press_files(stem):
     return [f"{stem}_ref.ppm", f"{stem}_contact.ppm", f"{stem}_truth.dmap"]
 
 
+def _save_press(paths, cfg, seed, geom, membrane):
+    """Write the press of ``cfg`` at ``seed`` to the three ``_press_files`` paths ``paths``: its reading pair, then
+    its truth map. The captures are freed when this returns."""
+    truth = contact_solve(cfg, geom, membrane)
+    ref, contact = reading_pair(truth, membrane, seed)
+    save_ppm(paths[0], ref)
+    save_ppm(paths[1], contact)
+    save_dmap(paths[2], truth)
+
+
 def _cmd_phantom(args, stage):
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     cfg = _load_phantom_config(args)
-    truth = contact_solve(cfg, geom, membrane)
-    ref, contact = reading_pair(truth, membrane, args.seed)
     paths = _press_files(args.out_prefix)
-    save_ppm(stage(paths[0]), ref)
-    save_ppm(stage(paths[1]), contact)
-    save_dmap(stage(paths[2]), truth)
+    _save_press([stage(path) for path in paths], cfg, args.seed, geom, membrane)
     return [args.config] if args.config else [], paths
 
 
@@ -403,25 +409,19 @@ def _cmd_dataset(args, stage):
     geom = _geometry(args)
     membrane = _membrane(args, geom)
     spec = DatasetSpec() if args.spec == "default" else _read_config(DatasetSpec, args.spec)
-    samples = generate_phantom_dataset(spec, geom, membrane, args.seed)
+    presses = dataset_presses(spec, args.seed)
     out_dir = stage(args.out, directory=True)
-    write_csv(out_dir / "manifest.csv", DATASET_CSV_FIELDS, _dataset_rows(samples, out_dir))
+    write_csv(out_dir / "manifest.csv", DATASET_CSV_FIELDS, _dataset_rows(presses, out_dir, geom, membrane))
     return [] if args.spec == "default" else [args.spec], [str(Path(args.out))]
 
 
-def _dataset_rows(samples, out_dir):
-    """Each sample's manifest.csv row, yielded once its press files are saved in ``out_dir`` and the sample is
-    dropped, so no sample outlives its write."""
-    for s in samples:
-        ref, contact, truth = _press_files(out_dir / s.sample_id)
-        save_ppm(ref, s.reading_ref)
-        save_ppm(contact, s.reading_contact)
-        save_dmap(truth, s.truth)
-        tumor = s.config.tumor_present
-        row = [s.sample_id, s.label, s.config.ball_diameter_mm if tumor else "",
-               s.config.burial_depth_mm if tumor else "", s.config.applied_mass_g, s.sample_seed]
-        del s  # before the next sample renders
-        yield row
+def _dataset_rows(presses, out_dir, geom, membrane):
+    """Each press's manifest.csv row, yielded once its press files are saved in ``out_dir``."""
+    for sample_id, label, cfg, seed in presses:
+        _save_press(_press_files(out_dir / sample_id), cfg, seed, geom, membrane)
+        tumor = cfg.tumor_present
+        yield [sample_id, label, cfg.ball_diameter_mm if tumor else "", cfg.burial_depth_mm if tumor else "",
+               cfg.applied_mass_g, seed]
 
 
 def _read_dataset_features(dataset_dir, calib_model, geom):

@@ -446,19 +446,6 @@ class DatasetSpec:
         return _from_json_object(cls, "dataset spec", data, required=tuple(f.name for f in fields(cls)))
 
 
-@dataclass(frozen=True)
-class PhantomSample:
-    """One labeled press: capture pair, ground truth, and its provenance."""
-
-    sample_id: str
-    label: int                      # +1 tumor, -1 no tumor
-    config: PhantomConfig
-    reading_ref: RgbImage
-    reading_contact: RgbImage
-    truth: DeformationMap
-    sample_seed: int
-
-
 def _sample_configs(spec: DatasetSpec):
     for d in spec.diameters_mm:
         for depth in spec.burial_depths_mm:
@@ -476,14 +463,14 @@ def _sample_configs(spec: DatasetSpec):
             yield f"neg_m{mass:g}_p{press}", -1, cfg
 
 
-def generate_phantom_dataset(spec: DatasetSpec, geom: SensorGeometry, model: MembraneModel, seed: int):
-    """An iterator of :class:`PhantomSample` objects for the full protocol, in order.
+def dataset_presses(spec: DatasetSpec, seed: int):
+    """The protocol's presses in order, each a ``(sample_id, label, config, press_seed)`` tuple; label +1 is a tumor.
 
-    Every phantom config is built, and so validated, before this returns, and
-    a sample id that two configs share is rejected, since the second sample's
-    files would overwrite the first's; the samples are rendered as they are
-    consumed.  Sample seeds derive from ``seed`` and the sample index only, so
-    the stream is reproducible and independent of consumption pattern.
+    Every phantom config is built, and so validated, and a sample id that two
+    configs share is rejected, since the second press's files would overwrite
+    the first's. Nothing is rendered: a press is the ``phantom`` verb's press
+    of its config at its seed. The press seeds derive from ``seed`` and the
+    press index only.
     """
     configs = list(_sample_configs(spec))
     seen = set()
@@ -491,13 +478,5 @@ def generate_phantom_dataset(spec: DatasetSpec, geom: SensorGeometry, model: Mem
         if sample_id in seen:
             raise ValueError(f"dataset spec gives two samples the id {sample_id}")
         seen.add(sample_id)
-    return _render_samples(configs, sub_seeds(seed, STREAM_SAMPLE_SEEDS, len(configs)), geom, model)
-
-
-def _render_samples(configs, sample_seeds, geom: SensorGeometry, model: MembraneModel):
-    for (sample_id, label, cfg), sample_seed in zip(configs, sample_seeds):
-        sample_seed = int(sample_seed)
-        truth = contact_solve(cfg, geom, model)
-        # No name holds the reading pair, so a consumer that drops a sample frees its captures before the next renders.
-        yield PhantomSample(sample_id, label, cfg, *reading_pair(truth, model, sample_seed), truth, sample_seed)
-
+    press_seeds = sub_seeds(seed, STREAM_SAMPLE_SEEDS, len(configs))
+    return [(*press, int(press_seed)) for press, press_seed in zip(configs, press_seeds)]

@@ -7,6 +7,7 @@ runtime budgets where the criterion includes them.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -33,7 +34,8 @@ from phototact.phantom import (
     DatasetSpec,
     PhantomConfig,
     contact_solve,
-    generate_phantom_dataset,
+    dataset_presses,
+    reading_pair,
     render_reading,
     rng_stream,
     sphere_press_truth,
@@ -48,15 +50,19 @@ def report(num, name, ok, detail):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
+# The dataset seed of criterion 5's protocol.
+PHANTOM_SEED = 2024
+
+
 @pytest.fixture(scope="session")
 def phantom_features(geometry, membrane, calib_model, fixture_durations):
     """Features of the full 140+140 protocol, via the calibrated pipeline."""
     started = time.monotonic()
     features, labels = [], []
-    for sample in generate_phantom_dataset(DatasetSpec(), geometry, membrane, seed=2024):
-        recon = reconstruct(calib_model, sample.reading_ref, sample.reading_contact, geometry)
-        features.append(extract_features(recon))
-        labels.append(sample.label)
+    for _, label, cfg, press_seed in dataset_presses(DatasetSpec(), seed=PHANTOM_SEED):
+        ref, contact = reading_pair(contact_solve(cfg, geometry, membrane), membrane, press_seed)
+        features.append(extract_features(reconstruct(calib_model, ref, contact, geometry)))
+        labels.append(label)
     fixture_durations["phantom_features"] = time.monotonic() - started
     return np.array(features), np.array(labels)
 
@@ -207,9 +213,29 @@ class TestCriterion5Detection:
             and abs(w_sigma) > abs(w_mu)
             and elapsed <= 600.0
         )
+        print_cell_margins(labels * np.array(evaluate(model, features, labels).decision_values))
         report(5, "detection accuracy", ok,
                f"140+140 samples, train {train_acc:.0%}, test {test_acc:.0%}, "
                f"|w_sigma|={abs(w_sigma):.2f} > |w_mu|={abs(w_mu):.2f}, {elapsed:.0f}s incl. dataset")
+
+
+def print_cell_margins(margins):
+    """Print the least y * f(x) of criterion 5's presses in each (diameter, burial) cell, one line per diameter, and
+    the least over the negatives; ``margins`` holds each press's y * f(x) under criterion 5's detector, in protocol
+    order, and 1 is the SVM margin. A report, not a gate: its bound waits for ROADMAP item 8's sweep over the nine
+    calibration seeds."""
+    cells, negatives = {}, []
+    for (_, label, cfg, _), margin in zip(dataset_presses(DatasetSpec(), seed=PHANTOM_SEED), margins):
+        if label == 1:
+            cell = (cfg.ball_diameter_mm, cfg.burial_depth_mm)
+            cells[cell] = min(cells.get(cell, math.inf), margin)
+        else:
+            negatives.append(margin)
+    burials = sorted({burial for _, burial in cells})
+    print(f"\ncriterion 5, least y*f(x) per cell; columns: burial {', '.join(f'{b:g}' for b in burials)} mm")
+    for diameter in sorted({diameter for diameter, _ in cells}):
+        print(f"  {diameter:>2g} mm inclusion: {' '.join(f'{cells[diameter, b]:+7.2f}' for b in burials)}")
+    print(f"  negatives: {min(negatives):+.2f}")
 
 
 class TestCriterion6Decision:

@@ -1,13 +1,20 @@
-"""Artifact bytes do not depend on the BLAS thread count.
+"""Artifact bytes do not depend on the BLAS thread count, nor on the AVX-512 code paths an AVX-512 CPU selects.
 
 Each test process has one thread count, fixed when OpenBLAS loads, so the
-artifacts are made in two child processes, one with
-``OPENBLAS_NUM_THREADS=1`` and one with ``=2``, and their sha256 maps must be
-equal.  ``cli.dispatch`` runs ``calibrate`` and ``characterize`` at one BLAS
-thread fewer, so the model is trained outside ``dispatch``, at the child's
-count, and so are its depths inferred.
+artifacts are made in child processes, one with ``OPENBLAS_NUM_THREADS=1``
+and one with ``=2``, and their sha256 maps must be equal.  ``cli.dispatch``
+runs ``calibrate`` and ``characterize`` at one BLAS thread fewer, so the
+model is trained outside ``dispatch``, at the child's count, and so are its
+depths inferred.  On a CPU with AVX-512, two more children at 2 threads
+force a path that such a CPU may or may not select, and must give the
+2-thread map: OpenBLAS's SkylakeX kernel (``OPENBLAS_CORETYPE``), and numpy
+without its X86_V4 and later targets (``NPY_DISABLE_CPU_FEATURES``), which
+leaves X86_V3.  Forcing the older Haswell kernel changes 12 of the 28
+artifacts (the models, the depths, the SVM fits, the characterize tables,
+the depth map, the detector and the reports), so it is not compared.
 Run as a script, ``python tests/test_blas_threads.py DIR`` makes the artifacts
-in DIR and prints their sha256 map as the last line of stdout.
+in DIR and prints, as the last line of stdout, a JSON object: the OpenBLAS
+kernel and numpy SIMD targets it ran under, and the artifacts' sha256 map.
 """
 
 import hashlib
@@ -18,6 +25,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TESTS = Path(__file__).resolve().parent
 
@@ -69,10 +77,12 @@ def artifact_hashes(root: Path) -> dict:
     return hashes
 
 
-def hashes_at(threads: int, root: Path) -> dict:
+def made_in_child(threads: int, root: Path, **forced) -> dict:
+    """The script's JSON object from a child process at ``threads`` BLAS threads, with the ``forced`` variables
+    added to its environment, making its artifacts in ``root``."""
     root.mkdir()
     src = str(TESTS.parent / "src")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+    env = {**os.environ, **forced, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, __file__, str(root)], env=env, capture_output=True, text=True,
                           timeout=600)
@@ -80,12 +90,43 @@ def hashes_at(threads: int, root: Path) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path):
-    one = hashes_at(1, tmp_path / "one")
-    two = hashes_at(2, tmp_path / "two")
+def differing(one: dict, two: dict) -> list:
+    return sorted(name for name in one.keys() | two.keys() if one.get(name) != two.get(name))
+
+
+@pytest.fixture(scope="module")
+def two_threads(tmp_path_factory):
+    return made_in_child(2, tmp_path_factory.mktemp("blas") / "two")
+
+
+def test_artifacts_equal_at_one_and_two_blas_threads(tmp_path, two_threads):
+    one = made_in_child(1, tmp_path / "one")["hashes"]
     assert len(one) >= 19  # the model, the depths, the two fits and at least criterion 9's 15 artifacts
-    assert sorted(name for name in one.keys() | two.keys() if one.get(name) != two.get(name)) == []
+    assert differing(one, two_threads["hashes"]) == []
+
+
+def runs_avx512():
+    """Whether numpy dispatches AVX-512 code here (X86_V4 in numpy 2.4, AVX512_SKX before it). Forcing the
+    SkylakeX kernel on a CPU without AVX-512 stops the process with an illegal instruction."""
+    from phototact.cli import simd_targets
+
+    return bool({"X86_V4", "AVX512_SKX"} & set(simd_targets() or ()))
+
+
+@pytest.mark.skipif(not runs_avx512(), reason="the forced paths need a CPU with AVX-512")
+@pytest.mark.parametrize("forced, took_effect", [
+    ({"OPENBLAS_CORETYPE": "SkylakeX"}, lambda core, targets: core == "SkylakeX"),
+    ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+     lambda core, targets: not {"X86_V4", "AVX512_SKX"} & set(targets)),
+], ids=["openblas-skylakex", "numpy-x86-v3"])
+def test_artifacts_equal_under_forced_avx512_paths(tmp_path, two_threads, forced, took_effect):
+    made = made_in_child(2, tmp_path / "forced", **forced)
+    assert took_effect(made["blas_core"], made["simd_targets"]), made
+    assert differing(made["hashes"], two_threads["hashes"]) == []
 
 
 if __name__ == "__main__":
-    print(json.dumps(artifact_hashes(Path(sys.argv[1])), sort_keys=True))
+    from phototact.cli import blas_core, simd_targets
+
+    hashes = artifact_hashes(Path(sys.argv[1]))
+    print(json.dumps({"blas_core": blas_core(), "simd_targets": simd_targets(), "hashes": hashes}, sort_keys=True))

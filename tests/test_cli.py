@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -324,15 +325,32 @@ class TestDatasetVerbs:
     def test_dataset_holds_one_sample_at_a_time(self, tmp_path, tiny_spec, monkeypatch):
         """No earlier sample is alive while the next one renders: its captures are freed once they are written."""
         alive = []
-        render = phantom.reading_pair
+        render = cli.reading_pair
 
         def counting(*args):
-            alive.append(sum(isinstance(o, phantom.PhantomSample) for o in gc.get_objects()))
+            alive.append(sum(isinstance(o, pt.RgbImage) for o in gc.get_objects()))
             return render(*args)
 
-        monkeypatch.setattr(phantom, "reading_pair", counting)
+        monkeypatch.setattr(cli, "reading_pair", counting)
         assert run(["dataset", *SMALL, "--spec", tiny_spec, "--out", tmp_path / "data"]) == 0
         assert len(alive) == 8 and max(alive) == 0
+
+    def test_dataset_press_is_the_phantom_press(self, tmp_path, tiny_spec):
+        """A dataset sample's three files are the bytes ``phantom`` writes for its config at its manifest seed."""
+        data = tmp_path / "data"
+        assert run(["dataset", *SMALL, "--spec", tiny_spec, "--seed", 7, "--out", data]) == 0
+        with (data / "manifest.csv").open(newline="") as fh:
+            rows = {row["sample_id"]: row for row in csv.DictReader(fh)}
+        presses = {"pos_d8_b2_p1": ["--diameter", rows["pos_d8_b2_p1"]["ball_diameter_mm"],
+                                    "--burial", rows["pos_d8_b2_p1"]["burial_depth_mm"]],
+                   "neg_m1200_p0": ["--no-tumor"]}
+        for sample_id, flags in presses.items():
+            row, prefix = rows[sample_id], tmp_path / "phantom" / sample_id
+            prefix.parent.mkdir(exist_ok=True)
+            assert run(["phantom", *SMALL, *flags, "--mass", row["applied_mass_g"], "--seed", row["seed"],
+                        "--out-prefix", prefix]) == 0
+            for written, pressed in zip(cli._press_files(data / sample_id), cli._press_files(prefix)):
+                assert Path(written).read_bytes() == Path(pressed).read_bytes(), written
 
     def test_detector_training_and_evaluate(self, tmp_path, tiny_spec, tiny_model_path, capsys):
         data = tmp_path / "data"

@@ -26,7 +26,7 @@ from phototact.detection import (
     train_svm,
 )
 from phototact.imaging import DeformationMap
-from phototact.phantom import DatasetSpec, generate_phantom_dataset
+from phototact.phantom import DatasetSpec, contact_solve, dataset_presses
 
 
 def paper_boundary_model():
@@ -65,8 +65,9 @@ class TestExtractFeatures:
     def test_tumor_sigma_exceeds_matched_negative(self, small_geometry, small_membrane):
         spec = DatasetSpec(diameters_mm=(6.0,), burial_depths_mm=(3.0,), presses_per_positive=1,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=1)
-        samples = {s.label: s for s in generate_phantom_dataset(spec, small_geometry, small_membrane, seed=6)}
-        assert extract_features(samples[1].truth)[1] > extract_features(samples[-1].truth)[1]
+        truths = {label: contact_solve(cfg, small_geometry, small_membrane)
+                  for _, label, cfg, _ in dataset_presses(spec, seed=6)}
+        assert extract_features(truths[1])[1] > extract_features(truths[-1])[1]
 
 
 class TestStandardizer:

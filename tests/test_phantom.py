@@ -15,8 +15,8 @@ from phototact.phantom import (
     DatasetSpec,
     PhantomConfig,
     contact_solve,
+    dataset_presses,
     deformed_hsv,
-    generate_phantom_dataset,
     reading_pair,
     render_reading,
     rng_stream,
@@ -558,49 +558,58 @@ class TestDataset:
         assert spec.n_positive == 140
         assert spec.n_negative == 140
 
-    def test_generated_counts_and_masses(self, small_geometry, small_membrane):
+    def test_generated_counts_and_masses(self):
         spec = DatasetSpec(presses_per_positive=1, presses_per_negative_mass=2)
-        samples = list(generate_phantom_dataset(spec, small_geometry, small_membrane, seed=3))
-        positives = [s for s in samples if s.label == 1]
-        negatives = [s for s in samples if s.label == -1]
+        presses = dataset_presses(spec, seed=3)
+        positives = [cfg for _, label, cfg, _ in presses if label == 1]
+        negatives = [cfg for _, label, cfg, _ in presses if label == -1]
         assert len(positives) == 35 and len(negatives) == 8
-        assert all(s.config.applied_mass_g == 1000.0 for s in positives)
-        assert sorted({s.config.applied_mass_g for s in negatives}) == [1000.0, 1100.0, 1200.0, 1300.0]
+        assert all(cfg.applied_mass_g == 1000.0 for cfg in positives)
+        assert sorted({cfg.applied_mass_g for cfg in negatives}) == [1000.0, 1100.0, 1200.0, 1300.0]
 
-    def test_full_protocol_counts(self, small_geometry, small_membrane):
-        samples = list(generate_phantom_dataset(DatasetSpec(), small_geometry, small_membrane, seed=3))
-        assert sum(1 for s in samples if s.label == 1) == 140
-        assert sum(1 for s in samples if s.label == -1) == 140
-        diam_depth = {(s.config.ball_diameter_mm, s.config.burial_depth_mm) for s in samples if s.label == 1}
+    def test_full_protocol_counts(self):
+        presses = dataset_presses(DatasetSpec(), seed=3)
+        assert sum(1 for _, label, _, _ in presses if label == 1) == 140
+        assert sum(1 for _, label, _, _ in presses if label == -1) == 140
+        diam_depth = {(cfg.ball_diameter_mm, cfg.burial_depth_mm) for _, label, cfg, _ in presses if label == 1}
         assert len(diam_depth) == 35
 
     def test_deterministic_bytes(self, small_geometry, small_membrane):
         spec = DatasetSpec(diameters_mm=(4.0,), burial_depths_mm=(2.0,), presses_per_positive=2,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=2)
-        first = list(generate_phantom_dataset(spec, small_geometry, small_membrane, seed=11))
-        second = list(generate_phantom_dataset(spec, small_geometry, small_membrane, seed=11))
-        for a, b in zip(first, second):
-            assert a.sample_id == b.sample_id
-            assert np.array_equal(a.reading_ref.pixels, b.reading_ref.pixels)
-            assert np.array_equal(a.reading_contact.pixels, b.reading_contact.pixels)
-            assert np.array_equal(a.truth.depths, b.truth.depths)
-        third = list(generate_phantom_dataset(spec, small_geometry, small_membrane, seed=12))
-        assert not np.array_equal(first[0].reading_ref.pixels, third[0].reading_ref.pixels)
+
+        def rendered(seed):
+            """(sample_id, reference, contact, truth) of each press of ``spec`` at dataset seed ``seed``."""
+            presses = []
+            for sample_id, _, cfg, press_seed in dataset_presses(spec, seed):
+                truth = contact_solve(cfg, small_geometry, small_membrane)
+                presses.append((sample_id, *reading_pair(truth, small_membrane, press_seed), truth))
+            return presses
+
+        first, second = rendered(11), rendered(11)
+        for (id_a, ref_a, contact_a, truth_a), (id_b, ref_b, contact_b, truth_b) in zip(first, second):
+            assert id_a == id_b
+            assert np.array_equal(ref_a.pixels, ref_b.pixels)
+            assert np.array_equal(contact_a.pixels, contact_b.pixels)
+            assert np.array_equal(truth_a.depths, truth_b.depths)
+        third = rendered(12)
+        assert not np.array_equal(first[0][1].pixels, third[0][1].pixels)
 
     def test_tumor_sigma_exceeds_matched_negative(self, small_geometry, small_membrane):
         spec = DatasetSpec(diameters_mm=(6.0,), burial_depths_mm=(3.0,), presses_per_positive=1,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=1)
-        samples = {s.label: s for s in generate_phantom_dataset(spec, small_geometry, small_membrane, seed=4)}
+        truths = {label: contact_solve(cfg, small_geometry, small_membrane)
+                  for _, label, cfg, _ in dataset_presses(spec, seed=4)}
         mask = small_geometry.disc_mask
-        sigma_pos = samples[1].truth.depths[mask].std()
-        sigma_neg = samples[-1].truth.depths[mask].std()
+        sigma_pos = truths[1].depths[mask].std()
+        sigma_neg = truths[-1].depths[mask].std()
         assert sigma_pos > sigma_neg
 
     @pytest.mark.parametrize("diameters", [(4.0, 4.0000001), (4.0, 6.0, 4.0)])
-    def test_repeated_sample_id_rejected(self, small_geometry, small_membrane, diameters):
+    def test_repeated_sample_id_rejected(self, diameters):
         spec = DatasetSpec(diameters_mm=diameters, burial_depths_mm=(2.0,), presses_per_positive=1)
         with pytest.raises(ValueError, match="two samples the id pos_d4_b2_p0$"):
-            generate_phantom_dataset(spec, small_geometry, small_membrane, seed=3)
+            dataset_presses(spec, seed=3)
 
     def test_grams_to_newtons(self):
         assert PhantomConfig(tumor_present=False, applied_mass_g=1000.0).force_n == pytest.approx(9.80665)
