@@ -51,14 +51,12 @@ from .calibration import (
 from .detection import (
     DetectorModel,
     EvalReport,
-    Standardizer,
     classify,
     decision_value,
     depth_features,
     evaluate,
     extract_features,
     fit_detector,
-    fit_standardizer,
     load_detector,
     save_detector,
     stratified_split,

@@ -10,7 +10,7 @@ strictly positive; exact ties fall on the "no-tumor" side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,59 +42,44 @@ def extract_features(dmap: DeformationMap):
     return depth_features(dmap.depths[dmap.mask].astype(np.float64))
 
 
-@dataclass(frozen=True)
-class Standardizer:
-    """Per-feature affine transform to zero mean, unit variance."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        mean = frozen_array(self.mean, np.float64)
-        std = frozen_array(self.std, np.float64)
-        if mean.shape != std.shape or mean.ndim != 1:
-            raise ValueError("mean and std must be matching 1-D vectors")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
-            raise ValueError("standardization constants must be finite")
-        if np.any(std <= 0):
-            raise ValueError("zero variance feature")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-
-    def apply(self, features):
-        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
-
-
-def fit_standardizer(features) -> Standardizer:
-    """Fit on an (N, F) matrix using population (divide-by-N) variance."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need at least two samples to standardize")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
-    return Standardizer(mean=x.mean(axis=0), std=x.std(axis=0))
+def _standardization(mean, std):
+    """Read-only float64 copies of the (mu, sigma) standardization constants ``mean`` and ``std``, checked."""
+    mean, std = frozen_array(mean, np.float64), frozen_array(std, np.float64)
+    if mean.shape != (2,) or std.shape != (2,):
+        raise ValueError("the standardizer must hold one mean and one std per feature (mu, sigma)")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+        raise ValueError("standardization constants must be finite")
+    if np.any(std <= 0):
+        raise ValueError("zero variance feature")
+    return mean, std
 
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Linear decision function over standardized (mu, sigma) features."""
+    """Linear decision function over (mu, sigma) features standardized with the training rows' mean and std."""
 
-    standardizer: Standardizer
+    mean: np.ndarray               # (mu, sigma) of the training rows
+    std: np.ndarray                # their population std, per feature
     weights: np.ndarray            # (w_mu, w_sigma), standardized space
     bias: float
     training_meta: dict | None = None
 
     def __post_init__(self):
+        mean, std = _standardization(self.mean, self.std)
         w = frozen_array(self.weights, np.float64)
         if w.shape != (2,):
             raise ValueError("weights must be (w_mu, w_sigma)")
-        if self.standardizer.mean.shape != (2,):
-            raise ValueError("the standardizer must hold one mean and one std per feature (mu, sigma)")
         if not (np.all(np.isfinite(w)) and math.isfinite(self.bias)):
             raise ValueError("weights and bias must be finite")
         if not np.any(w != 0):
             raise ValueError("weights must not both be zero")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
         object.__setattr__(self, "weights", w)
+
+    def standardize(self, features):
+        """(mu, sigma) rows in the standardized space of the weights."""
+        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
 
 def _label_array(labels):
@@ -104,7 +89,7 @@ def _label_array(labels):
     return y
 
 
-def train_svm(standardized, labels, c: float = 1.0, standardizer: Standardizer | None = None) -> DetectorModel:
+def train_svm(standardized, labels, c: float = 1.0) -> DetectorModel:
     """Linear soft-margin SVM, solved exactly by SMO on its dual (Platt 1998).
 
     Minimizes ||w||^2/2 + c * sum(hinge) with an unregularized bias.  Each step
@@ -113,6 +98,7 @@ def train_svm(standardized, labels, c: float = 1.0, standardizer: Standardizer |
     gap is ``_SMO_TOLERANCE`` or less, first moving free rows that outnumber their
     constraints to a bound along directions that keep w.  The bias is the mean
     score of the free support vectors, or LIBSVM's midpoint when none is free.
+    The record's standardization is the identity: its rows are standardized already.
     """
     z = np.asarray(standardized, dtype=np.float64)
     y = _label_array(labels)
@@ -124,8 +110,6 @@ def train_svm(standardized, labels, c: float = 1.0, standardizer: Standardizer |
         raise ValueError("both classes must be present")
     if not 0 < c < math.inf:
         raise ValueError("regularization parameter must be positive and finite")
-    if standardizer is None:
-        standardizer = Standardizer(mean=np.zeros(z.shape[1]), std=np.ones(z.shape[1]))
 
     gram = sum(np.multiply.outer(column, column) for column in z.T)  # no BLAS call, so no thread-count dependence
     # The dual variables as beta = y * alpha, which lies in [0, c] on a tumor row and in [-c, 0] on the others.
@@ -169,24 +153,28 @@ def train_svm(standardized, labels, c: float = 1.0, standardizer: Standardizer |
         raise ValueError(f"no linear boundary beats a constant label at c={c}: the SVM optimum has zero weights")
     dual = float(np.abs(beta).sum()) - float(w @ w) / 2.0
     meta = {"c": c, "iterations": steps, "converged": bool(converged), "duality_gap": primal - dual}
-    return DetectorModel(standardizer=standardizer, weights=w, bias=b, training_meta=meta)
+    return DetectorModel(mean=np.zeros(2), std=np.ones(2), weights=w, bias=b, training_meta=meta)
 
 
 def fit_detector(features, labels, c: float = 1.0) -> DetectorModel:
-    """Standardize raw (mu, sigma) features, then train the classifier."""
+    """Standardize raw (mu, sigma) rows by their population (divide-by-N) mean and std, then train the classifier."""
     x = np.asarray(features, dtype=np.float64)
     if x.size and not x.any():
         raise ValueError(
             "zero variance feature: every (mu, sigma) is (0, 0), so the calibration model"
             " reconstructs zero depth for every sample"
         )
-    standardizer = fit_standardizer(x)
-    return train_svm(standardizer.apply(x), labels, c=c, standardizer=standardizer)
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise ValueError("need at least two samples to standardize")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
+    mean, std = _standardization(x.mean(axis=0), x.std(axis=0))
+    return replace(train_svm((x - mean) / std, labels, c=c), mean=mean, std=std)
 
 
 def decision_value(model: DetectorModel, features) -> float:
     """Signed distance-like score of one [mu, sigma] row; positive means tumor."""
-    z = model.standardizer.apply(features)
+    z = model.standardize(features)
     return float(model.weights @ z + model.bias)
 
 
@@ -254,7 +242,7 @@ def save_detector(path, model: DetectorModel):
         "version": _DETECTOR_VERSION,
         "weights": {"mu": model.weights[0], "sigma": model.weights[1]},
         "bias": model.bias,
-        "standardizer": {"mean": model.standardizer.mean.tolist(), "std": model.standardizer.std.tolist()},
+        "standardizer": {"mean": model.mean.tolist(), "std": model.std.tolist()},
         "label_convention": "decision_value > 0 => tumor",
         "training": model.training_meta or {},
     })
@@ -263,12 +251,9 @@ def save_detector(path, model: DetectorModel):
 def load_detector(path) -> DetectorModel:
     doc = read_json(path, "detector", _DETECTOR_FORMAT, _DETECTOR_VERSION)
     try:
-        standardizer = Standardizer(
+        return DetectorModel(
             mean=[json_number(x) for x in doc["standardizer"]["mean"]],
             std=[json_number(x) for x in doc["standardizer"]["std"]],
-        )
-        return DetectorModel(
-            standardizer=standardizer,
             weights=[json_number(doc["weights"][k]) for k in ("mu", "sigma")],
             bias=json_number(doc["bias"]),
             training_meta=doc.get("training") or None,

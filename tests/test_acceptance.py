@@ -20,7 +20,6 @@ from phototact.characterization import IndenterRig, characterize, hysteresis, re
 from phototact.cli import dispatch
 from phototact.detection import (
     DetectorModel,
-    Standardizer,
     classify,
     decision_value,
     evaluate,
@@ -241,7 +240,8 @@ def print_cell_margins(margins):
 class TestCriterion6Decision:
     def test_stored_boundary_arithmetic(self):
         model = DetectorModel(
-            standardizer=Standardizer(mean=np.zeros(2), std=np.ones(2)),
+            mean=np.zeros(2),
+            std=np.ones(2),
             weights=np.array([0.33, 4.80]),
             bias=4.53,
         )

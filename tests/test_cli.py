@@ -18,7 +18,7 @@ import pytest
 import phototact as pt
 from phototact import calibration, characterization, cli, phantom
 from phototact.cli import dispatch
-from phototact.detection import DetectorModel, Standardizer, save_detector
+from phototact.detection import DetectorModel, save_detector
 
 SMALL = ["--width", "100", "--height", "80", "--mm-per-pixel", "0.1"]
 # A sensing disc between the pixel centers of an even-sized image, so it holds none.
@@ -406,7 +406,8 @@ class TestDetectVerb:
         save_detector(
             detector,
             DetectorModel(
-                standardizer=Standardizer(mean=np.array([0.3, 0.02]), std=np.array([0.05, 0.01])),
+                mean=np.array([0.3, 0.02]),
+                std=np.array([0.05, 0.01]),
                 weights=np.array([0.33, 4.80]),
                 bias=4.53,
             ),

@@ -113,8 +113,7 @@ ARRAY_OWNERS = {
         "feature_shift": np.zeros(LAYER_SIZES[0], np.float32),
         "feature_scale": np.ones(LAYER_SIZES[0], np.float32),
     }),
-    "Standardizer": (pt.Standardizer, lambda: {"mean": np.zeros(2), "std": np.ones(2)}),
-    "DetectorModel": (pt.DetectorModel, lambda: {"standardizer": pt.Standardizer(np.zeros(2), np.ones(2)),
+    "DetectorModel": (pt.DetectorModel, lambda: {"mean": np.zeros(2), "std": np.ones(2),
                                                  "weights": np.array([1.0, 0.5]), "bias": 0.0}),
     "ForceSweep": (pt.ForceSweep, lambda: {"forces": np.array([0.1, 0.2]), "max_depths": np.zeros(2),
                                            "mean_depths": np.zeros(2), "direction": "loading"}),

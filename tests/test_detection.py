@@ -12,14 +12,12 @@ from phototact.detection import (
     NO_TUMOR,
     TUMOR,
     DetectorModel,
-    Standardizer,
     classify,
     decision_value,
     depth_features,
     evaluate,
     extract_features,
     fit_detector,
-    fit_standardizer,
     load_detector,
     save_detector,
     stratified_split,
@@ -32,7 +30,8 @@ from phototact.phantom import DatasetSpec, contact_solve, dataset_presses
 def paper_boundary_model():
     # stored coefficients of the published decision boundary, tumor side positive
     return DetectorModel(
-        standardizer=Standardizer(mean=np.zeros(2), std=np.ones(2)),
+        mean=np.zeros(2),
+            std=np.ones(2),
         weights=np.array([0.33, 4.80]),
         bias=4.53,
     )
@@ -71,27 +70,30 @@ class TestExtractFeatures:
 
 
 class TestStandardizer:
+    """The detector's standardization: fit_detector's population mean and std, applied by DetectorModel.standardize."""
+
     def test_two_values(self):
-        std = fit_standardizer(np.array([[1.0, 1.0], [3.0, 3.0]]))
-        assert np.allclose(std.mean, [2.0, 2.0]) and np.allclose(std.std, [1.0, 1.0])
-        assert np.allclose(std.apply(np.array([1.0, 3.0])), [-1.0, 1.0])
+        model = fit_detector(np.array([[1.0, 1.0], [3.0, 3.0]]), np.array([1, -1]))
+        assert np.allclose(model.mean, [2.0, 2.0]) and np.allclose(model.std, [1.0, 1.0])
+        assert np.allclose(model.standardize(np.array([1.0, 3.0])), [-1.0, 1.0])
 
     def test_train_set_becomes_zero_mean_unit_variance(self):
         rng = np.random.default_rng(0)
         x = rng.normal(3.0, 2.5, size=(200, 2))
-        std = fit_standardizer(x)
-        z = std.apply(x)
+        z = fit_detector(x, np.where(x[:, 1] > 3.0, 1, -1)).standardize(x)
         assert np.abs(z.mean(axis=0)).max() < 1e-9
         assert np.abs(z.std(axis=0) - 1.0).max() < 1e-9
 
     def test_mean_sample_maps_to_zero(self):
         x = np.array([[1.0, 5.0], [2.0, 7.0], [3.0, 9.0]])
-        std = fit_standardizer(x)
-        assert np.allclose(std.apply(x.mean(axis=0)), [0.0, 0.0], atol=1e-12)
+        model = fit_detector(x, np.array([-1, -1, 1]))
+        assert np.allclose(model.standardize(x.mean(axis=0)), [0.0, 0.0], atol=1e-12)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="zero variance"):
-            fit_standardizer(np.array([[1.0, 2.0], [1.0, 3.0]]))
+            fit_detector(np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([1, -1]))
+        with pytest.raises(ValueError, match="zero variance"):
+            DetectorModel(mean=np.zeros(2), std=np.array([1.0, 0.0]), weights=np.ones(2), bias=0.0)
 
     def test_all_zero_features_name_the_calibration_model(self):
         # a calibration model that clamps every depth to 0 gives (0, 0) for every press
@@ -100,7 +102,7 @@ class TestStandardizer:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="two samples"):
-            fit_standardizer(np.array([[1.0, 2.0]]))
+            fit_detector(np.array([[1.0, 2.0]]), np.array([1]))
 
 
 class TestTrainSvm:
@@ -287,7 +289,8 @@ class TestDecision:
 
     def test_tie_is_no_tumor(self):
         model = DetectorModel(
-            standardizer=Standardizer(mean=np.zeros(2), std=np.ones(2)),
+            mean=np.zeros(2),
+            std=np.ones(2),
             weights=np.array([1.0, 0.0]),
             bias=0.0,
         )
@@ -310,7 +313,8 @@ class TestDecision:
 class TestEvaluate:
     def test_all_tumor_set_with_always_tumor_model(self):
         model = DetectorModel(
-            standardizer=Standardizer(mean=np.zeros(2), std=np.ones(2)),
+            mean=np.zeros(2),
+            std=np.ones(2),
             weights=np.array([0.0, 1.0]),
             bias=100.0,
         )
@@ -426,7 +430,7 @@ class TestDetectorFiles:
         ],
     )
     def test_rejects_bad_values(self, tmp_path, changes, message):
-        model = DetectorModel(standardizer=Standardizer(mean=np.array([0.3, 0.02]), std=np.array([0.05, 0.01])),
+        model = DetectorModel(mean=np.array([0.3, 0.02]), std=np.array([0.05, 0.01]),
                               weights=np.array([0.33, 4.80]), bias=4.53)
         path = tmp_path / "x.json"
         save_detector(path, model)
