@@ -47,6 +47,7 @@ from .calibration import (
 )
 from .characterization import IndenterRig, characterize
 from .detection import (
+    check_regularization,
     classify,
     decision_value,
     depth_features,
@@ -379,15 +380,15 @@ def _cmd_imprint(args, stage):
 
 
 def _cmd_calibrate(args, stage):
-    geom = _geometry(args)
-    membrane = _membrane(args, geom)
-    features, depths = build_calib_dataset(args.captures, args.sphere_radius, geom, membrane, args.seed)
     cfg = TrainConfig(
         learning_rate=args.learning_rate,
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
     )
+    geom = _geometry(args)
+    membrane = _membrane(args, geom)
+    features, depths = build_calib_dataset(args.captures, args.sphere_radius, geom, membrane, args.seed)
     model = train_mlp(features, depths, cfg)
     save_model(stage(args.out), model)
     return [], [args.out]
@@ -424,10 +425,9 @@ def _dataset_rows(presses, out_dir, geom, membrane):
                cfg.applied_mass_g, seed]
 
 
-def _read_dataset_features(dataset_dir, calib_model, geom):
-    """(features, labels, sample_ids) from a dataset directory, via reconstruction."""
-    dataset_dir = Path(dataset_dir)
-    manifest = dataset_dir / "manifest.csv"
+def _read_dataset_manifest(dataset_dir):
+    """(sample_ids, labels) of a dataset directory, from its manifest.csv."""
+    manifest = Path(dataset_dir) / "manifest.csv"
     if not manifest.exists():
         raise ValueError(f"missing dataset manifest {manifest}")
     try:
@@ -438,27 +438,38 @@ def _read_dataset_features(dataset_dir, calib_model, geom):
         raise ValueError(f"dataset manifest {manifest} is not a readable CSV table: {err}") from None
     if header != DATASET_CSV_FIELDS:
         raise ValueError(f"dataset manifest {manifest} must have the header {','.join(DATASET_CSV_FIELDS)}")
-    features, labels, ids = [], [], []
+    labels, ids = [], []
     for row in rows:
         sample_id = row["sample_id"]
         if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id or not sample_id.isprintable():
             raise ValueError(f"dataset manifest {manifest}: sample id {sample_id!r} is not a file name stem")
         if row["label"] not in ("1", "-1"):
             raise ValueError(f"dataset manifest {manifest}: label {row['label']!r} of {sample_id!r} is not 1 or -1")
-        ref, contact, _ = _press_files(dataset_dir / sample_id)
-        features.append(depth_features(disc_depths(calib_model, color_delta(load_ppm(ref), load_ppm(contact), geom))))
+        if sample_id in ids:
+            raise ValueError(f"dataset manifest {manifest} lists the sample id {sample_id!r} twice")
         labels.append(int(row["label"]))
         ids.append(sample_id)
     if not ids:
         raise ValueError(f"dataset manifest {manifest} lists no sample")
-    return np.array(features), np.array(labels), ids
+    return ids, np.array(labels)
+
+
+def _dataset_features(dataset_dir, sample_ids, calib_model, geom):
+    """The (mu, sigma) row of each sample of a dataset directory, from its reconstructed depths."""
+    features = []
+    for sample_id in sample_ids:
+        ref, contact, _ = _press_files(Path(dataset_dir) / sample_id)
+        features.append(depth_features(disc_depths(calib_model, color_delta(load_ppm(ref), load_ppm(contact), geom))))
+    return np.array(features)
 
 
 def _cmd_train_detector(args, stage):
     geom = _geometry(args)
     calib = load_model(args.calibration)
-    features, labels, _ = _read_dataset_features(args.dataset, calib, geom)
+    ids, labels = _read_dataset_manifest(args.dataset)
     train_idx, test_idx = stratified_split(labels, train_fraction=args.train_fraction, seed=args.seed)
+    check_regularization(args.c)
+    features = _dataset_features(args.dataset, ids, calib, geom)
     detector = fit_detector(features[train_idx], labels[train_idx], c=args.c)
     save_detector(stage(args.out), detector)
     train_report = evaluate(detector, features[train_idx], labels[train_idx])
@@ -494,7 +505,8 @@ def _cmd_evaluate(args, stage):
     geom = _geometry(args)
     calib = load_model(args.calibration)
     detector = load_detector(args.detector)
-    features, labels, ids = _read_dataset_features(args.dataset, calib, geom)
+    ids, labels = _read_dataset_manifest(args.dataset)
+    features = _dataset_features(args.dataset, ids, calib, geom)
     report = evaluate(detector, features, labels)
     rows = [(sid, int(lab), float(f[0]), float(f[1]), dv)
             for sid, lab, f, dv in zip(ids, labels, features, report.decision_values)]

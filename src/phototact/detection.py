@@ -89,6 +89,12 @@ def _label_array(labels):
     return y
 
 
+def check_regularization(c):
+    """Refuse an SVM regularization parameter ``c`` that is not positive and finite."""
+    if not 0 < c < math.inf:
+        raise ValueError("regularization parameter must be positive and finite")
+
+
 def train_svm(standardized, labels, c: float = 1.0) -> DetectorModel:
     """Linear soft-margin SVM, solved exactly by SMO on its dual (Platt 1998).
 
@@ -108,8 +114,7 @@ def train_svm(standardized, labels, c: float = 1.0) -> DetectorModel:
         raise ValueError("features must be finite")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes must be present")
-    if not 0 < c < math.inf:
-        raise ValueError("regularization parameter must be positive and finite")
+    check_regularization(c)
 
     gram = sum(np.multiply.outer(column, column) for column in z.T)  # no BLAS call, so no thread-count dependence
     # The dual variables as beta = y * alpha, which lies in [0, c] on a tumor row and in [-c, 0] on the others.

@@ -295,7 +295,8 @@ class TestDatasetVerbs:
                                               "--calibration", "c", "--out", "o"])
         geom = cli._geometry(args)
         model = pt.load_model(tiny_model_path)
-        features, labels, ids = cli._read_dataset_features(data, model, geom)
+        ids, labels = cli._read_dataset_manifest(data)
+        features = cli._dataset_features(data, ids, model, geom)
         expected = reference_dataset_features(data, model, geom)
         assert np.array_equal(features, expected[0])
         assert np.array_equal(labels, expected[1]) and ids == expected[2]
@@ -741,15 +742,22 @@ def dataset_with_manifest(d, t, edit):
     return t / "data"
 
 
-def one_sample_both_ways(text):
-    """Manifest text listing neg_m1000_p0 twice as -1 and twice as +1, and pos_d8_b2_p0 twice as +1.
+def one_sample_both_ways(d, t):
+    """A dataset in ``t`` that holds the press of neg_m1000_p0 twice as -1 and twice as +1, and that of pos_d8_b2_p0
+    twice as +1, each copy under its own sample id.
 
-    A half split that holds both samples has as many +1 as -1 rows on neg_m1000_p0, so the SVM optimum is w = 0.
+    A half split that holds both presses has as many +1 as -1 rows on neg_m1000_p0, so the SVM optimum is w = 0.
     """
-    rows = {line.split(",")[0]: line for line in text.splitlines()}
-    negative, positive = rows["neg_m1000_p0"], rows["pos_d8_b2_p0"]
-    relabeled = negative.replace(",-1,", ",1,", 1)
-    return "\n".join([rows["sample_id"], negative, negative, relabeled, positive, relabeled, positive]) + "\n"
+    (t / "data").mkdir()
+    rows = {line.split(",")[0]: line for line in (d / "data" / "manifest.csv").read_text().splitlines()}
+    lines = [rows["sample_id"]]
+    for n, (source, label) in enumerate([("neg_m1000_p0", "-1"), ("neg_m1000_p0", "-1"), ("neg_m1000_p0", "1"),
+                                         ("pos_d8_b2_p0", "1"), ("neg_m1000_p0", "1"), ("pos_d8_b2_p0", "1")]):
+        for name, copy in zip(cli._press_files(d / "data" / source), cli._press_files(t / "data" / f"copy{n}")):
+            shutil.copyfile(name, copy)
+        lines.append(",".join([f"copy{n}", label, *rows[source].split(",")[2:]]))
+    (t / "data" / "manifest.csv").write_text("\n".join(lines) + "\n")
+    return t / "data"
 
 
 # Each verb once, reading the pipeline's files: (argv from (pipeline directory, output directory), its outputs).
@@ -948,7 +956,7 @@ EXIT_CODE_TABLE = [
                                                          "--train-fraction", 0.5, "--out", t / "det.json"], 2,
      "reconstructs zero depth for every sample"),
     ("train-detector", "zero-weight-optimum", lambda d, t: ["train-detector", *SMALL, "--dataset",
-                                                            dataset_with_manifest(d, t, one_sample_both_ways),
+                                                            one_sample_both_ways(d, t),
                                                             "--calibration", d / "calib.json", "--train-fraction",
                                                             0.5, "--seed", 1, "--out", t / "det.json"], 2,
      "no linear boundary beats a constant label at c=1.0"),
@@ -1072,6 +1080,11 @@ EXIT_CODE_TABLE = [
                    dataset_with_manifest(d, t, lambda text: text.replace("sample_id", "id")),
                    "--calibration", d / "calib.json", "--out", t / "det.json"], 2,
      "must have the header sample_id,label,ball_diameter_mm,burial_depth_mm,applied_mass_g,seed"),
+    ("train-detector", "manifest-sample-id-twice",
+     lambda d, t: ["train-detector", *SMALL, "--dataset",
+                   dataset_with_manifest(d, t, lambda text: text + text.splitlines()[1] + "\n"),
+                   "--calibration", d / "calib.json", "--train-fraction", 0.5, "--out", t / "det.json"], 2,
+     "lists the sample id 'pos_d4_b2_p0' twice"),
     ("evaluate", "manifest-label-two",
      lambda d, t: ["evaluate", *SMALL, "--detector", d / "detector.json", "--dataset",
                    dataset_with_manifest(d, t, lambda text: text.replace(",1,", ",2,")),
@@ -1143,6 +1156,43 @@ class TestExitCodeTable:
         assert captured.out == ""
         assert [str(w.message) for w in caught] == []
         assert tree_bytes(tmp_path) == before
+
+
+def counting(calls, function):
+    """``function``, appending each call's arguments to ``calls``."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    return counted
+
+
+class TestFlagsCheckedBeforeWork:
+    """A bad training flag exits 2 before the verb renders a capture or reconstructs a sample."""
+
+    @pytest.mark.parametrize("flags, fragment", [(["--epochs", 0], "epochs must be >= 1"),
+                                                 (["--batch-size", 0], "batch size must be >= 1"),
+                                                 (["--learning-rate", "nan"], "learning rate must be finite")],
+                             ids=["epochs-zero", "batch-size-zero", "learning-rate-nan"])
+    def test_calibrate_renders_nothing(self, tmp_path, monkeypatch, capsys, flags, fragment):
+        calls = []
+        monkeypatch.setattr(phantom, "_noisy_capture", counting(calls, phantom._noisy_capture))
+        assert run(["calibrate", *SMALL, "--seed", 1, *flags, "--out", tmp_path / "calib.json"]) == 2
+        assert fragment in capsys.readouterr().err and calls == []
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--c", -1], "regularization parameter must be positive and finite"),
+        (["--c", "nan"], "regularization parameter must be positive and finite"),
+        (["--train-fraction", 1.5], "train fraction must lie in (0, 1)"),
+        (["--train-fraction", 0.01], "train fraction 0.01 leaves class -1 no train or no test sample"),
+    ], ids=["c-negative", "c-nan", "train-fraction-above-one", "train-fraction-too-small"])
+    def test_train_detector_reconstructs_nothing(self, pipeline, tmp_path, monkeypatch, capsys, flags, fragment):
+        d = pipeline[0]
+        calls = []
+        monkeypatch.setattr(cli, "disc_depths", counting(calls, cli.disc_depths))
+        assert run(["train-detector", *SMALL, "--dataset", d / "data", "--calibration", d / "calib.json",
+                    *flags, "--out", tmp_path / "det.json"]) == 2
+        assert fragment in capsys.readouterr().err and calls == []
 
 
 class TestReproducibility:
