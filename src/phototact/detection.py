@@ -58,8 +58,8 @@ def _standardization(mean, std):
 class DetectorModel:
     """Linear decision function over (mu, sigma) features standardized with the training rows' mean and std."""
 
-    mean: np.ndarray               # (mu, sigma) of the training rows
-    std: np.ndarray                # their population std, per feature
+    mean: np.ndarray               # the training rows' mean (mu, sigma)
+    std: np.ndarray                # and their population std, per feature
     weights: np.ndarray            # (w_mu, w_sigma), standardized space
     bias: float
     training_meta: dict | None = None
