@@ -1158,15 +1158,6 @@ class TestExitCodeTable:
         assert tree_bytes(tmp_path) == before
 
 
-def counting(calls, function):
-    """``function``, appending each call's arguments to ``calls``."""
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return function(*args, **kwargs)
-
-    return counted
-
-
 class TestFlagsCheckedBeforeWork:
     """A bad training flag exits 2 before the verb renders a capture or reconstructs a sample."""
 
@@ -1175,8 +1166,8 @@ class TestFlagsCheckedBeforeWork:
                                                  (["--learning-rate", "nan"], "learning rate must be finite")],
                              ids=["epochs-zero", "batch-size-zero", "learning-rate-nan"])
     def test_calibrate_renders_nothing(self, tmp_path, monkeypatch, capsys, flags, fragment):
-        calls = []
-        monkeypatch.setattr(phantom, "_noisy_capture", counting(calls, phantom._noisy_capture))
+        calls, draw = [], phantom._noisy_capture
+        monkeypatch.setattr(phantom, "_noisy_capture", lambda *args: calls.append(args) or draw(*args))
         assert run(["calibrate", *SMALL, "--seed", 1, *flags, "--out", tmp_path / "calib.json"]) == 2
         assert fragment in capsys.readouterr().err and calls == []
 
@@ -1188,8 +1179,8 @@ class TestFlagsCheckedBeforeWork:
     ], ids=["c-negative", "c-nan", "train-fraction-above-one", "train-fraction-too-small"])
     def test_train_detector_reconstructs_nothing(self, pipeline, tmp_path, monkeypatch, capsys, flags, fragment):
         d = pipeline[0]
-        calls = []
-        monkeypatch.setattr(cli, "disc_depths", counting(calls, cli.disc_depths))
+        calls, depths = [], cli.disc_depths
+        monkeypatch.setattr(cli, "disc_depths", lambda *args: calls.append(args) or depths(*args))
         assert run(["train-detector", *SMALL, "--dataset", d / "data", "--calibration", d / "calib.json",
                     *flags, "--out", tmp_path / "det.json"]) == 2
         assert fragment in capsys.readouterr().err and calls == []
