@@ -65,7 +65,6 @@ from .detection import (
 from .characterization import (
     CharacterizationReport,
     ForceSweep,
-    IndenterRig,
     TrialSet,
     characterize,
     hysteresis,

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import defaults
 from .imaging import (
     MAX_DEPTH_MM,
     DeformationMap,
@@ -106,7 +107,6 @@ class CalibrationModel:
     biases: tuple
     feature_shift: np.ndarray
     feature_scale: np.ndarray
-    max_depth: float = MAX_DEPTH_MM
     epoch_losses: tuple = ()
     _activations: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -124,8 +124,6 @@ class CalibrationModel:
             raise ValueError("standardization constants must have one entry per input")
         if np.any(scale <= 0):
             raise ValueError("feature scales must be positive")
-        if not (math.isfinite(self.max_depth) and 0.0 < self.max_depth <= MAX_DEPTH_MM):
-            raise ValueError(f"max depth must lie in (0, {MAX_DEPTH_MM}] mm")
         if not all(np.all(np.isfinite(a)) for a in (*weights, *biases, shift, scale)):
             raise ValueError("model parameters must be finite")
         losses = tuple(float(x) for x in self.epoch_losses)
@@ -376,16 +374,11 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
 # Calibration data and reconstruction
 
 
-def build_calib_dataset(
-    n_captures: int,
-    sphere_radius_mm: float,
-    geom: SensorGeometry,
-    membrane: MembraneModel,
-    seed: int,
-):
+def build_calib_dataset(n_captures: int, geom: SensorGeometry, membrane: MembraneModel, seed: int):
     """Per-pixel training rows from simulated sphere presses.
 
-    Each capture presses a known sphere to a depth drawn uniformly from
+    Each capture presses the calibration sphere, of radius
+    ``defaults.CALIBRATION_SPHERE_RADIUS_MM``, to a depth drawn uniformly from
     (0, MAX_DEPTH_MM], renders a fresh no-contact/contact pair, and contributes
     one (dH, dS, dV, u, v) -> depth row per in-disc pixel.  Returns (features,
     depths).
@@ -395,7 +388,8 @@ def build_calib_dataset(
     draws = rng_stream(seed, _STREAM_DEPTHS).random(n_captures)
     render_seeds = sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 1, 2))
     # uniform depths in (0, MAX_DEPTH_MM]
-    truths = (sphere_press_truth(MAX_DEPTH_MM * (1.0 - float(draw)), sphere_radius_mm, geom) for draw in draws)
+    radius = defaults.CALIBRATION_SPHERE_RADIUS_MM
+    truths = (sphere_press_truth(MAX_DEPTH_MM * (1.0 - float(draw)), radius, geom) for draw in draws)
     rows_x, rows_y = [], []
     for truth, ref, contact in disc_captures(truths, render_seeds, membrane, geom):
         rows_x.append(disc_rows(ref, contact, geom))
@@ -406,11 +400,11 @@ def build_calib_dataset(
 def disc_depths(model: CalibrationModel, rows) -> np.ndarray:
     """Depths (mm) of the sensing-disc pixels from their (N, 5) rows (see :func:`~phototact.imprint.disc_rows`).
 
-    One forward pass, clamped to [0, max_depth] and rounded to float32 as a
+    One forward pass, clamped to [0, MAX_DEPTH_MM] and rounded to float32 as a
     depth map stores them, returned as float64.
     """
     raw = model.forward(rows)
-    return np.clip(raw, 0.0, model.max_depth).astype(np.float32).astype(np.float64)
+    return np.clip(raw, 0.0, MAX_DEPTH_MM).astype(np.float32).astype(np.float64)
 
 
 def reconstruct(model: CalibrationModel, ref: RgbImage, contact: RgbImage, geom: SensorGeometry) -> DeformationMap:
@@ -441,7 +435,7 @@ def save_model(path, model: CalibrationModel):
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
         "layer_sizes": list(LAYER_SIZES),
-        "max_depth": model.max_depth,
+        "max_depth": MAX_DEPTH_MM,
         "feature_shift": _encode(model.feature_shift),
         "feature_scale": _encode(model.feature_scale),
         "weights": [_encode(w) for w in model.weights],
@@ -458,12 +452,13 @@ def load_model(path) -> CalibrationModel:
     try:
         if len(doc["weights"]) != len(shapes) or len(doc["biases"]) != len(shapes):
             raise ValueError(f"malformed calibration model file: need {len(shapes)} weight and bias blobs")
+        if json_number(doc["max_depth"]) != MAX_DEPTH_MM:
+            raise ValueError(f"max depth must be {MAX_DEPTH_MM} mm, the full scale")
         return CalibrationModel(
             weights=tuple(_decode(blob, shape) for blob, shape in zip(doc["weights"], shapes)),
             biases=tuple(_decode(blob, (shape[1],)) for blob, shape in zip(doc["biases"], shapes)),
             feature_shift=_decode(doc["feature_shift"], (LAYER_SIZES[0],)),
             feature_scale=_decode(doc["feature_scale"], (LAYER_SIZES[0],)),
-            max_depth=json_number(doc["max_depth"]),
             epoch_losses=tuple(map(json_number, doc.get("epoch_losses", ()))),
         )
     except (KeyError, TypeError) as err:

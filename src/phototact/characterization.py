@@ -112,42 +112,35 @@ def null_difference_stat(before, after, geom: SensorGeometry) -> float:
 # ---------------------------------------------------------------------------
 # Simulated indenter rig
 
+# Largest force the indenter applies: the rig membrane's stiffness times the volume of the indenter's hemisphere.
+INDENTER_CAPACITY_N = defaults.RIG_MEMBRANE_STIFFNESS * spherical_cap_volume(
+    defaults.INDENTER_RADIUS_MM, defaults.INDENTER_RADIUS_MM)
 
-@dataclass(frozen=True)
-class IndenterRig:
-    """Geometry, rig-tuned membrane, and indenter of the metrology setup."""
 
-    geometry: SensorGeometry
-    membrane: MembraneModel
+def force_to_depth(force_n: float) -> float:
+    """Cap depth (mm) of the indenter at ``force_n``: invert force = rig stiffness * cap_volume(depth) by bisection."""
+    if not force_n > 0:  # NaN too
+        raise ValueError("force must be positive")
+    if force_n > INDENTER_CAPACITY_N:
+        raise ValueError(f"force {force_n} N exceeds indenter capacity {INDENTER_CAPACITY_N:.4g} N")
+    radius = defaults.INDENTER_RADIUS_MM
+    lo, hi = 0.0, radius
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if defaults.RIG_MEMBRANE_STIFFNESS * spherical_cap_volume(mid, radius) < force_n:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
-    @property
-    def capacity_n(self) -> float:
-        """Largest force the indenter applies: the membrane stiffness times the volume of its hemisphere."""
-        return self.membrane.stiffness * spherical_cap_volume(defaults.INDENTER_RADIUS_MM, defaults.INDENTER_RADIUS_MM)
 
-    def force_to_depth(self, force_n: float) -> float:
-        """Invert force = stiffness * cap_volume(depth) by bisection."""
-        if not force_n > 0:  # NaN too
-            raise ValueError("force must be positive")
-        if force_n > self.capacity_n:
-            raise ValueError(f"force {force_n} N exceeds indenter capacity {self.capacity_n:.4g} N")
-        radius = defaults.INDENTER_RADIUS_MM
-        lo, hi = 0.0, radius
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.membrane.stiffness * spherical_cap_volume(mid, radius) < force_n:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def truth_profile(self, depth_mm: float, unloading: bool = False) -> DeformationMap:
-        """Clamped indentation map for a press of the given cap depth."""
-        profile = spherical_cap_profile(depth_mm, defaults.INDENTER_RADIUS_MM, self.geometry)
-        if unloading:
-            profile = profile * (1.0 - defaults.UNLOADING_LAG_FRACTION)
-        clamped = np.minimum(profile, MAX_DEPTH_MM)
-        return DeformationMap(clamped.astype(np.float32), self.geometry.disc_mask)
+def indenter_truth(depth_mm: float, geom: SensorGeometry, unloading: bool = False) -> DeformationMap:
+    """Clamped indentation map of the indenter pressed to the given cap depth."""
+    profile = spherical_cap_profile(depth_mm, defaults.INDENTER_RADIUS_MM, geom)
+    if unloading:
+        profile = profile * (1.0 - defaults.UNLOADING_LAG_FRACTION)
+    clamped = np.minimum(profile, MAX_DEPTH_MM)
+    return DeformationMap(clamped.astype(np.float32), geom.disc_mask)
 
 
 def noise_floor(measured) -> float:
@@ -212,13 +205,14 @@ class CharacterizationReport:
 
 
 def characterize(
-    rig: IndenterRig,
+    geom: SensorGeometry,
+    membrane: MembraneModel,
     model: CalibrationModel,
     forces=defaults.CHAR_FORCES_N,
     steps=defaults.CHAR_DEPTH_STEPS_MM,
     seed: int = 0,
 ) -> CharacterizationReport:
-    """Run the full metrology protocol on the simulated rig.
+    """Run the full metrology protocol on the simulated rig: the indenter pressed into ``membrane`` on ``geom``.
 
     The protocol is one table of phases in capture order, each with its truths, built as one
     :func:`disc_captures` stream reaches them, and their seed pairs from :func:`sub_seeds`:
@@ -239,28 +233,27 @@ def characterize(
     steps = [float(s) for s in steps]
     if len(forces) < 3:
         raise ValueError("need at least three sweep forces")
-    if not all(0.0 < f <= rig.capacity_n for f in forces):  # NaN and infinities fail the comparison too
-        raise ValueError(f"sweep forces must be in (0, {rig.capacity_n:.4g}] N, the indenter capacity")
+    if not all(0.0 < f <= INDENTER_CAPACITY_N for f in forces):  # NaN and infinities fail the comparison too
+        raise ValueError(f"sweep forces must be in (0, {INDENTER_CAPACITY_N:.4g}] N, the indenter capacity")
     if len(set(forces)) < len(forces):
         raise ValueError("sweep forces must be distinct")
     if not steps or not all(0.0 < s <= defaults.INDENTER_RADIUS_MM for s in steps):
         raise ValueError(f"need depth steps, each in (0, {defaults.INDENTER_RADIUS_MM}] mm, the indenter radius")
-    geom = rig.geometry
-    depths = [rig.force_to_depth(force) for force in forces]
+    depths = [force_to_depth(force) for force in forces]
     sweep = (len(forces), defaults.CHAR_TRIALS, 2)
     protocol = {  # phase: (truths, the seed pairs of each truth), in capture order
         "noise floor": ((geom.zero_map() for _ in range(1)),
                         sub_seeds(seed, _STREAM_NULL, (1, defaults.CHAR_NULL_PAIRS, 2))),
-        "loading": ((rig.truth_profile(d) for d in depths), sub_seeds(seed, _STREAM_SWEEP, sweep)),
-        "unloading": ((rig.truth_profile(d, unloading=True) for d in depths[::-1]),
+        "loading": ((indenter_truth(d, geom) for d in depths), sub_seeds(seed, _STREAM_SWEEP, sweep)),
+        "unloading": ((indenter_truth(d, geom, unloading=True) for d in depths[::-1]),
                       sub_seeds(seed + 1, _STREAM_SWEEP, sweep)),
-        "trials": ((rig.truth_profile(s) for s in steps),
+        "trials": ((indenter_truth(s, geom) for s in steps),
                    sub_seeds(seed + 2, _STREAM_TRIALS, (defaults.CHAR_TRIALS, len(steps), 2)).transpose(1, 0, 2)),
         "null pair": ((geom.zero_map() for _ in range(1)), sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))),
     }
     truths = itertools.chain.from_iterable(phase_truths for phase_truths, _ in protocol.values())
     seed_pairs = [pairs for _, seeds in protocol.values() for pairs in seeds]
-    with contextlib.closing(disc_captures(truths, seed_pairs, rig.membrane, geom)) as captures:
+    with contextlib.closing(disc_captures(truths, seed_pairs, membrane, geom)) as captures:
 
         def measured(phase):
             """For each truth of ``phase``, the disc depths of its captures, reconstructed as they are read."""

@@ -45,7 +45,7 @@ from .calibration import (
     save_model,
     train_mlp,
 )
-from .characterization import IndenterRig, characterize
+from .characterization import characterize
 from .detection import (
     check_regularization,
     classify,
@@ -100,9 +100,8 @@ def _geometry(args) -> SensorGeometry:
     )
 
 
-def _membrane(args, geom, **overrides):
-    return default_membrane(geom, seed=args.membrane_seed, noise_std=args.noise_std, speckle_amplitude=args.speckle,
-                            **overrides)
+def _membrane(args, geom):
+    return default_membrane(geom, seed=args.membrane_seed, noise_std=args.noise_std, speckle_amplitude=args.speckle)
 
 
 def build_parser() -> _Parser:
@@ -133,7 +132,6 @@ def build_parser() -> _Parser:
         "calibrate", parents=[membrane], help="train the color-to-depth model on simulated sphere presses"
     )
     p.add_argument("--captures", type=int, default=defaults.CALIBRATION_CAPTURES)
-    p.add_argument("--sphere-radius", type=float, default=defaults.CALIBRATION_SPHERE_RADIUS_MM)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
@@ -355,7 +353,7 @@ def _press_files(stem):
 def _save_press(paths, cfg, seed, geom, membrane):
     """Write the press of ``cfg`` at ``seed`` to the three ``_press_files`` paths ``paths``: its reading pair, then
     its truth map. The captures are freed when this returns."""
-    truth = contact_solve(cfg, geom, membrane)
+    truth = contact_solve(cfg, geom)
     ref, contact = reading_pair(truth, membrane, seed)
     save_ppm(paths[0], ref)
     save_ppm(paths[1], contact)
@@ -388,7 +386,7 @@ def _cmd_calibrate(args, stage):
     )
     geom = _geometry(args)
     membrane = _membrane(args, geom)
-    features, depths = build_calib_dataset(args.captures, args.sphere_radius, geom, membrane, args.seed)
+    features, depths = build_calib_dataset(args.captures, geom, membrane, args.seed)
     model = train_mlp(features, depths, cfg)
     save_model(stage(args.out), model)
     return [], [args.out]
@@ -519,12 +517,9 @@ def _cmd_evaluate(args, stage):
 
 def _cmd_characterize(args, stage):
     geom = _geometry(args)
-    rig = IndenterRig(
-        geometry=geom,
-        membrane=_membrane(args, geom, stiffness=defaults.RIG_MEMBRANE_STIFFNESS),
-    )
+    membrane = _membrane(args, geom)
     model = load_model(args.calibration)
-    report = characterize(rig, model, seed=args.seed)
+    report = characterize(geom, membrane, model, seed=args.seed)
     out_dir = stage(args.out, directory=True)
     summary = report.summary()
     write_json(out_dir / "summary.json", summary)

@@ -94,8 +94,6 @@ class PhantomConfig:
     ball_diameter_mm: float = 6.0
     burial_depth_mm: float = 3.0
     lateral_offset_mm: tuple[float, float] = (0.0, 0.0)
-    tissue_stiffness: float = defaults.TISSUE_STIFFNESS
-    tumor_stiffness_boost: float = defaults.TUMOR_STIFFNESS_BOOST
     applied_mass_g: float = 1000.0
 
     def __post_init__(self):
@@ -103,20 +101,11 @@ class PhantomConfig:
             raise ValueError("tumor_present must be true or false")
         if len(self.lateral_offset_mm) != 2:
             raise ValueError("lateral offset must be an (x, y) pair")
-        values = (
-            self.ball_diameter_mm,
-            self.burial_depth_mm,
-            *self.lateral_offset_mm,
-            self.tissue_stiffness,
-            self.tumor_stiffness_boost,
-            self.applied_mass_g,
-        )
+        values = (self.ball_diameter_mm, self.burial_depth_mm, *self.lateral_offset_mm, self.applied_mass_g)
         if not all(math.isfinite(json_number(x)) for x in values):
             raise ValueError("phantom parameters must be finite")
         if self.applied_mass_g <= 0:
             raise ValueError("applied mass must be positive")
-        if self.tissue_stiffness <= 0 or self.tumor_stiffness_boost <= 0:
-            raise ValueError("stiffnesses must be positive")
         if self.tumor_present:
             if not 2.0 <= self.ball_diameter_mm <= 10.0:
                 raise ValueError("ball diameter must lie in [2, 10] mm")
@@ -144,7 +133,6 @@ class MembraneModel:
     baseline: np.ndarray
     noise_std: float = defaults.SENSOR_NOISE_STD    # 8-bit channel units
     speckle_amplitude: float = defaults.SPECKLE_AMPLITUDE
-    stiffness: float = defaults.MEMBRANE_STIFFNESS  # N/mm^3
 
     def __post_init__(self):
         baseline = frozen_array(self.baseline, np.float64)
@@ -156,10 +144,8 @@ class MembraneModel:
         if not (np.all(s >= 0.0) and np.all(s <= 1.0) and np.all(v >= 0.0) and np.all(v <= 1.0)):
             raise ValueError("saturation and value must lie in [0, 1]")
         object.__setattr__(self, "baseline", baseline)
-        if not all(math.isfinite(x) for x in (self.noise_std, self.speckle_amplitude, self.stiffness)):
-            raise ValueError("membrane noise and stiffness must be finite")
-        if self.stiffness <= 0:
-            raise ValueError("membrane stiffness must be positive")
+        if not all(math.isfinite(x) for x in (self.noise_std, self.speckle_amplitude)):
+            raise ValueError("membrane noise must be finite")
         # At 255 a one-sigma draw of either amplitude moves every channel of value 1 or more by its full 8-bit
         # range, so a capture is already noise clipped to 0 or 255; far past it the noisy channels overflow to NaN.
         if not (0 <= self.noise_std <= 255 and 0 <= self.speckle_amplitude <= 255):
@@ -205,20 +191,20 @@ def default_membrane(geom: SensorGeometry, seed: int = defaults.MEMBRANE_SEED, *
 
 def stiffness_field(cfg: PhantomConfig, geom: SensorGeometry) -> np.ndarray:
     """Foundation modulus k(x, y) in N/mm^3 over the pixel grid."""
-    k = np.full((geom.height, geom.width), cfg.tissue_stiffness, dtype=np.float64)
+    k = np.full((geom.height, geom.width), defaults.TISSUE_STIFFNESS, dtype=np.float64)
     if cfg.tumor_present:
         gx, gy = geom.coords_mm
         ox, oy = cfg.lateral_offset_mm
         spread = cfg.ball_diameter_mm / (2.0 * math.sqrt(2.0))
         attenuation = math.exp(-cfg.burial_depth_mm / defaults.DEPTH_ATTENUATION_MM)
-        # An infinite squared distance adds no inclusion stiffness; an infinite k fails contact_solve's check.
+        # An infinite squared distance adds no inclusion stiffness.
         with np.errstate(over="ignore"):
             r_sq = (gx - ox) ** 2 + (gy - oy) ** 2
-            k = k + cfg.tumor_stiffness_boost * attenuation * np.exp(-r_sq / (2.0 * spread**2))
+            k = k + defaults.TUMOR_STIFFNESS_BOOST * attenuation * np.exp(-r_sq / (2.0 * spread**2))
     return k
 
 
-def contact_solve(cfg: PhantomConfig, geom: SensorGeometry, model: MembraneModel) -> DeformationMap:
+def contact_solve(cfg: PhantomConfig, geom: SensorGeometry) -> DeformationMap:
     """Indentation map of a rigid flat punch pressed with cfg's force onto the Winkler foundation."""
     k = stiffness_field(cfg, geom)
     mask = geom.disc_mask
@@ -229,7 +215,7 @@ def contact_solve(cfg: PhantomConfig, geom: SensorGeometry, model: MembraneModel
         raise ValueError("degenerate foundation")
     displacement = cfg.force_n / stiffness_integral
     pressure = np.where(mask, k * displacement, 0.0)
-    return DeformationMap(np.clip(pressure / model.stiffness, 0.0, MAX_DEPTH_MM).astype(np.float32), mask)
+    return DeformationMap(np.clip(pressure / defaults.MEMBRANE_STIFFNESS, 0.0, MAX_DEPTH_MM).astype(np.float32), mask)
 
 
 def spherical_cap_profile(press_depth: float, sphere_radius: float, geom: SensorGeometry) -> np.ndarray:

@@ -83,15 +83,13 @@ def fixture_durations():
 @pytest.fixture(scope="session")
 def fast_model(small_geometry, small_membrane):
     """Quick calibration model on the small geometry, for unit tests."""
-    features, depths = build_calib_dataset(10, 3.0, small_geometry, small_membrane, seed=11)
+    features, depths = build_calib_dataset(10, small_geometry, small_membrane, seed=11)
     return train_mlp(features, depths, TrainConfig(epochs=15, seed=11))
 
 
 def acceptance_model(geometry, membrane, seed: int = 123) -> CalibrationModel:
     """The acceptance recipe: 30 sphere captures from calibration-data ``seed``, default training."""
-    features, depths = build_calib_dataset(
-        defaults.CALIBRATION_CAPTURES, defaults.CALIBRATION_SPHERE_RADIUS_MM, geometry, membrane, seed=seed
-    )
+    features, depths = build_calib_dataset(defaults.CALIBRATION_CAPTURES, geometry, membrane, seed=seed)
     return train_mlp(features, depths, TrainConfig(seed=0))
 
 

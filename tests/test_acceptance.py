@@ -16,7 +16,7 @@ import pytest
 import phototact as pt
 from phototact import defaults
 from phototact.calibration import LAYER_SIZES, CalibrationModel, input_gradient, loss_and_gradients, mlp_forward, reconstruct
-from phototact.characterization import IndenterRig, characterize, hysteresis, repeatability
+from phototact.characterization import characterize, hysteresis, repeatability
 from phototact.cli import dispatch
 from phototact.detection import (
     DetectorModel,
@@ -59,7 +59,7 @@ def phantom_features(geometry, membrane, calib_model, fixture_durations):
     started = time.monotonic()
     features, labels = [], []
     for _, label, cfg, press_seed in dataset_presses(DatasetSpec(), seed=PHANTOM_SEED):
-        ref, contact = reading_pair(contact_solve(cfg, geometry, membrane), membrane, press_seed)
+        ref, contact = reading_pair(contact_solve(cfg, geometry), membrane, press_seed)
         features.append(extract_features(reconstruct(calib_model, ref, contact, geometry)))
         labels.append(label)
     fixture_durations["phantom_features"] = time.monotonic() - started
@@ -256,13 +256,6 @@ class TestCriterion6Decision:
         report(6, "decision arithmetic", ok, f"z=(0,0) -> {at_origin} tumor; z=(-1,-1) -> {at_corner:.2f} no-tumor")
 
 
-def reference_rig(geometry):
-    return IndenterRig(
-        geometry=geometry,
-        membrane=pt.default_membrane(geometry, stiffness=defaults.RIG_MEMBRANE_STIFFNESS),
-    )
-
-
 def meets_rig_targets(result):
     """Criterion 7's targets: threshold 0.02 N and saturation 0.11 N, each +- 10%, hysteresis 38 +- 5%."""
     return (
@@ -275,9 +268,9 @@ def meets_rig_targets(result):
 
 
 class TestCriterion7Characterization:
-    def test_reference_rig_targets(self, geometry, calib_model):
+    def test_reference_rig_targets(self, geometry, membrane, calib_model):
         started = time.monotonic()
-        result = characterize(reference_rig(geometry), calib_model, seed=0)
+        result = characterize(geometry, membrane, calib_model, seed=0)
         elapsed = time.monotonic() - started
         ok = meets_rig_targets(result) and elapsed <= 120.0
         report(7, "characterization consistency", ok,
@@ -299,12 +292,11 @@ class TestCriterion7CalibrationSeedSweep:
     """
 
     def test_rig_targets_at_every_calibration_seed(self, geometry, membrane):
-        rig = reference_rig(geometry)
         passed = []
         for seed in SWEEP_CALIBRATION_SEEDS:
             model = acceptance_model(geometry, membrane, seed)
             worst_rmse = max(held_out_rmses(model, geometry, membrane))
-            result = characterize(rig, model, seed=0)
+            result = characterize(geometry, membrane, model, seed=0)
             ok = meets_rig_targets(result)
             passed.append(ok)
             mean_at = dict(zip(np.round(result.loading.forces, 4), result.loading.mean_depths))
@@ -339,7 +331,7 @@ class TestCriterion8ExVivoProxy:
                     tumor_present=False,
                     applied_mass_g=float(rng.choice([1000.0, 1100.0, 1200.0, 1300.0])),
                 )
-            solution = contact_solve(cfg, geometry, membrane)
+            solution = contact_solve(cfg, geometry)
             seed = int(rng.integers(2**62))
             ref = render_reading(zero, membrane, 2 * seed)
             contact = render_reading(solution, membrane, 2 * seed + 1)

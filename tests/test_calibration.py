@@ -146,16 +146,16 @@ def relative_error(a, b):
 
 class TestCalibDataset:
     def test_row_count_matches_mask(self, small_geometry, small_membrane):
-        features, depths = build_calib_dataset(3, 3.0, small_geometry, small_membrane, seed=1)
+        features, depths = build_calib_dataset(3, small_geometry, small_membrane, seed=1)
         expected = 3 * int(small_geometry.disc_mask.sum())
         assert features.shape == (expected, 5)
         assert depths.shape == (expected,)
 
     def test_deterministic(self, small_geometry, small_membrane):
-        a = build_calib_dataset(2, 3.0, small_geometry, small_membrane, seed=9)
-        b = build_calib_dataset(2, 3.0, small_geometry, small_membrane, seed=9)
+        a = build_calib_dataset(2, small_geometry, small_membrane, seed=9)
+        b = build_calib_dataset(2, small_geometry, small_membrane, seed=9)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = build_calib_dataset(2, 3.0, small_geometry, small_membrane, seed=10)
+        c = build_calib_dataset(2, small_geometry, small_membrane, seed=10)
         assert not np.array_equal(a[0], c[0])
 
     @pytest.mark.parametrize("which, captures", [
@@ -168,12 +168,13 @@ class TestCalibDataset:
         """
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
-        features, depths = build_calib_dataset(captures, 3.0, geom, membrane, seed=31)
+        features, depths = build_calib_dataset(captures, geom, membrane, seed=31)
         draws = rng_stream(31, 12).random(captures)
         seeds = rng_stream(31, 13).integers(0, 2**62, size=2 * captures)
         rows_x, rows_y = [], []
         for i in range(captures):
-            truth = sphere_press_truth(pt.MAX_DEPTH_MM * (1.0 - float(draws[i])), 3.0, geom)
+            depth = pt.MAX_DEPTH_MM * (1.0 - float(draws[i]))
+            truth = sphere_press_truth(depth, defaults.CALIBRATION_SPHERE_RADIUS_MM, geom)
             ref = render_reading(geom.zero_map(), membrane, int(seeds[2 * i]))
             contact = render_reading(truth, membrane, int(seeds[2 * i + 1]))
             rows_x.append(color_delta(ref, contact, geom))
@@ -403,22 +404,28 @@ class TestModelFiles:
 
 
 class TestModelMaxDepth:
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, 5.0, 0.5000001])
-    def test_out_of_range_rejected(self, fast_model, value):
-        with pytest.raises(ValueError, match="max depth must lie in"):
-            CalibrationModel(fast_model.weights, fast_model.biases, fast_model.feature_shift,
-                             fast_model.feature_scale, max_depth=value)
+    """A model file's ``max_depth`` is the 0.5 mm full scale, the clamp of every reconstructed depth."""
 
-    def test_in_range_accepted(self, fast_model):
-        for value in (0.5, 0.25):
-            CalibrationModel(fast_model.weights, fast_model.biases, fast_model.feature_shift,
-                             fast_model.feature_scale, max_depth=value)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0, 0.25, 5.0, 0.5000001])
+    def test_out_of_range_rejected(self, tmp_path, fast_model, value):
+        path = tmp_path / "model.json"
+        save_model(path, fast_model)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "max_depth": value}))
+        with pytest.raises(ValueError, match=r"max depth must be 0\.5 mm, the full scale"):
+            load_model(path)
+
+    def test_in_range_accepted(self, tmp_path, fast_model):
+        path = tmp_path / "model.json"
+        save_model(path, fast_model)
+        assert json.loads(path.read_text())["max_depth"] == 0.5
+        rows = np.random.default_rng(0).uniform(-30.0, 30.0, size=(64, 5))
+        assert np.array_equal(disc_depths(load_model(path), rows), disc_depths(fast_model, rows))
 
     def test_hand_edited_file_rejected(self, tmp_path, fast_model):
         path = tmp_path / "model.json"
         save_model(path, fast_model)
         path.write_text(path.read_text().replace('"max_depth": 0.5', '"max_depth": NaN'))
-        with pytest.raises(ValueError, match="max depth must lie in"):
+        with pytest.raises(ValueError, match="max depth must be 0.5 mm"):
             load_model(path)
 
 
@@ -430,7 +437,7 @@ class TestDiscDepths:
         unclipped = random_model(np.random.default_rng(5))  # raw outputs fall below 0 and above max depth
         zero = geom.zero_map()
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
-        for truth in (zero, sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom, membrane)):
+        for truth in (zero, sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom)):
             ref = render_reading(zero, membrane, 40)
             contact = render_reading(truth, membrane, 41)
             for model in (fast_model, unclipped):
@@ -469,7 +476,7 @@ class TestDiscDepths:
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
         zero = geometry.zero_map()
         truths = (zero, sphere_press_truth(0.3, defaults.CALIBRATION_SPHERE_RADIUS_MM, geometry),
-                  contact_solve(cfg, geometry, membrane))
+                  contact_solve(cfg, geometry))
         for seed, truth in enumerate(truths):
             rows = color_delta(render_reading(zero, membrane, 2 * seed), render_reading(truth, membrane, 2 * seed + 1),
                                geometry)
@@ -532,7 +539,7 @@ class TestReconstruct:
     def test_tumor_press_argmax_near_projection(self, small_geometry, small_membrane, fast_model):
         cfg = PhantomConfig(tumor_present=True, ball_diameter_mm=8.0, burial_depth_mm=2.0,
                             lateral_offset_mm=(1.0, -0.5))
-        solution = contact_solve(cfg, small_geometry, small_membrane)
+        solution = contact_solve(cfg, small_geometry)
         ref = render_reading(small_geometry.zero_map(), small_membrane, seed=70)
         contact = render_reading(solution, small_membrane, seed=71)
         recon = reconstruct(fast_model, ref, contact, small_geometry)
@@ -557,7 +564,7 @@ class TestReconstruct:
         assert np.array_equal(mirrored.depths, recon.depths[:, ::-1])
 
     def test_mirror_equivariance_with_augmented_training(self, small_geometry, small_membrane):
-        features, depths = build_calib_dataset(6, 3.0, small_geometry, small_membrane, seed=21)
+        features, depths = build_calib_dataset(6, small_geometry, small_membrane, seed=21)
         flipped = features.copy()
         flipped[:, 3] = 1.0 - flipped[:, 3]
         model = train_mlp(

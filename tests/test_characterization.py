@@ -6,9 +6,11 @@ import pytest
 import phototact as pt
 from phototact import defaults
 from phototact.characterization import (
-    IndenterRig,
+    INDENTER_CAPACITY_N,
     characterize,
+    force_to_depth,
     hysteresis,
+    indenter_truth,
     moving_average,
     null_difference_stat,
     repeatability,
@@ -16,13 +18,13 @@ from phototact.characterization import (
 )
 from phototact import characterization
 from phototact.calibration import disc_depths, reconstruct
-from phototact.phantom import render_reading, rng_stream
+from phototact.phantom import render_reading, rng_stream, spherical_cap_volume
 from conftest import linear_hue_model
 
 
-def make_rig(geom, stiffness=defaults.RIG_MEMBRANE_STIFFNESS, **membrane_overrides):
-    membrane = pt.default_membrane(geom, stiffness=stiffness, **membrane_overrides)
-    return IndenterRig(geometry=geom, membrane=membrane)
+def quiet_membrane(geom):
+    """The default membrane without speckle or channel noise."""
+    return pt.default_membrane(geom, noise_std=0.0, speckle_amplitude=0.0)
 
 
 class TestRepeatability:
@@ -36,10 +38,10 @@ class TestRepeatability:
     def test_constant_offset(self):
         assert repeatability(np.array([[0.1, 0.2, 0.3], [0.15, 0.25, 0.35]])) == pytest.approx(10.0, abs=1e-12)
 
-    def test_full_scale_is_max_depth_for_any_step_schedule(self, small_geometry, fast_model):
+    def test_full_scale_is_max_depth_for_any_step_schedule(self, small_geometry, small_membrane, fast_model):
         # steps ending below 0.5 mm still report the spread as a share of the 0.5 mm full scale
-        rig = make_rig(small_geometry)
-        report = characterize(rig, fast_model, forces=(0.05, 0.08, 0.11), steps=(0.1, 0.2), seed=1)
+        report = characterize(small_geometry, small_membrane, fast_model, forces=(0.05, 0.08, 0.11), steps=(0.1, 0.2),
+                              seed=1)
         measured = report.trials.measurements
         spread = measured.max(axis=0) - measured.min(axis=0)
         assert report.repeatability_pct == float(spread.max() / pt.MAX_DEPTH_MM * 100.0)
@@ -58,9 +60,9 @@ class TestHysteresis:
     def test_single_point_gap(self):
         assert hysteresis(np.array([0.0, 0.3, 0.5]), np.array([0.0, 0.2, 0.5])) == pytest.approx(20.0, abs=1e-12)
 
-    def test_characterize_smooths_each_sweep_in_its_own_order(self, small_geometry, fast_model):
-        rig = make_rig(small_geometry)
-        report = characterize(rig, fast_model, forces=(0.05, 0.08, 0.11, 0.13), steps=(0.2,), seed=2)
+    def test_characterize_smooths_each_sweep_in_its_own_order(self, small_geometry, small_membrane, fast_model):
+        report = characterize(small_geometry, small_membrane, fast_model, forces=(0.05, 0.08, 0.11, 0.13),
+                              steps=(0.2,), seed=2)
         expected = hysteresis(moving_average(report.loading.max_depths),
                               moving_average(report.unloading.max_depths)[::-1])
         assert report.hysteresis_pct == expected
@@ -134,55 +136,45 @@ class TestNullDifference:
 
 
 class TestIndenterRig:
-    def test_force_depth_inversion(self, small_geometry):
-        rig = make_rig(small_geometry)
-        from phototact.phantom import spherical_cap_volume
-
+    def test_force_depth_inversion(self):
         for force in (0.01, 0.05, 0.11):
-            depth = rig.force_to_depth(force)
-            assert rig.membrane.stiffness * spherical_cap_volume(depth, defaults.INDENTER_RADIUS_MM) == pytest.approx(
-                force, rel=1e-9
-            )
+            depth = force_to_depth(force)
+            volume = spherical_cap_volume(depth, defaults.INDENTER_RADIUS_MM)
+            assert defaults.RIG_MEMBRANE_STIFFNESS * volume == pytest.approx(force, rel=1e-9)
 
-    def test_force_beyond_capacity(self, small_geometry):
-        rig = make_rig(small_geometry)
+    def test_force_beyond_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
-            rig.force_to_depth(10.0)
+            force_to_depth(10.0)
 
-    def test_capacity_is_the_largest_force(self, small_geometry):
-        rig = make_rig(small_geometry)
-        assert rig.force_to_depth(rig.capacity_n) == pytest.approx(defaults.INDENTER_RADIUS_MM, rel=1e-12)
+    def test_capacity_is_the_largest_force(self):
+        assert force_to_depth(INDENTER_CAPACITY_N) == pytest.approx(defaults.INDENTER_RADIUS_MM, rel=1e-12)
         with pytest.raises(ValueError, match="capacity"):
-            rig.force_to_depth(np.nextafter(rig.capacity_n, np.inf))
+            force_to_depth(np.nextafter(INDENTER_CAPACITY_N, np.inf))
         with pytest.raises(ValueError, match="positive"):
-            rig.force_to_depth(float("nan"))
+            force_to_depth(float("nan"))
 
     def test_unloading_profile_is_scaled(self, small_geometry):
-        rig = make_rig(small_geometry)
-        load = rig.truth_profile(0.3).depths.astype(np.float64)
-        unload = rig.truth_profile(0.3, unloading=True).depths.astype(np.float64)
+        load = indenter_truth(0.3, small_geometry).depths.astype(np.float64)
+        unload = indenter_truth(0.3, small_geometry, unloading=True).depths.astype(np.float64)
         assert np.allclose(unload, (1.0 - defaults.UNLOADING_LAG_FRACTION) * load, atol=1e-7)
 
 
 class TestSensitivity:
     def test_noise_free_threshold_is_first_force(self, small_geometry):
-        rig = make_rig(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        result = characterize(rig, model, [0.02, 0.04, 0.06], seed=0)
+        result = characterize(small_geometry, quiet_membrane(small_geometry), model, [0.02, 0.04, 0.06], seed=0)
         assert result.noise_floor_mm == 0.0
         assert result.threshold_n == 0.02
 
-    def test_all_forces_below_saturation(self, small_geometry):
-        rig = make_rig(small_geometry)
+    def test_all_forces_below_saturation(self, small_geometry, small_membrane):
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        result = characterize(rig, model, [0.005, 0.01, 0.015], seed=0)
+        result = characterize(small_geometry, small_membrane, model, [0.005, 0.01, 0.015], seed=0)
         assert result.saturation_n is None
 
-    def test_needs_three_forces(self, small_geometry):
-        rig = make_rig(small_geometry)
+    def test_needs_three_forces(self, small_geometry, small_membrane):
         model = linear_hue_model(1.0)
         with pytest.raises(ValueError, match="three"):
-            characterize(rig, model, [0.01, 0.02], seed=0)
+            characterize(small_geometry, small_membrane, model, [0.01, 0.02], seed=0)
 
     @pytest.mark.parametrize("forces, steps, match", [
         pytest.param([0.01, 0.02, 0.02], (0.2,), "distinct", id="repeat"),
@@ -198,21 +190,21 @@ class TestSensitivity:
                      id="step-beyond-radius"),
         pytest.param([0.01, 0.02, 0.03], (), "need depth steps", id="no-step"),
     ])
-    def test_repeated_force_rejected_before_any_capture(self, small_geometry, monkeypatch, forces, steps, match):
+    def test_repeated_force_rejected_before_any_capture(self, small_geometry, small_membrane, monkeypatch, forces,
+                                                        steps, match):
         """A repeated, non-finite, non-positive or over-capacity force and a bad depth step are refused before
         the capture stream opens."""
         captures = []
         monkeypatch.setattr(characterization, "disc_captures", lambda *args: captures.append(args) or iter(()))
-        rig = make_rig(small_geometry)
         with pytest.raises(ValueError, match=match):
-            characterize(rig, linear_hue_model(1.0), forces, steps=steps, seed=0)
+            characterize(small_geometry, small_membrane, linear_hue_model(1.0), forces, steps=steps, seed=0)
         assert captures == []
 
     def test_resolution_is_the_grid_step_as_written(self, small_geometry):
         """The float difference 0.11 - 0.09 is 0.020000000000000004; the grid step as written is 0.02."""
-        rig = make_rig(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        result = characterize(rig, model, [0.05, 0.09, 0.11], steps=(0.2,), seed=0)
+        result = characterize(small_geometry, quiet_membrane(small_geometry), model, [0.05, 0.09, 0.11], steps=(0.2,),
+                              seed=0)
         assert 0.11 - 0.09 != 0.02
         assert result.noise_floor_mm == 0.0
         assert result.resolution_n == 0.02
@@ -231,19 +223,21 @@ class TestSensitivity:
         def mean_threshold(noise_std):
             thresholds = []
             for seed in (0, 1, 2):
-                rig = make_rig(small_geometry, noise_std=noise_std, speckle_amplitude=0.0)
+                membrane = pt.default_membrane(small_geometry, noise_std=noise_std, speckle_amplitude=0.0)
                 model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-                result = characterize(rig, model, forces, steps=(0.2,), seed=seed)
+                result = characterize(small_geometry, membrane, model, forces, steps=(0.2,), seed=seed)
                 thresholds.append(result.threshold_n if result.threshold_n is not None else forces[-1] * 2)
             return float(np.mean(thresholds))
         assert mean_threshold(0.2) <= mean_threshold(0.8)
 
-    def test_noise_floor_positive_with_noise(self, small_geometry, fast_model):
-        report = characterize(make_rig(small_geometry), fast_model, forces=(0.01, 0.03, 0.05), steps=(0.2,), seed=0)
+    def test_noise_floor_positive_with_noise(self, small_geometry, small_membrane, fast_model):
+        report = characterize(small_geometry, small_membrane, fast_model, forces=(0.01, 0.03, 0.05), steps=(0.2,),
+                              seed=0)
         assert report.noise_floor_mm > 0.0
 
-    def test_sweep_directions(self, small_geometry, fast_model):
-        report = characterize(make_rig(small_geometry), fast_model, forces=(0.05, 0.01, 0.03), steps=(0.2,), seed=0)
+    def test_sweep_directions(self, small_geometry, small_membrane, fast_model):
+        report = characterize(small_geometry, small_membrane, fast_model, forces=(0.05, 0.01, 0.03), steps=(0.2,),
+                              seed=0)
         loading, unloading = report.loading, report.unloading
         assert loading.direction == "loading" and np.all(np.diff(loading.forces) > 0)
         assert unloading.direction == "unloading" and np.all(np.diff(unloading.forces) < 0)
@@ -259,9 +253,8 @@ class TestMeasurementLoops:
     STEPS = (0.2, 0.5)
 
     @pytest.fixture(scope="class")
-    def run(self, small_geometry, fast_model):
-        """The rig, the report of one ``characterize`` run and the ``disc_captures`` streams it opened."""
-        rig = make_rig(small_geometry)
+    def run(self, small_geometry, small_membrane, fast_model):
+        """The report of one ``characterize`` run and the ``disc_captures`` streams it opened."""
         streams = []
 
         def recording(*args):
@@ -270,48 +263,51 @@ class TestMeasurementLoops:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(characterization, "disc_captures", recording)
-            report = characterize(rig, fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
-        return rig, report, streams
+            report = characterize(small_geometry, small_membrane, fast_model, forces=self.FORCES, steps=self.STEPS,
+                                  seed=self.SEED)
+        return report, streams
 
     @staticmethod
-    def measure(rig, model, truth, seed_pair):
-        ref = render_reading(rig.geometry.zero_map(), rig.membrane, int(seed_pair[0]))
-        contact = render_reading(truth, rig.membrane, int(seed_pair[1]))
-        depths = reconstruct(model, ref, contact, rig.geometry).depths[rig.geometry.disc_mask]
+    def measure(geom, membrane, model, truth, seed_pair):
+        ref = render_reading(geom.zero_map(), membrane, int(seed_pair[0]))
+        contact = render_reading(truth, membrane, int(seed_pair[1]))
+        depths = reconstruct(model, ref, contact, geom).depths[geom.disc_mask]
         return depths.astype(np.float64)
 
     def test_one_capture_stream(self, run):
-        _, _, streams = run
+        _, streams = run
         assert len(streams) == 1
 
-    def test_trials_match_per_capture_reference(self, run, fast_model):
-        rig, report, _ = run
+    def test_trials_match_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+        report, _ = run
         n_trials = defaults.CHAR_TRIALS
         seeds = rng_stream(self.SEED + 2, characterization._STREAM_TRIALS).integers(
             0, 2**62, size=(n_trials, len(self.STEPS), 2))
         for t in range(n_trials):
             for j, depth in enumerate(self.STEPS):
-                expected = self.measure(rig, fast_model, rig.truth_profile(depth), seeds[t, j]).max()
+                truth = indenter_truth(depth, small_geometry)
+                expected = self.measure(small_geometry, small_membrane, fast_model, truth, seeds[t, j]).max()
                 assert report.trials.measurements[t, j] == expected
 
-    def test_noise_floor_matches_per_capture_reference(self, run, fast_model, small_geometry):
-        rig, report, _ = run
+    def test_noise_floor_matches_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+        report, _ = run
         pairs = defaults.CHAR_NULL_PAIRS
         seeds = rng_stream(self.SEED, characterization._STREAM_NULL).integers(0, 2**62, size=2 * pairs)
         zero = small_geometry.zero_map()
-        stds = [float(self.measure(rig, fast_model, zero, seeds[2 * i : 2 * i + 2]).std()) for i in range(pairs)]
+        stds = [float(self.measure(small_geometry, small_membrane, fast_model, zero, seeds[2 * i : 2 * i + 2]).std())
+                for i in range(pairs)]
         assert report.noise_floor_mm == float(np.mean(stds))
 
-    def test_null_std_matches_full_readings(self, run, small_geometry):
-        rig, report, _ = run
+    def test_null_std_matches_full_readings(self, run, small_geometry, small_membrane):
+        report, _ = run
         seeds = rng_stream(self.SEED + 3, characterization._STREAM_NULL).integers(0, 2**62, size=2)
         zero = small_geometry.zero_map()
         mask = small_geometry.disc_mask
-        before, after = (render_reading(zero, rig.membrane, int(s)).pixels[mask] for s in seeds)
+        before, after = (render_reading(zero, small_membrane, int(s)).pixels[mask] for s in seeds)
         assert report.null_std == null_difference_stat(before, after, small_geometry)
 
-    def test_sweep_matches_per_capture_reference(self, run, fast_model):
-        rig, report, _ = run
+    def test_sweep_matches_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+        report, _ = run
         n_trials = defaults.CHAR_TRIALS
         for sweep, seed in ((report.loading, self.SEED), (report.unloading, self.SEED + 1)):
             unloading = sweep.direction == "unloading"
@@ -319,12 +315,13 @@ class TestMeasurementLoops:
                 0, 2**62, size=(len(self.FORCES), n_trials, 2))
             for i, force in enumerate(sorted(self.FORCES, reverse=unloading)):
                 assert sweep.forces[i] == force
-                truth = rig.truth_profile(rig.force_to_depth(force), unloading=unloading)
-                depths = [self.measure(rig, fast_model, truth, seeds[i, t]) for t in range(n_trials)]
+                truth = indenter_truth(force_to_depth(force), small_geometry, unloading=unloading)
+                depths = [self.measure(small_geometry, small_membrane, fast_model, truth, seeds[i, t])
+                          for t in range(n_trials)]
                 assert sweep.max_depths[i] == np.mean([d.max() for d in depths])
                 assert sweep.mean_depths[i] == np.mean([d.mean() for d in depths])
 
-    def test_failure_mid_protocol_joins_the_noise_worker(self, small_geometry, fast_model, monkeypatch):
+    def test_failure_mid_protocol_joins_the_noise_worker(self, small_geometry, small_membrane, fast_model, monkeypatch):
         """A reconstruction that raises inside a phase ends the one stream and joins its worker thread.
 
         The held traceback keeps ``characterize``'s frame, and so the stream, alive: only ``characterize`` itself
@@ -339,6 +336,7 @@ class TestMeasurementLoops:
 
         monkeypatch.setattr(characterization, "disc_depths", failing)
         with pytest.raises(RuntimeError, match="seventh reconstruction") as raised:
-            characterize(make_rig(small_geometry), fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
+            characterize(small_geometry, small_membrane, fast_model, forces=self.FORCES, steps=self.STEPS,
+                         seed=self.SEED)
         assert len(calls) == 7
         assert not [thread for thread in threading.enumerate() if thread.name.startswith("phototact-noise")], raised

@@ -216,7 +216,7 @@ class TestCalibrateReconstruct:
 
 
 class TestModelFile:
-    @pytest.mark.parametrize("value", ["NaN", "-1.0", "5.0"])
+    @pytest.mark.parametrize("value", ["NaN", "-1.0", "0.25", "5.0"])
     def test_hand_edited_max_depth(self, tmp_path, tiny_model_path, capsys, value):
         model = tmp_path / "edited.json"
         text = tiny_model_path.read_text()
@@ -226,7 +226,7 @@ class TestModelFile:
         assert run(["reconstruct", *SMALL, "--model", model, "--ref", tmp_path / "press_ref.ppm",
                     "--contact", tmp_path / "press_contact.ppm", "--out", tmp_path / "recon.dmap"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "max depth must lie in (0, 0.5] mm" in err
+        assert err.count("\n") == 1 and "max depth must be 0.5 mm, the full scale" in err
         assert not (tmp_path / "recon.dmap").exists()
 
 
@@ -559,8 +559,8 @@ def pipeline(tmp_path_factory):
         ),
         "calibrate": (
             ["--captures", 4, "--epochs", 6, "--seed", 3, "--out", p("calib.json")],
-            {**RENDER_CONFIG, "captures": 4, "sphere_radius": pt.defaults.CALIBRATION_SPHERE_RADIUS_MM, "epochs": 6,
-             "batch_size": 4096, "learning_rate": 0.001, "seed": 3, "out": p("calib.json")},
+            {**RENDER_CONFIG, "captures": 4, "epochs": 6, "batch_size": 4096, "learning_rate": 0.001, "seed": 3,
+             "out": p("calib.json")},
             [],
             [p("calib.json")],
         ),
@@ -809,13 +809,14 @@ EXIT_CODE_TABLE = [
                                                                         "applied_mass_g": 10**400}),
                                                           "--out-prefix", t / "p"], 2,
      "phantom parameters must be finite"),
+    # The phantom's stiffnesses are constants, so a config that names one, at any value, is refused.
     ("phantom", "config-boost-overflows-the-disc-sum",
      lambda d, t: ["phantom", *SMALL, "--config", json_file(t, {"tumor_present": True, "tumor_stiffness_boost": 1e308}),
-                   "--out-prefix", t / "p"], 2, "degenerate foundation"),
+                   "--out-prefix", t / "p"], 2, "unknown phantom config keys: tumor_stiffness_boost"),
     ("phantom", "config-stiffnesses-overflow-the-field",
      lambda d, t: ["phantom", *SMALL, "--config", json_file(t, {"tumor_present": True, "tissue_stiffness": 1.7e308,
                                                                 "tumor_stiffness_boost": 1.7e308}),
-                   "--out-prefix", t / "p"], 2, "degenerate foundation"),
+                   "--out-prefix", t / "p"], 2, "unknown phantom config keys: tissue_stiffness, tumor_stiffness_boost"),
     ("phantom", "noise-std-nan", lambda d, t: ["phantom", *SMALL, "--noise-std", "nan", "--out-prefix", t / "p"], 2,
      "must be finite"),
     ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
@@ -838,7 +839,8 @@ EXIT_CODE_TABLE = [
     ("calibrate", "out-in-missing-directory", lambda d, t: ["calibrate", *SMALL, "--captures", 1, "--epochs", 1,
                                                             "--out", t / "none" / "c.json"], 2, "No such file"),
     ("calibrate", "sphere-radius-nan", lambda d, t: ["calibrate", *SMALL, "--sphere-radius", "nan",
-                                                     "--out", t / "c.json"], 2, "sphere radius must be positive"),
+                                                     "--out", t / "c.json"], 1,
+     "unrecognized arguments: --sphere-radius nan"),
     ("reconstruct", "missing-model-flag", lambda d, t: ["reconstruct", "--ref", d / "press_ref.ppm", "--contact",
                                                         d / "press_contact.ppm", "--out", t / "r.dmap"], 1,
      "required: --model"),
@@ -873,7 +875,7 @@ EXIT_CODE_TABLE = [
                                                             edited(d / "calib.json", t, max_depth=10**400), "--ref",
                                                             d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
                                                             "--out", t / "r.dmap"], 2,
-     "max depth must lie in (0, 0.5] mm"),
+     "max depth must be 0.5 mm, the full scale"),
     ("reconstruct", "epoch-loss-beyond-float", lambda d, t: ["reconstruct", *SMALL, "--model",
                                                              edited(d / "calib.json", t, epoch_losses=[0.1, 10**400]),
                                                              "--ref", d / "press_ref.ppm", "--contact",
@@ -1184,7 +1186,6 @@ class TestFlagsCheckedBeforeWork:
         assert run(["train-detector", *SMALL, "--dataset", d / "data", "--calibration", d / "calib.json",
                     *flags, "--out", tmp_path / "det.json"]) == 2
         assert fragment in capsys.readouterr().err and calls == []
-
 
 class TestReproducibility:
     def test_rerun_manifest_argv_is_byte_identical(self, tmp_path):

@@ -15,8 +15,6 @@ CASES = [
     (PhantomConfig, {"tumor_present": True}, "applied_mass_g"),
     (PhantomConfig, {"tumor_present": True}, "ball_diameter_mm"),
     (PhantomConfig, {"tumor_present": False}, "burial_depth_mm"),
-    (PhantomConfig, {"tumor_present": True}, "tissue_stiffness"),
-    (PhantomConfig, {"tumor_present": True}, "tumor_stiffness_boost"),
     (ImprintParams, {}, "alpha"),
     (ImprintParams, {}, "beta"),
     (pt.SensorGeometry, {}, "sensing_radius_mm"),
@@ -24,7 +22,6 @@ CASES = [
     (TrainConfig, {}, "learning_rate"),
     (pt.MembraneModel, {"baseline": BASELINE}, "noise_std"),
     (pt.MembraneModel, {"baseline": BASELINE}, "speckle_amplitude"),
-    (pt.MembraneModel, {"baseline": BASELINE}, "stiffness"),
     (pt.DatasetSpec, {}, "positive_mass_g"),
 ]
 

@@ -64,7 +64,7 @@ class TestExtractFeatures:
     def test_tumor_sigma_exceeds_matched_negative(self, small_geometry, small_membrane):
         spec = DatasetSpec(diameters_mm=(6.0,), burial_depths_mm=(3.0,), presses_per_positive=1,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=1)
-        truths = {label: contact_solve(cfg, small_geometry, small_membrane)
+        truths = {label: contact_solve(cfg, small_geometry)
                   for _, label, cfg, _ in dataset_presses(spec, seed=6)}
         assert extract_features(truths[1])[1] > extract_features(truths[-1])[1]
 

@@ -26,7 +26,7 @@ from phototact.phantom import (
 )
 
 
-def oracle_peak_depth(cfg, geom, membrane_stiffness, factor=4):
+def oracle_peak_depth(cfg, geom, factor=4):
     """Independent dense-quadrature evaluation of the closed-form field."""
     hi = pt.SensorGeometry(
         width=geom.width * factor,
@@ -38,14 +38,14 @@ def oracle_peak_depth(cfg, geom, membrane_stiffness, factor=4):
     mask = hi.disc_mask
     integral = k[mask].sum() * hi.mm_per_pixel**2
     displacement = cfg.force_n / integral
-    return min(k[mask].max() * displacement / membrane_stiffness, pt.MAX_DEPTH_MM)
+    return min(k[mask].max() * displacement / defaults.MEMBRANE_STIFFNESS, pt.MAX_DEPTH_MM)
 
 
 class TestStiffnessField:
     def test_no_tumor_uniform(self, small_geometry):
         cfg = PhantomConfig(tumor_present=False)
         k = stiffness_field(cfg, small_geometry)
-        assert np.all(k == cfg.tissue_stiffness)
+        assert np.all(k == defaults.TISSUE_STIFFNESS)
 
     def test_peak_at_tumor_projection(self):
         geom = pt.SensorGeometry(width=101, height=81, mm_per_pixel=0.1)  # centers on exact pixels
@@ -70,75 +70,73 @@ class TestStiffnessField:
             PhantomConfig(tumor_present=True, ball_diameter_mm=12.0)
         with pytest.raises(ValueError, match="burial"):
             PhantomConfig(tumor_present=True, burial_depth_mm=0.5)
-        with pytest.raises(ValueError, match="stiffness"):
-            PhantomConfig(tumor_present=False, tissue_stiffness=0.0)
         with pytest.raises(ValueError, match="mass"):
             PhantomConfig(tumor_present=False, applied_mass_g=0.0)
 
 
 class TestContactSolve:
-    def test_uniform_field_algebra(self, small_geometry, small_membrane):
+    def test_uniform_field_algebra(self, small_geometry):
         """Pressure is depth times membrane stiffness while nothing clamps: force/area in the disc, zero outside."""
         cfg = PhantomConfig(tumor_present=False, applied_mass_g=1000.0)
-        dmap = contact_solve(cfg, small_geometry, small_membrane)
-        pressure = dmap.depths.astype(np.float64) * small_membrane.stiffness
+        dmap = contact_solve(cfg, small_geometry)
+        pressure = dmap.depths.astype(np.float64) * defaults.MEMBRANE_STIFFNESS
         mask = small_geometry.disc_mask
         disc_area = mask.sum() * small_geometry.mm_per_pixel**2
         assert np.all(dmap.depths[mask] < pt.MAX_DEPTH_MM)
         assert np.allclose(pressure[mask], cfg.force_n / disc_area)
-        assert np.allclose(dmap.depths[mask], cfg.force_n / (disc_area * small_membrane.stiffness), atol=1e-7)
+        assert np.allclose(dmap.depths[mask], cfg.force_n / (disc_area * defaults.MEMBRANE_STIFFNESS), atol=1e-7)
         assert np.all(pressure[~mask] == 0.0)
 
-    def test_force_balance(self, small_geometry, small_membrane):
+    def test_force_balance(self, small_geometry):
         for cfg in (
             PhantomConfig(tumor_present=False, applied_mass_g=700.0),
             PhantomConfig(tumor_present=True, ball_diameter_mm=8.0, burial_depth_mm=2.0),
         ):
-            depths = contact_solve(cfg, small_geometry, small_membrane).depths[small_geometry.disc_mask]
+            depths = contact_solve(cfg, small_geometry).depths[small_geometry.disc_mask]
             assert np.all(depths < pt.MAX_DEPTH_MM)  # no clamp, so depth times stiffness is the pressure
-            integral = (depths.astype(np.float64) * small_membrane.stiffness).sum() * small_geometry.mm_per_pixel**2
+            integral = (depths.astype(np.float64) * defaults.MEMBRANE_STIFFNESS).sum() * small_geometry.mm_per_pixel**2
             assert abs(integral - cfg.force_n) <= 1e-3 * cfg.force_n
 
-    def test_doubling_mass_doubles_depth(self, small_geometry, small_membrane):
+    def test_doubling_mass_doubles_depth(self, small_geometry):
         base = PhantomConfig(tumor_present=True, applied_mass_g=100.0)  # small: nothing clamps
         double = PhantomConfig(tumor_present=True, applied_mass_g=200.0)
-        d1 = contact_solve(base, small_geometry, small_membrane).depths.astype(np.float64)
-        d2 = contact_solve(double, small_geometry, small_membrane).depths.astype(np.float64)
+        d1 = contact_solve(base, small_geometry).depths.astype(np.float64)
+        d2 = contact_solve(double, small_geometry).depths.astype(np.float64)
         assert np.allclose(d2, 2.0 * d1, atol=1e-7)
 
-    def test_reference_peak_against_dense_quadrature(self, geometry, membrane):
+    def test_reference_peak_against_dense_quadrature(self, geometry):
         cfg = PhantomConfig(tumor_present=True, ball_diameter_mm=6.0, burial_depth_mm=3.0, applied_mass_g=1000.0)
-        sol = contact_solve(cfg, geometry, membrane)
+        sol = contact_solve(cfg, geometry)
         peak = float(sol.depths[geometry.disc_mask].max())
         assert peak == pytest.approx(0.3937202, rel=1e-3)  # frozen from the 4x oracle
-        assert peak == pytest.approx(oracle_peak_depth(cfg, geometry, membrane.stiffness), rel=1e-3)
+        assert peak == pytest.approx(oracle_peak_depth(cfg, geometry), rel=1e-3)
 
-    def test_monotone_in_mass(self, small_geometry, small_membrane):
+    def test_monotone_in_mass(self, small_geometry):
         masses = [500.0, 1000.0, 2000.0, 8000.0]
         prev = None
         for mass in masses:
             cfg = PhantomConfig(tumor_present=True, applied_mass_g=mass)
-            depths = contact_solve(cfg, small_geometry, small_membrane).depths
+            depths = contact_solve(cfg, small_geometry).depths
             if prev is not None:
                 assert np.all(depths >= prev)
             prev = depths
 
-    def test_rotation_symmetry_centered_tumor(self, small_geometry, small_membrane):
+    def test_rotation_symmetry_centered_tumor(self, small_geometry):
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(0.0, 0.0))
-        depths = contact_solve(cfg, small_geometry, small_membrane).depths.astype(np.float64)
+        depths = contact_solve(cfg, small_geometry).depths.astype(np.float64)
         rotated = depths[::-1, ::-1]
         assert np.abs(depths - rotated).max() <= 1e-9
 
-    def test_clamp_never_exceeded(self, small_geometry, small_membrane):
+    def test_clamp_never_exceeded(self, small_geometry):
         cfg = PhantomConfig(tumor_present=True, applied_mass_g=50000.0)
-        sol = contact_solve(cfg, small_geometry, small_membrane)
+        sol = contact_solve(cfg, small_geometry)
         assert sol.depths.shape == (small_geometry.height, small_geometry.width)
         assert np.array_equal(sol.mask, small_geometry.disc_mask)
         assert sol.depths.max() <= pt.MAX_DEPTH_MM
 
-    def test_tumor_raises_depth_spread(self, small_geometry, small_membrane):
-        with_tumor = contact_solve(PhantomConfig(tumor_present=True), small_geometry, small_membrane)
-        without = contact_solve(PhantomConfig(tumor_present=False), small_geometry, small_membrane)
+    def test_tumor_raises_depth_spread(self, small_geometry):
+        with_tumor = contact_solve(PhantomConfig(tumor_present=True), small_geometry)
+        without = contact_solve(PhantomConfig(tumor_present=False), small_geometry)
         mask = small_geometry.disc_mask
         assert with_tumor.depths[mask].std() > without.depths[mask].std()
 
@@ -208,7 +206,7 @@ class TestRenderReading:
         maps = (
             geom.zero_map(),
             sphere_press_truth(0.3, 3.0, geom),
-            contact_solve(cfg, geom, small_membrane),
+            contact_solve(cfg, geom),
             pt.DeformationMap(everywhere, geom.disc_mask),
             pt.DeformationMap(signed_zeros, geom.disc_mask),
             pt.DeformationMap(np.full_like(everywhere, -0.0), geom.disc_mask),
@@ -287,7 +285,7 @@ class TestRenderReading:
 def press_maps(geom, membrane):
     """A zero map, a centered sphere press and an off-center phantom contact, all on ``geom``."""
     cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
-    return (geom.zero_map(), sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom, membrane))
+    return (geom.zero_map(), sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom))
 
 
 def bottom_row_mask(geom):
@@ -582,7 +580,7 @@ class TestDataset:
             """(sample_id, reference, contact, truth) of each press of ``spec`` at dataset seed ``seed``."""
             presses = []
             for sample_id, _, cfg, press_seed in dataset_presses(spec, seed):
-                truth = contact_solve(cfg, small_geometry, small_membrane)
+                truth = contact_solve(cfg, small_geometry)
                 presses.append((sample_id, *reading_pair(truth, small_membrane, press_seed), truth))
             return presses
 
@@ -598,7 +596,7 @@ class TestDataset:
     def test_tumor_sigma_exceeds_matched_negative(self, small_geometry, small_membrane):
         spec = DatasetSpec(diameters_mm=(6.0,), burial_depths_mm=(3.0,), presses_per_positive=1,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=1)
-        truths = {label: contact_solve(cfg, small_geometry, small_membrane)
+        truths = {label: contact_solve(cfg, small_geometry)
                   for _, label, cfg, _ in dataset_presses(spec, seed=4)}
         mask = small_geometry.disc_mask
         sigma_pos = truths[1].depths[mask].std()

@@ -95,10 +95,9 @@ def test_the_noise_thread_calls_no_traced_function(small_geometry, small_membran
             threads.add(threading.current_thread())
             return super().span(name)
 
-    rig = pt.IndenterRig(geometry=small_geometry, membrane=small_membrane)
     with tracer.installed(ThreadRecorder()) as traced:
-        pt.characterize(rig, linear_hue_model(1.0), forces=(0.05, 0.09, 0.11), steps=(0.2, 0.5), seed=1)
-        pt.build_calib_dataset(2, 3.0, small_geometry, small_membrane, seed=1)
+        pt.characterize(small_geometry, small_membrane, linear_hue_model(1.0), forces=(0.05, 0.09, 0.11), steps=(0.2, 0.5), seed=1)
+        pt.build_calib_dataset(2, small_geometry, small_membrane, seed=1)
     assert threads == {threading.main_thread()}
     layers = traced.layers()
     assert layers["imaging.hsv_to_rgb_real"]["calls"] > 0
