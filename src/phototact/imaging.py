@@ -158,6 +158,9 @@ class SensorGeometry:
             raise ValueError("sensing radius and scale must be finite")
         if self.sensing_radius_mm <= 0 or self.mm_per_pixel <= 0:
             raise ValueError("sensing radius and scale must be positive")
+        extent = self.mm_per_pixel * max(self.width, self.height)
+        if not math.isfinite(extent * extent):  # a float ** raises OverflowError where * gives inf
+            raise ValueError("scale too large: the frame's squared extent in mm^2 is not a finite float")
         half_extent = self.mm_per_pixel * (min(self.width, self.height) - 1) / 2.0
         if self.sensing_radius_mm > half_extent:
             raise ValueError("sensing disc does not fit inside the image")

@@ -208,9 +208,9 @@ def contact_solve(cfg: PhantomConfig, geom: SensorGeometry) -> DeformationMap:
     """Indentation map of a rigid flat punch pressed with cfg's force onto the Winkler foundation."""
     k = stiffness_field(cfg, geom)
     mask = geom.disc_mask
-    area_element = geom.mm_per_pixel**2
-    with np.errstate(over="ignore"):  # an overflowing sum is not finite, which the check below reports
-        stiffness_integral = float(k[mask].sum()) * area_element
+    # Every k is at most TISSUE_STIFFNESS + TUMOR_STIFFNESS_BOOST and the geometry keeps the frame's squared extent
+    # finite, so the integral cannot overflow; at a small enough scale it underflows to 0, which the check reports.
+    stiffness_integral = float(k[mask].sum()) * geom.mm_per_pixel**2
     if not (math.isfinite(stiffness_integral) and stiffness_integral > 0.0):
         raise ValueError("degenerate foundation")
     displacement = cfg.force_n / stiffness_integral

@@ -23,6 +23,9 @@ from phototact.detection import DetectorModel, save_detector
 SMALL = ["--width", "100", "--height", "80", "--mm-per-pixel", "0.1"]
 # A sensing disc between the pixel centers of an even-sized image, so it holds none.
 EMPTY_DISC = [*SMALL, "--sensing-radius", "0.01"]
+# An odd-sized image keeps its center pixel in the disc at any scale; at 1e160 mm per pixel the frame's squared
+# extent overflows a float.
+HUGE_SCALE = ["--width", "101", "--height", "81", "--mm-per-pixel", "1e160"]
 
 
 def run(argv):
@@ -817,6 +820,9 @@ EXIT_CODE_TABLE = [
      lambda d, t: ["phantom", *SMALL, "--config", json_file(t, {"tumor_present": True, "tissue_stiffness": 1.7e308,
                                                                 "tumor_stiffness_boost": 1.7e308}),
                    "--out-prefix", t / "p"], 2, "unknown phantom config keys: tissue_stiffness, tumor_stiffness_boost"),
+    ("phantom", "foundation-underflows",
+     lambda d, t: ["phantom", "--width", "101", "--height", "81", "--mm-per-pixel", "1e-170", "--sensing-radius",
+                   "1e-200", "--out-prefix", t / "p"], 2, "degenerate foundation"),
     ("phantom", "noise-std-nan", lambda d, t: ["phantom", *SMALL, "--noise-std", "nan", "--out-prefix", t / "p"], 2,
      "must be finite"),
     ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
@@ -1044,6 +1050,12 @@ EXIT_CODE_TABLE = [
      "sensing disc holds no pixel center"),
     ("characterize", "empty-disc", lambda d, t: ["characterize", *EMPTY_DISC, "--calibration", d / "calib.json",
                                                  "--out", t / "char"], 2, "sensing disc holds no pixel center"),
+    ("phantom", "squared-extent-overflows", lambda d, t: ["phantom", *HUGE_SCALE, "--seed", 1, "--out-prefix", t / "p"],
+     2, "the frame's squared extent in mm^2 is not a finite float"),
+    ("reconstruct", "squared-extent-overflows", lambda d, t: ["reconstruct", *HUGE_SCALE, "--model", d / "calib.json",
+                                                              "--ref", d / "press_ref.ppm", "--contact",
+                                                              d / "press_contact.ppm", "--out", t / "r.dmap"], 2,
+     "the frame's squared extent in mm^2 is not a finite float"),
     # A failed run publishes none of its outputs, even those it made before the failure.
     ("detect", "report-directory-missing", lambda d, t: ["detect", "--detector", d / "detector.json",
                                                          "--map", d / "recon.dmap", "--report", t / "nodir" / "r.json"],
@@ -1186,6 +1198,7 @@ class TestFlagsCheckedBeforeWork:
         assert run(["train-detector", *SMALL, "--dataset", d / "data", "--calibration", d / "calib.json",
                     *flags, "--out", tmp_path / "det.json"]) == 2
         assert fragment in capsys.readouterr().err and calls == []
+
 
 class TestReproducibility:
     def test_rerun_manifest_argv_is_byte_identical(self, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 import threading
 import time
 
@@ -139,6 +140,27 @@ class TestContactSolve:
         without = contact_solve(PhantomConfig(tumor_present=False), small_geometry)
         mask = small_geometry.disc_mask
         assert with_tumor.depths[mask].std() > without.depths[mask].std()
+
+    @pytest.mark.parametrize("width, height", [(101, 81), (320, 240)])
+    def test_foundation_sum_cannot_overflow(self, width, height):
+        """The largest scale the geometry accepts, with the disc over the frame, sums the foundation finitely.
+
+        Every k is at most ``TISSUE_STIFFNESS + TUMOR_STIFFNESS_BOOST`` and the
+        geometry keeps the frame's squared extent finite, so no input overflows
+        the sum: at this scale the disc holds the most pixels of the largest area.
+        """
+        side = max(width, height)
+        scale = math.sqrt(sys.float_info.max) / side
+        while not math.isfinite(scale * side * (scale * side)):
+            scale = math.nextafter(scale, 0.0)
+        with pytest.raises(ValueError, match="squared extent"):
+            pt.SensorGeometry(width=width, height=height, mm_per_pixel=2.0 * scale)
+        geom = pt.SensorGeometry(width=width, height=height, mm_per_pixel=scale,
+                                 sensing_radius_mm=scale * (min(width, height) - 1) / 2.0)
+        with np.errstate(over="raise"):
+            for tumor in (False, True):
+                depths = contact_solve(PhantomConfig(tumor_present=tumor), geom).depths
+                assert np.all(np.isfinite(depths))
 
 
 class TestSpherePress:
