@@ -453,12 +453,15 @@ def _read_dataset_manifest(dataset_dir):
 
 
 def _dataset_features(dataset_dir, sample_ids, calib_model, geom):
-    """The (mu, sigma) row of each sample of a dataset directory, from its reconstructed depths."""
-    features = []
-    for sample_id in sample_ids:
-        ref, contact, _ = _press_files(Path(dataset_dir) / sample_id)
-        features.append(depth_features(disc_depths(calib_model, color_delta(load_ppm(ref), load_ppm(contact), geom))))
-    return np.array(features)
+    """The (mu, sigma) row of each sample of a dataset directory, from its reconstructed depths.
+
+    A missing capture of any sample is reported before the first sample is reconstructed."""
+    pairs = [_press_files(Path(dataset_dir) / sample_id)[:2] for sample_id in sample_ids]
+    for path in (path for pair in pairs for path in pair):
+        if not os.path.exists(path):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    return np.array([depth_features(disc_depths(calib_model, color_delta(load_ppm(ref), load_ppm(contact), geom)))
+                     for ref, contact in pairs])
 
 
 def _cmd_train_detector(args, stage):

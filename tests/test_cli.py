@@ -1173,7 +1173,8 @@ class TestExitCodeTable:
 
 
 class TestFlagsCheckedBeforeWork:
-    """A bad training flag exits 2 before the verb renders a capture or reconstructs a sample."""
+    """A bad training flag or a missing press file exits 2 before the verb renders a capture or reconstructs a
+    sample."""
 
     @pytest.mark.parametrize("flags, fragment", [(["--epochs", 0], "epochs must be >= 1"),
                                                  (["--batch-size", 0], "batch size must be >= 1"),
@@ -1198,6 +1199,24 @@ class TestFlagsCheckedBeforeWork:
         assert run(["train-detector", *SMALL, "--dataset", d / "data", "--calibration", d / "calib.json",
                     *flags, "--out", tmp_path / "det.json"]) == 2
         assert fragment in capsys.readouterr().err and calls == []
+
+    @pytest.mark.parametrize("verb", ["train-detector", "evaluate"])
+    def test_missing_press_file_reconstructs_nothing(self, pipeline, tmp_path, monkeypatch, capsys, verb):
+        """The last sample's missing contact capture is named before the first sample is reconstructed."""
+        d = pipeline[0]
+        data = tmp_path / "data"
+        shutil.copytree(d / "data", data)
+        last = (data / "manifest.csv").read_text().splitlines()[-1].split(",")[0]
+        missing = Path(cli._press_files(data / last)[1])
+        missing.unlink()
+        calls, depths = [], cli.disc_depths
+        monkeypatch.setattr(cli, "disc_depths", lambda *args: calls.append(args) or depths(*args))
+        flags = {"train-detector": ["--train-fraction", 0.5, "--out", tmp_path / "det.json"],
+                 "evaluate": ["--detector", d / "detector.json", "--out", tmp_path / "report.json"]}[verb]
+        assert run([verb, *SMALL, "--dataset", data, "--calibration", d / "calib.json", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"No such file or directory: '{missing}'" in err
+        assert calls == []
 
 
 class TestReproducibility:
