@@ -1,12 +1,14 @@
-"""Every top-level function and class of ``src/phototact`` is used by other code in ``src/``.
+"""Every top-level function and class of ``src/phototact`` is used by other code in ``src/``, and every constant of
+``defaults`` is read by another module.
 
 An entry point that no verb, phase or module calls is a second
 implementation of something the package already does, and the tests that
 check it check the wrong path; a private helper that nothing calls any more
-is dead code that only its tests keep alive.  The walk reads the ASTs of the
-package's modules: a name counts as used where another module, or its own
-module outside the definition, reads it as a name or an attribute.  The
-re-exports in ``__init__.py`` do not count.
+is dead code that only its tests keep alive, and so is a constant that
+nothing reads.  The walk reads the ASTs of the package's modules: a name
+counts as used where another module, or its own module outside the
+definition, reads it as a name or an attribute.  The re-exports in
+``__init__.py`` do not count.
 """
 
 import ast
@@ -44,6 +46,19 @@ def is_used(qualified, definition, modules):
 
 def unused_names(modules, private=False):
     return {q for q, node in definitions(modules, private).items() if not is_used(q, node, modules)}
+
+
+def unread_constants(modules):
+    """The top-level names assigned in ``defaults`` that no other module reads."""
+    others = {module: tree for module, tree in modules.items() if module != "defaults"}
+    assigned = {target.id: node for node in modules["defaults"].body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)}
+    return {name for name, node in assigned.items() if not is_used(f"defaults.{name}", node, others)}
+
+
+def test_every_defaults_constant_is_read_by_another_module():
+    assert sorted(unread_constants(parsed_modules())) == []
 
 
 def test_every_public_definition_is_used_in_the_package():
