@@ -61,7 +61,7 @@ class TestExtractFeatures:
         with pytest.raises(ValueError, match="empty mask"):
             extract_features(dmap)
 
-    def test_tumor_sigma_exceeds_matched_negative(self, small_geometry, small_membrane):
+    def test_tumor_sigma_exceeds_matched_negative(self, small_geometry):
         spec = DatasetSpec(diameters_mm=(6.0,), burial_depths_mm=(3.0,), presses_per_positive=1,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=1)
         truths = {label: contact_solve(cfg, small_geometry)

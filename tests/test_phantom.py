@@ -243,7 +243,7 @@ class TestRenderReading:
         """At 320x240 the noise is drawn in ten blocks, which continue one Philox fill: the full frame equals the
         one-fill reference, and the disc captures equal its disc."""
         assert geometry.width * geometry.height > 9 * phantom._NOISE_BLOCK_PX
-        maps = press_maps(geometry, membrane)
+        maps = press_maps(geometry)
         expected = [uncached_render(dmap, membrane, seed) for dmap in maps]
         for dmap, reference in zip(maps, expected):
             assert np.array_equal(render_reading(dmap, membrane, seed).pixels, reference)
@@ -304,7 +304,7 @@ class TestRenderReading:
             deformed_hsv(small_geometry.zero_map(), membrane)
 
 
-def press_maps(geom, membrane):
+def press_maps(geom):
     """A zero map, a centered sphere press and an off-center phantom contact, all on ``geom``."""
     cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
     return (geom.zero_map(), sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom))
@@ -326,7 +326,7 @@ class TestDiscPixels:
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
         full = np.ones((geom.height, geom.width), dtype=bool)
-        for dmap in press_maps(geom, membrane):
+        for dmap in press_maps(geom):
             for mask in (geom.disc_mask, bottom_row_mask(geom), full):
                 clean = pt.clean_pixels(dmap, membrane, np.flatnonzero(mask))
                 assert np.array_equal(clean, uncached_clean(dmap, membrane)[mask])
@@ -339,7 +339,7 @@ class TestDiscPixels:
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
         full = np.ones((geom.height, geom.width), dtype=bool)
-        maps = press_maps(geom, membrane)
+        maps = press_maps(geom)
         readings = [render_reading(dmap, membrane, seed).pixels for dmap in maps]
         for dmap, reading in zip(maps, readings):
             clean = uncached_clean(dmap, membrane)
@@ -390,7 +390,7 @@ class TestNoiseWorker:
         """The prefetched captures equal the disc of the full-frame render, made serially at each seed."""
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
-        truths = press_maps(geom, membrane)
+        truths = press_maps(geom)
         seed_pairs = [[(1, 2), (3, 4)], [(5, 6)], [(2**62 - 1, 0), (7, 7)]]
         mask = geom.disc_mask
         zero = geom.zero_map()
@@ -615,7 +615,7 @@ class TestDataset:
         third = rendered(12)
         assert not np.array_equal(first[0][1].pixels, third[0][1].pixels)
 
-    def test_tumor_sigma_exceeds_matched_negative(self, small_geometry, small_membrane):
+    def test_tumor_sigma_exceeds_matched_negative(self, small_geometry):
         spec = DatasetSpec(diameters_mm=(6.0,), burial_depths_mm=(3.0,), presses_per_positive=1,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=1)
         truths = {label: contact_solve(cfg, small_geometry)
