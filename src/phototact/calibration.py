@@ -385,13 +385,11 @@ def build_calib_dataset(n_captures: int, geom: SensorGeometry, membrane: Membran
     """
     if n_captures < 1:
         raise ValueError("need at least one capture")
-    draws = rng_stream(seed, _STREAM_DEPTHS).random(n_captures)
-    render_seeds = sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 1, 2))
-    # uniform depths in (0, MAX_DEPTH_MM]
-    radius = defaults.CALIBRATION_SPHERE_RADIUS_MM
-    truths = (sphere_press_truth(MAX_DEPTH_MM * (1.0 - float(draw)), radius, geom) for draw in draws)
+    depths = MAX_DEPTH_MM * (1.0 - rng_stream(seed, _STREAM_DEPTHS).random(n_captures))
+    truths = (sphere_press_truth(depth, defaults.CALIBRATION_SPHERE_RADIUS_MM, geom) for depth in depths)
+    presses = [(truths, sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 1, 2)))]
     rows_x, rows_y = [], []
-    for truth, ref, contact in disc_captures(truths, render_seeds, membrane, geom):
+    for truth, ref, contact in disc_captures(presses, membrane, geom):
         rows_x.append(disc_rows(ref, contact, geom))
         rows_y.append(np.take(truth.depths, geom.disc_index).astype(np.float64))
     return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)

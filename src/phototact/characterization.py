@@ -214,8 +214,8 @@ def characterize(
 ) -> CharacterizationReport:
     """Run the full metrology protocol on the simulated rig: the indenter pressed into ``membrane`` on ``geom``.
 
-    The protocol is one table of phases in capture order, each with its truths, built as one
-    :func:`disc_captures` stream reaches them, and their seed pairs from :func:`sub_seeds`:
+    The protocol is the press table of one :func:`disc_captures` stream: phases in capture order, each with its
+    truths, each map built only when the stream reaches it, and their seed pairs from :func:`sub_seeds`:
 
     * noise floor: ``CHAR_NULL_PAIRS`` no-contact pairs, from (``seed``, ``_STREAM_NULL``);
     * loading sweep: ``CHAR_TRIALS`` presses per force in increasing force, from (``seed``, ``_STREAM_SWEEP``);
@@ -242,18 +242,16 @@ def characterize(
     depths = [force_to_depth(force) for force in forces]
     sweep = (len(forces), defaults.CHAR_TRIALS, 2)
     protocol = {  # phase: (truths, the seed pairs of each truth), in capture order
-        "noise floor": ((geom.zero_map() for _ in range(1)),
+        "noise floor": (map(SensorGeometry.zero_map, [geom]),
                         sub_seeds(seed, _STREAM_NULL, (1, defaults.CHAR_NULL_PAIRS, 2))),
         "loading": ((indenter_truth(d, geom) for d in depths), sub_seeds(seed, _STREAM_SWEEP, sweep)),
         "unloading": ((indenter_truth(d, geom, unloading=True) for d in depths[::-1]),
                       sub_seeds(seed + 1, _STREAM_SWEEP, sweep)),
         "trials": ((indenter_truth(s, geom) for s in steps),
                    sub_seeds(seed + 2, _STREAM_TRIALS, (defaults.CHAR_TRIALS, len(steps), 2)).transpose(1, 0, 2)),
-        "null pair": ((geom.zero_map() for _ in range(1)), sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))),
+        "null pair": (map(SensorGeometry.zero_map, [geom]), sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))),
     }
-    truths = itertools.chain.from_iterable(phase_truths for phase_truths, _ in protocol.values())
-    seed_pairs = [pairs for _, seeds in protocol.values() for pairs in seeds]
-    with contextlib.closing(disc_captures(truths, seed_pairs, membrane, geom)) as captures:
+    with contextlib.closing(disc_captures(protocol.values(), membrane, geom)) as captures:
 
         def measured(phase):
             """For each truth of ``phase``, the disc depths of its captures, reconstructed as they are read."""

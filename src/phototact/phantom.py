@@ -329,19 +329,21 @@ def _noisy_capture(clean, model: MembraneModel, seed: int, index=None) -> np.nda
     return out.reshape(clean.shape)
 
 
-def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry):
-    """``(truth, ref_px, contact_px)`` for each (reference, contact) seed pair of each truth, in order.
+def disc_captures(phases, model: MembraneModel, geom: SensorGeometry):
+    """``(truth, ref_px, contact_px)`` for each seed pair of each truth of each phase of ``phases``, in order.
 
-    ``seed_pairs[k]`` lists the seed pairs of ``truths[k]``. ``ref_px`` is the
-    unloaded disc captured at the reference seed and ``contact_px`` the
-    truth's disc at the contact seed, each the ``geom.disc_mask`` pixels of
-    :func:`render_reading` at its seed. The noise-free unloaded disc is
-    rendered once and each truth's disc once, on the consumer's thread. One
-    worker thread makes the noise at most one pair ahead of the consumer:
-    pair k + 1 is submitted just before pair k is yielded. numpy releases the
-    interpreter lock while it draws and scales the noise, so the draw runs
-    beside the consumer's work. The thread is joined when the stream ends, is
-    closed or raises.
+    ``phases`` is the press table: each phase is a ``(truths, seed_pairs)``
+    pair, where ``seed_pairs[k]`` lists the (reference, contact) seed pairs of
+    ``truths[k]``, and a phase whose two lengths differ raises a ValueError.
+    ``ref_px`` is the unloaded disc captured at the reference seed and
+    ``contact_px`` the truth's disc at the contact seed, each the
+    ``geom.disc_mask`` pixels of :func:`render_reading` at its seed. The
+    noise-free unloaded disc is rendered once and each truth's disc once, on
+    the consumer's thread. One worker thread makes the noise at most one pair
+    ahead of the consumer: pair k + 1 is submitted just before pair k is
+    yielded. numpy releases the interpreter lock while it draws and scales the
+    noise, so the draw runs beside the consumer's work. The thread is joined
+    when the stream ends, is closed or raises.
     """
     index = geom.disc_index
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
@@ -352,14 +354,15 @@ def disc_captures(truths, seed_pairs, model: MembraneModel, geom: SensorGeometry
     try:
         rest = clean_pixels(geom.zero_map(), model, index)
         ahead = None
-        for truth, pairs in zip(truths, seed_pairs):
-            clean = clean_pixels(truth, model, index)
-            for ref_seed, contact_seed in pairs:
-                submitted = (truth, pool.submit(_noisy_capture, rest, model, int(ref_seed), index),
-                             pool.submit(_noisy_capture, clean, model, int(contact_seed), index))
-                if ahead is not None:
-                    yield finished(*ahead)
-                ahead = submitted
+        for truths, seed_pairs in phases:
+            for truth, pairs in zip(truths, seed_pairs, strict=True):
+                clean = clean_pixels(truth, model, index)
+                for ref_seed, contact_seed in pairs:
+                    submitted = (truth, pool.submit(_noisy_capture, rest, model, int(ref_seed), index),
+                                 pool.submit(_noisy_capture, clean, model, int(contact_seed), index))
+                    if ahead is not None:
+                        yield finished(*ahead)
+                    ahead = submitted
         if ahead is not None:
             yield finished(*ahead)
     finally:

@@ -91,7 +91,7 @@ class TestNullDifference:
         before, after = render_reading(zero, small_membrane, 4), render_reading(zero, small_membrane, 5)
         stat = null_difference_stat(before.pixels[mask], after.pixels[mask], small_geometry)
         assert stat > 0.0
-        ((_, ref, contact),) = pt.disc_captures([zero], [[(4, 5)]], small_membrane, small_geometry)
+        ((_, ref, contact),) = pt.disc_captures([([zero], [[(4, 5)]])], small_membrane, small_geometry)
         assert np.array_equal(ref, before.pixels[mask]) and np.array_equal(contact, after.pixels[mask])
         assert null_difference_stat(ref, contact, small_geometry) == stat
 
@@ -135,6 +135,16 @@ class TestNullDifference:
         assert high / low == pytest.approx(2.0, rel=0.15)
 
 
+# The force whose indenter cap reaches the full scale: the rig stiffness times the cap volume at MAX_DEPTH_MM.
+SATURATION_FORCE_N = defaults.RIG_MEMBRANE_STIFFNESS * spherical_cap_volume(
+    pt.MAX_DEPTH_MM, defaults.INDENTER_RADIUS_MM)
+
+
+def saturation_onset(forces):
+    """The closed-form saturation onset of a force grid: its first force at or above ``SATURATION_FORCE_N``."""
+    return next((f for f in forces if f >= SATURATION_FORCE_N), None)
+
+
 class TestIndenterRig:
     def test_force_depth_inversion(self):
         for force in (0.01, 0.05, 0.11):
@@ -152,6 +162,25 @@ class TestIndenterRig:
             force_to_depth(np.nextafter(INDENTER_CAPACITY_N, np.inf))
         with pytest.raises(ValueError, match="positive"):
             force_to_depth(float("nan"))
+
+    @pytest.mark.parametrize("which, tolerance", [("geometry", 0.0025), ("small_geometry", 0.011)])
+    def test_in_disc_mean_is_force_over_stiffness_and_disc_area(self, request, which, tolerance):
+        """Below saturation nothing clamps, so the cap's volume F / k spreads over the disc's area.
+
+        The tolerance is the pixel discretisation of the cap: the worst force reads 0.19% off at 320x240 and
+        1.02% off at 100x80.
+        """
+        geom = request.getfixturevalue(which)
+        disc_area = geom.disc_pixel_count * geom.mm_per_pixel**2
+        below = [f for f in defaults.CHAR_FORCES_N if f < SATURATION_FORCE_N]
+        assert len(below) == 21
+        for force in below:
+            mean = indenter_truth(force_to_depth(force), geom).depths[geom.disc_mask].astype(np.float64).mean()
+            assert mean == pytest.approx(force / (defaults.RIG_MEMBRANE_STIFFNESS * disc_area), rel=tolerance)
+
+    def test_saturation_onset_is_the_first_grid_force_past_the_full_scale_cap(self):
+        assert SATURATION_FORCE_N == pytest.approx(0.10794, abs=5e-6)
+        assert saturation_onset(defaults.CHAR_FORCES_N) == 0.11
 
     def test_unloading_profile_is_scaled(self, small_geometry):
         load = indenter_truth(0.3, small_geometry).depths.astype(np.float64)
@@ -277,6 +306,10 @@ class TestMeasurementLoops:
     def test_one_capture_stream(self, run):
         _, streams = run
         assert len(streams) == 1
+
+    def test_saturation_is_the_closed_form_onset(self, run):
+        report, _ = run
+        assert report.saturation_n == saturation_onset(self.FORCES) == 0.11
 
     def test_trials_match_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
         report, _ = run

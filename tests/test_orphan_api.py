@@ -1,17 +1,20 @@
-"""Every top-level function and class of ``src/phototact`` is used by other code in ``src/``, and every constant of
-``defaults`` is read by another module.
+"""Every top-level function and class of ``src/phototact`` is used by other code in ``src/``, every constant of
+``defaults`` is read by another module, and every defaulted parameter of a public function is passed by some call.
 
 An entry point that no verb, phase or module calls is a second
 implementation of something the package already does, and the tests that
 check it check the wrong path; a private helper that nothing calls any more
 is dead code that only its tests keep alive, and so is a constant that
-nothing reads.  The walk reads the ASTs of the package's modules: a name
-counts as used where another module, or its own module outside the
-definition, reads it as a name or an attribute.  The re-exports in
+nothing reads.  A parameter that every caller leaves at its default is a
+setting that nothing sets.  The walk reads the ASTs of the package's
+modules: a name counts as used where another module, or its own module
+outside the definition, reads it as a name or an attribute, and a call
+passes a parameter of every function of the called name.  The re-exports in
 ``__init__.py`` do not count.
 """
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phototact"
@@ -19,6 +22,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phototact"
 # Criterion 4's gradient check (tests/test_acceptance.py) differentiates the model in float64 through these two;
 # the package itself infers and trains through other code.
 TEST_ONLY = {"calibration.mlp_forward", "calibration.input_gradient"}
+# The benchmark's characterize workload (perfbench/workloads.py) binds these with functools.partial to cut the grid.
+OUTSIDE_CALLERS = [("characterization.characterize", ["forces", "steps"])]
 
 
 def parsed_modules():
@@ -57,6 +62,51 @@ def unread_constants(modules):
     return {name for name, node in assigned.items() if not is_used(f"defaults.{name}", node, others)}
 
 
+def called_name(func):
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+
+
+def calls_by_name(modules):
+    """``{name: [(positional arguments, keyword names), ...]}`` of every call in the package, keyed by the called name.
+
+    ``submit(f, ...)`` and ``partial(f, ...)`` count as calls of ``f`` with the arguments after it.
+    """
+    calls = defaultdict(list)
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name, args = called_name(node.func), node.args
+                if name in ("submit", "partial") and args:
+                    name, args = called_name(args[0]), args[1:]
+                calls[name].append((args, {keyword.arg for keyword in node.keywords}))
+    return calls
+
+
+def passes(call, parameter, position):
+    """Whether ``call`` passes ``parameter``, by keyword or, when ``position`` is not None, at that position."""
+    args, keywords = call
+    return parameter in keywords or (position is not None and len(args) > position)
+
+
+def unpassed_parameters(modules):
+    """``[("module.function", [parameter, ...]), ...]``: the defaulted parameters that no call in the package passes."""
+    calls = calls_by_name(modules)
+    found = []
+    for qualified, node in definitions(modules, private=False).items():
+        if isinstance(node, ast.ClassDef):
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        defaulted = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+        defaulted += [(arg.arg, None) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                      if default is not None]
+        unpassed = [name for name, position in defaulted
+                    if not any(passes(call, name, position) for call in calls[node.name])]
+        if unpassed:
+            found.append((qualified, unpassed))
+    return found
+
+
 def test_every_defaults_constant_is_read_by_another_module():
     assert sorted(unread_constants(parsed_modules())) == []
 
@@ -74,3 +124,11 @@ def test_the_test_only_names_are_public_and_unused():
     modules = parsed_modules()
     assert TEST_ONLY <= set(definitions(modules, private=False))
     assert TEST_ONLY <= unused_names(modules)
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    """A default that every caller keeps is a constant, and its parameter a knob that nothing turns.
+
+    An exception on the list that the package starts to pass comes off it.
+    """
+    assert unpassed_parameters(parsed_modules()) == OUTSIDE_CALLERS

@@ -248,7 +248,7 @@ class TestRenderReading:
         for dmap, reference in zip(maps, expected):
             assert np.array_equal(render_reading(dmap, membrane, seed).pixels, reference)
         mask = geometry.disc_mask
-        captured = pt.disc_captures(maps, [[(seed, seed)]] * len(maps), membrane, geometry)
+        captured = pt.disc_captures([(maps, [[(seed, seed)]] * len(maps))], membrane, geometry)
         for (_, ref, contact), reference in zip(captured, expected, strict=True):
             assert np.array_equal(ref, expected[0][mask])  # maps[0] is the zero map
             assert np.array_equal(contact, reference[mask])
@@ -348,7 +348,7 @@ class TestDiscPixels:
                 assert captured.dtype == np.uint8
                 assert np.array_equal(captured, reading[mask])
         mask = geom.disc_mask
-        captured = pt.disc_captures(maps, [[(seed, seed)]] * len(maps), membrane, geom)
+        captured = pt.disc_captures([(maps, [[(seed, seed)]] * len(maps))], membrane, geom)
         for (truth, ref, contact), dmap, reading in zip(captured, maps, readings, strict=True):
             assert truth is dmap
             assert ref.dtype == contact.dtype == np.uint8
@@ -397,7 +397,7 @@ class TestNoiseWorker:
         serial = [(truth, render_reading(zero, membrane, ref_seed).pixels[mask],
                    render_reading(truth, membrane, contact_seed).pixels[mask])
                   for truth, pairs in zip(truths, seed_pairs) for ref_seed, contact_seed in pairs]
-        prefetched = list(pt.disc_captures(truths, seed_pairs, membrane, geom))
+        prefetched = list(pt.disc_captures([(truths, seed_pairs)], membrane, geom))
         assert len(prefetched) == len(serial) == 5
         for (truth, ref, contact), (serial_truth, serial_ref, serial_contact) in zip(prefetched, serial):
             assert truth is serial_truth
@@ -415,7 +415,7 @@ class TestNoiseWorker:
         monkeypatch.setattr(phantom, "_noisy_capture", draw)
         truth = sphere_press_truth(0.3, 2.0, small_geometry)
         seed_pairs = [[(1, 2), (3, 4)], [(5, 6)], [(7, 8)]]
-        stream = pt.disc_captures([truth] * 3, seed_pairs, small_membrane, small_geometry)
+        stream = pt.disc_captures([([truth] * 3, seed_pairs)], small_membrane, small_geometry)
         assert made == []
         for consumed in range(1, 5):
             _, ref, contact = next(stream)
@@ -431,14 +431,26 @@ class TestNoiseWorker:
     def test_stopped_streams_leave_no_thread(self, small_geometry, small_membrane):
         before = threading.enumerate()
         truth = sphere_press_truth(0.3, 2.0, small_geometry)
-        stream = pt.disc_captures([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]], small_membrane, small_geometry)
+        stream = pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_membrane, small_geometry)
         next(stream)
         assert len(threading.enumerate()) == len(before) + 1
         stream.close()  # a consumer that stops early
         assert threading.enumerate() == before
         with pytest.raises(RuntimeError, match="consumer"):
-            for _ in pt.disc_captures([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]], small_membrane, small_geometry):
+            for _ in pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_membrane, small_geometry):
                 raise RuntimeError("consumer")
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("truths, rows", [(3, 2), (2, 3)], ids=["more-truths", "more-seed-rows"])
+    def test_a_misaligned_phase_raises_and_leaves_no_thread(self, small_geometry, small_membrane, truths, rows):
+        """A phase whose truths and seed rows differ in number is refused, not cut to the shorter of the two."""
+        before = threading.enumerate()
+        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        phases = [([truth], [[(7, 8)]]), ([truth] * truths, [[(1, 2)]] * rows)]
+        captured = []
+        with pytest.raises(ValueError, match="argument 2 is (shorter|longer) than argument 1"):
+            captured.extend(pt.disc_captures(phases, small_membrane, small_geometry))
+        assert len(captured) == 2  # the first phase's pair and the second phase's first pair come before the error
         assert threading.enumerate() == before
 
     def test_a_failed_draw_is_raised_and_leaves_no_thread(self, small_geometry, small_membrane, monkeypatch):
@@ -452,7 +464,7 @@ class TestNoiseWorker:
 
         monkeypatch.setattr(phantom, "_noisy_capture", draw)
         truth = sphere_press_truth(0.3, 2.0, small_geometry)
-        stream = pt.disc_captures([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]], small_membrane, small_geometry)
+        stream = pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_membrane, small_geometry)
         assert next(stream)[0] is truth
         with pytest.raises(MemoryError, match="draw"):
             next(stream)
