@@ -8,8 +8,8 @@ depths drive the metrics:
 
 * detection threshold: least force whose mean in-disc reconstructed depth
   exceeds three times the null-reading noise floor
-* resolution: least force gap between adjacent sweep points whose mean-depth
-  difference exceeds the noise floor
+* resolution: least force gap between adjacent loading-sweep points whose
+  peak-depth difference (``ForceSweep.max_depths``) exceeds the noise floor
 * saturation: least force at which the full-scale clamp engages, if any
 * repeatability r: worst spread across trials at the same ground-truth step,
   as a percentage of the 0.5 mm full scale (``MAX_DEPTH_MM``)

@@ -77,40 +77,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message, self)
 
 
-def _shared_flags():
-    """Parent parsers of the geometry flags, and of the geometry plus membrane flags of the rendering verbs."""
-    geometry = argparse.ArgumentParser(add_help=False)
-    geometry.add_argument("--width", type=int, default=SensorGeometry.width)
-    geometry.add_argument("--height", type=int, default=SensorGeometry.height)
-    geometry.add_argument("--mm-per-pixel", type=float, default=SensorGeometry.mm_per_pixel)
-    geometry.add_argument("--sensing-radius", type=float, default=SensorGeometry.sensing_radius_mm)
-    membrane = argparse.ArgumentParser(add_help=False, parents=[geometry])
-    membrane.add_argument("--membrane-seed", type=int, default=defaults.MEMBRANE_SEED)
-    membrane.add_argument("--noise-std", type=float, default=defaults.SENSOR_NOISE_STD)
-    membrane.add_argument("--speckle", type=float, default=defaults.SPECKLE_AMPLITUDE)
-    return geometry, membrane
-
-
 def _geometry(args) -> SensorGeometry:
-    return SensorGeometry(
-        width=args.width,
-        height=args.height,
-        sensing_radius_mm=args.sensing_radius,
-        mm_per_pixel=args.mm_per_pixel,
-    )
-
-
-def _membrane(args, geom):
-    return default_membrane(geom, seed=args.membrane_seed, noise_std=args.noise_std, speckle_amplitude=args.speckle)
+    return SensorGeometry(width=args.width, height=args.height, mm_per_pixel=args.mm_per_pixel)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="phototact", description=__doc__)
     parser.add_argument("--version", action="version", version=f"phototact {__version__}")
     sub = parser.add_subparsers(dest="verb", metavar="|".join(VERBS))
-    geometry, membrane = _shared_flags()
+    geometry = argparse.ArgumentParser(add_help=False)  # the image geometry flags, a parent of the verbs that take them
+    geometry.add_argument("--width", type=int, default=SensorGeometry.width)
+    geometry.add_argument("--height", type=int, default=SensorGeometry.height)
+    geometry.add_argument("--mm-per-pixel", type=float, default=SensorGeometry.mm_per_pixel)
 
-    p = sub.add_parser("phantom", parents=[membrane], help="simulate one press and write the capture pair + truth map")
+    p = sub.add_parser("phantom", parents=[geometry], help="simulate one press and write the capture pair + truth map")
     p.add_argument("--config", help="PhantomConfig JSON file (overrides the flags below)")
     p.add_argument("--tumor", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--diameter", type=float, default=PhantomConfig.ball_diameter_mm, help="ball diameter, mm")
@@ -129,7 +109,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser(
-        "calibrate", parents=[membrane], help="train the color-to-depth model on simulated sphere presses"
+        "calibrate", parents=[geometry], help="train the color-to-depth model on simulated sphere presses"
     )
     p.add_argument("--captures", type=int, default=defaults.CALIBRATION_CAPTURES)
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
@@ -144,7 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("--contact", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("dataset", parents=[membrane], help="generate the labeled phantom dataset directory")
+    p = sub.add_parser("dataset", parents=[geometry], help="generate the labeled phantom dataset directory")
     p.add_argument("--spec", default="default", help="'default' or a DatasetSpec JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -169,7 +149,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="JSON report path")
     p.add_argument("--csv", help="optional per-sample CSV path")
 
-    p = sub.add_parser("characterize", parents=[membrane], help="run the metrology harness on the simulated rig")
+    p = sub.add_parser("characterize", parents=[geometry], help="run the metrology harness on the simulated rig")
     p.add_argument("--calibration", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory (summary.json, sweeps.csv, trials.csv)")
@@ -362,7 +342,7 @@ def _save_press(paths, cfg, seed, geom, membrane):
 
 def _cmd_phantom(args, stage):
     geom = _geometry(args)
-    membrane = _membrane(args, geom)
+    membrane = default_membrane(geom)
     cfg = _load_phantom_config(args)
     paths = _press_files(args.out_prefix)
     _save_press([stage(path) for path in paths], cfg, args.seed, geom, membrane)
@@ -385,8 +365,7 @@ def _cmd_calibrate(args, stage):
         seed=args.seed,
     )
     geom = _geometry(args)
-    membrane = _membrane(args, geom)
-    features, depths = build_calib_dataset(args.captures, geom, membrane, args.seed)
+    features, depths = build_calib_dataset(args.captures, geom, default_membrane(geom), args.seed)
     model = train_mlp(features, depths, cfg)
     save_model(stage(args.out), model)
     return [], [args.out]
@@ -406,7 +385,7 @@ DATASET_CSV_FIELDS = ("sample_id", "label", "ball_diameter_mm", "burial_depth_mm
 
 def _cmd_dataset(args, stage):
     geom = _geometry(args)
-    membrane = _membrane(args, geom)
+    membrane = default_membrane(geom)
     spec = DatasetSpec() if args.spec == "default" else _read_config(DatasetSpec, args.spec)
     presses = dataset_presses(spec, args.seed)
     out_dir = stage(args.out, directory=True)
@@ -520,7 +499,7 @@ def _cmd_evaluate(args, stage):
 
 def _cmd_characterize(args, stage):
     geom = _geometry(args)
-    membrane = _membrane(args, geom)
+    membrane = default_membrane(geom)
     model = load_model(args.calibration)
     report = characterize(geom, membrane, model, seed=args.seed)
     out_dir = stage(args.out, directory=True)
@@ -569,11 +548,10 @@ def dispatch(argv) -> int:
     if args.verb is None:
         print(f"error: no verb given; {_usage(parser)}", file=sys.stderr)
         return 1
-    for name in ("seed", "membrane_seed"):
-        value = getattr(args, name, None)
-        if value is not None and not 0 <= value < SEED_LIMIT:
-            print(f"error: --{name.replace('_', '-')} must lie in [0, 2^63), got {value}", file=sys.stderr)
-            return 2
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < SEED_LIMIT:
+        print(f"error: --seed must lie in [0, 2^63), got {seed}", file=sys.stderr)
+        return 2
     started = time.monotonic()
     publication = _Publication()
     try:

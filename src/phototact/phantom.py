@@ -175,18 +175,18 @@ def _smooth_field(u, v, rng):
     return total / weight
 
 
-def default_membrane(geom: SensorGeometry, seed: int = defaults.MEMBRANE_SEED, **overrides) -> MembraneModel:
-    """Membrane with a smooth red-ish baseline generated from ``seed``.
+def default_membrane(geom: SensorGeometry) -> MembraneModel:
+    """The sensor's membrane: a smooth red-ish baseline from ``defaults.MEMBRANE_SEED`` and the default noise.
 
     The baseline varies in normalized coordinates, so different resolutions
     sample the same underlying membrane.
     """
-    rng = rng_stream(seed, STREAM_BASELINE)
+    rng = rng_stream(defaults.MEMBRANE_SEED, STREAM_BASELINE)
     u, v = geom.normalized_coords
     hue = np.mod(defaults.BASELINE_HUE_SPAN_DEG * _smooth_field(u, v, rng), 360.0)
     sat = defaults.BASELINE_SATURATION + defaults.BASELINE_SV_SPAN * _smooth_field(u, v, rng)
     val = defaults.BASELINE_VALUE + defaults.BASELINE_SV_SPAN * _smooth_field(u, v, rng)
-    return MembraneModel(baseline=np.stack([hue, sat, val], axis=-1), **overrides)
+    return MembraneModel(baseline=np.stack([hue, sat, val], axis=-1))
 
 
 def stiffness_field(cfg: PhantomConfig, geom: SensorGeometry) -> np.ndarray:

@@ -494,7 +494,7 @@ class TestAnalyticOracle:
     """The simulated hue response is linear in depth, so dH / GAIN_H is a depth estimate the MLP never saw."""
 
     def test_reconstruction_tracks_hue_shift(self, geometry, calib_model):
-        membrane = pt.default_membrane(geometry, noise_std=0.2, speckle_amplitude=0.0)
+        membrane = dataclasses.replace(pt.default_membrane(geometry), noise_std=0.2, speckle_amplitude=0.0)
         mask = geometry.disc_mask
         for depth, seed in ((0.15, 3), (0.3, 5), (0.45, 7)):
             truth = sphere_press_truth(depth, 3.0, geometry)

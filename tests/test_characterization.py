@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import threading
 
 import numpy as np
@@ -18,13 +20,31 @@ from phototact.characterization import (
 )
 from phototact import characterization
 from phototact.calibration import disc_depths, reconstruct
-from phototact.phantom import render_reading, rng_stream, spherical_cap_volume
+from phototact.phantom import clean_pixels, render_reading, rng_stream, spherical_cap_volume
 from conftest import linear_hue_model
 
 
 def quiet_membrane(geom):
     """The default membrane without speckle or channel noise."""
-    return pt.default_membrane(geom, noise_std=0.0, speckle_amplitude=0.0)
+    return dataclasses.replace(pt.default_membrane(geom), noise_std=0.0, speckle_amplitude=0.0)
+
+
+def predicted_null_std(geom, membrane):
+    """The null-difference std that the device's noise constants predict, from no capture.
+
+    A disc channel of clean value c reads c (1 + speckle n0) + noise_std n1, a normal of std
+    sigma = sqrt(noise_std^2 + (speckle c)^2), rounded half up: level k has probability
+    Phi((k + 1/2 - c) / sigma) - Phi((k - 1/2 - c) / sigma). The difference of two independent readings has twice
+    a channel's variance, and the std over the disc is the root of the mean.
+    """
+    clean = clean_pixels(geom.zero_map(), membrane, geom.disc_index).reshape(-1, 1)
+    sigma = np.hypot(membrane.noise_std, membrane.speckle_amplitude * clean)
+    levels = np.floor(clean) + np.arange(-10, 12)  # every level within 19 sigma of c, the widest sigma being 0.49
+    edges = np.concatenate([levels - 0.5, levels[:, -1:] + 0.5], axis=1)
+    cdf = 0.5 + 0.5 * np.frompyfunc(math.erf, 1, 1)((edges - clean) / (sigma * math.sqrt(2.0))).astype(np.float64)
+    p = np.diff(cdf, axis=1)
+    variance = (p * levels**2).sum(axis=1) - (p * levels).sum(axis=1) ** 2
+    return math.sqrt(2.0 * variance.mean())
 
 
 class TestRepeatability:
@@ -113,13 +133,25 @@ class TestNullDifference:
         ]
         assert np.mean(values) == pytest.approx(0.7, abs=0.07)
 
+    def test_default_noise_is_the_predicted_std(self, small_geometry, small_membrane):
+        """40 null pairs read the std their constants predict: the mean within 0.3%, each pair within 2.5%."""
+        zero = small_geometry.zero_map()
+        captures = pt.disc_captures([([zero], [[(2 * s, 2 * s + 1) for s in range(40)]])], small_membrane,
+                                    small_geometry)
+        stats = np.array([null_difference_stat(ref, contact, small_geometry) for _, ref, contact in captures])
+        predicted = predicted_null_std(small_geometry, small_membrane)
+        assert predicted == pytest.approx(0.70, abs=0.01)
+        assert stats.mean() == pytest.approx(predicted, rel=0.003)
+        assert np.all(np.abs(stats / predicted - 1.0) < 0.025), stats / predicted
+
     def test_doubling_noise_roughly_doubles_stat(self, small_geometry):
         # Monte Carlo over seeds; quantization adds a floor, so compare after
         # removing it in quadrature
         zero = small_geometry.zero_map()
         mask = small_geometry.disc_mask
         def mean_stat(noise_std):
-            membrane = pt.default_membrane(small_geometry, noise_std=noise_std, speckle_amplitude=0.0)
+            membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=noise_std,
+                                           speckle_amplitude=0.0)
             vals = [
                 null_difference_stat(
                     render_reading(zero, membrane, 2 * s).pixels[mask],
@@ -177,6 +209,19 @@ class TestIndenterRig:
         for force in below:
             mean = indenter_truth(force_to_depth(force), geom).depths[geom.disc_mask].astype(np.float64).mean()
             assert mean == pytest.approx(force / (defaults.RIG_MEMBRANE_STIFFNESS * disc_area), rel=tolerance)
+
+    @pytest.mark.parametrize("which", ["small_geometry", pytest.param("geometry", marks=pytest.mark.long)])
+    def test_hue_oracle_reads_the_true_mean(self, request, which):
+        """Render and reconstruct lose nothing on the quiet membrane and the hue oracle: below saturation each
+        loading mean is the in-disc mean of its truth within 0.5% (worst 0.29% at 100x80, 0.18% at 320x240)."""
+        geom = request.getfixturevalue(which)
+        report = characterize(geom, quiet_membrane(geom), linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM))
+        below = [(f, mean) for f, mean in zip(report.loading.forces, report.loading.mean_depths)
+                 if f < SATURATION_FORCE_N]
+        assert len(below) == 21
+        for force, mean in below:
+            truth = indenter_truth(force_to_depth(force), geom).depths[geom.disc_mask].astype(np.float64).mean()
+            assert mean == pytest.approx(truth, rel=0.005), force
 
     def test_saturation_onset_is_the_first_grid_force_past_the_full_scale_cap(self):
         assert SATURATION_FORCE_N == pytest.approx(0.10794, abs=5e-6)
@@ -252,7 +297,8 @@ class TestSensitivity:
         def mean_threshold(noise_std):
             thresholds = []
             for seed in (0, 1, 2):
-                membrane = pt.default_membrane(small_geometry, noise_std=noise_std, speckle_amplitude=0.0)
+                membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=noise_std,
+                                           speckle_amplitude=0.0)
                 model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
                 result = characterize(small_geometry, membrane, model, forces, steps=(0.2,), seed=seed)
                 thresholds.append(result.threshold_n if result.threshold_n is not None else forces[-1] * 2)

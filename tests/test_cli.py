@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import gc
 import json
@@ -21,8 +23,8 @@ from phototact.cli import dispatch
 from phototact.detection import DetectorModel, save_detector
 
 SMALL = ["--width", "100", "--height", "80", "--mm-per-pixel", "0.1"]
-# A sensing disc between the pixel centers of an even-sized image, so it holds none.
-EMPTY_DISC = [*SMALL, "--sensing-radius", "0.01"]
+# A 2x2 image at 10 mm per pixel: its pixel centers lie 7.07 mm from the image center, outside the 3.5 mm disc.
+EMPTY_DISC = ["--width", "2", "--height", "2", "--mm-per-pixel", "10"]
 # An odd-sized image keeps its center pixel in the disc at any scale; at 1e160 mm per pixel the frame's squared
 # extent overflows a float.
 HUGE_SCALE = ["--width", "101", "--height", "81", "--mm-per-pixel", "1e160"]
@@ -103,8 +105,6 @@ class TestExitCodes:
             ["--seed", -1],
             ["--seed", 2**63],
             ["--seed", 2**64],
-            ["--membrane-seed", -1],
-            ["--membrane-seed", 2**64],
         ],
     )
     def test_seed_out_of_range(self, tmp_path, capsys, flags):
@@ -508,14 +508,6 @@ SMALL_CONFIG = {
     "width": 100,
     "height": 80,
     "mm_per_pixel": 0.1,
-    "sensing_radius": pt.SensorGeometry.sensing_radius_mm,
-}
-# The same plus the membrane flags, for the verbs that render a membrane.
-RENDER_CONFIG = {
-    **SMALL_CONFIG,
-    "membrane_seed": pt.defaults.MEMBRANE_SEED,
-    "noise_std": pt.defaults.SENSOR_NOISE_STD,
-    "speckle": pt.defaults.SPECKLE_AMPLITUDE,
 }
 
 
@@ -548,7 +540,7 @@ def pipeline(tmp_path_factory):
     verbs = {
         "phantom": (
             ["--seed", 5, "--out-prefix", p("press")],
-            {**RENDER_CONFIG, "config": None, "tumor": True, "diameter": 6.0, "burial": 3.0, "offset_x": 0.0,
+            {**SMALL_CONFIG, "config": None, "tumor": True, "diameter": 6.0, "burial": 3.0, "offset_x": 0.0,
              "offset_y": 0.0, "mass": 1000.0, "seed": 5, "out_prefix": p("press")},
             [],
             [p("press_ref.ppm"), p("press_contact.ppm"), p("press_truth.dmap")],
@@ -562,7 +554,7 @@ def pipeline(tmp_path_factory):
         ),
         "calibrate": (
             ["--captures", 4, "--epochs", 6, "--seed", 3, "--out", p("calib.json")],
-            {**RENDER_CONFIG, "captures": 4, "epochs": 6, "batch_size": 4096, "learning_rate": 0.001, "seed": 3,
+            {**SMALL_CONFIG, "captures": 4, "epochs": 6, "batch_size": 4096, "learning_rate": 0.001, "seed": 3,
              "out": p("calib.json")},
             [],
             [p("calib.json")],
@@ -577,7 +569,7 @@ def pipeline(tmp_path_factory):
         ),
         "dataset": (
             ["--spec", str(spec), "--seed", 7, "--out", p("data")],
-            {**RENDER_CONFIG, "spec": str(spec), "seed": 7, "out": p("data")},
+            {**SMALL_CONFIG, "spec": str(spec), "seed": 7, "out": p("data")},
             [str(spec)],
             [p("data")],
         ),
@@ -605,7 +597,7 @@ def pipeline(tmp_path_factory):
         ),
         "characterize": (
             ["--calibration", p("calib.json"), "--seed", 2, "--out", p("char")],
-            {**RENDER_CONFIG, "calibration": p("calib.json"), "seed": 2, "out": p("char")},
+            {**SMALL_CONFIG, "calibration": p("calib.json"), "seed": 2, "out": p("char")},
             [p("calib.json")],
             [p("char")],
         ),
@@ -645,9 +637,8 @@ class TestManifests:
         d = pipeline[0]
         assert pipeline[1]["phantom"][0]["argv"] == [
             "phantom", "--burial", "3.0", "--diameter", "6.0", "--height", "80", "--mass", "1000.0",
-            "--membrane-seed", "7", "--mm-per-pixel", "0.1", "--noise-std", "0.38", "--offset-x", "0.0",
-            "--offset-y", "0.0", "--out-prefix", str(d / "press"), "--seed", "5", "--sensing-radius", "3.5",
-            "--speckle", "0.0012", "--tumor", "--width", "100",
+            "--mm-per-pixel", "0.1", "--offset-x", "0.0", "--offset-y", "0.0", "--out-prefix", str(d / "press"),
+            "--seed", "5", "--tumor", "--width", "100",
         ]
 
     def test_detect_without_report_writes_nothing(self, pipeline, capsys):
@@ -820,20 +811,8 @@ EXIT_CODE_TABLE = [
      lambda d, t: ["phantom", *SMALL, "--config", json_file(t, {"tumor_present": True, "tissue_stiffness": 1.7e308,
                                                                 "tumor_stiffness_boost": 1.7e308}),
                    "--out-prefix", t / "p"], 2, "unknown phantom config keys: tissue_stiffness, tumor_stiffness_boost"),
-    ("phantom", "foundation-underflows",
-     lambda d, t: ["phantom", "--width", "101", "--height", "81", "--mm-per-pixel", "1e-170", "--sensing-radius",
-                   "1e-200", "--out-prefix", t / "p"], 2, "degenerate foundation"),
-    ("phantom", "noise-std-nan", lambda d, t: ["phantom", *SMALL, "--noise-std", "nan", "--out-prefix", t / "p"], 2,
-     "must be finite"),
-    ("phantom", "speckle-inf", lambda d, t: ["phantom", *SMALL, "--speckle", "inf", "--out-prefix", t / "p"], 2,
-     "must be finite"),
-    ("phantom", "noise-std-past-255", lambda d, t: ["phantom", *SMALL, "--noise-std", "1e308", "--out-prefix", t / "p"],
-     2, "noise parameters must be non-negative and at most 255"),
-    ("phantom", "speckle-past-255", lambda d, t: ["phantom", *SMALL, "--speckle", "1e308", "--out-prefix", t / "p"],
-     2, "noise parameters must be non-negative and at most 255"),
-    ("phantom", "noise-std-and-speckle-past-255", lambda d, t: ["phantom", *SMALL, "--noise-std", "1e308", "--speckle",
-                                                                "1e308", "--out-prefix", t / "p"], 2,
-     "noise parameters must be non-negative and at most 255"),
+    ("phantom", "noise-std-flag", lambda d, t: ["phantom", *SMALL, "--noise-std", 1, "--out-prefix", t / "p"], 1,
+     "unrecognized arguments: --noise-std 1"),
     ("imprint", "missing-out", lambda d, t: ["imprint", "--ref", d / "press_ref.ppm", "--contact", d / "press_ref.ppm"],
      1, "required: --out"),
     ("imprint", "short-ppm", lambda d, t: ["imprint", "--ref", short_ppm(t), "--contact", d / "press_ref.ppm",
@@ -930,15 +909,6 @@ EXIT_CODE_TABLE = [
                                                                    negative_masses_g=[1000.0, 10**400]),
                                                             "--out", t / "data"], 2,
      "dataset spec sizes and masses must be finite"),
-    ("dataset", "noise-std-negative", lambda d, t: ["dataset", *SMALL, "--noise-std", -1, "--out", t / "data"], 2,
-     "must be non-negative"),
-    ("dataset", "noise-std-past-255", lambda d, t: ["dataset", *SMALL, "--noise-std", "1e308", "--out", t / "data"], 2,
-     "noise parameters must be non-negative and at most 255"),
-    ("dataset", "speckle-past-255", lambda d, t: ["dataset", *SMALL, "--speckle", "1e308", "--out", t / "data"], 2,
-     "noise parameters must be non-negative and at most 255"),
-    ("dataset", "noise-std-and-speckle-past-255", lambda d, t: ["dataset", *SMALL, "--noise-std", "1e308", "--speckle",
-                                                                "1e308", "--out", t / "data"], 2,
-     "noise parameters must be non-negative and at most 255"),
     ("dataset", "repeated-sample-id", lambda d, t: ["dataset", *SMALL, "--spec",
                                                     edited(d / "spec.json", t, diameters_mm=[4.0, 4.0000001]),
                                                     "--out", t / "data"], 2, "two samples the id pos_d4_b2_p0"),
@@ -1026,8 +996,6 @@ EXIT_CODE_TABLE = [
     ("characterize", "max-depth-a-list", lambda d, t: ["characterize", *SMALL, "--calibration",
                                                        edited(d / "calib.json", t, max_depth=[0.5]),
                                                        "--out", t / "char"], 2, "malformed calibration model file"),
-    ("characterize", "speckle-inf", lambda d, t: ["characterize", *SMALL, "--speckle", "inf", "--calibration",
-                                                  d / "calib.json", "--out", t / "char"], 2, "must be finite"),
     ("train-detector", "split-leaves-no-test", lambda d, t: ["train-detector", *SMALL, "--dataset", d / "data",
                                                              "--calibration", d / "calib.json",
                                                              "--train-fraction", 0.9, "--out", t / "det.json"], 2,
@@ -1156,6 +1124,14 @@ class TestExitCodeTable:
             codes = {code for v, _, _, code, _ in EXIT_CODE_TABLE if v == verb}
             assert codes == {1, 2}, verb
 
+    def test_device_flags_are_unrecognized(self, tmp_path, capsys):
+        """The sensor is one device: no verb takes a sensing radius, a membrane seed, a noise or a speckle."""
+        for verb, (argv, _) in WRITING_RUNS.items():
+            for flag in ("--sensing-radius", "--membrane-seed", "--noise-std", "--speckle"):
+                assert run([*argv(tmp_path, tmp_path), flag, 1]) == 1, (verb, flag)
+                assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err, (verb, flag)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("verb, case, argv, code, fragment", EXIT_CODE_TABLE,
                              ids=[f"{verb}-{case}" for verb, case, *_ in EXIT_CODE_TABLE])
     def test_exit_code(self, pipeline, tmp_path, capsys, verb, case, argv, code, fragment):
@@ -1249,6 +1225,50 @@ class TestReproducibility:
             assert all(p.is_file() and p.parent in declared for p in written if p.parent != out), verb
         assert sorted(tmp_path.iterdir()) == sorted(tmp_path / verb for verb in WRITING_RUNS)
         assert tree_bytes(d) == inputs
+
+
+def verb_flags(verb):
+    """The dests of ``verb``'s flags, ``--help`` and ``--manifest`` aside: ``dispatch`` reads the manifest path."""
+    parser = cli.build_parser()
+    verbs = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for action in verbs.choices[verb]._actions} - {"help", "manifest"}
+
+
+def args_reads(function, functions, name):
+    """The attributes that ``function`` reads of its parameter ``name``, and those that every function of
+    ``functions`` it passes that parameter to reads of it, by position or keyword."""
+    reads = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == name:
+            reads.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in functions:
+            callee = functions[node.func.id]
+            params = [arg.arg for arg in callee.args.args]
+            passed = [params[i] for i, arg in enumerate(node.args) if isinstance(arg, ast.Name) and arg.id == name]
+            passed += [kw.arg for kw in node.keywords if isinstance(kw.value, ast.Name) and kw.value.id == name]
+            for param in passed:
+                reads |= args_reads(callee, functions, param)
+    return reads
+
+
+def unread_flags():
+    """``{verb: [dest, ...]}`` of the flags that a verb takes but whose handler, and the helpers it passes ``args``
+    to, never read: a flag that is recorded in the manifest and changes nothing."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = {}
+    for verb, handler in cli._HANDLERS.items():
+        node = functions[handler.__name__]
+        unread = verb_flags(verb) - args_reads(node, functions, node.args.args[0].arg)
+        if unread:
+            found[verb] = sorted(unread)
+    return found
+
+
+class TestFlagReads:
+    def test_every_flag_is_read_by_its_verb(self):
+        assert all(verb_flags(verb) for verb in cli.VERBS)
+        assert unread_flags() == {}
 
 
 def readme_commands():

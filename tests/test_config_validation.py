@@ -83,10 +83,10 @@ def test_membrane_baseline_rejected(baseline, message):
 
 @pytest.mark.parametrize("field", ["noise_std", "speckle_amplitude"])
 def test_membrane_noise_ceiling(field):
-    """255 is the largest amplitude: past it every channel is already clipped noise, and near 1e308 the render
+    """0 to 255 is the amplitude's range: past 255 every channel is already clipped noise, and near 1e308 the render
     overflows."""
     assert getattr(pt.MembraneModel(baseline=BASELINE, **{field: 255.0}), field) == 255.0
-    for value in (255.5, 1e308):
+    for value in (-1.0, 255.5, 1e308):
         with pytest.raises(ValueError, match="noise parameters must be non-negative and at most 255"):
             pt.MembraneModel(baseline=BASELINE, **{field: value})
 

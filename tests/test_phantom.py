@@ -162,6 +162,12 @@ class TestContactSolve:
                 depths = contact_solve(PhantomConfig(tumor_present=tumor), geom).depths
                 assert np.all(np.isfinite(depths))
 
+    def test_foundation_that_underflows_is_degenerate(self):
+        """At 1e-170 mm per pixel each pixel's area underflows to 0, so the foundation integral is 0."""
+        geom = pt.SensorGeometry(width=101, height=81, mm_per_pixel=1e-170, sensing_radius_mm=1e-200)
+        with pytest.raises(ValueError, match="degenerate foundation"):
+            contact_solve(PhantomConfig(tumor_present=True), geom)
+
 
 class TestSpherePress:
     def test_center_depth(self, small_geometry):
@@ -273,7 +279,7 @@ class TestRenderReading:
             render_reading(small_geometry.zero_map(), membrane, seed=0)
 
     def test_noise_free_zero_deformation_is_baseline(self, small_geometry):
-        membrane = pt.default_membrane(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
+        membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=0.0, speckle_amplitude=0.0)
         img = render_reading(small_geometry.zero_map(), membrane, seed=5)
         base = membrane.baseline
         assert np.array_equal(img.pixels, quantize_channels(hsv_to_rgb_real(base[..., 0], base[..., 1], base[..., 2])))
@@ -287,7 +293,7 @@ class TestRenderReading:
         assert not np.array_equal(a.pixels, c.pixels)
 
     def test_uniform_press_shifts_hue_exactly(self, small_geometry):
-        membrane = pt.default_membrane(small_geometry, noise_std=0.0, speckle_amplitude=0.0)
+        membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=0.0, speckle_amplitude=0.0)
         depths = np.full((small_geometry.height, small_geometry.width), 0.2, dtype=np.float32)
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
         rendered = render_reading(dmap, membrane, seed=0)
