@@ -10,7 +10,10 @@ inference is self-contained.
 
 Training and depth inference compute in float32, the precision that model
 files and depth maps store: a training step's batch, activations, buffers,
-parameters and Adam moments are float32.  The gradient API
+parameters and Adam moments are float32.  A step runs in four batch-sized
+buffers (see :func:`_step_buffers`), and Adam updates the parameters as one
+flat vector, whose elementwise update gives each element the bits of a
+per-array one.  The gradient API
 (:func:`mlp_forward`, :func:`input_gradient`) computes in float64, which
 finite differences at small steps need, and :func:`loss_and_gradients`
 computes in the dtype it is given.
@@ -20,7 +23,8 @@ count.  One threaded OpenBLAS product over all rows does not: its split
 between threads moves the rounding.  Each parameter gradient ``a.T @ u`` is
 therefore a sum over fixed 256-row blocks, each too small to be threaded,
 and the output layer runs in 4,096-row blocks (see :func:`_block_sum` and
-:func:`_forward_pass`).
+:func:`_forward_pass`).  A bias gradient adds its rows in row order and
+calls no BLAS.
 
 Model files are versioned JSON with base64-embedded little-endian float32
 weight blobs; identical training runs produce byte-identical files.
@@ -258,8 +262,13 @@ def _block_sum(a, u):
 
 
 def _step_buffers(rows: int, dtype):
-    """Buffers for a training step on up to ``rows`` rows: one per hidden layer, then two for the backward pass."""
-    return _hidden_buffers(rows, dtype) + [np.empty((rows, LAYER_SIZES[1]), dtype) for _ in range(2)]
+    """Buffers for a training step on up to ``rows`` rows: one per hidden layer, then one for the backward pass.
+
+    The backward pass writes each layer's tanh slope over the activation it
+    comes from, which nothing reads afterwards, and the next upstream gradient
+    over that slope, so four (rows, 32) matrices hold the whole step.
+    """
+    return _hidden_buffers(rows, dtype) + [np.empty((rows, LAYER_SIZES[1]), dtype)]
 
 
 def loss_and_gradients(weights, biases, x, y, hidden=None):
@@ -268,9 +277,16 @@ def loss_and_gradients(weights, biases, x, y, hidden=None):
     ``hidden`` optionally supplies the step's buffers (see
     :func:`_step_buffers`); training passes the same ones every step so the
     step allocates no batch-sized matrix.  Every temporary of the backward
-    pass is written into the leading rows of the two backward buffers, which
-    take turns holding the upstream gradient.  Each weight gradient is a
-    :func:`_block_sum`.
+    pass is written into the leading rows of those buffers: the first
+    upstream gradient into the backward buffer, and each layer's slope and
+    the next upstream gradient over that layer's spent activation.  Each
+    weight gradient is a :func:`_block_sum`.  Each hidden bias gradient is
+    ``np.einsum("ij->j", upstream)``, which adds the rows in order as
+    ``upstream.sum(axis=0)`` does, with the same bits, in one pass over the
+    rows rather than one 32-wide loop per row.  The fold starts from +0.0, so
+    a column of -0.0 sums to +0.0 (as ``sum`` does under numpy 2.4); a -0.0
+    gradient would give Adam the moments and update of +0.0 anyway, short of
+    a denormal moment that underflows to -0.0.
     """
     n = x.shape[0]
     if hidden is None:
@@ -283,18 +299,18 @@ def loss_and_gradients(weights, biases, x, y, hidden=None):
     grads_b = [None] * len(biases)
     grads_w[-1] = _block_sum(activations[-1], delta)
     grads_b[-1] = delta.sum(axis=0)
-    upstream, spare = hidden[-2][:n], hidden[-1][:n]
+    upstream = hidden[-1][:n]
     # Each element of the outer product delta @ w.T is a single product, so einsum gives its bits,
     # faster than BLAS or a broadcast multiply.
     np.einsum("i,j->ij", delta[:, 0], weights[-1][:, 0], out=upstream)
     for i in range(len(weights) - 2, -1, -1):
-        slope = np.square(activations[i + 1], out=spare)
+        slope = np.square(activations[i + 1], out=activations[i + 1])
         np.subtract(1.0, slope, out=slope)
         upstream *= slope
         grads_w[i] = _block_sum(activations[i], upstream)
-        grads_b[i] = upstream.sum(axis=0)
+        grads_b[i] = np.einsum("ij->j", upstream)
         if i > 0:
-            upstream, spare = np.matmul(upstream, weights[i].T, out=spare), upstream
+            upstream = np.matmul(upstream, weights[i].T, out=slope)
     return loss, grads_w, grads_b
 
 
@@ -321,14 +337,20 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
     # Standardize once with the float32-rounded constants the model will carry.
     shift32 = shift.astype(np.float32).astype(np.float64)
     scale32 = scale.astype(np.float32).astype(np.float64)
-    xs = ((x - shift32) / scale32).astype(np.float32)
+    xs = np.subtract(x, shift32)
+    xs /= scale32
+    xs = xs.astype(np.float32)
     ys = y.astype(np.float32)
 
+    # The weights, then the biases, as views of one flat vector; Adam updates it and its moments m and v whole.
     weights, biases = _init_params(cfg.seed)
     layers = len(weights)
-    params = weights + biases  # the weights, then the biases, as are their Adam moments m and v
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    params = weights + biases
+    flat = np.concatenate([p.ravel() for p in params])
+    ends = np.cumsum([p.size for p in params])
+    params = [part.reshape(p.shape) for part, p in zip(np.split(flat, ends[:-1]), params)]
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
 
     shuffle_rng = rng_stream(cfg.seed, _STREAM_SHUFFLE)
     n = xs.shape[0]
@@ -355,10 +377,10 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
                 step += 1
                 correct1 = 1.0 - _ADAM_BETA1**step
                 correct2 = 1.0 - _ADAM_BETA2**step
-                for i, g in enumerate(grads_w + grads_b):
-                    m[i] = _ADAM_BETA1 * m[i] + (1.0 - _ADAM_BETA1) * g
-                    v[i] = _ADAM_BETA2 * v[i] + (1.0 - _ADAM_BETA2) * g * g
-                    params[i] -= cfg.learning_rate * (m[i] / correct1) / (np.sqrt(v[i] / correct2) + _ADAM_EPS)
+                grad = np.concatenate([g.ravel() for g in grads_w + grads_b])
+                m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * grad
+                v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * grad * grad
+                flat -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
             epoch_losses.append(float(np.mean(batch_losses)))
 
     return CalibrationModel(
@@ -388,11 +410,14 @@ def build_calib_dataset(n_captures: int, geom: SensorGeometry, membrane: Membran
     depths = MAX_DEPTH_MM * (1.0 - rng_stream(seed, _STREAM_DEPTHS).random(n_captures))
     truths = (sphere_press_truth(depth, defaults.CALIBRATION_SPHERE_RADIUS_MM, geom) for depth in depths)
     presses = [(truths, sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 1, 2)))]
-    rows_x, rows_y = [], []
-    for truth, ref, contact in disc_captures(presses, membrane, geom):
-        rows_x.append(disc_rows(ref, contact, geom))
-        rows_y.append(np.take(truth.depths, geom.disc_index).astype(np.float64))
-    return np.concatenate(rows_x, axis=0), np.concatenate(rows_y, axis=0)
+    pixels = geom.disc_pixel_count
+    features = np.empty((n_captures * pixels, LAYER_SIZES[0]))
+    targets = np.empty(n_captures * pixels)
+    for k, (truth, ref, contact) in enumerate(disc_captures(presses, membrane, geom)):
+        rows = slice(k * pixels, (k + 1) * pixels)
+        features[rows] = disc_rows(ref, contact, geom)
+        targets[rows] = np.take(truth.depths, geom.disc_index)
+    return features, targets
 
 
 def disc_depths(model: CalibrationModel, rows) -> np.ndarray:

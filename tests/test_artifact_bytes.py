@@ -74,6 +74,10 @@ ORACLE_CHARACTERIZE = {
 }
 ORACLE_CHARACTERIZE_STDOUT = "d33382f0af0ef33b0428d3e90c5213f83e351b494cf1e38c691b9309fe71a255"
 
+# calib.json of the benchmark's calibrate run at the default 320x240 geometry (CALIBRATE_ARGV).
+CALIBRATE_ARGV = ["calibrate", "--captures", "1", "--epochs", "50", "--batch-size", "4096", "--seed", "0"]
+CALIBRATE_MODEL = "39d86a34170ac6805224dd211a4d2b6641526ea27fcfc2ecec4d77176cab4cd6"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -121,3 +125,14 @@ def test_oracle_characterize_bytes_are_pinned(tmp_path):
     tables = {path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())}
     assert tables == ORACLE_CHARACTERIZE
     assert sha256(stdout.getvalue().encode()) == ORACLE_CHARACTERIZE_STDOUT
+
+
+def test_calibrate_workload_bytes_are_pinned(tmp_path):
+    """One capture and 50 epochs at batch 4096 at 320x240: the training step at the size the benchmark times it."""
+    skip_unless_made_under()
+    out = tmp_path / "calib.json"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = test_acceptance.dispatch([*CALIBRATE_ARGV, "--out", str(out)])
+    assert code == 0
+    assert sha256(out.read_bytes()) == CALIBRATE_MODEL
+    assert stdout.getvalue() == ""

@@ -8,6 +8,9 @@ import pytest
 
 import phototact as pt
 from phototact.calibration import (
+    _ADAM_BETA1,
+    _ADAM_BETA2,
+    _ADAM_EPS,
     _STREAM_SHUFFLE,
     LAYER_SIZES,
     CalibrationModel,
@@ -364,6 +367,46 @@ class TestTrainingStepBits:
             tracemalloc.stop()
         assert got[0] == expected[0]
         assert peak < len(x) * LAYER_SIZES[1] * 4  # less than one float32 activation matrix
+
+
+class TestBiasFold:
+    """A hidden bias gradient, ``np.einsum("ij->j", u)``, adds the rows of ``u`` in order, as ``u.sum(axis=0)`` does."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 37, 3092, 4096])
+    def test_fold_is_the_row_sum(self, rows, dtype):
+        u = np.random.default_rng(rows).normal(size=(rows, LAYER_SIZES[1])).astype(dtype)
+        # Column 0 mixes +-1e30 with 1.0, so a sum in any other order than row order reads otherwise.
+        u[:, 0] = np.resize(np.array([1e30, 1.0, -1e30, 1.0, 1.0], dtype), rows)
+        fold = np.einsum("ij->j", u)
+        assert fold.dtype == dtype
+        assert fold.tobytes() == u.sum(axis=0).tobytes()
+        assert fold.tobytes() == functools.reduce(np.add, u).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_negative_zero_column_folds_to_positive_zero(self, dtype):
+        fold = np.einsum("ij->j", np.full((37, LAYER_SIZES[1]), -0.0, dtype))
+        assert not np.signbit(fold).any() and not fold.any()
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_adam_maps_both_zeros_alike(self, warm):
+        # train_mlp's update of its flat parameter vector, from fresh or warm moments, at step 3.
+        rng = np.random.default_rng(8)
+        size = 2337
+        start = rng.normal(size=size).astype(np.float32)
+        m0, v0 = np.zeros(size, np.float32), np.zeros(size, np.float32)  # as train_mlp starts them
+        if warm:
+            m0 = (rng.normal(size=size) * 1e-3).astype(np.float32)
+            v0 = (rng.uniform(size=size) * 1e-6).astype(np.float32)
+        results = []
+        for zero in (0.0, -0.0):
+            g = np.full(size, zero, np.float32)
+            flat = start.copy()
+            m = _ADAM_BETA1 * m0 + (1.0 - _ADAM_BETA1) * g
+            v = _ADAM_BETA2 * v0 + (1.0 - _ADAM_BETA2) * g * g
+            flat -= 0.001 * (m / (1.0 - _ADAM_BETA1**3)) / (np.sqrt(v / (1.0 - _ADAM_BETA2**3)) + _ADAM_EPS)
+            results.append((m.tobytes(), v.tobytes(), flat.tobytes()))
+        assert results[0] == results[1]
 
 
 class TestModelFiles:
