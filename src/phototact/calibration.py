@@ -6,7 +6,9 @@ A small fully-connected network with three tanh hidden layers of 32 units
 adaptive-moment optimizer at learning rate 0.001 and is fully deterministic
 for a given seed: fixed initialization, seeded shuffling, single-threaded
 update order.  Input standardization statistics live inside the model so
-inference is self-contained.
+inference is self-contained, and :meth:`CalibrationModel.standardize` is the
+one standardization: training, inference and the gradient API all take
+their input through it.
 
 Training and depth inference compute in float32, the precision that model
 files and depth maps store: a training step's batch, activations, buffers,
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import base64
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +55,8 @@ from .imprint import color_delta, disc_rows
 from .phantom import MembraneModel, disc_captures, rng_stream, sphere_press_truth, sub_seeds
 
 LAYER_SIZES = (5, 32, 32, 32, 1)
+# (inputs, outputs) of each layer: the shape of its weight matrix.
+_SHAPES = tuple(zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]))
 
 _MODEL_FORMAT = "phototact-calibration-model"
 _MODEL_VERSION = 1
@@ -101,9 +105,11 @@ class TrainConfig:
 class CalibrationModel:
     """Weights, biases, and input standardization of the depth regressor.
 
-    Parameters are stored as float32 (matching the file format), so in-memory
-    and reloaded models predict identically.  :meth:`forward` computes with
-    them in float32; the gradient API (:func:`mlp_forward`,
+    Parameters and standardization constants are stored as float32 (matching
+    the file format), so in-memory and reloaded models predict identically;
+    training standardizes its rows through the model it starts from, whose
+    constants the trained model keeps.  :meth:`forward` computes with the
+    parameters in float32; the gradient API (:func:`mlp_forward`,
     :func:`input_gradient`) promotes them to float64.
     """
 
@@ -117,10 +123,9 @@ class CalibrationModel:
     def __post_init__(self):
         weights = tuple(frozen_array(w, np.float32) for w in self.weights)
         biases = tuple(frozen_array(b, np.float32) for b in self.biases)
-        expected = [(LAYER_SIZES[i], LAYER_SIZES[i + 1]) for i in range(len(LAYER_SIZES) - 1)]
-        if [w.shape for w in weights] != expected:
-            raise ValueError(f"weight shapes must be {expected}")
-        if [b.shape for b in biases] != [(n,) for _, n in expected]:
+        if tuple(w.shape for w in weights) != _SHAPES:
+            raise ValueError(f"weight shapes must be {list(_SHAPES)}")
+        if [b.shape for b in biases] != [(n,) for _, n in _SHAPES]:
             raise ValueError("bias shapes must match layer widths")
         shift = frozen_array(self.feature_shift, np.float32)
         scale = frozen_array(self.feature_scale, np.float32)
@@ -139,22 +144,31 @@ class CalibrationModel:
         object.__setattr__(self, "feature_scale", scale)
         object.__setattr__(self, "epoch_losses", losses)
 
-    def standardize(self, features):
+    def standardize(self, features, dtype):
+        """``(features - shift) / scale`` of (N, 5) rows in float64, written one column at a time into ``dtype``.
+
+        Each operation is elementwise, so the result has the bits of the whole-matrix expression cast to ``dtype``.
+        """
         x = np.asarray(features, dtype=np.float64)
-        return (x - self.feature_shift.astype(np.float64)) / self.feature_scale.astype(np.float64)
+        out = np.empty(x.shape, dtype)
+        for j, (shift, scale) in enumerate(zip(self.feature_shift.astype(np.float64),
+                                               self.feature_scale.astype(np.float64))):
+            np.divide(x[:, j] - shift, scale, out=out[:, j])
+        return out
 
     def forward(self, features):
         """Raw depth predictions (mm) for an (N, 5) feature matrix, as float64.
 
-        The features are standardized in float64; the layers run in float32
-        with the stored parameters, since a depth map keeps float32 depths.
+        The features are standardized into float32, and the layers run in
+        float32 with the stored parameters, since a depth map keeps float32
+        depths.
         The hidden layers alternate between two float32 activation buffers
         that the model keeps: allocated on the first call and replaced only by
         a larger batch, so a run of forwards allocates no activation memory
         and the heap does not grow and shrink by two activation matrices per
         call.  The result is a fresh array, so no result aliases the buffers.
         """
-        x = self.standardize(features).astype(np.float32)
+        x = self.standardize(features, np.float32)
         if self._activations is None or self._activations[0].shape[0] < x.shape[0]:
             shape = (x.shape[0], LAYER_SIZES[1])
             object.__setattr__(self, "_activations", (np.empty(shape, np.float32), np.empty(shape, np.float32)))
@@ -163,9 +177,13 @@ class CalibrationModel:
         return out.astype(np.float64)
 
 
-def _float64_parameters(model: CalibrationModel):
-    """The model's weights and biases promoted to float64, as the gradient API computes with them."""
-    return [w.astype(np.float64) for w in model.weights], [b.astype(np.float64) for b in model.biases]
+def _float64_pass(model: CalibrationModel, features):
+    """The float64 weights, activations and output column of the gradient API's pass over a 5-vector or (N, 5) rows."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    weights = [w.astype(np.float64) for w in model.weights]
+    biases = [b.astype(np.float64) for b in model.biases]
+    hidden = _hidden_buffers(len(x), np.float64)
+    return (weights, *_forward_pass(weights, biases, model.standardize(x, np.float64), hidden))
 
 
 def mlp_forward(model: CalibrationModel, features):
@@ -174,28 +192,18 @@ def mlp_forward(model: CalibrationModel, features):
     The counterpart of :func:`input_gradient`: finite differences at small
     steps need the float64 that :meth:`CalibrationModel.forward` does not keep.
     """
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    hidden = _hidden_buffers(x.shape[0], np.float64)
-    out = _forward_pass(*_float64_parameters(model), model.standardize(x), hidden)[1]
-    return float(out[0]) if single else out
+    out = _float64_pass(model, features)[2]
+    return float(out[0]) if np.ndim(features) == 1 else out
 
 
 def input_gradient(model: CalibrationModel, features):
     """Gradient of the scalar output w.r.t. each of the 5 raw inputs."""
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    weights, biases = _float64_parameters(model)
-    activations, _ = _forward_pass(weights, biases, model.standardize(x), _hidden_buffers(x.shape[0], np.float64))
-    grad = np.repeat(weights[-1].T, x.shape[0], axis=0)  # (N, 32)
+    weights, activations, _ = _float64_pass(model, features)
+    grad = np.repeat(weights[-1].T, len(activations[0]), axis=0)  # (N, 32)
     for w, act in zip(reversed(weights[:-1]), reversed(activations[1:])):
         grad = (grad * (1.0 - act * act)) @ w.T
     grad = grad / model.feature_scale.astype(np.float64)  # chain through standardization
-    return grad[0] if single else grad
+    return grad[0] if np.ndim(features) == 1 else grad
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +214,7 @@ def _init_params(seed: int):
     """Glorot-uniform float32 weights and zero float32 biases, the parameters training starts from."""
     rng = rng_stream(seed, _STREAM_INIT)
     weights, biases = [], []
-    for n_in, n_out in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]):
+    for n_in, n_out in _SHAPES:
         limit = np.sqrt(6.0 / (n_in + n_out))
         weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(np.float32))
         biases.append(np.zeros(n_out, np.float32))
@@ -271,10 +279,10 @@ def _step_buffers(rows: int, dtype):
     return _hidden_buffers(rows, dtype) + [np.empty((rows, LAYER_SIZES[1]), dtype)]
 
 
-def loss_and_gradients(weights, biases, x, y, hidden=None):
+def loss_and_gradients(weights, biases, x, y, hidden):
     """MSE loss and its parameter gradients for one batch, in the dtype of ``x``.
 
-    ``hidden`` optionally supplies the step's buffers (see
+    ``hidden`` holds the step's buffers, of at least ``len(x)`` rows (see
     :func:`_step_buffers`); training passes the same ones every step so the
     step allocates no batch-sized matrix.  Every temporary of the backward
     pass is written into the leading rows of those buffers: the first
@@ -289,8 +297,6 @@ def loss_and_gradients(weights, biases, x, y, hidden=None):
     a denormal moment that underflows to -0.0.
     """
     n = x.shape[0]
-    if hidden is None:
-        hidden = _step_buffers(n, x.dtype)
     activations, pred = _forward_pass(weights, biases, x, hidden)
     residual = pred - y
     loss = float(np.mean(residual**2))
@@ -314,14 +320,13 @@ def loss_and_gradients(weights, biases, x, y, hidden=None):
     return loss, grads_w, grads_b
 
 
-def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationModel:
+def train_mlp(features, targets, cfg: TrainConfig) -> CalibrationModel:
     """Fit the depth regressor on (N, 5) features and (N,) depths in mm.
 
-    The features are standardized in float64; every training step then runs
-    in float32 (see the module docstring).
+    Training starts from a model holding the initial parameters and the rows' standardization constants, rounded
+    to float32.  Its :meth:`~CalibrationModel.standardize` writes the rows into float32 once, every step runs in
+    float32 (see the module docstring), and the result is that model with the trained parameters.
     """
-    if cfg is None:
-        cfg = TrainConfig()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0] or x.shape[0] == 0:
@@ -331,21 +336,15 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("features and targets must be finite")
 
-    shift = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale == 0.0] = 1.0  # constant feature: pass through unscaled
-    # Standardize once with the float32-rounded constants the model will carry.
-    shift32 = shift.astype(np.float32).astype(np.float64)
-    scale32 = scale.astype(np.float32).astype(np.float64)
-    xs = np.subtract(x, shift32)
-    xs /= scale32
-    xs = xs.astype(np.float32)
+    initial = CalibrationModel(*_init_params(cfg.seed), x.mean(axis=0), scale)
+    xs = initial.standardize(x, np.float32)
     ys = y.astype(np.float32)
 
     # The weights, then the biases, as views of one flat vector; Adam updates it and its moments m and v whole.
-    weights, biases = _init_params(cfg.seed)
-    layers = len(weights)
-    params = weights + biases
+    layers = len(initial.weights)
+    params = [*initial.weights, *initial.biases]
     flat = np.concatenate([p.ravel() for p in params])
     ends = np.cumsum([p.size for p in params])
     params = [part.reshape(p.shape) for part, p in zip(np.split(flat, ends[:-1]), params)]
@@ -383,13 +382,8 @@ def train_mlp(features, targets, cfg: TrainConfig | None = None) -> CalibrationM
                 flat -= cfg.learning_rate * (m / correct1) / (np.sqrt(v / correct2) + _ADAM_EPS)
             epoch_losses.append(float(np.mean(batch_losses)))
 
-    return CalibrationModel(
-        weights=tuple(params[:layers]),
-        biases=tuple(params[layers:]),
-        feature_shift=shift32,
-        feature_scale=scale32,
-        epoch_losses=tuple(epoch_losses),
-    )
+    return replace(initial, weights=tuple(params[:layers]), biases=tuple(params[layers:]),
+                   epoch_losses=tuple(epoch_losses))
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +465,14 @@ def load_model(path) -> CalibrationModel:
     doc = read_json(path, "calibration model", _MODEL_FORMAT, _MODEL_VERSION)
     if doc.get("layer_sizes") != list(LAYER_SIZES):
         raise ValueError("unexpected layer sizes")
-    shapes = [(LAYER_SIZES[i], LAYER_SIZES[i + 1]) for i in range(len(LAYER_SIZES) - 1)]
     try:
-        if len(doc["weights"]) != len(shapes) or len(doc["biases"]) != len(shapes):
-            raise ValueError(f"malformed calibration model file: need {len(shapes)} weight and bias blobs")
+        if len(doc["weights"]) != len(_SHAPES) or len(doc["biases"]) != len(_SHAPES):
+            raise ValueError(f"malformed calibration model file: need {len(_SHAPES)} weight and bias blobs")
         if json_number(doc["max_depth"]) != MAX_DEPTH_MM:
             raise ValueError(f"max depth must be {MAX_DEPTH_MM} mm, the full scale")
         return CalibrationModel(
-            weights=tuple(_decode(blob, shape) for blob, shape in zip(doc["weights"], shapes)),
-            biases=tuple(_decode(blob, (shape[1],)) for blob, shape in zip(doc["biases"], shapes)),
+            weights=tuple(_decode(blob, shape) for blob, shape in zip(doc["weights"], _SHAPES)),
+            biases=tuple(_decode(blob, (n_out,)) for blob, (_, n_out) in zip(doc["biases"], _SHAPES)),
             feature_shift=_decode(doc["feature_shift"], (LAYER_SIZES[0],)),
             feature_scale=_decode(doc["feature_scale"], (LAYER_SIZES[0],)),
             epoch_losses=tuple(map(json_number, doc.get("epoch_losses", ()))),

@@ -210,7 +210,8 @@ def characterize(
     model: CalibrationModel,
     forces=defaults.CHAR_FORCES_N,
     steps=defaults.CHAR_DEPTH_STEPS_MM,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> CharacterizationReport:
     """Run the full metrology protocol on the simulated rig: the indenter pressed into ``membrane`` on ``geom``.
 

@@ -95,7 +95,7 @@ def check_regularization(c):
         raise ValueError("regularization parameter must be positive and finite")
 
 
-def train_svm(standardized, labels, c: float = 1.0) -> DetectorModel:
+def train_svm(standardized, labels, c: float) -> DetectorModel:
     """Linear soft-margin SVM, solved exactly by SMO on its dual (Platt 1998).
 
     Minimizes ||w||^2/2 + c * sum(hinge) with an unregularized bias.  Each step
@@ -161,7 +161,7 @@ def train_svm(standardized, labels, c: float = 1.0) -> DetectorModel:
     return DetectorModel(mean=np.zeros(2), std=np.ones(2), weights=w, bias=b, training_meta=meta)
 
 
-def fit_detector(features, labels, c: float = 1.0) -> DetectorModel:
+def fit_detector(features, labels, c: float) -> DetectorModel:
     """Standardize raw (mu, sigma) rows by their population (divide-by-N) mean and std, then train the classifier."""
     x = np.asarray(features, dtype=np.float64)
     if x.size and not x.any():
@@ -219,7 +219,7 @@ def evaluate(model: DetectorModel, features, labels) -> EvalReport:
     )
 
 
-def stratified_split(labels, train_fraction: float = 0.8, seed: int = 0):
+def stratified_split(labels, train_fraction: float, seed: int):
     """Seed-deterministic per-class split; returns (train_idx, test_idx)."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train fraction must lie in (0, 1)")

@@ -267,13 +267,10 @@ def hsv_to_rgb_real(hue, saturation, value):
 def hue_delta(h_after, h_before):
     """Minimal signed hue difference in (-180, 180]; +180 for opposite hues.
 
-    Accepts scalars or arrays of degrees in [0, 360).
+    Accepts scalars or arrays of degrees in [0, 360); returns a float64 array, 0-d for scalars.
     """
     diff = np.mod(np.asarray(h_after, dtype=np.float64) - np.asarray(h_before, dtype=np.float64), 360.0)
-    out = np.where(diff > 180.0, diff - 360.0, diff)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(diff > 180.0, diff - 360.0, diff)
 
 
 # ---------------------------------------------------------------------------

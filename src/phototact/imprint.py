@@ -33,10 +33,8 @@ class ImprintParams:
             raise ValueError("alpha must be positive")
 
 
-def augmented_imprint(ref: RgbImage, contact: RgbImage, params: ImprintParams | None = None) -> RgbImage:
+def augmented_imprint(ref: RgbImage, contact: RgbImage, params: ImprintParams) -> RgbImage:
     """Per channel: clip(alpha * (contact - ref) + beta, 0, 255), rounded half-up."""
-    if params is None:
-        params = ImprintParams()
     if (ref.height, ref.width) != (contact.height, contact.width):
         raise ValueError("reference and contact images differ in size")
     diff = contact.pixels.astype(np.float64) - ref.pixels.astype(np.float64)

@@ -15,7 +15,15 @@ import pytest
 
 import phototact as pt
 from phototact import defaults
-from phototact.calibration import LAYER_SIZES, CalibrationModel, input_gradient, loss_and_gradients, mlp_forward, reconstruct
+from phototact.calibration import (
+    LAYER_SIZES,
+    CalibrationModel,
+    _step_buffers,
+    input_gradient,
+    loss_and_gradients,
+    mlp_forward,
+    reconstruct,
+)
 from phototact.characterization import characterize, hysteresis, repeatability
 from phototact.cli import dispatch
 from phototact.detection import (
@@ -86,10 +94,10 @@ class TestCriterion1Imprint:
                 got = augmented_imprint(ref, contact, ImprintParams(alpha=alpha)).pixels
                 exact &= np.array_equal(got, imprint_oracle(ref, contact, alpha, 127.5))
         flat = RgbImage(np.full((2, 2, 3), 70, dtype=np.uint8))
-        exact &= bool(np.all(augmented_imprint(flat, flat).pixels == 128))
+        exact &= bool(np.all(augmented_imprint(flat, flat, ImprintParams()).pixels == 128))
         up = RgbImage(np.full((2, 2, 3), 100, dtype=np.uint8))
-        exact &= bool(np.all(augmented_imprint(up, RgbImage(np.full((2, 2, 3), 130, dtype=np.uint8))).pixels == 255))
-        exact &= bool(np.all(augmented_imprint(up, RgbImage(np.full((2, 2, 3), 60, dtype=np.uint8))).pixels == 0))
+        exact &= bool(np.all(augmented_imprint(up, RgbImage(np.full((2, 2, 3), 130, dtype=np.uint8)), ImprintParams()).pixels == 255))
+        exact &= bool(np.all(augmented_imprint(up, RgbImage(np.full((2, 2, 3), 60, dtype=np.uint8)), ImprintParams()).pixels == 0))
         elapsed = time.monotonic() - started
         report(1, "imprint arithmetic", exact and elapsed < 1.0, f"bit-exact for alpha in (1, 5, 10), {elapsed:.2f}s")
 
@@ -146,11 +154,11 @@ class TestCriterion4Gradients:
             biases = [rng.normal(0.0, 0.2, size=s[1]) for s in shapes]
             x = rng.normal(size=(8, 5))
             y = rng.uniform(0.0, 0.5, size=8)
-            _, grads_w, grads_b = loss_and_gradients(weights, biases, x, y)
+            _, grads_w, grads_b = loss_and_gradients(weights, biases, x, y, _step_buffers(len(x), x.dtype))
             h = 1e-6
 
             def loss_at():
-                return loss_and_gradients(weights, biases, x, y)[0]
+                return loss_and_gradients(weights, biases, x, y, _step_buffers(len(x), x.dtype))[0]
 
             for li in range(len(weights)):
                 idx = (int(rng.integers(shapes[li][0])), int(rng.integers(shapes[li][1])))

@@ -3,6 +3,9 @@
 That pipeline's ``characterize`` writes a null threshold and force
 resolution, so a second run pins ``characterize`` at 100x80 on the hue
 oracle model, whose threshold (0.03 N) and resolution (0.005 N) are not null.
+The benchmark's three workloads are pinned at its default 320x240 geometry:
+``calibrate``, and ``characterize`` and the detection verbs on the model of
+its set-up.
 
 ``test_capture_bytes.py`` pins the captures, which come out the same under
 every CPU kernel. The model, the depth maps, the detector, the reports and
@@ -14,6 +17,7 @@ bytes on purpose updates the table here, and that diff is its declaration.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -22,8 +26,9 @@ import pytest
 
 import test_acceptance
 from conftest import linear_hue_model
-from phototact import defaults
+from phototact import cli, defaults
 from phototact.calibration import save_model
+from phototact.characterization import characterize
 from phototact.cli import blas_core, simd_targets
 
 # (OpenBLAS kernel, numpy SIMD targets) pairs the hashes hold under: the pair they were made under, and numpy held at
@@ -77,6 +82,30 @@ ORACLE_CHARACTERIZE_STDOUT = "d33382f0af0ef33b0428d3e90c5213f83e351b494cf1e38c69
 # calib.json of the benchmark's calibrate run at the default 320x240 geometry (CALIBRATE_ARGV).
 CALIBRATE_ARGV = ["calibrate", "--captures", "1", "--epochs", "50", "--batch-size", "4096", "--seed", "0"]
 CALIBRATE_MODEL = "39d86a34170ac6805224dd211a4d2b6641526ea27fcfc2ecec4d77176cab4cd6"
+
+# The benchmark's characterize and detection workloads at --seed 0, 320x240: the set-up model, the cut force grid and
+# depth steps, and the cut dataset spec.  The verb seeds are the benchmark's offsets from --seed.
+SETUP_ARGV = ["calibrate", "--captures", "2", "--epochs", "10", "--batch-size", "4096", "--seed", "0"]
+SETUP_MODEL = "280431c007be3e87c206c8bc792f3e74e9b5710d308fb996800a5b3ba09f3be1"
+WORKLOAD_FORCES_N = (0.05, 0.08, 0.11)
+WORKLOAD_STEPS_MM = (0.2, 0.5)
+WORKLOAD_SPEC = {
+    "diameters_mm": [4.0, 8.0],
+    "burial_depths_mm": [2.0, 5.0],
+    "presses_per_positive": 2,
+    "positive_mass_g": 1000.0,
+    "negative_masses_g": [1000.0, 1200.0],
+    "presses_per_negative_mass": 4,
+}
+CHARACTERIZE_WORKLOAD = {
+    "summary.json": "848b2cdea770bcda783f830f3f657577ce64eeb79e0fb147f87022f540b2d5fa",
+    "sweeps.csv": "9ee32089f149c616d19917e794b1c4f99eb51cb94568c8870e11cace6d2e4924",
+    "trials.csv": "4872e6bca650054d62aea96c1ad8a436f0d3b4da323ad531f7a13091051bab2c",
+}
+DETECTION_WORKLOAD = {
+    "detector.json": "3edfc6e2a4ea8e337846c562ec4c994dddcc661b6eea17d1d0c61c6df08842b3",
+    "report.json": "eb272b24eba394b66d9a9edf250cab87772fa9780605810c8cd593202e804aea",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -136,3 +165,41 @@ def test_calibrate_workload_bytes_are_pinned(tmp_path):
     assert code == 0
     assert sha256(out.read_bytes()) == CALIBRATE_MODEL
     assert stdout.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def setup_model(tmp_path_factory):
+    """The benchmark's set-up model: two captures, 10 epochs."""
+    path = tmp_path_factory.mktemp("setup") / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert test_acceptance.dispatch([*SETUP_ARGV, "--out", str(path)]) == 0
+    return path
+
+
+def test_characterize_workload_bytes_are_pinned(tmp_path, monkeypatch, setup_model):
+    """``characterize --seed 0`` on the set-up model over the benchmark's cut force grid and depth steps."""
+    skip_unless_made_under()
+    assert sha256(setup_model.read_bytes()) == SETUP_MODEL
+    monkeypatch.setattr(cli, "characterize",
+                        functools.partial(characterize, forces=WORKLOAD_FORCES_N, steps=WORKLOAD_STEPS_MM))
+    out = tmp_path / "char"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = test_acceptance.dispatch(["characterize", "--calibration", str(setup_model), "--seed", "0",
+                                         "--out", str(out)])
+    assert code == 0
+    assert {path.name: sha256(path.read_bytes()) for path in sorted(out.iterdir())} == CHARACTERIZE_WORKLOAD
+
+
+def test_detection_workload_bytes_are_pinned(tmp_path, setup_model):
+    """``dataset --seed 7`` on the cut spec, then ``train-detector --seed 5`` and ``evaluate`` on the set-up model."""
+    skip_unless_made_under()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(WORKLOAD_SPEC))
+    data = ["--dataset", str(tmp_path / "data"), "--calibration", str(setup_model)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["dataset", "--spec", str(spec), "--seed", "7", "--out", str(tmp_path / "data")],
+                     ["train-detector", *data, "--seed", "5", "--out", str(tmp_path / "detector.json")],
+                     ["evaluate", *data, "--detector", str(tmp_path / "detector.json"),
+                      "--out", str(tmp_path / "report.json")]):
+            assert test_acceptance.dispatch(argv) == 0, argv[0]
+    assert {name: sha256((tmp_path / name).read_bytes()) for name in DETECTION_WORKLOAD} == DETECTION_WORKLOAD

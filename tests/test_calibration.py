@@ -253,15 +253,37 @@ class TestTrainMlp:
 
     def test_rejects_bad_rows(self):
         with pytest.raises(ValueError):
-            train_mlp(np.zeros((0, 5)), np.zeros(0))
+            train_mlp(np.zeros((0, 5)), np.zeros(0), TrainConfig())
         with pytest.raises(ValueError):
-            train_mlp(np.full((4, 5), np.nan), np.zeros(4))
+            train_mlp(np.full((4, 5), np.nan), np.zeros(4), TrainConfig())
 
     def test_validation_of_config(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    def test_epoch_holds_at_most_one_float64_copy_of_the_rows(self):
+        """Beyond the caller's rows, an epoch holds at most 40 bytes a row (one float64 copy: the std's temporary,
+        later the float32 rows, targets and shuffle order, 32) plus the step's four buffers.
+
+        A float64 standardized copy beside the float32 one is 60 bytes a row: 18.0 MB at 300,000 rows, 3.4 MB over the
+        bound.  At 60,000 rows the step's 2.1 MB of buffers would hide it: the epoch peaks at 4.3 MB either way.
+        """
+        rows = 300_000
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(rows, 5)) * [30.0, 0.1, 0.1, 0.3, 0.3]
+        y = rng.uniform(0.0, 0.5, size=rows)
+        buffers = sum(b.nbytes for b in _step_buffers(4096, np.float32))
+        train_mlp(x[:64], y[:64], TrainConfig(epochs=1))  # numpy's first calls run slowly under tracemalloc
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_mlp(x, y, TrainConfig(epochs=1, batch_size=4096, seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * 5 * 8 + buffers + 2**19  # half a MB of slack for the small arrays
 
 
 class TestForward:
@@ -301,20 +323,42 @@ class TestForward:
         biases = [b.astype(np.float64) for b in model.biases]
         x = rng.normal(size=(12, 5))
         y = rng.uniform(0.0, 0.5, size=12)
-        _, grads_w, grads_b = loss_and_gradients(weights, biases, x, y)
+        _, grads_w, grads_b = loss_and_gradients(weights, biases, x, y, _step_buffers(len(x), x.dtype))
         h = 1e-6
         for li in range(len(weights)):
             idx = (rng.integers(weights[li].shape[0]), rng.integers(weights[li].shape[1]))
             for sign in (1.0, -1.0):
                 weights[li][idx] += sign * h
                 if sign > 0:
-                    up = loss_and_gradients(weights, biases, x, y)[0]
+                    up = loss_and_gradients(weights, biases, x, y, _step_buffers(len(x), x.dtype))[0]
                     weights[li][idx] -= h
                 else:
-                    down = loss_and_gradients(weights, biases, x, y)[0]
+                    down = loss_and_gradients(weights, biases, x, y, _step_buffers(len(x), x.dtype))[0]
                     weights[li][idx] += h
             fd = (up - down) / (2 * h)
             assert abs(grads_w[li][idx] - fd) / max(abs(fd), 1e-10) < 1e-4
+
+
+class TestStandardize:
+    """``CalibrationModel.standardize`` has the bits of the whole-matrix expression, cast to the dtype it is asked for."""
+
+    @staticmethod
+    def assert_matches_whole_matrix(model, x):
+        whole = (x - model.feature_shift.astype(np.float64)) / model.feature_scale.astype(np.float64)
+        assert model.standardize(x, np.float64).tobytes() == whole.tobytes()
+        assert model.standardize(x, np.float32).tobytes() == whole.astype(np.float32).tobytes()
+
+    def test_capture_rows(self, geometry, membrane):
+        x, _ = build_calib_dataset(1, geometry, membrane, seed=3)
+        self.assert_matches_whole_matrix(CalibrationModel(*_init_params(0), x.mean(axis=0), x.std(axis=0)), x)
+
+    def test_extreme_rows(self):
+        # +-1e30, float64 and float32 subnormals and both zeros, against constants that keep every result finite
+        values = np.array([1e30, -1e30, 5e-324, -5e-324, 1e-310, 1e-40, -1e-42, 0.0, -0.0, 1.0, -3.75, 123.456])
+        x = np.random.default_rng(7).choice(values, size=(500, 5))
+        model = CalibrationModel(*_init_params(0), np.array([0.0, 1.5, -1e-40, 2.5e-3, 1e30]),
+                                 np.array([1.0, 3.0, 1e-3, 0.7, 2e5]))
+        self.assert_matches_whole_matrix(model, x)
 
 
 class TestTrainingStepBits:
@@ -331,7 +375,8 @@ class TestTrainingStepBits:
             y[0] = reference_forward(weights, biases, x)[1][0]  # one row with a zero residual
             loss, grads_w, grads_b = reference_loss_and_gradients(weights, biases, x, y)
             work = _step_buffers(4096, dtype)  # a last batch runs in the leading rows of full-size buffers
-            for got in (loss_and_gradients(weights, biases, x, y), loss_and_gradients(weights, biases, x, y, work),
+            for got in (loss_and_gradients(weights, biases, x, y, _step_buffers(len(x), x.dtype)),
+                        loss_and_gradients(weights, biases, x, y, work),
                         loss_and_gradients(weights, biases, x, y, work)):
                 assert got[0] == loss
                 for a, b in zip(got[1] + got[2], grads_w + grads_b):

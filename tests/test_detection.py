@@ -73,36 +73,36 @@ class TestStandardizer:
     """The detector's standardization: fit_detector's population mean and std, applied by DetectorModel.standardize."""
 
     def test_two_values(self):
-        model = fit_detector(np.array([[1.0, 1.0], [3.0, 3.0]]), np.array([1, -1]))
+        model = fit_detector(np.array([[1.0, 1.0], [3.0, 3.0]]), np.array([1, -1]), c=1.0)
         assert np.allclose(model.mean, [2.0, 2.0]) and np.allclose(model.std, [1.0, 1.0])
         assert np.allclose(model.standardize(np.array([1.0, 3.0])), [-1.0, 1.0])
 
     def test_train_set_becomes_zero_mean_unit_variance(self):
         rng = np.random.default_rng(0)
         x = rng.normal(3.0, 2.5, size=(200, 2))
-        z = fit_detector(x, np.where(x[:, 1] > 3.0, 1, -1)).standardize(x)
+        z = fit_detector(x, np.where(x[:, 1] > 3.0, 1, -1), c=1.0).standardize(x)
         assert np.abs(z.mean(axis=0)).max() < 1e-9
         assert np.abs(z.std(axis=0) - 1.0).max() < 1e-9
 
     def test_mean_sample_maps_to_zero(self):
         x = np.array([[1.0, 5.0], [2.0, 7.0], [3.0, 9.0]])
-        model = fit_detector(x, np.array([-1, -1, 1]))
+        model = fit_detector(x, np.array([-1, -1, 1]), c=1.0)
         assert np.allclose(model.standardize(x.mean(axis=0)), [0.0, 0.0], atol=1e-12)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError, match="zero variance"):
-            fit_detector(np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([1, -1]))
+            fit_detector(np.array([[1.0, 2.0], [1.0, 3.0]]), np.array([1, -1]), c=1.0)
         with pytest.raises(ValueError, match="zero variance"):
             DetectorModel(mean=np.zeros(2), std=np.array([1.0, 0.0]), weights=np.ones(2), bias=0.0)
 
     def test_all_zero_features_name_the_calibration_model(self):
         # a calibration model that clamps every depth to 0 gives (0, 0) for every press
         with pytest.raises(ValueError, match="zero variance feature: .*reconstructs zero depth for every sample"):
-            fit_detector(np.zeros((6, 2)), np.array([1, -1] * 3))
+            fit_detector(np.zeros((6, 2)), np.array([1, -1] * 3), c=1.0)
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="two samples"):
-            fit_detector(np.array([[1.0, 2.0]]), np.array([1]))
+            fit_detector(np.array([[1.0, 2.0]]), np.array([1]), c=1.0)
 
 
 class TestTrainSvm:
@@ -116,11 +116,11 @@ class TestTrainSvm:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
-            train_svm(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
+            train_svm(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]), c=1.0)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError, match="labels"):
-            train_svm(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 0]))
+            train_svm(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([1, 0]), c=1.0)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("fit", [train_svm, fit_detector])
@@ -136,7 +136,7 @@ class TestTrainSvm:
         y = np.array([-1, 1, -1, 1])
         x[2, 1] = bad
         with pytest.raises(ValueError, match="features must be finite"):
-            fit(x, y)
+            fit(x, y, c=1.0)
 
     @given(
         st.floats(min_value=0.0, max_value=2 * np.pi),
@@ -327,7 +327,7 @@ class TestEvaluate:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 2))
         y = np.where(x[:, 1] > 0, 1, -1)
-        model = fit_detector(x, y)
+        model = fit_detector(x, y, c=1.0)
         base = evaluate(model, x, y)
         perm = rng.permutation(30)
         shuffled = evaluate(model, x[perm], y[perm])
@@ -388,7 +388,7 @@ class TestDetectorFiles:
         y = np.where(x[:, 1] > 0.03, 1, -1)
         if len(set(y)) < 2:
             y[0] = -y[0]
-        model = fit_detector(x, y)
+        model = fit_detector(x, y, c=1.0)
         path = tmp_path / "detector.json"
         save_detector(path, model)
         loaded = load_detector(path)

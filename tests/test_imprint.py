@@ -56,10 +56,11 @@ class TestAugmentedImprint:
         ref = rng.integers(0, 256, size=(4, 6, 3)).astype(np.uint8)
         contact = rng.integers(0, 256, size=(4, 6, 3)).astype(np.uint8)
         perm = rng.permutation(24)
-        out = augmented_imprint(RgbImage(ref), RgbImage(contact)).pixels.reshape(24, 3)
+        out = augmented_imprint(RgbImage(ref), RgbImage(contact), ImprintParams()).pixels.reshape(24, 3)
         out_perm = augmented_imprint(
             RgbImage(ref.reshape(24, 3)[perm].reshape(4, 6, 3)),
             RgbImage(contact.reshape(24, 3)[perm].reshape(4, 6, 3)),
+            ImprintParams(),
         ).pixels.reshape(24, 3)
         assert np.array_equal(out[perm], out_perm)
 
@@ -78,7 +79,7 @@ class TestAugmentedImprint:
         a = RgbImage(np.zeros((2, 2, 3), dtype=np.uint8))
         b = RgbImage(np.zeros((2, 3, 3), dtype=np.uint8))
         with pytest.raises(ValueError, match="differ in size"):
-            augmented_imprint(a, b)
+            augmented_imprint(a, b, ImprintParams())
 
     def test_alpha_beyond_the_float_range_saturates(self):
         ref = RgbImage(np.full((1, 1, 3), 100, dtype=np.uint8))

@@ -1,12 +1,14 @@
 """Every top-level function and class of ``src/phototact`` is used by other code in ``src/``, every constant of
-``defaults`` is read by another module, and every defaulted parameter of a public function is passed by some call.
+``defaults`` is read by another module, and every defaulted parameter of a public function is passed by some call
+and left at its default by another.
 
 An entry point that no verb, phase or module calls is a second
 implementation of something the package already does, and the tests that
 check it check the wrong path; a private helper that nothing calls any more
 is dead code that only its tests keep alive, and so is a constant that
 nothing reads.  A parameter that every caller leaves at its default is a
-setting that nothing sets.  The walk reads the ASTs of the package's
+setting that nothing sets, and one that every caller passes is a default
+that only the tests use.  The walk reads the ASTs of the package's
 modules: a name counts as used where another module, or its own module
 outside the definition, reads it as a name or an attribute, and a call
 passes a parameter of every function of the called name.  The re-exports in
@@ -88,8 +90,9 @@ def passes(call, parameter, position):
     return parameter in keywords or (position is not None and len(args) > position)
 
 
-def unpassed_parameters(modules):
-    """``[("module.function", [parameter, ...]), ...]``: the defaulted parameters that no call in the package passes."""
+def defaulted_parameters(modules, keep):
+    """``[("module.function", [parameter, ...]), ...]``: the defaulted parameters of public functions that ``keep``
+    selects, given one flag per package call of the function's name: whether that call passes the parameter."""
     calls = calls_by_name(modules)
     found = []
     for qualified, node in definitions(modules, private=False).items():
@@ -100,11 +103,21 @@ def unpassed_parameters(modules):
         defaulted = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
         defaulted += [(arg.arg, None) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
                       if default is not None]
-        unpassed = [name for name, position in defaulted
-                    if not any(passes(call, name, position) for call in calls[node.name])]
-        if unpassed:
-            found.append((qualified, unpassed))
+        kept = [name for name, position in defaulted
+                if keep([passes(call, name, position) for call in calls[node.name]])]
+        if kept:
+            found.append((qualified, kept))
     return found
+
+
+def unpassed_parameters(modules):
+    """The defaulted parameters that no call in the package passes."""
+    return defaulted_parameters(modules, lambda passed: not any(passed))
+
+
+def always_passed_parameters(modules):
+    """The defaulted parameters that every call in the package passes, of functions the package calls."""
+    return defaulted_parameters(modules, lambda passed: bool(passed) and all(passed))
 
 
 def test_every_defaults_constant_is_read_by_another_module():
@@ -132,3 +145,9 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
     An exception on the list that the package starts to pass comes off it.
     """
     assert unpassed_parameters(parsed_modules()) == OUTSIDE_CALLERS
+
+
+def test_no_defaulted_parameter_is_passed_by_every_call():
+    """A default that every call in the package overrides is used only by tests, which then run a value that the
+    package states again elsewhere (a CLI flag or a config dataclass) and can drift from it."""
+    assert always_passed_parameters(parsed_modules()) == []
