@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .imaging import (
     MAX_DEPTH_MM,
+    SENSING_RADIUS_MM,
     DeformationMap,
     DmapFormatError,
     PpmFormatError,

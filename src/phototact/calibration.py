@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import defaults
 from .imaging import (
     MAX_DEPTH_MM,
     DeformationMap,
@@ -393,8 +392,8 @@ def train_mlp(features, targets, cfg: TrainConfig) -> CalibrationModel:
 def build_calib_dataset(n_captures: int, geom: SensorGeometry, membrane: MembraneModel, seed: int):
     """Per-pixel training rows from simulated sphere presses.
 
-    Each capture presses the calibration sphere, of radius
-    ``defaults.CALIBRATION_SPHERE_RADIUS_MM``, to a depth drawn uniformly from
+    Each capture presses the calibration sphere (:func:`~phototact.phantom.sphere_press_truth`,
+    radius ``defaults.CALIBRATION_SPHERE_RADIUS_MM``) to a depth drawn uniformly from
     (0, MAX_DEPTH_MM], renders a fresh no-contact/contact pair, and contributes
     one (dH, dS, dV, u, v) -> depth row per in-disc pixel.  Returns (features,
     depths).
@@ -402,7 +401,7 @@ def build_calib_dataset(n_captures: int, geom: SensorGeometry, membrane: Membran
     if n_captures < 1:
         raise ValueError("need at least one capture")
     depths = MAX_DEPTH_MM * (1.0 - rng_stream(seed, _STREAM_DEPTHS).random(n_captures))
-    truths = (sphere_press_truth(depth, defaults.CALIBRATION_SPHERE_RADIUS_MM, geom) for depth in depths)
+    truths = (sphere_press_truth(depth, geom) for depth in depths)
     presses = [(truths, sub_seeds(seed, _STREAM_RENDER_SEEDS, (n_captures, 1, 2)))]
     pixels = geom.disc_pixel_count
     features = np.empty((n_captures * pixels, LAYER_SIZES[0]))

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 MAX_DEPTH_MM = 0.5  # full-scale membrane indentation used throughout the study
+SENSING_RADIUS_MM = 3.5  # mm, radius of the sensing disc inside the sensor's 8 mm face
 
 _DMAP_MAGIC = b"DMAP"
 _DMAP_VERSION = 1
@@ -49,7 +50,8 @@ class DmapFormatError(ValueError):
 
 def frozen_array(values, dtype):
     """A read-only copy of ``values`` as ``dtype``, so the caller's array stays writable."""
-    arr = np.array(values, dtype=dtype)
+    with np.errstate(over="ignore"):  # a float beyond dtype's range becomes inf, for the caller's finiteness check
+        arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -113,8 +115,8 @@ class DeformationMap:
     mask: np.ndarray
 
     def __post_init__(self):
-        depths = np.asarray(self.depths, dtype=np.float32)
-        mask = np.asarray(self.mask, dtype=bool)
+        depths = frozen_array(self.depths, np.float32)
+        mask = frozen_array(self.mask, bool)
         if depths.ndim != 2 or depths.shape[0] < 1 or depths.shape[1] < 1:
             raise ValueError("depths must be a non-empty 2-D grid")
         if mask.shape != depths.shape:
@@ -125,8 +127,8 @@ class DeformationMap:
             raise ValueError("depths must be non-negative")
         if mask.any() and float(depths[mask].max()) > MAX_DEPTH_MM:
             raise ValueError(f"masked depths must not exceed {MAX_DEPTH_MM} mm")
-        object.__setattr__(self, "depths", frozen_array(depths, np.float32))
-        object.__setattr__(self, "mask", frozen_array(mask, bool))
+        object.__setattr__(self, "depths", depths)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def width(self) -> int:
@@ -142,27 +144,24 @@ class SensorGeometry:
     """Image dimensions plus the physical scale of the sensing face.
 
     The sensing disc is centered on the image; a pixel belongs to the disc
-    when its center lies within ``sensing_radius_mm`` of the image center.
-    The disc must hold at least one pixel.
+    when its center lies within ``SENSING_RADIUS_MM`` of the image center.
+    The disc must fit inside the image and hold at least one pixel center.
     """
 
     width: int = 320
     height: int = 240
-    sensing_radius_mm: float = 3.5
     mm_per_pixel: float = 0.05
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be positive")
-        if not (math.isfinite(self.sensing_radius_mm) and math.isfinite(self.mm_per_pixel)):
-            raise ValueError("sensing radius and scale must be finite")
-        if self.sensing_radius_mm <= 0 or self.mm_per_pixel <= 0:
-            raise ValueError("sensing radius and scale must be positive")
+        if not (math.isfinite(self.mm_per_pixel) and self.mm_per_pixel > 0):
+            raise ValueError("scale must be finite and positive")
         extent = self.mm_per_pixel * max(self.width, self.height)
         if not math.isfinite(extent * extent):  # a float ** raises OverflowError where * gives inf
             raise ValueError("scale too large: the frame's squared extent in mm^2 is not a finite float")
         half_extent = self.mm_per_pixel * (min(self.width, self.height) - 1) / 2.0
-        if self.sensing_radius_mm > half_extent:
+        if SENSING_RADIUS_MM > half_extent:
             raise ValueError("sensing disc does not fit inside the image")
         if self.disc_pixel_count == 0:
             raise ValueError("sensing disc holds no pixel center")
@@ -180,7 +179,7 @@ class SensorGeometry:
     @cached_property
     def disc_mask(self):
         gx, gy = self.coords_mm
-        mask = gx * gx + gy * gy <= self.sensing_radius_mm**2
+        mask = gx * gx + gy * gy <= SENSING_RADIUS_MM**2
         mask.setflags(write=False)
         return mask
 

@@ -205,14 +205,14 @@ def stiffness_field(cfg: PhantomConfig, geom: SensorGeometry) -> np.ndarray:
 
 
 def contact_solve(cfg: PhantomConfig, geom: SensorGeometry) -> DeformationMap:
-    """Indentation map of a rigid flat punch pressed with cfg's force onto the Winkler foundation."""
+    """Indentation map of a rigid flat punch pressed with cfg's force onto the Winkler foundation.
+
+    Every geometry gives a finite, positive foundation integral: the disc's pixels cover at least 6.1 mm^2 (a quarter
+    of the square inscribed in the disc) and at most the frame's squared extent, which the geometry keeps finite.
+    """
     k = stiffness_field(cfg, geom)
     mask = geom.disc_mask
-    # Every k is at most TISSUE_STIFFNESS + TUMOR_STIFFNESS_BOOST and the geometry keeps the frame's squared extent
-    # finite, so the integral cannot overflow; at a small enough scale it underflows to 0, which the check reports.
     stiffness_integral = float(k[mask].sum()) * geom.mm_per_pixel**2
-    if not (math.isfinite(stiffness_integral) and stiffness_integral > 0.0):
-        raise ValueError("degenerate foundation")
     displacement = cfg.force_n / stiffness_integral
     pressure = np.where(mask, k * displacement, 0.0)
     return DeformationMap(np.clip(pressure / defaults.MEMBRANE_STIFFNESS, 0.0, MAX_DEPTH_MM).astype(np.float32), mask)
@@ -235,16 +235,15 @@ def spherical_cap_volume(press_depth: float, sphere_radius: float) -> float:
     return math.pi * press_depth**2 * (sphere_radius - press_depth / 3.0)
 
 
-def sphere_press_truth(press_depth: float, sphere_radius: float, geom: SensorGeometry) -> DeformationMap:
-    """Ground-truth indentation map for a centered sphere press.
+def sphere_press_truth(press_depth: float, geom: SensorGeometry) -> DeformationMap:
+    """Ground-truth indentation map of the calibration sphere pressed ``press_depth`` into the center of the face.
 
-    ``press_depth`` must lie in (0, min(sphere_radius, MAX_DEPTH_MM)].
+    The sphere's radius is ``defaults.CALIBRATION_SPHERE_RADIUS_MM``; ``press_depth`` must lie in (0, MAX_DEPTH_MM].
     """
-    if not 0 < sphere_radius < math.inf:
-        raise ValueError("sphere radius must be positive and finite")
-    if not 0 < press_depth <= min(sphere_radius, MAX_DEPTH_MM):
-        raise ValueError("press depth must lie in (0, min(radius, max depth)]")
-    return DeformationMap(spherical_cap_profile(press_depth, sphere_radius, geom).astype(np.float32), geom.disc_mask)
+    if not 0 < press_depth <= MAX_DEPTH_MM:
+        raise ValueError(f"press depth must lie in (0, {MAX_DEPTH_MM}] mm")
+    profile = spherical_cap_profile(press_depth, defaults.CALIBRATION_SPHERE_RADIUS_MM, geom)
+    return DeformationMap(profile.astype(np.float32), geom.disc_mask)
 
 
 def _shifted_hsv(base, depth):

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import phototact as pt
-from phototact import defaults
 from phototact.calibration import (
     LAYER_SIZES,
     CalibrationModel,
@@ -123,7 +122,7 @@ def held_out_rmses(model, geometry, membrane):
     rmses = []
     for _ in range(10):
         depth = pt.MAX_DEPTH_MM * (1.0 - float(rng.random()))
-        truth = sphere_press_truth(depth, defaults.CALIBRATION_SPHERE_RADIUS_MM, geometry)
+        truth = sphere_press_truth(depth, geometry)
         ref = render_reading(zero, membrane, int(rng.integers(2**62)))
         contact = render_reading(truth, membrane, int(rng.integers(2**62)))
         recon = reconstruct(model, ref, contact, geometry)
@@ -361,10 +360,12 @@ PIPELINE_SPEC = {
 
 
 def run_pipeline(root, spec):
-    """Run criterion 9's seven verbs into ``root`` (created here); ``spec`` is a file holding PIPELINE_SPEC."""
+    """Run criterion 9's nine verbs into ``root`` (created here); ``spec`` is a file holding PIPELINE_SPEC."""
     root.mkdir()
     argvs = [
         ["phantom", *SMALL, "--seed", "3", "--out-prefix", str(root / "press")],
+        ["imprint", "--ref", str(root / "press_ref.ppm"), "--contact", str(root / "press_contact.ppm"),
+         "--out", str(root / "imprint.ppm")],
         ["calibrate", *SMALL, "--captures", "3", "--epochs", "4", "--seed", "3",
          "--out", str(root / "calib.json")],
         ["reconstruct", *SMALL, "--model", str(root / "calib.json"),
@@ -374,6 +375,8 @@ def run_pipeline(root, spec):
         ["train-detector", *SMALL, "--dataset", str(root / "data"),
          "--calibration", str(root / "calib.json"), "--train-fraction", "0.5", "--seed", "3",
          "--out", str(root / "detector.json")],
+        ["detect", "--detector", str(root / "detector.json"), "--map", str(root / "recon.dmap"),
+         "--report", str(root / "detect.json")],
         ["evaluate", *SMALL, "--detector", str(root / "detector.json"),
          "--dataset", str(root / "data"), "--calibration", str(root / "calib.json"),
          "--out", str(root / "report.json"), "--csv", str(root / "report.csv")],

@@ -52,7 +52,9 @@ ARTIFACTS = {
     "data/pos_d6_b3_p1_contact.ppm": "2d1991bb49fec4b48140523e85817af0b347f8abcdf97e427bd0f65e6d815462",
     "data/pos_d6_b3_p1_ref.ppm": "741b87a6a66117e3f1154820da388972bca0f6e03600d1621a92a463615582ac",
     "data/pos_d6_b3_p1_truth.dmap": "ac1b35233c3c103ea089883a99b5b3d17cd657f41562e7c192446584a94b1dff",
+    "detect.json": "db4ace234ef9721e7b10add601858dbfed3ecc6ae766349c86078ad58f3492d0",
     "detector.json": "4e7fd02774e0706f4ba7b0f46b6fd934fe7e63fb93c27600409de90b0f1695d3",
+    "imprint.ppm": "63a67a51f77b6fcbc07ea59afba01520fadc79e56d78fb57755d8260a05656e1",
     "press_contact.ppm": "63d2137f19cf2d7b9ba7fc5977ce96b54cf9b8bcda0f1f2c8fa791d248b200c1",
     "press_ref.ppm": "2a4f39559a8d0bb0b2701be4c6df9290e042344b8656e3d5e1ff14e3152ba727",
     "press_truth.dmap": "ac1b35233c3c103ea089883a99b5b3d17cd657f41562e7c192446584a94b1dff",
@@ -63,10 +65,12 @@ ARTIFACTS = {
 EMPTY = hashlib.sha256(b"").hexdigest()
 STDOUTS = {
     "phantom": EMPTY,
+    "imprint": EMPTY,
     "calibrate": EMPTY,
     "reconstruct": EMPTY,
     "dataset": EMPTY,
     "train-detector": "443a0de01a9c475a170c3265103053b1bdfe391bf543f024b8d62587f7ec7dd4",
+    "detect": "e464eacbe137555b1257318863a1139fc3a7cf85fd40a7dff00d01248622a9ff",
     "evaluate": "d634d3583d8b987676663d151c5679c382eb26fb5c8c044ca25062804d6b638c",
     "characterize": "8ba88f1906bfbdefb209ead0c5f5c2c46c5690848f2ebd8187ac238b57c8bf31",
 }

@@ -9,9 +9,10 @@ depths inferred.  On a CPU with AVX-512, two more children at 2 threads
 force a path that such a CPU may or may not select, and must give the
 2-thread map: OpenBLAS's SkylakeX kernel (``OPENBLAS_CORETYPE``), and numpy
 without its X86_V4 and later targets (``NPY_DISABLE_CPU_FEATURES``), which
-leaves X86_V3.  Forcing the older Haswell kernel changes 12 of the 28
+leaves X86_V3.  Forcing the older Haswell kernel changes 13 of the 30
 artifacts (the models, the depths, the SVM fits, the characterize tables,
-the depth map, the detector and the reports), so it is not compared.
+the depth map, the detector, the detect result and the reports), so it is
+not compared.
 Run as a script, ``python tests/test_blas_threads.py DIR`` makes the artifacts
 in DIR and prints, as the last line of stdout, a JSON object: the OpenBLAS
 kernel and numpy SIMD targets it ran under, and the artifacts' sha256 map.

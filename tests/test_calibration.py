@@ -177,7 +177,7 @@ class TestCalibDataset:
         rows_x, rows_y = [], []
         for i in range(captures):
             depth = pt.MAX_DEPTH_MM * (1.0 - float(draws[i]))
-            truth = sphere_press_truth(depth, defaults.CALIBRATION_SPHERE_RADIUS_MM, geom)
+            truth = sphere_press_truth(depth, geom)
             ref = render_reading(geom.zero_map(), membrane, int(seeds[2 * i]))
             contact = render_reading(truth, membrane, int(seeds[2 * i + 1]))
             rows_x.append(color_delta(ref, contact, geom))
@@ -188,7 +188,7 @@ class TestCalibDataset:
     def test_tiny_press_contributes_near_null_rows(self, small_geometry, small_membrane):
         # continuity at zero press: targets ~0 and color deltas within quantization
         depth = 1e-4
-        truth = sphere_press_truth(depth, 3.0, small_geometry)
+        truth = sphere_press_truth(depth, small_geometry)
         ref = render_reading(small_geometry.zero_map(), small_membrane, seed=100)
         contact = render_reading(truth, small_membrane, seed=101)
         rows = color_delta(ref, contact, small_geometry)
@@ -256,6 +256,13 @@ class TestTrainMlp:
             train_mlp(np.zeros((0, 5)), np.zeros(0), TrainConfig())
         with pytest.raises(ValueError):
             train_mlp(np.full((4, 5), np.nan), np.zeros(4), TrainConfig())
+
+    def test_rejects_rows_beyond_float32_range(self):
+        """Rows whose mean overflows float32 give infinite standardization constants, which the model's finiteness
+        check reports, not a cast warning."""
+        x = np.linspace(1e39, 2e39, 40).reshape(8, 5)
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            train_mlp(x, np.zeros(8), TrainConfig(epochs=1, batch_size=8))
 
     def test_validation_of_config(self):
         with pytest.raises(ValueError):
@@ -525,7 +532,7 @@ class TestDiscDepths:
         unclipped = random_model(np.random.default_rng(5))  # raw outputs fall below 0 and above max depth
         zero = geom.zero_map()
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
-        for truth in (zero, sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom)):
+        for truth in (zero, sphere_press_truth(0.4, geom), contact_solve(cfg, geom)):
             ref = render_reading(zero, membrane, 40)
             contact = render_reading(truth, membrane, 41)
             for model in (fast_model, unclipped):
@@ -538,7 +545,7 @@ class TestDiscDepths:
 
     def test_reused_buffers_give_the_same_bits(self, small_geometry, small_membrane, fast_model):
         ref = render_reading(small_geometry.zero_map(), small_membrane, 42)
-        contact = render_reading(sphere_press_truth(0.3, 3.0, small_geometry), small_membrane, 43)
+        contact = render_reading(sphere_press_truth(0.3, small_geometry), small_membrane, 43)
         rows = color_delta(ref, contact, small_geometry)
         expected = disc_depths(dataclasses.replace(fast_model), rows)
         model = dataclasses.replace(fast_model)
@@ -563,8 +570,7 @@ class TestDiscDepths:
         # The float32 layers move the raw depths by float32 rounding only, a few 1e-7 mm on these presses.
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
         zero = geometry.zero_map()
-        truths = (zero, sphere_press_truth(0.3, defaults.CALIBRATION_SPHERE_RADIUS_MM, geometry),
-                  contact_solve(cfg, geometry))
+        truths = (zero, sphere_press_truth(0.3, geometry), contact_solve(cfg, geometry))
         for seed, truth in enumerate(truths):
             rows = color_delta(render_reading(zero, membrane, 2 * seed), render_reading(truth, membrane, 2 * seed + 1),
                                geometry)
@@ -585,7 +591,7 @@ class TestAnalyticOracle:
         membrane = dataclasses.replace(pt.default_membrane(geometry), noise_std=0.2, speckle_amplitude=0.0)
         mask = geometry.disc_mask
         for depth, seed in ((0.15, 3), (0.3, 5), (0.45, 7)):
-            truth = sphere_press_truth(depth, 3.0, geometry)
+            truth = sphere_press_truth(depth, geometry)
             ref = render_reading(geometry.zero_map(), membrane, 2 * seed)
             contact = render_reading(truth, membrane, 2 * seed + 1)
             recon = reconstruct(calib_model, ref, contact, geometry).depths[mask].astype(np.float64)
@@ -617,7 +623,7 @@ class TestReconstruct:
         zero = small_geometry.zero_map()
         for _ in range(3):
             depth = 0.5 * (1.0 - float(rng.random()))
-            truth = sphere_press_truth(depth, 3.0, small_geometry)
+            truth = sphere_press_truth(depth, small_geometry)
             ref = render_reading(zero, small_membrane, int(rng.integers(2**62)))
             contact = render_reading(truth, small_membrane, int(rng.integers(2**62)))
             recon = reconstruct(fast_model, ref, contact, small_geometry)
@@ -639,7 +645,7 @@ class TestReconstruct:
 
     def test_mirror_equivariance_exact_for_position_free_model(self, small_geometry, small_membrane):
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        truth = sphere_press_truth(0.3, 3.0, small_geometry)
+        truth = sphere_press_truth(0.3, small_geometry)
         ref = render_reading(small_geometry.zero_map(), small_membrane, seed=80)
         contact = render_reading(truth, small_membrane, seed=81)
         recon = reconstruct(model, ref, contact, small_geometry)
@@ -660,7 +666,7 @@ class TestReconstruct:
             np.concatenate([depths, depths]),
             TrainConfig(epochs=25, seed=21),
         )
-        truth = sphere_press_truth(0.35, 3.0, small_geometry)
+        truth = sphere_press_truth(0.35, small_geometry)
         ref = render_reading(small_geometry.zero_map(), small_membrane, seed=90)
         contact = render_reading(truth, small_membrane, seed=91)
         recon = reconstruct(model, ref, contact, small_geometry)

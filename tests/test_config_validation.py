@@ -17,7 +17,6 @@ CASES = [
     (PhantomConfig, {"tumor_present": False}, "burial_depth_mm"),
     (ImprintParams, {}, "alpha"),
     (ImprintParams, {}, "beta"),
-    (pt.SensorGeometry, {}, "sensing_radius_mm"),
     (pt.SensorGeometry, {}, "mm_per_pixel"),
     (TrainConfig, {}, "learning_rate"),
     (pt.MembraneModel, {"baseline": BASELINE}, "noise_std"),
@@ -32,12 +31,6 @@ def test_non_finite_rejected(cls, base, field, value):
     cls(**base)  # the base configuration itself is valid
     with pytest.raises(ValueError, match="finite"):
         cls(**base, **{field: value})
-
-
-@pytest.mark.parametrize("value", NON_FINITE)
-def test_non_finite_sphere_radius_rejected(small_geometry, value):
-    with pytest.raises(ValueError, match="sphere radius must be positive and finite"):
-        pt.sphere_press_truth(0.3, value, small_geometry)
 
 
 @pytest.mark.parametrize("field", ["diameters_mm", "burial_depths_mm", "negative_masses_g"])

@@ -292,6 +292,12 @@ class TestDeformationMap:
         with pytest.raises(ValueError, match="exceed"):
             DeformationMap(np.array([[0.6]], dtype=np.float32), np.array([[True]]))
 
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_rejects_depths_beyond_float32_range(self, inside):
+        """A float64 depth past float32's range casts to inf, which the finiteness check reports, not a cast warning."""
+        with pytest.raises(ValueError, match="depths must be finite"):
+            DeformationMap(np.array([[1e39]]), np.array([[inside]]))
+
     def test_allows_overrange_outside_mask(self):
         dmap = DeformationMap(np.array([[0.6]], dtype=np.float32), np.array([[False]]))
         assert dmap.depths.shape == (1, 1) and not dmap.mask.any()
@@ -319,20 +325,21 @@ class TestDeformationMap:
 class TestSensorGeometry:
     def test_disc_must_fit(self):
         with pytest.raises(ValueError, match="does not fit"):
-            pt.SensorGeometry(width=60, height=60, sensing_radius_mm=3.5, mm_per_pixel=0.1)
+            pt.SensorGeometry(width=60, height=60, mm_per_pixel=0.1)
 
     @pytest.mark.parametrize("width, height", [(100, 80), (101, 80), (2, 2)])
     def test_disc_must_hold_a_pixel(self, width, height):
-        # no pixel center of an image with an even side lies on that side's center line
+        # No pixel center of an image with an even side lies on that side's center line, so at 8 mm per pixel every
+        # center lies at least 4 mm from the image center, outside the 3.5 mm disc, though the disc fits.
         with pytest.raises(ValueError, match="sensing disc holds no pixel center"):
-            pt.SensorGeometry(width=width, height=height, sensing_radius_mm=0.01, mm_per_pixel=0.1)
-        odd = pt.SensorGeometry(width=101, height=81, sensing_radius_mm=0.01, mm_per_pixel=0.1)
+            pt.SensorGeometry(width=width, height=height, mm_per_pixel=8.0)
+        odd = pt.SensorGeometry(width=101, height=81, mm_per_pixel=8.0)
         assert odd.disc_pixel_count == 1
 
     def test_disc_mask_geometry(self, small_geometry):
         mask = small_geometry.disc_mask
         gx, gy = small_geometry.coords_mm
-        inside = gx**2 + gy**2 <= small_geometry.sensing_radius_mm**2
+        inside = gx**2 + gy**2 <= pt.SENSING_RADIUS_MM**2
         assert np.array_equal(mask, inside)
         assert mask.any() and not mask.all()
 

@@ -102,10 +102,9 @@ class TestAugmentedImprint:
 
 
 def tiny_geometry(height, width):
-    """Geometry at 1 mm per pixel whose sensing disc is as large as a tiny image allows."""
-    return pt.SensorGeometry(
-        width=width, height=height, sensing_radius_mm=(min(width, height) - 1) / 2.0, mm_per_pixel=1.0
-    )
+    """Geometry of a tiny image at the scale whose sensing disc reaches the frame's edge on its shorter side."""
+    scale = 2.0 * pt.SENSING_RADIUS_MM / (min(width, height) - 1)
+    return pt.SensorGeometry(width=width, height=height, mm_per_pixel=scale)
 
 
 def full_frame_rows(ref, contact, geom):
@@ -194,7 +193,7 @@ class TestColorDelta:
         pairs = [
             (
                 pt.render_reading(geom.zero_map(), membrane, seed=3),
-                pt.render_reading(pt.sphere_press_truth(0.4, 3.0, geom), membrane, seed=4),
+                pt.render_reading(pt.sphere_press_truth(0.4, geom), membrane, seed=4),
             )
         ]
         rng = np.random.default_rng(5)  # arbitrary colors reach every hue sector

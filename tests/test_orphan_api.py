@@ -1,6 +1,7 @@
 """Every top-level function and class of ``src/phototact`` is used by other code in ``src/``, every constant of
-``defaults`` is read by another module, and every defaulted parameter of a public function is passed by some call
-and left at its default by another.
+``defaults`` is read by another module, every defaulted parameter of a public function is passed by some call
+and left at its default by another, every defaulted field of a package dataclass is passed by some call, and no
+parameter of a public function is filled with the same constant by every call.
 
 An entry point that no verb, phase or module calls is a second
 implementation of something the package already does, and the tests that
@@ -8,7 +9,9 @@ check it check the wrong path; a private helper that nothing calls any more
 is dead code that only its tests keep alive, and so is a constant that
 nothing reads.  A parameter that every caller leaves at its default is a
 setting that nothing sets, and one that every caller passes is a default
-that only the tests use.  The walk reads the ASTs of the package's
+that only the tests use; so is a dataclass field that no call sets.  A
+parameter that every caller fills with one constant is that constant
+under a second name.  The walk reads the ASTs of the package's
 modules: a name counts as used where another module, or its own module
 outside the definition, reads it as a name or an attribute, and a call
 passes a parameter of every function of the called name.  The re-exports in
@@ -26,6 +29,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phototact"
 TEST_ONLY = {"calibration.mlp_forward", "calibration.input_gradient"}
 # The benchmark's characterize workload (perfbench/workloads.py) binds these with functools.partial to cut the grid.
 OUTSIDE_CALLERS = [("characterization.characterize", ["forces", "steps"])]
+# Defaulted dataclass fields that no package call passes, by design.
+UNPASSED_FIELDS = {
+    # The oracle tests quiet the membrane through these two (with dataclasses.replace); the package renders with the
+    # sensor's own noise.
+    "phantom.MembraneModel.noise_std": "the quiet-membrane seam of the oracle tests",
+    "phantom.MembraneModel.speckle_amplitude": "the quiet-membrane seam of the oracle tests",
+}
 
 
 def parsed_modules():
@@ -69,7 +79,8 @@ def called_name(func):
 
 
 def calls_by_name(modules):
-    """``{name: [(positional arguments, keyword names), ...]}`` of every call in the package, keyed by the called name.
+    """``{name: [(positional arguments, {keyword: argument}), ...]}`` of every call in the package, keyed by the
+    called name.
 
     ``submit(f, ...)`` and ``partial(f, ...)`` count as calls of ``f`` with the arguments after it.
     """
@@ -80,14 +91,15 @@ def calls_by_name(modules):
                 name, args = called_name(node.func), node.args
                 if name in ("submit", "partial") and args:
                     name, args = called_name(args[0]), args[1:]
-                calls[name].append((args, {keyword.arg for keyword in node.keywords}))
+                calls[name].append((args, {keyword.arg: keyword.value for keyword in node.keywords}))
     return calls
 
 
-def passes(call, parameter, position):
-    """Whether ``call`` passes ``parameter``, by keyword or, when ``position`` is not None, at that position."""
+def filled_with(call, parameter, position):
+    """The argument that ``call`` fills ``parameter`` with, by keyword or, when ``position`` is not None, at that
+    position; None where the call leaves it out."""
     args, keywords = call
-    return parameter in keywords or (position is not None and len(args) > position)
+    return args[position] if position is not None and position < len(args) else keywords.get(parameter)
 
 
 def defaulted_parameters(modules, keep):
@@ -104,7 +116,7 @@ def defaulted_parameters(modules, keep):
         defaulted += [(arg.arg, None) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
                       if default is not None]
         kept = [name for name, position in defaulted
-                if keep([passes(call, name, position) for call in calls[node.name]])]
+                if keep([filled_with(call, name, position) is not None for call in calls[node.name]])]
         if kept:
             found.append((qualified, kept))
     return found
@@ -118,6 +130,70 @@ def unpassed_parameters(modules):
 def always_passed_parameters(modules):
     """The defaulted parameters that every call in the package passes, of functions the package calls."""
     return defaulted_parameters(modules, lambda passed: bool(passed) and all(passed))
+
+
+def is_constant(node):
+    """Whether ``node`` is a module constant: a ``defaults.X``, an upper-case name or a literal."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "defaults"
+    return isinstance(node, ast.Constant) or (isinstance(node, ast.Name) and node.id.isupper())
+
+
+def constant_filled_parameters(modules):
+    """``[("module.function", [parameter, ...]), ...]``: the parameters of public functions that every package call
+    fills with the same constant."""
+    calls = calls_by_name(modules)
+    found = []
+    for qualified, node in definitions(modules, private=False).items():
+        if isinstance(node, ast.ClassDef) or not calls[node.name]:
+            continue
+        parameters = [(arg.arg, i) for i, arg in enumerate(node.args.posonlyargs + node.args.args)]
+        parameters += [(arg.arg, None) for arg in node.args.kwonlyargs]
+        kept = []
+        for name, position in parameters:
+            filled = [filled_with(call, name, position) for call in calls[node.name]]
+            if all(arg is not None and is_constant(arg) for arg in filled) and len(set(map(ast.dump, filled))) == 1:
+                kept.append(name)
+        if kept:
+            found.append((qualified, kept))
+    return found
+
+
+def is_dataclass(node):
+    return any(called_name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in node.decorator_list)
+
+
+def init_fields(node):
+    """``[(name, defaulted), ...]`` of the fields of the dataclass ``node`` that its constructor takes, in order."""
+    found = []
+    for statement in node.body:
+        if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+            value = statement.value
+            if isinstance(value, ast.Call) and called_name(value.func) == "field" and any(
+                    keyword.arg == "init" and getattr(keyword.value, "value", True) is False
+                    for keyword in value.keywords):
+                continue
+            found.append((statement.target.id, value is not None))
+    return found
+
+
+def unpassed_fields(modules):
+    """``["module.Class.field", ...]``: the defaulted fields of package dataclasses that no package call passes, by
+    keyword or position to the class or by keyword to ``replace``. A class with ``from_dict`` is left out, since its
+    fields come from a JSON file."""
+    calls = calls_by_name(modules)
+    replaced = {keyword for _, keywords in calls["replace"] for keyword in keywords}
+    found = []
+    for qualified, node in definitions(modules, private=False).items():
+        if not (isinstance(node, ast.ClassDef) and is_dataclass(node)):
+            continue
+        if any(isinstance(item, ast.FunctionDef) and item.name == "from_dict" for item in node.body):
+            continue
+        for position, (name, defaulted) in enumerate(init_fields(node)):
+            if defaulted and name not in replaced and not any(
+                    filled_with(call, name, position) is not None for call in calls[node.name]):
+                found.append(f"{qualified}.{name}")
+    return found
 
 
 def test_every_defaults_constant_is_read_by_another_module():
@@ -151,3 +227,15 @@ def test_no_defaulted_parameter_is_passed_by_every_call():
     """A default that every call in the package overrides is used only by tests, which then run a value that the
     package states again elsewhere (a CLI flag or a config dataclass) and can drift from it."""
     assert always_passed_parameters(parsed_modules()) == []
+
+
+def test_every_defaulted_dataclass_field_is_passed_in_the_package():
+    """A field that no call sets is a constant with a constructor argument. An exception that the package starts to
+    pass, or that is gone, comes off the list."""
+    assert unpassed_fields(parsed_modules()) == sorted(UNPASSED_FIELDS)
+
+
+def test_no_parameter_is_filled_with_one_constant_by_every_call():
+    """A parameter that every call fills with the same ``defaults`` constant, upper-case name or literal is that
+    constant read through a second name; the function reads the constant itself."""
+    assert constant_filled_parameters(parsed_modules()) == []

@@ -27,14 +27,33 @@ from phototact.phantom import (
 )
 
 
+def accepted(width, height, scale):
+    try:
+        pt.SensorGeometry(width=width, height=height, mm_per_pixel=scale)
+    except ValueError:
+        return False
+    return True
+
+
+def largest_scale(width, height):
+    """The largest scale that the geometry accepts at ``width`` x ``height``, found by bisection on the constructor.
+
+    Past the disc's smallest scale, acceptance only ends: where the disc loses its last pixel center, or where the
+    frame's squared extent stops being a finite float.
+    """
+    lo = 2.0 * pt.SENSING_RADIUS_MM / (min(width, height) - 1)
+    hi = sys.float_info.max
+    assert accepted(width, height, lo) and not accepted(width, height, hi)
+    while math.nextafter(lo, hi) < hi:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else lo + (hi - lo) / 2.0
+        lo, hi = (mid, hi) if accepted(width, height, mid) else (lo, mid)
+    return lo
+
+
 def oracle_peak_depth(cfg, geom, factor=4):
     """Independent dense-quadrature evaluation of the closed-form field."""
-    hi = pt.SensorGeometry(
-        width=geom.width * factor,
-        height=geom.height * factor,
-        sensing_radius_mm=geom.sensing_radius_mm,
-        mm_per_pixel=geom.mm_per_pixel / factor,
-    )
+    hi = pt.SensorGeometry(width=geom.width * factor, height=geom.height * factor,
+                           mm_per_pixel=geom.mm_per_pixel / factor)
     k = stiffness_field(cfg, hi)
     mask = hi.disc_mask
     integral = k[mask].sum() * hi.mm_per_pixel**2
@@ -141,37 +160,46 @@ class TestContactSolve:
         mask = small_geometry.disc_mask
         assert with_tumor.depths[mask].std() > without.depths[mask].std()
 
-    @pytest.mark.parametrize("width, height", [(101, 81), (320, 240)])
+    @pytest.mark.parametrize("width, height", [(101, 81), (321, 241)])
     def test_foundation_sum_cannot_overflow(self, width, height):
-        """The largest scale the geometry accepts, with the disc over the frame, sums the foundation finitely.
+        """The largest scale the geometry accepts sums the foundation finitely.
 
         Every k is at most ``TISSUE_STIFFNESS + TUMOR_STIFFNESS_BOOST`` and the
         geometry keeps the frame's squared extent finite, so no input overflows
-        the sum: at this scale the disc holds the most pixels of the largest area.
+        the sum. The sizes are odd, since at this scale only the center pixel's
+        center lies in the disc, and an image with an even side has none there.
         """
-        side = max(width, height)
-        scale = math.sqrt(sys.float_info.max) / side
-        while not math.isfinite(scale * side * (scale * side)):
-            scale = math.nextafter(scale, 0.0)
+        scale = largest_scale(width, height)
         with pytest.raises(ValueError, match="squared extent"):
             pt.SensorGeometry(width=width, height=height, mm_per_pixel=2.0 * scale)
-        geom = pt.SensorGeometry(width=width, height=height, mm_per_pixel=scale,
-                                 sensing_radius_mm=scale * (min(width, height) - 1) / 2.0)
+        geom = pt.SensorGeometry(width=width, height=height, mm_per_pixel=scale)
         with np.errstate(over="raise"):
             for tumor in (False, True):
                 depths = contact_solve(PhantomConfig(tumor_present=tumor), geom).depths
                 assert np.all(np.isfinite(depths))
 
-    def test_foundation_that_underflows_is_degenerate(self):
-        """At 1e-170 mm per pixel each pixel's area underflows to 0, so the foundation integral is 0."""
-        geom = pt.SensorGeometry(width=101, height=81, mm_per_pixel=1e-170, sensing_radius_mm=1e-200)
-        with pytest.raises(ValueError, match="degenerate foundation"):
-            contact_solve(PhantomConfig(tumor_present=True), geom)
+    @pytest.mark.parametrize("width, height", [(3, 3), (4, 4), (5, 4), (101, 81)])
+    def test_extreme_scales_give_finite_depths(self, width, height):
+        """At the smallest scale whose disc fits, 1.37 times it and the largest accepted scale, the foundation
+        integral is finite and positive, so the depths are finite with and without a tumor.
+
+        The disc's pixels cover at least 6.1 mm^2 at any scale and at most the
+        frame's squared extent; the exp of the Gaussian kernel underflows far
+        from the inclusion, which is benign, so underflow is left unraised.
+        """
+        smallest = 2.0 * pt.SENSING_RADIUS_MM / (min(width, height) - 1)
+        for scale in (smallest, 1.37 * smallest, largest_scale(width, height)):
+            geom = pt.SensorGeometry(width=width, height=height, mm_per_pixel=scale)
+            assert geom.disc_pixel_count * scale * scale >= pt.SENSING_RADIUS_MM**2 / 2.0
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                for tumor in (False, True):
+                    depths = contact_solve(PhantomConfig(tumor_present=tumor), geom).depths
+                    assert np.all(np.isfinite(depths))
 
 
 class TestSpherePress:
     def test_center_depth(self, small_geometry):
-        truth = sphere_press_truth(0.3, 3.0, small_geometry)
+        truth = sphere_press_truth(0.3, small_geometry)
         mid = truth.depths[small_geometry.height // 2, small_geometry.width // 2]
         # grid center sits half a pixel off the geometric center
         assert mid == pytest.approx(0.3, abs=1e-3)
@@ -180,15 +208,15 @@ class TestSpherePress:
         # direct evaluation at r = 1 mm: 0.3 - 3 + sqrt(8)
         geom = pt.SensorGeometry(width=101, height=81, mm_per_pixel=0.1)  # has pixels at exactly r=1
         gx, gy = geom.coords_mm
-        truth = sphere_press_truth(0.3, 3.0, geom).depths.astype(np.float64)
+        truth = sphere_press_truth(0.3, geom).depths.astype(np.float64)
         r = np.sqrt(gx**2 + gy**2)
         sel = np.isclose(r, 1.0, atol=1e-9)
         assert sel.any()
         assert np.allclose(truth[sel], 0.1284271247, atol=1e-7)
 
     def test_zero_outside_contact_radius(self, small_geometry):
-        delta, radius = 0.3, 3.0
-        truth = sphere_press_truth(delta, radius, small_geometry).depths
+        delta, radius = 0.3, defaults.CALIBRATION_SPHERE_RADIUS_MM
+        truth = sphere_press_truth(delta, small_geometry).depths
         gx, gy = small_geometry.coords_mm
         contact_radius = math.sqrt(radius**2 - (radius - delta) ** 2)
         outside = gx**2 + gy**2 > contact_radius**2 * (1 + 1e-12)
@@ -196,11 +224,11 @@ class TestSpherePress:
 
     def test_depth_validation(self, small_geometry):
         with pytest.raises(ValueError):
-            sphere_press_truth(3.5, 3.0, small_geometry)  # deeper than the sphere
+            sphere_press_truth(math.nan, small_geometry)
         with pytest.raises(ValueError):
-            sphere_press_truth(0.6, 3.0, small_geometry)  # deeper than full scale
+            sphere_press_truth(0.6, small_geometry)  # deeper than full scale
         with pytest.raises(ValueError):
-            sphere_press_truth(0.0, 3.0, small_geometry)
+            sphere_press_truth(0.0, small_geometry)
 
     def test_cap_volume_matches_quadrature(self, small_geometry):
         profile = pt.phantom.spherical_cap_profile(0.4, 2.0, small_geometry)
@@ -228,12 +256,12 @@ class TestRenderReading:
         geom = small_geometry
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
         everywhere = np.full((geom.height, geom.width), 0.2, dtype=np.float32)  # non-zero outside the disc too
-        signed_zeros = sphere_press_truth(0.3, 3.0, geom).depths.copy()
+        signed_zeros = sphere_press_truth(0.3, geom).depths.copy()
         signed_zeros[signed_zeros == 0.0] = -0.0
         signed_zeros[0, :] = 0.3  # outside the disc
         maps = (
             geom.zero_map(),
-            sphere_press_truth(0.3, 3.0, geom),
+            sphere_press_truth(0.3, geom),
             contact_solve(cfg, geom),
             pt.DeformationMap(everywhere, geom.disc_mask),
             pt.DeformationMap(signed_zeros, geom.disc_mask),
@@ -285,7 +313,7 @@ class TestRenderReading:
         assert np.array_equal(img.pixels, quantize_channels(hsv_to_rgb_real(base[..., 0], base[..., 1], base[..., 2])))
 
     def test_same_seed_bit_identical(self, small_geometry, small_membrane):
-        dmap = sphere_press_truth(0.25, 3.0, small_geometry)
+        dmap = sphere_press_truth(0.25, small_geometry)
         a = render_reading(dmap, small_membrane, seed=17)
         b = render_reading(dmap, small_membrane, seed=17)
         assert np.array_equal(a.pixels, b.pixels)
@@ -313,7 +341,7 @@ class TestRenderReading:
 def press_maps(geom):
     """A zero map, a centered sphere press and an off-center phantom contact, all on ``geom``."""
     cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
-    return (geom.zero_map(), sphere_press_truth(0.4, 3.0, geom), contact_solve(cfg, geom))
+    return (geom.zero_map(), sphere_press_truth(0.4, geom), contact_solve(cfg, geom))
 
 
 def bottom_row_mask(geom):
@@ -419,7 +447,7 @@ class TestNoiseWorker:
             return body(clean, model, seed, index)
 
         monkeypatch.setattr(phantom, "_noisy_capture", draw)
-        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        truth = sphere_press_truth(0.3, small_geometry)
         seed_pairs = [[(1, 2), (3, 4)], [(5, 6)], [(7, 8)]]
         stream = pt.disc_captures([([truth] * 3, seed_pairs)], small_membrane, small_geometry)
         assert made == []
@@ -436,7 +464,7 @@ class TestNoiseWorker:
 
     def test_stopped_streams_leave_no_thread(self, small_geometry, small_membrane):
         before = threading.enumerate()
-        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        truth = sphere_press_truth(0.3, small_geometry)
         stream = pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_membrane, small_geometry)
         next(stream)
         assert len(threading.enumerate()) == len(before) + 1
@@ -451,7 +479,7 @@ class TestNoiseWorker:
     def test_a_misaligned_phase_raises_and_leaves_no_thread(self, small_geometry, small_membrane, truths, rows):
         """A phase whose truths and seed rows differ in number is refused, not cut to the shorter of the two."""
         before = threading.enumerate()
-        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        truth = sphere_press_truth(0.3, small_geometry)
         phases = [([truth], [[(7, 8)]]), ([truth] * truths, [[(1, 2)]] * rows)]
         captured = []
         with pytest.raises(ValueError, match="argument 2 is (shorter|longer) than argument 1"):
@@ -469,7 +497,7 @@ class TestNoiseWorker:
             return body(clean, model, seed, index)
 
         monkeypatch.setattr(phantom, "_noisy_capture", draw)
-        truth = sphere_press_truth(0.3, 2.0, small_geometry)
+        truth = sphere_press_truth(0.3, small_geometry)
         stream = pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_membrane, small_geometry)
         assert next(stream)[0] is truth
         with pytest.raises(MemoryError, match="draw"):
@@ -481,7 +509,7 @@ class TestNoiseWorker:
 class TestReadingPair:
     @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
     def test_reading_pair_renders_at_twice_the_seed_and_the_next(self, small_geometry, small_membrane, seed):
-        dmap = sphere_press_truth(0.3, 3.0, small_geometry)
+        dmap = sphere_press_truth(0.3, small_geometry)
         ref, contact = reading_pair(dmap, small_membrane, seed)
         assert np.array_equal(ref.pixels, render_reading(small_geometry.zero_map(), small_membrane, 2 * seed).pixels)
         assert np.array_equal(contact.pixels, render_reading(dmap, small_membrane, 2 * seed + 1).pixels)

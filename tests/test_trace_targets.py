@@ -77,7 +77,7 @@ def test_every_argument_read_is_known():
 def test_reconstruct_runs_the_traced_color_path(small_geometry, small_membrane):
     """A reconstruction converts its pixels through the traced ``rgb_to_hsv`` and ``color_delta``, so their spans
     measure the color path the pipeline runs."""
-    truth = pt.sphere_press_truth(0.3, 3.0, small_geometry)
+    truth = pt.sphere_press_truth(0.3, small_geometry)
     ref, contact = pt.phantom.reading_pair(truth, small_membrane, 1)
     with tracer.installed(tracer.Tracer()) as traced:
         pt.reconstruct(linear_hue_model(1.0), ref, contact, small_geometry)
