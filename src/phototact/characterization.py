@@ -10,7 +10,9 @@ depths drive the metrics:
   exceeds three times the null-reading noise floor
 * resolution: least force gap between adjacent loading-sweep points whose
   peak-depth difference (``ForceSweep.max_depths``) exceeds the noise floor
-* saturation: least force at which the full-scale clamp engages, if any
+* saturation: first grid force whose commanded cap depth (``force_to_depth``)
+  reaches the 0.5 mm full scale (``MAX_DEPTH_MM``), if any; no reconstruction
+  enters it
 * repeatability r: worst spread across trials at the same ground-truth step,
   as a percentage of the 0.5 mm full scale (``MAX_DEPTH_MM``)
 * hysteresis h: worst loading/unloading gap on a shared force grid, as a
@@ -147,7 +149,8 @@ def noise_floor(measured) -> float:
     """Mean in-disc std of reconstructions from no-contact reading pairs.
 
     ``measured`` yields, for each no-contact map, the disc depths of each of
-    its pairs (see :func:`characterize`).
+    its pairs (see :func:`characterize`). There, every pair shares one
+    reference capture, and each pair's contact capture is a fresh draw.
     """
     return float(np.mean([float(depths.std()) for pairs in measured for depths in pairs]))
 
@@ -225,6 +228,10 @@ def characterize(
       (``seed + 2``, ``_STREAM_TRIALS``);
     * null pair: one no-contact pair, from (``seed + 3``, ``_STREAM_NULL``).
 
+    Each phase is compared against one no-contact reference, as a rig tares once: every pair of the phase takes
+    the reference seed of its first pair (trial 0 of step 0 for the trials), so the stream draws it once. Every
+    contact seed keeps its draw.
+
     :func:`noise_floor`, :func:`run_force_sweep` and :func:`repeatability_trials` reduce their phase's disc depths
     as the stream hands them over, and :func:`null_difference_stat` the disc pixels of its last pair. The threshold,
     force resolution and saturation onset come from the noise floor and the loading sweep, the hysteresis from both
@@ -252,6 +259,8 @@ def characterize(
                    sub_seeds(seed + 2, _STREAM_TRIALS, (defaults.CHAR_TRIALS, len(steps), 2)).transpose(1, 0, 2)),
         "null pair": (map(SensorGeometry.zero_map, [geom]), sub_seeds(seed + 3, _STREAM_NULL, (1, 1, 2))),
     }
+    for _, pairs in protocol.values():  # one reference per phase: its first pair's
+        pairs[..., 0] = pairs[0, 0, 0]
     with contextlib.closing(disc_captures(protocol.values(), membrane, geom)) as captures:
 
         def measured(phase):

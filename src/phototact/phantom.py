@@ -338,7 +338,10 @@ def disc_captures(phases, model: MembraneModel, geom: SensorGeometry):
     ``contact_px`` the truth's disc at the contact seed, each the
     ``geom.disc_mask`` pixels of :func:`render_reading` at its seed. The
     noise-free unloaded disc is rendered once and each truth's disc once, on
-    the consumer's thread. One worker thread makes the noise at most one pair
+    the consumer's thread. A pair that names the previous pair's reference seed
+    takes the previous pair's reference, drawn once: a capture is a function of
+    its seed alone. Every capture is yielded read-only, since one reference can
+    reach several pairs. One worker thread makes the noise at most one pair
     ahead of the consumer: pair k + 1 is submitted just before pair k is
     yielded. numpy releases the interpreter lock while it draws and scales the
     noise, so the draw runs beside the consumer's work. The thread is joined
@@ -347,18 +350,24 @@ def disc_captures(phases, model: MembraneModel, geom: SensorGeometry):
     index = geom.disc_index
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
 
-    def finished(truth, ref, contact):
-        return truth, ref.result(), contact.result()
+    def finished(truth, *futures):
+        captures = [future.result() for future in futures]
+        for capture in captures:
+            capture.setflags(write=False)
+        return truth, *captures
 
     try:
         rest = clean_pixels(geom.zero_map(), model, index)
         ahead = None
+        held_seed = ref = None  # the last reference seed and its capture's future
         for truths, seed_pairs in phases:
             for truth, pairs in zip(truths, seed_pairs, strict=True):
                 clean = clean_pixels(truth, model, index)
                 for ref_seed, contact_seed in pairs:
-                    submitted = (truth, pool.submit(_noisy_capture, rest, model, int(ref_seed), index),
-                                 pool.submit(_noisy_capture, clean, model, int(contact_seed), index))
+                    if int(ref_seed) != held_seed:
+                        held_seed = int(ref_seed)
+                        ref = pool.submit(_noisy_capture, rest, model, held_seed, index)
+                    submitted = (truth, ref, pool.submit(_noisy_capture, clean, model, int(contact_seed), index))
                     if ahead is not None:
                         yield finished(*ahead)
                     ahead = submitted

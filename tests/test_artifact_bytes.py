@@ -36,9 +36,9 @@ from phototact.cli import blas_core, simd_targets
 MADE_UNDER = {("SkylakeX", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")), ("SkylakeX", ("X86_V3",))}
 ARTIFACTS = {
     "calib.json": "55d9e7916edcfa6bf7dceabbc2fea4688ad04f8f6ea3f8c5168a91ed22d43734",
-    "char/summary.json": "01d5269f17e8f31f9c7781b37b91f63087ad4015fdbb184c0ad343f50f4f6da4",
-    "char/sweeps.csv": "ef2f336c44894130aa0a5a60c321c7ae70ba486c2972e0c1918da1c779067660",
-    "char/trials.csv": "5228432a759cfdd4f9ac3eb4fe99b6e3b5587cfd6331b49d1ff4456164edbbe3",
+    "char/summary.json": "7c2d6cb4e730c3a76e6d9da0db2ad0a573a929b72524b5973a6b9340714dc71a",
+    "char/sweeps.csv": "0d023b7da1a484bcba1ab249f77aa6bc1eb03c05a1b533027ec10d8f84aea428",
+    "char/trials.csv": "611cb67b24406cc07684a740433731d2d655624bb675eb4a215ee4399d7ce67f",
     "data/manifest.csv": "0d57a90474189c2cea72165a2c566e54189c55e2e796fb75560e2af42f70c8fc",
     "data/neg_m1000_p0_contact.ppm": "28f584b133e9e3579643e75786cffe0583ab8d1d84ef70c4347283b651cc690b",
     "data/neg_m1000_p0_ref.ppm": "d38b3b4da0a8d923c5dbc1cbe7eb13f8bbf7036fb21328412bec58806d3c17c2",
@@ -72,16 +72,16 @@ STDOUTS = {
     "train-detector": "443a0de01a9c475a170c3265103053b1bdfe391bf543f024b8d62587f7ec7dd4",
     "detect": "e464eacbe137555b1257318863a1139fc3a7cf85fd40a7dff00d01248622a9ff",
     "evaluate": "d634d3583d8b987676663d151c5679c382eb26fb5c8c044ca25062804d6b638c",
-    "characterize": "8ba88f1906bfbdefb209ead0c5f5c2c46c5690848f2ebd8187ac238b57c8bf31",
+    "characterize": "872b4f6a2b81af6927f530d0dd5502efbf4d5669f246899aef559db77dc78abc",
 }
 
 # The tables of test_oracle_characterize_bytes_are_pinned's output directory.
 ORACLE_CHARACTERIZE = {
-    "summary.json": "a7f0ae73c16a0164f47d471b54a8f2f441b6e2267a42e3d7572ecceb9eafb948",
-    "sweeps.csv": "a0d83bdecb14394e60e93b5edb3e357605de43ee114f5f5039d8c7434fb82f45",
-    "trials.csv": "38f5d3134d11270eb2754023b60c8085146dfa644bd4f15a12a799916753b73e",
+    "summary.json": "066ae2a315c2ca409a565a6c0a3afbbf0c829dff11a291e3710ced9f1dcbcfb0",
+    "sweeps.csv": "8fb34810258652934b0f8da29673e31f2bc0fc03ebb60a89cfa684d4bbd3ad4d",
+    "trials.csv": "591bfeb93dd4baf733d64c8aad98b9b822cf1e2375f0a17f8652f7ca0d580743",
 }
-ORACLE_CHARACTERIZE_STDOUT = "d33382f0af0ef33b0428d3e90c5213f83e351b494cf1e38c691b9309fe71a255"
+ORACLE_CHARACTERIZE_STDOUT = "ae42b78a8b866f7138092dbcc19b581411723258fe22141e7504358342858088"
 
 # calib.json of the benchmark's calibrate run at the default 320x240 geometry (CALIBRATE_ARGV).
 CALIBRATE_ARGV = ["calibrate", "--captures", "1", "--epochs", "50", "--batch-size", "4096", "--seed", "0"]
@@ -102,9 +102,9 @@ WORKLOAD_SPEC = {
     "presses_per_negative_mass": 4,
 }
 CHARACTERIZE_WORKLOAD = {
-    "summary.json": "848b2cdea770bcda783f830f3f657577ce64eeb79e0fb147f87022f540b2d5fa",
-    "sweeps.csv": "9ee32089f149c616d19917e794b1c4f99eb51cb94568c8870e11cace6d2e4924",
-    "trials.csv": "4872e6bca650054d62aea96c1ad8a436f0d3b4da323ad531f7a13091051bab2c",
+    "summary.json": "6196fca676be14114c474e5a1ed2be27078f1f0a1d10e1e606c301140bf47714",
+    "sweeps.csv": "070ede44e9fba874d4da4b2116d894cb88c64eaaa4a412b68ab48710d4321169",
+    "trials.csv": "0b417e5ac6ca0fb6f6094dd66d2c37e104502667b89d9a49b992d5fa634c71fd",
 }
 DETECTION_WORKLOAD = {
     "detector.json": "3edfc6e2a4ea8e337846c562ec4c994dddcc661b6eea17d1d0c61c6df08842b3",

@@ -18,7 +18,7 @@ from phototact.characterization import (
     repeatability,
     run_force_sweep,
 )
-from phototact import characterization
+from phototact import characterization, phantom
 from phototact.calibration import disc_depths, reconstruct
 from phototact.phantom import clean_pixels, render_reading, rng_stream, spherical_cap_volume
 from conftest import linear_hue_model
@@ -358,10 +358,12 @@ class TestMeasurementLoops:
         assert report.saturation_n == saturation_onset(self.FORCES) == 0.11
 
     def test_trials_match_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+        """Every trial takes the reference seed of trial 0 of step 0 and its own contact seed."""
         report, _ = run
         n_trials = defaults.CHAR_TRIALS
         seeds = rng_stream(self.SEED + 2, characterization._STREAM_TRIALS).integers(
             0, 2**62, size=(n_trials, len(self.STEPS), 2))
+        seeds[..., 0] = seeds[0, 0, 0]
         for t in range(n_trials):
             for j, depth in enumerate(self.STEPS):
                 truth = indenter_truth(depth, small_geometry)
@@ -369,12 +371,13 @@ class TestMeasurementLoops:
                 assert report.trials.measurements[t, j] == expected
 
     def test_noise_floor_matches_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+        """Every null pair takes the first pair's reference seed and its own contact seed."""
         report, _ = run
         pairs = defaults.CHAR_NULL_PAIRS
         seeds = rng_stream(self.SEED, characterization._STREAM_NULL).integers(0, 2**62, size=2 * pairs)
         zero = small_geometry.zero_map()
-        stds = [float(self.measure(small_geometry, small_membrane, fast_model, zero, seeds[2 * i : 2 * i + 2]).std())
-                for i in range(pairs)]
+        stds = [float(self.measure(small_geometry, small_membrane, fast_model, zero, (seeds[0], contact)).std())
+                for contact in seeds[1::2]]
         assert report.noise_floor_mm == float(np.mean(stds))
 
     def test_null_std_matches_full_readings(self, run, small_geometry, small_membrane):
@@ -386,12 +389,14 @@ class TestMeasurementLoops:
         assert report.null_std == null_difference_stat(before, after, small_geometry)
 
     def test_sweep_matches_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+        """Every press of a sweep takes the reference seed of the sweep's first press and its own contact seed."""
         report, _ = run
         n_trials = defaults.CHAR_TRIALS
         for sweep, seed in ((report.loading, self.SEED), (report.unloading, self.SEED + 1)):
             unloading = sweep.direction == "unloading"
             seeds = rng_stream(seed, characterization._STREAM_SWEEP).integers(
                 0, 2**62, size=(len(self.FORCES), n_trials, 2))
+            seeds[..., 0] = seeds[0, 0, 0]
             for i, force in enumerate(sorted(self.FORCES, reverse=unloading)):
                 assert sweep.forces[i] == force
                 truth = indenter_truth(force_to_depth(force), small_geometry, unloading=unloading)
@@ -399,6 +404,20 @@ class TestMeasurementLoops:
                           for t in range(n_trials)]
                 assert sweep.max_depths[i] == np.mean([d.max() for d in depths])
                 assert sweep.mean_depths[i] == np.mean([d.mean() for d in depths])
+
+    def test_one_reference_draw_per_phase(self, small_geometry, small_membrane, fast_model, monkeypatch):
+        """The benchmark's grid draws its 45 contacts and one reference for each of the five phases."""
+        made = []
+        body = phantom._noisy_capture
+
+        def draw(clean, model, seed, index=None):
+            made.append(seed)
+            return body(clean, model, seed, index)
+
+        monkeypatch.setattr(phantom, "_noisy_capture", draw)
+        characterize(small_geometry, small_membrane, fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
+        contacts = defaults.CHAR_NULL_PAIRS + defaults.CHAR_TRIALS * (2 * len(self.FORCES) + len(self.STEPS)) + 1
+        assert len(made) == contacts + 5 == 50
 
     def test_failure_mid_protocol_joins_the_noise_worker(self, small_geometry, small_membrane, fast_model, monkeypatch):
         """A reconstruction that raises inside a phase ends the one stream and joins its worker thread.

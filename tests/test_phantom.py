@@ -462,6 +462,38 @@ class TestNoiseWorker:
         assert np.array_equal(contact, render_reading(truth, small_membrane, 8).pixels[mask])
         assert next(stream, None) is None
 
+    def test_a_repeated_reference_seed_is_drawn_once(self, small_geometry, small_membrane, monkeypatch):
+        """Consecutive pairs naming one reference seed share one draw; a seed that comes back is drawn again."""
+        made = []
+        body = phantom._noisy_capture
+
+        def draw(clean, model, seed, index=None):
+            made.append(seed)
+            return body(clean, model, seed, index)
+
+        monkeypatch.setattr(phantom, "_noisy_capture", draw)
+        truth = sphere_press_truth(0.3, small_geometry)
+        seed_pairs = [[(1, 2), (1, 4)], [(3, 6), (1, 8)]]
+        captured = list(pt.disc_captures([([truth] * 2, seed_pairs)], small_membrane, small_geometry))
+        assert made == [1, 2, 4, 3, 6, 1, 8]
+        monkeypatch.undo()
+        mask = small_geometry.disc_mask
+        zero = small_geometry.zero_map()
+        assert captured[1][1] is captured[0][1]
+        for (_, ref, contact), (ref_seed, contact_seed) in zip(captured, [p for pairs in seed_pairs for p in pairs]):
+            assert np.array_equal(ref, render_reading(zero, small_membrane, ref_seed).pixels[mask])
+            assert np.array_equal(contact, render_reading(truth, small_membrane, contact_seed).pixels[mask])
+
+    def test_captures_are_yielded_read_only(self, small_geometry, small_membrane):
+        """A consumer cannot change a shared reference under a later pair."""
+        truth = sphere_press_truth(0.3, small_geometry)
+        (_, ref, contact), (_, later_ref, _) = pt.disc_captures([([truth], [[(1, 2), (1, 4)]])], small_membrane,
+                                                                small_geometry)
+        assert later_ref is ref
+        for capture in (ref, contact):
+            with pytest.raises(ValueError, match="read-only"):
+                capture[0, 0] = 0
+
     def test_stopped_streams_leave_no_thread(self, small_geometry, small_membrane):
         before = threading.enumerate()
         truth = sphere_press_truth(0.3, small_geometry)
