@@ -51,7 +51,7 @@ from .imaging import (
     write_json,
 )
 from .imprint import color_delta, disc_rows
-from .phantom import MembraneModel, disc_captures, rng_stream, sphere_press_truth, sub_seeds
+from .phantom import disc_captures, rng_stream, sphere_press_truth, sub_seeds
 
 LAYER_SIZES = (5, 32, 32, 32, 1)
 # (inputs, outputs) of each layer: the shape of its weight matrix.
@@ -389,7 +389,7 @@ def train_mlp(features, targets, cfg: TrainConfig) -> CalibrationModel:
 # Calibration data and reconstruction
 
 
-def build_calib_dataset(n_captures: int, geom: SensorGeometry, membrane: MembraneModel, seed: int):
+def build_calib_dataset(n_captures: int, geom: SensorGeometry, seed: int):
     """Per-pixel training rows from simulated sphere presses.
 
     Each capture presses the calibration sphere (:func:`~phototact.phantom.sphere_press_truth`,
@@ -406,7 +406,7 @@ def build_calib_dataset(n_captures: int, geom: SensorGeometry, membrane: Membran
     pixels = geom.disc_pixel_count
     features = np.empty((n_captures * pixels, LAYER_SIZES[0]))
     targets = np.empty(n_captures * pixels)
-    for k, (truth, ref, contact) in enumerate(disc_captures(presses, membrane, geom)):
+    for k, (truth, ref, contact) in enumerate(disc_captures(presses, geom)):
         rows = slice(k * pixels, (k + 1) * pixels)
         features[rows] = disc_rows(ref, contact, geom)
         targets[rows] = np.take(truth.depths, geom.disc_index)

@@ -38,7 +38,6 @@ from .calibration import CalibrationModel, disc_depths
 from .imaging import MAX_DEPTH_MM, DeformationMap, SensorGeometry, frozen_array
 from .imprint import disc_rows
 from .phantom import (
-    MembraneModel,
     disc_captures,
     spherical_cap_profile,
     spherical_cap_volume,
@@ -209,14 +208,13 @@ class CharacterizationReport:
 
 def characterize(
     geom: SensorGeometry,
-    membrane: MembraneModel,
     model: CalibrationModel,
     forces=defaults.CHAR_FORCES_N,
     steps=defaults.CHAR_DEPTH_STEPS_MM,
     *,
     seed: int,
 ) -> CharacterizationReport:
-    """Run the full metrology protocol on the simulated rig: the indenter pressed into ``membrane`` on ``geom``.
+    """Run the full metrology protocol on the simulated rig: the indenter pressed into ``default_membrane(geom)``.
 
     The protocol is the press table of one :func:`disc_captures` stream: phases in capture order, each with its
     truths, each map built only when the stream reaches it, and their seed pairs from :func:`sub_seeds`:
@@ -261,7 +259,7 @@ def characterize(
     }
     for _, pairs in protocol.values():  # one reference per phase: its first pair's
         pairs[..., 0] = pairs[0, 0, 0]
-    with contextlib.closing(disc_captures(protocol.values(), membrane, geom)) as captures:
+    with contextlib.closing(disc_captures(protocol.values(), geom)) as captures:
 
         def measured(phase):
             """For each truth of ``phase``, the disc depths of its captures, reconstructed as they are read."""

@@ -365,7 +365,7 @@ def _cmd_calibrate(args, stage):
         seed=args.seed,
     )
     geom = _geometry(args)
-    features, depths = build_calib_dataset(args.captures, geom, default_membrane(geom), args.seed)
+    features, depths = build_calib_dataset(args.captures, geom, args.seed)
     model = train_mlp(features, depths, cfg)
     save_model(stage(args.out), model)
     return [], [args.out]
@@ -499,9 +499,8 @@ def _cmd_evaluate(args, stage):
 
 def _cmd_characterize(args, stage):
     geom = _geometry(args)
-    membrane = default_membrane(geom)
     model = load_model(args.calibration)
-    report = characterize(geom, membrane, model, seed=args.seed)
+    report = characterize(geom, model, seed=args.seed)
     out_dir = stage(args.out, directory=True)
     summary = report.summary()
     write_json(out_dir / "summary.json", summary)

@@ -11,8 +11,9 @@ the detector feeds on.
 
 Rendering maps indentation depth to an HSV shift of the membrane's baseline
 color, converts to RGB, and applies seed-deterministic speckle and channel
-noise.  All randomness is drawn from counter-based (Philox) streams keyed by
-(seed, stream), so outputs never depend on evaluation order.
+noise of the sensor's constant amplitudes (``defaults``).  All randomness is
+drawn from counter-based (Philox) streams keyed by (seed, stream), so outputs
+never depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -124,15 +125,13 @@ class PhantomConfig:
 
 @dataclass(frozen=True)
 class MembraneModel:
-    """Baseline membrane color plus its noise parameters; the depth response is the ``defaults.GAIN_*`` constants.
+    """Baseline membrane color; the depth response (``GAIN_*``) and the capture noise are ``defaults`` constants.
 
     ``baseline`` holds the unloaded membrane's HSV pixels, shaped (height, width, 3): hue in degrees [0, 360),
     saturation and value in [0, 1].  It is stored as a read-only float64 copy.
     """
 
     baseline: np.ndarray
-    noise_std: float = defaults.SENSOR_NOISE_STD    # 8-bit channel units
-    speckle_amplitude: float = defaults.SPECKLE_AMPLITUDE
 
     def __post_init__(self):
         baseline = frozen_array(self.baseline, np.float64)
@@ -144,12 +143,6 @@ class MembraneModel:
         if not (np.all(s >= 0.0) and np.all(s <= 1.0) and np.all(v >= 0.0) and np.all(v <= 1.0)):
             raise ValueError("saturation and value must lie in [0, 1]")
         object.__setattr__(self, "baseline", baseline)
-        if not all(math.isfinite(x) for x in (self.noise_std, self.speckle_amplitude)):
-            raise ValueError("membrane noise must be finite")
-        # At 255 a one-sigma draw of either amplitude moves every channel of value 1 or more by its full 8-bit
-        # range, so a capture is already noise clipped to 0 or 255; far past it the noisy channels overflow to NaN.
-        if not (0 <= self.noise_std <= 255 and 0 <= self.speckle_amplitude <= 255):
-            raise ValueError("noise parameters must be non-negative and at most 255")
 
     @cached_property
     def rest_rgb(self) -> np.ndarray:
@@ -176,7 +169,7 @@ def _smooth_field(u, v, rng):
 
 
 def default_membrane(geom: SensorGeometry) -> MembraneModel:
-    """The sensor's membrane: a smooth red-ish baseline from ``defaults.MEMBRANE_SEED`` and the default noise.
+    """The sensor's membrane: a smooth red-ish baseline from ``defaults.MEMBRANE_SEED``.
 
     The baseline varies in normalized coordinates, so different resolutions
     sample the same underlying membrane.
@@ -281,11 +274,11 @@ def clean_pixels(dmap: DeformationMap, model: MembraneModel, index) -> np.ndarra
     return hsv_to_rgb_real(*_shifted_hsv(base, depth))
 
 
-def _noisy_channels(clean, noise, model: MembraneModel) -> np.ndarray:
+def _noisy_channels(clean, noise) -> np.ndarray:
     """8-bit channels of ``clean`` (..., 3) under speckle ``noise[..., 0]`` and channel noise ``noise[..., 1:4]``."""
-    speckle = 1.0 + model.speckle_amplitude * noise[..., 0]
+    speckle = 1.0 + defaults.SPECKLE_AMPLITUDE * noise[..., 0]
     noisy = clean * speckle[..., None]
-    noisy += model.noise_std * noise[..., 1:4]
+    noisy += defaults.SENSOR_NOISE_STD * noise[..., 1:4]
     return quantize_channels(noisy)
 
 
@@ -295,18 +288,18 @@ def _noisy_channels(clean, noise, model: MembraneModel) -> np.ndarray:
 _NOISE_BLOCK_PX = 8192
 
 
-def _noisy_capture(clean, model: MembraneModel, seed: int, index=None) -> np.ndarray:
+def _noisy_capture(clean, seed: int, index=None, width=None) -> np.ndarray:
     """uint8 channels of the noise-free real RGB ``clean`` under the ``(seed, STREAM_RENDER)`` noise.
 
-    Without ``index``, ``clean`` is the whole (height, width, 3) frame. With the
-    increasing flat row-major ``index``, ``clean`` holds the (N, 3) pixels at
-    it, and the normals are drawn only through the frame row of the last
-    indexed pixel: a Philox normal fill is a prefix of any longer fill from the
-    same stream. The fill runs in blocks of frame pixels, each continuing the
-    stream where the last ended, so the normals are those of one fill. This is
-    the body :func:`render_reading` and the noise worker of
-    :func:`disc_captures` share; it calls no function the benchmark's tracer
-    wraps, since the tracer keeps one span stack.
+    Without ``index``, ``clean`` is the whole (height, width, 3) frame. With
+    the non-empty increasing flat row-major ``index`` into a frame ``width``
+    pixels wide, ``clean`` holds the (N, 3) pixels at it, and the normals are
+    drawn only through the frame row of the last indexed pixel: a Philox normal
+    fill is a prefix of any longer fill from the same stream. The fill runs in
+    blocks of frame pixels, each continuing the stream where the last ended, so
+    the normals are those of one fill. This is the body :func:`render_reading`
+    and the noise worker of :func:`disc_captures` share; it calls no function
+    the benchmark's tracer wraps, since the tracer keeps one span stack.
     """
     rng = rng_stream(seed, STREAM_RENDER)
     clean_px = clean.reshape(-1, 3)
@@ -314,8 +307,7 @@ def _noisy_capture(clean, model: MembraneModel, seed: int, index=None) -> np.nda
     if index is None:
         frame_px = clean_px.shape[0]
     else:
-        width = model.baseline.shape[1]
-        frame_px = (int(index[-1]) // width + 1) * width if index.size else 0
+        frame_px = (int(index[-1]) // width + 1) * width
     for start in range(0, frame_px, _NOISE_BLOCK_PX):
         stop = min(start + _NOISE_BLOCK_PX, frame_px)
         noise = rng.standard_normal((stop - start, 4))
@@ -324,11 +316,11 @@ def _noisy_capture(clean, model: MembraneModel, seed: int, index=None) -> np.nda
         else:
             lo, hi = np.searchsorted(index, (start, stop))
             noise = np.take(noise, index[lo:hi] - start, axis=0)
-        out[lo:hi] = _noisy_channels(clean_px[lo:hi], noise, model)
+        out[lo:hi] = _noisy_channels(clean_px[lo:hi], noise)
     return out.reshape(clean.shape)
 
 
-def disc_captures(phases, model: MembraneModel, geom: SensorGeometry):
+def disc_captures(phases, geom: SensorGeometry):
     """``(truth, ref_px, contact_px)`` for each seed pair of each truth of each phase of ``phases``, in order.
 
     ``phases`` is the press table: each phase is a ``(truths, seed_pairs)``
@@ -336,9 +328,10 @@ def disc_captures(phases, model: MembraneModel, geom: SensorGeometry):
     ``truths[k]``, and a phase whose two lengths differ raises a ValueError.
     ``ref_px`` is the unloaded disc captured at the reference seed and
     ``contact_px`` the truth's disc at the contact seed, each the
-    ``geom.disc_mask`` pixels of :func:`render_reading` at its seed. The
-    noise-free unloaded disc is rendered once and each truth's disc once, on
-    the consumer's thread. A pair that names the previous pair's reference seed
+    ``geom.disc_mask`` pixels of :func:`render_reading` at its seed of
+    ``default_membrane(geom)``, built when the stream starts. The noise-free
+    unloaded disc is rendered once and each truth's disc once, on the
+    consumer's thread. A pair that names the previous pair's reference seed
     takes the previous pair's reference, drawn once: a capture is a function of
     its seed alone. Every capture is yielded read-only, since one reference can
     reach several pairs. One worker thread makes the noise at most one pair
@@ -348,6 +341,7 @@ def disc_captures(phases, model: MembraneModel, geom: SensorGeometry):
     when the stream ends, is closed or raises.
     """
     index = geom.disc_index
+    model = default_membrane(geom)
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
 
     def finished(truth, *futures):
@@ -366,8 +360,8 @@ def disc_captures(phases, model: MembraneModel, geom: SensorGeometry):
                 for ref_seed, contact_seed in pairs:
                     if int(ref_seed) != held_seed:
                         held_seed = int(ref_seed)
-                        ref = pool.submit(_noisy_capture, rest, model, held_seed, index)
-                    submitted = (truth, ref, pool.submit(_noisy_capture, clean, model, int(contact_seed), index))
+                        ref = pool.submit(_noisy_capture, rest, held_seed, index, geom.width)
+                    submitted = (truth, ref, pool.submit(_noisy_capture, clean, int(contact_seed), index, geom.width))
                     if ahead is not None:
                         yield finished(*ahead)
                     ahead = submitted
@@ -391,7 +385,7 @@ def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> Rgb
     if pressed.size:
         clean = clean.copy()
         clean.reshape(-1, 3)[pressed] = clean_pixels(dmap, model, pressed)
-    return RgbImage(_noisy_capture(clean, model, seed))
+    return RgbImage(_noisy_capture(clean, seed))
 
 
 def reading_pair(dmap: DeformationMap, model: MembraneModel, seed: int):

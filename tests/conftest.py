@@ -80,24 +80,39 @@ def fixture_durations():
     return {}
 
 
+@pytest.fixture
+def quiet_sensor(monkeypatch):
+    """The sensor without speckle or channel noise: both noise constants patched to 0 for one test.
+
+    A test that sweeps the channel noise calls the fixture's value with each ``noise_std``.
+    """
+
+    def channel_noise(noise_std):
+        monkeypatch.setattr(defaults, "SENSOR_NOISE_STD", noise_std)
+
+    monkeypatch.setattr(defaults, "SPECKLE_AMPLITUDE", 0.0)
+    channel_noise(0.0)
+    return channel_noise
+
+
 @pytest.fixture(scope="session")
-def fast_model(small_geometry, small_membrane):
+def fast_model(small_geometry):
     """Quick calibration model on the small geometry, for unit tests."""
-    features, depths = build_calib_dataset(10, small_geometry, small_membrane, seed=11)
+    features, depths = build_calib_dataset(10, small_geometry, seed=11)
     return train_mlp(features, depths, TrainConfig(epochs=15, seed=11))
 
 
-def acceptance_model(geometry, membrane, seed: int = 123) -> CalibrationModel:
+def acceptance_model(geometry, seed: int = 123) -> CalibrationModel:
     """The acceptance recipe: 30 sphere captures from calibration-data ``seed``, default training."""
-    features, depths = build_calib_dataset(defaults.CALIBRATION_CAPTURES, geometry, membrane, seed=seed)
+    features, depths = build_calib_dataset(defaults.CALIBRATION_CAPTURES, geometry, seed=seed)
     return train_mlp(features, depths, TrainConfig(seed=0))
 
 
 @pytest.fixture(scope="session")
-def calib_model(geometry, membrane, fixture_durations):
+def calib_model(geometry, fixture_durations):
     """Full acceptance-grade calibration model, at calibration-data seed 123."""
     started = time.monotonic()
-    model = acceptance_model(geometry, membrane)
+    model = acceptance_model(geometry)
     fixture_durations["calib_model"] = time.monotonic() - started
     return model
 

@@ -275,9 +275,9 @@ def meets_rig_targets(result):
 
 
 class TestCriterion7Characterization:
-    def test_reference_rig_targets(self, geometry, membrane, calib_model):
+    def test_reference_rig_targets(self, geometry, calib_model):
         started = time.monotonic()
-        result = characterize(geometry, membrane, calib_model, seed=0)
+        result = characterize(geometry, calib_model, seed=0)
         elapsed = time.monotonic() - started
         ok = meets_rig_targets(result) and elapsed <= 120.0
         report(7, "characterization consistency", ok,
@@ -301,9 +301,9 @@ class TestCriterion7CalibrationSeedSweep:
     def test_rig_targets_at_every_calibration_seed(self, geometry, membrane):
         passed = []
         for seed in SWEEP_CALIBRATION_SEEDS:
-            model = acceptance_model(geometry, membrane, seed)
+            model = acceptance_model(geometry, seed)
             worst_rmse = max(held_out_rmses(model, geometry, membrane))
-            result = characterize(geometry, membrane, model, seed=0)
+            result = characterize(geometry, model, seed=0)
             ok = meets_rig_targets(result)
             passed.append(ok)
             mean_at = dict(zip(np.round(result.loading.forces, 4), result.loading.mean_depths))

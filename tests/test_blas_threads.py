@@ -51,14 +51,13 @@ def artifact_hashes(root: Path) -> dict:
     # `calibrate --captures 1 --epochs 10 --seed 0`, trained at the child's BLAS count. One 320x240 capture gives
     # 15,380 rows: three 4,096-row batches and a 3,092-row last batch.
     geom = SensorGeometry()
-    membrane = default_membrane(geom)
     calib = root / "calib.json"
-    features, truth_depths = build_calib_dataset(1, geom, membrane, seed=0)
+    features, truth_depths = build_calib_dataset(1, geom, seed=0)
     save_model(calib, train_mlp(features, truth_depths, TrainConfig(epochs=10, seed=0)))
     hashes["calib.json"] = sha256(calib.read_bytes())
 
     cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
-    ref, contact = reading_pair(contact_solve(cfg, geom), membrane, 5)
+    ref, contact = reading_pair(contact_solve(cfg, geom), default_membrane(geom), 5)
     depths = disc_depths(load_model(calib), color_delta(ref, contact, geom))
     hashes["disc_depths"] = sha256(np.ascontiguousarray(depths).tobytes())
 

@@ -148,17 +148,17 @@ def relative_error(a, b):
 
 
 class TestCalibDataset:
-    def test_row_count_matches_mask(self, small_geometry, small_membrane):
-        features, depths = build_calib_dataset(3, small_geometry, small_membrane, seed=1)
+    def test_row_count_matches_mask(self, small_geometry):
+        features, depths = build_calib_dataset(3, small_geometry, seed=1)
         expected = 3 * int(small_geometry.disc_mask.sum())
         assert features.shape == (expected, 5)
         assert depths.shape == (expected,)
 
-    def test_deterministic(self, small_geometry, small_membrane):
-        a = build_calib_dataset(2, small_geometry, small_membrane, seed=9)
-        b = build_calib_dataset(2, small_geometry, small_membrane, seed=9)
+    def test_deterministic(self, small_geometry):
+        a = build_calib_dataset(2, small_geometry, seed=9)
+        b = build_calib_dataset(2, small_geometry, seed=9)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = build_calib_dataset(2, small_geometry, small_membrane, seed=10)
+        c = build_calib_dataset(2, small_geometry, seed=10)
         assert not np.array_equal(a[0], c[0])
 
     @pytest.mark.parametrize("which, captures", [
@@ -171,7 +171,7 @@ class TestCalibDataset:
         """
         geom = request.getfixturevalue(which)
         membrane = pt.default_membrane(geom)
-        features, depths = build_calib_dataset(captures, geom, membrane, seed=31)
+        features, depths = build_calib_dataset(captures, geom, seed=31)
         draws = rng_stream(31, 12).random(captures)
         seeds = rng_stream(31, 13).integers(0, 2**62, size=2 * captures)
         rows_x, rows_y = [], []
@@ -194,7 +194,7 @@ class TestCalibDataset:
         rows = color_delta(ref, contact, small_geometry)
         mask = small_geometry.disc_mask
         assert truth.depths[mask].max() <= depth
-        noise_span = 8 * small_membrane.noise_std + 1.0  # channel noise + quantization
+        noise_span = 8 * defaults.SENSOR_NOISE_STD + 1.0  # channel noise + quantization
         hue_per_count = 60.0 / (255 * 0.9 * 0.6)
         assert np.abs(rows[:, 0]).max() < noise_span * hue_per_count
 
@@ -355,8 +355,8 @@ class TestStandardize:
         assert model.standardize(x, np.float64).tobytes() == whole.tobytes()
         assert model.standardize(x, np.float32).tobytes() == whole.astype(np.float32).tobytes()
 
-    def test_capture_rows(self, geometry, membrane):
-        x, _ = build_calib_dataset(1, geometry, membrane, seed=3)
+    def test_capture_rows(self, geometry):
+        x, _ = build_calib_dataset(1, geometry, seed=3)
         self.assert_matches_whole_matrix(CalibrationModel(*_init_params(0), x.mean(axis=0), x.std(axis=0)), x)
 
     def test_extreme_rows(self):
@@ -587,8 +587,9 @@ class TestDiscDepths:
 class TestAnalyticOracle:
     """The simulated hue response is linear in depth, so dH / GAIN_H is a depth estimate the MLP never saw."""
 
-    def test_reconstruction_tracks_hue_shift(self, geometry, calib_model):
-        membrane = dataclasses.replace(pt.default_membrane(geometry), noise_std=0.2, speckle_amplitude=0.0)
+    def test_reconstruction_tracks_hue_shift(self, geometry, calib_model, quiet_sensor):
+        quiet_sensor(0.2)
+        membrane = pt.default_membrane(geometry)
         mask = geometry.disc_mask
         for depth, seed in ((0.15, 3), (0.3, 5), (0.45, 7)):
             truth = sphere_press_truth(depth, geometry)
@@ -658,7 +659,7 @@ class TestReconstruct:
         assert np.array_equal(mirrored.depths, recon.depths[:, ::-1])
 
     def test_mirror_equivariance_with_augmented_training(self, small_geometry, small_membrane):
-        features, depths = build_calib_dataset(6, small_geometry, small_membrane, seed=21)
+        features, depths = build_calib_dataset(6, small_geometry, seed=21)
         flipped = features.copy()
         flipped[:, 3] = 1.0 - flipped[:, 3]
         model = train_mlp(

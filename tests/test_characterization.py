@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import threading
 
@@ -24,21 +23,17 @@ from phototact.phantom import clean_pixels, render_reading, rng_stream, spherica
 from conftest import linear_hue_model
 
 
-def quiet_membrane(geom):
-    """The default membrane without speckle or channel noise."""
-    return dataclasses.replace(pt.default_membrane(geom), noise_std=0.0, speckle_amplitude=0.0)
-
-
 def predicted_null_std(geom, membrane):
     """The null-difference std that the device's noise constants predict, from no capture.
 
-    A disc channel of clean value c reads c (1 + speckle n0) + noise_std n1, a normal of std
+    With noise_std and speckle the ``defaults.SENSOR_NOISE_STD`` and ``defaults.SPECKLE_AMPLITUDE`` constants, a disc
+    channel of clean value c reads c (1 + speckle n0) + noise_std n1, a normal of std
     sigma = sqrt(noise_std^2 + (speckle c)^2), rounded half up: level k has probability
     Phi((k + 1/2 - c) / sigma) - Phi((k - 1/2 - c) / sigma). The difference of two independent readings has twice
     a channel's variance, and the std over the disc is the root of the mean.
     """
     clean = clean_pixels(geom.zero_map(), membrane, geom.disc_index).reshape(-1, 1)
-    sigma = np.hypot(membrane.noise_std, membrane.speckle_amplitude * clean)
+    sigma = np.hypot(defaults.SENSOR_NOISE_STD, defaults.SPECKLE_AMPLITUDE * clean)
     levels = np.floor(clean) + np.arange(-10, 12)  # every level within 19 sigma of c, the widest sigma being 0.49
     edges = np.concatenate([levels - 0.5, levels[:, -1:] + 0.5], axis=1)
     cdf = 0.5 + 0.5 * np.frompyfunc(math.erf, 1, 1)((edges - clean) / (sigma * math.sqrt(2.0))).astype(np.float64)
@@ -58,10 +53,9 @@ class TestRepeatability:
     def test_constant_offset(self):
         assert repeatability(np.array([[0.1, 0.2, 0.3], [0.15, 0.25, 0.35]])) == pytest.approx(10.0, abs=1e-12)
 
-    def test_full_scale_is_max_depth_for_any_step_schedule(self, small_geometry, small_membrane, fast_model):
+    def test_full_scale_is_max_depth_for_any_step_schedule(self, small_geometry, fast_model):
         # steps ending below 0.5 mm still report the spread as a share of the 0.5 mm full scale
-        report = characterize(small_geometry, small_membrane, fast_model, forces=(0.05, 0.08, 0.11), steps=(0.1, 0.2),
-                              seed=1)
+        report = characterize(small_geometry, fast_model, forces=(0.05, 0.08, 0.11), steps=(0.1, 0.2), seed=1)
         measured = report.trials.measurements
         spread = measured.max(axis=0) - measured.min(axis=0)
         assert report.repeatability_pct == float(spread.max() / pt.MAX_DEPTH_MM * 100.0)
@@ -80,9 +74,8 @@ class TestHysteresis:
     def test_single_point_gap(self):
         assert hysteresis(np.array([0.0, 0.3, 0.5]), np.array([0.0, 0.2, 0.5])) == pytest.approx(20.0, abs=1e-12)
 
-    def test_characterize_smooths_each_sweep_in_its_own_order(self, small_geometry, small_membrane, fast_model):
-        report = characterize(small_geometry, small_membrane, fast_model, forces=(0.05, 0.08, 0.11, 0.13),
-                              steps=(0.2,), seed=2)
+    def test_characterize_smooths_each_sweep_in_its_own_order(self, small_geometry, fast_model):
+        report = characterize(small_geometry, fast_model, forces=(0.05, 0.08, 0.11, 0.13), steps=(0.2,), seed=2)
         expected = hysteresis(moving_average(report.loading.max_depths),
                               moving_average(report.unloading.max_depths)[::-1])
         assert report.hysteresis_pct == expected
@@ -111,7 +104,7 @@ class TestNullDifference:
         before, after = render_reading(zero, small_membrane, 4), render_reading(zero, small_membrane, 5)
         stat = null_difference_stat(before.pixels[mask], after.pixels[mask], small_geometry)
         assert stat > 0.0
-        ((_, ref, contact),) = pt.disc_captures([([zero], [[(4, 5)]])], small_membrane, small_geometry)
+        ((_, ref, contact),) = pt.disc_captures([([zero], [[(4, 5)]])], small_geometry)
         assert np.array_equal(ref, before.pixels[mask]) and np.array_equal(contact, after.pixels[mask])
         assert null_difference_stat(ref, contact, small_geometry) == stat
 
@@ -136,26 +129,24 @@ class TestNullDifference:
     def test_default_noise_is_the_predicted_std(self, small_geometry, small_membrane):
         """40 null pairs read the std their constants predict: the mean within 0.3%, each pair within 2.5%."""
         zero = small_geometry.zero_map()
-        captures = pt.disc_captures([([zero], [[(2 * s, 2 * s + 1) for s in range(40)]])], small_membrane,
-                                    small_geometry)
+        captures = pt.disc_captures([([zero], [[(2 * s, 2 * s + 1) for s in range(40)]])], small_geometry)
         stats = np.array([null_difference_stat(ref, contact, small_geometry) for _, ref, contact in captures])
         predicted = predicted_null_std(small_geometry, small_membrane)
         assert predicted == pytest.approx(0.70, abs=0.01)
         assert stats.mean() == pytest.approx(predicted, rel=0.003)
         assert np.all(np.abs(stats / predicted - 1.0) < 0.025), stats / predicted
 
-    def test_doubling_noise_roughly_doubles_stat(self, small_geometry):
+    def test_doubling_noise_roughly_doubles_stat(self, small_geometry, small_membrane, quiet_sensor):
         # Monte Carlo over seeds; quantization adds a floor, so compare after
         # removing it in quadrature
         zero = small_geometry.zero_map()
         mask = small_geometry.disc_mask
         def mean_stat(noise_std):
-            membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=noise_std,
-                                           speckle_amplitude=0.0)
+            quiet_sensor(noise_std)
             vals = [
                 null_difference_stat(
-                    render_reading(zero, membrane, 2 * s).pixels[mask],
-                    render_reading(zero, membrane, 2 * s + 1).pixels[mask],
+                    render_reading(zero, small_membrane, 2 * s).pixels[mask],
+                    render_reading(zero, small_membrane, 2 * s + 1).pixels[mask],
                     small_geometry,
                 )
                 for s in range(6)
@@ -211,11 +202,11 @@ class TestIndenterRig:
             assert mean == pytest.approx(force / (defaults.RIG_MEMBRANE_STIFFNESS * disc_area), rel=tolerance)
 
     @pytest.mark.parametrize("which", ["small_geometry", pytest.param("geometry", marks=pytest.mark.long)])
-    def test_hue_oracle_reads_the_true_mean(self, request, which):
-        """Render and reconstruct lose nothing on the quiet membrane and the hue oracle: below saturation each
+    def test_hue_oracle_reads_the_true_mean(self, request, which, quiet_sensor):
+        """Render and reconstruct lose nothing on the quiet sensor and the hue oracle: below saturation each
         loading mean is the in-disc mean of its truth within 0.5% (worst 0.29% at 100x80, 0.18% at 320x240)."""
         geom = request.getfixturevalue(which)
-        report = characterize(geom, quiet_membrane(geom), linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM), seed=0)
+        report = characterize(geom, linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM), seed=0)
         below = [(f, mean) for f, mean in zip(report.loading.forces, report.loading.mean_depths)
                  if f < SATURATION_FORCE_N]
         assert len(below) == 21
@@ -234,21 +225,21 @@ class TestIndenterRig:
 
 
 class TestSensitivity:
-    def test_noise_free_threshold_is_first_force(self, small_geometry):
+    def test_noise_free_threshold_is_first_force(self, small_geometry, quiet_sensor):
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        result = characterize(small_geometry, quiet_membrane(small_geometry), model, [0.02, 0.04, 0.06], seed=0)
+        result = characterize(small_geometry, model, [0.02, 0.04, 0.06], seed=0)
         assert result.noise_floor_mm == 0.0
         assert result.threshold_n == 0.02
 
-    def test_all_forces_below_saturation(self, small_geometry, small_membrane):
+    def test_all_forces_below_saturation(self, small_geometry):
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        result = characterize(small_geometry, small_membrane, model, [0.005, 0.01, 0.015], seed=0)
+        result = characterize(small_geometry, model, [0.005, 0.01, 0.015], seed=0)
         assert result.saturation_n is None
 
-    def test_needs_three_forces(self, small_geometry, small_membrane):
+    def test_needs_three_forces(self, small_geometry):
         model = linear_hue_model(1.0)
         with pytest.raises(ValueError, match="three"):
-            characterize(small_geometry, small_membrane, model, [0.01, 0.02], seed=0)
+            characterize(small_geometry, model, [0.01, 0.02], seed=0)
 
     @pytest.mark.parametrize("forces, steps, match", [
         pytest.param([0.01, 0.02, 0.02], (0.2,), "distinct", id="repeat"),
@@ -264,21 +255,19 @@ class TestSensitivity:
                      id="step-beyond-radius"),
         pytest.param([0.01, 0.02, 0.03], (), "need depth steps", id="no-step"),
     ])
-    def test_repeated_force_rejected_before_any_capture(self, small_geometry, small_membrane, monkeypatch, forces,
-                                                        steps, match):
+    def test_repeated_force_rejected_before_any_capture(self, small_geometry, monkeypatch, forces, steps, match):
         """A repeated, non-finite, non-positive or over-capacity force and a bad depth step are refused before
         the capture stream opens."""
         captures = []
         monkeypatch.setattr(characterization, "disc_captures", lambda *args: captures.append(args) or iter(()))
         with pytest.raises(ValueError, match=match):
-            characterize(small_geometry, small_membrane, linear_hue_model(1.0), forces, steps=steps, seed=0)
+            characterize(small_geometry, linear_hue_model(1.0), forces, steps=steps, seed=0)
         assert captures == []
 
-    def test_resolution_is_the_grid_step_as_written(self, small_geometry):
+    def test_resolution_is_the_grid_step_as_written(self, small_geometry, quiet_sensor):
         """The float difference 0.11 - 0.09 is 0.020000000000000004; the grid step as written is 0.02."""
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-        result = characterize(small_geometry, quiet_membrane(small_geometry), model, [0.05, 0.09, 0.11], steps=(0.2,),
-                              seed=0)
+        result = characterize(small_geometry, model, [0.05, 0.09, 0.11], steps=(0.2,), seed=0)
         assert 0.11 - 0.09 != 0.02
         assert result.noise_floor_mm == 0.0
         assert result.resolution_n == 0.02
@@ -290,29 +279,26 @@ class TestSensitivity:
             run_force_sweep([0.01, 0.02], measured, direction="sideways")
         assert read == []
 
-    def test_threshold_non_increasing_in_noise(self, small_geometry):
+    def test_threshold_non_increasing_in_noise(self, small_geometry, quiet_sensor):
         # Monte Carlo over seeds: quieter sensors detect at or below the
         # louder sensor's threshold
         forces = np.round(np.arange(0.002, 0.041, 0.002), 4).tolist()
         def mean_threshold(noise_std):
+            quiet_sensor(noise_std)
             thresholds = []
             for seed in (0, 1, 2):
-                membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=noise_std,
-                                           speckle_amplitude=0.0)
                 model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
-                result = characterize(small_geometry, membrane, model, forces, steps=(0.2,), seed=seed)
+                result = characterize(small_geometry, model, forces, steps=(0.2,), seed=seed)
                 thresholds.append(result.threshold_n if result.threshold_n is not None else forces[-1] * 2)
             return float(np.mean(thresholds))
         assert mean_threshold(0.2) <= mean_threshold(0.8)
 
-    def test_noise_floor_positive_with_noise(self, small_geometry, small_membrane, fast_model):
-        report = characterize(small_geometry, small_membrane, fast_model, forces=(0.01, 0.03, 0.05), steps=(0.2,),
-                              seed=0)
+    def test_noise_floor_positive_with_noise(self, small_geometry, fast_model):
+        report = characterize(small_geometry, fast_model, forces=(0.01, 0.03, 0.05), steps=(0.2,), seed=0)
         assert report.noise_floor_mm > 0.0
 
-    def test_sweep_directions(self, small_geometry, small_membrane, fast_model):
-        report = characterize(small_geometry, small_membrane, fast_model, forces=(0.05, 0.01, 0.03), steps=(0.2,),
-                              seed=0)
+    def test_sweep_directions(self, small_geometry, fast_model):
+        report = characterize(small_geometry, fast_model, forces=(0.05, 0.01, 0.03), steps=(0.2,), seed=0)
         loading, unloading = report.loading, report.unloading
         assert loading.direction == "loading" and np.all(np.diff(loading.forces) > 0)
         assert unloading.direction == "unloading" and np.all(np.diff(unloading.forces) < 0)
@@ -328,7 +314,7 @@ class TestMeasurementLoops:
     STEPS = (0.2, 0.5)
 
     @pytest.fixture(scope="class")
-    def run(self, small_geometry, small_membrane, fast_model):
+    def run(self, small_geometry, fast_model):
         """The report of one ``characterize`` run and the ``disc_captures`` streams it opened."""
         streams = []
 
@@ -338,8 +324,7 @@ class TestMeasurementLoops:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(characterization, "disc_captures", recording)
-            report = characterize(small_geometry, small_membrane, fast_model, forces=self.FORCES, steps=self.STEPS,
-                                  seed=self.SEED)
+            report = characterize(small_geometry, fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
         return report, streams
 
     @staticmethod
@@ -405,21 +390,21 @@ class TestMeasurementLoops:
                 assert sweep.max_depths[i] == np.mean([d.max() for d in depths])
                 assert sweep.mean_depths[i] == np.mean([d.mean() for d in depths])
 
-    def test_one_reference_draw_per_phase(self, small_geometry, small_membrane, fast_model, monkeypatch):
+    def test_one_reference_draw_per_phase(self, small_geometry, fast_model, monkeypatch):
         """The benchmark's grid draws its 45 contacts and one reference for each of the five phases."""
         made = []
         body = phantom._noisy_capture
 
-        def draw(clean, model, seed, index=None):
+        def draw(clean, seed, *args):
             made.append(seed)
-            return body(clean, model, seed, index)
+            return body(clean, seed, *args)
 
         monkeypatch.setattr(phantom, "_noisy_capture", draw)
-        characterize(small_geometry, small_membrane, fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
+        characterize(small_geometry, fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
         contacts = defaults.CHAR_NULL_PAIRS + defaults.CHAR_TRIALS * (2 * len(self.FORCES) + len(self.STEPS)) + 1
         assert len(made) == contacts + 5 == 50
 
-    def test_failure_mid_protocol_joins_the_noise_worker(self, small_geometry, small_membrane, fast_model, monkeypatch):
+    def test_failure_mid_protocol_joins_the_noise_worker(self, small_geometry, fast_model, monkeypatch):
         """A reconstruction that raises inside a phase ends the one stream and joins its worker thread.
 
         The held traceback keeps ``characterize``'s frame, and so the stream, alive: only ``characterize`` itself
@@ -434,7 +419,6 @@ class TestMeasurementLoops:
 
         monkeypatch.setattr(characterization, "disc_depths", failing)
         with pytest.raises(RuntimeError, match="seventh reconstruction") as raised:
-            characterize(small_geometry, small_membrane, fast_model, forces=self.FORCES, steps=self.STEPS,
-                         seed=self.SEED)
+            characterize(small_geometry, fast_model, forces=self.FORCES, steps=self.STEPS, seed=self.SEED)
         assert len(calls) == 7
         assert not [thread for thread in threading.enumerate() if thread.name.startswith("phototact-noise")], raised

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -152,10 +150,10 @@ class TestColorDelta:
         center = np.flatnonzero((rows == 1) & (cols == 2))[0]
         assert u[center] == 2 / 4 and v[center] == 1 / 2
 
-    def test_simulated_uniform_press_hue_shift(self, small_geometry):
+    def test_simulated_uniform_press_hue_shift(self, small_geometry, quiet_sensor):
         # forward-model constants: 0.2 mm at GAIN_H_DEG_PER_MM deg/mm, checked both before
         # and after 8-bit quantization
-        membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=0.0, speckle_amplitude=0.0)
+        membrane = pt.default_membrane(small_geometry)
         depths = np.full((small_geometry.height, small_geometry.width), 0.2, dtype=np.float32)
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
         expected = 0.2 * defaults.GAIN_H_DEG_PER_MM

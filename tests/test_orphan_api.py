@@ -29,13 +29,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phototact"
 TEST_ONLY = {"calibration.mlp_forward", "calibration.input_gradient"}
 # The benchmark's characterize workload (perfbench/workloads.py) binds these with functools.partial to cut the grid.
 OUTSIDE_CALLERS = [("characterization.characterize", ["forces", "steps"])]
-# Defaulted dataclass fields that no package call passes, by design.
-UNPASSED_FIELDS = {
-    # The oracle tests quiet the membrane through these two (with dataclasses.replace); the package renders with the
-    # sensor's own noise.
-    "phantom.MembraneModel.noise_std": "the quiet-membrane seam of the oracle tests",
-    "phantom.MembraneModel.speckle_amplitude": "the quiet-membrane seam of the oracle tests",
-}
 
 
 def parsed_modules():
@@ -230,9 +223,8 @@ def test_no_defaulted_parameter_is_passed_by_every_call():
 
 
 def test_every_defaulted_dataclass_field_is_passed_in_the_package():
-    """A field that no call sets is a constant with a constructor argument. An exception that the package starts to
-    pass, or that is gone, comes off the list."""
-    assert unpassed_fields(parsed_modules()) == sorted(UNPASSED_FIELDS)
+    """A field that no call sets is a constant with a constructor argument."""
+    assert unpassed_fields(parsed_modules()) == []
 
 
 def test_no_parameter_is_filled_with_one_constant_by_every_call():

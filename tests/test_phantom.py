@@ -245,8 +245,8 @@ def uncached_render(dmap, membrane, seed):
     """Reference render: :func:`uncached_clean` -> full-frame Philox speckle and noise -> 8 bits."""
     real = uncached_clean(dmap, membrane)
     noise = rng_stream(seed, STREAM_RENDER).standard_normal(real.shape[:2] + (4,))
-    speckle = 1.0 + membrane.speckle_amplitude * noise[..., 0]
-    noisy = real * speckle[..., None] + membrane.noise_std * noise[..., 1:4]
+    speckle = 1.0 + defaults.SPECKLE_AMPLITUDE * noise[..., 0]
+    noisy = real * speckle[..., None] + defaults.SENSOR_NOISE_STD * noise[..., 1:4]
     return np.floor(np.clip(noisy, 0.0, 255.0) + 0.5).astype(np.uint8)
 
 
@@ -282,7 +282,7 @@ class TestRenderReading:
         for dmap, reference in zip(maps, expected):
             assert np.array_equal(render_reading(dmap, membrane, seed).pixels, reference)
         mask = geometry.disc_mask
-        captured = pt.disc_captures([(maps, [[(seed, seed)]] * len(maps))], membrane, geometry)
+        captured = pt.disc_captures([(maps, [[(seed, seed)]] * len(maps))], geometry)
         for (_, ref, contact), reference in zip(captured, expected, strict=True):
             assert np.array_equal(ref, expected[0][mask])  # maps[0] is the zero map
             assert np.array_equal(contact, reference[mask])
@@ -306,8 +306,8 @@ class TestRenderReading:
         with pytest.raises(ValueError, match="does not match"):
             render_reading(small_geometry.zero_map(), membrane, seed=0)
 
-    def test_noise_free_zero_deformation_is_baseline(self, small_geometry):
-        membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=0.0, speckle_amplitude=0.0)
+    def test_noise_free_zero_deformation_is_baseline(self, small_geometry, quiet_sensor):
+        membrane = pt.default_membrane(small_geometry)
         img = render_reading(small_geometry.zero_map(), membrane, seed=5)
         base = membrane.baseline
         assert np.array_equal(img.pixels, quantize_channels(hsv_to_rgb_real(base[..., 0], base[..., 1], base[..., 2])))
@@ -320,8 +320,8 @@ class TestRenderReading:
         c = render_reading(dmap, small_membrane, seed=18)
         assert not np.array_equal(a.pixels, c.pixels)
 
-    def test_uniform_press_shifts_hue_exactly(self, small_geometry):
-        membrane = dataclasses.replace(pt.default_membrane(small_geometry), noise_std=0.0, speckle_amplitude=0.0)
+    def test_uniform_press_shifts_hue_exactly(self, small_geometry, quiet_sensor):
+        membrane = pt.default_membrane(small_geometry)
         depths = np.full((small_geometry.height, small_geometry.width), 0.2, dtype=np.float32)
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
         rendered = render_reading(dmap, membrane, seed=0)
@@ -378,11 +378,11 @@ class TestDiscPixels:
         for dmap, reading in zip(maps, readings):
             clean = uncached_clean(dmap, membrane)
             for mask in (bottom_row_mask(geom), full):
-                captured = phantom._noisy_capture(clean[mask], membrane, seed, np.flatnonzero(mask))
+                captured = phantom._noisy_capture(clean[mask], seed, np.flatnonzero(mask), geom.width)
                 assert captured.dtype == np.uint8
                 assert np.array_equal(captured, reading[mask])
         mask = geom.disc_mask
-        captured = pt.disc_captures([(maps, [[(seed, seed)]] * len(maps))], membrane, geom)
+        captured = pt.disc_captures([(maps, [[(seed, seed)]] * len(maps))], geom)
         for (truth, ref, contact), dmap, reading in zip(captured, maps, readings, strict=True):
             assert truth is dmap
             assert ref.dtype == contact.dtype == np.uint8
@@ -396,10 +396,6 @@ class TestDiscPixels:
         for seed in [*range(200), 2**62 - 1, 2**64 - 1]:
             prefix = rng_stream(seed, STREAM_RENDER).standard_normal((rows,) + shape[1:])
             assert np.array_equal(prefix, rng_stream(seed, STREAM_RENDER).standard_normal(shape)[:rows])
-
-    def test_empty_mask_captures_nothing(self, small_geometry, small_membrane):
-        index = np.flatnonzero(np.zeros((small_geometry.height, small_geometry.width), dtype=bool))
-        assert phantom._noisy_capture(np.empty((0, 3)), small_membrane, 3, index).shape == (0, 3)
 
     def test_dimension_mismatch(self, small_geometry, membrane):
         with pytest.raises(ValueError, match="does not match"):
@@ -420,6 +416,22 @@ class TestNoiseWorker:
     """disc_captures makes the capture noise on one worker thread, one pair ahead, with the serial bytes."""
 
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
+    def test_a_quiet_sensor_captures_the_clean_frame(self, request, which, quiet_sensor):
+        """With both noise constants at 0, a reading is the quantized noise-free frame and each disc capture is that
+        frame's disc: the worker thread reads the sensor's noise constants when it draws, as the main thread does."""
+        geom = request.getfixturevalue(which)
+        membrane = pt.default_membrane(geom)
+        maps = press_maps(geom)
+        frames = [quantize_channels(uncached_clean(dmap, membrane)) for dmap in maps]
+        for dmap, frame in zip(maps, frames):
+            assert np.array_equal(render_reading(dmap, membrane, 3).pixels, frame)
+        mask = geom.disc_mask
+        captured = pt.disc_captures([(maps, [[(1, 2), (3, 4)]] * len(maps))], geom)
+        for (_, ref, contact), frame in zip(captured, [frame for frame in frames for _ in range(2)], strict=True):
+            assert np.array_equal(ref, frames[0][mask])  # maps[0] is the zero map
+            assert np.array_equal(contact, frame[mask])
+
+    @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
     def test_disc_captures_equal_the_serial_captures(self, request, which):
         """The prefetched captures equal the disc of the full-frame render, made serially at each seed."""
         geom = request.getfixturevalue(which)
@@ -431,7 +443,7 @@ class TestNoiseWorker:
         serial = [(truth, render_reading(zero, membrane, ref_seed).pixels[mask],
                    render_reading(truth, membrane, contact_seed).pixels[mask])
                   for truth, pairs in zip(truths, seed_pairs) for ref_seed, contact_seed in pairs]
-        prefetched = list(pt.disc_captures([(truths, seed_pairs)], membrane, geom))
+        prefetched = list(pt.disc_captures([(truths, seed_pairs)], geom))
         assert len(prefetched) == len(serial) == 5
         for (truth, ref, contact), (serial_truth, serial_ref, serial_contact) in zip(prefetched, serial):
             assert truth is serial_truth
@@ -442,14 +454,14 @@ class TestNoiseWorker:
         made = []  # the seed of each capture's noise, as it is drawn
         body = phantom._noisy_capture
 
-        def draw(clean, model, seed, index=None):
+        def draw(clean, seed, *args):
             made.append(seed)
-            return body(clean, model, seed, index)
+            return body(clean, seed, *args)
 
         monkeypatch.setattr(phantom, "_noisy_capture", draw)
         truth = sphere_press_truth(0.3, small_geometry)
         seed_pairs = [[(1, 2), (3, 4)], [(5, 6)], [(7, 8)]]
-        stream = pt.disc_captures([([truth] * 3, seed_pairs)], small_membrane, small_geometry)
+        stream = pt.disc_captures([([truth] * 3, seed_pairs)], small_geometry)
         assert made == []
         for consumed in range(1, 5):
             _, ref, contact = next(stream)
@@ -467,14 +479,14 @@ class TestNoiseWorker:
         made = []
         body = phantom._noisy_capture
 
-        def draw(clean, model, seed, index=None):
+        def draw(clean, seed, *args):
             made.append(seed)
-            return body(clean, model, seed, index)
+            return body(clean, seed, *args)
 
         monkeypatch.setattr(phantom, "_noisy_capture", draw)
         truth = sphere_press_truth(0.3, small_geometry)
         seed_pairs = [[(1, 2), (1, 4)], [(3, 6), (1, 8)]]
-        captured = list(pt.disc_captures([([truth] * 2, seed_pairs)], small_membrane, small_geometry))
+        captured = list(pt.disc_captures([([truth] * 2, seed_pairs)], small_geometry))
         assert made == [1, 2, 4, 3, 6, 1, 8]
         monkeypatch.undo()
         mask = small_geometry.disc_mask
@@ -484,53 +496,52 @@ class TestNoiseWorker:
             assert np.array_equal(ref, render_reading(zero, small_membrane, ref_seed).pixels[mask])
             assert np.array_equal(contact, render_reading(truth, small_membrane, contact_seed).pixels[mask])
 
-    def test_captures_are_yielded_read_only(self, small_geometry, small_membrane):
+    def test_captures_are_yielded_read_only(self, small_geometry):
         """A consumer cannot change a shared reference under a later pair."""
         truth = sphere_press_truth(0.3, small_geometry)
-        (_, ref, contact), (_, later_ref, _) = pt.disc_captures([([truth], [[(1, 2), (1, 4)]])], small_membrane,
-                                                                small_geometry)
+        (_, ref, contact), (_, later_ref, _) = pt.disc_captures([([truth], [[(1, 2), (1, 4)]])], small_geometry)
         assert later_ref is ref
         for capture in (ref, contact):
             with pytest.raises(ValueError, match="read-only"):
                 capture[0, 0] = 0
 
-    def test_stopped_streams_leave_no_thread(self, small_geometry, small_membrane):
+    def test_stopped_streams_leave_no_thread(self, small_geometry):
         before = threading.enumerate()
         truth = sphere_press_truth(0.3, small_geometry)
-        stream = pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_membrane, small_geometry)
+        stream = pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_geometry)
         next(stream)
         assert len(threading.enumerate()) == len(before) + 1
         stream.close()  # a consumer that stops early
         assert threading.enumerate() == before
         with pytest.raises(RuntimeError, match="consumer"):
-            for _ in pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_membrane, small_geometry):
+            for _ in pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_geometry):
                 raise RuntimeError("consumer")
         assert threading.enumerate() == before
 
     @pytest.mark.parametrize("truths, rows", [(3, 2), (2, 3)], ids=["more-truths", "more-seed-rows"])
-    def test_a_misaligned_phase_raises_and_leaves_no_thread(self, small_geometry, small_membrane, truths, rows):
+    def test_a_misaligned_phase_raises_and_leaves_no_thread(self, small_geometry, truths, rows):
         """A phase whose truths and seed rows differ in number is refused, not cut to the shorter of the two."""
         before = threading.enumerate()
         truth = sphere_press_truth(0.3, small_geometry)
         phases = [([truth], [[(7, 8)]]), ([truth] * truths, [[(1, 2)]] * rows)]
         captured = []
         with pytest.raises(ValueError, match="argument 2 is (shorter|longer) than argument 1"):
-            captured.extend(pt.disc_captures(phases, small_membrane, small_geometry))
+            captured.extend(pt.disc_captures(phases, small_geometry))
         assert len(captured) == 2  # the first phase's pair and the second phase's first pair come before the error
         assert threading.enumerate() == before
 
-    def test_a_failed_draw_is_raised_and_leaves_no_thread(self, small_geometry, small_membrane, monkeypatch):
+    def test_a_failed_draw_is_raised_and_leaves_no_thread(self, small_geometry, monkeypatch):
         before = threading.enumerate()
         body = phantom._noisy_capture
 
-        def draw(clean, model, seed, index=None):
+        def draw(clean, seed, *args):
             if seed == 4:
                 raise MemoryError("draw")
-            return body(clean, model, seed, index)
+            return body(clean, seed, *args)
 
         monkeypatch.setattr(phantom, "_noisy_capture", draw)
         truth = sphere_press_truth(0.3, small_geometry)
-        stream = pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_membrane, small_geometry)
+        stream = pt.disc_captures([([truth] * 3, [[(1, 2)], [(3, 4)], [(5, 6)]])], small_geometry)
         assert next(stream)[0] is truth
         with pytest.raises(MemoryError, match="draw"):
             next(stream)

@@ -86,7 +86,7 @@ def test_reconstruct_runs_the_traced_color_path(small_geometry, small_membrane):
     assert layers["imprint.color_delta"]["calls"] == 1
 
 
-def test_the_noise_thread_calls_no_traced_function(small_geometry, small_membrane):
+def test_the_noise_thread_calls_no_traced_function(small_geometry):
     """The tracer keeps one span stack, so every traced call of the disc-capture paths runs on the main thread."""
     threads = set()
 
@@ -96,8 +96,8 @@ def test_the_noise_thread_calls_no_traced_function(small_geometry, small_membran
             return super().span(name)
 
     with tracer.installed(ThreadRecorder()) as traced:
-        pt.characterize(small_geometry, small_membrane, linear_hue_model(1.0), forces=(0.05, 0.09, 0.11), steps=(0.2, 0.5), seed=1)
-        pt.build_calib_dataset(2, small_geometry, small_membrane, seed=1)
+        pt.characterize(small_geometry, linear_hue_model(1.0), forces=(0.05, 0.09, 0.11), steps=(0.2, 0.5), seed=1)
+        pt.build_calib_dataset(2, small_geometry, seed=1)
     assert threads == {threading.main_thread()}
     layers = traced.layers()
     assert layers["imaging.hsv_to_rgb_real"]["calls"] > 0
