@@ -25,12 +25,10 @@ from .imaging import (
 from .imprint import ImprintParams, augmented_imprint, color_delta, disc_rows
 from .phantom import (
     DatasetSpec,
-    MembraneModel,
     PhantomConfig,
     clean_pixels,
     contact_solve,
     dataset_presses,
-    default_membrane,
     disc_captures,
     render_reading,
     sphere_press_truth,

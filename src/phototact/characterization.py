@@ -214,7 +214,7 @@ def characterize(
     *,
     seed: int,
 ) -> CharacterizationReport:
-    """Run the full metrology protocol on the simulated rig: the indenter pressed into ``default_membrane(geom)``.
+    """Run the full metrology protocol on the simulated rig: the indenter pressed into the sensor's one membrane.
 
     The protocol is the press table of one :func:`disc_captures` stream: phases in capture order, each with its
     truths, each map built only when the stream reaches it, and their seed pairs from :func:`sub_seeds`:

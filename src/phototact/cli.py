@@ -60,7 +60,7 @@ from .detection import (
 )
 from .imaging import SensorGeometry, load_dmap, load_ppm, parse_json, save_dmap, save_ppm, write_csv, write_json
 from .imprint import ImprintParams, augmented_imprint, color_delta
-from .phantom import DatasetSpec, PhantomConfig, contact_solve, dataset_presses, default_membrane, reading_pair
+from .phantom import DatasetSpec, PhantomConfig, contact_solve, dataset_presses, reading_pair
 
 # Seeds key uint64 Philox streams, and a phantom's reading pair doubles the seed (see phantom.reading_pair).
 SEED_LIMIT = 2**63
@@ -330,11 +330,11 @@ def _press_files(stem):
     return [f"{stem}_ref.ppm", f"{stem}_contact.ppm", f"{stem}_truth.dmap"]
 
 
-def _save_press(paths, cfg, seed, geom, membrane):
+def _save_press(paths, cfg, seed, geom):
     """Write the press of ``cfg`` at ``seed`` to the three ``_press_files`` paths ``paths``: its reading pair, then
     its truth map. The captures are freed when this returns."""
     truth = contact_solve(cfg, geom)
-    ref, contact = reading_pair(truth, membrane, seed)
+    ref, contact = reading_pair(truth, seed)
     save_ppm(paths[0], ref)
     save_ppm(paths[1], contact)
     save_dmap(paths[2], truth)
@@ -342,10 +342,9 @@ def _save_press(paths, cfg, seed, geom, membrane):
 
 def _cmd_phantom(args, stage):
     geom = _geometry(args)
-    membrane = default_membrane(geom)
     cfg = _load_phantom_config(args)
     paths = _press_files(args.out_prefix)
-    _save_press([stage(path) for path in paths], cfg, args.seed, geom, membrane)
+    _save_press([stage(path) for path in paths], cfg, args.seed, geom)
     return [args.config] if args.config else [], paths
 
 
@@ -385,18 +384,17 @@ DATASET_CSV_FIELDS = ("sample_id", "label", "ball_diameter_mm", "burial_depth_mm
 
 def _cmd_dataset(args, stage):
     geom = _geometry(args)
-    membrane = default_membrane(geom)
     spec = DatasetSpec() if args.spec == "default" else _read_config(DatasetSpec, args.spec)
     presses = dataset_presses(spec, args.seed)
     out_dir = stage(args.out, directory=True)
-    write_csv(out_dir / "manifest.csv", DATASET_CSV_FIELDS, _dataset_rows(presses, out_dir, geom, membrane))
+    write_csv(out_dir / "manifest.csv", DATASET_CSV_FIELDS, _dataset_rows(presses, out_dir, geom))
     return [] if args.spec == "default" else [args.spec], [str(Path(args.out))]
 
 
-def _dataset_rows(presses, out_dir, geom, membrane):
+def _dataset_rows(presses, out_dir, geom):
     """Each press's manifest.csv row, yielded once its press files are saved in ``out_dir``."""
     for sample_id, label, cfg, seed in presses:
-        _save_press(_press_files(out_dir / sample_id), cfg, seed, geom, membrane)
+        _save_press(_press_files(out_dir / sample_id), cfg, seed, geom)
         tumor = cfg.tumor_present
         yield [sample_id, label, cfg.ball_diameter_mm if tumor else "", cfg.burial_depth_mm if tumor else "",
                cfg.applied_mass_g, seed]

@@ -139,6 +139,14 @@ class DeformationMap:
         return self.depths.shape[0]
 
 
+def normalized_grid(shape):
+    """(u, v) grids in [0, 1] over a frame of ``shape`` (height, width): u = col/(width-1), v = row/(height-1)."""
+    height, width = shape
+    u = np.arange(width, dtype=np.float64) / max(width - 1, 1)
+    v = np.arange(height, dtype=np.float64) / max(height - 1, 1)
+    return np.meshgrid(u, v)
+
+
 @dataclass(frozen=True)
 class SensorGeometry:
     """Image dimensions plus the physical scale of the sensing face.
@@ -200,22 +208,12 @@ class SensorGeometry:
 
     @cached_property
     def disc_coords(self):
-        """(u, v) of the sensing-disc pixels in row-major order (see :attr:`normalized_coords`)."""
-        gu, gv = self.normalized_coords
+        """(u, v) of the sensing-disc pixels in row-major order (see :func:`normalized_grid`)."""
+        gu, gv = normalized_grid((self.height, self.width))
         u, v = gu[self.disc_mask], gv[self.disc_mask]
         u.setflags(write=False)
         v.setflags(write=False)
         return u, v
-
-    @cached_property
-    def normalized_coords(self):
-        """(u, v) grids in [0, 1]: u = col/(width-1), v = row/(height-1)."""
-        u = np.arange(self.width, dtype=np.float64) / max(self.width - 1, 1)
-        v = np.arange(self.height, dtype=np.float64) / max(self.height - 1, 1)
-        gu, gv = np.meshgrid(u, v)
-        gu.setflags(write=False)
-        gv.setflags(write=False)
-        return gu, gv
 
     def zero_map(self) -> DeformationMap:
         return DeformationMap(np.zeros((self.height, self.width), dtype=np.float32), self.disc_mask)

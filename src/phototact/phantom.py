@@ -11,7 +11,10 @@ the detector feeds on.
 
 Rendering maps indentation depth to an HSV shift of the membrane's baseline
 color, converts to RGB, and applies seed-deterministic speckle and channel
-noise of the sensor's constant amplitudes (``defaults``).  All randomness is
+noise of the sensor's constant amplitudes (``defaults``).  The sensor has one
+membrane, so its baseline is a function of the frame's shape alone
+(:func:`membrane_baseline`); the baseline and the noise-free unloaded render
+are cached for the last two frame shapes.  All randomness is
 drawn from counter-based (Philox) streams keyed by (seed, stream), so outputs
 never depend on evaluation order.
 """
@@ -22,7 +25,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,9 +35,9 @@ from .imaging import (
     DeformationMap,
     RgbImage,
     SensorGeometry,
-    frozen_array,
     hsv_to_rgb_real,
     json_number,
+    normalized_grid,
     quantize_channels,
 )
 
@@ -123,37 +126,6 @@ class PhantomConfig:
         return _from_json_object(cls, "phantom config", data, required=("tumor_present",))
 
 
-@dataclass(frozen=True)
-class MembraneModel:
-    """Baseline membrane color; the depth response (``GAIN_*``) and the capture noise are ``defaults`` constants.
-
-    ``baseline`` holds the unloaded membrane's HSV pixels, shaped (height, width, 3): hue in degrees [0, 360),
-    saturation and value in [0, 1].  It is stored as a read-only float64 copy.
-    """
-
-    baseline: np.ndarray
-
-    def __post_init__(self):
-        baseline = frozen_array(self.baseline, np.float64)
-        if baseline.ndim != 3 or baseline.shape[2] != 3 or baseline.shape[0] < 1 or baseline.shape[1] < 1:
-            raise ValueError("HSV pixels must be shaped (height, width, 3) and non-empty")
-        h, s, v = baseline[..., 0], baseline[..., 1], baseline[..., 2]
-        if not (np.all(h >= 0.0) and np.all(h < 360.0)):
-            raise ValueError("hue must lie in [0, 360)")
-        if not (np.all(s >= 0.0) and np.all(s <= 1.0) and np.all(v >= 0.0) and np.all(v <= 1.0)):
-            raise ValueError("saturation and value must lie in [0, 1]")
-        object.__setattr__(self, "baseline", baseline)
-
-    @cached_property
-    def rest_rgb(self) -> np.ndarray:
-        """Noise-free real RGB of the unloaded membrane (read-only), computed once per model."""
-        shape = self.baseline.shape[:2]
-        unloaded = DeformationMap(np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=bool))
-        real = hsv_to_rgb_real(*deformed_hsv(unloaded, self))
-        real.setflags(write=False)
-        return real
-
-
 def _smooth_field(u, v, rng):
     """Low-frequency field in [-1, 1] from three seeded cosine modes over (u, v)."""
     total = np.zeros_like(u)
@@ -168,18 +140,24 @@ def _smooth_field(u, v, rng):
     return total / weight
 
 
-def default_membrane(geom: SensorGeometry) -> MembraneModel:
-    """The sensor's membrane: a smooth red-ish baseline from ``defaults.MEMBRANE_SEED``.
+@lru_cache(maxsize=2)
+def membrane_baseline(shape) -> np.ndarray:
+    """The sensor's membrane color over a frame of ``shape`` (height, width): a smooth red-ish baseline from
+    ``defaults.MEMBRANE_SEED``.
 
-    The baseline varies in normalized coordinates, so different resolutions
-    sample the same underlying membrane.
+    The result is read-only float64 HSV pixels shaped (height, width, 3): hue
+    in degrees [0, 360), saturation and value in [0, 1]. The baseline varies
+    in normalized coordinates, so different resolutions sample the same
+    underlying membrane.
     """
     rng = rng_stream(defaults.MEMBRANE_SEED, STREAM_BASELINE)
-    u, v = geom.normalized_coords
+    u, v = normalized_grid(shape)
     hue = np.mod(defaults.BASELINE_HUE_SPAN_DEG * _smooth_field(u, v, rng), 360.0)
     sat = defaults.BASELINE_SATURATION + defaults.BASELINE_SV_SPAN * _smooth_field(u, v, rng)
     val = defaults.BASELINE_VALUE + defaults.BASELINE_SV_SPAN * _smooth_field(u, v, rng)
-    return MembraneModel(baseline=np.stack([hue, sat, val], axis=-1))
+    baseline = np.stack([hue, sat, val], axis=-1)
+    baseline.setflags(write=False)
+    return baseline
 
 
 def stiffness_field(cfg: PhantomConfig, geom: SensorGeometry) -> np.ndarray:
@@ -251,25 +229,27 @@ def _shifted_hsv(base, depth):
     return hue, sat, val
 
 
-def _check_fits(dmap: DeformationMap, model: MembraneModel):
-    if model.baseline.shape[:2] != dmap.depths.shape:
-        raise ValueError("deformation map does not match membrane baseline size")
-
-
-def deformed_hsv(dmap: DeformationMap, model: MembraneModel):
+def deformed_hsv(dmap: DeformationMap):
     """Noise-free (hue, saturation, value) response of the membrane to the given indentation."""
-    _check_fits(dmap, model)
-    return _shifted_hsv(model.baseline, dmap.depths.astype(np.float64))
+    return _shifted_hsv(membrane_baseline(dmap.depths.shape), dmap.depths.astype(np.float64))
 
 
-def clean_pixels(dmap: DeformationMap, model: MembraneModel, index) -> np.ndarray:
+@lru_cache(maxsize=2)
+def _rest_rgb(shape) -> np.ndarray:
+    """Noise-free real RGB of the unloaded membrane over a frame of ``shape`` (read-only)."""
+    unloaded = DeformationMap(np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=bool))
+    real = hsv_to_rgb_real(*deformed_hsv(unloaded))
+    real.setflags(write=False)
+    return real
+
+
+def clean_pixels(dmap: DeformationMap, index) -> np.ndarray:
     """Noise-free real RGB (N, 3) of the pixels at the flat row-major ``index``, in its order.
 
     Every pixel's color depends on that pixel only, so this is the indexed
     part of the noise-free full-frame render.
     """
-    _check_fits(dmap, model)
-    base = np.take(model.baseline.reshape(-1, 3), index, axis=0)
+    base = np.take(membrane_baseline(dmap.depths.shape).reshape(-1, 3), index, axis=0)
     depth = np.take(dmap.depths, index).astype(np.float64)
     return hsv_to_rgb_real(*_shifted_hsv(base, depth))
 
@@ -288,16 +268,16 @@ def _noisy_channels(clean, noise) -> np.ndarray:
 _NOISE_BLOCK_PX = 8192
 
 
-def _noisy_capture(clean, seed: int, index=None, width=None) -> np.ndarray:
+def _noisy_capture(clean, seed: int, index=None) -> np.ndarray:
     """uint8 channels of the noise-free real RGB ``clean`` under the ``(seed, STREAM_RENDER)`` noise.
 
     Without ``index``, ``clean`` is the whole (height, width, 3) frame. With
-    the non-empty increasing flat row-major ``index`` into a frame ``width``
-    pixels wide, ``clean`` holds the (N, 3) pixels at it, and the normals are
-    drawn only through the frame row of the last indexed pixel: a Philox normal
-    fill is a prefix of any longer fill from the same stream. The fill runs in
-    blocks of frame pixels, each continuing the stream where the last ended, so
-    the normals are those of one fill. This is the body :func:`render_reading`
+    the non-empty increasing flat row-major ``index`` into a frame, ``clean``
+    holds the (N, 3) pixels at it, and the normals are drawn only through the
+    last indexed pixel: a Philox normal fill is a prefix of any longer fill
+    from the same stream. The fill runs in blocks of frame pixels, each
+    continuing the stream where the last ended, so the normals are those of
+    one fill. This is the body :func:`render_reading`
     and the noise worker of :func:`disc_captures` share; it calls no function
     the benchmark's tracer wraps, since the tracer keeps one span stack.
     """
@@ -307,7 +287,7 @@ def _noisy_capture(clean, seed: int, index=None, width=None) -> np.ndarray:
     if index is None:
         frame_px = clean_px.shape[0]
     else:
-        frame_px = (int(index[-1]) // width + 1) * width
+        frame_px = int(index[-1]) + 1
     for start in range(0, frame_px, _NOISE_BLOCK_PX):
         stop = min(start + _NOISE_BLOCK_PX, frame_px)
         noise = rng.standard_normal((stop - start, 4))
@@ -328,10 +308,9 @@ def disc_captures(phases, geom: SensorGeometry):
     ``truths[k]``, and a phase whose two lengths differ raises a ValueError.
     ``ref_px`` is the unloaded disc captured at the reference seed and
     ``contact_px`` the truth's disc at the contact seed, each the
-    ``geom.disc_mask`` pixels of :func:`render_reading` at its seed of
-    ``default_membrane(geom)``, built when the stream starts. The noise-free
-    unloaded disc is rendered once and each truth's disc once, on the
-    consumer's thread. A pair that names the previous pair's reference seed
+    ``geom.disc_mask`` pixels of :func:`render_reading` at its seed. The
+    noise-free unloaded disc is rendered once and each truth's disc once, on
+    the consumer's thread. A pair that names the previous pair's reference seed
     takes the previous pair's reference, drawn once: a capture is a function of
     its seed alone. Every capture is yielded read-only, since one reference can
     reach several pairs. One worker thread makes the noise at most one pair
@@ -341,7 +320,6 @@ def disc_captures(phases, geom: SensorGeometry):
     when the stream ends, is closed or raises.
     """
     index = geom.disc_index
-    model = default_membrane(geom)
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
 
     def finished(truth, *futures):
@@ -351,17 +329,17 @@ def disc_captures(phases, geom: SensorGeometry):
         return truth, *captures
 
     try:
-        rest = clean_pixels(geom.zero_map(), model, index)
+        rest = clean_pixels(geom.zero_map(), index)
         ahead = None
         held_seed = ref = None  # the last reference seed and its capture's future
         for truths, seed_pairs in phases:
             for truth, pairs in zip(truths, seed_pairs, strict=True):
-                clean = clean_pixels(truth, model, index)
+                clean = clean_pixels(truth, index)
                 for ref_seed, contact_seed in pairs:
                     if int(ref_seed) != held_seed:
                         held_seed = int(ref_seed)
-                        ref = pool.submit(_noisy_capture, rest, held_seed, index, geom.width)
-                    submitted = (truth, ref, pool.submit(_noisy_capture, clean, int(contact_seed), index, geom.width))
+                        ref = pool.submit(_noisy_capture, rest, held_seed, index)
+                    submitted = (truth, ref, pool.submit(_noisy_capture, clean, int(contact_seed), index))
                     if ahead is not None:
                         yield finished(*ahead)
                     ahead = submitted
@@ -371,31 +349,30 @@ def disc_captures(phases, geom: SensorGeometry):
         pool.shutdown(cancel_futures=True)
 
 
-def render_reading(dmap: DeformationMap, model: MembraneModel, seed: int) -> RgbImage:
+def render_reading(dmap: DeformationMap, seed: int) -> RgbImage:
     """Camera reading of the deformed membrane with seeded speckle and noise.
 
-    The render starts from the cached :attr:`MembraneModel.rest_rgb` and
-    re-renders only the pixels of non-zero depth, so an all-zero map renders
-    nothing. The noise is drawn over the full frame in row-major pixel order,
-    four normals per pixel.
+    The render starts from the cached noise-free unloaded render of the
+    frame's shape and re-renders only the pixels of non-zero depth, so an
+    all-zero map renders nothing. The noise is drawn over the full frame in
+    row-major pixel order, four normals per pixel.
     """
-    _check_fits(dmap, model)
-    clean = model.rest_rgb
+    clean = _rest_rgb(dmap.depths.shape)
     pressed = np.flatnonzero(dmap.depths)
     if pressed.size:
         clean = clean.copy()
-        clean.reshape(-1, 3)[pressed] = clean_pixels(dmap, model, pressed)
+        clean.reshape(-1, 3)[pressed] = clean_pixels(dmap, pressed)
     return RgbImage(_noisy_capture(clean, seed))
 
 
-def reading_pair(dmap: DeformationMap, model: MembraneModel, seed: int):
+def reading_pair(dmap: DeformationMap, seed: int):
     """The (reference, contact) readings of one press.
 
     The reference is the unloaded membrane rendered at seed ``2 * seed``, the
     contact is ``dmap`` rendered at the seed after it.
     """
     zero = DeformationMap(np.zeros_like(dmap.depths), dmap.mask)
-    return render_reading(zero, model, 2 * seed), render_reading(dmap, model, 2 * seed + 1)
+    return render_reading(zero, 2 * seed), render_reading(dmap, 2 * seed + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -61,18 +61,8 @@ def geometry():
 
 
 @pytest.fixture(scope="session")
-def membrane(geometry):
-    return pt.default_membrane(geometry)
-
-
-@pytest.fixture(scope="session")
 def small_geometry():
     return pt.SensorGeometry(width=100, height=80, mm_per_pixel=0.1)
-
-
-@pytest.fixture(scope="session")
-def small_membrane(small_geometry):
-    return pt.default_membrane(small_geometry)
 
 
 @pytest.fixture(scope="session")

@@ -61,12 +61,12 @@ PHANTOM_SEED = 2024
 
 
 @pytest.fixture(scope="session")
-def phantom_features(geometry, membrane, calib_model, fixture_durations):
+def phantom_features(geometry, calib_model, fixture_durations):
     """Features of the full 140+140 protocol, via the calibrated pipeline."""
     started = time.monotonic()
     features, labels = [], []
     for _, label, cfg, press_seed in dataset_presses(DatasetSpec(), seed=PHANTOM_SEED):
-        ref, contact = reading_pair(contact_solve(cfg, geometry), membrane, press_seed)
+        ref, contact = reading_pair(contact_solve(cfg, geometry), press_seed)
         features.append(extract_features(reconstruct(calib_model, ref, contact, geometry)))
         labels.append(label)
     fixture_durations["phantom_features"] = time.monotonic() - started
@@ -114,7 +114,7 @@ class TestCriterion2Formulas:
         report(2, "repeatability/hysteresis formulas", ok, f"r={r}%, h={h}%, identities 0%, {elapsed:.2f}s")
 
 
-def held_out_rmses(model, geometry, membrane):
+def held_out_rmses(model, geometry):
     """Criterion 3's in-disc RMSE, mm, on each of 10 held-out sphere presses."""
     rng = rng_stream(999, 50)
     mask = geometry.disc_mask
@@ -123,8 +123,8 @@ def held_out_rmses(model, geometry, membrane):
     for _ in range(10):
         depth = pt.MAX_DEPTH_MM * (1.0 - float(rng.random()))
         truth = sphere_press_truth(depth, geometry)
-        ref = render_reading(zero, membrane, int(rng.integers(2**62)))
-        contact = render_reading(truth, membrane, int(rng.integers(2**62)))
+        ref = render_reading(zero, int(rng.integers(2**62)))
+        contact = render_reading(truth, int(rng.integers(2**62)))
         recon = reconstruct(model, ref, contact, geometry)
         err = recon.depths[mask].astype(np.float64) - truth.depths[mask].astype(np.float64)
         rmses.append(float(np.sqrt(np.mean(err**2))))
@@ -132,9 +132,9 @@ def held_out_rmses(model, geometry, membrane):
 
 
 class TestCriterion3Calibration:
-    def test_held_out_sphere_presses(self, geometry, membrane, calib_model, fixture_durations):
+    def test_held_out_sphere_presses(self, geometry, calib_model, fixture_durations):
         started = time.monotonic()
-        rmses = held_out_rmses(calib_model, geometry, membrane)
+        rmses = held_out_rmses(calib_model, geometry)
         elapsed = time.monotonic() - started + fixture_durations["calib_model"]
         ok = max(rmses) <= 0.025 and elapsed <= 300.0
         report(3, "calibration quality", ok,
@@ -298,11 +298,11 @@ class TestCriterion7CalibrationSeedSweep:
     change that moves it from the luck of that draw. One line per seed.
     """
 
-    def test_rig_targets_at_every_calibration_seed(self, geometry, membrane):
+    def test_rig_targets_at_every_calibration_seed(self, geometry):
         passed = []
         for seed in SWEEP_CALIBRATION_SEEDS:
             model = acceptance_model(geometry, seed)
-            worst_rmse = max(held_out_rmses(model, geometry, membrane))
+            worst_rmse = max(held_out_rmses(model, geometry))
             result = characterize(geometry, model, seed=0)
             ok = meets_rig_targets(result)
             passed.append(ok)
@@ -317,7 +317,7 @@ class TestCriterion7CalibrationSeedSweep:
 
 
 class TestCriterion8ExVivoProxy:
-    def test_fifty_random_presses(self, geometry, membrane, calib_model, detector):
+    def test_fifty_random_presses(self, geometry, calib_model, detector):
         started = time.monotonic()
         model, _, _ = detector
         rng = rng_stream(4242, 70)
@@ -340,8 +340,8 @@ class TestCriterion8ExVivoProxy:
                 )
             solution = contact_solve(cfg, geometry)
             seed = int(rng.integers(2**62))
-            ref = render_reading(zero, membrane, 2 * seed)
-            contact = render_reading(solution, membrane, 2 * seed + 1)
+            ref = render_reading(zero, 2 * seed)
+            contact = render_reading(solution, 2 * seed + 1)
             fv = extract_features(reconstruct(calib_model, ref, contact, geometry))
             predicted = classify(model, fv)
             correct += predicted == ("tumor" if has_tumor else "no-tumor")

@@ -37,7 +37,7 @@ def sha256(data: bytes) -> str:
 
 def artifact_hashes(root: Path) -> dict:
     """sha256 of a calibrate model, one disc_depths, two SVM fits and every criterion-9 artifact, made in ``root``."""
-    from phototact import PhantomConfig, SensorGeometry, color_delta, contact_solve, default_membrane, defaults
+    from phototact import PhantomConfig, SensorGeometry, color_delta, contact_solve, defaults
     from phototact.calibration import TrainConfig, build_calib_dataset, disc_depths, load_model, save_model, train_mlp
     from phototact.cli import blas_threads
     from phototact.detection import save_detector, train_svm
@@ -57,7 +57,7 @@ def artifact_hashes(root: Path) -> dict:
     hashes["calib.json"] = sha256(calib.read_bytes())
 
     cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
-    ref, contact = reading_pair(contact_solve(cfg, geom), default_membrane(geom), 5)
+    ref, contact = reading_pair(contact_solve(cfg, geom), 5)
     depths = disc_depths(load_model(calib), color_delta(ref, contact, geom))
     hashes["disc_depths"] = sha256(np.ascontiguousarray(depths).tobytes())
 

@@ -170,7 +170,6 @@ class TestCalibDataset:
         One capture is the calibrate benchmark's ``--captures 1``: a stream of one pair.
         """
         geom = request.getfixturevalue(which)
-        membrane = pt.default_membrane(geom)
         features, depths = build_calib_dataset(captures, geom, seed=31)
         draws = rng_stream(31, 12).random(captures)
         seeds = rng_stream(31, 13).integers(0, 2**62, size=2 * captures)
@@ -178,19 +177,19 @@ class TestCalibDataset:
         for i in range(captures):
             depth = pt.MAX_DEPTH_MM * (1.0 - float(draws[i]))
             truth = sphere_press_truth(depth, geom)
-            ref = render_reading(geom.zero_map(), membrane, int(seeds[2 * i]))
-            contact = render_reading(truth, membrane, int(seeds[2 * i + 1]))
+            ref = render_reading(geom.zero_map(), int(seeds[2 * i]))
+            contact = render_reading(truth, int(seeds[2 * i + 1]))
             rows_x.append(color_delta(ref, contact, geom))
             rows_y.append(truth.depths[geom.disc_mask].astype(np.float64))
         assert np.array_equal(features, np.concatenate(rows_x))
         assert np.array_equal(depths, np.concatenate(rows_y))
 
-    def test_tiny_press_contributes_near_null_rows(self, small_geometry, small_membrane):
+    def test_tiny_press_contributes_near_null_rows(self, small_geometry):
         # continuity at zero press: targets ~0 and color deltas within quantization
         depth = 1e-4
         truth = sphere_press_truth(depth, small_geometry)
-        ref = render_reading(small_geometry.zero_map(), small_membrane, seed=100)
-        contact = render_reading(truth, small_membrane, seed=101)
+        ref = render_reading(small_geometry.zero_map(), seed=100)
+        contact = render_reading(truth, seed=101)
         rows = color_delta(ref, contact, small_geometry)
         mask = small_geometry.disc_mask
         assert truth.depths[mask].max() <= depth
@@ -528,13 +527,12 @@ class TestDiscDepths:
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
     def test_match_reconstruct(self, request, which, fast_model):
         geom = request.getfixturevalue(which)
-        membrane = pt.default_membrane(geom)
         unclipped = random_model(np.random.default_rng(5))  # raw outputs fall below 0 and above max depth
         zero = geom.zero_map()
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
         for truth in (zero, sphere_press_truth(0.4, geom), contact_solve(cfg, geom)):
-            ref = render_reading(zero, membrane, 40)
-            contact = render_reading(truth, membrane, 41)
+            ref = render_reading(zero, 40)
+            contact = render_reading(truth, 41)
             for model in (fast_model, unclipped):
                 rows = disc_rows(ref.pixels[geom.disc_mask], contact.pixels[geom.disc_mask], geom)
                 depths = disc_depths(model, rows)
@@ -543,9 +541,9 @@ class TestDiscDepths:
                 assert np.array_equal(depths, recon.depths[geom.disc_mask].astype(np.float64))
                 assert np.all(recon.depths[~geom.disc_mask] == 0.0)
 
-    def test_reused_buffers_give_the_same_bits(self, small_geometry, small_membrane, fast_model):
-        ref = render_reading(small_geometry.zero_map(), small_membrane, 42)
-        contact = render_reading(sphere_press_truth(0.3, small_geometry), small_membrane, 43)
+    def test_reused_buffers_give_the_same_bits(self, small_geometry, fast_model):
+        ref = render_reading(small_geometry.zero_map(), 42)
+        contact = render_reading(sphere_press_truth(0.3, small_geometry), 43)
         rows = color_delta(ref, contact, small_geometry)
         expected = disc_depths(dataclasses.replace(fast_model), rows)
         model = dataclasses.replace(fast_model)
@@ -566,13 +564,13 @@ class TestDiscDepths:
         assert np.array_equal(out, expected)
         assert peak < len(x) * LAYER_SIZES[1] * 4  # less than one float32 hidden activation matrix
 
-    def test_float32_forward_tracks_the_float64_forward(self, geometry, membrane, calib_model):
+    def test_float32_forward_tracks_the_float64_forward(self, geometry, calib_model):
         # The float32 layers move the raw depths by float32 rounding only, a few 1e-7 mm on these presses.
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
         zero = geometry.zero_map()
         truths = (zero, sphere_press_truth(0.3, geometry), contact_solve(cfg, geometry))
         for seed, truth in enumerate(truths):
-            rows = color_delta(render_reading(zero, membrane, 2 * seed), render_reading(truth, membrane, 2 * seed + 1),
+            rows = color_delta(render_reading(zero, 2 * seed), render_reading(truth, 2 * seed + 1),
                                geometry)
             out = calib_model.forward(rows)
             assert out.dtype == np.float64
@@ -589,12 +587,11 @@ class TestAnalyticOracle:
 
     def test_reconstruction_tracks_hue_shift(self, geometry, calib_model, quiet_sensor):
         quiet_sensor(0.2)
-        membrane = pt.default_membrane(geometry)
         mask = geometry.disc_mask
         for depth, seed in ((0.15, 3), (0.3, 5), (0.45, 7)):
             truth = sphere_press_truth(depth, geometry)
-            ref = render_reading(geometry.zero_map(), membrane, 2 * seed)
-            contact = render_reading(truth, membrane, 2 * seed + 1)
+            ref = render_reading(geometry.zero_map(), 2 * seed)
+            contact = render_reading(truth, 2 * seed + 1)
             recon = reconstruct(calib_model, ref, contact, geometry).depths[mask].astype(np.float64)
             oracle = color_delta(ref, contact, geometry)[:, 0] / defaults.GAIN_H_DEG_PER_MM
             gap = recon - oracle
@@ -611,32 +608,32 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="does not match"):
             reconstruct(fast_model, img, img, small_geometry)
 
-    def test_null_contact_is_quiet(self, small_geometry, small_membrane, fast_model):
-        ref = render_reading(small_geometry.zero_map(), small_membrane, seed=51)
+    def test_null_contact_is_quiet(self, small_geometry, fast_model):
+        ref = render_reading(small_geometry.zero_map(), seed=51)
         recon = reconstruct(fast_model, ref, ref, small_geometry)
         mask = small_geometry.disc_mask
         # identical images: deltas are exactly zero, output is the model's null bias
         assert recon.depths[mask].mean() < 0.003
 
-    def test_sphere_press_rmse(self, small_geometry, small_membrane, fast_model):
+    def test_sphere_press_rmse(self, small_geometry, fast_model):
         rng = rng_stream(12, 60)
         mask = small_geometry.disc_mask
         zero = small_geometry.zero_map()
         for _ in range(3):
             depth = 0.5 * (1.0 - float(rng.random()))
             truth = sphere_press_truth(depth, small_geometry)
-            ref = render_reading(zero, small_membrane, int(rng.integers(2**62)))
-            contact = render_reading(truth, small_membrane, int(rng.integers(2**62)))
+            ref = render_reading(zero, int(rng.integers(2**62)))
+            contact = render_reading(truth, int(rng.integers(2**62)))
             recon = reconstruct(fast_model, ref, contact, small_geometry)
             err = recon.depths[mask].astype(np.float64) - truth.depths[mask].astype(np.float64)
             assert np.sqrt(np.mean(err**2)) <= 0.025
 
-    def test_tumor_press_argmax_near_projection(self, small_geometry, small_membrane, fast_model):
+    def test_tumor_press_argmax_near_projection(self, small_geometry, fast_model):
         cfg = PhantomConfig(tumor_present=True, ball_diameter_mm=8.0, burial_depth_mm=2.0,
                             lateral_offset_mm=(1.0, -0.5))
         solution = contact_solve(cfg, small_geometry)
-        ref = render_reading(small_geometry.zero_map(), small_membrane, seed=70)
-        contact = render_reading(solution, small_membrane, seed=71)
+        ref = render_reading(small_geometry.zero_map(), seed=70)
+        contact = render_reading(solution, seed=71)
         recon = reconstruct(fast_model, ref, contact, small_geometry)
         depths = np.where(small_geometry.disc_mask, recon.depths, -1.0)
         row, col = np.unravel_index(np.argmax(depths), depths.shape)
@@ -644,11 +641,11 @@ class TestReconstruct:
         distance_px = np.hypot(gx[row, col] - 1.0, gy[row, col] + 0.5) / small_geometry.mm_per_pixel
         assert distance_px <= 5.0
 
-    def test_mirror_equivariance_exact_for_position_free_model(self, small_geometry, small_membrane):
+    def test_mirror_equivariance_exact_for_position_free_model(self, small_geometry):
         model = linear_hue_model(1.0 / defaults.GAIN_H_DEG_PER_MM)
         truth = sphere_press_truth(0.3, small_geometry)
-        ref = render_reading(small_geometry.zero_map(), small_membrane, seed=80)
-        contact = render_reading(truth, small_membrane, seed=81)
+        ref = render_reading(small_geometry.zero_map(), seed=80)
+        contact = render_reading(truth, seed=81)
         recon = reconstruct(model, ref, contact, small_geometry)
         mirrored = reconstruct(
             model,
@@ -658,7 +655,7 @@ class TestReconstruct:
         )
         assert np.array_equal(mirrored.depths, recon.depths[:, ::-1])
 
-    def test_mirror_equivariance_with_augmented_training(self, small_geometry, small_membrane):
+    def test_mirror_equivariance_with_augmented_training(self, small_geometry):
         features, depths = build_calib_dataset(6, small_geometry, seed=21)
         flipped = features.copy()
         flipped[:, 3] = 1.0 - flipped[:, 3]
@@ -668,8 +665,8 @@ class TestReconstruct:
             TrainConfig(epochs=25, seed=21),
         )
         truth = sphere_press_truth(0.35, small_geometry)
-        ref = render_reading(small_geometry.zero_map(), small_membrane, seed=90)
-        contact = render_reading(truth, small_membrane, seed=91)
+        ref = render_reading(small_geometry.zero_map(), seed=90)
+        contact = render_reading(truth, seed=91)
         recon = reconstruct(model, ref, contact, small_geometry)
         mirrored = reconstruct(
             model,

@@ -23,7 +23,7 @@ from phototact.phantom import clean_pixels, render_reading, rng_stream, spherica
 from conftest import linear_hue_model
 
 
-def predicted_null_std(geom, membrane):
+def predicted_null_std(geom):
     """The null-difference std that the device's noise constants predict, from no capture.
 
     With noise_std and speckle the ``defaults.SENSOR_NOISE_STD`` and ``defaults.SPECKLE_AMPLITUDE`` constants, a disc
@@ -32,7 +32,7 @@ def predicted_null_std(geom, membrane):
     Phi((k + 1/2 - c) / sigma) - Phi((k - 1/2 - c) / sigma). The difference of two independent readings has twice
     a channel's variance, and the std over the disc is the root of the mean.
     """
-    clean = clean_pixels(geom.zero_map(), membrane, geom.disc_index).reshape(-1, 1)
+    clean = clean_pixels(geom.zero_map(), geom.disc_index).reshape(-1, 1)
     sigma = np.hypot(defaults.SENSOR_NOISE_STD, defaults.SPECKLE_AMPLITUDE * clean)
     levels = np.floor(clean) + np.arange(-10, 12)  # every level within 19 sigma of c, the widest sigma being 0.49
     edges = np.concatenate([levels - 0.5, levels[:, -1:] + 0.5], axis=1)
@@ -98,10 +98,10 @@ class TestNullDifference:
         with pytest.raises(ValueError, match="sensing-disc pixel"):
             null_difference_stat(px, px[:, :2], small_geometry)
 
-    def test_disc_pixels_match_readings(self, small_geometry, small_membrane):
+    def test_disc_pixels_match_readings(self, small_geometry):
         zero = small_geometry.zero_map()
         mask = small_geometry.disc_mask
-        before, after = render_reading(zero, small_membrane, 4), render_reading(zero, small_membrane, 5)
+        before, after = render_reading(zero, 4), render_reading(zero, 5)
         stat = null_difference_stat(before.pixels[mask], after.pixels[mask], small_geometry)
         assert stat > 0.0
         ((_, ref, contact),) = pt.disc_captures([([zero], [[(4, 5)]])], small_geometry)
@@ -113,30 +113,30 @@ class TestNullDifference:
         with pytest.raises(ValueError, match="sensing-disc pixel"):
             null_difference_stat(px, px, small_geometry)
 
-    def test_default_noise_matches_tuning_target(self, geometry, membrane):
+    def test_default_noise_matches_tuning_target(self, geometry):
         zero = geometry.zero_map()
         mask = geometry.disc_mask
         values = [
             null_difference_stat(
-                render_reading(zero, membrane, 2 * s).pixels[mask],
-                render_reading(zero, membrane, 2 * s + 1).pixels[mask],
+                render_reading(zero, 2 * s).pixels[mask],
+                render_reading(zero, 2 * s + 1).pixels[mask],
                 geometry,
             )
             for s in range(4)
         ]
         assert np.mean(values) == pytest.approx(0.7, abs=0.07)
 
-    def test_default_noise_is_the_predicted_std(self, small_geometry, small_membrane):
+    def test_default_noise_is_the_predicted_std(self, small_geometry):
         """40 null pairs read the std their constants predict: the mean within 0.3%, each pair within 2.5%."""
         zero = small_geometry.zero_map()
         captures = pt.disc_captures([([zero], [[(2 * s, 2 * s + 1) for s in range(40)]])], small_geometry)
         stats = np.array([null_difference_stat(ref, contact, small_geometry) for _, ref, contact in captures])
-        predicted = predicted_null_std(small_geometry, small_membrane)
+        predicted = predicted_null_std(small_geometry)
         assert predicted == pytest.approx(0.70, abs=0.01)
         assert stats.mean() == pytest.approx(predicted, rel=0.003)
         assert np.all(np.abs(stats / predicted - 1.0) < 0.025), stats / predicted
 
-    def test_doubling_noise_roughly_doubles_stat(self, small_geometry, small_membrane, quiet_sensor):
+    def test_doubling_noise_roughly_doubles_stat(self, small_geometry, quiet_sensor):
         # Monte Carlo over seeds; quantization adds a floor, so compare after
         # removing it in quadrature
         zero = small_geometry.zero_map()
@@ -145,8 +145,8 @@ class TestNullDifference:
             quiet_sensor(noise_std)
             vals = [
                 null_difference_stat(
-                    render_reading(zero, small_membrane, 2 * s).pixels[mask],
-                    render_reading(zero, small_membrane, 2 * s + 1).pixels[mask],
+                    render_reading(zero, 2 * s).pixels[mask],
+                    render_reading(zero, 2 * s + 1).pixels[mask],
                     small_geometry,
                 )
                 for s in range(6)
@@ -328,9 +328,9 @@ class TestMeasurementLoops:
         return report, streams
 
     @staticmethod
-    def measure(geom, membrane, model, truth, seed_pair):
-        ref = render_reading(geom.zero_map(), membrane, int(seed_pair[0]))
-        contact = render_reading(truth, membrane, int(seed_pair[1]))
+    def measure(geom, model, truth, seed_pair):
+        ref = render_reading(geom.zero_map(), int(seed_pair[0]))
+        contact = render_reading(truth, int(seed_pair[1]))
         depths = reconstruct(model, ref, contact, geom).depths[geom.disc_mask]
         return depths.astype(np.float64)
 
@@ -342,7 +342,7 @@ class TestMeasurementLoops:
         report, _ = run
         assert report.saturation_n == saturation_onset(self.FORCES) == 0.11
 
-    def test_trials_match_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+    def test_trials_match_per_capture_reference(self, run, fast_model, small_geometry):
         """Every trial takes the reference seed of trial 0 of step 0 and its own contact seed."""
         report, _ = run
         n_trials = defaults.CHAR_TRIALS
@@ -352,28 +352,28 @@ class TestMeasurementLoops:
         for t in range(n_trials):
             for j, depth in enumerate(self.STEPS):
                 truth = indenter_truth(depth, small_geometry)
-                expected = self.measure(small_geometry, small_membrane, fast_model, truth, seeds[t, j]).max()
+                expected = self.measure(small_geometry, fast_model, truth, seeds[t, j]).max()
                 assert report.trials.measurements[t, j] == expected
 
-    def test_noise_floor_matches_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+    def test_noise_floor_matches_per_capture_reference(self, run, fast_model, small_geometry):
         """Every null pair takes the first pair's reference seed and its own contact seed."""
         report, _ = run
         pairs = defaults.CHAR_NULL_PAIRS
         seeds = rng_stream(self.SEED, characterization._STREAM_NULL).integers(0, 2**62, size=2 * pairs)
         zero = small_geometry.zero_map()
-        stds = [float(self.measure(small_geometry, small_membrane, fast_model, zero, (seeds[0], contact)).std())
+        stds = [float(self.measure(small_geometry, fast_model, zero, (seeds[0], contact)).std())
                 for contact in seeds[1::2]]
         assert report.noise_floor_mm == float(np.mean(stds))
 
-    def test_null_std_matches_full_readings(self, run, small_geometry, small_membrane):
+    def test_null_std_matches_full_readings(self, run, small_geometry):
         report, _ = run
         seeds = rng_stream(self.SEED + 3, characterization._STREAM_NULL).integers(0, 2**62, size=2)
         zero = small_geometry.zero_map()
         mask = small_geometry.disc_mask
-        before, after = (render_reading(zero, small_membrane, int(s)).pixels[mask] for s in seeds)
+        before, after = (render_reading(zero, int(s)).pixels[mask] for s in seeds)
         assert report.null_std == null_difference_stat(before, after, small_geometry)
 
-    def test_sweep_matches_per_capture_reference(self, run, fast_model, small_geometry, small_membrane):
+    def test_sweep_matches_per_capture_reference(self, run, fast_model, small_geometry):
         """Every press of a sweep takes the reference seed of the sweep's first press and its own contact seed."""
         report, _ = run
         n_trials = defaults.CHAR_TRIALS
@@ -385,7 +385,7 @@ class TestMeasurementLoops:
             for i, force in enumerate(sorted(self.FORCES, reverse=unloading)):
                 assert sweep.forces[i] == force
                 truth = indenter_truth(force_to_depth(force), small_geometry, unloading=unloading)
-                depths = [self.measure(small_geometry, small_membrane, fast_model, truth, seeds[i, t])
+                depths = [self.measure(small_geometry, fast_model, truth, seeds[i, t])
                           for t in range(n_trials)]
                 assert sweep.max_depths[i] == np.mean([d.max() for d in depths])
                 assert sweep.mean_depths[i] == np.mean([d.mean() for d in depths])

@@ -356,6 +356,20 @@ class TestDatasetVerbs:
             for written, pressed in zip(cli._press_files(data / sample_id), cli._press_files(prefix)):
                 assert Path(written).read_bytes() == Path(pressed).read_bytes(), written
 
+    def test_two_verbs_build_the_membrane_once(self, tmp_path, tiny_spec, monkeypatch):
+        """``phantom`` then ``dataset`` in one process, at a frame shape no other test renders, build the membrane's
+        baseline (its three cosine fields) once and its noise-free rest render (the one full-frame
+        ``deformed_hsv``) once."""
+        fields, frames = [], []
+        smooth_field, deformed_hsv = phantom._smooth_field, phantom.deformed_hsv
+        monkeypatch.setattr(phantom, "_smooth_field", lambda *args: fields.append(1) or smooth_field(*args))
+        monkeypatch.setattr(phantom, "deformed_hsv",
+                            lambda dmap, *args: frames.append(dmap.depths.shape) or deformed_hsv(dmap, *args))
+        flags = ["--width", "110", "--height", "90", "--mm-per-pixel", "0.1"]
+        assert run(["phantom", *flags, "--no-tumor", "--seed", 3, "--out-prefix", tmp_path / "press"]) == 0
+        assert run(["dataset", *flags, "--spec", tiny_spec, "--seed", 7, "--out", tmp_path / "data"]) == 0
+        assert len(fields) == 3 and frames == [(90, 110)]
+
     def test_detector_training_and_evaluate(self, tmp_path, tiny_spec, tiny_model_path, capsys):
         data = tmp_path / "data"
         assert run(["dataset", *SMALL, "--spec", tiny_spec, "--seed", 7, "--out", data]) == 0

@@ -6,10 +6,9 @@ import pytest
 import phototact as pt
 from phototact.calibration import LAYER_SIZES, TrainConfig
 from phototact.imprint import ImprintParams
-from phototact.phantom import PhantomConfig
+from phototact.phantom import PhantomConfig, membrane_baseline
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
-BASELINE = np.full((2, 2, 3), [10.0, 0.5, 0.5])
 
 CASES = [
     (PhantomConfig, {"tumor_present": True}, "applied_mass_g"),
@@ -53,34 +52,15 @@ def test_phantom_parameters_must_be_numbers():
         PhantomConfig(tumor_present=True, ball_diameter_mm="6")
 
 
-@pytest.mark.parametrize(
-    "baseline, message",
-    [
-        (np.full((2, 2), 0.5), "shaped"),
-        (np.full((2, 2, 4), 0.5), "shaped"),
-        (np.full((0, 2, 3), 0.5), "shaped"),
-        (np.full((2, 2, 3), [360.0, 0.5, 0.5]), "hue"),
-        (np.full((2, 2, 3), [-1.0, 0.5, 0.5]), "hue"),
-        (np.full((2, 2, 3), [10.0, 1.5, 0.5]), "saturation"),
-        (np.full((2, 2, 3), [10.0, 0.5, -0.1]), "value"),
-        (np.full((2, 2, 3), [math.nan, 0.5, 0.5]), "hue"),
-    ],
-    ids=["2-d", "4-channels", "empty", "hue-360", "hue-negative", "saturation-1.5", "value-negative", "hue-nan"],
-)
-def test_membrane_baseline_rejected(baseline, message):
-    with pytest.raises(ValueError, match=message):
-        pt.MembraneModel(baseline=baseline)
-
-
-def test_membrane_baseline_is_a_frozen_float64_copy():
-    given = np.full((2, 3, 3), [359.5, 1.0, 0.0], dtype=np.float32)
-    model = pt.MembraneModel(baseline=given)
-    assert model.baseline.dtype == np.float64 and model.baseline.shape == (2, 3, 3)
-    assert np.array_equal(model.baseline, given)
+@pytest.mark.parametrize("width, height", [(320, 240), (100, 80)])
+def test_membrane_baseline_is_read_only_float64_in_range(width, height):
+    baseline = membrane_baseline((height, width))
+    assert baseline.dtype == np.float64 and baseline.shape == (height, width, 3)
     with pytest.raises(ValueError, match="read-only"):
-        model.baseline[0, 0, 0] = 1.0
-    given[0, 0, 0] = 1.0
-    assert model.baseline[0, 0, 0] == 359.5
+        baseline[0, 0, 0] = 1.0
+    hue, sat, val = baseline[..., 0], baseline[..., 1], baseline[..., 2]
+    assert np.all(hue >= 0.0) and np.all(hue < 360.0)
+    assert np.all(sat >= 0.0) and np.all(sat <= 1.0) and np.all(val >= 0.0) and np.all(val <= 1.0)
 
 
 # Each class that stores arrays, with a factory of constructor arguments whose arrays need no conversion.
@@ -96,7 +76,6 @@ ARRAY_OWNERS = {
     "ForceSweep": (pt.ForceSweep, lambda: {"forces": np.array([0.1, 0.2]), "max_depths": np.zeros(2),
                                            "mean_depths": np.zeros(2), "direction": "loading"}),
     "TrialSet": (pt.TrialSet, lambda: {"step_depths": np.array([0.1, 0.2]), "measurements": np.zeros((2, 2))}),
-    "MembraneModel": (pt.MembraneModel, lambda: {"baseline": BASELINE.copy()}),
     "RgbImage": (pt.RgbImage, lambda: {"pixels": np.zeros((2, 2, 3), np.uint8)}),
 }
 

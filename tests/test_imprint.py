@@ -8,7 +8,7 @@ import phototact as pt
 from phototact import defaults
 from phototact.imaging import RgbImage
 from phototact.imprint import ImprintParams, augmented_imprint, color_delta
-from phototact.phantom import deformed_hsv
+from phototact.phantom import deformed_hsv, membrane_baseline
 
 
 def imprint_oracle(ref, contact, alpha, beta):
@@ -153,17 +153,16 @@ class TestColorDelta:
     def test_simulated_uniform_press_hue_shift(self, small_geometry, quiet_sensor):
         # forward-model constants: 0.2 mm at GAIN_H_DEG_PER_MM deg/mm, checked both before
         # and after 8-bit quantization
-        membrane = pt.default_membrane(small_geometry)
         depths = np.full((small_geometry.height, small_geometry.width), 0.2, dtype=np.float32)
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
         expected = 0.2 * defaults.GAIN_H_DEG_PER_MM
 
-        hue, _, _ = deformed_hsv(dmap, membrane)
-        exact = pt.hue_delta(hue, membrane.baseline[..., 0])
+        hue, _, _ = deformed_hsv(dmap)
+        exact = pt.hue_delta(hue, membrane_baseline(depths.shape)[..., 0])
         assert np.allclose(exact, expected, atol=1e-9)
 
-        ref = pt.render_reading(small_geometry.zero_map(), membrane, seed=0)
-        contact = pt.render_reading(dmap, membrane, seed=1)
+        ref = pt.render_reading(small_geometry.zero_map(), seed=0)
+        contact = pt.render_reading(dmap, seed=1)
         rows = color_delta(ref, contact, small_geometry)
         assert rows.shape[0] == small_geometry.disc_mask.sum()
         # 8-bit quantization bounds the per-pixel hue error
@@ -187,11 +186,10 @@ class TestColorDelta:
     @pytest.mark.parametrize("geometry_name", ["small_geometry", "geometry"])
     def test_disc_rows_match_full_frame_reference(self, request, geometry_name):
         geom = request.getfixturevalue(geometry_name)
-        membrane = pt.default_membrane(geom)
         pairs = [
             (
-                pt.render_reading(geom.zero_map(), membrane, seed=3),
-                pt.render_reading(pt.sphere_press_truth(0.4, geom), membrane, seed=4),
+                pt.render_reading(geom.zero_map(), seed=3),
+                pt.render_reading(pt.sphere_press_truth(0.4, geom), seed=4),
             )
         ]
         rng = np.random.default_rng(5)  # arbitrary colors reach every hue sector

@@ -236,14 +236,14 @@ class TestSpherePress:
         assert quad == pytest.approx(spherical_cap_volume(0.4, 2.0), rel=2e-3)
 
 
-def uncached_clean(dmap, membrane):
+def uncached_clean(dmap):
     """Reference noise-free render: deformed HSV -> real RGB over the full frame."""
-    return hsv_to_rgb_real(*deformed_hsv(dmap, membrane))
+    return hsv_to_rgb_real(*deformed_hsv(dmap))
 
 
-def uncached_render(dmap, membrane, seed):
+def uncached_render(dmap, seed):
     """Reference render: :func:`uncached_clean` -> full-frame Philox speckle and noise -> 8 bits."""
-    real = uncached_clean(dmap, membrane)
+    real = uncached_clean(dmap)
     noise = rng_stream(seed, STREAM_RENDER).standard_normal(real.shape[:2] + (4,))
     speckle = 1.0 + defaults.SPECKLE_AMPLITUDE * noise[..., 0]
     noisy = real * speckle[..., None] + defaults.SENSOR_NOISE_STD * noise[..., 1:4]
@@ -252,7 +252,7 @@ def uncached_render(dmap, membrane, seed):
 
 class TestRenderReading:
     @pytest.mark.parametrize("seed", [0, 5, 2**62])
-    def test_matches_uncached_render_bit_for_bit(self, small_geometry, small_membrane, seed):
+    def test_matches_uncached_render_bit_for_bit(self, small_geometry, seed):
         geom = small_geometry
         cfg = PhantomConfig(tumor_present=True, lateral_offset_mm=(1.0, -0.5))
         everywhere = np.full((geom.height, geom.width), 0.2, dtype=np.float32)  # non-zero outside the disc too
@@ -269,73 +269,66 @@ class TestRenderReading:
         )
         assert np.signbit(maps[4].depths).any() and np.signbit(maps[5].depths).all()
         for dmap in maps:
-            rendered = render_reading(dmap, small_membrane, seed)
-            assert np.array_equal(rendered.pixels, uncached_render(dmap, small_membrane, seed))
+            rendered = render_reading(dmap, seed)
+            assert np.array_equal(rendered.pixels, uncached_render(dmap, seed))
 
     @pytest.mark.parametrize("seed", [0, 2**62])
-    def test_blocked_noise_is_one_fill(self, geometry, membrane, seed):
+    def test_blocked_noise_is_one_fill(self, geometry, seed):
         """At 320x240 the noise is drawn in ten blocks, which continue one Philox fill: the full frame equals the
         one-fill reference, and the disc captures equal its disc."""
         assert geometry.width * geometry.height > 9 * phantom._NOISE_BLOCK_PX
         maps = press_maps(geometry)
-        expected = [uncached_render(dmap, membrane, seed) for dmap in maps]
+        expected = [uncached_render(dmap, seed) for dmap in maps]
         for dmap, reference in zip(maps, expected):
-            assert np.array_equal(render_reading(dmap, membrane, seed).pixels, reference)
+            assert np.array_equal(render_reading(dmap, seed).pixels, reference)
         mask = geometry.disc_mask
         captured = pt.disc_captures([(maps, [[(seed, seed)]] * len(maps))], geometry)
         for (_, ref, contact), reference in zip(captured, expected, strict=True):
             assert np.array_equal(ref, expected[0][mask])  # maps[0] is the zero map
             assert np.array_equal(contact, reference[mask])
 
-    def test_rest_render_cached_and_read_only(self, small_geometry, monkeypatch):
-        membrane = pt.default_membrane(small_geometry)
-        rest = membrane.rest_rgb
-        assert membrane.rest_rgb is rest
+    def test_rest_render_cached_and_read_only(self, geometry, small_geometry, monkeypatch):
+        """The noise-free unloaded render is kept per frame shape, for two shapes at once, and the zero map reuses
+        it."""
+        shape = (small_geometry.height, small_geometry.width)
+        rest = phantom._rest_rgb(shape)
+        assert phantom._rest_rgb((geometry.height, geometry.width)).shape == (geometry.height, geometry.width, 3)
+        assert phantom._rest_rgb(shape) is rest
         assert not rest.flags.writeable
         with pytest.raises(ValueError):
             rest[0, 0, 0] = 0.0
-        expected = uncached_render(small_geometry.zero_map(), membrane, 4)
+        expected = uncached_render(small_geometry.zero_map(), 4)
 
         def no_render(*args):
             raise AssertionError("the zero map must reuse the cached rest render")
 
         monkeypatch.setattr(pt.phantom, "_shifted_hsv", no_render)
-        assert np.array_equal(render_reading(small_geometry.zero_map(), membrane, 4).pixels, expected)
-
-    def test_zero_map_dimension_mismatch(self, small_geometry, membrane):
-        with pytest.raises(ValueError, match="does not match"):
-            render_reading(small_geometry.zero_map(), membrane, seed=0)
+        assert np.array_equal(render_reading(small_geometry.zero_map(), 4).pixels, expected)
 
     def test_noise_free_zero_deformation_is_baseline(self, small_geometry, quiet_sensor):
-        membrane = pt.default_membrane(small_geometry)
-        img = render_reading(small_geometry.zero_map(), membrane, seed=5)
-        base = membrane.baseline
+        img = render_reading(small_geometry.zero_map(), seed=5)
+        base = phantom.membrane_baseline((small_geometry.height, small_geometry.width))
         assert np.array_equal(img.pixels, quantize_channels(hsv_to_rgb_real(base[..., 0], base[..., 1], base[..., 2])))
 
-    def test_same_seed_bit_identical(self, small_geometry, small_membrane):
+    def test_same_seed_bit_identical(self, small_geometry):
         dmap = sphere_press_truth(0.25, small_geometry)
-        a = render_reading(dmap, small_membrane, seed=17)
-        b = render_reading(dmap, small_membrane, seed=17)
+        a = render_reading(dmap, seed=17)
+        b = render_reading(dmap, seed=17)
         assert np.array_equal(a.pixels, b.pixels)
-        c = render_reading(dmap, small_membrane, seed=18)
+        c = render_reading(dmap, seed=18)
         assert not np.array_equal(a.pixels, c.pixels)
 
     def test_uniform_press_shifts_hue_exactly(self, small_geometry, quiet_sensor):
-        membrane = pt.default_membrane(small_geometry)
         depths = np.full((small_geometry.height, small_geometry.width), 0.2, dtype=np.float32)
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
-        rendered = render_reading(dmap, membrane, seed=0)
-        base = membrane.baseline
+        rendered = render_reading(dmap, seed=0)
+        base = phantom.membrane_baseline(depths.shape)
         hue = np.mod(base[..., 0] + 0.2 * defaults.GAIN_H_DEG_PER_MM, 360.0)
         assert np.all(hue < 360.0)
         sat = np.clip(base[..., 1] + 0.2 * defaults.GAIN_S_PER_MM, 0.0, 1.0)
         val = np.clip(base[..., 2] + 0.2 * defaults.GAIN_V_PER_MM, 0.0, 1.0)
         expected = quantize_channels(hsv_to_rgb_real(hue, sat, val))
         assert np.array_equal(rendered.pixels, expected)
-
-    def test_dimension_mismatch(self, small_geometry, membrane):
-        with pytest.raises(ValueError, match="does not match"):
-            deformed_hsv(small_geometry.zero_map(), membrane)
 
 
 def press_maps(geom):
@@ -358,12 +351,11 @@ class TestDiscPixels:
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
     def test_clean_pixels_match_clean_rgb(self, request, which):
         geom = request.getfixturevalue(which)
-        membrane = pt.default_membrane(geom)
         full = np.ones((geom.height, geom.width), dtype=bool)
         for dmap in press_maps(geom):
             for mask in (geom.disc_mask, bottom_row_mask(geom), full):
-                clean = pt.clean_pixels(dmap, membrane, np.flatnonzero(mask))
-                assert np.array_equal(clean, uncached_clean(dmap, membrane)[mask])
+                clean = pt.clean_pixels(dmap, np.flatnonzero(mask))
+                assert np.array_equal(clean, uncached_clean(dmap)[mask])
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 - 1])
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
@@ -371,14 +363,13 @@ class TestDiscPixels:
         """The disc captures, and the noise worker's body at any increasing index, give the masked pixels of the
         full-frame render."""
         geom = request.getfixturevalue(which)
-        membrane = pt.default_membrane(geom)
         full = np.ones((geom.height, geom.width), dtype=bool)
         maps = press_maps(geom)
-        readings = [render_reading(dmap, membrane, seed).pixels for dmap in maps]
+        readings = [render_reading(dmap, seed).pixels for dmap in maps]
         for dmap, reading in zip(maps, readings):
-            clean = uncached_clean(dmap, membrane)
+            clean = uncached_clean(dmap)
             for mask in (bottom_row_mask(geom), full):
-                captured = phantom._noisy_capture(clean[mask], seed, np.flatnonzero(mask), geom.width)
+                captured = phantom._noisy_capture(clean[mask], seed, np.flatnonzero(mask))
                 assert captured.dtype == np.uint8
                 assert np.array_equal(captured, reading[mask])
         mask = geom.disc_mask
@@ -390,16 +381,15 @@ class TestDiscPixels:
             assert np.array_equal(contact, reading[mask])
 
     def test_noise_drawn_only_through_the_last_masked_row(self, small_geometry):
-        rows = int(np.flatnonzero(small_geometry.disc_mask.any(axis=1))[-1]) + 1
-        assert rows < small_geometry.height
-        shape = (small_geometry.height, small_geometry.width, 4)
+        """The disc's noise stops at its last pixel, inside its last row: the normals of the pixels up to it are a
+        prefix of the full frame's."""
+        pixels = int(small_geometry.disc_index[-1]) + 1
+        last_row = int(np.flatnonzero(small_geometry.disc_mask.any(axis=1))[-1])
+        assert last_row * small_geometry.width < pixels < (last_row + 1) * small_geometry.width
+        shape = (small_geometry.height * small_geometry.width, 4)
         for seed in [*range(200), 2**62 - 1, 2**64 - 1]:
-            prefix = rng_stream(seed, STREAM_RENDER).standard_normal((rows,) + shape[1:])
-            assert np.array_equal(prefix, rng_stream(seed, STREAM_RENDER).standard_normal(shape)[:rows])
-
-    def test_dimension_mismatch(self, small_geometry, membrane):
-        with pytest.raises(ValueError, match="does not match"):
-            pt.clean_pixels(small_geometry.zero_map(), membrane, small_geometry.disc_index)
+            prefix = rng_stream(seed, STREAM_RENDER).standard_normal((pixels, 4))
+            assert np.array_equal(prefix, rng_stream(seed, STREAM_RENDER).standard_normal(shape)[:pixels])
 
 
 def wait_until(condition, timeout=10.0):
@@ -420,11 +410,10 @@ class TestNoiseWorker:
         """With both noise constants at 0, a reading is the quantized noise-free frame and each disc capture is that
         frame's disc: the worker thread reads the sensor's noise constants when it draws, as the main thread does."""
         geom = request.getfixturevalue(which)
-        membrane = pt.default_membrane(geom)
         maps = press_maps(geom)
-        frames = [quantize_channels(uncached_clean(dmap, membrane)) for dmap in maps]
+        frames = [quantize_channels(uncached_clean(dmap)) for dmap in maps]
         for dmap, frame in zip(maps, frames):
-            assert np.array_equal(render_reading(dmap, membrane, 3).pixels, frame)
+            assert np.array_equal(render_reading(dmap, 3).pixels, frame)
         mask = geom.disc_mask
         captured = pt.disc_captures([(maps, [[(1, 2), (3, 4)]] * len(maps))], geom)
         for (_, ref, contact), frame in zip(captured, [frame for frame in frames for _ in range(2)], strict=True):
@@ -435,13 +424,12 @@ class TestNoiseWorker:
     def test_disc_captures_equal_the_serial_captures(self, request, which):
         """The prefetched captures equal the disc of the full-frame render, made serially at each seed."""
         geom = request.getfixturevalue(which)
-        membrane = pt.default_membrane(geom)
         truths = press_maps(geom)
         seed_pairs = [[(1, 2), (3, 4)], [(5, 6)], [(2**62 - 1, 0), (7, 7)]]
         mask = geom.disc_mask
         zero = geom.zero_map()
-        serial = [(truth, render_reading(zero, membrane, ref_seed).pixels[mask],
-                   render_reading(truth, membrane, contact_seed).pixels[mask])
+        serial = [(truth, render_reading(zero, ref_seed).pixels[mask],
+                   render_reading(truth, contact_seed).pixels[mask])
                   for truth, pairs in zip(truths, seed_pairs) for ref_seed, contact_seed in pairs]
         prefetched = list(pt.disc_captures([(truths, seed_pairs)], geom))
         assert len(prefetched) == len(serial) == 5
@@ -450,7 +438,7 @@ class TestNoiseWorker:
             assert ref.dtype == contact.dtype == np.uint8
             assert np.array_equal(ref, serial_ref) and np.array_equal(contact, serial_contact)
 
-    def test_disc_captures_run_at_most_one_pair_ahead(self, small_geometry, small_membrane, monkeypatch):
+    def test_disc_captures_run_at_most_one_pair_ahead(self, small_geometry, monkeypatch):
         made = []  # the seed of each capture's noise, as it is drawn
         body = phantom._noisy_capture
 
@@ -470,11 +458,11 @@ class TestNoiseWorker:
             time.sleep(0.05)  # room for a pair beyond the bound to start
             assert made == list(range(1, made_by_now + 1))
         mask = small_geometry.disc_mask
-        assert np.array_equal(ref, render_reading(small_geometry.zero_map(), small_membrane, 7).pixels[mask])
-        assert np.array_equal(contact, render_reading(truth, small_membrane, 8).pixels[mask])
+        assert np.array_equal(ref, render_reading(small_geometry.zero_map(), 7).pixels[mask])
+        assert np.array_equal(contact, render_reading(truth, 8).pixels[mask])
         assert next(stream, None) is None
 
-    def test_a_repeated_reference_seed_is_drawn_once(self, small_geometry, small_membrane, monkeypatch):
+    def test_a_repeated_reference_seed_is_drawn_once(self, small_geometry, monkeypatch):
         """Consecutive pairs naming one reference seed share one draw; a seed that comes back is drawn again."""
         made = []
         body = phantom._noisy_capture
@@ -493,8 +481,8 @@ class TestNoiseWorker:
         zero = small_geometry.zero_map()
         assert captured[1][1] is captured[0][1]
         for (_, ref, contact), (ref_seed, contact_seed) in zip(captured, [p for pairs in seed_pairs for p in pairs]):
-            assert np.array_equal(ref, render_reading(zero, small_membrane, ref_seed).pixels[mask])
-            assert np.array_equal(contact, render_reading(truth, small_membrane, contact_seed).pixels[mask])
+            assert np.array_equal(ref, render_reading(zero, ref_seed).pixels[mask])
+            assert np.array_equal(contact, render_reading(truth, contact_seed).pixels[mask])
 
     def test_captures_are_yielded_read_only(self, small_geometry):
         """A consumer cannot change a shared reference under a later pair."""
@@ -551,11 +539,11 @@ class TestNoiseWorker:
 
 class TestReadingPair:
     @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
-    def test_reading_pair_renders_at_twice_the_seed_and_the_next(self, small_geometry, small_membrane, seed):
+    def test_reading_pair_renders_at_twice_the_seed_and_the_next(self, small_geometry, seed):
         dmap = sphere_press_truth(0.3, small_geometry)
-        ref, contact = reading_pair(dmap, small_membrane, seed)
-        assert np.array_equal(ref.pixels, render_reading(small_geometry.zero_map(), small_membrane, 2 * seed).pixels)
-        assert np.array_equal(contact.pixels, render_reading(dmap, small_membrane, 2 * seed + 1).pixels)
+        ref, contact = reading_pair(dmap, seed)
+        assert np.array_equal(ref.pixels, render_reading(small_geometry.zero_map(), 2 * seed).pixels)
+        assert np.array_equal(contact.pixels, render_reading(dmap, 2 * seed + 1).pixels)
 
 
 class TestPhantomConfigFromDict:
@@ -683,7 +671,7 @@ class TestDataset:
         diam_depth = {(cfg.ball_diameter_mm, cfg.burial_depth_mm) for _, label, cfg, _ in presses if label == 1}
         assert len(diam_depth) == 35
 
-    def test_deterministic_bytes(self, small_geometry, small_membrane):
+    def test_deterministic_bytes(self, small_geometry):
         spec = DatasetSpec(diameters_mm=(4.0,), burial_depths_mm=(2.0,), presses_per_positive=2,
                            negative_masses_g=(1000.0,), presses_per_negative_mass=2)
 
@@ -692,7 +680,7 @@ class TestDataset:
             presses = []
             for sample_id, _, cfg, press_seed in dataset_presses(spec, seed):
                 truth = contact_solve(cfg, small_geometry)
-                presses.append((sample_id, *reading_pair(truth, small_membrane, press_seed), truth))
+                presses.append((sample_id, *reading_pair(truth, press_seed), truth))
             return presses
 
         first, second = rendered(11), rendered(11)

@@ -74,11 +74,11 @@ def test_every_argument_read_is_known():
     assert {arg for _, reader in READERS for arg in arguments_read(reader)} == {"features", "x", "path", "direction"}
 
 
-def test_reconstruct_runs_the_traced_color_path(small_geometry, small_membrane):
+def test_reconstruct_runs_the_traced_color_path(small_geometry):
     """A reconstruction converts its pixels through the traced ``rgb_to_hsv`` and ``color_delta``, so their spans
     measure the color path the pipeline runs."""
     truth = pt.sphere_press_truth(0.3, small_geometry)
-    ref, contact = pt.phantom.reading_pair(truth, small_membrane, 1)
+    ref, contact = pt.phantom.reading_pair(truth, 1)
     with tracer.installed(tracer.Tracer()) as traced:
         pt.reconstruct(linear_hue_model(1.0), ref, contact, small_geometry)
     layers = traced.layers()
