@@ -26,7 +26,6 @@ from .imprint import ImprintParams, augmented_imprint, color_delta, disc_rows
 from .phantom import (
     DatasetSpec,
     PhantomConfig,
-    clean_pixels,
     contact_solve,
     dataset_presses,
     disc_captures,

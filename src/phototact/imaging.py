@@ -88,10 +88,7 @@ class RgbImage:
         if px.ndim != 3 or px.shape[2] != 3 or px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("RGB pixels must be shaped (height, width, 3) and non-empty")
         if px.dtype != np.uint8:
-            if not np.issubdtype(px.dtype, np.integer):
-                raise ValueError("RGB channels must be integers")
-            if px.min() < 0 or px.max() > 255:
-                raise ValueError("RGB channels must lie in [0, 255]")
+            raise ValueError("RGB channels must be uint8")
         object.__setattr__(self, "pixels", frozen_array(px, np.uint8))
 
     @property

@@ -10,8 +10,9 @@ exponential depth attenuation, which produces the localized bump signature
 the detector feeds on.
 
 Rendering maps indentation depth to an HSV shift of the membrane's baseline
-color, converts to RGB, and applies seed-deterministic speckle and channel
-noise of the sensor's constant amplitudes (``defaults``).  The sensor has one
+color at a set of pixels (:func:`deformed_hsv`, the one noise-free render),
+converts to RGB, and applies seed-deterministic speckle and channel noise of
+the sensor's constant amplitudes (``defaults``).  The sensor has one
 membrane, so its baseline is a function of the frame's shape alone
 (:func:`membrane_baseline`); the baseline and the noise-free unloaded render
 are cached for the last two frame shapes.  All randomness is
@@ -217,41 +218,30 @@ def sphere_press_truth(press_depth: float, geom: SensorGeometry) -> DeformationM
     return DeformationMap(profile.astype(np.float32), geom.disc_mask)
 
 
-def _shifted_hsv(base, depth):
-    """(hue, saturation, value) of the HSV pixels ``base`` (..., 3) shifted by the response to ``depth`` (...), in mm.
+def deformed_hsv(dmap: DeformationMap, index):
+    """Noise-free (hue, saturation, value) response of the membrane to ``dmap`` at the flat row-major ``index``.
 
-    For a baseline in range and a finite depth, each channel is in range too.
+    The channels hold the indexed pixels in index order. Every pixel's color
+    depends on that pixel only, so any index renders the same colors as the
+    frame's. For a baseline in range and a finite depth, each channel is in
+    range too.
     """
-    hue = np.mod(base[..., 0] + defaults.GAIN_H_DEG_PER_MM * depth, 360.0)
+    base = np.take(membrane_baseline(dmap.depths.shape).reshape(-1, 3), index, axis=0)
+    depth = np.take(dmap.depths, index).astype(np.float64)
+    hue = np.mod(base[:, 0] + defaults.GAIN_H_DEG_PER_MM * depth, 360.0)
     hue = np.where(hue >= 360.0, 0.0, hue)
-    sat = np.clip(base[..., 1] + defaults.GAIN_S_PER_MM * depth, 0.0, 1.0)
-    val = np.clip(base[..., 2] + defaults.GAIN_V_PER_MM * depth, 0.0, 1.0)
+    sat = np.clip(base[:, 1] + defaults.GAIN_S_PER_MM * depth, 0.0, 1.0)
+    val = np.clip(base[:, 2] + defaults.GAIN_V_PER_MM * depth, 0.0, 1.0)
     return hue, sat, val
-
-
-def deformed_hsv(dmap: DeformationMap):
-    """Noise-free (hue, saturation, value) response of the membrane to the given indentation."""
-    return _shifted_hsv(membrane_baseline(dmap.depths.shape), dmap.depths.astype(np.float64))
 
 
 @lru_cache(maxsize=2)
 def _rest_rgb(shape) -> np.ndarray:
     """Noise-free real RGB of the unloaded membrane over a frame of ``shape`` (read-only)."""
     unloaded = DeformationMap(np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=bool))
-    real = hsv_to_rgb_real(*deformed_hsv(unloaded))
+    real = hsv_to_rgb_real(*deformed_hsv(unloaded, np.arange(math.prod(shape)))).reshape(*shape, 3)
     real.setflags(write=False)
     return real
-
-
-def clean_pixels(dmap: DeformationMap, index) -> np.ndarray:
-    """Noise-free real RGB (N, 3) of the pixels at the flat row-major ``index``, in its order.
-
-    Every pixel's color depends on that pixel only, so this is the indexed
-    part of the noise-free full-frame render.
-    """
-    base = np.take(membrane_baseline(dmap.depths.shape).reshape(-1, 3), index, axis=0)
-    depth = np.take(dmap.depths, index).astype(np.float64)
-    return hsv_to_rgb_real(*_shifted_hsv(base, depth))
 
 
 def _noisy_channels(clean, noise) -> np.ndarray:
@@ -277,9 +267,10 @@ def _noisy_capture(clean, seed: int, index=None) -> np.ndarray:
     last indexed pixel: a Philox normal fill is a prefix of any longer fill
     from the same stream. The fill runs in blocks of frame pixels, each
     continuing the stream where the last ended, so the normals are those of
-    one fill. This is the body :func:`render_reading`
-    and the noise worker of :func:`disc_captures` share; it calls no function
-    the benchmark's tracer wraps, since the tracer keeps one span stack.
+    one fill. The channels are returned read-only. This is the body
+    :func:`render_reading` and the noise worker of :func:`disc_captures`
+    share; it calls no function the benchmark's tracer wraps, since the tracer
+    keeps one span stack.
     """
     rng = rng_stream(seed, STREAM_RENDER)
     clean_px = clean.reshape(-1, 3)
@@ -297,6 +288,7 @@ def _noisy_capture(clean, seed: int, index=None) -> np.ndarray:
             lo, hi = np.searchsorted(index, (start, stop))
             noise = np.take(noise, index[lo:hi] - start, axis=0)
         out[lo:hi] = _noisy_channels(clean_px[lo:hi], noise)
+    out.setflags(write=False)
     return out.reshape(clean.shape)
 
 
@@ -309,11 +301,12 @@ def disc_captures(phases, geom: SensorGeometry):
     ``ref_px`` is the unloaded disc captured at the reference seed and
     ``contact_px`` the truth's disc at the contact seed, each the
     ``geom.disc_mask`` pixels of :func:`render_reading` at its seed. The
-    noise-free unloaded disc is rendered once and each truth's disc once, on
-    the consumer's thread. A pair that names the previous pair's reference seed
-    takes the previous pair's reference, drawn once: a capture is a function of
-    its seed alone. Every capture is yielded read-only, since one reference can
-    reach several pairs. One worker thread makes the noise at most one pair
+    noise-free unloaded disc is rendered once and each truth's disc once, by
+    :func:`deformed_hsv` at ``geom.disc_index`` on the consumer's thread. A
+    pair that names the previous pair's reference seed takes the previous
+    pair's reference, drawn once: a capture is a function of its seed alone.
+    Every capture is drawn read-only, since one reference can reach several
+    pairs. One worker thread makes the noise at most one pair
     ahead of the consumer: pair k + 1 is submitted just before pair k is
     yielded. numpy releases the interpreter lock while it draws and scales the
     noise, so the draw runs beside the consumer's work. The thread is joined
@@ -323,18 +316,15 @@ def disc_captures(phases, geom: SensorGeometry):
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="phototact-noise")
 
     def finished(truth, *futures):
-        captures = [future.result() for future in futures]
-        for capture in captures:
-            capture.setflags(write=False)
-        return truth, *captures
+        return truth, *(future.result() for future in futures)
 
     try:
-        rest = clean_pixels(geom.zero_map(), index)
+        rest = hsv_to_rgb_real(*deformed_hsv(geom.zero_map(), index))
         ahead = None
         held_seed = ref = None  # the last reference seed and its capture's future
         for truths, seed_pairs in phases:
             for truth, pairs in zip(truths, seed_pairs, strict=True):
-                clean = clean_pixels(truth, index)
+                clean = hsv_to_rgb_real(*deformed_hsv(truth, index))
                 for ref_seed, contact_seed in pairs:
                     if int(ref_seed) != held_seed:
                         held_seed = int(ref_seed)
@@ -361,7 +351,7 @@ def render_reading(dmap: DeformationMap, seed: int) -> RgbImage:
     pressed = np.flatnonzero(dmap.depths)
     if pressed.size:
         clean = clean.copy()
-        clean.reshape(-1, 3)[pressed] = clean_pixels(dmap, pressed)
+        clean.reshape(-1, 3)[pressed] = hsv_to_rgb_real(*deformed_hsv(dmap, pressed))
     return RgbImage(_noisy_capture(clean, seed))
 
 
@@ -399,6 +389,8 @@ class DatasetSpec:
             raise ValueError("dataset spec sizes and masses must be finite")
         if self.presses_per_positive < 1 or self.presses_per_negative_mass < 1:
             raise ValueError("press counts must be positive")
+        if self.n_positive + self.n_negative == 0:
+            raise ValueError("dataset spec gives no press")
 
     @property
     def n_positive(self) -> int:

@@ -19,7 +19,8 @@ from phototact.characterization import (
 )
 from phototact import characterization, phantom
 from phototact.calibration import disc_depths, reconstruct
-from phototact.phantom import clean_pixels, render_reading, rng_stream, spherical_cap_volume
+from phototact.imaging import hsv_to_rgb_real
+from phototact.phantom import deformed_hsv, render_reading, rng_stream, spherical_cap_volume
 from conftest import linear_hue_model
 
 
@@ -32,7 +33,7 @@ def predicted_null_std(geom):
     Phi((k + 1/2 - c) / sigma) - Phi((k - 1/2 - c) / sigma). The difference of two independent readings has twice
     a channel's variance, and the std over the disc is the root of the mean.
     """
-    clean = clean_pixels(geom.zero_map(), geom.disc_index).reshape(-1, 1)
+    clean = hsv_to_rgb_real(*deformed_hsv(geom.zero_map(), geom.disc_index)).reshape(-1, 1)
     sigma = np.hypot(defaults.SENSOR_NOISE_STD, defaults.SPECKLE_AMPLITUDE * clean)
     levels = np.floor(clean) + np.arange(-10, 12)  # every level within 19 sigma of c, the widest sigma being 0.49
     edges = np.concatenate([levels - 0.5, levels[:, -1:] + 0.5], axis=1)

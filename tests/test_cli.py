@@ -358,13 +358,18 @@ class TestDatasetVerbs:
 
     def test_two_verbs_build_the_membrane_once(self, tmp_path, tiny_spec, monkeypatch):
         """``phantom`` then ``dataset`` in one process, at a frame shape no other test renders, build the membrane's
-        baseline (its three cosine fields) once and its noise-free rest render (the one full-frame
-        ``deformed_hsv``) once."""
+        baseline (its three cosine fields) once and its noise-free rest render (the one ``deformed_hsv`` whose index
+        covers the frame) once."""
         fields, frames = [], []
         smooth_field, deformed_hsv = phantom._smooth_field, phantom.deformed_hsv
+
+        def recorded(dmap, index):
+            if len(index) == dmap.depths.size:
+                frames.append(dmap.depths.shape)
+            return deformed_hsv(dmap, index)
+
         monkeypatch.setattr(phantom, "_smooth_field", lambda *args: fields.append(1) or smooth_field(*args))
-        monkeypatch.setattr(phantom, "deformed_hsv",
-                            lambda dmap, *args: frames.append(dmap.depths.shape) or deformed_hsv(dmap, *args))
+        monkeypatch.setattr(phantom, "deformed_hsv", recorded)
         flags = ["--width", "110", "--height", "90", "--mm-per-pixel", "0.1"]
         assert run(["phantom", *flags, "--no-tumor", "--seed", 3, "--out-prefix", tmp_path / "press"]) == 0
         assert run(["dataset", *flags, "--spec", tiny_spec, "--seed", 7, "--out", tmp_path / "data"]) == 0
@@ -730,6 +735,12 @@ def short_ppm(t):
     return path
 
 
+def bytes_file(t, name, data):
+    path = t / name
+    path.write_bytes(data)
+    return path
+
+
 def occupied(t, name):
     """``t``, after making ``t / name`` a directory."""
     (t / name).mkdir(parents=True)
@@ -831,12 +842,17 @@ EXIT_CODE_TABLE = [
      1, "required: --out"),
     ("imprint", "short-ppm", lambda d, t: ["imprint", "--ref", short_ppm(t), "--contact", d / "press_ref.ppm",
                                            "--out", t / "i.ppm"], 2, "unexpected end of pixel data"),
+    ("imprint", "ppm-ends-at-maxval", lambda d, t: ["imprint", "--ref", bytes_file(t, "r.ppm", b"P6\n1 1\n255"),
+                                                    "--contact", d / "press_ref.ppm", "--out", t / "i.ppm"], 2,
+     "missing whitespace after maxval"),
     ("imprint", "alpha-nan", lambda d, t: ["imprint", "--ref", d / "press_ref.ppm", "--contact", d / "press_ref.ppm",
                                            "--alpha", "nan", "--out", t / "i.ppm"], 2, "must be finite"),
     ("calibrate", "epochs-not-an-int", lambda d, t: ["calibrate", "--epochs", "x", "--out", t / "c.json"], 1,
      "invalid int value"),
     ("calibrate", "out-in-missing-directory", lambda d, t: ["calibrate", *SMALL, "--captures", 1, "--epochs", 1,
                                                             "--out", t / "none" / "c.json"], 2, "No such file"),
+    ("calibrate", "captures-zero", lambda d, t: ["calibrate", *SMALL, "--captures", 0, "--epochs", 1,
+                                                 "--out", t / "c.json"], 2, "need at least one capture"),
     ("calibrate", "sphere-radius-nan", lambda d, t: ["calibrate", *SMALL, "--sphere-radius", "nan",
                                                      "--out", t / "c.json"], 1,
      "unrecognized arguments: --sphere-radius nan"),
@@ -883,6 +899,11 @@ EXIT_CODE_TABLE = [
     ("reconstruct", "fifth-layer-blobs", lambda d, t: ["reconstruct", *SMALL, "--model", extra_layer(d / "calib.json", t),
                                                        "--ref", d / "press_ref.ppm", "--contact", d / "press_contact.ppm",
                                                        "--out", t / "r.dmap"], 2, "malformed calibration model file"),
+    ("reconstruct", "layer-sizes-changed", lambda d, t: ["reconstruct", *SMALL, "--model",
+                                                         edited(d / "calib.json", t, layer_sizes=[5, 8, 1]),
+                                                         "--ref", d / "press_ref.ppm", "--contact",
+                                                         d / "press_contact.ppm", "--out", t / "r.dmap"], 2,
+     "unexpected layer sizes"),
     ("reconstruct", "scale-nan", lambda d, t: ["reconstruct", "--width", 100, "--height", 80, "--mm-per-pixel", "nan",
                                                "--model", d / "calib.json", "--ref", d / "press_ref.ppm", "--contact",
                                                d / "press_contact.ppm", "--out", t / "r.dmap"], 2, "must be finite"),
@@ -926,6 +947,12 @@ EXIT_CODE_TABLE = [
     ("dataset", "repeated-sample-id", lambda d, t: ["dataset", *SMALL, "--spec",
                                                     edited(d / "spec.json", t, diameters_mm=[4.0, 4.0000001]),
                                                     "--out", t / "data"], 2, "two samples the id pos_d4_b2_p0"),
+    ("dataset", "presses-zero", lambda d, t: ["dataset", *SMALL, "--spec",
+                                              edited(d / "spec.json", t, presses_per_positive=0),
+                                              "--out", t / "data"], 2, "press counts must be positive"),
+    ("dataset", "no-press", lambda d, t: ["dataset", *SMALL, "--spec",
+                                          edited(d / "spec.json", t, diameters_mm=[], negative_masses_g=[]),
+                                          "--out", t / "data"], 2, "dataset spec gives no press"),
     ("train-detector", "unknown-flag", lambda d, t: ["train-detector", "--dataset", d / "data", "--calibration",
                                                      d / "calib.json", "--out", t / "det.json", "--gamma", 1], 1,
      "unrecognized arguments: --gamma"),
@@ -983,6 +1010,13 @@ EXIT_CODE_TABLE = [
      "one mean and one std per feature"),
     ("detect", "map-not-a-dmap", lambda d, t: ["detect", "--detector", d / "detector.json", "--map", short_ppm(t)], 2,
      "error: "),
+    # The last mask byte of the reconstruction, 2 in place of 0 or 1.
+    ("detect", "map-mask-byte-two",
+     lambda d, t: ["detect", "--detector", d / "detector.json", "--map",
+                   bytes_file(t, "m.dmap", (d / "recon.dmap").read_bytes()[:-1] + b"\x02")], 2, "invalid mask byte"),
+    ("detect", "weights-zero", lambda d, t: ["detect", "--detector",
+                                             edited(d / "detector.json", t, weights={"mu": 0.0, "sigma": 0.0}),
+                                             "--map", d / "recon.dmap"], 2, "weights must not both be zero"),
     ("evaluate", "missing-out-flag", lambda d, t: ["evaluate", "--detector", d / "detector.json", "--dataset",
                                                    d / "data", "--calibration", d / "calib.json"], 1,
      "required: --out"),

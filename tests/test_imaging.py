@@ -283,6 +283,13 @@ def test_loaders_raise_only_format_errors(tmp_path_factory, data):
             pass
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64, bool])
+def test_rgb_image_takes_uint8_channels_only(dtype):
+    """Channels of any other dtype are refused, even integers in [0, 255]."""
+    with pytest.raises(ValueError, match="RGB channels must be uint8"):
+        RgbImage(np.full((1, 1, 3), 1, dtype=dtype))
+
+
 class TestDeformationMap:
     def test_rejects_negative_depths(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -157,8 +157,8 @@ class TestColorDelta:
         dmap = pt.DeformationMap(depths, small_geometry.disc_mask)
         expected = 0.2 * defaults.GAIN_H_DEG_PER_MM
 
-        hue, _, _ = deformed_hsv(dmap)
-        exact = pt.hue_delta(hue, membrane_baseline(depths.shape)[..., 0])
+        hue, _, _ = deformed_hsv(dmap, np.arange(depths.size))
+        exact = pt.hue_delta(hue, membrane_baseline(depths.shape)[..., 0].ravel())
         assert np.allclose(exact, expected, atol=1e-9)
 
         ref = pt.render_reading(small_geometry.zero_map(), seed=0)

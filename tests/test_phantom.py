@@ -237,8 +237,8 @@ class TestSpherePress:
 
 
 def uncached_clean(dmap):
-    """Reference noise-free render: deformed HSV -> real RGB over the full frame."""
-    return hsv_to_rgb_real(*deformed_hsv(dmap))
+    """Reference noise-free render: deformed HSV -> real RGB at every pixel of the frame, shaped (height, width, 3)."""
+    return hsv_to_rgb_real(*deformed_hsv(dmap, np.arange(dmap.depths.size))).reshape(*dmap.depths.shape, 3)
 
 
 def uncached_render(dmap, seed):
@@ -302,7 +302,7 @@ class TestRenderReading:
         def no_render(*args):
             raise AssertionError("the zero map must reuse the cached rest render")
 
-        monkeypatch.setattr(pt.phantom, "_shifted_hsv", no_render)
+        monkeypatch.setattr(pt.phantom, "deformed_hsv", no_render)
         assert np.array_equal(render_reading(small_geometry.zero_map(), 4).pixels, expected)
 
     def test_noise_free_zero_deformation_is_baseline(self, small_geometry, quiet_sensor):
@@ -349,13 +349,16 @@ class TestDiscPixels:
     """The disc path computes exactly the masked pixels of the full-frame path."""
 
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])
-    def test_clean_pixels_match_clean_rgb(self, request, which):
+    def test_indexed_render_matches_the_frame_render(self, request, which):
+        """``deformed_hsv`` at an index gives the frame-wide call's channels gathered at that index."""
         geom = request.getfixturevalue(which)
         full = np.ones((geom.height, geom.width), dtype=bool)
         for dmap in press_maps(geom):
+            frame = deformed_hsv(dmap, np.arange(dmap.depths.size))
             for mask in (geom.disc_mask, bottom_row_mask(geom), full):
-                clean = pt.clean_pixels(dmap, np.flatnonzero(mask))
-                assert np.array_equal(clean, uncached_clean(dmap)[mask])
+                index = np.flatnonzero(mask)
+                for channel, frame_channel in zip(deformed_hsv(dmap, index), frame, strict=True):
+                    assert np.array_equal(channel, frame_channel[index])
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**62 - 1])
     @pytest.mark.parametrize("which", ["geometry", "small_geometry"])

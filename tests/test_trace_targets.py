@@ -87,7 +87,11 @@ def test_reconstruct_runs_the_traced_color_path(small_geometry):
 
 
 def test_the_noise_thread_calls_no_traced_function(small_geometry):
-    """The tracer keeps one span stack, so every traced call of the disc-capture paths runs on the main thread."""
+    """The tracer keeps one span stack, so every traced call of the disc-capture paths runs on the main thread.
+
+    Each stream's noise-free renders show as ``phantom.deformed_hsv`` spans: one of the unloaded disc, then one per
+    truth.
+    """
     threads = set()
 
     class ThreadRecorder(tracer.Tracer):
@@ -95,10 +99,17 @@ def test_the_noise_thread_calls_no_traced_function(small_geometry):
             threads.add(threading.current_thread())
             return super().span(name)
 
+    def renders():
+        return sum(name == "phantom.deformed_hsv" for name, *_ in traced.spans)
+
     with tracer.installed(ThreadRecorder()) as traced:
         pt.characterize(small_geometry, linear_hue_model(1.0), forces=(0.05, 0.09, 0.11), steps=(0.2, 0.5), seed=1)
+        characterize_renders = renders()
         pt.build_calib_dataset(2, small_geometry, seed=1)
     assert threads == {threading.main_thread()}
+    # The characterize truths: the noise floor's zero map, 3 loading and 3 unloading forces, 2 steps, the null pair.
+    assert characterize_renders == 1 + (1 + 3 + 3 + 2 + 1)
+    assert renders() - characterize_renders == 1 + 2
     layers = traced.layers()
     assert layers["imaging.hsv_to_rgb_real"]["calls"] > 0
     # Each characterize phase's span holds the forward passes of its own captures, so the benchmark's
